@@ -23,13 +23,12 @@ from .model import (
 )
 from .dynamics import PureState, initial_state, propagate, propagate_to_times, time_grid
 from .observables import (
-    ObservableRecord,
     ReducedDensityMatrix,
     boltzmann_fit_temperature,
     free_energy_change,
-    observable_record,
     reduced_density_matrix,
     system_energy,
+    trajectory_columns,
     universe_entropy,
     von_neumann_entropy,
 )
@@ -46,7 +45,6 @@ from .rng import SeededRng
 
 __all__ = [
     "ModelConfig",
-    "ObservableRecord",
     "PureState",
     "ReducedDensityMatrix",
     "SeededRng",
@@ -64,7 +62,6 @@ __all__ = [
     "entropy_production_rate",
     "free_energy_change",
     "initial_state",
-    "observable_record",
     "propagate",
     "propagate_to_times",
     "reduced_density_matrix",
@@ -73,6 +70,7 @@ __all__ = [
     "system_energy",
     "temperature_of",
     "time_grid",
+    "trajectory_columns",
     "universe_entropy",
     "von_neumann_entropy",
 ]

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,7 @@ from .cache import cache_key
 from .config import ModelConfig
 from .dynamics import PureState, initial_state, propagate, propagate_to_times, time_grid
 from .model import assemble_hamiltonian, build_system_levels, temperature_of
-from .observables import observable_record
+from .observables import trajectory_columns
 from .rng import SeededRng
 
 SCHEMA_VERSION = 1
@@ -65,13 +66,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _traj_header(config: ModelConfig, n_shells: int) -> list[str]:
-    cols = ["time_reduced", "time_ps", "S_vN", "S_univ", "U_S", "U_S_cm",
-            "dF", "dF_cm", "minus_dF_over_kT"]
-    cols += [f"S_partial_{s}" for s in range(n_shells)]
-    cols += [f"rdm_diag_{k}" for k in range(config.n_system_levels)]
-    cols += ["T_fit_K"]
-    return cols
+def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
+                   n_points: int) -> None:
+    """Reject a run that could only fail after the Hamiltonian is solved."""
+    if not states:
+        raise ValueError("no initial states requested")
+    valid = [n for n in range(config.n_system_levels)
+             if 0 <= config.total_energy - n < config.n_env_levels]
+    bad = [n for n in states if n not in valid]
+    if bad:
+        raise ValueError(f"initial states {bad} are not valid; with total_energy="
+                         f"{config.total_energy} the valid levels are {valid}")
+    if len(set(states)) != len(states):
+        raise ValueError(f"duplicate initial states in {states}")
+    if n_points < 3:
+        raise ValueError("n_points must be at least 3: the entropy production "
+                         "rate needs 3 time points")
+    if not t_max_ps > 0.0:
+        raise ValueError("t_max_ps must be positive")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
@@ -80,17 +92,20 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
                    use_cache: bool = True) -> RunManifest:
     """Propagate each requested initial state and write all artifacts.
 
-    Per state: a trajectory CSV of observable records, a final-time
+    Per state: a trajectory CSV of the observable columns, a final-time
     stick diagram CSV, and an entry in the shell summary; plus one
-    anomaly report and one manifest for the run.
+    anomaly report and one manifest for the run.  Each state's files
+    depend only on the config, the grid and that state, not on which
+    other states are requested.
     """
+    _check_request(config, states, t_max_ps, n_points)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    timing: dict[str, float] = {}
+    timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ham = assemble_hamiltonian(config, use_cache=use_cache)
-    timing["build_and_solve"] = time.time() - t0
+    timing["build_and_solve"] = time.perf_counter() - t0
 
     basis = ham.basis
     ladder = build_system_levels(config).ladder
@@ -98,7 +113,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     unit = config.energy_unit_wavenumbers
     t_max = units.ps_to_reduced_time(t_max_ps, unit)
     times = time_grid(t_max, n_points)
-    n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
     late = late_window_slice(n_points, LATE_FRACTION)
 
     outputs: list[str] = []
@@ -106,32 +120,18 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
     rng = SeededRng(config.rng_seed)
 
-    t0 = time.time()
     for n in states:
+        t0 = time.perf_counter()
         psi0 = initial_state(basis, n, config.total_energy,
                              phase_rng=rng if config.random_initial_phases else None)
         amplitudes = propagate_to_times(psi0, ham, times)
-        records = []
-        for k, t in enumerate(times):
-            state = PureState(amplitudes[k], float(t))
-            state.check_normalized()
-            rec = observable_record(
-                state, basis, ladder, temp.kbt_reduced, unit,
-                reference_record=records[0] if records else None,
-            )
-            rec.validate(config.n_system_levels, config.n_universe_states)
-            records.append(rec)
+        t1 = time.perf_counter()
+        traj = trajectory_columns(amplitudes, times, basis, ladder, temp.kbt_reduced, unit)
+        # a copy, so that the (T, dim) block is freed before the next state's
+        final_state = PureState(amplitudes[-1].copy(), float(times[-1]))
+        del amplitudes
 
-        traj_path = out / f"traj_n{n}.csv"
-        _write_trajectory(traj_path, config, n, records, n_shells)
-        outputs.append(traj_path.name)
-
-        final_state = PureState(amplitudes[-1], float(times[-1]))
-        sticks_path = out / f"sticks_n{n}.csv"
-        _write_sticks(sticks_path, config, n, final_state, basis)
-        outputs.append(sticks_path.name)
-
-        s_univ_series = np.array([r.s_univ for r in records])
+        s_univ_series = traj["S_univ"]
         rate = entropy_production_rate(times, s_univ_series)
         dips = detect_negative_production(times, rate)
         anomaly_report["states"].append({
@@ -141,19 +141,31 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "min_rate_time": float(times[int(rate.argmin())]),
         })
 
-        partial5 = np.array([r.shell_partial_entropies[config.total_energy] for r in records])
+        partial = traj[f"S_partial_{config.total_energy}"]
         decomp = shell_decompose(final_state, basis)
         summary_rows.append({
             "n": n,
             "S_univ": float(s_univ_series[late].mean()),
-            "S_partial": float(partial5[late].mean()),
+            "S_partial": float(partial[late].mean()),
             "S_univ_final": float(s_univ_series[-1]),
             "S_partial_final": decomp.partial_entropy(config.total_energy),
             "effective_states": float(np.exp(s_univ_series[late].mean())),
             "shell_population_final": decomp.population(config.total_energy),
         })
-    timing["trajectories"] = time.time() - t0
+        t2 = time.perf_counter()
 
+        traj_path = out / f"traj_n{n}.csv"
+        _write_trajectory(traj_path, config, n, traj)
+        outputs.append(traj_path.name)
+        sticks_path = out / f"sticks_n{n}.csv"
+        _write_sticks(sticks_path, config, n, final_state, basis)
+        outputs.append(sticks_path.name)
+        t3 = time.perf_counter()
+        timing["propagate"] += t1 - t0
+        timing["observables"] += t2 - t1
+        timing["write"] += t3 - t2
+
+    t0 = time.perf_counter()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "seed": config.rng_seed,
@@ -168,6 +180,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
 
     (out / "anomalies.json").write_text(json.dumps(anomaly_report, indent=2, sort_keys=True))
     outputs.append("anomalies.json")
+    timing["write"] += time.perf_counter() - t0
 
     manifest = RunManifest(
         config=config.to_dict(),
@@ -191,24 +204,15 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     return manifest
 
 
-def _write_trajectory(path, config, n, records, n_shells):
-    unit = config.energy_unit_wavenumbers
+def _write_trajectory(path, config, n, traj):
+    """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
                  f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_traj_header(config, n_shells))
-        for r in records:
-            row = [
-                _fmt(r.time), _fmt(r.time_ps), _fmt(r.s_vn), _fmt(r.s_univ),
-                _fmt(r.u_system), _fmt(r.u_system * unit),
-                _fmt(r.delta_f), _fmt(r.delta_f * unit),
-                _fmt(r.minus_delta_f_over_kbt),
-            ]
-            row += [_fmt(v) for v in r.shell_partial_entropies]
-            row += [_fmt(v) for v in r.rdm_diagonal]
-            row.append("" if r.t_fit_kelvin is None else _fmt(r.t_fit_kelvin))
-            writer.writerow(row)
+        writer.writerow(list(traj))
+        for row in np.column_stack(list(traj.values())).tolist():
+            writer.writerow(["" if math.isnan(x) else _fmt(x) for x in row])
 
 
 def _write_sticks(path, config, n, state, basis):

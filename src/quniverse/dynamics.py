@@ -2,8 +2,14 @@
 
 Propagation is exact: c(t) = V exp(-i E t) V^T c(0) through the stored
 eigendecomposition.  Every requested time is reached in a single step
-from the input state (no step-to-step error accumulation); evaluating a
-whole grid batches the phase rotation into two real GEMMs per chunk.
+from the input state (no step-to-step error accumulation).
+
+A whole time grid costs one real GEMM per state.  A C-contiguous
+complex (n, T) array viewed as float64 is a real (n, 2T) matrix whose
+columns alternate Re and Im; the real V times that matrix keeps the
+columns interleaved, so the product views back as complex with no
+copy, no recombination and no complex promotion of V.  `V^T c(0)` uses
+the same view at width 2 and reads V once.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import numpy as np
 
 from .model import UniverseBasis, UniverseHamiltonian
 from .rng import PHASE_STREAM, SeededRng
-
-NORM_TOL = 1e-10
 
 
 @dataclass
@@ -31,11 +35,6 @@ class PureState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def check_normalized(self, tol: float = NORM_TOL) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > tol:
-            raise ValueError(f"state norm {n} deviates from 1 beyond {tol}")
 
 
 def initial_state(basis: UniverseBasis, n: int, total_energy: int,
@@ -67,13 +66,32 @@ def initial_state(basis: UniverseBasis, n: int, total_energy: int,
     return PureState(amplitudes=amplitudes, time=0.0)
 
 
-def _real_matmul_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # real matrix times complex vector/matrix without promoting `mat` to complex
-    return mat @ np.ascontiguousarray(z.real) + 1j * (mat @ np.ascontiguousarray(z.imag))
+def _real_times_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real `mat` times complex `z` (2-D) as one real GEMM over the float64 view of z."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    return (mat @ z.view(np.float64)).view(np.complex128)
 
 
 def propagate(state: PureState, ham: UniverseHamiltonian, t: float) -> PureState:
-    """Evolve `state` by time t (negative t runs backward)."""
+    """Evolve `state` by time t (negative t runs backward).
+
+    The one-time case of `propagate_to_times`.
+    """
+    (c,) = propagate_to_times(state, ham, [t])
+    return PureState(amplitudes=c, time=state.time + t)
+
+
+def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
+                       times: np.ndarray) -> np.ndarray:
+    """Amplitudes at many times from one state, shape (len(times), dim).
+
+    Each time is computed directly from `state` (not chained), so rows
+    are independent.  The result is the transposed complex view of one
+    (dim, 2 len(times)) GEMM output: no copy is made, and rows are
+    strided (columns of the underlying array are contiguous).  Besides
+    the result, the only large temporary is the (dim, len(times))
+    complex array of phased coefficients exp(-i E t) V^T c(0).
+    """
     if ham.eigenvalues is None or ham.eigenvectors is None:
         raise ValueError("Hamiltonian has no eigendecomposition")
     if state.amplitudes.size != ham.dim:
@@ -81,32 +99,15 @@ def propagate(state: PureState, ham: UniverseHamiltonian, t: float) -> PureState
             f"state dimension {state.amplitudes.size} does not match "
             f"Hamiltonian dimension {ham.dim}"
         )
-    v = ham.eigenvectors
-    a = _real_matmul_complex(v.T, state.amplitudes.astype(np.complex128, copy=False))
-    a *= np.exp(-1j * ham.eigenvalues * t)
-    c = _real_matmul_complex(v, a)
-    return PureState(amplitudes=c, time=state.time + t)
-
-
-def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
-                       times: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Amplitudes at many times from one state, shape (len(times), dim).
-
-    Each time is computed directly from `state` (not chained), so rows
-    are independent and identical to single `propagate` calls.
-    """
-    if ham.eigenvalues is None or ham.eigenvectors is None:
-        raise ValueError("Hamiltonian has no eigendecomposition")
     times = np.asarray(times, dtype=float)
-    v = ham.eigenvectors
-    a0 = _real_matmul_complex(v.T, state.amplitudes.astype(np.complex128, copy=False))
-    out = np.empty((times.size, ham.dim), dtype=np.complex128)
-    for start in range(0, times.size, chunk):
-        ts = times[start:start + chunk]
-        phases = np.exp(-1j * np.outer(ham.eigenvalues, ts))
-        phases *= a0[:, None]
-        out[start:start + ts.size] = _real_matmul_complex(v, phases).T
-    return out
+    v, e = ham.eigenvectors, ham.eigenvalues
+    a0 = _real_times_complex(v.T, state.amplitudes[:, None])
+    phases = np.empty((e.size, times.size), dtype=np.complex128)
+    np.multiply.outer(-e, times, out=phases.imag)
+    phases.real = 0.0
+    np.exp(phases, out=phases)
+    phases *= a0
+    return _real_times_complex(v, phases).T
 
 
 def time_grid(t_max: float, n_points: int) -> np.ndarray:

@@ -2,6 +2,18 @@ import numpy as np
 import pytest
 
 from quniverse import ModelConfig, assemble_hamiltonian
+from quniverse.cache import CACHE_DIR_ENV
+
+
+@pytest.fixture(autouse=True)
+def _private_cache_dir(request, tmp_path_factory, monkeypatch):
+    """Keep unit tests out of the user's eigensystem cache.
+
+    The acceptance suite keeps the shared cache on purpose: its
+    production-size solves are paid once and reused by later runs.
+    """
+    if request.node.path.name != "test_acceptance.py":
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
 
 
 def toy6_config(**overrides):

@@ -43,6 +43,9 @@ def test_toy_run_writes_all_artifacts(tmp_path):
     manifest_echo = json.loads((out / "manifest.json").read_text())
     assert ModelConfig.from_dict(manifest_echo["config"]) == cfg
     assert manifest_echo["seed"] == 31
+    assert set(manifest_echo["timing_seconds"]) == {
+        "build_and_solve", "propagate", "observables", "write"}
+    assert all(v >= 0.0 for v in manifest_echo["timing_seconds"].values())
 
 
 def test_trajectory_columns_and_invariants(tmp_path):
@@ -75,6 +78,47 @@ def test_repeated_run_byte_identical(tmp_path):
     for name in ("traj_n0.csv", "traj_n1.csv", "sticks_n0.csv",
                  "sticks_n1.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_state_files_independent_of_other_states(tmp_path, toy_cfg_file):
+    _, cfg_path = toy_cfg_file
+    for name, states in (("alone", "0"), ("with_1", "1,0")):
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / name),
+                   "--states", states, "--t-max-ps", "2.0", "--n-points", "50",
+                   "--no-cache"])
+        assert rc == 0
+    for name in ("traj_n0.csv", "sticks_n0.csv"):
+        alone = (tmp_path / "alone" / name).read_bytes()
+        assert alone == (tmp_path / "with_1" / name).read_bytes(), name
+
+
+def test_alpha_zero_t_fit_blank(tmp_path):
+    cfg = toy6_config(alpha=0.0, rng_seed=31)
+    _run(cfg, tmp_path)
+    lines = (tmp_path / "traj_n0.csv").read_text().splitlines()
+    assert lines[1].split(",")[-1] == "T_fit_K"
+    assert all(line.split(",")[-1] == "" for line in lines[2:])
+    assert np.isnan(read_trajectory(tmp_path / "traj_n0.csv")["T_fit_K"]).all()
+
+
+@pytest.mark.parametrize("states, kwargs, message", [
+    ([], {}, "no initial states"),
+    ([2], {}, "not valid"),
+    ([-1], {}, "not valid"),
+    ([0, 1, 0], {}, "duplicate"),
+    ([0, 1], {"n_points": 2}, "n_points"),
+    ([0, 1], {"t_max_ps": 0.0}, "t_max_ps"),
+    ([0, 1], {"t_max_ps": -1.0}, "t_max_ps"),
+], ids=["no_states", "state_too_high", "state_negative", "duplicate_state",
+        "two_points", "zero_t_max", "negative_t_max"])
+def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, message):
+    def solve_reached(*args, **kw):
+        raise AssertionError("the Hamiltonian was assembled before the input was checked")
+
+    monkeypatch.setattr("quniverse.cli.assemble_hamiltonian", solve_reached)
+    cfg = toy6_config(alpha=0.2, rng_seed=31)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, states, tmp_path / "out", **kwargs)
 
 
 def test_different_seed_changes_output(tmp_path):

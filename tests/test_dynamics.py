@@ -144,10 +144,14 @@ def test_propagate_dimension_mismatch(toy6_ham):
 def test_propagate_to_times_matches_single_calls(toy6_ham):
     psi0 = PureState(random_normalized_state(toy6_ham.dim, 6))
     times = np.linspace(0.0, 5.0, 11)
-    batch = propagate_to_times(psi0, toy6_ham, times, chunk=4)
+    batch = propagate_to_times(psi0, toy6_ham, times)
+    v, w = toy6_ham.eigenvectors, toy6_ham.eigenvalues
     for k, t in enumerate(times):
         single = propagate(psi0, toy6_ham, float(t))
         np.testing.assert_allclose(batch[k], single.amplitudes, rtol=0, atol=1e-12)
+        # complex-arithmetic oracle, independent of the real-GEMM view
+        direct = (v * np.exp(-1j * w * t)) @ (v.T.astype(complex) @ psi0.amplitudes)
+        np.testing.assert_allclose(batch[k], direct, rtol=0, atol=1e-12)
 
 
 # -- time grid and unit conversion ---------------------------------------------

@@ -3,25 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig
-from quniverse.dynamics import PureState, initial_state, propagate
-from quniverse.model import build_basis, build_system_levels, temperature_of
+from quniverse import ModelConfig, units
+from quniverse.dynamics import PureState, initial_state, propagate, propagate_to_times
+from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
 from quniverse.observables import (
-    ObservableRecord,
+    TIME_CHUNK,
     ReducedDensityMatrix,
     boltzmann_fit_temperature,
     free_energy_change,
-    observable_record,
     reduced_density_matrix,
     shannon_entropy,
     shell_partial_entropies,
     system_energy,
+    trajectory_columns,
     universe_entropy,
     von_neumann_entropy,
 )
 from quniverse.rng import SeededRng
 
-from conftest import random_normalized_state
+from conftest import random_normalized_state, toy21_config
 
 BOLTZMANN_6 = 2.0 ** -np.arange(6) / (2.0 ** -np.arange(6)).sum()
 
@@ -160,81 +160,74 @@ def test_universe_entropy_custom_transform(toy6_ham):
 
 def test_system_energy_cases():
     ladder = np.arange(6.0)
-    assert system_energy(_rdm_from_diag([0, 0, 0, 0, 0, 1.0]), ladder) == 5.0
-    np.testing.assert_allclose(
-        system_energy(_rdm_from_diag(BOLTZMANN_6), ladder), 57.0 / 63.0, rtol=1e-14
-    )
-    np.testing.assert_allclose(
-        system_energy(_rdm_from_diag(np.full(6, 1 / 6)), ladder), 2.5, rtol=1e-14
-    )
-
-
-def _record(u, s_vn):
-    return ObservableRecord(
-        time=0.0, time_ps=0.0, s_vn=s_vn, s_univ=0.0, u_system=u,
-        delta_f=0.0, minus_delta_f_over_kbt=0.0,
-        rdm_diagonal=np.zeros(6), shell_partial_entropies=np.zeros(13),
-    )
+    assert system_energy([0, 0, 0, 0, 0, 1.0], ladder) == 5.0
+    np.testing.assert_allclose(system_energy(BOLTZMANN_6, ladder), 57.0 / 63.0, rtol=1e-14)
+    np.testing.assert_allclose(system_energy(np.full(6, 1 / 6), ladder), 2.5, rtol=1e-14)
+    stacked = np.stack([BOLTZMANN_6, np.full(6, 1 / 6)])
+    np.testing.assert_allclose(system_energy(stacked, ladder), [57.0 / 63.0, 2.5], rtol=1e-14)
 
 
 def test_free_energy_change_arithmetic():
     kbt = 1.4
-    df, minus = free_energy_change(_record(1.0, 0.3), _record(1.0, 0.3), kbt)
-    assert df == 0.0 and minus == 0.0
-    df, minus = free_energy_change(_record(0.0, 0.2), _record(1.0, 0.2), kbt)
-    assert df == -1.0
-    np.testing.assert_allclose(minus, 1.0 / kbt, rtol=1e-14)
+    df, minus = free_energy_change([1.0, 1.0], [0.3, 0.3], kbt)
+    assert df[1] == 0.0 and minus[1] == 0.0
+    df, minus = free_energy_change([1.0, 0.0], [0.2, 0.2], kbt)
+    assert df[1] == -1.0
+    np.testing.assert_allclose(minus[1], 1.0 / kbt, rtol=1e-14)
+    # the reference entry is exactly +0.0 (a CSV shows "0.0", never "-0.0")
+    assert df[0] == 0.0 and minus[0] == 0.0
+    assert not np.signbit(df[0]) and not np.signbit(minus[0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_free_energy_change_antisymmetric(seed):
     rng = np.random.default_rng(seed)
-    a = _record(rng.uniform(0, 5), rng.uniform(0, math.log(6)))
-    b = _record(rng.uniform(0, 5), rng.uniform(0, math.log(6)))
+    u = rng.uniform(0, 5, size=2)
+    s = rng.uniform(0, math.log(6), size=2)
     kbt = rng.uniform(0.5, 2.0)
-    fwd, minus_fwd = free_energy_change(a, b, kbt)
-    rev, minus_rev = free_energy_change(b, a, kbt)
-    np.testing.assert_allclose(fwd, -rev, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(minus_fwd, -minus_rev, rtol=0, atol=1e-12)
+    fwd, minus_fwd = free_energy_change(u, s, kbt)
+    rev, minus_rev = free_energy_change(u[::-1], s[::-1], kbt)
+    np.testing.assert_allclose(fwd[1], -rev[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(minus_fwd[1], -minus_rev[1], rtol=0, atol=1e-12)
 
 
 def test_free_energy_requires_positive_temperature():
     with pytest.raises(ValueError):
-        free_energy_change(_record(0.0, 0.0), _record(1.0, 0.0), 0.0)
+        free_energy_change([1.0, 0.0], [0.0, 0.0], 0.0)
 
 
 # -- Boltzmann fit temperature ---------------------------------------------------
 
 def test_t_fit_recovers_analytic_temperature():
     cfg = ModelConfig()
-    t_fit = boltzmann_fit_temperature(
-        _rdm_from_diag(BOLTZMANN_6), np.arange(6.0), cfg.energy_unit_wavenumbers
-    )
+    t_fit = boltzmann_fit_temperature(BOLTZMANN_6, np.arange(6.0), cfg.energy_unit_wavenumbers)
     expected = temperature_of(cfg).kelvin_analytic
     np.testing.assert_allclose(t_fit, expected, rtol=1e-9)
+    # stacked diagonals: one temperature per row, NaN where no fit exists
+    stacked = np.stack([BOLTZMANN_6, np.full(6, 1 / 6), BOLTZMANN_6])
+    got = boltzmann_fit_temperature(stacked, np.arange(6.0), cfg.energy_unit_wavenumbers)
+    np.testing.assert_allclose(got, [expected, np.nan, expected], rtol=1e-9)
 
 
 def test_t_fit_absent_for_maximally_mixed():
-    assert boltzmann_fit_temperature(
-        _rdm_from_diag(np.full(6, 1 / 6)), np.arange(6.0), 111.77
-    ) is None
+    assert np.isnan(boltzmann_fit_temperature(np.full(6, 1 / 6), np.arange(6.0), 111.77))
 
 
 def test_t_fit_absent_for_zero_population():
     diag = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-    assert boltzmann_fit_temperature(_rdm_from_diag(diag), np.arange(6.0), 111.77) is None
+    assert np.isnan(boltzmann_fit_temperature(diag, np.arange(6.0), 111.77))
 
 
 def test_t_fit_tolerates_small_noise():
     rng = np.random.default_rng(12)
     noisy = BOLTZMANN_6 * (1.0 + 0.01 * rng.standard_normal(6))
     noisy /= noisy.sum()
-    t_fit = boltzmann_fit_temperature(_rdm_from_diag(noisy), np.arange(6.0), 111.77)
+    t_fit = boltzmann_fit_temperature(noisy, np.arange(6.0), 111.77)
     expected = temperature_of(ModelConfig()).kelvin_analytic
     assert abs(t_fit - expected) / expected < 0.05
 
 
-# -- record assembly and structural invariants -----------------------------------
+# -- structural invariants --------------------------------------------------------
 
 def test_diagonal_entropy_dominates_eigen_entropy(toy21_ham):
     # majorization: -sum rho_nn ln rho_nn >= S_vN for every state
@@ -255,26 +248,112 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
     np.testing.assert_allclose(partials.sum(), universe_entropy(psi), rtol=0, atol=1e-10)
 
 
-def test_observable_record_bundle(toy21_ham, toy21):
+# -- whole-trajectory columns -----------------------------------------------------
+
+def _trajectory(cfg, ham, n, times):
+    phase_rng = SeededRng(cfg.rng_seed) if cfg.random_initial_phases else None
+    psi0 = initial_state(ham.basis, n, cfg.total_energy, phase_rng=phase_rng)
+    cols = trajectory_columns(
+        propagate_to_times(psi0, ham, times), times, ham.basis,
+        build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
+        cfg.energy_unit_wavenumbers,
+    )
+    return psi0, cols
+
+
+def _t_fit_reference(pops, levels, unit):
+    # the least-squares fit written out for one diagonal
+    if np.any(pops <= 0.0):
+        return math.nan
+    e_c = levels - levels.mean()
+    lnp = np.log(pops)
+    beta = -float(np.dot(e_c, lnp - lnp.mean())) / float(np.dot(e_c, e_c))
+    return unit / (beta * units.KB_WAVENUMBER_PER_KELVIN) if beta > 1e-12 else math.nan
+
+
+@pytest.mark.parametrize("overrides", [{}, {"random_initial_phases": True}, {"alpha": 0.0}],
+                         ids=["real", "random_phases", "alpha0"])
+def test_trajectory_matches_per_time_references(overrides):
+    cfg = toy21_config(**overrides)
+    ham = assemble_hamiltonian(cfg)
+    basis = ham.basis
+    ladder = build_system_levels(cfg).ladder
+    kbt = temperature_of(cfg).kbt_reduced
+    unit = cfg.energy_unit_wavenumbers
+    times = np.linspace(0.0, 60.0, 2 * TIME_CHUNK + 22)  # two full chunks and a partial one
+    psi0, cols = _trajectory(cfg, ham, 1, times)
+    n_shells = len([k for k in cols if k.startswith("S_partial_")])
+    assert n_shells == basis.n_system_levels - 1 + basis.degeneracies.size
+
+    ref = {k: [] for k in ("S_vN", "S_univ", "U_S", "diag", "partials", "T_fit_K")}
+    for t in times:
+        psi = propagate(psi0, ham, float(t))
+        rdm = reduced_density_matrix(psi, basis)
+        p = psi.probabilities()
+        ref["S_vN"].append(von_neumann_entropy(rdm))
+        ref["S_univ"].append(shannon_entropy(p))
+        ref["U_S"].append(float(np.dot(ladder, rdm.diagonal())))
+        ref["diag"].append(rdm.diagonal())
+        ref["partials"].append(shell_partial_entropies(p, basis.shell_label, n_shells))
+        ref["T_fit_K"].append(_t_fit_reference(rdm.diagonal(), ladder, unit))
+    ref = {k: np.array(v) for k, v in ref.items()}
+    du, ds = ref["U_S"] - ref["U_S"][0], ref["S_vN"] - ref["S_vN"][0]
+    ref["dF"] = du - kbt * ds
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    close(cols["time_reduced"], times)
+    close(cols["time_ps"], times * units.reduced_time_unit_ps(unit))
+    for name in ("S_vN", "S_univ", "U_S", "dF"):
+        close(cols[name], ref[name])
+    close(cols["U_S_cm"], cols["U_S"] * unit)
+    close(cols["dF_cm"], cols["dF"] * unit)
+    close(cols["minus_dF_over_kT"], -ref["dF"] / kbt)
+    for s in range(n_shells):
+        close(cols[f"S_partial_{s}"], ref["partials"][:, s])
+    for k in range(basis.n_system_levels):
+        close(cols[f"rdm_diag_{k}"], ref["diag"][:, k])
+
+    t_fit = cols["T_fit_K"]
+    if cfg.alpha == 0.0:
+        # frozen product state: the RDM diagonal keeps its zeros, so no fit anywhere
+        assert np.isnan(t_fit).all()
+    else:
+        # populations near 0 make the fit ill-conditioned (early times);
+        # compare where every population is at least 1e-6
+        well_posed = ref["diag"].min(axis=1) >= 1e-6
+        assert well_posed.sum() > times.size // 2
+        np.testing.assert_allclose(t_fit[well_posed], ref["T_fit_K"][well_posed], rtol=1e-9)
+
+
+def test_trajectory_bundle(toy21_ham, toy21):
+    times = np.linspace(0.0, 8.0, 5)
+    _, cols = _trajectory(toy21, toy21_ham, 1, times)
+    assert cols["dF"][0] == 0.0 and cols["minus_dF_over_kT"][0] == 0.0
+    assert abs(cols["S_vN"][0]) <= 1e-12
+    np.testing.assert_allclose(cols["S_univ"][0], math.log(2.0), rtol=1e-12)  # g(1) = 2
+    assert np.all(cols["S_vN"] >= -1e-12)
+    assert np.all(cols["S_vN"] <= math.log(3.0) + 1e-9)
+    rdm_sum = sum(cols[f"rdm_diag_{k}"] for k in range(3))
+    np.testing.assert_allclose(rdm_sum, 1.0, rtol=0, atol=1e-10)
+    partials = sum(v for k, v in cols.items() if k.startswith("S_partial_"))
+    np.testing.assert_allclose(partials, cols["S_univ"], rtol=0, atol=1e-10)
+    df, minus = free_energy_change(cols["U_S"], cols["S_vN"],
+                                   temperature_of(toy21).kbt_reduced)
+    np.testing.assert_allclose(df, cols["dF"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(minus, cols["minus_dF_over_kT"], rtol=0, atol=1e-12)
+
+
+def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     basis = toy21_ham.basis
     ladder = build_system_levels(toy21).ladder
     kbt = temperature_of(toy21).kbt_reduced
+    times = np.linspace(0.0, 8.0, 5)
     psi0 = initial_state(basis, 1, toy21.total_energy)
-    rec0 = observable_record(psi0, basis, ladder, kbt, toy21.energy_unit_wavenumbers)
-    assert rec0.delta_f == 0.0
-    assert abs(rec0.s_vn) <= 1e-12
-    np.testing.assert_allclose(rec0.s_univ, math.log(2.0), rtol=1e-12)  # g(1) = 2
-    rec0.validate(toy21.n_system_levels, toy21.n_universe_states)
-
-    psi_t = propagate(psi0, toy21_ham, 8.0)
-    rec = observable_record(psi_t, basis, ladder, kbt, toy21.energy_unit_wavenumbers,
-                            reference_record=rec0)
-    rec.validate(toy21.n_system_levels, toy21.n_universe_states)
-    assert 0.0 <= rec.s_vn <= math.log(3.0) + 1e-9
-    np.testing.assert_allclose(rec.rdm_diagonal.sum(), 1.0, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(
-        rec.shell_partial_entropies.sum(), rec.s_univ, rtol=0, atol=1e-10
-    )
-    df, minus = free_energy_change(rec, rec0, kbt)
-    np.testing.assert_allclose(df, rec.delta_f, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(minus, rec.minus_delta_f_over_kbt, rtol=0, atol=1e-12)
+    amps = np.array(propagate_to_times(psi0, toy21_ham, times))
+    trajectory_columns(amps, times, basis, ladder, kbt, 111.77)
+    bad = amps.copy()
+    bad[3] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
+        trajectory_columns(bad, times, basis, ladder, kbt, 111.77)
