@@ -174,16 +174,6 @@ def stick_diagram(state: PureState, basis: UniverseBasis) -> StickDiagram:
     )
 
 
-def late_window_mean(times: np.ndarray, values: np.ndarray,
-                     fraction: float = 0.2) -> float:
-    """Mean over the final `fraction` of the grid, taming fluctuations."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    n = len(times)
-    start = min(n - 1, int(np.ceil((1.0 - fraction) * n)))
-    return float(np.mean(np.asarray(values)[start:]))
-
-
 def late_window_slice(n_points: int, fraction: float = 0.2) -> slice:
     """Index slice selecting the final `fraction` of a grid."""
     if not 0.0 < fraction <= 1.0:

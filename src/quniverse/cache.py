@@ -2,8 +2,15 @@
 
 At production size the dense symmetric solve dominates runtime, so
 eigenpairs are stored keyed by a hash of (configuration incl. seed,
-package version, draw-order contract version).  Any change to those
-inputs changes the key; stale entries are simply never hit.
+package version, draw-order contract version), as two .npy files per
+key.  Any change to those inputs changes the key; stale entries are
+simply never hit.
+
+This module only reads and writes entries.  The key does not pin the
+matrix, so `model.assemble_hamiltonian` checks every loaded entry
+against regenerated rows of H, re-solves a rejected one and stores the
+new solve over it.  Loading only reads: a hit writes, renames or touches
+no file in the directory.
 
 The directory comes from QUNIVERSE_CACHE_DIR, defaulting to
 ~/.cache/quniverse.  Files are written atomically (tmp + rename).
@@ -80,15 +87,3 @@ def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-
-def solve_with_cache(config: ModelConfig, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition via the cache; solves and stores on a miss."""
-    cached = load_eigensystem(config)
-    if cached is not None:
-        return cached
-    from .model import diagonalize
-
-    w, v = diagonalize(matrix)
-    store_eigensystem(config, w, v)
-    return w, v

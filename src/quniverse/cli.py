@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,7 +44,12 @@ LATE_FRACTION = 0.2
 
 @dataclasses.dataclass
 class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, plus bookkeeping."""
+    """Everything needed to reproduce a run bit-exactly, plus bookkeeping.
+
+    `cache` says what the eigensystem cache did: its `key`, whether the
+    run used a cached entry (`hit`; false for --no-cache, a miss or a
+    rejected entry) and the sampled eigen-residual of the check.
+    """
 
     config: dict
     seed: int
@@ -52,11 +58,12 @@ class RunManifest:
     states: list[int]
     t_max_reduced: float
     n_points: int
-    cache_key: str
+    cache: dict
     constants: dict
     temperature: dict
     outputs: list[str]
     timing_seconds: dict
+    peak_rss_mb: float
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -190,7 +197,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         states=list(states),
         t_max_reduced=float(t_max),
         n_points=n_points,
-        cache_key=cache_key(config),
+        cache={"key": cache_key(config), "hit": ham.cache_hit,
+               "eig_residual": ham.eig_residual},
         constants={
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),
@@ -199,6 +207,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         temperature=dataclasses.asdict(temp),
         outputs=outputs,
         timing_seconds=timing,
+        # ru_maxrss is in KiB on Linux
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
     (out / "manifest.json").write_text(manifest.to_json())
     return manifest

@@ -92,8 +92,6 @@ def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
     the result, the only large temporary is the (dim, len(times))
     complex array of phased coefficients exp(-i E t) V^T c(0).
     """
-    if ham.eigenvalues is None or ham.eigenvectors is None:
-        raise ValueError("Hamiltonian has no eigendecomposition")
     if state.amplitudes.size != ham.dim:
         raise ValueError(
             f"state dimension {state.amplitudes.size} does not match "

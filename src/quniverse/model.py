@@ -3,8 +3,14 @@
 The universe is a bipartite product of a polyad of two linearly coupled
 oscillators (system S) and a ladder of quasi-degenerate rungs whose
 degeneracies grow exponentially (environment E).  H = H_S + H_E + H_SE
-is assembled dense and real symmetric in the zero-order product basis
-|n, m, l> and diagonalized once; all dynamics are then analytic.
+is real symmetric in the zero-order product basis |n, m, l>; it is
+assembled dense and diagonalized once, and all dynamics are then
+analytic.
+
+Only the eigenpairs and the basis reach the dynamics, so H is built
+only when a solve needs it.  A cached eigensystem is checked instead
+against the first CHECK_ROWS rows of H, which the same fill function
+regenerates from the first draws of the coupling stream.
 
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
@@ -16,12 +22,13 @@ product state the integer n + m used for shell bookkeeping.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from . import units
+from . import cache, units
 from .config import ModelConfig
 from .rng import COUPLING_STREAM, SHIFT_STREAM, SeededRng
 
@@ -51,7 +58,6 @@ class SystemLevels:
 
     eigenvalues: np.ndarray
     ladder: np.ndarray
-    block: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,24 +117,28 @@ class UniverseBasis:
 
 @dataclass
 class UniverseHamiltonian:
-    """Dense symmetric universe Hamiltonian with its eigendecomposition."""
+    """The universe Hamiltonian as its checked eigendecomposition.
+
+    `eig_residual` is the sampled residual R of `eigen_residual` against
+    regenerated rows of H; `cache_hit` says whether the eigenpairs came
+    from the on-disk cache (an accepted entry) or from a solve.
+    """
 
     basis: UniverseBasis
-    matrix: np.ndarray
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    eig_residual: float
+    cache_hit: bool = False
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.size
 
     def expectation(self, amplitudes: np.ndarray) -> float:
         """<psi|H|psi> for a normalized amplitude vector."""
-        if self.eigenvalues is not None and self.eigenvectors is not None:
-            a_re = self.eigenvectors.T @ amplitudes.real
-            a_im = self.eigenvectors.T @ amplitudes.imag
-            return float(np.dot(self.eigenvalues, a_re * a_re + a_im * a_im))
-        return float(np.real(np.vdot(amplitudes, self.matrix @ amplitudes)))
+        a_re = self.eigenvectors.T @ amplitudes.real
+        a_im = self.eigenvectors.T @ amplitudes.imag
+        return float(np.dot(self.eigenvalues, a_re * a_re + a_im * a_im))
 
 
 def build_system_levels(config: ModelConfig) -> SystemLevels:
@@ -144,7 +154,6 @@ def build_system_levels(config: ModelConfig) -> SystemLevels:
     diag = np.full(N + 1, N * config.omega0, dtype=float)
     n1 = np.arange(N, dtype=float)
     off = 0.5 * config.kappa * np.sqrt((n1 + 1.0) * (N - n1))
-    block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     if N == 0:
         eigenvalues = diag.copy()
     else:
@@ -153,7 +162,7 @@ def build_system_levels(config: ModelConfig) -> SystemLevels:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
             raise RuntimeError(f"polyad eigensolver failed for N={N}: {exc}") from exc
     ladder = config.kappa * np.arange(N + 1, dtype=float)
-    return SystemLevels(eigenvalues=eigenvalues, ladder=ladder, block=block)
+    return SystemLevels(eigenvalues=eigenvalues, ladder=ladder)
 
 
 def build_environment(config: ModelConfig, rng: SeededRng) -> EnvironmentLevels:
@@ -197,68 +206,117 @@ def build_basis(config: ModelConfig, env: EnvironmentLevels | None = None,
 
 
 def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
-                             rng: SeededRng) -> np.ndarray:
-    """Assemble the dense symmetric H = H_S + H_E + H_SE.
+                             rng: SeededRng, n_rows: int | None = None) -> np.ndarray:
+    """The first `n_rows` rows of the dense symmetric H = H_S + H_E + H_SE.
 
     Diagonal: the zero-order energies of the basis.  Off-diagonal: one
     independent Gaussian variate of width alpha*omega_E per strictly
     upper-triangle element, drawn row-major from the coupling stream and
     mirrored to the lower triangle, so symmetry is exact by construction.
+    Row i needs only the draws of rows 0..i, so the first k rows are the
+    first k rows of the full matrix bit for bit; n_rows=None (the
+    default) builds all of them, the full (dim, dim) matrix.
 
     With coupling_scope = "system_changing_only" the draws still happen
     (the stream contract is unconditional) but elements diagonal in the
     system index are zeroed before mirroring.
     """
     dim = basis.size
+    k = dim if n_rows is None else min(int(n_rows), dim)
     sigma = config.alpha * config.omega_E
     couplings = rng.split(COUPLING_STREAM)
-    h = np.zeros((dim, dim), dtype=np.float64)
+    h = np.zeros((k, dim), dtype=np.float64)
     restrict = config.coupling_scope == "system_changing_only"
-    for i in range(dim - 1):
+    for i in range(min(k, dim - 1)):
         row = couplings.gaussian(0.0, sigma, size=dim - 1 - i)
         if restrict:
             row[basis.n[i + 1:] == basis.n[i]] = 0.0
         h[i, i + 1:] = row
-    for i in range(dim - 1):
-        h[i + 1:, i] = h[i, i + 1:]
-    h[np.diag_indices(dim)] = basis.zero_order_energy
+    for i in range(k - 1):
+        h[i + 1:, i] = h[i, i + 1:k]
+    h[np.arange(k), np.arange(k)] = basis.zero_order_energy[:k]
     return h
 
 
 def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a dense symmetric matrix (ascending)."""
+    """Full eigendecomposition of a dense symmetric matrix (ascending).
+
+    Solves in place: `matrix` is overwritten.  `matrix.T` is the
+    F-ordered view of the symmetric C-ordered matrix, so LAPACK works on
+    it without a copy and returns the eigenvectors in its memory.
+    """
     try:
-        return scipy.linalg.eigh(matrix, check_finite=False, driver="evd")
+        return scipy.linalg.eigh(matrix.T, overwrite_a=True, check_finite=False,
+                                 driver="evd")
     except Exception as exc:
-        norm = float(np.abs(matrix).max()) if matrix.size else 0.0
         raise RuntimeError(
-            f"dense symmetric eigensolver failed: dim={matrix.shape[0]}, "
-            f"max|H|={norm:.6g}: {exc}"
+            f"dense symmetric eigensolver failed: dim={matrix.shape[0]}: {exc}"
         ) from exc
+
+
+# Rows of H regenerated to check an eigensystem, eigenvector columns
+# sampled by that check, and its tolerance relative to max(1, max|H[:k]|)
+# (the form of acceptance criterion 6g's reconstruction bound).
+CHECK_ROWS = 16
+CHECK_COLUMNS = 64
+CHECK_RTOL = 1e-8
+
+
+def eigen_residual(rows: np.ndarray, eigenvalues: np.ndarray,
+                   eigenvectors: np.ndarray) -> float:
+    """R = max|H[:k, :] V[:, S] - V[:k, S] diag(w_S)| over sampled columns S.
+
+    `rows` holds the first k rows of H.  S is CHECK_COLUMNS evenly
+    spaced eigenvector columns, so the check costs O(k n |S|) and reads
+    a small slice of V instead of all of it.
+    """
+    k, dim = rows.shape
+    cols = np.unique(np.linspace(0, dim - 1, CHECK_COLUMNS).astype(np.intp))
+    v_s = eigenvectors[:, cols]
+    return float(np.abs(rows @ v_s - v_s[:k] * eigenvalues[cols]).max())
+
+
+def _residual_bound(rows: np.ndarray) -> float:
+    return CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
 
 
 def assemble_hamiltonian(config: ModelConfig, rng: SeededRng | None = None,
                          *, use_cache: bool = False) -> UniverseHamiltonian:
-    """Build basis and matrix from (config, seed) and diagonalize.
+    """Build the basis and the checked eigendecomposition of H for (config, seed).
 
     The same (config, seed) always produces a bit-identical matrix.  With
-    use_cache=True the eigendecomposition is read from / written to the
-    on-disk cache (the solve dominates runtime at production size).
+    use_cache=True a cached eigensystem is loaded and checked against
+    CHECK_ROWS regenerated rows of H; the full H is never built on an
+    accepted entry, and the cache directory is not written.  A miss, a
+    rejected entry (with a warning naming its key and residual) or
+    use_cache=False builds H, solves it in place and checks the result;
+    with use_cache=True the solve is then stored, replacing a rejected
+    entry atomically.
     """
     if rng is None:
         rng = SeededRng(config.rng_seed)
     env = build_environment(config, rng)
     basis = build_basis(config, env)
-    matrix = build_hamiltonian_matrix(config, basis, rng)
     if use_cache:
-        from . import cache
-        eigenvalues, eigenvectors = cache.solve_with_cache(config, matrix)
-    else:
-        eigenvalues, eigenvectors = diagonalize(matrix)
-    return UniverseHamiltonian(
-        basis=basis, matrix=matrix,
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-    )
+        cached = cache.load_eigensystem(config)
+        if cached is not None:
+            rows = build_hamiltonian_matrix(config, basis, rng, n_rows=CHECK_ROWS)
+            residual = eigen_residual(rows, *cached)
+            if residual <= _residual_bound(rows):
+                return UniverseHamiltonian(basis, *cached, eig_residual=residual,
+                                           cache_hit=True)
+            warnings.warn(
+                f"cache entry {cache.cache_key(config)} fails the eigen check "
+                f"(residual {residual:.3g}); re-solving", stacklevel=2)
+    h = build_hamiltonian_matrix(config, basis, rng)
+    rows = h[:CHECK_ROWS].copy()
+    eigenvalues, eigenvectors = diagonalize(h)
+    residual = eigen_residual(rows, eigenvalues, eigenvectors)
+    if not residual <= _residual_bound(rows):
+        raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
+    if use_cache:
+        cache.store_eigensystem(config, eigenvalues, eigenvectors)
+    return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual)
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,6 @@ def universe_entropy(state: PureState, reference=None) -> float:
     if reference is None:
         return shannon_entropy(np.abs(c) ** 2)
     if isinstance(reference, UniverseHamiltonian):
-        if reference.eigenvectors is None:
-            raise ValueError("Hamiltonian has no eigendecomposition")
         v = reference.eigenvectors
         a = v.T @ c.real + 1j * (v.T @ c.imag)
         return shannon_entropy(np.abs(a) ** 2)
@@ -168,14 +166,16 @@ def boltzmann_fit_temperature(populations: np.ndarray, system_levels: np.ndarray
 
     `populations` holds RDM diagonals on its last axis; the result has
     the remaining shape.  Diagnostic only; free energies always use the
-    analytic temperature.  NaN means no fit: any non-positive
-    population, or a non-positive fitted beta (e.g. maximally mixed).
+    analytic temperature.  NaN means no fit: any population at or below
+    EIGENVALUE_CLIP_TOL (so the round-off residue of an unoccupied
+    level, e.g. at t = 0, is not fitted), or a non-positive fitted beta
+    (e.g. maximally mixed).
     """
     pops = np.asarray(populations, dtype=float)
     e_c = np.asarray(system_levels, dtype=float)
     e_c = e_c - e_c.mean()
     denom = float(np.dot(e_c, e_c))
-    fit = np.all(pops > 0.0, axis=-1)
+    fit = np.all(pops > EIGENVALUE_CLIP_TOL, axis=-1)
     if denom == 0.0:
         return np.full(fit.shape, np.nan)
     lnp = np.log(np.where(fit[..., None], pops, 1.0))

@@ -42,10 +42,6 @@ def ps_to_reduced_time(t_ps: float, energy_unit_wavenumbers: float) -> float:
     return t_ps / reduced_time_unit_ps(energy_unit_wavenumbers)
 
 
-def reduced_energy_to_wavenumbers(e: float, energy_unit_wavenumbers: float) -> float:
-    return e * energy_unit_wavenumbers
-
-
 def temperature_kelvin(degeneracy_b: float, energy_unit_wavenumbers: float) -> float:
     """Bath temperature unit/(k_B ln b) implied by the degeneracy base."""
     if degeneracy_b <= 1.0:

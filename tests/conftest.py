@@ -3,6 +3,8 @@ import pytest
 
 from quniverse import ModelConfig, assemble_hamiltonian
 from quniverse.cache import CACHE_DIR_ENV
+from quniverse.model import build_basis, build_hamiltonian_matrix
+from quniverse.rng import SeededRng
 
 
 @pytest.fixture(autouse=True)
@@ -62,3 +64,9 @@ def random_normalized_state(dim, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return c / np.linalg.norm(c)
+
+
+def hamiltonian_matrix(config):
+    """The full dense H of (config, seed), from the fill that assemble_hamiltonian uses."""
+    rng = SeededRng(config.rng_seed)
+    return build_hamiltonian_matrix(config, build_basis(config, rng=rng), rng)

@@ -24,6 +24,8 @@ from quniverse.observables import (
     von_neumann_entropy,
 )
 
+from conftest import hamiltonian_matrix
+
 SEEDS = (1, 2, 3)
 STATES = tuple(range(6))
 T_MAX_PS = 30.0
@@ -174,7 +176,9 @@ def test_criterion_6d_shell_partials_sum(production_runs):
 def test_criterion_6e_alpha_zero_freeze():
     cfg = ModelConfig(rng_seed=SEEDS[0], alpha=0.0)
     ham = assemble_hamiltonian(cfg, use_cache=True)
-    off_diag_max = float(np.abs(ham.matrix - np.diag(np.diag(ham.matrix))).max())
+    matrix = hamiltonian_matrix(cfg)
+    off_diag_max = float(np.abs(matrix - np.diag(np.diag(matrix))).max())
+    del matrix
     psi0 = initial_state(ham.basis, 1, cfg.total_energy)
     p0 = psi0.probabilities()
     drift = 0.0
@@ -189,8 +193,8 @@ def test_criterion_6e_alpha_zero_freeze():
 def test_criterion_6f_determinism(production_runs, tmp_path_factory):
     seed = SEEDS[0]
     cfg = production_config(seed)
-    rebuilt_a = assemble_hamiltonian(cfg, use_cache=True).matrix
-    rebuilt_b = assemble_hamiltonian(cfg, use_cache=True).matrix
+    rebuilt_a = hamiltonian_matrix(cfg)
+    rebuilt_b = hamiltonian_matrix(cfg)
     matrices_identical = np.array_equal(rebuilt_a, rebuilt_b)
     del rebuilt_a, rebuilt_b
 
@@ -205,7 +209,8 @@ def test_criterion_6f_determinism(production_runs, tmp_path_factory):
 
 def test_criterion_6g_eigensystem_quality(production_ham):
     # sampled columns keep this O(dim^2 * dim/20) instead of a full dim^3 GEMM
-    v, w, h = production_ham.eigenvectors, production_ham.eigenvalues, production_ham.matrix
+    v, w = production_ham.eigenvectors, production_ham.eigenvalues
+    h = hamiltonian_matrix(production_config(SEEDS[0]))
     sel = np.arange(0, production_ham.dim, 20)
     target = np.zeros((production_ham.dim, sel.size))
     target[sel, np.arange(sel.size)] = 1.0

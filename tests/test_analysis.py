@@ -9,7 +9,7 @@ from quniverse.analysis import (
     detect_negative_production,
     effective_state_count,
     entropy_production_rate,
-    late_window_mean,
+    late_window_slice,
     shell_decompose,
     stick_diagram,
 )
@@ -187,10 +187,9 @@ def test_sticks_frozen_at_alpha_zero():
 
 # -- late window ---------------------------------------------------------------------
 
-def test_late_window_mean():
-    t = np.arange(10.0)
+def test_late_window_slice():
     values = np.arange(10.0)
-    np.testing.assert_allclose(late_window_mean(t, values, 0.2), 8.5)
-    np.testing.assert_allclose(late_window_mean(t, values, 1.0), 4.5)
+    np.testing.assert_allclose(values[late_window_slice(10, 0.2)].mean(), 8.5)
+    np.testing.assert_allclose(values[late_window_slice(10, 1.0)].mean(), 4.5)
     with pytest.raises(ValueError):
-        late_window_mean(t, values, 0.0)
+        late_window_slice(10, 0.0)

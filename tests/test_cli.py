@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig
+from quniverse import ModelConfig, units
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
+from quniverse.model import build_system_levels
+from quniverse.observables import EIGENVALUE_CLIP_TOL
 
-from conftest import toy6_config
+from conftest import toy6_config, toy21_config
 
 
 @pytest.fixture()
@@ -99,6 +101,25 @@ def test_alpha_zero_t_fit_blank(tmp_path):
     assert lines[1].split(",")[-1] == "T_fit_K"
     assert all(line.split(",")[-1] == "" for line in lines[2:])
     assert np.isnan(read_trajectory(tmp_path / "traj_n0.csv")["T_fit_K"]).all()
+
+
+def test_t_fit_blank_only_at_t0(tmp_path):
+    # at t = 0 the off-level populations are round-off, which has no temperature
+    cfg = toy21_config()
+    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50, use_cache=False)
+    levels = build_system_levels(cfg).ladder
+    for n in range(3):
+        cols = read_trajectory(tmp_path / f"traj_n{n}.csv")
+        t_fit = cols["T_fit_K"]
+        assert math.isnan(t_fit[0])
+        pops = np.column_stack([cols[f"rdm_diag_{k}"] for k in range(3)])
+        assert pops[1:].min() > EIGENVALUE_CLIP_TOL
+        # every later row is the plain least-squares fit of its populations
+        slope = np.array([np.polyfit(levels, np.log(p), 1)[0] for p in pops[1:]])
+        with np.errstate(divide="ignore"):
+            expected = np.where(slope < 0.0, -cfg.energy_unit_wavenumbers
+                                / (slope * units.KB_WAVENUMBER_PER_KELVIN), np.nan)
+        np.testing.assert_allclose(t_fit[1:], expected, rtol=1e-9)
 
 
 @pytest.mark.parametrize("states, kwargs, message", [

@@ -14,7 +14,7 @@ from quniverse.model import (
 )
 from quniverse.rng import SeededRng
 
-from conftest import toy6_config, toy21_config
+from conftest import hamiltonian_matrix, toy6_config, toy21_config
 
 
 # -- configuration -----------------------------------------------------------
@@ -117,7 +117,11 @@ def test_polyad_block_against_char_poly_oracle():
     cfg = ModelConfig(n_system_levels=3, polyad_N=2, omega0=10.0, kappa=0.5,
                       total_energy=2, n_env_levels=3, degeneracy_A=1)
     levels = build_system_levels(cfg)
-    expected = _char_poly_roots_3x3(levels.block)
+    # the local-mode polyad block, built here independently of the model
+    N = cfg.polyad_N
+    off = 0.5 * cfg.kappa * np.sqrt([(n1 + 1.0) * (N - n1) for n1 in range(N)])
+    block = N * cfg.omega0 * np.eye(N + 1) + np.diag(off, 1) + np.diag(off, -1)
+    expected = _char_poly_roots_3x3(block)
     np.testing.assert_allclose(levels.eigenvalues, expected, rtol=0, atol=1e-9)
     np.testing.assert_allclose(np.diff(levels.eigenvalues), 0.5, rtol=0, atol=1e-10)
 
@@ -167,52 +171,66 @@ def test_environment_shift_statistics():
 
 # -- Hamiltonian assembly ----------------------------------------------------
 
-def test_toy_hamiltonian_symmetric_and_reconstructs(toy6_ham):
+def test_toy_hamiltonian_symmetric_and_reconstructs(toy6, toy6_ham):
     h = toy6_ham
-    assert np.array_equal(h.matrix, h.matrix.T)
+    matrix = hamiltonian_matrix(toy6)
+    assert np.array_equal(matrix, matrix.T)
     v, w = h.eigenvectors, h.eigenvalues
     np.testing.assert_allclose(v.T @ v, np.eye(h.dim), rtol=0, atol=1e-10)
     recon = (v * w) @ v.T
-    scale = np.abs(h.matrix).max()
-    assert np.abs(recon - h.matrix).max() <= 1e-12 * max(1.0, scale)
+    scale = np.abs(matrix).max()
+    assert np.abs(recon - matrix).max() <= 1e-12 * max(1.0, scale)
     assert np.all(np.diff(w) >= 0)
 
 
 def test_diagonal_is_zero_order_energy(toy6, toy6_ham):
     np.testing.assert_array_equal(
-        np.diag(toy6_ham.matrix), toy6_ham.basis.zero_order_energy
+        np.diag(hamiltonian_matrix(toy6)), toy6_ham.basis.zero_order_energy
     )
 
 
 def test_alpha_zero_hamiltonian_diagonal():
     cfg = toy6_config(alpha=0.0)
     ham = assemble_hamiltonian(cfg)
-    off = ham.matrix - np.diag(np.diag(ham.matrix))
+    matrix = hamiltonian_matrix(cfg)
+    off = matrix - np.diag(np.diag(matrix))
     assert np.all(off == 0.0)
-    np.testing.assert_array_equal(np.diag(ham.matrix), ham.basis.zero_order_energy)
+    np.testing.assert_array_equal(np.diag(matrix), ham.basis.zero_order_energy)
 
 
 def test_identical_seed_bit_identical_matrix():
     cfg = toy21_config()
-    a = assemble_hamiltonian(cfg).matrix
-    b = assemble_hamiltonian(cfg).matrix
+    a = hamiltonian_matrix(cfg)
+    b = hamiltonian_matrix(cfg)
     assert np.array_equal(a, b)
-    c = assemble_hamiltonian(toy21_config(rng_seed=12)).matrix
+    c = hamiltonian_matrix(toy21_config(rng_seed=12))
     assert not np.array_equal(a, c)
 
 
 def test_system_changing_only_scope():
     cfg = toy21_config(coupling_scope="system_changing_only")
     ham = assemble_hamiltonian(cfg)
+    matrix = hamiltonian_matrix(cfg)
     n = ham.basis.n
     same_system = np.equal.outer(n, n)
     off_diag = ~np.eye(ham.dim, dtype=bool)
-    assert np.all(ham.matrix[same_system & off_diag] == 0.0)
-    assert np.any(ham.matrix[~same_system] != 0.0)
+    assert np.all(matrix[same_system & off_diag] == 0.0)
+    assert np.any(matrix[~same_system] != 0.0)
     # draw-order contract: couplings between system-changing pairs are
     # the same variates as in the unrestricted assembly
-    full = assemble_hamiltonian(toy21_config()).matrix
-    np.testing.assert_array_equal(ham.matrix[~same_system], full[~same_system])
+    full = hamiltonian_matrix(toy21_config())
+    np.testing.assert_array_equal(matrix[~same_system], full[~same_system])
+
+
+@pytest.mark.parametrize("scope", ["all", "system_changing_only"])
+@pytest.mark.parametrize("k", [1, 16, 40])
+def test_leading_rows_match_full_matrix(scope, k):
+    cfg = toy21_config(coupling_scope=scope)
+    basis = build_basis(cfg, rng=SeededRng(cfg.rng_seed))
+    full = build_hamiltonian_matrix(cfg, basis, SeededRng(cfg.rng_seed))
+    rows = build_hamiltonian_matrix(cfg, basis, SeededRng(cfg.rng_seed), n_rows=k)
+    assert rows.shape == (min(k, basis.size), basis.size)
+    assert np.array_equal(rows, full[:k])
 
 
 def test_coupling_width_statistics():
