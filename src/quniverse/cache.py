@@ -1,10 +1,20 @@
 """On-disk cache for universe eigendecompositions.
 
 At production size the dense symmetric solve dominates runtime, so
-eigenpairs are stored keyed by a hash of (configuration incl. seed,
-package version, draw-order contract version), as two .npy files per
-key.  Any change to those inputs changes the key; stale entries are
-simply never hit.
+eigenpairs are stored keyed by a hash of what determines H (the config
+without NOT_IN_HAMILTONIAN, seed included), the package version and the
+draw-order contract version.  Any change to those inputs changes the
+key; stale entries are simply never hit.
+
+An entry is one file, `{key}.npy`: a Fortran-ordered (n, n + 1) float64
+array whose column 0 holds the eigenvalues and whose columns 1..n hold
+the eigenvectors V.  A hit maps it read-only instead of reading it, so
+every process works on the page cache's one copy and the load costs no
+copy of V; V is then an F-contiguous slice of the mapping.  An entry is
+written to a tmp file and renamed into place, never rewritten in place,
+so a mapping keeps seeing the entry it opened even if a later store
+replaces it.  A file of the wrong size, shape or layout is discarded
+with a warning.
 
 This module only reads and writes entries.  The key does not pin the
 matrix, so `model.assemble_hamiltonian` checks every loaded entry
@@ -13,12 +23,11 @@ new solve over it.  Loading only reads: a hit writes, renames or touches
 no file in the directory.
 
 The directory comes from QUNIVERSE_CACHE_DIR, defaulting to
-~/.cache/quniverse.  Files are written atomically (tmp + rename).
+~/.cache/quniverse.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 import warnings
@@ -32,6 +41,12 @@ from .rng import DRAW_CONTRACT_VERSION
 
 CACHE_DIR_ENV = "QUNIVERSE_CACHE_DIR"
 
+# Config fields that do not enter H: the temperature convention, the
+# energy unit, the phases of the initial states and the microcanonical
+# shell.  Configs that differ only in them share one entry.
+NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "paper_compat",
+                      "random_initial_phases", "total_energy")
+
 
 def cache_dir() -> Path:
     env = os.environ.get(CACHE_DIR_ENV)
@@ -41,49 +56,56 @@ def cache_dir() -> Path:
 
 
 def cache_key(config: ModelConfig) -> str:
-    payload = (
-        config.canonical_string()
-        + f"code_version = {__version__}\n"
-        + f"draw_contract = {DRAW_CONTRACT_VERSION}\n"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return config.content_hash(exclude=NOT_IN_HAMILTONIAN, code_version=__version__,
+                               draw_contract=DRAW_CONTRACT_VERSION)
 
 
-def _paths(key: str) -> tuple[Path, Path]:
-    base = cache_dir()
-    return base / f"{key}.eigvals.npy", base / f"{key}.eigvecs.npy"
+def entry_path(config: ModelConfig) -> Path:
+    return cache_dir() / f"{cache_key(config)}.npy"
 
 
 def load_eigensystem(config: ModelConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """Cached (eigenvalues, eigenvectors) for this config, or None on miss."""
-    vals_path, vecs_path = _paths(cache_key(config))
-    if not (vals_path.exists() and vecs_path.exists()):
-        return None
-    try:
-        w = np.load(vals_path)
-        v = np.load(vecs_path)
-    except Exception as exc:
-        warnings.warn(f"discarding unreadable cache entry: {exc}", stacklevel=2)
+    """Cached (eigenvalues, eigenvectors) for this config, or None on miss.
+
+    Both are read-only views of the mapped entry.
+    """
+    path = entry_path(config)
+    if not path.exists():
         return None
     dim = config.n_universe_states
-    if w.shape != (dim,) or v.shape != (dim, dim):
-        warnings.warn("discarding cache entry with mismatched shape", stacklevel=2)
+    try:
+        data = np.load(path, mmap_mode="r")
+        # np.load refuses a file shorter than its header promises (mapping
+        # it would raise SIGBUS on access); a longer one is not ours either
+        complete = data.offset + data.nbytes == os.path.getsize(path)
+    except (OSError, ValueError, EOFError) as exc:
+        warnings.warn(f"discarding unreadable cache entry {path.name}: {exc}", stacklevel=2)
         return None
-    return w, v
+    if (not complete or data.dtype != np.float64 or data.shape != (dim, dim + 1)
+            or not data.flags.f_contiguous):
+        warnings.warn(f"discarding cache entry {path.name}: expected {dim}x{dim + 1} "
+                      f"Fortran-ordered float64 of full size", stacklevel=2)
+        return None
+    data = np.asarray(data)
+    return data[:, 0], data[:, 1:]
 
 
 def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
                       eigenvectors: np.ndarray) -> None:
+    """Write the entry by streaming w and then V column by column; no combined copy."""
     base = cache_dir()
     base.mkdir(parents=True, exist_ok=True)
-    vals_path, vecs_path = _paths(cache_key(config))
-    for path, array in ((vals_path, eigenvalues), (vecs_path, eigenvectors)):
-        fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, array)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    dim = eigenvalues.size
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": True, "shape": (dim, dim + 1)}
+    fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            np.ascontiguousarray(eigenvalues, dtype=np.float64).tofile(fh)
+            np.asfortranarray(eigenvectors, dtype=np.float64).T.tofile(fh)
+        os.replace(tmp, entry_path(config))
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

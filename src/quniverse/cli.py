@@ -300,8 +300,13 @@ def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict
     }
 
 
-def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
-    """Rebuild the universe from the run manifest and re-emit sticks at any time."""
+def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None,
+                          use_cache: bool = True):
+    """Rebuild the universe from the run manifest and re-emit sticks at any time.
+
+    A manifest written by another code version is refused: its run may
+    not be reproducible by this one.
+    """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
     if not manifest_path.exists():
@@ -309,6 +314,11 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
             f"{manifest_path} not found; stick diagrams are recomputed from the manifest"
         )
     manifest = json.loads(manifest_path.read_text())
+    if manifest.get("code_version") != __version__:
+        raise ValueError(
+            f"{manifest_path} was written by quniverse {manifest.get('code_version')}, "
+            f"this is {__version__}; re-run the trajectory with this version"
+        )
     config = ModelConfig.from_dict(manifest["config"])
     name = traj_path.stem
     if not name.startswith("traj_n"):
@@ -318,7 +328,7 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         if t_ps is None:
             raise ValueError("need a time (--time or --time-ps)")
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
-    ham = assemble_hamiltonian(config, use_cache=True)
+    ham = assemble_hamiltonian(config, use_cache=use_cache)
     rng = SeededRng(config.rng_seed)
     psi0 = initial_state(ham.basis, n, config.total_energy,
                          phase_rng=rng if config.random_initial_phases else None)
@@ -356,6 +366,8 @@ def main(argv=None) -> int:
     p_sticks.add_argument("--time", type=float, default=None, help="time in reduced units")
     p_sticks.add_argument("--time-ps", type=float, default=None, help="time in picoseconds")
     p_sticks.add_argument("--out", default=None, help="write CSV here (default stdout)")
+    p_sticks.add_argument("--no-cache", action="store_true",
+                          help="skip the eigendecomposition cache")
 
     args = parser.parse_args(argv)
 
@@ -388,7 +400,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sticks":
-        config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps)
+        config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps,
+                                                        use_cache=not args.no_cache)
         if args.out:
             _write_sticks(args.out, config, n, state, basis)
         else:

@@ -126,13 +126,19 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def canonical_string(self) -> str:
-        """Stable key = value rendering (sorted keys, repr floats) used for hashing."""
-        items = sorted(self.to_dict().items())
-        return "\n".join(f"{k} = {_format_value(v)}" for k, v in items) + "\n"
+    def canonical_string(self, exclude=(), **extra) -> str:
+        """Stable key = value rendering (sorted keys, repr floats) used for hashing.
 
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()
+        `exclude` leaves fields out and `extra` adds entries, so that a
+        hash can cover part of the config plus inputs from outside it.
+        """
+        items = {k: v for k, v in self.to_dict().items() if k not in exclude}
+        items.update(extra)
+        return "\n".join(f"{k} = {_format_value(v)}" for k, v in sorted(items.items())) + "\n"
+
+    def content_hash(self, exclude=(), **extra) -> str:
+        """sha256 of `canonical_string(exclude, **extra)`: the one hashing scheme."""
+        return hashlib.sha256(self.canonical_string(exclude, **extra).encode()).hexdigest()
 
     def to_file(self, path) -> None:
         lines = ["# quniverse model configuration"]

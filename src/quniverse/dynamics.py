@@ -9,7 +9,10 @@ complex (n, T) array viewed as float64 is a real (n, 2T) matrix whose
 columns alternate Re and Im; the real V times that matrix keeps the
 columns interleaved, so the product views back as complex with no
 copy, no recombination and no complex promotion of V.  `V^T c(0)` uses
-the same view at width 2 and reads V once.
+the same view at width 2 over the rows where c(0) is nonzero: an initial
+state occupies one environment rung, so that product reads a slice of
+V (a view, not a copy) and the GEMM is the one full pass over V.  V may
+be a read-only mapping of a cache entry; nothing here writes to it.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ def _real_times_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (mat @ z.view(np.float64)).view(np.complex128)
 
 
+def eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """V^T c as a complex (dim, 1) column, read from the rows where c is nonzero.
+
+    Rows outside the span [lo, hi) of the nonzero amplitudes add only
+    zeros, so `V[lo:hi]^T c[lo:hi]` (a slice of V, not a copy) is the
+    full product up to summation order.
+    """
+    nonzero = np.flatnonzero(amplitudes)
+    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+    return _real_times_complex(eigenvectors[lo:hi].T, amplitudes[lo:hi, None])
+
+
 def propagate(state: PureState, ham: UniverseHamiltonian, t: float) -> PureState:
     """Evolve `state` by time t (negative t runs backward).
 
@@ -99,7 +114,7 @@ def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
         )
     times = np.asarray(times, dtype=float)
     v, e = ham.eigenvectors, ham.eigenvalues
-    a0 = _real_times_complex(v.T, state.amplitudes[:, None])
+    a0 = eigen_coefficients(v, state.amplitudes)
     phases = np.empty((e.size, times.size), dtype=np.complex128)
     np.multiply.outer(-e, times, out=phases.imag)
     phases.real = 0.0

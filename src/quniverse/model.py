@@ -121,7 +121,8 @@ class UniverseHamiltonian:
 
     `eig_residual` is the sampled residual R of `eigen_residual` against
     regenerated rows of H; `cache_hit` says whether the eigenpairs came
-    from the on-disk cache (an accepted entry) or from a solve.
+    from the on-disk cache (an accepted entry, then read-only views of
+    its mapping) or from a solve.
     """
 
     basis: UniverseBasis
@@ -285,7 +286,7 @@ def assemble_hamiltonian(config: ModelConfig, rng: SeededRng | None = None,
     """Build the basis and the checked eigendecomposition of H for (config, seed).
 
     The same (config, seed) always produces a bit-identical matrix.  With
-    use_cache=True a cached eigensystem is loaded and checked against
+    use_cache=True a cached eigensystem is mapped and checked against
     CHECK_ROWS regenerated rows of H; the full H is never built on an
     accepted entry, and the cache directory is not written.  A miss, a
     rejected entry (with a warning naming its key and residual) or

@@ -14,12 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quniverse import model
-from quniverse.cache import cache_dir, cache_key, load_eigensystem, store_eigensystem
+from quniverse import cache, model
+from quniverse.cache import (
+    NOT_IN_HAMILTONIAN,
+    cache_dir,
+    cache_key,
+    entry_path,
+    load_eigensystem,
+    store_eigensystem,
+)
 from quniverse.cli import run_experiment
+from quniverse.dynamics import initial_state, propagate_to_times
 from quniverse.model import assemble_hamiltonian
 
-from conftest import toy21_config
+from conftest import hamiltonian_matrix, toy21_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OUTPUTS = ("traj_n0.csv", "traj_n1.csv", "traj_n2.csv", "sticks_n0.csv",
@@ -63,7 +71,7 @@ def test_hit_leaves_cache_directory_untouched():
     cfg = toy21_config(rng_seed=1)
     assemble_hamiltonian(cfg, use_cache=True)
     before = _listing()
-    assert len(before) == 2
+    assert len(before) == 1
     assert assemble_hamiltonian(cfg, use_cache=True).cache_hit
     assert _listing() == before
 
@@ -99,6 +107,130 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     assert manifest["cache"]["key"] == cache_key(cfg)
     assert 0.0 <= manifest["cache"]["eig_residual"] <= model.CHECK_RTOL
     assert manifest["peak_rss_mb"] > 0.0
+
+
+def _mapped_file(array):
+    """The file whose mapping backs `array`, or None."""
+    base = array
+    while base is not None:
+        if isinstance(base, np.memmap):
+            return Path(base.filename)
+        base = base.base
+    return None
+
+
+def test_hit_maps_entry_read_only():
+    cfg = toy21_config(rng_seed=1)
+    cold = assemble_hamiltonian(cfg, use_cache=True)
+    before = _listing()
+    assert list(before) == [entry_path(cfg).name]
+    warm = assemble_hamiltonian(cfg, use_cache=True)
+    assert warm.cache_hit
+    for array in (warm.eigenvalues, warm.eigenvectors):
+        assert type(array) is np.ndarray
+        assert not array.flags.writeable
+        assert _mapped_file(array) == entry_path(cfg)
+    assert warm.eigenvectors.flags.f_contiguous
+    assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
+    assert np.array_equal(warm.eigenvectors, cold.eigenvectors)
+    assert _listing() == before
+
+
+def test_store_over_mapped_entry_keeps_earlier_mapping():
+    cfg = toy21_config(rng_seed=1)
+    assemble_hamiltonian(cfg, use_cache=True)
+    mapped = assemble_hamiltonian(cfg, use_cache=True)
+    assert mapped.cache_hit
+    psi0 = initial_state(mapped.basis, 1, cfg.total_energy)
+    times = np.linspace(0.0, 50.0, 7)
+    before = propagate_to_times(psi0, mapped, times).copy()
+
+    foreign = assemble_hamiltonian(toy21_config(rng_seed=2))
+    store_eigensystem(cfg, foreign.eigenvalues, foreign.eigenvectors)
+    _, v = load_eigensystem(cfg)
+    assert np.array_equal(v, foreign.eigenvectors)
+    assert not np.array_equal(mapped.eigenvectors, foreign.eigenvectors)
+    assert np.array_equal(propagate_to_times(psi0, mapped, times), before)
+
+
+def _damage(path, kind):
+    data = path.read_bytes()
+    if kind == "truncated":
+        path.write_bytes(data[:-8])
+    elif kind == "header_only":
+        path.write_bytes(data[:128])
+    elif kind == "extended":
+        path.write_bytes(data + bytes(8))
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "c_order":
+        np.save(path, np.ascontiguousarray(np.load(path)))
+    elif kind == "wrong_shape":
+        np.save(path, np.asfortranarray(np.load(path)[:, 1:]))
+
+
+@pytest.mark.parametrize("kind", ["truncated", "header_only", "extended", "empty",
+                                  "c_order", "wrong_shape"])
+def test_damaged_entry_discarded_and_resolved(kind):
+    cfg = toy21_config(rng_seed=1)
+    cold = assemble_hamiltonian(cfg, use_cache=True)
+    _damage(entry_path(cfg), kind)
+    with pytest.warns(UserWarning, match="discarding"):
+        assert load_eigensystem(cfg) is None
+    with pytest.warns(UserWarning, match="discarding"):
+        again = assemble_hamiltonian(cfg, use_cache=True)
+    assert not again.cache_hit
+    assert np.array_equal(again.eigenvectors, cold.eigenvectors)
+    assert assemble_hamiltonian(cfg, use_cache=True).cache_hit
+
+
+# one valid changed value per kept field; n_system_levels and polyad_N
+# move together, as the config requires
+_KEPT = {
+    "n_system_levels": dict(n_system_levels=4, polyad_N=3),
+    "polyad_N": dict(n_system_levels=4, polyad_N=3),
+    "omega0": dict(omega0=6.0),
+    "kappa": dict(kappa=2.0),
+    "n_env_levels": dict(n_env_levels=4),
+    "omega_E": dict(omega_E=2.0),
+    "degeneracy_A": dict(degeneracy_A=2),
+    "degeneracy_b": dict(degeneracy_b=3.0),
+    "alpha": dict(alpha=0.2),
+    "rng_seed": dict(rng_seed=12),
+    "coupling_scope": dict(coupling_scope="system_changing_only"),
+}
+_DROPPED = {
+    "energy_unit_wavenumbers": 100.0,
+    "paper_compat": True,
+    "random_initial_phases": True,
+    "total_energy": 1,
+}
+
+
+def test_key_fields_partition_the_config():
+    fields = set(toy21_config().to_dict())
+    assert set(NOT_IN_HAMILTONIAN) == set(_DROPPED)
+    assert set(_KEPT) | set(_DROPPED) == fields
+
+
+@pytest.mark.parametrize("name", sorted(_DROPPED))
+def test_key_ignores_fields_outside_hamiltonian(name):
+    base = toy21_config()
+    changed = toy21_config(**{name: _DROPPED[name]})
+    assert cache_key(changed) == cache_key(base)
+    assert hamiltonian_matrix(changed).tobytes() == hamiltonian_matrix(base).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT))
+def test_key_covers_hamiltonian_fields(name):
+    assert cache_key(toy21_config(**_KEPT[name])) != cache_key(toy21_config())
+
+
+@pytest.mark.parametrize("name", ["__version__", "DRAW_CONTRACT_VERSION"])
+def test_key_covers_code_and_draw_versions(monkeypatch, name):
+    before = cache_key(toy21_config())
+    monkeypatch.setattr(cache, name, "changed")
+    assert cache_key(toy21_config()) != before
 
 
 _SOLVE = """

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig, units
+from quniverse import ModelConfig, cli, units
+from quniverse.cache import cache_dir
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.model import build_system_levels
 from quniverse.observables import EIGENVALUE_CLIP_TOL
@@ -237,6 +238,43 @@ def test_cli_sticks_command(tmp_path, toy_cfg_file):
     live = [line for line in body if float(line.split(",")[1]) > 1e-12]
     assert len(live) == 1  # toy6 initial n=1 sits on the single |m=0, l=0> state
     assert abs(float(live[0].split(",")[1]) - 1.0) < 1e-10
+
+
+def test_cli_sticks_no_cache(tmp_path, toy_cfg_file):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run4"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+    argv = ["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "5.0", "--out"]
+    assert main([*argv, str(tmp_path / "uncached.csv"), "--no-cache"]) == 0
+    assert not cache_dir().exists() or not any(cache_dir().iterdir())
+    assert main([*argv, str(tmp_path / "cold.csv")]) == 0
+    assert len(list(cache_dir().iterdir())) == 1
+    assert main([*argv, str(tmp_path / "warm.csv")]) == 0
+    uncached = (tmp_path / "uncached.csv").read_bytes()
+    assert (tmp_path / "cold.csv").read_bytes() == uncached
+    assert (tmp_path / "warm.csv").read_bytes() == uncached
+
+
+def test_cli_sticks_refuses_other_code_version(tmp_path, toy_cfg_file, monkeypatch):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run5"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["code_version"] = "0.0.1-other"
+    manifest_path.write_text(json.dumps(manifest))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was rebuilt for a refused manifest")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match="written by quniverse 0.0.1-other"):
+        main(["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "1.0",
+              "--out", str(sticks_out)])
+    assert not sticks_out.exists()
 
 
 def test_config_file_errors_surface(tmp_path):

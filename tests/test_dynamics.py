@@ -7,6 +7,7 @@ import scipy.constants
 from quniverse import ModelConfig, units
 from quniverse.dynamics import (
     PureState,
+    eigen_coefficients,
     initial_state,
     propagate,
     propagate_to_times,
@@ -15,7 +16,7 @@ from quniverse.dynamics import (
 from quniverse.model import assemble_hamiltonian, build_basis
 from quniverse.rng import SeededRng
 
-from conftest import hamiltonian_matrix, random_normalized_state, toy6_config
+from conftest import hamiltonian_matrix, random_normalized_state, toy6_config, toy21_config
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,38 @@ def test_propagate_to_times_matches_single_calls(toy6_ham):
         # complex-arithmetic oracle, independent of the real-GEMM view
         direct = (v * np.exp(-1j * w * t)) @ (v.T.astype(complex) @ psi0.amplitudes)
         np.testing.assert_allclose(batch[k], direct, rtol=0, atol=1e-12)
+
+
+def _toy21_states(ham, cfg):
+    """Every toy21 initial state, with real and with random phases, and a full-support one."""
+    for n in range(cfg.n_system_levels):
+        for rng in (None, SeededRng(cfg.rng_seed)):
+            yield f"n={n} phases={rng is not None}", initial_state(
+                ham.basis, n, cfg.total_energy, phase_rng=rng).amplitudes
+    yield "full support", random_normalized_state(ham.dim, 21)
+
+
+def test_eigen_coefficients_match_full_product(toy21, toy21_ham):
+    v = toy21_ham.eigenvectors
+    for label, c in _toy21_states(toy21_ham, toy21):
+        trimmed = eigen_coefficients(v, c)
+        assert trimmed.shape == (toy21_ham.dim, 1)
+        full = v.T @ c.real + 1j * (v.T @ c.imag)
+        np.testing.assert_allclose(trimmed[:, 0], full, rtol=0, atol=1e-14, err_msg=label)
+
+
+def test_eigen_coefficients_read_only_the_support():
+    cfg = toy21_config()
+    ham = assemble_hamiltonian(cfg)
+    c = initial_state(ham.basis, 1, cfg.total_energy).amplitudes
+    support = np.flatnonzero(c)
+    poisoned = ham.eigenvectors.copy()
+    outside = np.ones(ham.dim, dtype=bool)
+    outside[support[0]:support[-1] + 1] = False
+    poisoned[outside] = np.nan
+    np.testing.assert_array_equal(eigen_coefficients(poisoned, c),
+                                  eigen_coefficients(ham.eigenvectors, c))
+    assert not np.any(eigen_coefficients(ham.eigenvectors, np.zeros(ham.dim, complex)))
 
 
 # -- time grid and unit conversion ---------------------------------------------
