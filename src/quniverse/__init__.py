@@ -10,7 +10,9 @@ density matrix, the universe's reference-basis entropy, and the
 microcanonical-shell decomposition relating the two.
 """
 
-__version__ = "0.1.0"
+# Bump with every change that moves an output byte: the cache key covers
+# it, and `quniverse sticks` refuses a manifest of another version.
+__version__ = "0.2.0"
 
 from .config import ModelConfig
 from .model import (

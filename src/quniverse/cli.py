@@ -34,7 +34,7 @@ from .config import ModelConfig
 from .dynamics import PureState, initial_state, propagate, propagate_to_times, time_grid
 from .model import assemble_hamiltonian, build_system_levels, temperature_of
 from .observables import trajectory_columns
-from .rng import SeededRng
+from .rng import DRAW_CONTRACT_VERSION, SeededRng
 
 SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
@@ -54,6 +54,7 @@ class RunManifest:
     config: dict
     seed: int
     code_version: str
+    draw_contract: int
     schema_version: int
     states: list[int]
     t_max_reduced: float
@@ -193,6 +194,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         config=config.to_dict(),
         seed=config.rng_seed,
         code_version=__version__,
+        draw_contract=DRAW_CONTRACT_VERSION,
         schema_version=SCHEMA_VERSION,
         states=list(states),
         t_max_reduced=float(t_max),
@@ -300,12 +302,11 @@ def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict
     }
 
 
-def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None,
-                          use_cache: bool = True):
+def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
     """Rebuild the universe from the run manifest and re-emit sticks at any time.
 
-    A manifest written by another code version is refused: its run may
-    not be reproducible by this one.
+    A manifest written by another code version or under another draw
+    contract is refused: its run may not be reproducible by this one.
     """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
@@ -314,10 +315,12 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
             f"{manifest_path} not found; stick diagrams are recomputed from the manifest"
         )
     manifest = json.loads(manifest_path.read_text())
-    if manifest.get("code_version") != __version__:
+    written = (manifest.get("code_version"), manifest.get("draw_contract"))
+    if written != (__version__, DRAW_CONTRACT_VERSION):
         raise ValueError(
-            f"{manifest_path} was written by quniverse {manifest.get('code_version')}, "
-            f"this is {__version__}; re-run the trajectory with this version"
+            f"{manifest_path} was written by quniverse {written[0]} under draw contract "
+            f"{written[1]}, this is {__version__} under {DRAW_CONTRACT_VERSION}; "
+            f"re-run the trajectory with this version"
         )
     config = ModelConfig.from_dict(manifest["config"])
     name = traj_path.stem
@@ -328,7 +331,7 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         if t_ps is None:
             raise ValueError("need a time (--time or --time-ps)")
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
-    ham = assemble_hamiltonian(config, use_cache=use_cache)
+    ham = assemble_hamiltonian(config, use_cache=True)
     rng = SeededRng(config.rng_seed)
     psi0 = initial_state(ham.basis, n, config.total_energy,
                          phase_rng=rng if config.random_initial_phases else None)
@@ -366,8 +369,6 @@ def main(argv=None) -> int:
     p_sticks.add_argument("--time", type=float, default=None, help="time in reduced units")
     p_sticks.add_argument("--time-ps", type=float, default=None, help="time in picoseconds")
     p_sticks.add_argument("--out", default=None, help="write CSV here (default stdout)")
-    p_sticks.add_argument("--no-cache", action="store_true",
-                          help="skip the eigendecomposition cache")
 
     args = parser.parse_args(argv)
 
@@ -400,8 +401,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sticks":
-        config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps,
-                                                        use_cache=not args.no_cache)
+        config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps)
         if args.out:
             _write_sticks(args.out, config, n, state, basis)
         else:

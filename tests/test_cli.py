@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig, cli, units
-from quniverse.cache import cache_dir
+from quniverse import ModelConfig, __version__, cli, units
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.model import build_system_levels
 from quniverse.observables import EIGENVALUE_CLIP_TOL
+from quniverse.rng import DRAW_CONTRACT_VERSION
 
 from conftest import toy6_config, toy21_config
 
@@ -240,30 +240,21 @@ def test_cli_sticks_command(tmp_path, toy_cfg_file):
     assert abs(float(live[0].split(",")[1]) - 1.0) < 1e-10
 
 
-def test_cli_sticks_no_cache(tmp_path, toy_cfg_file):
-    _, cfg_path = toy_cfg_file
-    out = tmp_path / "cli_run4"
-    main(["run", "--config", str(cfg_path), "--out", str(out),
-          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
-    argv = ["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "5.0", "--out"]
-    assert main([*argv, str(tmp_path / "uncached.csv"), "--no-cache"]) == 0
-    assert not cache_dir().exists() or not any(cache_dir().iterdir())
-    assert main([*argv, str(tmp_path / "cold.csv")]) == 0
-    assert len(list(cache_dir().iterdir())) == 1
-    assert main([*argv, str(tmp_path / "warm.csv")]) == 0
-    uncached = (tmp_path / "uncached.csv").read_bytes()
-    assert (tmp_path / "cold.csv").read_bytes() == uncached
-    assert (tmp_path / "warm.csv").read_bytes() == uncached
-
-
-def test_cli_sticks_refuses_other_code_version(tmp_path, toy_cfg_file, monkeypatch):
+@pytest.mark.parametrize("field, other, message", [
+    ("code_version", "0.0.1-other", "written by quniverse 0.0.1-other under"),
+    ("draw_contract", 0, "under draw contract 0,"),
+])
+def test_cli_sticks_refuses_foreign_manifest(tmp_path, toy_cfg_file, monkeypatch,
+                                             field, other, message):
     _, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run5"
     main(["run", "--config", str(cfg_path), "--out", str(out),
           "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["code_version"] = "0.0.1-other"
+    assert (manifest["code_version"], manifest["draw_contract"]) == (
+        __version__, DRAW_CONTRACT_VERSION)
+    manifest[field] = other
     manifest_path.write_text(json.dumps(manifest))
 
     def refuse(*args, **kwargs):
@@ -271,7 +262,7 @@ def test_cli_sticks_refuses_other_code_version(tmp_path, toy_cfg_file, monkeypat
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     sticks_out = tmp_path / "sticks.csv"
-    with pytest.raises(ValueError, match="written by quniverse 0.0.1-other"):
+    with pytest.raises(ValueError, match=message):
         main(["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "1.0",
               "--out", str(sticks_out)])
     assert not sticks_out.exists()
