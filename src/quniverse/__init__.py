@@ -12,7 +12,7 @@ microcanonical-shell decomposition relating the two.
 
 # Bump with every change that moves an output byte: the cache key covers
 # it, and `quniverse sticks` refuses a manifest of another version.
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .config import ModelConfig
 from .model import (

@@ -22,12 +22,21 @@ against regenerated rows of H, re-solves a rejected one and stores the
 new solve over it.  Loading only reads: a hit writes, renames or touches
 no file in the directory.
 
+The directory is bounded: after each store, the oldest `*.npy` files by
+mtime (entries, and the two-file `*.eigvals.npy`/`*.eigvecs.npy` entries
+of earlier versions, which nothing reads any more) are removed until the
+directory holds at most QUNIVERSE_CACHE_MAX_MB MiB (default 4096), never
+the entry just written.  Because a hit touches nothing, the order is the
+order in which entries were written, not used.  Removing a file another
+process has mapped is safe: its mapping stays valid.
+
 The directory comes from QUNIVERSE_CACHE_DIR, defaulting to
 ~/.cache/quniverse.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import warnings
@@ -40,6 +49,8 @@ from .config import ModelConfig
 from .rng import DRAW_CONTRACT_VERSION
 
 CACHE_DIR_ENV = "QUNIVERSE_CACHE_DIR"
+CACHE_MAX_MB_ENV = "QUNIVERSE_CACHE_MAX_MB"
+DEFAULT_CACHE_MAX_MB = 4096.0
 
 # Config fields that do not enter H: the temperature convention, the
 # energy unit, the phases of the initial states and the microcanonical
@@ -92,7 +103,10 @@ def load_eigensystem(config: ModelConfig) -> tuple[np.ndarray, np.ndarray] | Non
 
 def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
                       eigenvectors: np.ndarray) -> None:
-    """Write the entry by streaming w and then V column by column; no combined copy."""
+    """Write the entry by streaming w and then V column by column; no combined copy.
+
+    Then evict the oldest files beyond the size cap, keeping this entry.
+    """
     base = cache_dir()
     base.mkdir(parents=True, exist_ok=True)
     dim = eigenvalues.size
@@ -109,3 +123,35 @@ def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _evict(base, keep=entry_path(config))
+
+
+def _evict(base: Path, keep: Path) -> None:
+    """Remove the oldest `*.npy` files in `base` until they fit the cap; never `keep`.
+
+    A cap that is not a non-negative number is reported and not applied:
+    the entry is already stored, and a typo must not delete others.
+    """
+    text = os.environ.get(CACHE_MAX_MB_ENV) or str(DEFAULT_CACHE_MAX_MB)
+    try:
+        limit = float(text) * 2 ** 20
+    except ValueError:
+        limit = math.nan
+    if not limit >= 0.0:
+        warnings.warn(f"ignoring {CACHE_MAX_MB_ENV}={text!r}: expected a non-negative "
+                      f"number of MiB; the cache is not trimmed", stacklevel=3)
+        return
+    files = []
+    for path in base.glob("*.npy"):
+        try:
+            st = path.stat()
+        except FileNotFoundError:  # removed by a concurrent store
+            continue
+        files.append((st.st_mtime_ns, path, st.st_size))
+    total = sum(size for _, _, size in files)
+    for _, path, size in sorted(files):
+        if total <= limit:
+            break
+        if path != keep:
+            path.unlink(missing_ok=True)
+            total -= size

@@ -302,11 +302,23 @@ def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict
     }
 
 
+def _trajectory_header(path) -> dict[str, str]:
+    """The `key=value` fields of a trajectory CSV's `# quniverse trajectory` line."""
+    with open(path) as fh:
+        words = fh.readline().split()
+    if words[:3] != ["#", "quniverse", "trajectory"]:
+        raise ValueError(f"{path} does not start with a quniverse trajectory header")
+    return dict(word.partition("=")[::2] for word in words[3:])
+
+
 def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
     """Rebuild the universe from the run manifest and re-emit sticks at any time.
 
     A manifest written by another code version or under another draw
-    contract is refused: its run may not be reproducible by this one.
+    contract is refused: its run may not be reproducible by this one.  So
+    is a trajectory whose header names another state (than its file
+    name), seed or config (than the manifest): it belongs to another run.
+    Both checks come before anything is built.
     """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
@@ -327,6 +339,14 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     if not name.startswith("traj_n"):
         raise ValueError(f"cannot infer initial state from file name {traj_path.name}")
     n = int(name.removeprefix("traj_n"))
+    header = _trajectory_header(traj_path)
+    expected = {"state_n": str(n), "seed": str(manifest["seed"]),
+                "config_sha256": config.content_hash()}
+    wrong = sorted(k for k, v in expected.items() if header.get(k) != v)
+    if wrong:
+        raise ValueError(f"{traj_path.name} header does not match {manifest_path}: "
+                         + ", ".join(f"{k}={header.get(k)} (expected {expected[k]})"
+                                     for k in wrong))
     if t_reduced is None:
         if t_ps is None:
             raise ValueError("need a time (--time or --time-ps)")

@@ -156,7 +156,8 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
+        """Parse `key = value` lines; unknown keys are refused by `from_dict`."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
         data = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -166,12 +167,10 @@ class ModelConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
             if key in data:
                 raise ValueError(f"{path}:{lineno}: duplicate configuration key {key!r}")
-            data[key] = _parse_value(value, known[key].type)
-        return cls(**data)
+            data[key] = _parse_value(value, types.get(key))
+        return cls.from_dict(data)
 
 
 def _format_value(v) -> str:

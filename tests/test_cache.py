@@ -16,6 +16,7 @@ import pytest
 
 from quniverse import cache, model
 from quniverse.cache import (
+    CACHE_MAX_MB_ENV,
     NOT_IN_HAMILTONIAN,
     cache_dir,
     cache_key,
@@ -38,8 +39,8 @@ def _listing():
     return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in cache_dir().iterdir()}
 
 
-def _run(cfg, out, use_cache):
-    return run_experiment(cfg, [0, 1, 2], out, t_max_ps=2.0, n_points=40,
+def _run(cfg, out, use_cache, n_points=40):
+    return run_experiment(cfg, [0, 1, 2], out, t_max_ps=2.0, n_points=n_points,
                           use_cache=use_cache)
 
 
@@ -109,6 +110,15 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     assert manifest["peak_rss_mb"] > 0.0
 
 
+def test_cold_and_warm_nufft_runs_write_identical_outputs(tmp_path):
+    # 120 points take the NUFFT path; the 40 of the test above, the direct product
+    cfg = toy21_config(rng_seed=1)
+    _run(cfg, tmp_path / "cold", use_cache=True, n_points=120)
+    warm = _run(cfg, tmp_path / "warm", use_cache=True, n_points=120)
+    assert warm.cache["hit"]
+    _assert_same_outputs(tmp_path / "cold", tmp_path / "warm")
+
+
 def _mapped_file(array):
     """The file whose mapping backs `array`, or None."""
     base = array
@@ -151,6 +161,69 @@ def test_store_over_mapped_entry_keeps_earlier_mapping():
     assert np.array_equal(v, foreign.eigenvectors)
     assert not np.array_equal(mapped.eigenvectors, foreign.eigenvectors)
     assert np.array_equal(propagate_to_times(psi0, mapped, times), before)
+
+
+def _store_aged(cfg, age_s):
+    """Store cfg's eigensystem and date its entry `age_s` seconds back."""
+    ham = assemble_hamiltonian(cfg)
+    store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+    path = entry_path(cfg)
+    stamp = path.stat().st_mtime - age_s
+    os.utime(path, (stamp, stamp))
+    return path
+
+
+def _aged_file(name, size, age_s):
+    path = cache_dir() / name
+    path.write_bytes(bytes(size))
+    stamp = path.stat().st_mtime - age_s
+    os.utime(path, (stamp, stamp))
+    return path
+
+
+def test_store_evicts_oldest_beyond_cap(monkeypatch):
+    old = _store_aged(toy21_config(rng_seed=1), 300)
+    legacy_w = _aged_file("0" * 64 + ".eigvals.npy", 300_000, 200)
+    legacy_v = _aged_file("0" * 64 + ".eigvecs.npy", 750_000, 200)
+    mid = _store_aged(toy21_config(rng_seed=2), 100)
+    unrelated = _aged_file("in-flight.tmp", 900_000, 400)
+    assert old.exists()  # under the default cap nothing went
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, "1")
+    new = _store_aged(toy21_config(rng_seed=3), 0)
+    # 1.05 MB of legacy files and three entries exceed 1 MiB: the oldest go
+    # first until the rest fit, the legacy files count, and files that are
+    # not *.npy are never touched
+    assert not old.exists() and not legacy_w.exists()
+    assert legacy_v.exists() and mid.exists() and new.exists() and unrelated.exists()
+
+
+def test_store_never_evicts_the_entry_it_wrote(monkeypatch):
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, "0")
+    older = _store_aged(toy21_config(rng_seed=1), 100)
+    newer = _aged_file("f" * 64 + ".npy", 10, -1000)  # mtime in the future
+    cfg = toy21_config(rng_seed=2)
+    ham = assemble_hamiltonian(cfg)
+    store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+    assert [p.name for p in cache_dir().iterdir()] == [entry_path(cfg).name]
+    assert not older.exists() and not newer.exists()
+
+
+def test_default_cap_keeps_small_cache(monkeypatch):
+    monkeypatch.delenv(CACHE_MAX_MB_ENV, raising=False)
+    first = _store_aged(toy21_config(rng_seed=1), 100)
+    second = _store_aged(toy21_config(rng_seed=2), 0)
+    assert first.exists() and second.exists()
+
+
+@pytest.mark.parametrize("value", ["lots", "-1", "nan"])
+def test_invalid_cap_warns_and_evicts_nothing(monkeypatch, value):
+    old = _store_aged(toy21_config(rng_seed=1), 100)
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, value)
+    cfg = toy21_config(rng_seed=2)
+    ham = assemble_hamiltonian(cfg)
+    with pytest.warns(UserWarning, match=f"ignoring {CACHE_MAX_MB_ENV}"):
+        store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+    assert old.exists() and entry_path(cfg).exists()
 
 
 def _damage(path, kind):

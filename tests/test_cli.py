@@ -268,6 +268,33 @@ def test_cli_sticks_refuses_foreign_manifest(tmp_path, toy_cfg_file, monkeypatch
     assert not sticks_out.exists()
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("state_n", lambda line: line.replace("state_n=1 ", "state_n=0 ")),
+    ("seed", lambda line: line.replace("seed=31 ", "seed=32 ")),
+    ("config_sha256", lambda line: line[:-5] + "0000\n"),
+])
+def test_cli_sticks_refuses_edited_trajectory_header(tmp_path, toy_cfg_file, monkeypatch,
+                                                     field, edit):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run6"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+    traj = out / "traj_n1.csv"
+    first, rest = traj.read_text().split("\n", 1)
+    edited = edit(first + "\n")
+    assert edited != first + "\n"
+    traj.write_text(edited + rest)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was rebuilt for a refused trajectory")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match=f"header does not match .*{field}="):
+        main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
 def test_config_file_errors_surface(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.constants
+import scipy.fft
 
-from quniverse import ModelConfig, units
+from quniverse import ModelConfig, dynamics, units
 from quniverse.dynamics import (
+    NUFFT_MIN_TIMES,
     PureState,
     eigen_coefficients,
     initial_state,
@@ -13,7 +15,7 @@ from quniverse.dynamics import (
     propagate_to_times,
     time_grid,
 )
-from quniverse.model import assemble_hamiltonian, build_basis
+from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
 from quniverse.rng import SeededRng
 
 from conftest import hamiltonian_matrix, random_normalized_state, toy6_config, toy21_config
@@ -186,6 +188,111 @@ def test_eigen_coefficients_read_only_the_support():
     np.testing.assert_array_equal(eigen_coefficients(poisoned, c),
                                   eigen_coefficients(ham.eigenvectors, c))
     assert not np.any(eigen_coefficients(ham.eigenvectors, np.zeros(ham.dim, complex)))
+
+
+# -- the NUFFT path on uniform grids ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def mid_ham():
+    """n_env_levels = 6 with production parameters otherwise: 2268 states."""
+    cfg = ModelConfig(n_env_levels=6, rng_seed=1)
+    return cfg, assemble_hamiltonian(cfg)
+
+
+def _direct(monkeypatch, state, ham, times):
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "NUFFT_MIN_TIMES", 10 ** 9)
+        return propagate_to_times(state, ham, times)
+
+
+def _wraps(ham, times):
+    """How many times 2 pi the eigenphase span E D covers."""
+    e = ham.eigenvalues
+    return (e[-1] - e[0]) * times[1] / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("n_times, t_max, min_wraps", [
+    (NUFFT_MIN_TIMES, 40.0, 0), (NUFFT_MIN_TIMES + 1, 40.0, 0), (128, 60.0, 0),
+    (257, 631.0, 1), (600, 631.0, 0), (NUFFT_MIN_TIMES + 1, 631.0, 4),
+])
+def test_nufft_matches_direct_product_toy21(monkeypatch, toy21, toy21_ham, n_times, t_max,
+                                            min_wraps):
+    times = np.linspace(0.0, t_max, n_times)
+    assert _wraps(toy21_ham, times) > min_wraps
+    v, w = toy21_ham.eigenvectors, toy21_ham.eigenvalues
+    for label, c in _toy21_states(toy21_ham, toy21):
+        psi0 = PureState(c)
+        fast = propagate_to_times(psi0, toy21_ham, times)
+        assert fast.shape == (n_times, toy21_ham.dim)
+        direct = _direct(monkeypatch, psi0, toy21_ham, times)
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12, err_msg=label)
+        # complex-arithmetic oracle, independent of both paths
+        oracle = (np.exp(-1j * np.multiply.outer(times, w)) * (v.T @ c)) @ v.T
+        np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12, err_msg=label)
+
+
+@pytest.mark.parametrize("n_times, t_max, min_wraps", [
+    (NUFFT_MIN_TIMES, 50.0, 0), (201, 631.0, 4), (600, 631.0, 1),
+])
+def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, min_wraps):
+    cfg, ham = mid_ham
+    times = np.linspace(0.0, t_max, n_times)
+    assert _wraps(ham, times) > min_wraps
+    states = [initial_state(ham.basis, 0, cfg.total_energy),
+              initial_state(ham.basis, 3, cfg.total_energy, phase_rng=SeededRng(5)),
+              PureState(random_normalized_state(ham.dim, 8))]
+    for psi0 in states:
+        fast = propagate_to_times(psi0, ham, times)
+        direct = _direct(monkeypatch, psi0, ham, times)
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(fast, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_nufft_bytes_independent_of_fft_workers(mid_ham):
+    cfg, ham = mid_ham
+    psi0 = initial_state(ham.basis, 2, cfg.total_energy)
+    times = np.linspace(0.0, 631.0, 600)
+    with scipy.fft.set_workers(1):
+        one = propagate_to_times(psi0, ham, times).copy()
+    with scipy.fft.set_workers(2):
+        two = propagate_to_times(psi0, ham, times)
+    assert one.tobytes() == two.tobytes()
+
+
+def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):
+    def refuse(*args, **kwargs):
+        raise AssertionError("NUFFT path taken")
+
+    monkeypatch.setattr(dynamics, "_nufft_times", refuse)
+    psi0 = initial_state(toy21_ham.basis, 1, toy21.total_energy)
+    uniform = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
+    jittered = uniform.copy()
+    jittered[7] += 1e-9
+    others = {
+        "non-uniform": jittered,
+        "offset start": uniform + 1.0,
+        "descending": uniform[::-1].copy(),
+        "short": uniform[:NUFFT_MIN_TIMES - 1],
+        "single time": uniform[-1:],
+    }
+    for label, times in others.items():
+        out = propagate_to_times(psi0, toy21_ham, times)
+        assert out.shape == (times.size, toy21_ham.dim), label
+    for times in (uniform, np.arange(NUFFT_MIN_TIMES) * 0.37):
+        with pytest.raises(AssertionError, match="NUFFT path taken"):
+            propagate_to_times(psi0, toy21_ham, times)
+
+
+def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
+    flipped = UniverseHamiltonian(toy21_ham.basis, toy21_ham.eigenvalues[::-1],
+                                  toy21_ham.eigenvectors[:, ::-1], toy21_ham.eig_residual)
+    psi0 = initial_state(toy21_ham.basis, 1, toy21.total_energy)
+    times = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
+    with pytest.raises(ValueError, match="ascending"):
+        propagate_to_times(psi0, flipped, times)
+    # the direct path needs no order
+    np.testing.assert_allclose(propagate(psi0, flipped, 3.0).amplitudes,
+                               propagate(psi0, toy21_ham, 3.0).amplitudes, rtol=0, atol=1e-12)
 
 
 # -- time grid and unit conversion ---------------------------------------------
