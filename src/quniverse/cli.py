@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, units
 from .analysis import (
+    LATE_FRACTION,
     detect_negative_production,
     entropy_production_rate,
     late_window_slice,
@@ -31,7 +32,7 @@ from .analysis import (
 )
 from .cache import cache_key
 from .config import ModelConfig
-from .dynamics import PureState, initial_state, propagate, propagate_to_times, time_grid
+from .dynamics import PureState, initial_state, propagate, propagate_to_times
 from .model import assemble_hamiltonian, build_system_levels, temperature_of
 from .observables import trajectory_columns
 from .rng import DRAW_CONTRACT_VERSION, SeededRng
@@ -39,7 +40,6 @@ from .rng import DRAW_CONTRACT_VERSION, SeededRng
 SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
-LATE_FRACTION = 0.2
 
 
 @dataclasses.dataclass
@@ -90,8 +90,8 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
     if n_points < 3:
         raise ValueError("n_points must be at least 3: the entropy production "
                          "rate needs 3 time points")
-    if not t_max_ps > 0.0:
-        raise ValueError("t_max_ps must be positive")
+    if not (t_max_ps > 0.0 and math.isfinite(t_max_ps)):
+        raise ValueError(f"t_max_ps must be positive and finite, got {t_max_ps}")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
@@ -120,8 +120,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     temp = temperature_of(config)
     unit = config.energy_unit_wavenumbers
     t_max = units.ps_to_reduced_time(t_max_ps, unit)
-    times = time_grid(t_max, n_points)
-    late = late_window_slice(n_points, LATE_FRACTION)
+    times = np.linspace(0.0, t_max, n_points)
+    late = late_window_slice(n_points)
 
     outputs: list[str] = []
     summary_rows = []
@@ -150,15 +150,15 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         })
 
         partial = traj[f"S_partial_{config.total_energy}"]
-        decomp = shell_decompose(final_state, basis)
+        populations, partials = shell_decompose(final_state, basis)
         summary_rows.append({
             "n": n,
             "S_univ": float(s_univ_series[late].mean()),
             "S_partial": float(partial[late].mean()),
             "S_univ_final": float(s_univ_series[-1]),
-            "S_partial_final": decomp.partial_entropy(config.total_energy),
+            "S_partial_final": float(partials[config.total_energy]),
             "effective_states": float(np.exp(s_univ_series[late].mean())),
-            "shell_population_final": decomp.population(config.total_energy),
+            "shell_population_final": float(populations[config.total_energy]),
         })
         t2 = time.perf_counter()
 
@@ -258,7 +258,7 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
-def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict:
+def compare_free_energy(traj_path) -> dict:
     """Align dS_univ(t) with -dF(t)/(k_B T) and quantify their agreement.
 
     The short-time window where the universe entropy runs ahead of the
@@ -273,7 +273,7 @@ def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict
     ds_univ = cols["S_univ"] - cols["S_univ"][0]
     minus_df_kbt = cols["minus_dF_over_kT"]
     diff = ds_univ - minus_df_kbt
-    late = late_window_slice(t.size, late_fraction)
+    late = late_window_slice(t.size)
     late_abs = float(np.abs(diff[late]).mean())
     late_mean_ds = float(ds_univ[late].mean())
     scale = max(abs(late_mean_ds), 1e-12)
@@ -285,7 +285,7 @@ def compare_free_energy(traj_path, late_fraction: float = LATE_FRACTION) -> dict
         transient_end = 0.0
     return {
         "trajectory": str(traj_path),
-        "late_window_fraction": late_fraction,
+        "late_window_fraction": LATE_FRACTION,
         "late_mean_dS_univ": late_mean_ds,
         "late_mean_minus_dF_over_kT": float(minus_df_kbt[late].mean()),
         "late_mean_abs_difference": late_abs,
@@ -312,13 +312,13 @@ def _trajectory_header(path) -> dict[str, str]:
 
 
 def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
-    """Rebuild the universe from the run manifest and re-emit sticks at any time.
+    """Rebuild the universe from the run manifest and re-emit sticks at a finite time.
 
     A manifest written by another code version or under another draw
     contract is refused: its run may not be reproducible by this one.  So
     is a trajectory whose header names another state (than its file
     name), seed or config (than the manifest): it belongs to another run.
-    Both checks come before anything is built.
+    These checks and the time's come before anything is built.
     """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
@@ -348,9 +348,9 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
                          + ", ".join(f"{k}={header.get(k)} (expected {expected[k]})"
                                      for k in wrong))
     if t_reduced is None:
-        if t_ps is None:
-            raise ValueError("need a time (--time or --time-ps)")
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
+    if not math.isfinite(t_reduced):
+        raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
     ham = assemble_hamiltonian(config, use_cache=True)
     rng = SeededRng(config.rng_seed)
     psi0 = initial_state(ham.basis, n, config.total_energy,
@@ -386,8 +386,9 @@ def main(argv=None) -> int:
     p_sticks = sub.add_parser("sticks", help="stick diagram at an arbitrary time")
     p_sticks.add_argument("--traj", required=True,
                           help="trajectory CSV (its manifest.json is used to rebuild)")
-    p_sticks.add_argument("--time", type=float, default=None, help="time in reduced units")
-    p_sticks.add_argument("--time-ps", type=float, default=None, help="time in picoseconds")
+    when = p_sticks.add_mutually_exclusive_group(required=True)
+    when.add_argument("--time", type=float, help="time in reduced units")
+    when.add_argument("--time-ps", type=float, help="time in picoseconds")
     p_sticks.add_argument("--out", default=None, help="write CSV here (default stdout)")
 
     args = parser.parse_args(argv)

@@ -46,7 +46,6 @@ production size the two paths agree to < 1e-13 in every amplitude.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +60,6 @@ class PureState:
 
     amplitudes: np.ndarray
     time: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -238,15 +234,3 @@ def _nufft_times(v: np.ndarray, e: np.ndarray, a0: np.ndarray, step: float,
     grid = scipy.fft.fft(grid, axis=1, overwrite_x=True)  # in place for a complex C array
     grid[:, :n_times] /= _kernel_transform((np.arange(n_times) - k0) / m_grid)
     return grid[:, :n_times].T
-
-
-def time_grid(t_max: float, n_points: int) -> np.ndarray:
-    """Uniform grid of reduced times from 0 to t_max inclusive."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    if n_points < 1:
-        raise ValueError("n_points must be a positive integer")
-    if n_points == 1:
-        warnings.warn("time grid with a single point is degenerate", stacklevel=2)
-        return np.zeros(1)
-    return np.linspace(0.0, t_max, n_points)

@@ -32,20 +32,6 @@ from . import cache, units
 from .config import ModelConfig
 from .rng import COUPLING_STREAM, SHIFT_STREAM, SeededRng
 
-__all__ = [
-    "SystemLevels",
-    "EnvironmentLevels",
-    "UniverseBasis",
-    "UniverseHamiltonian",
-    "TemperatureInfo",
-    "build_system_levels",
-    "build_environment",
-    "build_basis",
-    "build_hamiltonian_matrix",
-    "assemble_hamiltonian",
-    "temperature_of",
-]
-
 
 @dataclass(frozen=True)
 class SystemLevels:
@@ -108,12 +94,6 @@ class UniverseBasis:
             raise ValueError(f"degeneracy index l={l} out of range for rung m={m}")
         return n * self.n_env_states + int(self.env_offsets[m]) + l
 
-    def triple_of(self, index: int) -> tuple[int, int, int]:
-        return int(self.n[index]), int(self.m[index]), int(self.l[index])
-
-    def shell_indices(self, shell: int) -> np.ndarray:
-        return np.flatnonzero(self.shell_label == shell)
-
 
 @dataclass
 class UniverseHamiltonian:
@@ -134,12 +114,6 @@ class UniverseHamiltonian:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    def expectation(self, amplitudes: np.ndarray) -> float:
-        """<psi|H|psi> for a normalized amplitude vector."""
-        a_re = self.eigenvectors.T @ amplitudes.real
-        a_im = self.eigenvectors.T @ amplitudes.imag
-        return float(np.dot(self.eigenvalues, a_re * a_re + a_im * a_im))
 
 
 def build_system_levels(config: ModelConfig) -> SystemLevels:
@@ -281,8 +255,7 @@ def _residual_bound(rows: np.ndarray) -> float:
     return CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
 
 
-def assemble_hamiltonian(config: ModelConfig, rng: SeededRng | None = None,
-                         *, use_cache: bool = False) -> UniverseHamiltonian:
+def assemble_hamiltonian(config: ModelConfig, *, use_cache: bool = False) -> UniverseHamiltonian:
     """Build the basis and the checked eigendecomposition of H for (config, seed).
 
     The same (config, seed) always produces a bit-identical matrix.  With
@@ -294,8 +267,7 @@ def assemble_hamiltonian(config: ModelConfig, rng: SeededRng | None = None,
     with use_cache=True the solve is then stored, replacing a rejected
     entry atomically.
     """
-    if rng is None:
-        rng = SeededRng(config.rng_seed)
+    rng = SeededRng(config.rng_seed)
     env = build_environment(config, rng)
     basis = build_basis(config, env)
     if use_cache:

@@ -6,118 +6,30 @@ Two entropies live side by side and must not be confused:
   -sum(lambda ln lambda) over RDM eigenvalues; zero for a product state
   and bounded by ln(n_system_levels).  Measures S-E entanglement.
 * S_univ -- Shannon entropy -sum(p ln p) of the pure universe state's
-  populations p_i = |c_i|^2 in a reference basis (default: the
-  zero-order product basis).  In the energy eigenbasis the populations
-  never move, so S_univ is frozen there by construction.
+  populations p_i = |c_i|^2 in the zero-order product basis.  (In the
+  energy eigenbasis the populations never move, so an entropy taken
+  there would be frozen by construction.)
 
-All entropies are in nats.  `trajectory_columns` evaluates every
-observable over a whole trajectory in vectorized chunks of times; the
-single-state functions compute the same quantities at one time.
+All entropies are in nats.  `trajectory_columns` is the one
+implementation of the observables: it evaluates every observable over a
+whole trajectory in vectorized chunks of times.  The tests hold it
+against single-time references in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import units
-from .dynamics import PureState
-from .model import UniverseBasis, UniverseHamiltonian
+from .model import UniverseBasis
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_CLIP_TOL = 1e-9
-ORTHOGONALITY_TOL = 1e-10
 # Rows per vectorized pass of trajectory_columns: ~10 MB per (64, 9180)
 # complex block at production size.
 TIME_CHUNK = 64
-
-
-@dataclass
-class ReducedDensityMatrix:
-    """System-side density matrix from tracing the universe projector over E."""
-
-    matrix: np.ndarray
-    time: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
-
-    def validate(self) -> None:
-        h_err = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if h_err > HERMITICITY_TOL:
-            raise ValueError(f"RDM hermiticity violated: max deviation {h_err:.3e}")
-        t_err = abs(float(self.matrix.trace().real) - 1.0)
-        if t_err > TRACE_TOL:
-            raise ValueError(f"RDM trace deviates from 1 by {t_err:.3e}")
-        lam = np.linalg.eigvalsh(self.matrix)
-        if lam.min() < -EIGENVALUE_CLIP_TOL or lam.max() > 1.0 + EIGENVALUE_CLIP_TOL:
-            raise ValueError(f"RDM eigenvalues outside [0, 1]: [{lam.min()}, {lam.max()}]")
-
-
-def reduced_density_matrix(state: PureState, basis: UniverseBasis) -> ReducedDensityMatrix:
-    """rho_S[n, n'] = sum_{m,l} c_(n,m,l) conj(c_(n',m,l)).
-
-    The flat basis order is system-major, so the trace over E is a
-    reshape to (N_S, N_E) followed by one small contraction.
-    """
-    c = state.amplitudes.reshape(basis.n_system_levels, basis.n_env_states)
-    rho = c @ c.conj().T
-    rho = 0.5 * (rho + rho.conj().T)  # exact hermiticity against rounding
-    return ReducedDensityMatrix(matrix=rho, time=state.time)
-
-
-def shannon_entropy(p: np.ndarray) -> float:
-    """-sum(p ln p) in nats with the 0 ln 0 = 0 convention."""
-    p = np.asarray(p)
-    pos = p[p > 0.0]
-    return float(-np.dot(pos, np.log(pos)))
-
-
-def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
-    """Entropy of the RDM spectrum, in nats.
-
-    Eigenvalues are clipped to [0, 1] before the log; a clip larger than
-    EIGENVALUE_CLIP_TOL signals a corrupted RDM and raises instead of
-    being absorbed silently.
-    """
-    lam = np.linalg.eigvalsh(rdm.matrix)
-    if lam.min() < -EIGENVALUE_CLIP_TOL or lam.max() > 1.0 + EIGENVALUE_CLIP_TOL:
-        raise ValueError(
-            f"RDM eigenvalues outside [-{EIGENVALUE_CLIP_TOL}, 1+{EIGENVALUE_CLIP_TOL}]: "
-            f"[{lam.min()}, {lam.max()}]"
-        )
-    return shannon_entropy(np.clip(lam, 0.0, 1.0))
-
-
-def universe_entropy(state: PureState, reference=None) -> float:
-    """Shannon entropy of |c_i|^2 in a reference basis, in nats.
-
-    reference: None for the zero-order product basis (the default
-    "good" basis for heat flow), a UniverseHamiltonian for its energy
-    eigenbasis (populations constant in time, entropy frozen), or an
-    orthogonal matrix whose columns are custom reference vectors.
-    """
-    c = state.amplitudes
-    if reference is None:
-        return shannon_entropy(np.abs(c) ** 2)
-    if isinstance(reference, UniverseHamiltonian):
-        v = reference.eigenvectors
-        a = v.T @ c.real + 1j * (v.T @ c.imag)
-        return shannon_entropy(np.abs(a) ** 2)
-    u = np.asarray(reference)
-    if u.shape != (c.size, c.size):
-        raise ValueError(f"reference transform shape {u.shape} does not match state")
-    ortho_err = float(np.abs(u.conj().T @ u - np.eye(c.size)).max())
-    if ortho_err > ORTHOGONALITY_TOL:
-        raise ValueError(f"reference transform not orthogonal: deviation {ortho_err:.3e}")
-    return shannon_entropy(np.abs(u.conj().T @ c) ** 2)
 
 
 def shell_partial_entropies(p: np.ndarray, shell_labels: np.ndarray,

@@ -50,14 +50,6 @@ class SeededRng:
         self._position = 0
 
     @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def stream(self) -> tuple[int, ...]:
-        return self._spawn_key
-
-    @property
     def position(self) -> int:
         """Number of 64-bit words consumed so far."""
         return self._position

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig, assemble_hamiltonian
 from quniverse.cache import CACHE_DIR_ENV
-from quniverse.model import build_basis, build_hamiltonian_matrix
+from quniverse.config import ModelConfig
+from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
 from quniverse.rng import SeededRng
 
 

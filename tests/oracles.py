@@ -1,0 +1,101 @@
+"""Single-time observables: the references the tests hold
+`trajectory_columns` against.
+
+Each function computes one quantity of one state, the plain way: the
+reduced density matrix by one reshape-and-contract, entropies from its
+spectrum or from the populations.  The package itself evaluates the same
+quantities only over whole trajectories, in `observables.trajectory_columns`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from quniverse.dynamics import PureState
+from quniverse.model import UniverseBasis, UniverseHamiltonian
+from quniverse.observables import EIGENVALUE_CLIP_TOL, HERMITICITY_TOL, TRACE_TOL
+
+
+@dataclass
+class ReducedDensityMatrix:
+    """System-side density matrix from tracing the universe projector over E."""
+
+    matrix: np.ndarray
+    time: float = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def diagonal(self) -> np.ndarray:
+        return self.matrix.diagonal().real.copy()
+
+    def validate(self) -> None:
+        h_err = float(np.abs(self.matrix - self.matrix.conj().T).max())
+        if h_err > HERMITICITY_TOL:
+            raise ValueError(f"RDM hermiticity violated: max deviation {h_err:.3e}")
+        t_err = abs(float(self.matrix.trace().real) - 1.0)
+        if t_err > TRACE_TOL:
+            raise ValueError(f"RDM trace deviates from 1 by {t_err:.3e}")
+        lam = np.linalg.eigvalsh(self.matrix)
+        if lam.min() < -EIGENVALUE_CLIP_TOL or lam.max() > 1.0 + EIGENVALUE_CLIP_TOL:
+            raise ValueError(f"RDM eigenvalues outside [0, 1]: [{lam.min()}, {lam.max()}]")
+
+
+def reduced_density_matrix(state: PureState, basis: UniverseBasis) -> ReducedDensityMatrix:
+    """rho_S[n, n'] = sum_{m,l} c_(n,m,l) conj(c_(n',m,l)).
+
+    The flat basis order is system-major, so the trace over E is a
+    reshape to (N_S, N_E) followed by one small contraction.
+    """
+    c = state.amplitudes.reshape(basis.n_system_levels, basis.n_env_states)
+    rho = c @ c.conj().T
+    rho = 0.5 * (rho + rho.conj().T)  # exact hermiticity against rounding
+    return ReducedDensityMatrix(matrix=rho, time=state.time)
+
+
+def shannon_entropy(p: np.ndarray) -> float:
+    """-sum(p ln p) in nats with the 0 ln 0 = 0 convention."""
+    p = np.asarray(p)
+    pos = p[p > 0.0]
+    return float(-np.dot(pos, np.log(pos)))
+
+
+def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
+    """Entropy of the RDM spectrum, in nats.
+
+    Eigenvalues are clipped to [0, 1] before the log; a clip larger than
+    EIGENVALUE_CLIP_TOL signals a corrupted RDM and raises instead of
+    being absorbed silently.
+    """
+    lam = np.linalg.eigvalsh(rdm.matrix)
+    if lam.min() < -EIGENVALUE_CLIP_TOL or lam.max() > 1.0 + EIGENVALUE_CLIP_TOL:
+        raise ValueError(
+            f"RDM eigenvalues outside [-{EIGENVALUE_CLIP_TOL}, 1+{EIGENVALUE_CLIP_TOL}]: "
+            f"[{lam.min()}, {lam.max()}]"
+        )
+    return shannon_entropy(np.clip(lam, 0.0, 1.0))
+
+
+def universe_entropy(state: PureState, reference=None) -> float:
+    """Shannon entropy of |c_i|^2 in a reference basis, in nats.
+
+    reference: None for the zero-order product basis (the default
+    "good" basis for heat flow), or a UniverseHamiltonian for its energy
+    eigenbasis (populations constant in time, entropy frozen).
+    """
+    c = state.amplitudes
+    if reference is None:
+        return shannon_entropy(np.abs(c) ** 2)
+    v = reference.eigenvectors
+    a = v.T @ c.real + 1j * (v.T @ c.imag)
+    return shannon_entropy(np.abs(a) ** 2)
+
+
+def expectation(ham: UniverseHamiltonian, amplitudes: np.ndarray) -> float:
+    """<psi|H|psi> for a normalized amplitude vector."""
+    a_re = ham.eigenvectors.T @ amplitudes.real
+    a_im = ham.eigenvectors.T @ amplitudes.imag
+    return float(np.dot(ham.eigenvalues, a_re * a_re + a_im * a_im))

@@ -308,7 +308,7 @@ def test_key_covers_code_and_draw_versions(monkeypatch, name):
 
 _SOLVE = """
 import sys
-from quniverse import ModelConfig
+from quniverse.config import ModelConfig
 from quniverse.model import assemble_hamiltonian
 ham = assemble_hamiltonian(ModelConfig(n_env_levels=3, alpha=0.05))
 sys.stdout.buffer.write(ham.eigenvalues.tobytes() + ham.eigenvectors.tobytes())

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig, __version__, cli, units
+from quniverse import __version__, cli, units
+from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.model import build_system_levels
 from quniverse.observables import EIGENVALUE_CLIP_TOL
@@ -131,8 +133,9 @@ def test_t_fit_blank_only_at_t0(tmp_path):
     ([0, 1], {"n_points": 2}, "n_points"),
     ([0, 1], {"t_max_ps": 0.0}, "t_max_ps"),
     ([0, 1], {"t_max_ps": -1.0}, "t_max_ps"),
+    ([0, 1], {"t_max_ps": math.inf}, "t_max_ps"),
 ], ids=["no_states", "state_too_high", "state_negative", "duplicate_state",
-        "two_points", "zero_t_max", "negative_t_max"])
+        "two_points", "zero_t_max", "negative_t_max", "infinite_t_max"])
 def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, message):
     def solve_reached(*args, **kw):
         raise AssertionError("the Hamiltonian was assembled before the input was checked")
@@ -293,6 +296,75 @@ def test_cli_sticks_refuses_edited_trajectory_header(tmp_path, toy_cfg_file, mon
     with pytest.raises(ValueError, match=f"header does not match .*{field}="):
         main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
     assert not sticks_out.exists()
+
+
+@pytest.mark.parametrize("when", [["--time", "nan"], ["--time-ps", "inf"]],
+                         ids=["nan_time", "infinite_time_ps"])
+def test_cli_sticks_refuses_non_finite_time(tmp_path, toy_cfg_file, monkeypatch, when):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run7"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was rebuilt for a non-finite time")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match="must be finite"):
+        main(["sticks", "--traj", str(out / "traj_n1.csv"), *when, "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
+@pytest.mark.parametrize("when", [[], ["--time", "1.0", "--time-ps", "5"]],
+                         ids=["no_time", "both_times"])
+def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
+    with pytest.raises(SystemExit) as exc:
+        main(["sticks", "--traj", str(tmp_path / "traj_n1.csv"), *when])
+    assert exc.value.code == 2
+
+
+# sha256 of every toy21 output but the manifest (which records timings),
+# per package version.  Bump __version__ with every change that moves an
+# output byte, and record the new hashes here under it.  Recorded with
+# scipy's bundled OpenBLAS on x86-64.
+OUTPUT_SHA256 = {
+    "0.3.0": {
+        120: {
+            "anomalies.json": "416187df75f7c0a52c04d071d4f611e865a568324ac34abae6b7f35bad6d7a47",
+            "sticks_n0.csv": "067c30aeec0faf4a9b0a29b58e0d246bf3ea606d67223d296ba6675b9456674d",
+            "sticks_n1.csv": "ac82f19d892d6819a354f7f0cc607a454b8b4877472fd152b9c37d4dae8e53ea",
+            "sticks_n2.csv": "d31642f4d58a2ee4c99103fb77ca8fd8bcf467b1aae4afd855a382f9145f5965",
+            "sticks_t.csv": "9b11e40528ee8b332d2c79d153dc18853b40a4d992e5d83ee9b123b9b26b452b",
+            "summary.json": "34e4c8c0298c554e3941f7185363955068afb508b6c46d472779c2fc6db3a630",
+            "traj_n0.csv": "711ea74a6c2d50c8f856b91a1308ea4be5230f7b12aaa58f21347910cb537bb4",
+            "traj_n1.csv": "804eaaa66d9ecceb00b355d99944a5f43341ebc414347923e403ef7e726db43e",
+            "traj_n2.csv": "072d17a17de7197ded92dc8fe07da80f3ec21715902f9a63f22ec26f84950fab",
+        },
+        40: {
+            "anomalies.json": "20ab85d26556e0409f223016d6c9a3f38d2ec11b185b78dfe65e82aee2a1f34f",
+            "sticks_n0.csv": "a5497acbd115e766b4651b58d6dba3514e7b8d4a37298b12f76ed7a272affb76",
+            "sticks_n1.csv": "c000cae41e349bb30107e4d1dae353d8e7b76b2790d064741b40ffa11284ad7d",
+            "sticks_n2.csv": "868c7ca8e4f6bdbcc704fe3e0fa86184f85cefd68b0062e34f9c68cf6acbdee2",
+            "sticks_t.csv": "9b11e40528ee8b332d2c79d153dc18853b40a4d992e5d83ee9b123b9b26b452b",
+            "summary.json": "8546b1a66400c41c8f0eb922ffb5120682a9bb7b4522caf11456134fd12928c5",
+            "traj_n0.csv": "84bb22691e8e2f4f83e1fc613ce050d02f720699115cc9c439b906e36f8b6caf",
+            "traj_n1.csv": "f796ff90aeeefdf8e6c8c604e00483479aba841e746cc09b84ab58fb33e8fef9",
+            "traj_n2.csv": "8e22c0dad1f532486a29b2385c584e9ae7d5768b6d66bad7f94de108b582c951",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
+def test_outputs_pinned_for_this_version(tmp_path, n_points):
+    assert __version__ in OUTPUT_SHA256, f"no output hashes recorded for {__version__}"
+    run_experiment(toy21_config(), [0, 1, 2], tmp_path, n_points=n_points, use_cache=False)
+    main(["sticks", "--traj", str(tmp_path / "traj_n1.csv"), "--time", "7.5",
+          "--out", str(tmp_path / "sticks_t.csv")])
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir() if path.name != "manifest.json"}
+    assert got == OUTPUT_SHA256[__version__][n_points]
 
 
 def test_config_file_errors_surface(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quniverse import ModelConfig, units
+from quniverse import units
+from quniverse.config import ModelConfig
 from quniverse.model import (
     assemble_hamiltonian,
     build_basis,
@@ -250,7 +251,7 @@ def test_basis_flat_index_bijection(toy21_ham):
     basis = toy21_ham.basis
     seen = set()
     for i in range(basis.size):
-        n, m, l = basis.triple_of(i)
+        n, m, l = basis.n[i], basis.m[i], basis.l[i]
         assert basis.index_of(n, m, l) == i
         seen.add((n, m, l))
     assert len(seen) == basis.size
@@ -259,7 +260,7 @@ def test_basis_flat_index_bijection(toy21_ham):
 def test_basis_shell_labels(toy21_ham):
     basis = toy21_ham.basis
     np.testing.assert_array_equal(basis.shell_label, basis.n + basis.m)
-    assert basis.shell_indices(2).size == 7  # g(2) + g(1) + g(0) = 4 + 2 + 1
+    assert np.count_nonzero(basis.shell_label == 2) == 7  # g(2) + g(1) + g(0) = 4 + 2 + 1
 
 
 def test_basis_index_errors(toy6_ham):
@@ -276,7 +277,7 @@ def test_production_basis_counts():
     cfg = ModelConfig()
     basis = build_basis(cfg, rng=SeededRng(cfg.rng_seed))
     assert basis.size == 9180
-    assert basis.shell_indices(5).size == 378
+    assert np.count_nonzero(basis.shell_label == 5) == 378
     assert int(np.bincount(basis.shell_label).sum()) == 9180
 
 
