@@ -35,7 +35,7 @@ from .config import ModelConfig
 from .dynamics import PureState, initial_state, propagate, propagate_to_times
 from .model import assemble_hamiltonian, build_system_levels, temperature_of
 from .observables import trajectory_columns
-from .rng import DRAW_CONTRACT_VERSION, SeededRng
+from .rng import DRAW_CONTRACT_VERSION
 
 SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
@@ -47,8 +47,8 @@ class RunManifest:
     """Everything needed to reproduce a run bit-exactly, plus bookkeeping.
 
     `cache` says what the eigensystem cache did: its `key`, whether the
-    run used a cached entry (`hit`; false for --no-cache, a miss or a
-    rejected entry) and the sampled eigen-residual of the check.
+    run used a cached entry (`hit`; false for a miss or a rejected
+    entry) and the sampled eigen-residual of the check.
     """
 
     config: dict
@@ -96,8 +96,7 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
                    *, t_max_ps: float = DEFAULT_T_MAX_PS,
-                   n_points: int = DEFAULT_N_POINTS,
-                   use_cache: bool = True) -> RunManifest:
+                   n_points: int = DEFAULT_N_POINTS) -> RunManifest:
     """Propagate each requested initial state and write all artifacts.
 
     Per state: a trajectory CSV of the observable columns, a final-time
@@ -112,7 +111,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
 
     t0 = time.perf_counter()
-    ham = assemble_hamiltonian(config, use_cache=use_cache)
+    ham = assemble_hamiltonian(config)
     timing["build_and_solve"] = time.perf_counter() - t0
 
     basis = ham.basis
@@ -126,12 +125,10 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     outputs: list[str] = []
     summary_rows = []
     anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
-    rng = SeededRng(config.rng_seed)
 
     for n in states:
         t0 = time.perf_counter()
-        psi0 = initial_state(basis, n, config.total_energy,
-                             phase_rng=rng if config.random_initial_phases else None)
+        psi0 = initial_state(config, basis, n)
         amplitudes = propagate_to_times(psi0, ham, times)
         t1 = time.perf_counter()
         traj = trajectory_columns(amplitudes, times, basis, ladder, temp.kbt_reduced, unit)
@@ -351,10 +348,8 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
     if not math.isfinite(t_reduced):
         raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
-    ham = assemble_hamiltonian(config, use_cache=True)
-    rng = SeededRng(config.rng_seed)
-    psi0 = initial_state(ham.basis, n, config.total_energy,
-                         phase_rng=rng if config.random_initial_phases else None)
+    ham = assemble_hamiltonian(config)
+    psi0 = initial_state(config, ham.basis, n)
     state = propagate(psi0, ham, t_reduced)
     return config, n, state, ham.basis
 
@@ -376,8 +371,6 @@ def main(argv=None) -> int:
                        help="pin the reference temperature 230.41 K")
     p_run.add_argument("--t-max-ps", type=float, default=DEFAULT_T_MAX_PS)
     p_run.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
-    p_run.add_argument("--no-cache", action="store_true",
-                       help="skip the eigendecomposition cache")
 
     p_cmp = sub.add_parser("compare", help="free energy vs universe entropy")
     p_cmp.add_argument("--traj", required=True, help="trajectory CSV")
@@ -407,7 +400,6 @@ def main(argv=None) -> int:
         manifest = run_experiment(
             config, states, args.out,
             t_max_ps=args.t_max_ps, n_points=args.n_points,
-            use_cache=not args.no_cache,
         )
         print(f"wrote {len(manifest.outputs)} files to {args.out}")
         return 0

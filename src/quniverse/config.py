@@ -140,12 +140,6 @@ class ModelConfig:
         """sha256 of `canonical_string(exclude, **extra)`: the one hashing scheme."""
         return hashlib.sha256(self.canonical_string(exclude, **extra).encode()).hexdigest()
 
-    def to_file(self, path) -> None:
-        lines = ["# quniverse model configuration"]
-        for f in dataclasses.fields(self):
-            lines.append(f"{f.name} = {_format_value(getattr(self, f.name))}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         known = {f.name: f for f in dataclasses.fields(cls)}

@@ -45,11 +45,11 @@ production size the two paths agree to < 1e-13 in every amplitude.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ModelConfig
 from .model import UniverseBasis, UniverseHamiltonian
 from .rng import PHASE_STREAM, SeededRng
 
@@ -65,31 +65,32 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
 
-def initial_state(basis: UniverseBasis, n: int, total_energy: int,
-                  phase_rng: SeededRng | None = None) -> PureState:
+def initial_state(config: ModelConfig, basis: UniverseBasis, n: int) -> PureState:
     """Equal-weight superposition over the environment rung conserving n + m.
 
     The system sits in eigenlevel n; the environment occupies every
-    quasi-degenerate state of rung m = total_energy - n with amplitude
-    1/sqrt(g(m)) (real positive unless `phase_rng` supplies random
-    phases).  The result is a product state: S_vN of the system is zero.
+    quasi-degenerate state of rung m = config.total_energy - n with
+    amplitude 1/sqrt(g(m)), real positive unless config.random_initial_phases
+    draws random phases from the phase stream of the config's seed.  The
+    result is a product state: S_vN of the system is zero.
     """
     if not 0 <= n < basis.n_system_levels:
         raise ValueError(f"system level n={n} outside 0..{basis.n_system_levels - 1}")
-    m = total_energy - n
+    m = config.total_energy - n
     if not 0 <= m < basis.degeneracies.size:
         raise ValueError(
             f"initial condition needs environment rung m={m} for n={n}, "
-            f"total energy {total_energy}; valid rungs are 0..{basis.degeneracies.size - 1}"
+            f"total energy {config.total_energy}; valid rungs are 0..{basis.degeneracies.size - 1}"
         )
     g = int(basis.degeneracies[m])
     amplitudes = np.zeros(basis.size, dtype=np.complex128)
     start = basis.index_of(n, m, 0)
     amp = 1.0 / np.sqrt(g)
-    if phase_rng is None:
+    if not config.random_initial_phases:
         amplitudes[start:start + g] = amp
     else:
-        theta = 2.0 * np.pi * phase_rng.split(PHASE_STREAM).split(n).uniform(size=g)
+        phases = SeededRng(config.rng_seed).split(PHASE_STREAM).split(n)
+        theta = 2.0 * np.pi * phases.uniform(size=g)
         amplitudes[start:start + g] = amp * np.exp(1j * theta)
     return PureState(amplitudes=amplitudes, time=0.0)
 
@@ -210,18 +211,22 @@ def _nufft_times(v: np.ndarray, e: np.ndarray, a0: np.ndarray, step: float,
     grid = np.empty((v.shape[0], m_grid), dtype=np.complex128)
     real_grid = grid.view(np.float64)
     part = np.empty((v.shape[0], 2 * _BLOCK))
+    # A block's window of G + W - 1 columns is shorter than M (>= 2
+    # NUFFT_MIN_TIMES), so it can hold point j only shifted by a wrap
+    # p in wrap_j - 1 .. wrap_j + 1: the only shifts worth searching,
+    # however many empty wraps the points span.
+    shifts = np.unique(np.concatenate((wrap - 1.0, wrap, wrap + 1.0)))
     for lo in range(0, m_grid, _BLOCK):
         hi = min(lo + _BLOCK, m_grid)
         out = real_grid[:, 2 * lo:2 * hi]
         # Points within half a kernel of columns lo..hi-1, shifted by p wraps
         # (u - p M), form one contiguous range of j for each p.
         first, last = lo - half, hi - 1 + half
+        starts = np.searchsorted(u, first + shifts * m_grid, "right")
+        ends = np.searchsorted(u, last + shifts * m_grid, "left")
+        hit = starts < ends
         filled = False
-        for p in range(math.floor((u[0] - last) / m_grid), math.floor((u[-1] - first) / m_grid) + 1):
-            j0 = np.searchsorted(u, first + p * m_grid, "right")
-            j1 = np.searchsorted(u, last + p * m_grid, "left")
-            if j0 >= j1:
-                continue
+        for p, j0, j1 in zip(shifts[hit], starts[hit], ends[hit]):
             offset = (np.arange(lo, hi) - m_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
             spread = _es_kernel(offset / half) * weights[j0:j1, None] * twiddle[lo:hi]
             if not filled:

@@ -7,10 +7,13 @@ is real symmetric in the zero-order product basis |n, m, l>; it is
 assembled dense and diagonalized once, and all dynamics are then
 analytic.
 
-Only the eigenpairs and the basis reach the dynamics, so H is built
-only when a solve needs it.  A cached eigensystem is checked instead
-against the first CHECK_ROWS rows of H, which the same fill function
-regenerates from the first draws of the coupling stream.
+Every function here takes the config as its only source of the
+universe: each draws from its own substream of SeededRng(config.rng_seed),
+so no caller can pair a config with another seed's draws.  Only the
+eigenpairs and the basis reach the dynamics, so H is built only when a
+solve needs it.  A cached eigensystem is checked instead against the
+first CHECK_ROWS rows of H, which the same fill function regenerates
+from the first draws of the coupling stream.
 
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
@@ -140,26 +143,24 @@ def build_system_levels(config: ModelConfig) -> SystemLevels:
     return SystemLevels(eigenvalues=eigenvalues, ladder=ladder)
 
 
-def build_environment(config: ModelConfig, rng: SeededRng) -> EnvironmentLevels:
+def build_environment(config: ModelConfig) -> EnvironmentLevels:
     """Environment table with Gaussian-spread rungs.
 
     Energies are m*omega_E + X(m,l) with X ~ N(0, alpha*omega_E*sqrt(2)),
-    drawn rung-major from the shift stream of `rng`.
+    drawn rung-major from the shift stream of the config's seed.
     """
     degs = config.degeneracies()
     m = np.repeat(np.arange(config.n_env_levels), degs)
     l = np.concatenate([np.arange(g) for g in degs])
     sigma = config.alpha * config.omega_E * math.sqrt(2.0)
-    shift = rng.split(SHIFT_STREAM).gaussian(0.0, sigma, size=m.size)
+    shift = SeededRng(config.rng_seed).split(SHIFT_STREAM).gaussian(0.0, sigma, size=m.size)
     energy = m * config.omega_E + shift
     return EnvironmentLevels(m=m, l=l, shift=shift, energy=energy)
 
 
-def build_basis(config: ModelConfig, env: EnvironmentLevels | None = None,
-                rng: SeededRng | None = None) -> UniverseBasis:
+def build_basis(config: ModelConfig) -> UniverseBasis:
     """Product basis |n, m, l> in system-major, rung-major flat order."""
-    if env is None:
-        env = build_environment(config, rng if rng is not None else SeededRng(config.rng_seed))
+    env = build_environment(config)
     ns = config.n_system_levels
     ne = len(env)
     system = build_system_levels(config)
@@ -181,7 +182,7 @@ def build_basis(config: ModelConfig, env: EnvironmentLevels | None = None,
 
 
 def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
-                             rng: SeededRng, n_rows: int | None = None) -> np.ndarray:
+                             n_rows: int | None = None) -> np.ndarray:
     """The first `n_rows` rows of the dense symmetric H = H_S + H_E + H_SE.
 
     Diagonal: the zero-order energies of the basis.  Off-diagonal: one
@@ -199,7 +200,7 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
     dim = basis.size
     k = dim if n_rows is None else min(int(n_rows), dim)
     sigma = config.alpha * config.omega_E
-    couplings = rng.split(COUPLING_STREAM)
+    couplings = SeededRng(config.rng_seed).split(COUPLING_STREAM)
     h = np.zeros((k, dim), dtype=np.float64)
     restrict = config.coupling_scope == "system_changing_only"
     for i in range(min(k, dim - 1)):
@@ -255,40 +256,35 @@ def _residual_bound(rows: np.ndarray) -> float:
     return CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
 
 
-def assemble_hamiltonian(config: ModelConfig, *, use_cache: bool = False) -> UniverseHamiltonian:
+def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     """Build the basis and the checked eigendecomposition of H for (config, seed).
 
-    The same (config, seed) always produces a bit-identical matrix.  With
-    use_cache=True a cached eigensystem is mapped and checked against
-    CHECK_ROWS regenerated rows of H; the full H is never built on an
-    accepted entry, and the cache directory is not written.  A miss, a
-    rejected entry (with a warning naming its key and residual) or
-    use_cache=False builds H, solves it in place and checks the result;
-    with use_cache=True the solve is then stored, replacing a rejected
-    entry atomically.
+    The same (config, seed) always produces a bit-identical matrix.  A
+    cached eigensystem is mapped and checked against CHECK_ROWS
+    regenerated rows of H; the full H is never built on an accepted
+    entry, and the cache directory is not written.  A miss or a rejected
+    entry (with a warning naming its key and residual) builds H, solves
+    it in place, checks the result and stores it, replacing a rejected
+    entry atomically.  QUNIVERSE_CACHE_DIR chooses the cache directory.
     """
-    rng = SeededRng(config.rng_seed)
-    env = build_environment(config, rng)
-    basis = build_basis(config, env)
-    if use_cache:
-        cached = cache.load_eigensystem(config)
-        if cached is not None:
-            rows = build_hamiltonian_matrix(config, basis, rng, n_rows=CHECK_ROWS)
-            residual = eigen_residual(rows, *cached)
-            if residual <= _residual_bound(rows):
-                return UniverseHamiltonian(basis, *cached, eig_residual=residual,
-                                           cache_hit=True)
-            warnings.warn(
-                f"cache entry {cache.cache_key(config)} fails the eigen check "
-                f"(residual {residual:.3g}); re-solving", stacklevel=2)
-    h = build_hamiltonian_matrix(config, basis, rng)
+    basis = build_basis(config)
+    cached = cache.load_eigensystem(config)
+    if cached is not None:
+        rows = build_hamiltonian_matrix(config, basis, n_rows=CHECK_ROWS)
+        residual = eigen_residual(rows, *cached)
+        if residual <= _residual_bound(rows):
+            return UniverseHamiltonian(basis, *cached, eig_residual=residual,
+                                       cache_hit=True)
+        warnings.warn(
+            f"cache entry {cache.cache_key(config)} fails the eigen check "
+            f"(residual {residual:.3g}); re-solving", stacklevel=2)
+    h = build_hamiltonian_matrix(config, basis)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
     residual = eigen_residual(rows, eigenvalues, eigenvectors)
     if not residual <= _residual_bound(rows):
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
-    if use_cache:
-        cache.store_eigensystem(config, eigenvalues, eigenvectors)
+    cache.store_eigensystem(config, eigenvalues, eigenvectors)
     return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual)
 
 

@@ -4,7 +4,6 @@ import pytest
 from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
-from quniverse.rng import SeededRng
 
 
 @pytest.fixture(autouse=True)
@@ -68,5 +67,4 @@ def random_normalized_state(dim, seed):
 
 def hamiltonian_matrix(config):
     """The full dense H of (config, seed), from the fill that assemble_hamiltonian uses."""
-    rng = SeededRng(config.rng_seed)
-    return build_hamiltonian_matrix(config, build_basis(config, rng=rng), rng)
+    return build_hamiltonian_matrix(config, build_basis(config))

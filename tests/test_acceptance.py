@@ -46,7 +46,7 @@ def production_runs(tmp_path_factory):
         out = tmp_path_factory.mktemp(f"production_seed{seed}")
         cfg = production_config(seed)
         run_experiment(cfg, list(STATES), out,
-                       t_max_ps=T_MAX_PS, n_points=N_POINTS, use_cache=True)
+                       t_max_ps=T_MAX_PS, n_points=N_POINTS)
         runs[seed] = {
             "config": cfg,
             "out": Path(out),
@@ -58,7 +58,7 @@ def production_runs(tmp_path_factory):
 @pytest.fixture(scope="session")
 def production_ham(production_runs):
     # after the runs the eigensystem is cached; this is a cheap reload
-    return assemble_hamiltonian(production_config(SEEDS[0]), use_cache=True)
+    return assemble_hamiltonian(production_config(SEEDS[0]))
 
 
 def test_criterion_1_basis_arithmetic():
@@ -114,7 +114,7 @@ def test_criterion_5_effective_state_count(production_runs):
 
 def test_criterion_6a_unitarity_energy_group(production_ham):
     cfg = production_config(SEEDS[0])
-    psi0 = initial_state(production_ham.basis, 2, cfg.total_energy)
+    psi0 = initial_state(cfg, production_ham.basis, 2)
     e0 = expectation(production_ham, psi0.amplitudes)
     psi_a = propagate(psi0, production_ham, 150.0)
     psi_ab = propagate(psi_a, production_ham, 73.0)
@@ -132,11 +132,11 @@ def test_criterion_6b_rdm_properties(production_ham):
     cfg = production_config(SEEDS[0])
     checks = []
     for n in STATES:
-        psi0 = initial_state(production_ham.basis, n, cfg.total_energy)
+        psi0 = initial_state(cfg, production_ham.basis, n)
         rdm0 = reduced_density_matrix(psi0, production_ham.basis)
         rdm0.validate()
         checks.append(abs(von_neumann_entropy(rdm0)) <= 1e-12)
-    psi_t = propagate(initial_state(production_ham.basis, 0, cfg.total_energy),
+    psi_t = propagate(initial_state(cfg, production_ham.basis, 0),
                       production_ham, 400.0)
     rdm_t = reduced_density_matrix(psi_t, production_ham.basis)
     rdm_t.validate()
@@ -148,7 +148,7 @@ def test_criterion_6b_rdm_properties(production_ham):
 
 def test_criterion_6c_universe_entropy_frozen_in_eigenbasis(production_ham):
     cfg = production_config(SEEDS[0])
-    psi0 = initial_state(production_ham.basis, 3, cfg.total_energy)
+    psi0 = initial_state(cfg, production_ham.basis, 3)
     s_ref = universe_entropy(psi0, reference=production_ham)
     drift = 0.0
     for t in (57.0, 311.0):
@@ -170,11 +170,11 @@ def test_criterion_6d_shell_partials_sum(production_runs):
 
 def test_criterion_6e_alpha_zero_freeze():
     cfg = ModelConfig(rng_seed=SEEDS[0], alpha=0.0)
-    ham = assemble_hamiltonian(cfg, use_cache=True)
+    ham = assemble_hamiltonian(cfg)
     matrix = hamiltonian_matrix(cfg)
     off_diag_max = float(np.abs(matrix - np.diag(np.diag(matrix))).max())
     del matrix
-    psi0 = initial_state(ham.basis, 1, cfg.total_energy)
+    psi0 = initial_state(cfg, ham.basis, 1)
     p0 = psi0.probabilities()
     drift = 0.0
     for t in (100.0, 500.0):
@@ -194,7 +194,7 @@ def test_criterion_6f_determinism(production_runs, tmp_path_factory):
     del rebuilt_a, rebuilt_b
 
     out = tmp_path_factory.mktemp("determinism")
-    run_experiment(cfg, [0], out, t_max_ps=T_MAX_PS, n_points=N_POINTS, use_cache=True)
+    run_experiment(cfg, [0], out, t_max_ps=T_MAX_PS, n_points=N_POINTS)
     fresh = (Path(out) / "traj_n0.csv").read_bytes()
     original = (production_runs[seed]["out"] / "traj_n0.csv").read_bytes()
     ok = matrices_identical and fresh == original

@@ -14,7 +14,6 @@ from quniverse.analysis import (
 from quniverse.config import ModelConfig
 from quniverse.dynamics import PureState, initial_state, propagate
 from quniverse.model import build_basis
-from quniverse.rng import SeededRng
 
 from conftest import random_normalized_state, toy6_config
 from oracles import universe_entropy
@@ -23,7 +22,7 @@ from oracles import universe_entropy
 @pytest.fixture(scope="module")
 def production_basis():
     cfg = ModelConfig()
-    return cfg, build_basis(cfg, rng=SeededRng(cfg.rng_seed))
+    return cfg, build_basis(cfg)
 
 
 # -- shell decomposition --------------------------------------------------------
@@ -31,7 +30,7 @@ def production_basis():
 def test_initial_state_confined_to_its_shell(production_basis):
     cfg, basis = production_basis
     for n in (0, 3, 5):
-        psi = initial_state(basis, n, cfg.total_energy)
+        psi = initial_state(cfg, basis, n)
         populations, partials = shell_decompose(psi, basis)
         np.testing.assert_allclose(populations[5], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(partials[5], universe_entropy(psi), rtol=0, atol=1e-12)
@@ -119,7 +118,7 @@ def test_multiple_dips_disjoint_and_ordered():
 
 def test_sticks_of_initial_state(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(basis, 2, cfg.total_energy)
+    psi = initial_state(cfg, basis, 2)
     diagram = stick_diagram(psi, basis)
     assert diagram.size == basis.size
     assert np.all(np.diff(diagram.energy) >= 0)
@@ -134,8 +133,9 @@ def test_sticks_of_initial_state(production_basis):
 def test_sticks_frozen_at_alpha_zero():
     from quniverse.model import assemble_hamiltonian
 
-    ham = assemble_hamiltonian(toy6_config(alpha=0.0))
-    psi0 = initial_state(ham.basis, 1, 1)
+    cfg = toy6_config(alpha=0.0)
+    ham = assemble_hamiltonian(cfg)
+    psi0 = initial_state(cfg, ham.basis, 1)
     before = stick_diagram(psi0, ham.basis)
     after = stick_diagram(propagate(psi0, ham, 25.0), ham.basis)
     np.testing.assert_allclose(after.p, before.p, rtol=0, atol=1e-12)

@@ -26,7 +26,7 @@ from quniverse.cache import (
 )
 from quniverse.cli import run_experiment
 from quniverse.dynamics import initial_state, propagate_to_times
-from quniverse.model import assemble_hamiltonian
+from quniverse.model import assemble_hamiltonian, diagonalize
 
 from conftest import hamiltonian_matrix, toy21_config
 
@@ -39,9 +39,13 @@ def _listing():
     return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in cache_dir().iterdir()}
 
 
-def _run(cfg, out, use_cache, n_points=40):
-    return run_experiment(cfg, [0, 1, 2], out, t_max_ps=2.0, n_points=n_points,
-                          use_cache=use_cache)
+def _run(cfg, out, n_points=40):
+    return run_experiment(cfg, [0, 1, 2], out, t_max_ps=2.0, n_points=n_points)
+
+
+def _solve(cfg):
+    """cfg's eigensystem, solved without the cache."""
+    return diagonalize(hamiltonian_matrix(cfg))
 
 
 def _assert_same_outputs(a, b):
@@ -51,17 +55,17 @@ def _assert_same_outputs(a, b):
 
 def test_hit_never_builds_full_matrix(monkeypatch):
     cfg = toy21_config(rng_seed=1)
-    cold = assemble_hamiltonian(cfg, use_cache=True)
+    cold = assemble_hamiltonian(cfg)
     assert not cold.cache_hit
     fill = model.build_hamiltonian_matrix
 
-    def rows_only(config, basis, rng, n_rows=None):
+    def rows_only(config, basis, n_rows=None):
         if n_rows is None:
             raise AssertionError("a cache hit built the full Hamiltonian")
-        return fill(config, basis, rng, n_rows)
+        return fill(config, basis, n_rows)
 
     monkeypatch.setattr(model, "build_hamiltonian_matrix", rows_only)
-    warm = assemble_hamiltonian(cfg, use_cache=True)
+    warm = assemble_hamiltonian(cfg)
     assert warm.cache_hit
     assert warm.eig_residual <= model.CHECK_RTOL
     assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
@@ -70,37 +74,39 @@ def test_hit_never_builds_full_matrix(monkeypatch):
 
 def test_hit_leaves_cache_directory_untouched():
     cfg = toy21_config(rng_seed=1)
-    assemble_hamiltonian(cfg, use_cache=True)
+    assemble_hamiltonian(cfg)
     before = _listing()
     assert len(before) == 1
-    assert assemble_hamiltonian(cfg, use_cache=True).cache_hit
+    assert assemble_hamiltonian(cfg).cache_hit
     assert _listing() == before
 
 
-def test_foreign_entry_rejected_and_resolved(tmp_path):
+def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     cfg = toy21_config(rng_seed=1)
-    foreign = assemble_hamiltonian(toy21_config(rng_seed=2))
-    store_eigensystem(cfg, foreign.eigenvalues, foreign.eigenvectors)
+    store_eigensystem(cfg, *_solve(toy21_config(rng_seed=2)))
 
     with pytest.warns(UserWarning, match=f"cache entry {cache_key(cfg)} fails the eigen check"):
-        manifest = _run(cfg, tmp_path / "cached", use_cache=True)
+        manifest = _run(cfg, tmp_path / "cached")
     assert manifest.cache["key"] == cache_key(cfg)
     assert manifest.cache["hit"] is False
     assert manifest.cache["eig_residual"] <= model.CHECK_RTOL
-    _run(cfg, tmp_path / "nocache", use_cache=False)
-    _assert_same_outputs(tmp_path / "cached", tmp_path / "nocache")
 
     # the rejected entry was replaced by this matrix's eigensystem
-    own = assemble_hamiltonian(cfg)
     w, v = load_eigensystem(cfg)
-    assert np.array_equal(w, own.eigenvalues) and np.array_equal(v, own.eigenvectors)
-    assert assemble_hamiltonian(cfg, use_cache=True).cache_hit
+    own_w, own_v = _solve(cfg)
+    assert np.array_equal(w, own_w) and np.array_equal(v, own_v)
+    assert assemble_hamiltonian(cfg).cache_hit
+
+    # and the run wrote what a run on an empty cache writes
+    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "empty_cache"))
+    assert not _run(cfg, tmp_path / "fresh").cache["hit"]
+    _assert_same_outputs(tmp_path / "cached", tmp_path / "fresh")
 
 
 def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     cfg = toy21_config(rng_seed=1)
-    cold = _run(cfg, tmp_path / "cold", use_cache=True)
-    warm = _run(cfg, tmp_path / "warm", use_cache=True)
+    cold = _run(cfg, tmp_path / "cold")
+    warm = _run(cfg, tmp_path / "warm")
     assert not cold.cache["hit"] and warm.cache["hit"]
     _assert_same_outputs(tmp_path / "cold", tmp_path / "warm")
     manifest = json.loads((tmp_path / "warm" / "manifest.json").read_text())
@@ -113,8 +119,8 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
 def test_cold_and_warm_nufft_runs_write_identical_outputs(tmp_path):
     # 120 points take the NUFFT path; the 40 of the test above, the direct product
     cfg = toy21_config(rng_seed=1)
-    _run(cfg, tmp_path / "cold", use_cache=True, n_points=120)
-    warm = _run(cfg, tmp_path / "warm", use_cache=True, n_points=120)
+    _run(cfg, tmp_path / "cold", n_points=120)
+    warm = _run(cfg, tmp_path / "warm", n_points=120)
     assert warm.cache["hit"]
     _assert_same_outputs(tmp_path / "cold", tmp_path / "warm")
 
@@ -131,10 +137,10 @@ def _mapped_file(array):
 
 def test_hit_maps_entry_read_only():
     cfg = toy21_config(rng_seed=1)
-    cold = assemble_hamiltonian(cfg, use_cache=True)
+    cold = assemble_hamiltonian(cfg)
     before = _listing()
     assert list(before) == [entry_path(cfg).name]
-    warm = assemble_hamiltonian(cfg, use_cache=True)
+    warm = assemble_hamiltonian(cfg)
     assert warm.cache_hit
     for array in (warm.eigenvalues, warm.eigenvectors):
         assert type(array) is np.ndarray
@@ -148,25 +154,24 @@ def test_hit_maps_entry_read_only():
 
 def test_store_over_mapped_entry_keeps_earlier_mapping():
     cfg = toy21_config(rng_seed=1)
-    assemble_hamiltonian(cfg, use_cache=True)
-    mapped = assemble_hamiltonian(cfg, use_cache=True)
+    assemble_hamiltonian(cfg)
+    mapped = assemble_hamiltonian(cfg)
     assert mapped.cache_hit
-    psi0 = initial_state(mapped.basis, 1, cfg.total_energy)
+    psi0 = initial_state(cfg, mapped.basis, 1)
     times = np.linspace(0.0, 50.0, 7)
     before = propagate_to_times(psi0, mapped, times).copy()
 
-    foreign = assemble_hamiltonian(toy21_config(rng_seed=2))
-    store_eigensystem(cfg, foreign.eigenvalues, foreign.eigenvectors)
+    foreign_w, foreign_v = _solve(toy21_config(rng_seed=2))
+    store_eigensystem(cfg, foreign_w, foreign_v)
     _, v = load_eigensystem(cfg)
-    assert np.array_equal(v, foreign.eigenvectors)
-    assert not np.array_equal(mapped.eigenvectors, foreign.eigenvectors)
+    assert np.array_equal(v, foreign_v)
+    assert not np.array_equal(mapped.eigenvectors, foreign_v)
     assert np.array_equal(propagate_to_times(psi0, mapped, times), before)
 
 
 def _store_aged(cfg, age_s):
     """Store cfg's eigensystem and date its entry `age_s` seconds back."""
-    ham = assemble_hamiltonian(cfg)
-    store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+    store_eigensystem(cfg, *_solve(cfg))
     path = entry_path(cfg)
     stamp = path.stat().st_mtime - age_s
     os.utime(path, (stamp, stamp))
@@ -202,8 +207,7 @@ def test_store_never_evicts_the_entry_it_wrote(monkeypatch):
     older = _store_aged(toy21_config(rng_seed=1), 100)
     newer = _aged_file("f" * 64 + ".npy", 10, -1000)  # mtime in the future
     cfg = toy21_config(rng_seed=2)
-    ham = assemble_hamiltonian(cfg)
-    store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+    store_eigensystem(cfg, *_solve(cfg))
     assert [p.name for p in cache_dir().iterdir()] == [entry_path(cfg).name]
     assert not older.exists() and not newer.exists()
 
@@ -220,9 +224,9 @@ def test_invalid_cap_warns_and_evicts_nothing(monkeypatch, value):
     old = _store_aged(toy21_config(rng_seed=1), 100)
     monkeypatch.setenv(CACHE_MAX_MB_ENV, value)
     cfg = toy21_config(rng_seed=2)
-    ham = assemble_hamiltonian(cfg)
+    w, v = _solve(cfg)
     with pytest.warns(UserWarning, match=f"ignoring {CACHE_MAX_MB_ENV}"):
-        store_eigensystem(cfg, ham.eigenvalues, ham.eigenvectors)
+        store_eigensystem(cfg, w, v)
     assert old.exists() and entry_path(cfg).exists()
 
 
@@ -246,15 +250,15 @@ def _damage(path, kind):
                                   "c_order", "wrong_shape"])
 def test_damaged_entry_discarded_and_resolved(kind):
     cfg = toy21_config(rng_seed=1)
-    cold = assemble_hamiltonian(cfg, use_cache=True)
+    cold = assemble_hamiltonian(cfg)
     _damage(entry_path(cfg), kind)
     with pytest.warns(UserWarning, match="discarding"):
         assert load_eigensystem(cfg) is None
     with pytest.warns(UserWarning, match="discarding"):
-        again = assemble_hamiltonian(cfg, use_cache=True)
+        again = assemble_hamiltonian(cfg)
     assert not again.cache_hit
     assert np.array_equal(again.eigenvectors, cold.eigenvectors)
-    assert assemble_hamiltonian(cfg, use_cache=True).cache_hit
+    assert assemble_hamiltonian(cfg).cache_hit
 
 
 # one valid changed value per kept field; n_system_levels and polyad_N
@@ -306,12 +310,15 @@ def test_key_covers_code_and_draw_versions(monkeypatch, name):
     assert cache_key(toy21_config()) != before
 
 
+# a direct solve: every subprocess shares this test's cache directory, so
+# assemble_hamiltonian would solve once and map that entry three times
 _SOLVE = """
 import sys
 from quniverse.config import ModelConfig
-from quniverse.model import assemble_hamiltonian
-ham = assemble_hamiltonian(ModelConfig(n_env_levels=3, alpha=0.05))
-sys.stdout.buffer.write(ham.eigenvalues.tobytes() + ham.eigenvectors.tobytes())
+from quniverse.model import build_basis, build_hamiltonian_matrix, diagonalize
+cfg = ModelConfig(n_env_levels=3, alpha=0.05)
+w, v = diagonalize(build_hamiltonian_matrix(cfg, build_basis(cfg)))
+sys.stdout.buffer.write(w.tobytes() + v.tobytes())
 """
 
 

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quniverse import __version__, cli, units
+from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.model import build_system_levels
@@ -14,19 +19,20 @@ from quniverse.rng import DRAW_CONTRACT_VERSION
 
 from conftest import toy6_config, toy21_config
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture()
 def toy_cfg_file(tmp_path):
     cfg = toy6_config(alpha=0.2, rng_seed=31)
     path = tmp_path / "toy.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.canonical_string())
     return cfg, path
 
 
 def _run(cfg, out, **kwargs):
     kwargs.setdefault("t_max_ps", 2.0)
     kwargs.setdefault("n_points", 50)
-    kwargs.setdefault("use_cache", False)
     return run_experiment(cfg, list(range(cfg.n_system_levels)), out, **kwargs)
 
 
@@ -75,11 +81,13 @@ def test_trajectory_columns_and_invariants(tmp_path):
     )
 
 
-def test_repeated_run_byte_identical(tmp_path):
+def test_repeated_run_byte_identical(tmp_path, monkeypatch):
     cfg = toy6_config(alpha=0.2, rng_seed=31)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     _run(cfg, out_a)
-    _run(cfg, out_b)
+    # a second empty cache, so that both runs solve
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache_b"))
+    assert not _run(cfg, out_b).cache["hit"]
     for name in ("traj_n0.csv", "traj_n1.csv", "sticks_n0.csv",
                  "sticks_n1.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -89,8 +97,7 @@ def test_state_files_independent_of_other_states(tmp_path, toy_cfg_file):
     _, cfg_path = toy_cfg_file
     for name, states in (("alone", "0"), ("with_1", "1,0")):
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / name),
-                   "--states", states, "--t-max-ps", "2.0", "--n-points", "50",
-                   "--no-cache"])
+                   "--states", states, "--t-max-ps", "2.0", "--n-points", "50"])
         assert rc == 0
     for name in ("traj_n0.csv", "sticks_n0.csv"):
         alone = (tmp_path / "alone" / name).read_bytes()
@@ -109,7 +116,7 @@ def test_alpha_zero_t_fit_blank(tmp_path):
 def test_t_fit_blank_only_at_t0(tmp_path):
     # at t = 0 the off-level populations are round-off, which has no temperature
     cfg = toy21_config()
-    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50, use_cache=False)
+    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
     levels = build_system_levels(cfg).ladder
     for n in range(3):
         cols = read_trajectory(tmp_path / f"traj_n{n}.csv")
@@ -123,6 +130,25 @@ def test_t_fit_blank_only_at_t0(tmp_path):
             expected = np.where(slope < 0.0, -cfg.energy_unit_wavenumbers
                                 / (slope * units.KB_WAVENUMBER_PER_KELVIN), np.nan)
         np.testing.assert_allclose(t_fit[1:], expected, rtol=1e-9)
+
+
+def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
+    cfg = toy21_config()
+    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
+    shell = cfg.total_energy
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [row["n"] for row in summary["states"]] == [0, 1, 2]
+    for row in summary["states"]:
+        cols = read_trajectory(tmp_path / f"traj_n{row['n']}.csv")
+        assert row["S_univ_final"] == cols["S_univ"][-1]
+        # S_partial_final comes from shell_decompose, the CSV column from
+        # trajectory_columns: two summation orders of one quantity
+        assert abs(row["S_partial_final"] - cols[f"S_partial_{shell}"][-1]) <= 1e-13
+        body = (tmp_path / f"sticks_n{row['n']}.csv").read_text().splitlines()[2:]
+        sticks = np.array([[float(x) for x in line.split(",")] for line in body])
+        in_shell = sticks[sticks[:, 5] == shell, 1].sum()
+        assert abs(row["shell_population_final"] - in_shell) <= 1e-13
+        assert 0.0 < in_shell < 1.0
 
 
 @pytest.mark.parametrize("states, kwargs, message", [
@@ -192,8 +218,7 @@ def test_cli_run_and_compare_commands(tmp_path, toy_cfg_file, capsys):
     cfg, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out),
-               "--states", "0", "--t-max-ps", "2.0", "--n-points", "40",
-               "--no-cache"])
+               "--states", "0", "--t-max-ps", "2.0", "--n-points", "40"])
     assert rc == 0
     assert (out / "traj_n0.csv").exists()
     assert not (out / "traj_n1.csv").exists()
@@ -210,7 +235,7 @@ def test_cli_seed_and_compat_overrides(tmp_path, toy_cfg_file):
     out = tmp_path / "cli_run2"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out),
                "--states", "0", "--seed", "77", "--paper-compat",
-               "--t-max-ps", "1.0", "--n-points", "20", "--no-cache"])
+               "--t-max-ps", "1.0", "--n-points", "20"])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 77
@@ -222,7 +247,7 @@ def test_cli_sticks_command(tmp_path, toy_cfg_file):
     cfg, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run3"
     main(["run", "--config", str(cfg_path), "--out", str(out),
-          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30"])
     sticks_out = tmp_path / "sticks_t.csv"
     rc = main(["sticks", "--traj", str(out / "traj_n1.csv"),
                "--time", "5.0", "--out", str(sticks_out)])
@@ -252,7 +277,7 @@ def test_cli_sticks_refuses_foreign_manifest(tmp_path, toy_cfg_file, monkeypatch
     _, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run5"
     main(["run", "--config", str(cfg_path), "--out", str(out),
-          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30"])
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     assert (manifest["code_version"], manifest["draw_contract"]) == (
@@ -281,7 +306,7 @@ def test_cli_sticks_refuses_edited_trajectory_header(tmp_path, toy_cfg_file, mon
     _, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run6"
     main(["run", "--config", str(cfg_path), "--out", str(out),
-          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30"])
     traj = out / "traj_n1.csv"
     first, rest = traj.read_text().split("\n", 1)
     edited = edit(first + "\n")
@@ -304,7 +329,7 @@ def test_cli_sticks_refuses_non_finite_time(tmp_path, toy_cfg_file, monkeypatch,
     _, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run7"
     main(["run", "--config", str(cfg_path), "--out", str(out),
-          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30", "--no-cache"])
+          "--states", "1", "--t-max-ps", "2.0", "--n-points", "30"])
 
     def refuse(*args, **kwargs):
         raise AssertionError("the universe was rebuilt for a non-finite time")
@@ -359,12 +384,27 @@ OUTPUT_SHA256 = {
 @pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
 def test_outputs_pinned_for_this_version(tmp_path, n_points):
     assert __version__ in OUTPUT_SHA256, f"no output hashes recorded for {__version__}"
-    run_experiment(toy21_config(), [0, 1, 2], tmp_path, n_points=n_points, use_cache=False)
+    run_experiment(toy21_config(), [0, 1, 2], tmp_path, n_points=n_points)
     main(["sticks", "--traj", str(tmp_path / "traj_n1.csv"), "--time", "7.5",
           "--out", str(tmp_path / "sticks_t.csv")])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in tmp_path.iterdir() if path.name != "manifest.json"}
     assert got == OUTPUT_SHA256[__version__][n_points]
+
+
+def test_nufft_run_at_huge_t_max_finishes(tmp_path):
+    # E D spans ~3.8e7 wraps of 2 pi at 3e8 ps; a NUFFT that searched
+    # every wrap for every grid block would not finish.  A subprocess, so
+    # that such a regression fails this test instead of hanging the suite.
+    cfg_path = tmp_path / "toy21.cfg"
+    cfg_path.write_text(toy21_config().canonical_string())
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "quniverse.cli", "run", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out"), "--t-max-ps", "3e8", "--n-points", "120"],
+                   env=env, check=True, capture_output=True, timeout=60)
+    cols = read_trajectory(tmp_path / "out" / "traj_n0.csv")
+    assert cols["time_ps"].size == 120
+    assert cols["time_ps"][-1] == pytest.approx(3e8, rel=1e-12)
 
 
 def test_config_file_errors_surface(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from quniverse.dynamics import (
     propagate_to_times,
 )
 from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
-from quniverse.rng import SeededRng
 
 from conftest import hamiltonian_matrix, random_normalized_state, toy6_config, toy21_config
 from oracles import expectation
@@ -25,14 +25,14 @@ from oracles import expectation
 @pytest.fixture(scope="module")
 def production_basis():
     cfg = ModelConfig()
-    return cfg, build_basis(cfg, rng=SeededRng(cfg.rng_seed))
+    return cfg, build_basis(cfg)
 
 
 # -- initial states -----------------------------------------------------------
 
 def test_initial_state_n2_occupies_rung3(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(basis, 2, cfg.total_energy)
+    psi = initial_state(cfg, basis, 2)
     p = psi.probabilities()
     support = np.flatnonzero(p > 0)
     assert support.size == 48  # g(3)
@@ -44,7 +44,7 @@ def test_initial_state_n2_occupies_rung3(production_basis):
 
 def test_initial_state_n5_occupies_ground_rung(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(basis, 5, cfg.total_energy)
+    psi = initial_state(cfg, basis, 5)
     support = np.flatnonzero(psi.probabilities() > 0)
     assert support.size == 6  # g(0)
     np.testing.assert_allclose(psi.amplitudes[support], 1.0 / math.sqrt(6.0))
@@ -53,27 +53,29 @@ def test_initial_state_n5_occupies_ground_rung(production_basis):
 @pytest.mark.parametrize("n", range(6))
 def test_initial_states_normalized(production_basis, n):
     cfg, basis = production_basis
-    psi = initial_state(basis, n, cfg.total_energy)
+    psi = initial_state(cfg, basis, n)
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
 
 def test_initial_state_invalid_levels(production_basis):
     cfg, basis = production_basis
     with pytest.raises(ValueError):
-        initial_state(basis, 6, cfg.total_energy)
+        initial_state(cfg, basis, 6)
     with pytest.raises(ValueError):
-        initial_state(basis, -1, cfg.total_energy)
-    with pytest.raises(ValueError):
-        initial_state(basis, 0, 12)  # m = 12 beyond the last rung
+        initial_state(cfg, basis, -1)
+    short = ModelConfig(n_env_levels=3)  # total_energy 5: m = 5 beyond the last rung, 2
+    with pytest.raises(ValueError, match="rung m=5"):
+        initial_state(short, build_basis(short), 0)
 
 
 def test_initial_state_random_phases_change_phases_not_probabilities(production_basis):
     cfg, basis = production_basis
-    flat = initial_state(basis, 1, cfg.total_energy)
-    phased = initial_state(basis, 1, cfg.total_energy, phase_rng=SeededRng(3))
+    phased_cfg = dataclasses.replace(cfg, random_initial_phases=True)
+    flat = initial_state(cfg, basis, 1)
+    phased = initial_state(phased_cfg, basis, 1)
     np.testing.assert_allclose(phased.probabilities(), flat.probabilities(), atol=1e-15)
     assert not np.allclose(phased.amplitudes, flat.amplitudes)
-    again = initial_state(basis, 1, cfg.total_energy, phase_rng=SeededRng(3))
+    again = initial_state(phased_cfg, basis, 1)
     np.testing.assert_array_equal(phased.amplitudes, again.amplitudes)
 
 
@@ -132,9 +134,9 @@ def test_propagate_reversible(toy6_ham):
 
 
 def test_alpha_zero_freezes_populations():
-    ham = assemble_hamiltonian(toy6_config(alpha=0.0))
-    basis = ham.basis
-    psi0 = initial_state(basis, 0, 1)
+    cfg = toy6_config(alpha=0.0)
+    ham = assemble_hamiltonian(cfg)
+    psi0 = initial_state(cfg, ham.basis, 0)
     p0 = psi0.probabilities()
     for t in (0.5, 3.0, 50.0):
         pt = propagate(psi0, ham, t).probabilities()
@@ -162,9 +164,9 @@ def test_propagate_to_times_matches_single_calls(toy6_ham):
 def _toy21_states(ham, cfg):
     """Every toy21 initial state, with real and with random phases, and a full-support one."""
     for n in range(cfg.n_system_levels):
-        for rng in (None, SeededRng(cfg.rng_seed)):
-            yield f"n={n} phases={rng is not None}", initial_state(
-                ham.basis, n, cfg.total_energy, phase_rng=rng).amplitudes
+        for phases in (False, True):
+            yield f"n={n} phases={phases}", initial_state(
+                dataclasses.replace(cfg, random_initial_phases=phases), ham.basis, n).amplitudes
     yield "full support", random_normalized_state(ham.dim, 21)
 
 
@@ -180,7 +182,7 @@ def test_eigen_coefficients_match_full_product(toy21, toy21_ham):
 def test_eigen_coefficients_read_only_the_support():
     cfg = toy21_config()
     ham = assemble_hamiltonian(cfg)
-    c = initial_state(ham.basis, 1, cfg.total_energy).amplitudes
+    c = initial_state(cfg, ham.basis, 1).amplitudes
     support = np.flatnonzero(c)
     poisoned = ham.eigenvectors.copy()
     outside = np.ones(ham.dim, dtype=bool)
@@ -232,6 +234,24 @@ def test_nufft_matches_direct_product_toy21(monkeypatch, toy21, toy21_ham, n_tim
         np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12, err_msg=label)
 
 
+@pytest.mark.parametrize("edge", ["low", "high"])
+def test_nufft_kernel_wraps_around_the_grid(monkeypatch, toy21, toy21_ham, edge):
+    # every eigenphase in one 2 pi wrap, the lowest just above 0 or the
+    # highest just below 2 pi: its kernel spills into the far end of the
+    # periodic grid, which only a shift into a wrap that holds no point reaches
+    times = np.linspace(0.0, 40.0, NUFFT_MIN_TIMES)
+    w, period = toy21_ham.eigenvalues, 2.0 * np.pi / times[1]
+    shifted = w - w[0] + 1e-3 if edge == "low" else w - w[-1] + period - 1e-3
+    assert shifted[0] > 0.0 and shifted[-1] < period
+    ham = UniverseHamiltonian(toy21_ham.basis, shifted, toy21_ham.eigenvectors,
+                              toy21_ham.eig_residual)
+    for label, c in _toy21_states(ham, toy21):
+        psi0 = PureState(c)
+        np.testing.assert_allclose(propagate_to_times(psi0, ham, times),
+                                   _direct(monkeypatch, psi0, ham, times),
+                                   rtol=0, atol=1e-12, err_msg=label)
+
+
 @pytest.mark.parametrize("n_times, t_max, min_wraps", [
     (NUFFT_MIN_TIMES, 50.0, 0), (201, 631.0, 4), (600, 631.0, 1),
 ])
@@ -239,8 +259,8 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
     cfg, ham = mid_ham
     times = np.linspace(0.0, t_max, n_times)
     assert _wraps(ham, times) > min_wraps
-    states = [initial_state(ham.basis, 0, cfg.total_energy),
-              initial_state(ham.basis, 3, cfg.total_energy, phase_rng=SeededRng(5)),
+    states = [initial_state(cfg, ham.basis, 0),
+              initial_state(dataclasses.replace(cfg, random_initial_phases=True), ham.basis, 3),
               PureState(random_normalized_state(ham.dim, 8))]
     for psi0 in states:
         fast = propagate_to_times(psi0, ham, times)
@@ -251,7 +271,7 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
 
 def test_nufft_bytes_independent_of_fft_workers(mid_ham):
     cfg, ham = mid_ham
-    psi0 = initial_state(ham.basis, 2, cfg.total_energy)
+    psi0 = initial_state(cfg, ham.basis, 2)
     times = np.linspace(0.0, 631.0, 600)
     with scipy.fft.set_workers(1):
         one = propagate_to_times(psi0, ham, times).copy()
@@ -265,7 +285,7 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
         raise AssertionError("NUFFT path taken")
 
     monkeypatch.setattr(dynamics, "_nufft_times", refuse)
-    psi0 = initial_state(toy21_ham.basis, 1, toy21.total_energy)
+    psi0 = initial_state(toy21, toy21_ham.basis, 1)
     uniform = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     jittered = uniform.copy()
     jittered[7] += 1e-9
@@ -287,7 +307,7 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
 def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
     flipped = UniverseHamiltonian(toy21_ham.basis, toy21_ham.eigenvalues[::-1],
                                   toy21_ham.eigenvectors[:, ::-1], toy21_ham.eig_residual)
-    psi0 = initial_state(toy21_ham.basis, 1, toy21.total_energy)
+    psi0 = initial_state(toy21, toy21_ham.basis, 1)
     times = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     with pytest.raises(ValueError, match="ascending"):
         propagate_to_times(psi0, flipped, times)

@@ -13,8 +13,6 @@ from quniverse.model import (
     build_system_levels,
     temperature_of,
 )
-from quniverse.rng import SeededRng
-
 from conftest import hamiltonian_matrix, toy6_config, toy21_config
 
 
@@ -61,7 +59,7 @@ def test_alpha_zero_allowed():
 def test_config_file_round_trip(tmp_path):
     cfg = toy6_config(alpha=0.125, rng_seed=123456789, paper_compat=True)
     path = tmp_path / "model.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.canonical_string())
     assert ModelConfig.from_file(path) == cfg
 
 
@@ -143,7 +141,7 @@ def test_polyad_spacing_property(case):
 
 def test_environment_counts_production():
     cfg = ModelConfig()
-    env = build_environment(cfg, SeededRng(cfg.rng_seed))
+    env = build_environment(cfg)
     assert len(env) == 1530
     counts = np.bincount(env.m)
     np.testing.assert_array_equal(counts, [6, 12, 24, 48, 96, 192, 384, 768])
@@ -155,14 +153,14 @@ def test_environment_counts_production():
 
 def test_environment_zero_alpha_exact():
     cfg = ModelConfig(alpha=0.0)
-    env = build_environment(cfg, SeededRng(0))
+    env = build_environment(cfg)
     np.testing.assert_array_equal(env.energy, env.m.astype(float))
     np.testing.assert_array_equal(env.shift, 0.0)
 
 
 def test_environment_shift_statistics():
     cfg = ModelConfig(alpha=0.05, rng_seed=2024)
-    env = build_environment(cfg, SeededRng(cfg.rng_seed))
+    env = build_environment(cfg)
     sigma = 0.05 * math.sqrt(2.0)
     top = env.shift[env.m == 7]
     assert top.size == 768
@@ -227,17 +225,17 @@ def test_system_changing_only_scope():
 @pytest.mark.parametrize("k", [1, 16, 40])
 def test_leading_rows_match_full_matrix(scope, k):
     cfg = toy21_config(coupling_scope=scope)
-    basis = build_basis(cfg, rng=SeededRng(cfg.rng_seed))
-    full = build_hamiltonian_matrix(cfg, basis, SeededRng(cfg.rng_seed))
-    rows = build_hamiltonian_matrix(cfg, basis, SeededRng(cfg.rng_seed), n_rows=k)
+    basis = build_basis(cfg)
+    full = build_hamiltonian_matrix(cfg, basis)
+    rows = build_hamiltonian_matrix(cfg, basis, n_rows=k)
     assert rows.shape == (min(k, basis.size), basis.size)
     assert np.array_equal(rows, full[:k])
 
 
 def test_coupling_width_statistics():
     cfg = toy21_config(alpha=0.25, rng_seed=5)
-    basis = build_basis(cfg, rng=SeededRng(cfg.rng_seed))
-    h = build_hamiltonian_matrix(cfg, basis, SeededRng(cfg.rng_seed))
+    basis = build_basis(cfg)
+    h = build_hamiltonian_matrix(cfg, basis)
     iu = np.triu_indices(basis.size, 1)
     draws = h[iu]
     sigma = 0.25 * cfg.omega_E
@@ -275,7 +273,7 @@ def test_basis_index_errors(toy6_ham):
 
 def test_production_basis_counts():
     cfg = ModelConfig()
-    basis = build_basis(cfg, rng=SeededRng(cfg.rng_seed))
+    basis = build_basis(cfg)
     assert basis.size == 9180
     assert np.count_nonzero(basis.shell_label == 5) == 378
     assert int(np.bincount(basis.shell_label).sum()) == 9180

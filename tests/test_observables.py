@@ -15,8 +15,6 @@ from quniverse.observables import (
     system_energy,
     trajectory_columns,
 )
-from quniverse.rng import SeededRng
-
 from conftest import random_normalized_state, toy21_config
 from oracles import (
     ReducedDensityMatrix,
@@ -32,7 +30,7 @@ BOLTZMANN_6 = 2.0 ** -np.arange(6) / (2.0 ** -np.arange(6)).sum()
 @pytest.fixture(scope="module")
 def production_basis():
     cfg = ModelConfig()
-    return cfg, build_basis(cfg, rng=SeededRng(cfg.rng_seed))
+    return cfg, build_basis(cfg)
 
 
 def _rdm_from_diag(diag):
@@ -43,7 +41,7 @@ def _rdm_from_diag(diag):
 
 def test_rdm_of_product_state_is_projector(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(basis, 2, cfg.total_energy)
+    psi = initial_state(cfg, basis, 2)
     rdm = reduced_density_matrix(psi, basis)
     expected = np.zeros((6, 6))
     expected[2, 2] = 1.0
@@ -55,7 +53,7 @@ def test_rdm_maximally_entangled_pair():
     # 2 system levels x 2 env states, amplitudes 1/sqrt(2) on |0,a> and |1,b>
     cfg = ModelConfig(n_system_levels=2, polyad_N=1, n_env_levels=1,
                       degeneracy_A=2, total_energy=0)
-    basis = build_basis(cfg, rng=SeededRng(0))
+    basis = build_basis(cfg)
     amps = np.zeros(4, dtype=complex)
     amps[basis.index_of(0, 0, 0)] = 1.0 / math.sqrt(2.0)
     amps[basis.index_of(1, 0, 1)] = 1.0 / math.sqrt(2.0)
@@ -100,7 +98,7 @@ def test_rdm_validation_catches_corruption():
 def test_entropy_of_pure_state_is_zero(production_basis):
     cfg, basis = production_basis
     for n in range(6):
-        rdm = reduced_density_matrix(initial_state(basis, n, cfg.total_energy), basis)
+        rdm = reduced_density_matrix(initial_state(cfg, basis, n), basis)
         assert abs(von_neumann_entropy(rdm)) <= 1e-12
 
 
@@ -132,7 +130,7 @@ def test_universe_entropy_single_basis_state(toy6_ham):
 def test_universe_entropy_of_initial_states(production_basis):
     cfg, basis = production_basis
     for n, g in zip(range(6), [192, 96, 48, 24, 12, 6]):
-        psi = initial_state(basis, n, cfg.total_energy)
+        psi = initial_state(cfg, basis, n)
         np.testing.assert_allclose(universe_entropy(psi), math.log(g), rtol=1e-12)
 
 
@@ -242,8 +240,7 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
 # -- whole-trajectory columns -----------------------------------------------------
 
 def _trajectory(cfg, ham, n, times):
-    phase_rng = SeededRng(cfg.rng_seed) if cfg.random_initial_phases else None
-    psi0 = initial_state(ham.basis, n, cfg.total_energy, phase_rng=phase_rng)
+    psi0 = initial_state(cfg, ham.basis, n)
     cols = trajectory_columns(
         propagate_to_times(psi0, ham, times), times, ham.basis,
         build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
@@ -341,7 +338,7 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     ladder = build_system_levels(toy21).ladder
     kbt = temperature_of(toy21).kbt_reduced
     times = np.linspace(0.0, 8.0, 5)
-    psi0 = initial_state(basis, 1, toy21.total_energy)
+    psi0 = initial_state(toy21, basis, 1)
     amps = np.array(propagate_to_times(psi0, toy21_ham, times))
     trajectory_columns(amps, times, basis, ladder, kbt, 111.77)
     bad = amps.copy()
