@@ -265,7 +265,8 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     entry, and the cache directory is not written.  A miss or a rejected
     entry (with a warning naming its key and residual) builds H, solves
     it in place, checks the result and stores it, replacing a rejected
-    entry atomically.  QUNIVERSE_CACHE_DIR chooses the cache directory.
+    entry atomically; a failed store (unwritable directory, full disk)
+    only warns.  QUNIVERSE_CACHE_DIR chooses the cache directory.
     """
     basis = build_basis(config)
     cached = cache.load_eigensystem(config)
@@ -275,16 +276,19 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         if residual <= _residual_bound(rows):
             return UniverseHamiltonian(basis, *cached, eig_residual=residual,
                                        cache_hit=True)
-        warnings.warn(
-            f"cache entry {cache.cache_key(config)} fails the eigen check "
-            f"(residual {residual:.3g}); re-solving", stacklevel=2)
+        warnings.warn(f"cache entry {cache.cache_key(config)} fails the eigen check "
+                      f"(residual {residual:.3g}); re-solving", stacklevel=2)
     h = build_hamiltonian_matrix(config, basis)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
     residual = eigen_residual(rows, eigenvalues, eigenvectors)
     if not residual <= _residual_bound(rows):
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
-    cache.store_eigensystem(config, eigenvalues, eigenvectors)
+    try:
+        cache.store_eigensystem(config, eigenvalues, eigenvectors)
+    except OSError as exc:
+        warnings.warn(f"solved, but not cached in {cache.CACHE_DIR_ENV}="
+                      f"{cache.cache_dir()}: {exc}", stacklevel=2)
     return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual)
 
 

@@ -1,20 +1,75 @@
+import os
+
 import numpy as np
 import pytest
 
-from quniverse.cache import CACHE_DIR_ENV
+from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
 from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
 
 
+# The acceptance suite keeps the shared cache on purpose: its
+# production-size solves are paid once and reused by later runs.
+SHARED_CACHE_TESTS = "test_acceptance.py"
+
+# The user's cache directory, read before any test changes the environment
+USER_CACHE_DIR = cache_dir()
+
+
 @pytest.fixture(autouse=True)
 def _private_cache_dir(request, tmp_path_factory, monkeypatch):
-    """Keep unit tests out of the user's eigensystem cache.
-
-    The acceptance suite keeps the shared cache on purpose: its
-    production-size solves are paid once and reused by later runs.
-    """
-    if request.node.path.name != "test_acceptance.py":
+    """Keep unit tests out of the user's eigensystem cache."""
+    if request.node.path.name != SHARED_CACHE_TESTS:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+
+
+def assemble_privately(config, tmp_path_factory):
+    """assemble_hamiltonian in a fresh cache directory.
+
+    For session- and module-scoped fixtures: pytest sets them up before
+    the function-scoped _private_cache_dir, so they must set their own.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+        return assemble_hamiltonian(config)
+
+
+def _listing(path):
+    """(name, size, mtime) of every file in `path`; None if it does not exist."""
+    try:
+        with os.scandir(path) as entries:
+            return sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns) for e in entries)
+    except FileNotFoundError:
+        return None
+
+
+def _guard_user_cache(item):
+    """Fail a unit test's phase if it changed anything in the user's cache directory."""
+    if item.path.name == SHARED_CACHE_TESTS:
+        return (yield)
+    before = _listing(USER_CACHE_DIR)
+    result = yield
+    after = _listing(USER_CACHE_DIR)
+    if after != before:
+        raise AssertionError(f"a unit test changed the user's cache {USER_CACHE_DIR}: "
+                             f"{before} -> {after}")
+    return result
+
+
+# Setup and teardown are checked too: higher-scoped fixtures run there.
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_setup(item):
+    return (yield from _guard_user_cache(item))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    return (yield from _guard_user_cache(item))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    return (yield from _guard_user_cache(item))
 
 
 def toy6_config(**overrides):
@@ -45,8 +100,8 @@ def toy6():
 
 
 @pytest.fixture(scope="session")
-def toy6_ham(toy6):
-    return assemble_hamiltonian(toy6)
+def toy6_ham(toy6, tmp_path_factory):
+    return assemble_privately(toy6, tmp_path_factory)
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +110,8 @@ def toy21():
 
 
 @pytest.fixture(scope="session")
-def toy21_ham(toy21):
-    return assemble_hamiltonian(toy21)
+def toy21_ham(toy21, tmp_path_factory):
+    return assemble_privately(toy21, tmp_path_factory)
 
 
 def random_normalized_state(dim, seed):

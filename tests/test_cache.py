@@ -103,6 +103,22 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     _assert_same_outputs(tmp_path / "cached", tmp_path / "fresh")
 
 
+def test_unwritable_cache_warns_and_the_run_completes(tmp_path, monkeypatch):
+    # a file where the cache directory's parent should be: mkdir fails, even as root
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("")
+    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(blocker / "cache"))
+    cfg = toy21_config(rng_seed=1)
+    with pytest.warns(UserWarning, match=f"solved, but not cached in {cache.CACHE_DIR_ENV}="):
+        manifest = _run(cfg, tmp_path / "uncached")
+    assert manifest.cache["hit"] is False
+    assert blocker.read_text() == ""
+
+    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    _run(cfg, tmp_path / "cached")
+    _assert_same_outputs(tmp_path / "uncached", tmp_path / "cached")
+
+
 def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     cfg = toy21_config(rng_seed=1)
     cold = _run(cfg, tmp_path / "cold")

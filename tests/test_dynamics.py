@@ -18,7 +18,8 @@ from quniverse.dynamics import (
 )
 from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
 
-from conftest import hamiltonian_matrix, random_normalized_state, toy6_config, toy21_config
+from conftest import (assemble_privately, hamiltonian_matrix, random_normalized_state,
+                      toy6_config, toy21_config)
 from oracles import expectation
 
 
@@ -196,10 +197,10 @@ def test_eigen_coefficients_read_only_the_support():
 # -- the NUFFT path on uniform grids ----------------------------------------------
 
 @pytest.fixture(scope="module")
-def mid_ham():
+def mid_ham(tmp_path_factory):
     """n_env_levels = 6 with production parameters otherwise: 2268 states."""
     cfg = ModelConfig(n_env_levels=6, rng_seed=1)
-    return cfg, assemble_hamiltonian(cfg)
+    return cfg, assemble_privately(cfg, tmp_path_factory)
 
 
 def _direct(monkeypatch, state, ham, times):
