@@ -12,6 +12,7 @@ microcanonical-shell decomposition relating the two.
 The public interface is the `quniverse` command line (`quniverse.cli`).
 """
 
-# Bump with every change that moves an output byte: the cache key covers
-# it, and `quniverse sticks` refuses a manifest of another version.
-__version__ = "0.3.0"
+# Bump with every change that moves an output byte: `quniverse sticks`
+# refuses a manifest of another version.  The eigensystem cache key does
+# not contain it (see `model.SOLVE_CONTRACT`).
+__version__ = "0.4.0"

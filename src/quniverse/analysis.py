@@ -1,11 +1,11 @@
-"""Trajectory post-processing: shell decomposition, stick diagrams,
-entropy production, anomaly detection and the late-time window.
+"""Trajectory post-processing: stick diagrams, entropy production,
+anomaly detection and the late-time window.
 
-These functions read the columns of `trajectory_columns` or a run's
-final state; none computes an observable of its own.  Shell membership
-uses the nominal integer label n + m, never the Gaussian-shifted
-energies; the shifted zero-order energy only places sticks on the energy
-axis for plotting.
+These functions read the columns of `observables.trajectories` or a
+run's final state; none computes an observable of its own.  Shell
+membership uses the nominal integer label n + m, never the
+Gaussian-shifted energies; the shifted zero-order energy only places
+sticks on the energy axis for plotting.
 """
 
 from __future__ import annotations
@@ -16,23 +16,9 @@ import numpy as np
 
 from .dynamics import PureState
 from .model import UniverseBasis
-from .observables import shell_partial_entropies
 
 # Late-time means are taken over this final share of a run's grid.
 LATE_FRACTION = 0.2
-
-
-def shell_decompose(state: PureState, basis: UniverseBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Population and partial entropy -sum(p ln p) of each shell n + m.
-
-    Returns (populations, partial_entropies), indexed by shell.  The
-    partial entropies are an exact additive decomposition of the
-    zero-order-basis S_univ.
-    """
-    p = state.probabilities()
-    n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
-    populations = np.bincount(basis.shell_label, weights=p, minlength=n_shells)
-    return populations, shell_partial_entropies(p, basis.shell_label, n_shells)
 
 
 def entropy_production_rate(times: np.ndarray, s_univ: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """On-disk cache for universe eigendecompositions.
 
 At production size the dense symmetric solve dominates runtime, so
-eigenpairs are stored keyed by a hash of what determines H (the config
-without NOT_IN_HAMILTONIAN, seed included), the package version and the
-draw-order contract version.  Any change to those inputs changes the
-key; stale entries are simply never hit.
+eigenpairs are stored keyed by a hash of what determines their bytes:
+the config without NOT_IN_HAMILTONIAN (seed included), the draw-order
+contract version, `model.SOLVE_CONTRACT` (assembly and solver code) and
+`model.solve_library()` (the LAPACK library and its thread count).  The
+package version is not in the key: a release that changes only outputs
+keeps every entry.  Any change to those inputs changes the key; stale
+entries are simply never hit.
 
 An entry is one file, `{key}.npy`: a Fortran-ordered (n, n + 1) float64
 array whose column 0 holds the eigenvalues and whose columns 1..n hold
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import model  # model imports this module too; used at call time only
 from .config import ModelConfig
 from .rng import DRAW_CONTRACT_VERSION
 
@@ -67,8 +70,10 @@ def cache_dir() -> Path:
 
 
 def cache_key(config: ModelConfig) -> str:
-    return config.content_hash(exclude=NOT_IN_HAMILTONIAN, code_version=__version__,
-                               draw_contract=DRAW_CONTRACT_VERSION)
+    library, threads = model.solve_library()
+    return config.content_hash(exclude=NOT_IN_HAMILTONIAN, draw_contract=DRAW_CONTRACT_VERSION,
+                               solve_contract=model.SOLVE_CONTRACT, solve_library=library,
+                               solve_threads=threads)
 
 
 def entry_path(config: ModelConfig) -> Path:

@@ -1,6 +1,13 @@
 """Experiment driver: run trajectories from a config file, compare the
 two free-energy routes, and regenerate stick diagrams.
 
+A run makes one pass over the eigenvectors for all requested states:
+`dynamics.propagate_blocks` yields the amplitudes one row block at a
+time and `observables.trajectories` reduces each block to every state's
+sums before the next is made.  Each state then gets its trajectory
+columns and final-time amplitudes, from which its CSV files and its
+summary entry are written.
+
 Everything a run writes is reproducible from its manifest: the config
 echo (seed included) pins the Hamiltonian bit-exactly and the grid
 parameters pin the sampling.  CSV bodies contain no timestamps, so a
@@ -27,19 +34,19 @@ from .analysis import (
     detect_negative_production,
     entropy_production_rate,
     late_window_slice,
-    shell_decompose,
     stick_diagram,
 )
 from .cache import cache_key
 from .config import ModelConfig
-from .dynamics import PureState, initial_state, propagate, propagate_to_times
-from .model import assemble_hamiltonian, build_system_levels, temperature_of
-from .observables import trajectory_columns
+from .dynamics import PureState, initial_state, propagate, propagate_blocks
+from .model import assemble_hamiltonian, build_system_levels, solve_library, temperature_of
+from .observables import trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
 SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
+MAX_PHASE = 2.0 ** 40
 
 
 @dataclasses.dataclass
@@ -48,7 +55,9 @@ class RunManifest:
 
     `cache` says what the eigensystem cache did: its `key`, whether the
     run used a cached entry (`hit`; false for a miss or a rejected
-    entry) and the sampled eigen-residual of the check.
+    entry), the sampled eigen-residual of the check, and the LAPACK
+    library and thread count that the key covers (`solve_library`,
+    `solve_threads`).
     """
 
     config: dict
@@ -68,6 +77,18 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+
+
+def _timed(items, timing: dict, key: str):
+    """Yield from `items`, adding the time spent producing them to timing[key]."""
+    items = iter(items)
+    while True:
+        t0 = time.perf_counter()
+        item = next(items, None)
+        timing[key] += time.perf_counter() - t0
+        if item is None:
+            return
+        yield item
 
 
 def _fmt(x: float) -> str:
@@ -92,12 +113,21 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
                          "rate needs 3 time points")
     if not (t_max_ps > 0.0 and math.isfinite(t_max_ps)):
         raise ValueError(f"t_max_ps must be positive and finite, got {t_max_ps}")
+    # The phases E t lose precision with their size: above 2**40 rad one
+    # ulp is ~2e-4 rad.  E_bound bounds the zero-order energies from the
+    # config alone (production: 13 reduced units, E t ~ 8e3 rad at 30 ps).
+    e_bound = ((config.n_system_levels - 1) * config.kappa
+               + config.n_env_levels * config.omega_E)
+    phase = units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers) * e_bound
+    if phase > MAX_PHASE:
+        raise ValueError(f"--t-max-ps {t_max_ps} is too long: the phases E t reach "
+                         f"{phase:.3g} rad, beyond 2**40 rad, where one ulp is ~2e-4 rad")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
                    *, t_max_ps: float = DEFAULT_T_MAX_PS,
                    n_points: int = DEFAULT_N_POINTS) -> RunManifest:
-    """Propagate each requested initial state and write all artifacts.
+    """Propagate all requested initial states in one pass and write all artifacts.
 
     Per state: a trajectory CSV of the observable columns, a final-time
     stick diagram CSV, and an entry in the shell summary; plus one
@@ -126,16 +156,18 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     summary_rows = []
     anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
 
-    for n in states:
-        t0 = time.perf_counter()
-        psi0 = initial_state(config, basis, n)
-        amplitudes = propagate_to_times(psi0, ham, times)
-        t1 = time.perf_counter()
-        traj = trajectory_columns(amplitudes, times, basis, ladder, temp.kbt_reduced, unit)
-        # a copy, so that the (T, dim) block is freed before the next state's
-        final_state = PureState(amplitudes[-1].copy(), float(times[-1]))
-        del amplitudes
+    t0 = time.perf_counter()
+    psi0 = np.stack([initial_state(config, basis, n).amplitudes for n in states])
+    blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
+    results = trajectories(blocks, times, basis, ladder, temp.kbt_reduced, unit)
+    timing["observables"] += time.perf_counter() - t0 - timing["propagate"]
 
+    shell = config.total_energy
+    in_shell = basis.shell_label == shell
+    for n, result in zip(states, results):
+        t1 = time.perf_counter()
+        traj = result.columns
+        final_state = PureState(result.final_amplitudes, float(times[-1]))
         s_univ_series = traj["S_univ"]
         rate = entropy_production_rate(times, s_univ_series)
         dips = detect_negative_production(times, rate)
@@ -146,16 +178,16 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "min_rate_time": float(times[int(rate.argmin())]),
         })
 
-        partial = traj[f"S_partial_{config.total_energy}"]
-        populations, partials = shell_decompose(final_state, basis)
+        partial = traj[f"S_partial_{shell}"]
         summary_rows.append({
             "n": n,
             "S_univ": float(s_univ_series[late].mean()),
             "S_partial": float(partial[late].mean()),
             "S_univ_final": float(s_univ_series[-1]),
-            "S_partial_final": float(partials[config.total_energy]),
+            "S_partial_final": float(partial[-1]),
             "effective_states": float(np.exp(s_univ_series[late].mean())),
-            "shell_population_final": float(populations[config.total_energy]),
+            "shell_population_final": float(final_state.probabilities()[in_shell].sum()),
+            "health": result.health,
         })
         t2 = time.perf_counter()
 
@@ -166,7 +198,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         _write_sticks(sticks_path, config, n, final_state, basis)
         outputs.append(sticks_path.name)
         t3 = time.perf_counter()
-        timing["propagate"] += t1 - t0
         timing["observables"] += t2 - t1
         timing["write"] += t3 - t2
 
@@ -187,6 +218,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     outputs.append("anomalies.json")
     timing["write"] += time.perf_counter() - t0
 
+    library, threads = solve_library()
     manifest = RunManifest(
         config=config.to_dict(),
         seed=config.rng_seed,
@@ -197,7 +229,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         t_max_reduced=float(t_max),
         n_points=n_points,
         cache={"key": cache_key(config), "hit": ham.cache_hit,
-               "eig_residual": ham.eig_residual},
+               "eig_residual": ham.eig_residual, "solve_library": library,
+               "solve_threads": threads},
         constants={
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),
@@ -215,29 +248,25 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
 
 def _write_trajectory(path, config, n, traj):
     """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
+    rows = np.column_stack(list(traj.values())).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
                  f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(traj))
-        for row in np.column_stack(list(traj.values())).tolist():
-            writer.writerow(["" if math.isnan(x) else _fmt(x) for x in row])
+        fh.write(",".join(traj) + "\n")
+        fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
+                      for row in rows)
 
 
 def _write_sticks(path, config, n, state, basis):
     diagram = stick_diagram(state, basis)
+    columns = (diagram.energy, diagram.p, diagram.n, diagram.m, diagram.l, diagram.shell)
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
                  f"time_reduced={_fmt(state.time)} seed={config.rng_seed} "
                  f"config_sha256={config.content_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["energy", "p", "n", "m", "l", "shell"])
-        for k in range(diagram.size):
-            writer.writerow([
-                _fmt(diagram.energy[k]), _fmt(diagram.p[k]),
-                int(diagram.n[k]), int(diagram.m[k]), int(diagram.l[k]),
-                int(diagram.shell[k]),
-            ])
+        fh.write("energy,p,n,m,l,shell\n")
+        fh.writelines(f"{e!r},{p!r},{i},{j},{k},{shell}\n"
+                      for e, p, i, j, k, shell in zip(*(c.tolist() for c in columns)))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:

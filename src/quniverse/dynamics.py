@@ -13,11 +13,21 @@ environment rung, so that product reads a slice of V (a view, not a
 copy).  V may be a read-only mapping of a cache entry; nothing here
 writes to it.
 
-Two paths then evaluate c(t) = V (exp(-i E t) a), a = V^T c(0):
+`propagate_blocks` evaluates c(t) = V (exp(-i E t) a), a = V^T c(0), for
+several states at once, one row block of V at a time.  A row block is
+one range [e0, e1) of environment states taken in every system level,
+so that it holds every amplitude the reduced density matrix sums at a
+fixed system pair: a consumer can reduce each block to its observables
+and drop it.  Neither the (T, n) amplitude array of a state nor a grid
+over all rows is ever built.  The block height depends on the universe
+alone (`env_block_size`), so a state's bytes never depend on which other
+states share the pass.  Two kernels fill a block:
 
-* Direct: the (n, T) phase matrix exp(-i E t_k) a times V, one GEMM of
-  width 2T (4 n^2 T flops).  Single times (`propagate`), grids that are
-  not uniform from 0, and grids shorter than NUFFT_MIN_TIMES take it.
+* Direct: the (n, T) phase matrix exp(-i E t_k) a of each state times
+  the block's rows of V, one GEMM of width 2T per state and system level
+  (4 n^2 T flops per state in all).  Single times (`propagate`), grids
+  that are not uniform from 0, and grids shorter than NUFFT_MIN_TIMES
+  take it.
 * NUFFT: on a uniform grid t_k = k D, k = 0..T-1, the same product is
   c_i(t_k) = sum_j V_ij a_j exp(-i theta_j k) with theta_j = E_j D mod
   2 pi, a type-1 non-uniform FFT of every row (Dutt & Rokhlin 1993).
@@ -27,13 +37,17 @@ Two paths then evaluate c(t) = V (exp(-i E t) a), a = V^T c(0):
   af Klinteberg, SIAM J. Sci. Comput. 41, 2019); the mode shift K0 = T//2
   is absorbed into the weights a_j exp(-i theta_j K0) and a twiddle of
   every grid column, so that FFT outputs 0..T-1 are the times in order.
-  Eigenvalues are ascending, so the points under a block of G = 32 grid
-  columns are one contiguous range of j per 2 pi wrap of E D: the
-  spreading is a few real GEMMs per block over column slices of V
-  (views of the mapping, no gather), 4 n^2 (G + W) flops in all instead
-  of 4 n^2 T.  An in-place FFT along each row and a division by the
-  kernel's Fourier transform (Gauss-Legendre quadrature) finish it; the
-  result is the transposed view of the grid's first T columns.
+  Eigenvalues are ascending, so the points under a block of G = 16 grid
+  columns are one contiguous range of j per 2 pi wrap of E D.  The
+  kernel and the block layout are the same for every state; only the
+  weights differ.  So each (grid block, wrap) is one real GEMM per
+  system level: the level's rows of V (a view of the mapping, no
+  gather) times every state's spreading columns side by side (width
+  2 G k).  That is 4 n^2 (G + W) flops per state, and all states
+  together read V about twice per run.  The products are moved into a
+  state-major (k, M, rows) grid, transformed in place along M and
+  divided by the kernel's Fourier transform (Gauss-Legendre
+  quadrature); the block's amplitudes are the grid's first T columns.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -45,6 +59,8 @@ production size the two paths agree to < 1e-13 in every amplitude.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +78,9 @@ class PureState:
     time: float = 0.0
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        """|c_i|^2 as Re^2 + Im^2, the form the trajectory observables use."""
+        c = self.amplitudes
+        return c.real ** 2 + c.imag ** 2
 
 
 def initial_state(config: ModelConfig, basis: UniverseBasis, n: int) -> PureState:
@@ -116,43 +134,85 @@ def eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.n
 def propagate(state: PureState, ham: UniverseHamiltonian, t: float) -> PureState:
     """Evolve `state` by time t (negative t runs backward).
 
-    The one-time case of `propagate_to_times`.
+    The one-state, one-time case of `propagate_blocks`.
     """
-    (c,) = propagate_to_times(state, ham, [t])
-    return PureState(amplitudes=c, time=state.time + t)
+    amplitudes = np.empty(ham.dim, dtype=np.complex128)
+    for rows, c in propagate_blocks(state.amplitudes[None], ham, [t]):
+        amplitudes[rows] = c[0, 0]
+    return PureState(amplitudes=amplitudes, time=state.time + t)
 
 
-def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
-                       times: np.ndarray) -> np.ndarray:
-    """Amplitudes at many times from one state, shape (len(times), dim).
+def env_block_size(n_system_levels: int, n_env_states: int) -> int:
+    """Environment states per row block of `propagate_blocks`.
 
-    Each time is computed directly from `state` (not chained), so rows
-    are independent.  The result is the transposed complex view of one
-    (dim, >= len(times)) array: no copy is made, and rows are strided
-    (columns of the underlying array are contiguous).  A uniform grid
-    from 0 of at least NUFFT_MIN_TIMES times takes the NUFFT path, any
-    other the direct product (see the module docstring); the two agree
-    to rounding.  Besides the result, the direct path's one large
-    temporary is the (dim, len(times)) complex phase matrix; the NUFFT's
-    result is the first half of its (dim, 2 len(times)) grid.
+    A block's NUFFT grid for n_system_levels states is then at most half
+    of one state's grid over all rows (128 of 1530 at production size).
+    It depends on the universe alone, never on how many states share a
+    pass: the block layout fixes every summation order over rows.
     """
-    if state.amplitudes.size != ham.dim:
+    return max(1, math.ceil(n_env_states / (2 * n_system_levels)))
+
+
+def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
+                     times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The amplitudes of k states at every time, one row block at a time.
+
+    `amplitudes` holds the k initial states as rows, shape (k, dim).
+    Each block is the environment states e0..e1-1 taken in every system
+    level, in ascending e0, so the blocks cover every row once.  Each
+    yields `(rows, c)`: `rows` are the block's basis indices (system-major)
+    and c[s, i, r] is the amplitude of state s at times[i] on basis index
+    rows[r], shape (k, len(times), len(rows)).  Each time is computed
+    directly from the initial state (not chained).  c is a view of a
+    buffer that the next block overwrites.
+
+    A uniform grid from 0 of at least NUFFT_MIN_TIMES times takes the
+    NUFFT kernel, any other the direct product (see the module docstring);
+    the two agree to rounding.  A state's values depend on that state
+    alone, not on the others in the pass.
+    """
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != ham.dim:
         raise ValueError(
-            f"state dimension {state.amplitudes.size} does not match "
+            f"state dimension {amplitudes.shape[-1]} does not match "
             f"Hamiltonian dimension {ham.dim}"
         )
     times = np.asarray(times, dtype=float)
     v, e = ham.eigenvectors, ham.eigenvalues
-    a0 = eigen_coefficients(v, state.amplitudes)
+    a = np.hstack([eigen_coefficients(v, c) for c in amplitudes])
+    ns = ham.basis.n_system_levels
+    ne = ham.dim // ns
+    eb = env_block_size(ns, ne)
+    ranges = [(e0, min(e0 + eb, ne)) for e0 in range(0, ne, eb)]
     step = _uniform_step(times)
     if step is None:
-        phases = np.empty((e.size, times.size), dtype=np.complex128)
-        np.multiply.outer(-e, times, out=phases.imag)
-        phases.real = 0.0
-        np.exp(phases, out=phases)
-        phases *= a0
-        return _real_times_complex(v, phases).T
-    return _nufft_times(v, e, a0[:, 0], step, times.size)
+        return _direct_blocks(v, e, a, times, ns, ranges)
+    return _nufft_blocks(v, e, a, step, times.size, ns, ranges)
+
+
+def _block_rows(ns: int, ne: int, e0: int, e1: int) -> np.ndarray:
+    """Basis indices of environment states e0..e1-1 in every system level, system-major."""
+    return (np.arange(ns)[:, None] * ne + np.arange(e0, e1)).ravel()
+
+
+def _direct_blocks(v, e, a, times, ns, ranges):
+    """Row blocks of V (exp(-i E t) a), one GEMM of width 2T per state and system level."""
+    k, n_times, ne = a.shape[1], times.size, v.shape[0] // ns
+    phases = np.empty((k, e.size, n_times), dtype=np.complex128)
+    phases.imag = np.multiply.outer(-e, times)
+    phases.real = 0.0
+    np.exp(phases, out=phases)
+    phases *= a.T[:, :, None]
+    buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
+    for e0, e1 in ranges:
+        width = e1 - e0
+        c = buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
+        for s in range(k):
+            for level in range(ns):
+                rows = slice(level * ne + e0, level * ne + e1)
+                c[s, :, level * width:(level + 1) * width] = (
+                    _real_times_complex(v[rows], phases[s]).T)
+        yield _block_rows(ns, ne, e0, e1), c
 
 
 # Uniform grids of at least this many times take the NUFFT.  Measured on
@@ -162,7 +222,11 @@ def propagate_to_times(state: PureState, ham: UniverseHamiltonian,
 NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
-_BLOCK = 32  # G: grid columns per spreading GEMM
+_BLOCK = 16  # G: grid columns per spreading GEMM
+# Threads of the per-row FFTs.  Each row's transform is computed alone,
+# so the bytes do not depend on the count (tested); 2 matches the
+# 2-core machines this is tuned on.
+_FFT_WORKERS = 2
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -190,52 +254,102 @@ def _kernel_transform(freq: np.ndarray) -> np.ndarray:
     return half * (np.cos(2.0 * np.pi * half * np.multiply.outer(freq, z)) @ (w * _es_kernel(z)))
 
 
-def _nufft_times(v: np.ndarray, e: np.ndarray, a0: np.ndarray, step: float,
-                 n_times: int) -> np.ndarray:
-    """V (exp(-i E k step) a0) for k = 0..n_times-1 as a (n_times, dim) view, by a type-1 NUFFT."""
-    # Imported here: only this path needs it, and the import adds ~40 ms
-    # to every process start (measured), such as each `sticks` call.
-    import scipy.fft
+def _spreading_plan(e, weights, step, n_times):
+    """Per block of G grid columns: (lo, hi, [(j0, j1, S)]), one S per wrap holding points.
 
-    if np.any(np.diff(e) < 0.0):
-        raise ValueError("the NUFFT path needs ascending eigenvalues")
+    S is the spreading matrix of points j0..j1-1 for all k states as a
+    real (j1 - j0, 2 k (hi - lo)) matrix, the float64 view of a complex
+    one whose columns are ordered (state, grid column): V[rows, j0:j1] @ S
+    views back as those grid columns' complex share for every state.
+    """
+    k = weights.shape[1]
     m_grid, k0, half = 2 * n_times, n_times // 2, _KERNEL_WIDTH / 2
     # Grid positions of the points, unfolded (ascending) and folded into
     # [0, M): u = wrap M + pos, with pos = theta M / (2 pi).
     u = e * (step * m_grid / (2.0 * np.pi))
     wrap = np.floor(u / m_grid)
     pos = u - wrap * m_grid
-    weights = a0 * np.exp(-2j * np.pi / m_grid * np.mod(pos * k0, m_grid))
+    weights = weights * np.exp(-2j * np.pi / m_grid * np.mod(pos * k0, m_grid))[:, None]
     twiddle = np.exp(2j * np.pi / m_grid * np.mod(np.arange(m_grid) * k0, m_grid))
-
-    grid = np.empty((v.shape[0], m_grid), dtype=np.complex128)
-    real_grid = grid.view(np.float64)
-    part = np.empty((v.shape[0], 2 * _BLOCK))
     # A block's window of G + W - 1 columns is shorter than M (>= 2
     # NUFFT_MIN_TIMES), so it can hold point j only shifted by a wrap
     # p in wrap_j - 1 .. wrap_j + 1: the only shifts worth searching,
     # however many empty wraps the points span.
     shifts = np.unique(np.concatenate((wrap - 1.0, wrap, wrap + 1.0)))
+    plan = []
     for lo in range(0, m_grid, _BLOCK):
         hi = min(lo + _BLOCK, m_grid)
-        out = real_grid[:, 2 * lo:2 * hi]
         # Points within half a kernel of columns lo..hi-1, shifted by p wraps
         # (u - p M), form one contiguous range of j for each p.
         first, last = lo - half, hi - 1 + half
         starts = np.searchsorted(u, first + shifts * m_grid, "right")
         ends = np.searchsorted(u, last + shifts * m_grid, "left")
         hit = starts < ends
-        filled = False
+        terms = []
         for p, j0, j1 in zip(shifts[hit], starts[hit], ends[hit]):
             offset = (np.arange(lo, hi) - m_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
-            spread = _es_kernel(offset / half) * weights[j0:j1, None] * twiddle[lo:hi]
-            if not filled:
-                np.matmul(v[:, j0:j1], spread.view(np.float64), out=out)
-                filled = True
+            spread = (_es_kernel(offset / half)[:, None, :] * weights[j0:j1, :, None]
+                      * twiddle[lo:hi])  # (points, states, columns)
+            terms.append((j0, j1, spread.reshape(j1 - j0, -1).view(np.float64)))
+        plan.append((lo, hi, terms))
+    return plan
+
+
+# OpenBLAS (SkylakeX and later kernels) multiplies matrices with
+# M N K <= 100^3 by a separate small-matrix kernel, whose sums round
+# differently.  A stacked product whose one-state share is that small is
+# therefore split per state: each state's product then takes the same
+# kernel whether it is stacked with others or not (measured at 2268
+# states: a 26-row block's product with one state's spreading columns
+# and with six states' differ in the last bit).
+_SMALL_GEMM = 100 ** 3
+
+
+def _spread_product(rows: np.ndarray, spread: np.ndarray, out: np.ndarray, k: int) -> np.ndarray:
+    """rows @ spread into `out`, for k states side by side in spread's columns (see _SMALL_GEMM)."""
+    width = spread.shape[1] // k
+    if rows.shape[0] * rows.shape[1] * width > _SMALL_GEMM:
+        return np.matmul(rows, spread, out=out)
+    for s in range(k):
+        cols = slice(s * width, (s + 1) * width)
+        np.matmul(rows, spread[:, cols], out=out[:, cols])
+    return out
+
+
+def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
+    """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT."""
+    # Imported here: only this path needs it, and the import adds ~40 ms
+    # to every process start (measured), such as each `sticks` call.
+    import scipy.fft
+
+    if np.any(np.diff(e) < 0.0):
+        raise ValueError("the NUFFT path needs ascending eigenvalues")
+    k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
+    plan = _spreading_plan(e, a, step, n_times)
+    deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2) / m_grid)[:, None]
+    tallest = ns * (ranges[0][1] - ranges[0][0])
+    buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
+    products = np.empty((tallest, 2 * _BLOCK * k))
+    part = np.empty((tallest // ns, 2 * _BLOCK * k))
+    for e0, e1 in ranges:
+        width = e1 - e0
+        n_rows = ns * width
+        grid = buffer[:k * m_grid * n_rows].reshape(k, m_grid, n_rows)
+        for lo, hi, terms in plan:
+            acc = products[:n_rows, :2 * (hi - lo) * k]
+            for i, (j0, j1, spread) in enumerate(terms):
+                for level in range(ns):
+                    rows = v[level * ne + e0:level * ne + e1, j0:j1]
+                    out = acc[level * width:(level + 1) * width]
+                    if i == 0:
+                        _spread_product(rows, spread, out, k)
+                    else:
+                        out += _spread_product(rows, spread, part[:width, :out.shape[1]], k)
+            if terms:
+                np.copyto(grid[:, lo:hi], acc.view(np.complex128).reshape(
+                    n_rows, k, hi - lo).transpose(1, 2, 0))
             else:
-                out += np.matmul(v[:, j0:j1], spread.view(np.float64), out=part[:, :out.shape[1]])
-        if not filled:
-            out[...] = 0.0
-    grid = scipy.fft.fft(grid, axis=1, overwrite_x=True)  # in place for a complex C array
-    grid[:, :n_times] /= _kernel_transform((np.arange(n_times) - k0) / m_grid)
-    return grid[:, :n_times].T
+                grid[:, lo:hi] = 0.0
+        grid = scipy.fft.fft(grid, axis=1, overwrite_x=True, workers=_FFT_WORKERS)  # in place
+        grid.view(np.float64)[:, :n_times] *= deconvolution
+        yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

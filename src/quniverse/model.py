@@ -24,11 +24,15 @@ product state the integer n + m used for shell bookkeeping.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from . import cache, units
@@ -212,6 +216,41 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
         h[i + 1:, i] = h[i, i + 1:k]
     h[np.arange(k), np.arange(k)] = basis.zero_order_energy[:k]
     return h
+
+
+# The eigenpair bytes of a config are fixed by the assembly of H (draws,
+# fill, basis order), by `diagonalize` and by the LAPACK library and its
+# thread count.  The cache key covers this contract and `solve_library`
+# instead of the package version, so a release that changes only outputs
+# keeps every cache entry.  Bump it with any change to the assembly or to
+# `diagonalize`; `tests/test_model.py` pins the sha256 of H to catch an
+# assembly change that forgets to.
+SOLVE_CONTRACT = 1
+
+
+@functools.cache
+def solve_library() -> tuple[str, int]:
+    """(identity, thread count) of the OpenBLAS that runs `diagonalize`.
+
+    scipy's wheels bundle their own OpenBLAS (`libscipy_openblas`) for
+    LAPACK, a library apart from numpy's.  Its `scipy_openblas_get_config`
+    names the version and the kernel chosen at run time (e.g. "OpenBLAS
+    0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the
+    thread count (OPENBLAS_NUM_THREADS) it fixes the solve's summation
+    order.  ("unknown", 0) when that library is not found, e.g. for a
+    scipy built against another LAPACK.
+    """
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            config, threads = lib.scipy_openblas_get_config, lib.scipy_openblas_get_num_threads
+        except (OSError, AttributeError):
+            continue
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return config().decode(), threads()
+    return "unknown", 0
 
 
 def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,21 @@ Two entropies live side by side and must not be confused:
   energy eigenbasis the populations never move, so an entropy taken
   there would be frozen by construction.)
 
-All entropies are in nats.  `trajectory_columns` is the one
-implementation of the observables: it evaluates every observable over a
-whole trajectory in vectorized chunks of times.  The tests hold it
-against single-time references in `tests/oracles.py`.
+All entropies are in nats.  `trajectories` is the one implementation of
+the observables.  It streams: it takes the row blocks of
+`dynamics.propagate_blocks` (one environment range in every system
+level, so every RDM element is a sum over blocks), adds each block's
+share of every state's sums at every time and drops the block.  The
+gates, the RDM spectrum and the free energies follow once all blocks
+are in.  The summation order over rows is fixed by the block layout, so
+a state's values do not depend on the other states in the pass.  The
+tests hold it against single-time references in `tests/oracles.py`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,24 +35,10 @@ NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_CLIP_TOL = 1e-9
-# Rows per vectorized pass of trajectory_columns: ~10 MB per (64, 9180)
-# complex block at production size.
+MAJORIZATION_TOL = 1e-9
+# Times per vectorized step of `trajectories`: ~5 MB of complex
+# amplitudes per step for 6 states at production size.
 TIME_CHUNK = 64
-
-
-def shell_partial_entropies(p: np.ndarray, shell_labels: np.ndarray,
-                            n_shells: int | None = None) -> np.ndarray:
-    """-sum(p ln p) restricted to each nominal shell n + m.
-
-    Disjoint index sets, so the entries sum exactly to the total
-    zero-order-basis entropy.
-    """
-    if n_shells is None:
-        n_shells = int(shell_labels.max()) + 1
-    plogp = np.zeros_like(p)
-    mask = p > 0.0
-    plogp[mask] = -p[mask] * np.log(p[mask])
-    return np.bincount(shell_labels, weights=plogp, minlength=n_shells)
 
 
 def system_energy(populations: np.ndarray, system_levels: np.ndarray) -> np.ndarray:
@@ -111,73 +105,110 @@ def _require(ok: np.ndarray, times: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} at t={float(times[int(np.argmin(ok))])!r}")
 
 
-def trajectory_columns(amplitudes: np.ndarray, times: np.ndarray, basis: UniverseBasis,
-                       system_levels: np.ndarray, kbt_reduced: float,
-                       energy_unit_wavenumbers: float) -> dict[str, np.ndarray]:
-    """Every observable at every time of one trajectory, as named columns.
+@dataclass
+class Trajectory:
+    """One state's observables over a run's grid.
 
-    `amplitudes` has one row per entry of `times`.  The keys are the
-    trajectory CSV header, in order; free energies are relative to the
-    first time, and T_fit_K is NaN where no Boltzmann fit exists.  Rows
-    are processed TIME_CHUNK at a time, so temporaries stay small, and
-    each row's values depend on that row alone.
+    `columns` are keyed by the trajectory CSV header, in order;
+    `final_amplitudes` are the state at the grid's last time; `health`
+    holds the largest gate deviations over the grid (see `trajectories`).
+    """
 
-    Every row must pass the gates: unit norm, a hermitian RDM with unit
-    trace and spectrum in [0, 1] (up to the module tolerances), S_vN in
-    [0, ln N_S], S_univ in [0, ln N_SE], and the majorization bound
-    S_vN <= -sum(rho_nn ln rho_nn).  A failure raises ValueError.
+    columns: dict[str, np.ndarray]
+    final_amplitudes: np.ndarray
+    health: dict[str, float]
+
+
+def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndarray,
+                 basis: UniverseBasis, system_levels: np.ndarray, kbt_reduced: float,
+                 energy_unit_wavenumbers: float) -> list[Trajectory]:
+    """Every observable at every time of k trajectories, reduced row block by row block.
+
+    `blocks` yields `(rows, c)` as `dynamics.propagate_blocks` does: c[s, i, r]
+    is the amplitude of state s at times[i] on basis index rows[r], and a
+    block holds environment states e0..e1-1 in every system level, in
+    system-major order.  Each block adds its share of every state's
+    sum p, sum p ln p, shell partial sums and raw RDM c c^H at every time,
+    TIME_CHUNK times at a time, and is then dropped; only the final-time
+    amplitudes are kept.  Each state's sums depend on that state alone.
+
+    Once every block is in, each state must pass the gates at every time:
+    unit norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
+    to the module tolerances), S_vN in [0, ln N_S], S_univ in [0, ln N_SE],
+    and the majorization bound S_vN <= -sum(rho_nn ln rho_nn).  A failure
+    raises ValueError.  Free energies are relative to the first time, and
+    T_fit_K is NaN where no Boltzmann fit exists.  `health` reports the
+    largest norm error, RDM hermiticity error and RDM trace error, the
+    most negative RDM eigenvalue before clipping, and the smallest
+    majorization slack -sum(rho_nn ln rho_nn) - S_vN.
     """
     times = np.asarray(times, dtype=float)
-    ns, n_env = basis.n_system_levels, basis.n_env_states
+    ns, n_times = basis.n_system_levels, times.size
     n_shells = ns - 1 + basis.degeneracies.size
-    shell_onehot = np.zeros((basis.size, n_shells))
-    shell_onehot[np.arange(basis.size), basis.shell_label] = 1.0
-    s_vn = np.empty(times.size)
-    s_univ = np.empty(times.size)
-    partials = np.empty((times.size, n_shells))
-    diag = np.empty((times.size, ns))
+    sums = None
+    for rows, c in blocks:
+        if sums is None:
+            k = c.shape[0]
+            norm2, plogp_sum = np.zeros((k, n_times)), np.zeros((k, n_times))
+            shell_plogp = np.zeros((k, n_times, n_shells))
+            rho = np.zeros((k, n_times, ns, ns), dtype=np.complex128)
+            final = np.empty((k, basis.size), dtype=np.complex128)
+            sums = norm2, plogp_sum, shell_plogp, rho
+        width = rows.size // ns
+        # runs of one shell label along the block's rows (m grows with the
+        # row within each system level)
+        labels = basis.shell_label[rows]
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        for start in range(0, n_times, TIME_CHUNK):
+            chunk = c[:, start:start + TIME_CHUNK]
+            span = slice(start, start + chunk.shape[1])
+            squares = chunk.view(np.float64) ** 2
+            p = squares[..., ::2] + squares[..., 1::2]  # Re^2 + Im^2, bit for bit
+            norm2[:, span] += p.sum(axis=-1)
+            plogp = _xlogx(p)
+            plogp_sum[:, span] += plogp.sum(axis=-1)
+            runs = np.add.reduceat(plogp, starts, axis=-1)
+            for r, shell in enumerate(labels[starts]):
+                shell_plogp[:, span, shell] += runs[..., r]
+            cs = chunk.reshape(k, -1, ns, width)
+            rho[:, span] += cs @ cs.conj().swapaxes(-1, -2)
+        final[:, rows] = c[:, -1]
+    return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, system_levels,
+                        kbt_reduced, energy_unit_wavenumbers) for s in range(k)]
 
-    for start in range(0, times.size, TIME_CHUNK):
-        rows = slice(start, start + TIME_CHUNK)
-        t = times[rows]
-        c = np.ascontiguousarray(amplitudes[rows], dtype=np.complex128)
-        p = c.real ** 2 + c.imag ** 2
-        norm_err = np.abs(np.sqrt(p.sum(axis=1)) - 1.0)
-        _require(norm_err <= NORM_TOL, t,
-                 f"state norm deviates from 1 by {norm_err.max():.3e} (> {NORM_TOL})")
-        plogp = _xlogx(p)
-        s_univ[rows] = -plogp.sum(axis=1)
-        partials[rows] = -(plogp @ shell_onehot)
 
-        cs = c.reshape(-1, ns, n_env)
-        rho = cs @ cs.conj().transpose(0, 2, 1)
-        rho_h = rho.conj().transpose(0, 2, 1)
-        h_err = np.abs(rho - rho_h).max(axis=(1, 2))
-        _require(h_err <= HERMITICITY_TOL, t,
-                 f"RDM hermiticity violated: max deviation {h_err.max():.3e}")
-        rho = 0.5 * (rho + rho_h)  # exact hermiticity against rounding
-        d = rho.diagonal(axis1=1, axis2=2).real
-        t_err = np.abs(d.sum(axis=1) - 1.0)
-        _require(t_err <= TRACE_TOL, t, f"RDM trace deviates from 1 by {t_err.max():.3e}")
-        lam = np.linalg.eigvalsh(rho)
-        _require((lam.min(axis=1) >= -EIGENVALUE_CLIP_TOL)
-                 & (lam.max(axis=1) <= 1.0 + EIGENVALUE_CLIP_TOL), t,
-                 f"RDM eigenvalues outside [-{EIGENVALUE_CLIP_TOL}, 1+{EIGENVALUE_CLIP_TOL}]: "
-                 f"[{lam.min()}, {lam.max()}]")
-        s_vn[rows] = -_xlogx(np.clip(lam, 0.0, 1.0)).sum(axis=1)
-        s_diag = -_xlogx(np.clip(d, 0.0, 1.0)).sum(axis=1)
-        # majorization: the dephased (diagonal) distribution cannot carry
-        # less entropy than the RDM spectrum
-        _require(s_diag >= s_vn[rows] - 1e-9, t, "diagonal entropy below eigen-entropy")
-        diag[rows] = d
-
+def _trajectory(norm2, plogp_sum, shell_plogp, rho, final, times, n_universe,
+                system_levels, kbt_reduced, unit) -> Trajectory:
+    """Gate one state's sums and turn them into its columns and health."""
+    ns = rho.shape[-1]
+    norm_err = np.abs(np.sqrt(norm2) - 1.0)
+    _require(norm_err <= NORM_TOL, times,
+             f"state norm deviates from 1 by {norm_err.max():.3e} (> {NORM_TOL})")
+    rho_h = rho.conj().transpose(0, 2, 1)
+    h_err = np.abs(rho - rho_h).max(axis=(1, 2))
+    _require(h_err <= HERMITICITY_TOL, times,
+             f"RDM hermiticity violated: max deviation {h_err.max():.3e}")
+    rho = 0.5 * (rho + rho_h)  # exact hermiticity against rounding
+    d = rho.diagonal(axis1=1, axis2=2).real
+    t_err = np.abs(d.sum(axis=1) - 1.0)
+    _require(t_err <= TRACE_TOL, times, f"RDM trace deviates from 1 by {t_err.max():.3e}")
+    lam = np.linalg.eigvalsh(rho)
+    _require((lam.min(axis=1) >= -EIGENVALUE_CLIP_TOL)
+             & (lam.max(axis=1) <= 1.0 + EIGENVALUE_CLIP_TOL), times,
+             f"RDM eigenvalues outside [-{EIGENVALUE_CLIP_TOL}, 1+{EIGENVALUE_CLIP_TOL}]: "
+             f"[{lam.min()}, {lam.max()}]")
+    s_vn = -_xlogx(np.clip(lam, 0.0, 1.0)).sum(axis=1)
+    # majorization: the dephased (diagonal) distribution cannot carry
+    # less entropy than the RDM spectrum
+    slack = -_xlogx(np.clip(d, 0.0, 1.0)).sum(axis=1) - s_vn
+    _require(slack >= -MAJORIZATION_TOL, times, "diagonal entropy below eigen-entropy")
+    s_univ = -plogp_sum
     _require((s_vn >= -1e-12) & (s_vn <= np.log(ns) + 1e-9), times,
              f"S_vN range [{s_vn.min()}, {s_vn.max()}] outside [0, ln {ns}]")
-    _require((s_univ >= -1e-12) & (s_univ <= np.log(basis.size) + 1e-9), times,
+    _require((s_univ >= -1e-12) & (s_univ <= np.log(n_universe) + 1e-9), times,
              f"S_univ range [{s_univ.min()}, {s_univ.max()}] outside [0, ln N_SE]")
-    u = system_energy(diag, system_levels)
+    u = system_energy(d, system_levels)
     df, minus_df_kbt = free_energy_change(u, s_vn, kbt_reduced)
-    unit = energy_unit_wavenumbers
     cols = {
         "time_reduced": times,
         "time_ps": units.reduced_time_to_ps(times, unit),
@@ -189,7 +220,14 @@ def trajectory_columns(amplitudes: np.ndarray, times: np.ndarray, basis: Univers
         "dF_cm": df * unit,
         "minus_dF_over_kT": minus_df_kbt,
     }
-    cols.update((f"S_partial_{s}", partials[:, s]) for s in range(n_shells))
-    cols.update((f"rdm_diag_{k}", diag[:, k]) for k in range(ns))
-    cols["T_fit_K"] = boltzmann_fit_temperature(diag, system_levels, unit)
-    return cols
+    cols.update((f"S_partial_{s}", -shell_plogp[:, s]) for s in range(shell_plogp.shape[1]))
+    cols.update((f"rdm_diag_{k}", d[:, k]) for k in range(ns))
+    cols["T_fit_K"] = boltzmann_fit_temperature(d, system_levels, unit)
+    health = {
+        "max_norm_error": float(norm_err.max()),
+        "max_rdm_hermiticity_error": float(h_err.max()),
+        "max_rdm_trace_error": float(t_err.max()),
+        "min_rdm_eigenvalue": float(lam.min()),
+        "min_majorization_slack": float(slack.min()),
+    }
+    return Trajectory(columns=cols, final_amplitudes=final, health=health)

@@ -5,6 +5,7 @@ import pytest
 
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
+from quniverse.dynamics import propagate_blocks
 from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
 
 
@@ -123,3 +124,20 @@ def random_normalized_state(dim, seed):
 def hamiltonian_matrix(config):
     """The full dense H of (config, seed), from the fill that assemble_hamiltonian uses."""
     return build_hamiltonian_matrix(config, build_basis(config))
+
+
+def propagated(amplitudes, ham, times):
+    """Every row block of `propagate_blocks` gathered into one (k, len(times), dim) array."""
+    amplitudes = np.asarray(amplitudes)
+    out = np.empty((amplitudes.shape[0], len(times), ham.dim), dtype=np.complex128)
+    for rows, c in propagate_blocks(amplitudes, ham, times):
+        out[:, :, rows] = c
+    return out
+
+
+def as_blocks(amplitudes, basis, env_block):
+    """A (k, T, dim) amplitude array as the row blocks `propagate_blocks` would yield."""
+    ns, ne = basis.n_system_levels, basis.n_env_states
+    for e0 in range(0, ne, env_block):
+        rows = (np.arange(ns)[:, None] * ne + np.arange(e0, min(e0 + env_block, ne))).ravel()
+        yield rows, np.ascontiguousarray(amplitudes[:, :, rows])

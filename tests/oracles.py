@@ -1,10 +1,11 @@
 """Single-time observables: the references the tests hold
-`trajectory_columns` against.
+`observables.trajectories` against.
 
 Each function computes one quantity of one state, the plain way: the
 reduced density matrix by one reshape-and-contract, entropies from its
-spectrum or from the populations.  The package itself evaluates the same
-quantities only over whole trajectories, in `observables.trajectory_columns`.
+spectrum or from the populations, shell sums by bincount over the whole
+basis.  The package itself evaluates the same quantities only over whole
+trajectories, row block by row block, in `observables.trajectories`.
 """
 
 from __future__ import annotations
@@ -99,3 +100,31 @@ def expectation(ham: UniverseHamiltonian, amplitudes: np.ndarray) -> float:
     a_re = ham.eigenvectors.T @ amplitudes.real
     a_im = ham.eigenvectors.T @ amplitudes.imag
     return float(np.dot(ham.eigenvalues, a_re * a_re + a_im * a_im))
+
+
+def shell_partial_entropies(p: np.ndarray, shell_labels: np.ndarray,
+                            n_shells: int | None = None) -> np.ndarray:
+    """-sum(p ln p) restricted to each nominal shell n + m.
+
+    Disjoint index sets, so the entries sum exactly to the total
+    zero-order-basis entropy.
+    """
+    if n_shells is None:
+        n_shells = int(shell_labels.max()) + 1
+    plogp = np.zeros_like(p)
+    mask = p > 0.0
+    plogp[mask] = -p[mask] * np.log(p[mask])
+    return np.bincount(shell_labels, weights=plogp, minlength=n_shells)
+
+
+def shell_decompose(state: PureState, basis: UniverseBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Population and partial entropy -sum(p ln p) of each shell n + m.
+
+    Returns (populations, partial_entropies), indexed by shell.  The
+    partial entropies are an exact additive decomposition of the
+    zero-order-basis S_univ.
+    """
+    p = state.probabilities()
+    n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
+    populations = np.bincount(basis.shell_label, weights=p, minlength=n_shells)
+    return populations, shell_partial_entropies(p, basis.shell_label, n_shells)

@@ -8,7 +8,6 @@ from quniverse.analysis import (
     detect_negative_production,
     entropy_production_rate,
     late_window_slice,
-    shell_decompose,
     stick_diagram,
 )
 from quniverse.config import ModelConfig
@@ -16,7 +15,7 @@ from quniverse.dynamics import PureState, initial_state, propagate
 from quniverse.model import build_basis
 
 from conftest import random_normalized_state, toy6_config
-from oracles import universe_entropy
+from oracles import shell_decompose, universe_entropy
 
 
 @pytest.fixture(scope="module")

@@ -25,10 +25,10 @@ from quniverse.cache import (
     store_eigensystem,
 )
 from quniverse.cli import run_experiment
-from quniverse.dynamics import initial_state, propagate_to_times
+from quniverse.dynamics import initial_state
 from quniverse.model import assemble_hamiltonian, diagonalize
 
-from conftest import hamiltonian_matrix, toy21_config
+from conftest import hamiltonian_matrix, propagated, toy21_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OUTPUTS = ("traj_n0.csv", "traj_n1.csv", "traj_n2.csv", "sticks_n0.csv",
@@ -129,6 +129,9 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     assert manifest["cache"]["hit"] is True
     assert manifest["cache"]["key"] == cache_key(cfg)
     assert 0.0 <= manifest["cache"]["eig_residual"] <= model.CHECK_RTOL
+    library, threads = model.solve_library()
+    assert (manifest["cache"]["solve_library"], manifest["cache"]["solve_threads"]) == (
+        library, threads)
     assert manifest["peak_rss_mb"] > 0.0
 
 
@@ -173,16 +176,16 @@ def test_store_over_mapped_entry_keeps_earlier_mapping():
     assemble_hamiltonian(cfg)
     mapped = assemble_hamiltonian(cfg)
     assert mapped.cache_hit
-    psi0 = initial_state(cfg, mapped.basis, 1)
+    psi0 = initial_state(cfg, mapped.basis, 1).amplitudes[None]
     times = np.linspace(0.0, 50.0, 7)
-    before = propagate_to_times(psi0, mapped, times).copy()
+    before = propagated(psi0, mapped, times)
 
     foreign_w, foreign_v = _solve(toy21_config(rng_seed=2))
     store_eigensystem(cfg, foreign_w, foreign_v)
     _, v = load_eigensystem(cfg)
     assert np.array_equal(v, foreign_v)
     assert not np.array_equal(mapped.eigenvectors, foreign_v)
-    assert np.array_equal(propagate_to_times(psi0, mapped, times), before)
+    assert np.array_equal(propagated(psi0, mapped, times), before)
 
 
 def _store_aged(cfg, age_s):
@@ -319,11 +322,24 @@ def test_key_covers_hamiltonian_fields(name):
     assert cache_key(toy21_config(**_KEPT[name])) != cache_key(toy21_config())
 
 
-@pytest.mark.parametrize("name", ["__version__", "DRAW_CONTRACT_VERSION"])
-def test_key_covers_code_and_draw_versions(monkeypatch, name):
+@pytest.mark.parametrize("owner, name, changed", [
+    (cache, "DRAW_CONTRACT_VERSION", "changed"),
+    (model, "SOLVE_CONTRACT", "changed"),
+    (model, "solve_library", lambda: ("another LAPACK", 2)),
+], ids=["DRAW_CONTRACT_VERSION", "SOLVE_CONTRACT", "solve_library"])
+def test_key_covers_code_and_draw_versions(monkeypatch, owner, name, changed):
     before = cache_key(toy21_config())
-    monkeypatch.setattr(cache, name, "changed")
+    monkeypatch.setattr(owner, name, changed)
     assert cache_key(toy21_config()) != before
+
+
+def test_key_ignores_package_version(monkeypatch):
+    # an output-only release keeps every entry: the solve contract covers the solve
+    import quniverse
+
+    before = cache_key(toy21_config())
+    monkeypatch.setattr(quniverse, "__version__", "changed")
+    assert cache_key(toy21_config()) == before
 
 
 # a direct solve: every subprocess shares this test's cache directory, so
@@ -361,3 +377,32 @@ def test_solve_bit_identical_at_same_blas_thread_count():
     # eigenvectors agree up to sign (the spectrum is non-degenerate)
     signs = np.sign(np.sum(v1 * v2, axis=0))
     np.testing.assert_allclose(v1, v2 * signs, rtol=0, atol=1e-9)
+
+
+_ASSEMBLE = """
+import json
+from quniverse import cache, model
+from quniverse.config import ModelConfig
+cfg = ModelConfig(n_env_levels=3, alpha=0.05)
+ham = model.assemble_hamiltonian(cfg)
+print(json.dumps([cache.cache_key(cfg), ham.cache_hit, model.solve_library()[1]]))
+"""
+
+
+def _assemble_with(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _ASSEMBLE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_one_thread_run_never_maps_a_two_thread_entry():
+    key_two, hit, threads = _assemble_with(2)
+    assert not hit and threads == 2
+    key_one, hit, threads = _assemble_with(1)
+    assert key_one != key_two
+    assert not hit and threads == 1
+    assert _assemble_with(2) == [key_two, True, 2]
+    assert _assemble_with(1) == [key_one, True, 1]
+    assert sorted(p.name for p in cache_dir().iterdir()) == sorted(
+        [f"{key_one}.npy", f"{key_two}.npy"])

@@ -14,7 +14,13 @@ from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.model import build_system_levels
-from quniverse.observables import EIGENVALUE_CLIP_TOL
+from quniverse.observables import (
+    EIGENVALUE_CLIP_TOL,
+    HERMITICITY_TOL,
+    MAJORIZATION_TOL,
+    NORM_TOL,
+    TRACE_TOL,
+)
 from quniverse.rng import DRAW_CONTRACT_VERSION
 
 from conftest import toy6_config, toy21_config
@@ -104,6 +110,27 @@ def test_state_files_independent_of_other_states(tmp_path, toy_cfg_file):
         assert alone == (tmp_path / "with_1" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("t_max_ps", [1.5, 30.0], ids=["tall_products", "many_wraps"])
+def test_state_files_independent_of_other_states_nufft(tmp_path, t_max_ps):
+    # 2268 states: 12 row blocks, a NUFFT grid, and state 0 stacked with
+    # 0..5 other states (widths k = 1..6) at different positions.  At
+    # 1.5 ps the eigenphases fill about half a turn, so a grid block holds
+    # ~700 points: a product that is small for one state and large for
+    # six, the case the per-state split of dynamics._SMALL_GEMM exists for.
+    cfg = ModelConfig(n_env_levels=6, rng_seed=1)
+    requests = [[0], [3, 0], [0, 5, 1], [2, 4, 0, 1], [5, 4, 3, 0, 1], [1, 2, 3, 4, 5, 0]]
+    for k, states in enumerate(requests, start=1):
+        assert len(states) == k
+        run_experiment(cfg, states, tmp_path / f"k{k}", t_max_ps=t_max_ps, n_points=120)
+    for name in ("traj_n0.csv", "sticks_n0.csv"):
+        alone = (tmp_path / "k1" / name).read_bytes()
+        for k in range(2, 7):
+            assert (tmp_path / f"k{k}" / name).read_bytes() == alone, (name, k)
+    rows = [next(r for r in json.loads((tmp_path / f"k{k}" / "summary.json").read_text())
+                 ["states"] if r["n"] == 0) for k in range(1, 7)]
+    assert all(row == rows[0] for row in rows)
+
+
 def test_alpha_zero_t_fit_blank(tmp_path):
     cfg = toy6_config(alpha=0.0, rng_seed=31)
     _run(cfg, tmp_path)
@@ -132,6 +159,13 @@ def test_t_fit_blank_only_at_t0(tmp_path):
         np.testing.assert_allclose(t_fit[1:], expected, rtol=1e-9)
 
 
+def _sticks_in_basis_order(path):
+    """A sticks CSV's rows sorted back into basis order (n, m, l)."""
+    body = path.read_text().splitlines()[2:]
+    sticks = np.array([[float(x) for x in line.split(",")] for line in body])
+    return sticks[np.lexsort((sticks[:, 4], sticks[:, 3], sticks[:, 2]))]
+
+
 def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
     cfg = toy21_config()
     run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
@@ -140,15 +174,28 @@ def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
     assert [row["n"] for row in summary["states"]] == [0, 1, 2]
     for row in summary["states"]:
         cols = read_trajectory(tmp_path / f"traj_n{row['n']}.csv")
+        # one source per number: the trajectory's last row and the final p
         assert row["S_univ_final"] == cols["S_univ"][-1]
-        # S_partial_final comes from shell_decompose, the CSV column from
-        # trajectory_columns: two summation orders of one quantity
-        assert abs(row["S_partial_final"] - cols[f"S_partial_{shell}"][-1]) <= 1e-13
-        body = (tmp_path / f"sticks_n{row['n']}.csv").read_text().splitlines()[2:]
-        sticks = np.array([[float(x) for x in line.split(",")] for line in body])
+        assert row["S_partial_final"] == cols[f"S_partial_{shell}"][-1]
+        sticks = _sticks_in_basis_order(tmp_path / f"sticks_n{row['n']}.csv")
         in_shell = sticks[sticks[:, 5] == shell, 1].sum()
-        assert abs(row["shell_population_final"] - in_shell) <= 1e-13
+        assert row["shell_population_final"] == in_shell
         assert 0.0 < in_shell < 1.0
+
+
+def test_summary_reports_numerical_health_within_gates(tmp_path):
+    run_experiment(toy21_config(), [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=120)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for row in summary["states"]:
+        health = row["health"]
+        assert set(health) == {"max_norm_error", "max_rdm_hermiticity_error",
+                               "max_rdm_trace_error", "min_rdm_eigenvalue",
+                               "min_majorization_slack"}
+        assert 0.0 <= health["max_norm_error"] <= NORM_TOL
+        assert 0.0 <= health["max_rdm_hermiticity_error"] <= HERMITICITY_TOL
+        assert 0.0 <= health["max_rdm_trace_error"] <= TRACE_TOL
+        assert health["min_rdm_eigenvalue"] >= -EIGENVALUE_CLIP_TOL
+        assert health["min_majorization_slack"] >= -MAJORIZATION_TOL
 
 
 @pytest.mark.parametrize("states, kwargs, message", [
@@ -160,8 +207,9 @@ def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
     ([0, 1], {"t_max_ps": 0.0}, "t_max_ps"),
     ([0, 1], {"t_max_ps": -1.0}, "t_max_ps"),
     ([0, 1], {"t_max_ps": math.inf}, "t_max_ps"),
+    ([0, 1], {"t_max_ps": 1e300}, "--t-max-ps 1e[+]300 is too long"),
 ], ids=["no_states", "state_too_high", "state_negative", "duplicate_state",
-        "two_points", "zero_t_max", "negative_t_max", "infinite_t_max"])
+        "two_points", "zero_t_max", "negative_t_max", "infinite_t_max", "phase_beyond_2_40"])
 def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, message):
     def solve_reached(*args, **kw):
         raise AssertionError("the Hamiltonian was assembled before the input was checked")
@@ -354,6 +402,30 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 # output byte, and record the new hashes here under it.  Recorded with
 # scipy's bundled OpenBLAS on x86-64.
 OUTPUT_SHA256 = {
+    "0.4.0": {
+        120: {
+            "anomalies.json": "ce84f056fb06294ad774a6d19fba70bdb74165a6adedeafe06e21742afe79d66",
+            "sticks_n0.csv": "e82127bcaa71d8b45de6f261ba15056f034b2fe28a83e39fb8b5a61683cfd356",
+            "sticks_n1.csv": "7baa5ac70dcb96916c3ab0de30ee1c6d95ab36561ded2eca6d1accbe95e737bb",
+            "sticks_n2.csv": "b0d0ae6b40e9a553cb694c7d74fdb2efa38dd750ff5a585b4a430bac5c7acb10",
+            "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
+            "summary.json": "a02ec027a21c274161c248dd1b55b9af75ab3e0ead73fc6c21877fe5543f791d",
+            "traj_n0.csv": "45264af916bbdfc1e22caac697f0f6008aff43a2faa1d023b6df93294201bef8",
+            "traj_n1.csv": "a6e67fcbcab98db82dd0a0d3315768760f46264effd902246aae2ecb131b628b",
+            "traj_n2.csv": "238ebd2c196cdea9dd5fd24f9b514efa20000c701091c83cd064ca74dec319f0",
+        },
+        40: {
+            "anomalies.json": "0d03d9e2dea0dd4e59f46261529154c677b57d9de90440159948df8926acd8c7",
+            "sticks_n0.csv": "071dda29f605c06da035e641cac2fae34febb8e6b87f36366499f6460777cd98",
+            "sticks_n1.csv": "42e938ee2c939872791b5ff3b377811422cc364f669b520f3e1d28975d1bf225",
+            "sticks_n2.csv": "df21763e030c9f1b60e687a4d586e933eae7e2de1aedae5a7050b59f73c795b3",
+            "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
+            "summary.json": "ccca516a63daa072dd1c904bfb78e6324c0bb54703799a4804073c2025f728fd",
+            "traj_n0.csv": "4da31329bd3119a2be94488747a598cb094392529c5375ad8e45a12a9df65794",
+            "traj_n1.csv": "fc9a79232a7292d014f2e427a3c9092509ce8807bcadf5d93f75de3b6837c47d",
+            "traj_n2.csv": "e38b2c85c30e8ee63fb876401d415e682a996be76de75e68bd1c231ffa56f740",
+        },
+    },
     "0.3.0": {
         120: {
             "anomalies.json": "416187df75f7c0a52c04d071d4f611e865a568324ac34abae6b7f35bad6d7a47",

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.constants
-import scipy.fft
 
 from quniverse import dynamics, units
 from quniverse.config import ModelConfig
@@ -12,14 +11,15 @@ from quniverse.dynamics import (
     NUFFT_MIN_TIMES,
     PureState,
     eigen_coefficients,
+    env_block_size,
     initial_state,
     propagate,
-    propagate_to_times,
+    propagate_blocks,
 )
 from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
 
-from conftest import (assemble_privately, hamiltonian_matrix, random_normalized_state,
-                      toy6_config, toy21_config)
+from conftest import (assemble_privately, hamiltonian_matrix, propagated,
+                      random_normalized_state, toy6_config, toy21_config)
 from oracles import expectation
 
 
@@ -149,10 +149,10 @@ def test_propagate_dimension_mismatch(toy6_ham):
         propagate(PureState(np.zeros(5, dtype=complex)), toy6_ham, 1.0)
 
 
-def test_propagate_to_times_matches_single_calls(toy6_ham):
+def test_propagate_blocks_match_single_calls(toy6_ham):
     psi0 = PureState(random_normalized_state(toy6_ham.dim, 6))
     times = np.linspace(0.0, 5.0, 11)
-    batch = propagate_to_times(psi0, toy6_ham, times)
+    (batch,) = propagated(psi0.amplitudes[None], toy6_ham, times)
     v, w = toy6_ham.eigenvectors, toy6_ham.eigenvalues
     for k, t in enumerate(times):
         single = propagate(psi0, toy6_ham, float(t))
@@ -160,6 +160,23 @@ def test_propagate_to_times_matches_single_calls(toy6_ham):
         # complex-arithmetic oracle, independent of the real-GEMM view
         direct = (v * np.exp(-1j * w * t)) @ (v.T.astype(complex) @ psi0.amplitudes)
         np.testing.assert_allclose(batch[k], direct, rtol=0, atol=1e-12)
+
+
+def test_row_blocks_partition_the_basis():
+    assert env_block_size(6, 1530) == 128  # production: 12 blocks of 6 x 128 rows
+    cfg = toy21_config()
+    ham = assemble_hamiltonian(cfg)
+    ns, ne = cfg.n_system_levels, ham.dim // cfg.n_system_levels
+    width = env_block_size(ns, ne)
+    seen = []
+    for rows, c in propagate_blocks(np.eye(ham.dim, dtype=complex)[:2], ham, [0.0, 1.0]):
+        env = rows % ne
+        assert c.shape == (2, 2, rows.size)
+        assert np.array_equal(rows // ne, np.repeat(np.arange(ns), rows.size // ns))
+        assert env.min() % width == 0 and env.max() - env.min() < width
+        seen.append(rows)
+    assert len(seen) >= 2
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(ham.dim))
 
 
 def _toy21_states(ham, cfg):
@@ -203,10 +220,10 @@ def mid_ham(tmp_path_factory):
     return cfg, assemble_privately(cfg, tmp_path_factory)
 
 
-def _direct(monkeypatch, state, ham, times):
+def _direct(monkeypatch, amplitudes, ham, times):
     with monkeypatch.context() as m:
         m.setattr(dynamics, "NUFFT_MIN_TIMES", 10 ** 9)
-        return propagate_to_times(state, ham, times)
+        return propagated(amplitudes, ham, times)
 
 
 def _wraps(ham, times):
@@ -221,18 +238,19 @@ def _wraps(ham, times):
 ])
 def test_nufft_matches_direct_product_toy21(monkeypatch, toy21, toy21_ham, n_times, t_max,
                                             min_wraps):
+    # every state in one pass, each against its own direct product and oracle
     times = np.linspace(0.0, t_max, n_times)
     assert _wraps(toy21_ham, times) > min_wraps
     v, w = toy21_ham.eigenvectors, toy21_ham.eigenvalues
-    for label, c in _toy21_states(toy21_ham, toy21):
-        psi0 = PureState(c)
-        fast = propagate_to_times(psi0, toy21_ham, times)
-        assert fast.shape == (n_times, toy21_ham.dim)
-        direct = _direct(monkeypatch, psi0, toy21_ham, times)
-        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12, err_msg=label)
-        # complex-arithmetic oracle, independent of both paths
+    labels, states = zip(*_toy21_states(toy21_ham, toy21))
+    fast = propagated(np.array(states), toy21_ham, times)
+    assert fast.shape == (len(states), n_times, toy21_ham.dim)
+    for label, c, got in zip(labels, states, fast):
+        direct = _direct(monkeypatch, c[None], toy21_ham, times)[0]
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12, err_msg=label)
+        # complex-arithmetic oracle, independent of both kernels
         oracle = (np.exp(-1j * np.multiply.outer(times, w)) * (v.T @ c)) @ v.T
-        np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12, err_msg=label)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12, err_msg=label)
 
 
 @pytest.mark.parametrize("edge", ["low", "high"])
@@ -246,10 +264,10 @@ def test_nufft_kernel_wraps_around_the_grid(monkeypatch, toy21, toy21_ham, edge)
     assert shifted[0] > 0.0 and shifted[-1] < period
     ham = UniverseHamiltonian(toy21_ham.basis, shifted, toy21_ham.eigenvectors,
                               toy21_ham.eig_residual)
-    for label, c in _toy21_states(ham, toy21):
-        psi0 = PureState(c)
-        np.testing.assert_allclose(propagate_to_times(psi0, ham, times),
-                                   _direct(monkeypatch, psi0, ham, times),
+    labels, states = zip(*_toy21_states(ham, toy21))
+    fast = propagated(np.array(states), ham, times)
+    for label, c, got in zip(labels, states, fast):
+        np.testing.assert_allclose(got, _direct(monkeypatch, c[None], ham, times)[0],
                                    rtol=0, atol=1e-12, err_msg=label)
 
 
@@ -260,33 +278,33 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
     cfg, ham = mid_ham
     times = np.linspace(0.0, t_max, n_times)
     assert _wraps(ham, times) > min_wraps
-    states = [initial_state(cfg, ham.basis, 0),
-              initial_state(dataclasses.replace(cfg, random_initial_phases=True), ham.basis, 3),
-              PureState(random_normalized_state(ham.dim, 8))]
-    for psi0 in states:
-        fast = propagate_to_times(psi0, ham, times)
-        direct = _direct(monkeypatch, psi0, ham, times)
-        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(fast, axis=1), 1.0, rtol=0, atol=1e-12)
+    states = np.array([
+        initial_state(cfg, ham.basis, 0).amplitudes,
+        initial_state(dataclasses.replace(cfg, random_initial_phases=True), ham.basis, 3).amplitudes,
+        random_normalized_state(ham.dim, 8)])
+    fast = propagated(states, ham, times)
+    for c, got in zip(states, fast):
+        direct = _direct(monkeypatch, c[None], ham, times)[0]
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_nufft_bytes_independent_of_fft_workers(mid_ham):
+def test_nufft_bytes_independent_of_fft_workers(monkeypatch, mid_ham):
     cfg, ham = mid_ham
-    psi0 = initial_state(cfg, ham.basis, 2)
+    psi0 = initial_state(cfg, ham.basis, 2).amplitudes[None]
     times = np.linspace(0.0, 631.0, 600)
-    with scipy.fft.set_workers(1):
-        one = propagate_to_times(psi0, ham, times).copy()
-    with scipy.fft.set_workers(2):
-        two = propagate_to_times(psi0, ham, times)
-    assert one.tobytes() == two.tobytes()
+    monkeypatch.setattr(dynamics, "_FFT_WORKERS", 1)
+    one = propagated(psi0, ham, times)
+    monkeypatch.setattr(dynamics, "_FFT_WORKERS", 2)
+    assert one.tobytes() == propagated(psi0, ham, times).tobytes()
 
 
 def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):
     def refuse(*args, **kwargs):
         raise AssertionError("NUFFT path taken")
 
-    monkeypatch.setattr(dynamics, "_nufft_times", refuse)
-    psi0 = initial_state(toy21, toy21_ham.basis, 1)
+    monkeypatch.setattr(dynamics, "_nufft_blocks", refuse)
+    psi0 = initial_state(toy21, toy21_ham.basis, 1).amplitudes[None]
     uniform = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     jittered = uniform.copy()
     jittered[7] += 1e-9
@@ -298,11 +316,11 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
         "single time": uniform[-1:],
     }
     for label, times in others.items():
-        out = propagate_to_times(psi0, toy21_ham, times)
-        assert out.shape == (times.size, toy21_ham.dim), label
+        out = propagated(psi0, toy21_ham, times)
+        assert out.shape == (1, times.size, toy21_ham.dim), label
     for times in (uniform, np.arange(NUFFT_MIN_TIMES) * 0.37):
         with pytest.raises(AssertionError, match="NUFFT path taken"):
-            propagate_to_times(psi0, toy21_ham, times)
+            propagate_blocks(psi0, toy21_ham, times)
 
 
 def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
@@ -311,7 +329,7 @@ def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
     psi0 = initial_state(toy21, toy21_ham.basis, 1)
     times = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     with pytest.raises(ValueError, match="ascending"):
-        propagate_to_times(psi0, flipped, times)
+        propagated(psi0.amplitudes[None], flipped, times)
     # the direct path needs no order
     np.testing.assert_allclose(propagate(psi0, flipped, 3.0).amplitudes,
                                propagate(psi0, toy21_ham, 3.0).amplitudes, rtol=0, atol=1e-12)

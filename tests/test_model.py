@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from quniverse import units
 from quniverse.config import ModelConfig
 from quniverse.model import (
+    SOLVE_CONTRACT,
     assemble_hamiltonian,
     build_basis,
     build_environment,
@@ -204,6 +206,31 @@ def test_identical_seed_bit_identical_matrix():
     assert np.array_equal(a, b)
     c = hamiltonian_matrix(toy21_config(rng_seed=12))
     assert not np.array_equal(a, c)
+
+
+# sha256 of the full H per (n_env_levels, coupling_scope), production
+# parameters otherwise: 252 and 2268 states.  The cache key covers the
+# assembly only through SOLVE_CONTRACT, and the 16-row load check cannot
+# see a change confined to rows >= 16; so an assembly change must fail
+# here until it bumps the contract and records its hashes under it.
+H_SHA256 = {
+    1: {
+        (3, "all"): "f5c126f606bf648c0410b16b85a9f78e14dae79b3c0c743961efaec6f23ea7d1",
+        (3, "system_changing_only"):
+            "b031482e826cb2b3f75280f9221aaa275372ee10751056cd917ec698c75db0ee",
+        (6, "all"): "214ef26f1741a41fe5147cb6d47cb3bda6ae56db7d4e33c630cf39e4f0953b2b",
+        (6, "system_changing_only"):
+            "6f77da0435cfe147694acf1a59e787da8262b06c5ce6b5ff5c57c1725c097803",
+    },
+}
+
+
+@pytest.mark.parametrize("n_env_levels, scope", sorted(H_SHA256[1]))
+def test_hamiltonian_pinned_for_this_solve_contract(n_env_levels, scope):
+    assert SOLVE_CONTRACT in H_SHA256, f"no H hashes recorded for contract {SOLVE_CONTRACT}"
+    matrix = hamiltonian_matrix(ModelConfig(n_env_levels=n_env_levels, coupling_scope=scope))
+    digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+    assert digest == H_SHA256[SOLVE_CONTRACT][n_env_levels, scope]
 
 
 def test_system_changing_only_scope():

@@ -5,21 +5,21 @@ import pytest
 
 from quniverse import units
 from quniverse.config import ModelConfig
-from quniverse.dynamics import PureState, initial_state, propagate, propagate_to_times
+from quniverse.dynamics import PureState, env_block_size, initial_state, propagate, propagate_blocks
 from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
 from quniverse.observables import (
     TIME_CHUNK,
     boltzmann_fit_temperature,
     free_energy_change,
-    shell_partial_entropies,
     system_energy,
-    trajectory_columns,
+    trajectories,
 )
-from conftest import random_normalized_state, toy21_config
+from conftest import as_blocks, propagated, random_normalized_state, toy21_config
 from oracles import (
     ReducedDensityMatrix,
     reduced_density_matrix,
     shannon_entropy,
+    shell_partial_entropies,
     universe_entropy,
     von_neumann_entropy,
 )
@@ -239,14 +239,20 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
 
 # -- whole-trajectory columns -----------------------------------------------------
 
-def _trajectory(cfg, ham, n, times):
-    psi0 = initial_state(cfg, ham.basis, n)
-    cols = trajectory_columns(
-        propagate_to_times(psi0, ham, times), times, ham.basis,
-        build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
+def _trajectories(cfg, ham, states, times):
+    """Every state of `states` in one pass; (initial states, their Trajectory records)."""
+    psi0 = [initial_state(cfg, ham.basis, n) for n in states]
+    results = trajectories(
+        propagate_blocks(np.array([p.amplitudes for p in psi0]), ham, times), times,
+        ham.basis, build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
         cfg.energy_unit_wavenumbers,
     )
-    return psi0, cols
+    return psi0, results
+
+
+def _trajectory(cfg, ham, n, times):
+    (psi0,), (result,) = _trajectories(cfg, ham, [n], times)
+    return psi0, result.columns
 
 
 def _t_fit_reference(pops, levels, unit):
@@ -269,50 +275,57 @@ def test_trajectory_matches_per_time_references(overrides):
     kbt = temperature_of(cfg).kbt_reduced
     unit = cfg.energy_unit_wavenumbers
     times = np.linspace(0.0, 60.0, 2 * TIME_CHUNK + 22)  # two full chunks and a partial one
-    psi0, cols = _trajectory(cfg, ham, 1, times)
-    n_shells = len([k for k in cols if k.startswith("S_partial_")])
-    assert n_shells == basis.n_system_levels - 1 + basis.degeneracies.size
+    states = list(range(cfg.n_system_levels))
+    psi0s, results = _trajectories(cfg, ham, states, times)
+    assert ham.dim // cfg.n_system_levels > env_block_size(cfg.n_system_levels,
+                                                           ham.dim // cfg.n_system_levels)
+    for psi0, result in zip(psi0s, results):
+        cols = result.columns
+        n_shells = len([k for k in cols if k.startswith("S_partial_")])
+        assert n_shells == basis.n_system_levels - 1 + basis.degeneracies.size
 
-    ref = {k: [] for k in ("S_vN", "S_univ", "U_S", "diag", "partials", "T_fit_K")}
-    for t in times:
-        psi = propagate(psi0, ham, float(t))
-        rdm = reduced_density_matrix(psi, basis)
-        p = psi.probabilities()
-        ref["S_vN"].append(von_neumann_entropy(rdm))
-        ref["S_univ"].append(shannon_entropy(p))
-        ref["U_S"].append(float(np.dot(ladder, rdm.diagonal())))
-        ref["diag"].append(rdm.diagonal())
-        ref["partials"].append(shell_partial_entropies(p, basis.shell_label, n_shells))
-        ref["T_fit_K"].append(_t_fit_reference(rdm.diagonal(), ladder, unit))
-    ref = {k: np.array(v) for k, v in ref.items()}
-    du, ds = ref["U_S"] - ref["U_S"][0], ref["S_vN"] - ref["S_vN"][0]
-    ref["dF"] = du - kbt * ds
+        ref = {k: [] for k in ("S_vN", "S_univ", "U_S", "diag", "partials", "T_fit_K")}
+        for t in times:
+            psi = propagate(psi0, ham, float(t))
+            rdm = reduced_density_matrix(psi, basis)
+            p = psi.probabilities()
+            ref["S_vN"].append(von_neumann_entropy(rdm))
+            ref["S_univ"].append(shannon_entropy(p))
+            ref["U_S"].append(float(np.dot(ladder, rdm.diagonal())))
+            ref["diag"].append(rdm.diagonal())
+            ref["partials"].append(shell_partial_entropies(p, basis.shell_label, n_shells))
+            ref["T_fit_K"].append(_t_fit_reference(rdm.diagonal(), ladder, unit))
+        ref = {k: np.array(v) for k, v in ref.items()}
+        du, ds = ref["U_S"] - ref["U_S"][0], ref["S_vN"] - ref["S_vN"][0]
+        ref["dF"] = du - kbt * ds
 
-    def close(got, want):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    close(cols["time_reduced"], times)
-    close(cols["time_ps"], times * units.reduced_time_unit_ps(unit))
-    for name in ("S_vN", "S_univ", "U_S", "dF"):
-        close(cols[name], ref[name])
-    close(cols["U_S_cm"], cols["U_S"] * unit)
-    close(cols["dF_cm"], cols["dF"] * unit)
-    close(cols["minus_dF_over_kT"], -ref["dF"] / kbt)
-    for s in range(n_shells):
-        close(cols[f"S_partial_{s}"], ref["partials"][:, s])
-    for k in range(basis.n_system_levels):
-        close(cols[f"rdm_diag_{k}"], ref["diag"][:, k])
+        close(cols["time_reduced"], times)
+        close(cols["time_ps"], times * units.reduced_time_unit_ps(unit))
+        for name in ("S_vN", "S_univ", "U_S", "dF"):
+            close(cols[name], ref[name])
+        close(cols["U_S_cm"], cols["U_S"] * unit)
+        close(cols["dF_cm"], cols["dF"] * unit)
+        close(cols["minus_dF_over_kT"], -ref["dF"] / kbt)
+        for s in range(n_shells):
+            close(cols[f"S_partial_{s}"], ref["partials"][:, s])
+        for k in range(basis.n_system_levels):
+            close(cols[f"rdm_diag_{k}"], ref["diag"][:, k])
+        close(result.final_amplitudes, propagate(psi0, ham, float(times[-1])).amplitudes)
 
-    t_fit = cols["T_fit_K"]
-    if cfg.alpha == 0.0:
-        # frozen product state: the RDM diagonal keeps its zeros, so no fit anywhere
-        assert np.isnan(t_fit).all()
-    else:
-        # populations near 0 make the fit ill-conditioned (early times);
-        # compare where every population is at least 1e-6
-        well_posed = ref["diag"].min(axis=1) >= 1e-6
-        assert well_posed.sum() > times.size // 2
-        np.testing.assert_allclose(t_fit[well_posed], ref["T_fit_K"][well_posed], rtol=1e-9)
+        t_fit = cols["T_fit_K"]
+        if cfg.alpha == 0.0:
+            # frozen product state: the RDM diagonal keeps its zeros, so no fit anywhere
+            assert np.isnan(t_fit).all()
+        else:
+            # populations near 0 make the fit ill-conditioned (early times);
+            # compare where every population is at least 1e-6
+            well_posed = ref["diag"].min(axis=1) >= 1e-6
+            assert well_posed.sum() > times.size // 2
+            np.testing.assert_allclose(t_fit[well_posed], ref["T_fit_K"][well_posed],
+                                       rtol=1e-9)
 
 
 def test_trajectory_bundle(toy21_ham, toy21):
@@ -338,10 +351,10 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     ladder = build_system_levels(toy21).ladder
     kbt = temperature_of(toy21).kbt_reduced
     times = np.linspace(0.0, 8.0, 5)
-    psi0 = initial_state(toy21, basis, 1)
-    amps = np.array(propagate_to_times(psi0, toy21_ham, times))
-    trajectory_columns(amps, times, basis, ladder, kbt, 111.77)
+    psi0 = np.array([initial_state(toy21, basis, n).amplitudes for n in (0, 1)])
+    amps = propagated(psi0, toy21_ham, times)
+    trajectories(as_blocks(amps, basis, 3), times, basis, ladder, kbt, 111.77)
     bad = amps.copy()
-    bad[3] *= 1.0 + 1e-8
+    bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
-        trajectory_columns(bad, times, basis, ladder, kbt, 111.77)
+        trajectories(as_blocks(bad, basis, 3), times, basis, ladder, kbt, 111.77)
