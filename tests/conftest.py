@@ -5,7 +5,7 @@ import pytest
 
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
-from quniverse.dynamics import propagate_blocks
+from quniverse.dynamics import _block_rows, propagate_blocks
 from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
 
 
@@ -136,8 +136,8 @@ def propagated(amplitudes, ham, times):
 
 
 def as_blocks(amplitudes, basis, env_block):
-    """A (k, T, dim) amplitude array as the row blocks `propagate_blocks` would yield."""
+    """A (k, T, dim) amplitude array as row blocks of `env_block` environment states."""
     ns, ne = basis.n_system_levels, basis.n_env_states
     for e0 in range(0, ne, env_block):
-        rows = (np.arange(ns)[:, None] * ne + np.arange(e0, min(e0 + env_block, ne))).ravel()
+        rows = _block_rows(ns, ne, e0, min(e0 + env_block, ne))
         yield rows, np.ascontiguousarray(amplitudes[:, :, rows])
