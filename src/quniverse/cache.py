@@ -4,7 +4,9 @@ At production size the dense symmetric solve dominates runtime, so
 eigenpairs are stored keyed by a hash of what determines their bytes:
 the config without NOT_IN_HAMILTONIAN (seed included), the draw-order
 contract version, `model.SOLVE_CONTRACT` (assembly and solver code) and
-`model.solve_library()` (the LAPACK library and its thread count).  The
+`model.solve_library()` (the LAPACK library and its thread count, or,
+for a LAPACK other than scipy's bundled OpenBLAS, the settings that
+choose the thread count).  The
 package version is not in the key: a release that changes only outputs
 keeps every entry.  Any change to those inputs changes the key; stale
 entries are simply never hit.

@@ -248,25 +248,29 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
 
 def _write_trajectory(path, config, n, traj):
     """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
-    rows = np.column_stack(list(traj.values())).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
                  f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
-        fh.write(",".join(traj) + "\n")
-        fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
-                      for row in rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(traj))
+        for row in np.column_stack(list(traj.values())).tolist():
+            writer.writerow(["" if math.isnan(x) else _fmt(x) for x in row])
 
 
 def _write_sticks(path, config, n, state, basis):
     diagram = stick_diagram(state, basis)
-    columns = (diagram.energy, diagram.p, diagram.n, diagram.m, diagram.l, diagram.shell)
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
                  f"time_reduced={_fmt(state.time)} seed={config.rng_seed} "
                  f"config_sha256={config.content_hash()}\n")
-        fh.write("energy,p,n,m,l,shell\n")
-        fh.writelines(f"{e!r},{p!r},{i},{j},{k},{shell}\n"
-                      for e, p, i, j, k, shell in zip(*(c.tolist() for c in columns)))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["energy", "p", "n", "m", "l", "shell"])
+        for k in range(diagram.size):
+            writer.writerow([
+                _fmt(diagram.energy[k]), _fmt(diagram.p[k]),
+                int(diagram.n[k]), int(diagram.m[k]), int(diagram.l[k]),
+                int(diagram.shell[k]),
+            ])
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:

@@ -60,13 +60,14 @@ production size the two paths agree to < 1e-13 in every amplitude.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .model import UniverseBasis, UniverseHamiltonian
+from .model import UniverseBasis, UniverseHamiltonian, solve_library
 from .rng import PHASE_STREAM, SeededRng
 
 
@@ -223,10 +224,17 @@ NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
 _BLOCK = 16  # G: grid columns per spreading GEMM
-# Threads of the per-row FFTs.  Each row's transform is computed alone,
-# so the bytes do not depend on the count (tested).  On 2 cores the
-# production pass's FFTs took 0.87-0.99 s with 2 and 1.04-1.10 s with 1.
-_FFT_WORKERS = 2
+
+
+def _fft_workers() -> int:
+    """Threads of the per-row FFTs: as many as OpenBLAS runs (OPENBLAS_NUM_THREADS).
+
+    The process then uses no more threads in its FFTs than in its GEMMs.
+    Each row's transform is computed alone, so the bytes do not depend on
+    the count (tested).  On 2 cores the production pass's FFTs took
+    0.87-0.99 s with 2 workers and 1.04-1.10 s with 1.
+    """
+    return max(1, solve_library()[1] or os.cpu_count() or 1)
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -301,7 +309,11 @@ def _spreading_plan(e, weights, step, n_times):
 # therefore split per state: each state's product then takes the same
 # kernel whether it is stacked with others or not (measured at 2268
 # states: a 26-row block's product with one state's spreading columns
-# and with six states' differ in the last bit).
+# and with six states' differ in the last bit).  Splitting every product
+# would need no threshold, but the small kernel runs a 128-row, 32-wide
+# share at about half the rate of the stacked general kernel: at
+# production size, 6 states x 600 times, propagation took 4.15 s with
+# every product split against 3.52 s (medians of 10 alternating runs).
 _SMALL_GEMM = 100 ** 3
 
 
@@ -350,6 +362,6 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                     n_rows, k, hi - lo).transpose(1, 2, 0))
             else:
                 grid[:, lo:hi] = 0.0
-        grid = scipy.fft.fft(grid, axis=1, overwrite_x=True, workers=_FFT_WORKERS)  # in place
+        grid = scipy.fft.fft(grid, axis=1, overwrite_x=True, workers=_fft_workers())  # in place
         grid.view(np.float64)[:, :n_times] *= deconvolution
         yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,6 +229,12 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
 SOLVE_CONTRACT = 1
 
 
+# Environment variables that set the BLAS thread count of a LAPACK
+# other than scipy's bundled OpenBLAS (see `solve_library`).
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
 @functools.cache
 def solve_library() -> tuple[str, int]:
     """(identity, thread count) of the OpenBLAS that runs `diagonalize`.
@@ -237,9 +244,20 @@ def solve_library() -> tuple[str, int]:
     names the version and the kernel chosen at run time (e.g. "OpenBLAS
     0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the
     thread count (OPENBLAS_NUM_THREADS) it fixes the solve's summation
-    order.  ("unknown", 0) when that library is not found, e.g. for a
-    scipy built against another LAPACK.
+    order.  When that library is not found (a scipy built against another
+    LAPACK), neither can be read: the identity then names scipy's version,
+    the core count and every THREAD_VARIABLES setting, so runs with other
+    thread settings still get other cache keys, and the count is 0.
     """
+    found = _bundled_openblas()
+    if found is not None:
+        return found
+    settings = " ".join(f"{name}={os.environ.get(name, '')}" for name in THREAD_VARIABLES)
+    return f"unknown LAPACK, scipy {scipy.__version__}, {os.cpu_count()} cores, {settings}", 0
+
+
+def _bundled_openblas() -> tuple[str, int] | None:
+    """(config string, thread count) of scipy's bundled OpenBLAS, or None if it is absent."""
     libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
@@ -250,7 +268,7 @@ def solve_library() -> tuple[str, int]:
         config.argtypes, config.restype = [], ctypes.c_char_p
         threads.argtypes, threads.restype = [], ctypes.c_int
         return config().decode(), threads()
-    return "unknown", 0
+    return None
 
 
 def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from quniverse import cache, model
 from quniverse.cache import (
@@ -406,3 +407,17 @@ def test_one_thread_run_never_maps_a_two_thread_entry():
     assert _assemble_with(1) == [key_one, True, 1]
     assert sorted(p.name for p in cache_dir().iterdir()) == sorted(
         [f"{key_one}.npy", f"{key_two}.npy"])
+
+
+def test_key_separates_thread_settings_without_bundled_openblas(monkeypatch):
+    # another LAPACK: its thread count cannot be read, so the key takes
+    # the settings that choose it
+    monkeypatch.setattr(model, "_bundled_openblas", lambda: None)
+    monkeypatch.setattr(model, "solve_library", model.solve_library.__wrapped__)
+    keys = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        library, count = model.solve_library()
+        assert count == 0 and f"scipy {scipy.__version__}" in library
+        keys.append(cache_key(toy21_config()))
+    assert keys[0] != keys[1]

@@ -99,6 +99,18 @@ def test_repeated_run_byte_identical(tmp_path, monkeypatch):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def _assert_same_bytes(expected: Path, got: Path):
+    """Fail naming the first byte, and its line in both files, where two files differ."""
+    a, b = expected.read_bytes(), got.read_bytes()
+    if a == b:
+        return
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    line = a.count(b"\n", 0, at)
+    raise AssertionError(
+        f"{got} differs from {expected} at byte {at} (line {line + 1}; sizes {len(a)}, "
+        f"{len(b)}):\n{a.splitlines()[line:line + 1]}\n{b.splitlines()[line:line + 1]}")
+
+
 def test_state_files_independent_of_other_states(tmp_path, toy_cfg_file):
     _, cfg_path = toy_cfg_file
     for name, states in (("alone", "0"), ("with_1", "1,0")):
@@ -106,8 +118,7 @@ def test_state_files_independent_of_other_states(tmp_path, toy_cfg_file):
                    "--states", states, "--t-max-ps", "2.0", "--n-points", "50"])
         assert rc == 0
     for name in ("traj_n0.csv", "sticks_n0.csv"):
-        alone = (tmp_path / "alone" / name).read_bytes()
-        assert alone == (tmp_path / "with_1" / name).read_bytes(), name
+        _assert_same_bytes(tmp_path / "alone" / name, tmp_path / "with_1" / name)
 
 
 @pytest.mark.parametrize("t_max_ps", [1.5, 30.0], ids=["tall_products", "many_wraps"])
@@ -115,17 +126,15 @@ def test_state_files_independent_of_other_states_nufft(tmp_path, t_max_ps):
     # 2268 states: 12 row blocks, a NUFFT grid, and state 0 stacked with
     # 0..5 other states (widths k = 1..6) at different positions.  At
     # 1.5 ps the eigenphases fill about half a turn, so a grid block holds
-    # ~700 points: a product that is small for one state and large for
-    # six, the case the per-state split of dynamics._SMALL_GEMM exists for.
+    # ~700 points; at 30 ps the points of a grid block span many wraps.
     cfg = ModelConfig(n_env_levels=6, rng_seed=1)
     requests = [[0], [3, 0], [0, 5, 1], [2, 4, 0, 1], [5, 4, 3, 0, 1], [1, 2, 3, 4, 5, 0]]
     for k, states in enumerate(requests, start=1):
         assert len(states) == k
         run_experiment(cfg, states, tmp_path / f"k{k}", t_max_ps=t_max_ps, n_points=120)
     for name in ("traj_n0.csv", "sticks_n0.csv"):
-        alone = (tmp_path / "k1" / name).read_bytes()
         for k in range(2, 7):
-            assert (tmp_path / f"k{k}" / name).read_bytes() == alone, (name, k)
+            _assert_same_bytes(tmp_path / "k1" / name, tmp_path / f"k{k}" / name)
     rows = [next(r for r in json.loads((tmp_path / f"k{k}" / "summary.json").read_text())
                  ["states"] if r["n"] == 0) for k in range(1, 7)]
     assert all(row == rows[0] for row in rows)

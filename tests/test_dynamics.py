@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -293,10 +294,19 @@ def test_nufft_bytes_independent_of_fft_workers(monkeypatch, mid_ham):
     cfg, ham = mid_ham
     psi0 = initial_state(cfg, ham.basis, 2).amplitudes[None]
     times = np.linspace(0.0, 631.0, 600)
-    monkeypatch.setattr(dynamics, "_FFT_WORKERS", 1)
+    monkeypatch.setattr(dynamics, "_fft_workers", lambda: 1)
     one = propagated(psi0, ham, times)
-    monkeypatch.setattr(dynamics, "_FFT_WORKERS", 2)
+    monkeypatch.setattr(dynamics, "_fft_workers", lambda: 2)
     assert one.tobytes() == propagated(psi0, ham, times).tobytes()
+
+
+def test_fft_workers_follow_the_blas_thread_count(monkeypatch):
+    monkeypatch.setattr(dynamics, "solve_library", lambda: ("OpenBLAS", 1))
+    assert dynamics._fft_workers() == 1
+    monkeypatch.setattr(dynamics, "solve_library", lambda: ("OpenBLAS", 3))
+    assert dynamics._fft_workers() == 3
+    monkeypatch.setattr(dynamics, "solve_library", lambda: ("unknown", 0))
+    assert dynamics._fft_workers() == (os.cpu_count() or 1)
 
 
 def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):
