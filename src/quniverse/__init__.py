@@ -12,7 +12,8 @@ microcanonical-shell decomposition relating the two.
 The public interface is the `quniverse` command line (`quniverse.cli`).
 """
 
-# Bump with every change that moves an output byte: `quniverse sticks`
-# refuses a manifest of another version.  The eigensystem cache key does
-# not contain it (see `model.SOLVE_CONTRACT`).
-__version__ = "0.4.0"
+# Bump with every change that moves an output byte, here and in
+# pyproject.toml (tested): `quniverse sticks` refuses a manifest of
+# another version.  The eigensystem cache key does not contain it (see
+# `model.SOLVE_CONTRACT`).
+__version__ = "0.5.0"

@@ -85,10 +85,15 @@ class StickDiagram:
         return self.energy.size
 
 
+def stick_order(basis: UniverseBasis) -> np.ndarray:
+    """Basis indices in stick order: ascending zero-order energy, ties in basis order."""
+    return np.argsort(basis.zero_order_energy, kind="stable")
+
+
 def stick_diagram(state: PureState, basis: UniverseBasis) -> StickDiagram:
     """Full p_i versus shifted zero-order energy listing for one state."""
     p = state.probabilities()
-    order = np.argsort(basis.zero_order_energy, kind="stable")
+    order = stick_order(basis)
     return StickDiagram(
         energy=basis.zero_order_energy[order],
         p=p[order],

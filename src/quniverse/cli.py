@@ -34,7 +34,7 @@ from .analysis import (
     detect_negative_production,
     entropy_production_rate,
     late_window_slice,
-    stick_diagram,
+    stick_order,
 )
 from .cache import cache_key
 from .config import ModelConfig
@@ -89,10 +89,6 @@ def _timed(items, timing: dict, key: str):
         if item is None:
             return
         yield item
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
@@ -164,6 +160,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
 
     shell = config.total_energy
     in_shell = basis.shell_label == shell
+    stick_text = _stick_text(basis)
     for n, result in zip(states, results):
         t1 = time.perf_counter()
         traj = result.columns
@@ -195,7 +192,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         _write_trajectory(traj_path, config, n, traj)
         outputs.append(traj_path.name)
         sticks_path = out / f"sticks_n{n}.csv"
-        _write_sticks(sticks_path, config, n, final_state, basis)
+        _write_sticks(sticks_path, config, n, final_state, stick_text)
         outputs.append(sticks_path.name)
         t3 = time.perf_counter()
         timing["observables"] += t2 - t1
@@ -248,29 +245,33 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
 
 def _write_trajectory(path, config, n, traj):
     """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
+    rows = np.column_stack(list(traj.values())).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
                  f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(traj))
-        for row in np.column_stack(list(traj.values())).tolist():
-            writer.writerow(["" if math.isnan(x) else _fmt(x) for x in row])
+        fh.write(",".join(traj) + "\n")
+        fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
+                      for row in rows)
 
 
-def _write_sticks(path, config, n, state, basis):
-    diagram = stick_diagram(state, basis)
+def _stick_text(basis) -> tuple[np.ndarray, list[str], list[str]]:
+    """What every state's sticks CSV shares: the stick order (basis indices) and, per
+    stick, the text before its p ("energy,") and after it (",n,m,l,shell" and newline)."""
+    order = stick_order(basis)
+    labels = np.column_stack([basis.n, basis.m, basis.l, basis.shell_label])[order]
+    return (order, [f"{x!r}," for x in basis.zero_order_energy[order].tolist()],
+            [f",{n},{m},{l},{shell}\n" for n, m, l, shell in labels.tolist()])
+
+
+def _write_sticks(path, config, n, state, stick_text):
+    order, before, after = stick_text
+    p = state.probabilities()[order].tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
-                 f"time_reduced={_fmt(state.time)} seed={config.rng_seed} "
+                 f"time_reduced={float(state.time)!r} seed={config.rng_seed} "
                  f"config_sha256={config.content_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["energy", "p", "n", "m", "l", "shell"])
-        for k in range(diagram.size):
-            writer.writerow([
-                _fmt(diagram.energy[k]), _fmt(diagram.p[k]),
-                int(diagram.n[k]), int(diagram.m[k]), int(diagram.l[k]),
-                int(diagram.shell[k]),
-            ])
+        fh.write("energy,p,n,m,l,shell\n")
+        fh.writelines(f"{a}{x!r}{b}" for a, x, b in zip(before, p, after))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
@@ -448,10 +449,7 @@ def main(argv=None) -> int:
 
     if args.command == "sticks":
         config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps)
-        if args.out:
-            _write_sticks(args.out, config, n, state, basis)
-        else:
-            _write_sticks("/dev/stdout", config, n, state, basis)
+        _write_sticks(args.out or "/dev/stdout", config, n, state, _stick_text(basis))
         return 0
 
     return 2  # pragma: no cover

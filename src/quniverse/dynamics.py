@@ -38,16 +38,19 @@ states share the pass.  Two kernels fill a block:
   is absorbed into the weights a_j exp(-i theta_j K0) and a twiddle of
   every grid column, so that FFT outputs 0..T-1 are the times in order.
   Eigenvalues are ascending, so the points under a block of G = 16 grid
-  columns are one contiguous range of j per 2 pi wrap of E D.  The
-  kernel and the block layout are the same for every state; only the
-  weights differ.  So each (grid block, wrap) is one real GEMM per
-  system level: the level's rows of V (a view of the mapping, no
-  gather) times every state's spreading columns side by side (width
-  2 G k).  That is 4 n^2 (G + W) flops per state, and all states
-  together read V about twice per run.  The products are moved into a
-  state-major (k, M, rows) grid, transformed in place along M and
-  divided by the kernel's Fourier transform (Gauss-Legendre
-  quadrature); the block's amplitudes are the grid's first T columns.
+  columns are one contiguous range of j per 2 pi wrap of E D, cut into
+  pieces of at most _K_PANEL points.  The kernel and the block layout
+  are the same for every state; only the weights differ.  So each
+  (grid block, piece) is one real GEMM per system level: the level's
+  rows of V (a view of the mapping, no gather) times every state's
+  spreading columns side by side (width 2 G k).  No product sums over
+  more than one OpenBLAS K-panel, which keeps a state's columns of it
+  the bytes of that state's product alone (see _K_PANEL).  That is
+  4 n^2 (G + W) flops per state, and all states together read V about
+  twice per run.  The products are moved into a state-major (k, M, rows)
+  grid, transformed in place along M and divided by the kernel's
+  Fourier transform (Gauss-Legendre quadrature); the block's amplitudes
+  are the grid's first T columns.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -224,6 +227,16 @@ NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
 _BLOCK = 16  # G: grid columns per spreading GEMM
+# Points per spreading GEMM: at most one OpenBLAS DGEMM K-panel.  OpenBLAS
+# picks its kernel by a product's size, and a state's columns stacked
+# with other states' make a larger product than its columns alone.  With
+# numpy's OpenBLAS 0.3.31 (SkylakeX kernels) the two give a state's
+# columns the same bits at every inner dimension K <= 384, and first
+# differ at K = 385 (tested).  So capping K keeps a state's bytes
+# independent of the other states in the pass, with every product
+# stacked.  At production size (seed 1), 5 of the plan's 95 wrap ranges
+# hold more points (386-391) and sum in two pieces.
+_K_PANEL = 384
 
 
 def _fft_workers() -> int:
@@ -263,12 +276,14 @@ def _kernel_transform(freq: np.ndarray) -> np.ndarray:
 
 
 def _spreading_plan(e, weights, step, n_times):
-    """Per block of G grid columns: (lo, hi, [(j0, j1, S)]), one S per wrap holding points.
+    """Per block of G grid columns: (lo, hi, [(j0, j1, S)]), one S per piece of a wrap.
 
-    S is the spreading matrix of points j0..j1-1 for all k states as a
-    real (j1 - j0, 2 k (hi - lo)) matrix, the float64 view of a complex
-    one whose columns are ordered (state, grid column): V[rows, j0:j1] @ S
-    views back as those grid columns' complex share for every state.
+    The points under the block in each wrap are cut into consecutive
+    pieces j0..j1-1 of at most _K_PANEL points.  S is the spreading
+    matrix of points j0..j1-1 for all k states as a real (j1 - j0,
+    2 k (hi - lo)) matrix, the float64 view of a complex one whose
+    columns are ordered (state, grid column): V[rows, j0:j1] @ S views
+    back as those grid columns' complex share for every state.
     """
     k = weights.shape[1]
     m_grid, k0, half = 2 * n_times, n_times // 2, _KERNEL_WIDTH / 2
@@ -294,38 +309,15 @@ def _spreading_plan(e, weights, step, n_times):
         ends = np.searchsorted(u, last + shifts * m_grid, "left")
         hit = starts < ends
         terms = []
-        for p, j0, j1 in zip(shifts[hit], starts[hit], ends[hit]):
-            offset = (np.arange(lo, hi) - m_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
-            spread = (_es_kernel(offset / half)[:, None, :] * weights[j0:j1, :, None]
-                      * twiddle[lo:hi])  # (points, states, columns)
-            terms.append((j0, j1, spread.reshape(j1 - j0, -1).view(np.float64)))
+        for p, start, end in zip(shifts[hit], starts[hit], ends[hit]):
+            for j0 in range(start, end, _K_PANEL):
+                j1 = min(j0 + _K_PANEL, end)
+                offset = (np.arange(lo, hi) - m_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
+                spread = (_es_kernel(offset / half)[:, None, :] * weights[j0:j1, :, None]
+                          * twiddle[lo:hi])  # (points, states, columns)
+                terms.append((j0, j1, spread.reshape(j1 - j0, -1).view(np.float64)))
         plan.append((lo, hi, terms))
     return plan
-
-
-# OpenBLAS (SkylakeX and later kernels) multiplies matrices with
-# M N K <= 100^3 by a separate small-matrix kernel, whose sums round
-# differently.  A stacked product whose one-state share is that small is
-# therefore split per state: each state's product then takes the same
-# kernel whether it is stacked with others or not (measured at 2268
-# states: a 26-row block's product with one state's spreading columns
-# and with six states' differ in the last bit).  Splitting every product
-# would need no threshold, but the small kernel runs a 128-row, 32-wide
-# share at about half the rate of the stacked general kernel: at
-# production size, 6 states x 600 times, propagation took 4.15 s with
-# every product split against 3.52 s (medians of 10 alternating runs).
-_SMALL_GEMM = 100 ** 3
-
-
-def _spread_product(rows: np.ndarray, spread: np.ndarray, out: np.ndarray, k: int) -> np.ndarray:
-    """rows @ spread into `out`, for k states side by side in spread's columns (see _SMALL_GEMM)."""
-    width = spread.shape[1] // k
-    if rows.shape[0] * rows.shape[1] * width > _SMALL_GEMM:
-        return np.matmul(rows, spread, out=out)
-    for s in range(k):
-        cols = slice(s * width, (s + 1) * width)
-        np.matmul(rows, spread[:, cols], out=out[:, cols])
-    return out
 
 
 def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
@@ -354,9 +346,9 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                     rows = v[level * ne + e0:level * ne + e1, j0:j1]
                     out = acc[level * width:(level + 1) * width]
                     if i == 0:
-                        _spread_product(rows, spread, out, k)
+                        np.matmul(rows, spread, out=out)
                     else:
-                        out += _spread_product(rows, spread, part[:width, :out.shape[1]], k)
+                        out += np.matmul(rows, spread, out=part[:width, :out.shape[1]])
             if terms:
                 np.copyto(grid[:, lo:hi], acc.view(np.complex128).reshape(
                     n_rows, k, hi - lo).transpose(1, 2, 0))

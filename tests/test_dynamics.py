@@ -300,6 +300,51 @@ def test_nufft_bytes_independent_of_fft_workers(monkeypatch, mid_ham):
     assert one.tobytes() == propagated(psi0, ham, times).tobytes()
 
 
+@pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
+def test_stacked_products_give_each_state_its_own_bytes(n_rows):
+    # The property the NUFFT's stacked spreading products rest on: with
+    # at most _K_PANEL points, a state's 32 columns of a product stacked
+    # with other states' are the bytes of its product alone.  The rows are
+    # an F-ordered slice of a taller matrix, like the views of V.
+    rng = np.random.default_rng(n_rows)
+    v = np.asfortranarray(rng.standard_normal((n_rows + 37, dynamics._K_PANEL + 9)))
+    for inner in (1, 31, 32, 244, 245, 383, dynamics._K_PANEL):
+        rows = v[5:5 + n_rows, 3:3 + inner]
+        for k in range(1, 7):
+            spread = rng.standard_normal((inner, 32 * k))
+            stacked = rows @ spread
+            for s in range(k):
+                cols = slice(32 * s, 32 * (s + 1))
+                alone = rows @ np.ascontiguousarray(spread[:, cols])
+                assert stacked[:, cols].tobytes() == alone.tobytes(), (inner, k, s)
+
+
+@pytest.mark.parametrize("t_max_ps", [1.5, 30.0])
+def test_spreading_plan_covers_each_window_in_capped_pieces(mid_ham, t_max_ps):
+    # At 1.5 ps a grid block's window holds up to ~1070 points, so the cut
+    # at _K_PANEL is exercised; at 30 ps a window's points span many wraps.
+    cfg, ham = mid_ham
+    e, n_times = ham.eigenvalues, 120
+    step = units.ps_to_reduced_time(t_max_ps, cfg.energy_unit_wavenumbers) / (n_times - 1)
+    plan = dynamics._spreading_plan(e, np.ones((e.size, 2), complex), step, n_times)
+    m_grid, half = 2 * n_times, dynamics._KERNEL_WIDTH / 2
+    u = e * (step * m_grid / (2.0 * np.pi))
+    largest = 0
+    for lo, hi, terms in plan:
+        # brute force: point j lies in the window (lo - W/2, hi - 1 + W/2)
+        # shifted by the one whole number of grid periods that could hold it
+        first, last = lo - half, hi - 1 + half
+        p = np.floor((u - first) / m_grid)
+        inside = np.flatnonzero((u > first + p * m_grid) & (u < last + p * m_grid))
+        pieces = [np.arange(j0, j1) for j0, j1, _ in terms]
+        assert all(piece.size <= dynamics._K_PANEL for piece in pieces)
+        assert all(s.shape == (j1 - j0, 2 * 2 * (hi - lo)) for j0, j1, s in terms)
+        got = np.sort(np.concatenate(pieces)) if pieces else np.array([], int)
+        np.testing.assert_array_equal(got, inside, err_msg=f"grid block {lo}..{hi - 1}")
+        largest = max(largest, inside.size)
+    assert largest > (dynamics._K_PANEL if t_max_ps == 1.5 else 0)
+
+
 def test_fft_workers_follow_the_blas_thread_count(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_library", lambda: ("OpenBLAS", 1))
     assert dynamics._fft_workers() == 1
