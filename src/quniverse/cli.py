@@ -38,8 +38,9 @@ from .analysis import (
 )
 from .cache import cache_key
 from .config import ModelConfig
-from .dynamics import PureState, initial_state, propagate, propagate_blocks
-from .model import assemble_hamiltonian, build_system_levels, solve_library, temperature_of
+from .dynamics import PureState, initial_state, pass_workers, propagate, propagate_blocks
+from .model import (assemble_hamiltonian, build_system_levels, gemm_library, progress,
+                    solve_library, temperature_of)
 from .observables import trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
@@ -57,7 +58,9 @@ class RunManifest:
     run used a cached entry (`hit`; false for a miss or a rejected
     entry), the sampled eigen-residual of the check, and the LAPACK
     library and thread count that the key covers (`solve_library`,
-    `solve_threads`).
+    `solve_threads`).  Beside them, the BLAS that ran the propagation's
+    GEMMs and its thread count (`gemm_library`, `gemm_threads`) and the
+    pass's worker threads (`pass_workers`).
     """
 
     config: dict
@@ -153,6 +156,9 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
 
     t0 = time.perf_counter()
+    workers = pass_workers()
+    progress(f"propagating {len(states)} states over {n_points} times "
+             f"on {workers} worker thread{'s' if workers > 1 else ''}")
     psi0 = np.stack([initial_state(config, basis, n).amplitudes for n in states])
     blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
     results = trajectories(blocks, times, basis, ladder, temp.kbt_reduced, unit)
@@ -161,6 +167,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     shell = config.total_energy
     in_shell = basis.shell_label == shell
     stick_text = _stick_text(basis)
+    progress(f"writing trajectories, stick diagrams, summary and manifest to {out}")
     for n, result in zip(states, results):
         t1 = time.perf_counter()
         traj = result.columns
@@ -216,6 +223,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     timing["write"] += time.perf_counter() - t0
 
     library, threads = solve_library()
+    gemm, gemm_threads = gemm_library()
     manifest = RunManifest(
         config=config.to_dict(),
         seed=config.rng_seed,
@@ -227,7 +235,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         n_points=n_points,
         cache={"key": cache_key(config), "hit": ham.cache_hit,
                "eig_residual": ham.eig_residual, "solve_library": library,
-               "solve_threads": threads},
+               "solve_threads": threads, "gemm_library": gemm, "gemm_threads": gemm_threads,
+               "pass_workers": workers},
         constants={
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),

@@ -52,6 +52,24 @@ states share the pass.  Two kernels fill a block:
   Fourier transform (Gauss-Legendre quadrature); the block's amplitudes
   are the grid's first T columns.
 
+Threads: a NUFFT pass runs on W worker threads, W = the thread count of
+numpy's OpenBLAS (`pass_workers`; 1 when that library is not found), and
+each worker runs single-threaded kernels, as FINUFFT does (Barnett et
+al., above).  In each row block worker w spreads grid blocks w, w + W,
+... with its own product buffers into their grid columns, which no
+other worker writes; then it transforms and deconvolves states w, w + W,
+... in place, one single-threaded FFT per state.  numpy's OpenBLAS runs
+on one thread only inside this section, and gets its count back before
+the block is yielded.  The bytes cannot move with W: every product
+keeps its shape and operands, OpenBLAS splits a product's output among
+its threads and never a sum (a product's bytes are the same on 1 and 2
+threads, tested), every row is transformed alone, and no sum spans two
+workers.  On 2 cores the small spreading products (128 x <= 384 x 192)
+reached only ~40 GFLOP/s on one 2-thread OpenBLAS, against ~90 for
+large products, and a second FFT thread gained ~10 %; two workers took
+the production pass's propagation from 2.6-2.9 s to 1.9-2.1 s.  The
+direct kernel keeps the calling thread and OpenBLAS's own threads.
+
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
 amplifies them at most ~8-fold at the band edge.  The NUFFT needs E_j D
@@ -63,14 +81,14 @@ production size the two paths agree to < 1e-13 in every amplitude.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .model import UniverseBasis, UniverseHamiltonian, solve_library
+from .model import UniverseBasis, UniverseHamiltonian, gemm_openblas, gemm_threads
 from .rng import PHASE_STREAM, SeededRng
 
 
@@ -239,15 +257,25 @@ _BLOCK = 16  # G: grid columns per spreading GEMM
 _K_PANEL = 384
 
 
-def _fft_workers() -> int:
-    """Threads of the per-row FFTs: as many as OpenBLAS runs (OPENBLAS_NUM_THREADS).
+def pass_workers() -> int:
+    """Worker threads of a NUFFT pass and of its observables: numpy's OpenBLAS thread count.
 
-    The process then uses no more threads in its FFTs than in its GEMMs.
-    Each row's transform is computed alone, so the bytes do not depend on
-    the count (tested).  On 2 cores the production pass's FFTs took
-    0.87-0.99 s with 2 workers and 1.04-1.10 s with 1.
+    1 when that library is not found (see "Threads" in the module docstring).
     """
-    return max(1, solve_library()[1] or os.cpu_count() or 1)
+    found = gemm_openblas()
+    return max(1, found.get_threads()) if found is not None else 1
+
+
+def run_shares(pool: ThreadPoolExecutor, task, shares: int) -> None:
+    """task(w) for w = 0..shares-1 on `pool`; returns once every share is done.
+
+    The first failure is raised only after every share has finished, so
+    no worker still runs when the caller moves on.
+    """
+    futures = [pool.submit(task, w) for w in range(shares)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _uniform_step(times: np.ndarray) -> float | None:
@@ -333,27 +361,41 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2) / m_grid)[:, None]
     tallest = ns * (ranges[0][1] - ranges[0][0])
     buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
-    products = np.empty((tallest, 2 * _BLOCK * k))
-    part = np.empty((tallest // ns, 2 * _BLOCK * k))
-    for e0, e1 in ranges:
+    workers = pass_workers()
+    owners = min(workers, k)
+    # per worker: one system level's product and the piece being added to it
+    products = [np.empty((tallest // ns, 2 * _BLOCK * k)) for _ in range(workers)]
+    parts = [np.empty((tallest // ns, 2 * _BLOCK * k)) for _ in range(workers)]
+
+    def spread(w, grid, e0, e1):
+        """Grid blocks w, w + W, ... of the row block: disjoint grid columns."""
         width = e1 - e0
-        n_rows = ns * width
-        grid = buffer[:k * m_grid * n_rows].reshape(k, m_grid, n_rows)
-        for lo, hi, terms in plan:
-            acc = products[:n_rows, :2 * (hi - lo) * k]
-            for i, (j0, j1, spread) in enumerate(terms):
-                for level in range(ns):
-                    rows = v[level * ne + e0:level * ne + e1, j0:j1]
-                    out = acc[level * width:(level + 1) * width]
-                    if i == 0:
-                        np.matmul(rows, spread, out=out)
-                    else:
-                        out += np.matmul(rows, spread, out=part[:width, :out.shape[1]])
-            if terms:
-                np.copyto(grid[:, lo:hi], acc.view(np.complex128).reshape(
-                    n_rows, k, hi - lo).transpose(1, 2, 0))
-            else:
+        for lo, hi, terms in plan[w::workers]:
+            if not terms:
                 grid[:, lo:hi] = 0.0
-        grid = scipy.fft.fft(grid, axis=1, overwrite_x=True, workers=_fft_workers())  # in place
-        grid.view(np.float64)[:, :n_times] *= deconvolution
-        yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]
+                continue
+            cols = 2 * (hi - lo) * k
+            acc, part = products[w][:width, :cols], parts[w][:width, :cols]
+            for level in range(ns):
+                rows = slice(level * ne + e0, level * ne + e1)
+                for i, (j0, j1, spreading) in enumerate(terms):
+                    if i == 0:
+                        np.matmul(v[rows, j0:j1], spreading, out=acc)
+                    else:
+                        acc += np.matmul(v[rows, j0:j1], spreading, out=part)
+                np.copyto(grid[:, lo:hi, level * width:(level + 1) * width],
+                          acc.view(np.complex128).reshape(width, k, hi - lo).transpose(1, 2, 0))
+
+    def transform(w, grid):
+        """FFT and deconvolution of states w, w + W, ..., each in place."""
+        for s in range(w, k, owners):
+            scipy.fft.fft(grid[s], axis=0, overwrite_x=True, workers=1)  # in place
+            grid[s].view(np.float64)[:n_times] *= deconvolution
+
+    with ThreadPoolExecutor(workers) as pool:
+        for e0, e1 in ranges:
+            grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
+            with gemm_threads(1):
+                run_shares(pool, lambda w: spread(w, grid, e0, e1), workers)
+                run_shares(pool, lambda w: transform(w, grid), owners)
+            yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

@@ -24,11 +24,14 @@ product state the integer n + m used for shell bookkeeping.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import sys
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -258,17 +261,80 @@ def solve_library() -> tuple[str, int]:
 
 def _bundled_openblas() -> tuple[str, int] | None:
     """(config string, thread count) of scipy's bundled OpenBLAS, or None if it is absent."""
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+    found = _wheel_openblas(scipy, "")
+    return None if found is None else (found.config, found.get_threads())
+
+
+@dataclass(frozen=True)
+class WheelOpenBLAS:
+    """The ctypes entry points of an OpenBLAS that a numpy or scipy wheel bundles."""
+
+    config: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def _wheel_openblas(package, suffix: str) -> WheelOpenBLAS | None:
+    """The OpenBLAS in `package`'s `<name>.libs` directory, or None if absent.
+
+    Its `scipy_openblas_*` symbols end in `suffix` ("64_" for numpy's
+    64-bit-integer build).
+    """
+    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob(f"libscipy_openblas{suffix}*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            config, threads = lib.scipy_openblas_get_config, lib.scipy_openblas_get_num_threads
+            config, get_threads, set_threads = (
+                getattr(lib, f"scipy_openblas_{name}{suffix}")
+                for name in ("get_config", "get_num_threads", "set_num_threads"))
         except (OSError, AttributeError):
             continue
         config.argtypes, config.restype = [], ctypes.c_char_p
-        threads.argtypes, threads.restype = [], ctypes.c_int
-        return config().decode(), threads()
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return WheelOpenBLAS(config().decode(), get_threads, set_threads)
     return None
+
+
+@functools.cache
+def gemm_openblas() -> WheelOpenBLAS | None:
+    """numpy's bundled OpenBLAS (`libscipy_openblas64_`), or None if it is absent.
+
+    It runs every numpy matmul, so the propagation's GEMMs; scipy's
+    library (`solve_library`) runs only the solve.
+    """
+    return _wheel_openblas(np, "64_")
+
+
+def gemm_library() -> tuple[str, int]:
+    """(identity, thread count) of numpy's bundled OpenBLAS; the count is 0 if it is absent."""
+    found = gemm_openblas()
+    if found is None:
+        return f"unknown BLAS, numpy {np.__version__}", 0
+    return found.config, found.get_threads()
+
+
+@contextlib.contextmanager
+def gemm_threads(count: int) -> Iterator[None]:
+    """Run numpy's OpenBLAS on `count` threads inside the block, then restore its count.
+
+    Does nothing when that library is absent.
+    """
+    found = gemm_openblas()
+    if found is None:
+        yield
+        return
+    before = found.get_threads()
+    found.set_threads(count)
+    try:
+        yield
+    finally:
+        found.set_threads(before)
+
+
+def progress(message: str) -> None:
+    """One line on stderr as a run's stage starts or ends."""
+    print(f"quniverse: {message}", file=sys.stderr, flush=True)
 
 
 def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,15 +392,22 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     only warns.  QUNIVERSE_CACHE_DIR chooses the cache directory.
     """
     basis = build_basis(config)
+    progress(f"basis of {basis.size} states ({basis.n_system_levels} system levels x "
+             f"{basis.n_env_states} environment states)")
+    key = cache.cache_key(config)
     cached = cache.load_eigensystem(config)
-    if cached is not None:
+    if cached is None:
+        progress(f"cache miss: no entry {key[:12]}")
+    else:
         rows = build_hamiltonian_matrix(config, basis, n_rows=CHECK_ROWS)
         residual = eigen_residual(rows, *cached)
         if residual <= _residual_bound(rows):
+            progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
             return UniverseHamiltonian(basis, *cached, eig_residual=residual,
                                        cache_hit=True)
-        warnings.warn(f"cache entry {cache.cache_key(config)} fails the eigen check "
+        warnings.warn(f"cache entry {key} fails the eigen check "
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
+    progress(f"solving the dense {basis.size} x {basis.size} eigenproblem")
     h = build_hamiltonian_matrix(config, basis)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)

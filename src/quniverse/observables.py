@@ -19,16 +19,24 @@ gates, the RDM spectrum and the free energies follow once all blocks
 are in.  The summation order over rows is fixed by the block layout, so
 a state's values do not depend on the other states in the pass.  The
 tests hold it against single-time references in `tests/oracles.py`.
+
+Threads: the pass's W worker threads (`dynamics.pass_workers`) split
+each block by state: worker w adds the sums of states w, w + W, ...
+Every reduction is per state (a sum along the rows of one state and
+time, an RDM product per state and time), so a state's sums are the
+same bytes whichever worker makes them and whatever W is; the final
+amplitudes are copied on the calling thread.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import units
+from . import dynamics, units
 from .model import UniverseBasis
 
 NORM_TOL = 1e-10
@@ -36,9 +44,11 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_CLIP_TOL = 1e-9
 MAJORIZATION_TOL = 1e-9
-# Times per vectorized step of `trajectories`: ~5 MB of complex
-# amplitudes per step for 6 states at production size.
-TIME_CHUNK = 64
+# Times per vectorized step of `trajectories`: ~2.4 MB of complex
+# amplitudes per step for 6 states at production size.  Chunking the
+# times moves no byte; at production, 32 took the same time as 64 and
+# ~10 MB less peak memory (measured).
+TIME_CHUNK = 32
 
 
 def system_energy(populations: np.ndarray, system_levels: np.ndarray) -> np.ndarray:
@@ -130,7 +140,9 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     system-major order.  Each block adds its share of every state's
     sum p, sum p ln p, shell partial sums and raw RDM c c^H at every time,
     TIME_CHUNK times at a time, and is then dropped; only the final-time
-    amplitudes are kept.  Each state's sums depend on that state alone.
+    amplitudes are kept.  Each state's sums depend on that state alone,
+    and are made by the worker thread that owns the state (see the
+    module docstring).
 
     Once every block is in, each state must pass the gates at every time:
     unit norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
@@ -145,20 +157,14 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     times = np.asarray(times, dtype=float)
     ns, n_times = basis.n_system_levels, times.size
     n_shells = ns - 1 + basis.degeneracies.size
+    workers = dynamics.pass_workers()
     sums = None
-    for rows, c in blocks:
-        if sums is None:
-            k = c.shape[0]
-            norm2, plogp_sum = np.zeros((k, n_times)), np.zeros((k, n_times))
-            shell_plogp = np.zeros((k, n_times, n_shells))
-            rho = np.zeros((k, n_times, ns, ns), dtype=np.complex128)
-            final = np.empty((k, basis.size), dtype=np.complex128)
-            sums = norm2, plogp_sum, shell_plogp, rho
-        width = rows.size // ns
-        # runs of one shell label along the block's rows (m grows with the
-        # row within each system level)
-        labels = basis.shell_label[rows]
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+
+    def add_share(w, owners, c, labels, starts):
+        """Add the block's share of the sums of states w, w + owners, ..."""
+        own = slice(w, None, owners)
+        norm2, plogp_sum, shell_plogp, rho = (x[own] for x in sums)
+        c = c[own]
         for start in range(0, n_times, TIME_CHUNK):
             chunk = c[:, start:start + TIME_CHUNK]
             span = slice(start, start + chunk.shape[1])
@@ -170,9 +176,24 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
             runs = np.add.reduceat(plogp, starts, axis=-1)
             for r, shell in enumerate(labels[starts]):
                 shell_plogp[:, span, shell] += runs[..., r]
-            cs = chunk.reshape(k, -1, ns, width)
+            cs = chunk.reshape(*chunk.shape[:2], ns, -1)
             rho[:, span] += cs @ cs.conj().swapaxes(-1, -2)
-        final[:, rows] = c[:, -1]
+
+    with ThreadPoolExecutor(workers) as pool:
+        for rows, c in blocks:
+            if sums is None:
+                k = c.shape[0]
+                owners = min(workers, k)
+                sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
+                        np.zeros((k, n_times, n_shells)),
+                        np.zeros((k, n_times, ns, ns), dtype=np.complex128))
+                final = np.empty((k, basis.size), dtype=np.complex128)
+            # runs of one shell label along the block's rows (m grows with the
+            # row within each system level)
+            labels = basis.shell_label[rows]
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            dynamics.run_shares(pool, lambda w: add_share(w, owners, c, labels, starts), owners)
+            final[:, rows] = c[:, -1]
     return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, system_levels,
                         kbt_reduced, energy_unit_wavenumbers) for s in range(k)]
 

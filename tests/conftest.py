@@ -6,7 +6,8 @@ import pytest
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
 from quniverse.dynamics import _block_rows, propagate_blocks
-from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
+from quniverse.model import (assemble_hamiltonian, build_basis, build_hamiltonian_matrix,
+                             gemm_library, gemm_openblas)
 
 
 # The acceptance suite keeps the shared cache on purpose: its
@@ -22,6 +23,17 @@ def _private_cache_dir(request, tmp_path_factory, monkeypatch):
     """Keep unit tests out of the user's eigensystem cache."""
     if request.node.path.name != SHARED_CACHE_TESTS:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path_factory.mktemp("cache")))
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_unchanged():
+    """Fail a test that leaves numpy's OpenBLAS on another thread count (then restore it)."""
+    before = gemm_library()[1]
+    yield
+    after = gemm_library()[1]
+    if after != before:
+        gemm_openblas().set_threads(before)
+        pytest.fail(f"numpy's OpenBLAS thread count changed from {before} to {after}")
 
 
 def assemble_privately(config, tmp_path_factory):
@@ -113,6 +125,13 @@ def toy21():
 @pytest.fixture(scope="session")
 def toy21_ham(toy21, tmp_path_factory):
     return assemble_privately(toy21, tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def mid_ham(tmp_path_factory):
+    """n_env_levels = 6 with production parameters otherwise: 2268 states."""
+    cfg = ModelConfig(n_env_levels=6, rng_seed=1)
+    return cfg, assemble_privately(cfg, tmp_path_factory)
 
 
 def random_normalized_state(dim, seed):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from quniverse import __version__, cli, units
-from quniverse.cache import CACHE_DIR_ENV
+from quniverse.cache import CACHE_DIR_ENV, cache_key
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
-from quniverse.model import build_system_levels
+from quniverse.dynamics import pass_workers
+from quniverse.model import build_system_levels, gemm_library, gemm_openblas, gemm_threads
 from quniverse.observables import (
     EIGENVALUE_CLIP_TOL,
     HERMITICITY_TOL,
@@ -285,6 +286,52 @@ def test_cli_run_and_compare_commands(tmp_path, toy_cfg_file, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert "late_mean_abs_difference" in report
+
+
+def test_run_logs_one_stderr_line_per_stage(tmp_path, toy_cfg_file, capsys):
+    cfg, cfg_path = toy_cfg_file
+    key = cache_key(cfg)[:12]
+    argv = ["run", "--config", str(cfg_path), "--t-max-ps", "2.0", "--n-points", "120"]
+    assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    warm = capsys.readouterr()
+    workers = pass_workers()
+    stages = [f"basis of {cfg.n_universe_states} states (2 system levels x 3 environment states)",
+              f"cache miss: no entry {key}",
+              f"solving the dense {cfg.n_universe_states} x {cfg.n_universe_states} eigenproblem",
+              f"propagating 2 states over 120 times on {workers} worker thread",
+              "writing trajectories, stick diagrams, summary and manifest to "]
+    lines = cold.err.splitlines()
+    assert len(lines) == len(stages)
+    for line, stage in zip(lines, stages):
+        assert line.startswith(f"quniverse: {stage}"), (line, stage)
+    lines = warm.err.splitlines()
+    assert len(lines) == len(stages) - 1
+    assert lines[1].startswith(f"quniverse: cache hit: entry {key}, eigen residual ")
+    for line, stage in zip(lines[2:], stages[3:]):
+        assert line.startswith(f"quniverse: {stage}"), (line, stage)
+    # stdout keeps only the summary line
+    assert cold.out == f"wrote 6 files to {tmp_path / 'cold'}\n"
+
+
+def test_manifest_records_gemm_library_and_pass_workers(tmp_path):
+    manifest = json.loads(_run_manifest_text(tmp_path / "run"))
+    library, threads = gemm_library()
+    assert manifest["cache"]["gemm_library"] == library
+    assert manifest["cache"]["gemm_threads"] == threads
+    assert manifest["cache"]["pass_workers"] == pass_workers() == max(1, threads)
+    if gemm_openblas() is None:
+        return
+    assert library.startswith("OpenBLAS")
+    with gemm_threads(1):
+        manifest = json.loads(_run_manifest_text(tmp_path / "one"))
+    assert (manifest["cache"]["gemm_threads"], manifest["cache"]["pass_workers"]) == (1, 1)
+
+
+def _run_manifest_text(out):
+    _run(toy21_config(), out, n_points=120)
+    return (out / "manifest.json").read_text()
 
 
 def test_cli_seed_and_compat_overrides(tmp_path, toy_cfg_file):

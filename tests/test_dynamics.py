@@ -1,12 +1,12 @@
+import contextlib
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 import scipy.constants
 
-from quniverse import dynamics, units
+from quniverse import dynamics, model, units
 from quniverse.config import ModelConfig
 from quniverse.dynamics import (
     NUFFT_MIN_TIMES,
@@ -19,7 +19,7 @@ from quniverse.dynamics import (
 )
 from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
 
-from conftest import (assemble_privately, hamiltonian_matrix, propagated,
+from conftest import (hamiltonian_matrix, propagated,
                       random_normalized_state, toy6_config, toy21_config)
 from oracles import expectation
 
@@ -214,13 +214,6 @@ def test_eigen_coefficients_read_only_the_support():
 
 # -- the NUFFT path on uniform grids ----------------------------------------------
 
-@pytest.fixture(scope="module")
-def mid_ham(tmp_path_factory):
-    """n_env_levels = 6 with production parameters otherwise: 2268 states."""
-    cfg = ModelConfig(n_env_levels=6, rng_seed=1)
-    return cfg, assemble_privately(cfg, tmp_path_factory)
-
-
 def _direct(monkeypatch, amplitudes, ham, times):
     with monkeypatch.context() as m:
         m.setattr(dynamics, "NUFFT_MIN_TIMES", 10 ** 9)
@@ -290,33 +283,51 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
         np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_nufft_bytes_independent_of_fft_workers(monkeypatch, mid_ham):
+def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
+    # 3 workers on 2 states: more workers than states, and than this machine's cores
     cfg, ham = mid_ham
-    psi0 = initial_state(cfg, ham.basis, 2).amplitudes[None]
+    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (2, 4)])
     times = np.linspace(0.0, 631.0, 600)
-    monkeypatch.setattr(dynamics, "_fft_workers", lambda: 1)
+    monkeypatch.setattr(dynamics, "pass_workers", lambda: 1)
     one = propagated(psi0, ham, times)
-    monkeypatch.setattr(dynamics, "_fft_workers", lambda: 2)
-    assert one.tobytes() == propagated(psi0, ham, times).tobytes()
+    for workers in (2, 3):
+        monkeypatch.setattr(dynamics, "pass_workers", lambda workers=workers: workers)
+        assert one.tobytes() == propagated(psi0, ham, times).tobytes(), workers
+
+
+def _blas_thread_counts():
+    """1 and 2 numpy OpenBLAS threads where its count can be set, else only the current one."""
+    if model.gemm_openblas() is None:
+        return [contextlib.nullcontext()]
+    return [model.gemm_threads(1), model.gemm_threads(2)]
 
 
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
 def test_stacked_products_give_each_state_its_own_bytes(n_rows):
     # The property the NUFFT's stacked spreading products rest on: with
     # at most _K_PANEL points, a state's 32 columns of a product stacked
-    # with other states' are the bytes of its product alone.  The rows are
-    # an F-ordered slice of a taller matrix, like the views of V.
+    # with other states' are the bytes of its product alone, and neither
+    # depends on how many threads numpy's OpenBLAS runs.  The rows are an
+    # F-ordered slice of a taller matrix, like the views of V.
     rng = np.random.default_rng(n_rows)
     v = np.asfortranarray(rng.standard_normal((n_rows + 37, dynamics._K_PANEL + 9)))
     for inner in (1, 31, 32, 244, 245, 383, dynamics._K_PANEL):
         rows = v[5:5 + n_rows, 3:3 + inner]
         for k in range(1, 7):
             spread = rng.standard_normal((inner, 32 * k))
-            stacked = rows @ spread
+            products = []
+            for threads in _blas_thread_counts():
+                with threads:
+                    products.append([rows @ spread] + [
+                        rows @ np.ascontiguousarray(spread[:, 32 * s:32 * (s + 1)])
+                        for s in range(k)])
+            stacked, *alone = products[0]
             for s in range(k):
                 cols = slice(32 * s, 32 * (s + 1))
-                alone = rows @ np.ascontiguousarray(spread[:, cols])
-                assert stacked[:, cols].tobytes() == alone.tobytes(), (inner, k, s)
+                assert stacked[:, cols].tobytes() == alone[s].tobytes(), (inner, k, s)
+            for other in products[1:]:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(products[0], other)), (
+                    inner, k)
 
 
 @pytest.mark.parametrize("t_max_ps", [1.5, 30.0])
@@ -345,13 +356,15 @@ def test_spreading_plan_covers_each_window_in_capped_pieces(mid_ham, t_max_ps):
     assert largest > (dynamics._K_PANEL if t_max_ps == 1.5 else 0)
 
 
-def test_fft_workers_follow_the_blas_thread_count(monkeypatch):
-    monkeypatch.setattr(dynamics, "solve_library", lambda: ("OpenBLAS", 1))
-    assert dynamics._fft_workers() == 1
-    monkeypatch.setattr(dynamics, "solve_library", lambda: ("OpenBLAS", 3))
-    assert dynamics._fft_workers() == 3
-    monkeypatch.setattr(dynamics, "solve_library", lambda: ("unknown", 0))
-    assert dynamics._fft_workers() == (os.cpu_count() or 1)
+def test_pass_workers_follow_numpy_blas_thread_count(monkeypatch):
+    if model.gemm_openblas() is None:
+        assert dynamics.pass_workers() == 1
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    for threads in (1, 2, 3):
+        with model.gemm_threads(threads):
+            assert dynamics.pass_workers() == threads
+    monkeypatch.setattr(dynamics, "gemm_openblas", lambda: None)
+    assert dynamics.pass_workers() == 1
 
 
 def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):

@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from quniverse import units
+from quniverse import dynamics, observables, units
 from quniverse.config import ModelConfig
 from quniverse.dynamics import PureState, env_block_size, initial_state, propagate, propagate_blocks
-from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
+from quniverse.model import (assemble_hamiltonian, build_basis, build_system_levels, gemm_library,
+                             gemm_openblas, gemm_threads, temperature_of)
 from quniverse.observables import (
     TIME_CHUNK,
     boltzmann_fit_temperature,
@@ -358,3 +362,88 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
         trajectories(as_blocks(bad, basis, 3), times, basis, ladder, kbt, 111.77)
+
+
+# -- the pass's worker threads ------------------------------------------------------
+
+def _pass(cfg, ham, psi0, times):
+    return trajectories(propagate_blocks(psi0, ham, times), times, ham.basis,
+                        build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
+                        cfg.energy_unit_wavenumbers)
+
+
+@pytest.mark.parametrize("states", [[0], [0, 3], "valid"], ids=["0", "0,3-random-phases", "all"])
+def test_pass_bytes_independent_of_worker_count(monkeypatch, mid_ham, states):
+    cfg, ham = mid_ham
+    if states == "valid":
+        states = [n for n in range(cfg.n_system_levels)
+                  if 0 <= cfg.total_energy - n < cfg.n_env_levels]
+    else:
+        cfg = dataclasses.replace(cfg, random_initial_phases=len(states) > 1)
+    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in states])
+    times = np.linspace(0.0, 631.0, 600)
+    runs = []
+    # 3 workers, more than this machine's cores, switching often: a lost
+    # update to a shared sum would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "pass_workers", lambda workers=workers: workers)
+            runs.append(_pass(cfg, ham, psi0, times))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, *others in zip(*runs):
+        for other in others:
+            assert one.columns.keys() == other.columns.keys()
+            for name in one.columns:
+                assert one.columns[name].tobytes() == other.columns[name].tobytes(), name
+            assert one.final_amplitudes.tobytes() == other.final_amplitudes.tobytes()
+            assert one.health == other.health
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS on 2 threads, so a pass runs 2 workers; skipped if it cannot be set."""
+    if gemm_openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    with gemm_threads(2):
+        yield
+
+
+def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads):
+    cfg, ham = mid_ham
+    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (0, 3)])
+    times = np.linspace(0.0, 631.0, 600)
+    seen = []
+    fft = scipy.fft.fft
+
+    def recording_fft(*args, **kwargs):
+        seen.append(gemm_library()[1])
+        return fft(*args, **kwargs)
+
+    # a normal pass: one thread inside the spreading and FFT section, 2 after it
+    monkeypatch.setattr(scipy.fft, "fft", recording_fft)
+    _pass(cfg, ham, psi0, times)
+    assert seen and set(seen) == {1}
+    assert gemm_library()[1] == 2
+    # a gate failure once every block is in
+    monkeypatch.setattr(observables, "NORM_TOL", 1e-300)
+    with pytest.raises(ValueError, match="norm"):
+        _pass(cfg, ham, psi0, times)
+    assert gemm_library()[1] == 2
+    # a consumer that stops after one block
+    blocks = propagate_blocks(psi0, ham, times)
+    next(blocks)
+    assert gemm_library()[1] == 2
+    blocks.close()
+    assert gemm_library()[1] == 2
+
+    # a worker that fails inside the section
+    def failing_fft(*args, **kwargs):
+        raise RuntimeError("FFT failed")
+
+    monkeypatch.setattr(scipy.fft, "fft", failing_fft)
+    with pytest.raises(RuntimeError, match="FFT failed"):
+        next(propagate_blocks(psi0, ham, times))
+    assert gemm_library()[1] == 2
