@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PureState
 from .model import UniverseBasis
 
 # Late-time means are taken over this final share of a run's grid.
@@ -69,39 +68,9 @@ def detect_negative_production(times: np.ndarray, rates: np.ndarray) -> list[Dip
     return intervals
 
 
-@dataclass(frozen=True)
-class StickDiagram:
-    """(shifted zero-order energy, p_i) pairs at one instant, sorted by energy."""
-
-    energy: np.ndarray
-    p: np.ndarray
-    n: np.ndarray
-    m: np.ndarray
-    l: np.ndarray
-    shell: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.energy.size
-
-
 def stick_order(basis: UniverseBasis) -> np.ndarray:
     """Basis indices in stick order: ascending zero-order energy, ties in basis order."""
     return np.argsort(basis.zero_order_energy, kind="stable")
-
-
-def stick_diagram(state: PureState, basis: UniverseBasis) -> StickDiagram:
-    """Full p_i versus shifted zero-order energy listing for one state."""
-    p = state.probabilities()
-    order = stick_order(basis)
-    return StickDiagram(
-        energy=basis.zero_order_energy[order],
-        p=p[order],
-        n=basis.n[order],
-        m=basis.m[order],
-        l=basis.l[order],
-        shell=basis.shell_label[order],
-    )
 
 
 def late_window_slice(n_points: int) -> slice:

@@ -144,7 +144,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     timing["build_and_solve"] = time.perf_counter() - t0
 
     basis = ham.basis
-    ladder = build_system_levels(config).ladder
+    ladder = build_system_levels(config)
     temp = temperature_of(config)
     unit = config.energy_unit_wavenumbers
     t_max = units.ps_to_reduced_time(t_max_ps, unit)

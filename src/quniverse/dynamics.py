@@ -58,17 +58,18 @@ each worker runs single-threaded kernels, as FINUFFT does (Barnett et
 al., above).  In each row block worker w spreads grid blocks w, w + W,
 ... with its own product buffers into their grid columns, which no
 other worker writes; then it transforms and deconvolves states w, w + W,
-... in place, one single-threaded FFT per state.  numpy's OpenBLAS runs
-on one thread only inside this section, and gets its count back before
-the block is yielded.  The bytes cannot move with W: every product
-keeps its shape and operands, OpenBLAS splits a product's output among
-its threads and never a sum (a product's bytes are the same on 1 and 2
-threads, tested), every row is transformed alone, and no sum spans two
-workers.  On 2 cores the small spreading products (128 x <= 384 x 192)
-reached only ~40 GFLOP/s on one 2-thread OpenBLAS, against ~90 for
-large products, and a second FFT thread gained ~10 %; two workers took
-the production pass's propagation from 2.6-2.9 s to 1.9-2.1 s.  The
-direct kernel keeps the calling thread and OpenBLAS's own threads.
+... in place, one `numpy.fft.fft` per state (pocketfft: single-threaded,
+and it releases the GIL).  numpy's OpenBLAS runs on one thread only
+inside this section, and gets its count back before the block is
+yielded.  The bytes cannot move with W: every product of the pass runs
+on that one OpenBLAS thread whatever W is, with the same shape and
+operands (tested from 1 and from 2 threads outside the section), every
+row is transformed alone, and no sum spans two workers.  On 2 cores the
+small spreading products (128 x <= 384 x 192) reached only ~40 GFLOP/s
+on one 2-thread OpenBLAS, against ~90 for large products, and a second
+FFT thread gained ~10 %; two workers took the production pass's
+propagation from 2.6-2.9 s to 1.9-2.1 s.  The direct kernel keeps the
+calling thread and OpenBLAS's own threads.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -350,10 +351,6 @@ def _spreading_plan(e, weights, step, n_times):
 
 def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT."""
-    # Imported here: only this path needs it, and the import adds ~40 ms
-    # to every process start (measured), such as each `sticks` call.
-    import scipy.fft
-
     if np.any(np.diff(e) < 0.0):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
     k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
@@ -389,7 +386,7 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     def transform(w, grid):
         """FFT and deconvolution of states w, w + W, ..., each in place."""
         for s in range(w, k, owners):
-            scipy.fft.fft(grid[s], axis=0, overwrite_x=True, workers=1)  # in place
+            np.fft.fft(grid[s], axis=0, out=grid[s])
             grid[s].view(np.float64)[:n_times] *= deconvolution
 
     with ThreadPoolExecutor(workers) as pool:

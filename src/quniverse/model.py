@@ -37,24 +37,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg
 
 from . import cache, units
 from .config import ModelConfig
-from .rng import COUPLING_STREAM, SHIFT_STREAM, SeededRng
-
-
-@dataclass(frozen=True)
-class SystemLevels:
-    """Polyad eigenvalues of the coupled two-oscillator system.
-
-    `eigenvalues` are the absolute polyad-block energies (ascending);
-    `ladder` is the shifted-origin scale e_n = n * kappa actually used
-    as the system energy everywhere else.
-    """
-
-    eigenvalues: np.ndarray
-    ladder: np.ndarray
+from .rng import COUPLING_STREAM, LARGE_CALL_WORDS, SHIFT_STREAM, SeededRng
 
 
 @dataclass(frozen=True)
@@ -127,28 +113,35 @@ class UniverseHamiltonian:
         return self.eigenvalues.size
 
 
-def build_system_levels(config: ModelConfig) -> SystemLevels:
-    """Diagonalize the polyad block of the coupled-oscillator system.
+def build_system_levels(config: ModelConfig) -> np.ndarray:
+    """System energies on the shifted-origin ladder, e_n = n * kappa.
+
+    The polyad eigenvalues are exactly equally spaced by kappa
+    (`polyad_eigenvalues`), so the ladder is analytic.
+    """
+    return config.kappa * np.arange(config.polyad_N + 1, dtype=float)
+
+
+def polyad_eigenvalues(config: ModelConfig) -> np.ndarray:
+    """Absolute eigenvalues (ascending) of the coupled-oscillator polyad block.
 
     In the local-mode basis {|n1, N - n1>} the block is tridiagonal with
     constant diagonal N*omega0 and ladder off-diagonals
     (kappa/2) * sqrt((n1+1) n2).  This is kappa * Jx in the spin-N/2
     representation, so the polyad eigenvalues are exactly equally spaced
-    by kappa (normal-mode frequencies omega0 -/+ kappa/2).
+    by kappa (normal-mode frequencies omega0 -/+ kappa/2).  Solved
+    numerically, as the check of the ladder that `build_system_levels`
+    uses.
     """
     N = config.polyad_N
     diag = np.full(N + 1, N * config.omega0, dtype=float)
+    if N == 0:
+        return diag
+    import scipy.linalg
+
     n1 = np.arange(N, dtype=float)
     off = 0.5 * config.kappa * np.sqrt((n1 + 1.0) * (N - n1))
-    if N == 0:
-        eigenvalues = diag.copy()
-    else:
-        try:
-            eigenvalues = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric tridiagonal
-            raise RuntimeError(f"polyad eigensolver failed for N={N}: {exc}") from exc
-    ladder = config.kappa * np.arange(N + 1, dtype=float)
-    return SystemLevels(eigenvalues=eigenvalues, ladder=ladder)
+    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def build_environment(config: ModelConfig) -> EnvironmentLevels:
@@ -171,11 +164,10 @@ def build_basis(config: ModelConfig) -> UniverseBasis:
     env = build_environment(config)
     ns = config.n_system_levels
     ne = len(env)
-    system = build_system_levels(config)
     n = np.repeat(np.arange(ns), ne)
     m = np.tile(env.m, ns)
     l = np.tile(env.l, ns)
-    energy = np.repeat(system.ladder, ne) + np.tile(env.energy, ns)
+    energy = np.repeat(build_system_levels(config), ne) + np.tile(env.energy, ns)
     shell = n + m
     degs = np.asarray(config.degeneracies(), dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(degs)[:-1]))
@@ -211,8 +203,7 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
     couplings = SeededRng(config.rng_seed).split(COUPLING_STREAM)
     h = np.zeros((k, dim), dtype=np.float64)
     restrict = config.coupling_scope == "system_changing_only"
-    for i in range(min(k, dim - 1)):
-        row = couplings.gaussian(0.0, sigma, size=dim - 1 - i)
+    for i, row in enumerate(_coupling_rows(couplings, sigma, dim, k)):
         if restrict:
             row[basis.n[i + 1:] == basis.n[i]] = 0.0
         h[i, i + 1:] = row
@@ -220,6 +211,29 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
         h[i + 1:, i] = h[i, i + 1:k]
     h[np.arange(k), np.arange(k)] = basis.zero_order_energy[:k]
     return h
+
+
+def _coupling_rows(couplings: SeededRng, sigma: float, dim: int, k: int) -> Iterator[np.ndarray]:
+    """The dim - 1 - i upper-triangle variates of row i of H, for rows 0..min(k, dim - 1) - 1.
+
+    Consecutive rows are drawn in one call of at least LARGE_CALL_WORDS
+    words (all of them, if they hold fewer), so the full fill takes
+    scipy's ndtri and a few rows the port.  One variate takes one word,
+    so the chunking moves no draw.
+    """
+    widths = range(dim - 1, dim - 1 - min(k, dim - 1), -1)
+    left = sum(widths)
+    chunk, size = [], 0
+    for width in widths:
+        chunk.append(width)
+        size += width
+        if width == widths[-1] or LARGE_CALL_WORDS <= size <= left - LARGE_CALL_WORDS:
+            draws = couplings.gaussian(0.0, sigma, size=size)
+            for w in chunk:
+                yield draws[:w]
+                draws = draws[w:]
+            left -= size
+            chunk, size = [], 0
 
 
 # The eigenpair bytes of a config are fixed by the assembly of H (draws,
@@ -278,10 +292,21 @@ def _wheel_openblas(package, suffix: str) -> WheelOpenBLAS | None:
     """The OpenBLAS in `package`'s `<name>.libs` directory, or None if absent.
 
     Its `scipy_openblas_*` symbols end in `suffix` ("64_" for numpy's
-    64-bit-integer build).
+    64-bit-integer build).  Loading the library starts its thread pool,
+    whose workers spin for 2^28 cycles (~0.13 s at 2.1 GHz, measured)
+    before they sleep, taking a core from whatever runs next.  Nothing in
+    the process can be using a library that this call loads, so then the
+    pool is shut down at once; OpenBLAS starts it again on its next
+    threaded call, as it does after a fork.  That is scipy's library on a
+    warm run, which reads only its identity (numpy's is loaded by numpy).
     """
     libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
     for path in sorted(libs.glob(f"libscipy_openblas{suffix}*.so*")):
+        try:
+            ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            loaded = True
+        except OSError:
+            loaded = False
         try:
             lib = ctypes.CDLL(str(path))
             config, get_threads, set_threads = (
@@ -292,7 +317,11 @@ def _wheel_openblas(package, suffix: str) -> WheelOpenBLAS | None:
         config.argtypes, config.restype = [], ctypes.c_char_p
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return WheelOpenBLAS(config().decode(), get_threads, set_threads)
+        found = WheelOpenBLAS(config().decode(), get_threads, set_threads)
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if not loaded and shutdown is not None:
+            shutdown()
+        return found
     return None
 
 
@@ -344,6 +373,8 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F-ordered view of the symmetric C-ordered matrix, so LAPACK works on
     it without a copy and returns the eigenvectors in its memory.
     """
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh(matrix.T, overwrite_a=True, check_finite=False,
                                  driver="evd")
@@ -370,7 +401,7 @@ def eigen_residual(rows: np.ndarray, eigenvalues: np.ndarray,
     a small slice of V instead of all of it.
     """
     k, dim = rows.shape
-    cols = np.unique(np.linspace(0, dim - 1, CHECK_COLUMNS).astype(np.intp))
+    cols = np.linspace(0, dim - 1, CHECK_COLUMNS).astype(np.intp)  # repeats when dim < 64
     v_s = eigenvectors[:, cols]
     return float(np.abs(rows @ v_s - v_s[:k] * eigenvalues[cols]).max())
 

@@ -8,8 +8,9 @@ from quniverse.analysis import (
     detect_negative_production,
     entropy_production_rate,
     late_window_slice,
-    stick_diagram,
+    stick_order,
 )
+from quniverse.cli import _stick_text, _write_sticks
 from quniverse.config import ModelConfig
 from quniverse.dynamics import PureState, initial_state, propagate
 from quniverse.model import build_basis
@@ -115,29 +116,40 @@ def test_multiple_dips_disjoint_and_ordered():
 
 # -- stick diagrams -----------------------------------------------------------------
 
-def test_sticks_of_initial_state(production_basis):
+def _sticks(path, cfg, n, state, basis):
+    """The columns of `state`'s sticks CSV, as the CLI writes it."""
+    _write_sticks(path, cfg, n, state, _stick_text(basis))
+    table = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert path.read_text().splitlines()[1] == "energy,p,n,m,l,shell"
+    return dict(zip(("energy", "p", "n", "m", "l", "shell"), table.T))
+
+
+def test_sticks_of_initial_state(production_basis, tmp_path):
     cfg, basis = production_basis
     psi = initial_state(cfg, basis, 2)
-    diagram = stick_diagram(psi, basis)
-    assert diagram.size == basis.size
-    assert np.all(np.diff(diagram.energy) >= 0)
-    np.testing.assert_allclose(diagram.p.sum(), 1.0, rtol=0, atol=1e-12)
-    live = diagram.p > 0
+    diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, psi, basis)
+    order = stick_order(basis)
+    assert diagram["p"].size == basis.size
+    assert np.all(np.diff(diagram["energy"]) >= 0)
+    np.testing.assert_array_equal(diagram["energy"], basis.zero_order_energy[order])
+    np.testing.assert_array_equal(diagram["p"], psi.probabilities()[order])
+    np.testing.assert_allclose(diagram["p"].sum(), 1.0, rtol=0, atol=1e-12)
+    live = diagram["p"] > 0
     assert live.sum() == 48
-    np.testing.assert_array_equal(diagram.shell[live], 5)
+    np.testing.assert_array_equal(diagram["shell"][live], 5)
     # shifted energies of the occupied sticks cluster near E = 5
-    assert np.all(np.abs(diagram.energy[live] - 5.0) < 1.0)
+    assert np.all(np.abs(diagram["energy"][live] - 5.0) < 1.0)
 
 
-def test_sticks_frozen_at_alpha_zero():
+def test_sticks_frozen_at_alpha_zero(tmp_path):
     from quniverse.model import assemble_hamiltonian
 
     cfg = toy6_config(alpha=0.0)
     ham = assemble_hamiltonian(cfg)
     psi0 = initial_state(cfg, ham.basis, 1)
-    before = stick_diagram(psi0, ham.basis)
-    after = stick_diagram(propagate(psi0, ham, 25.0), ham.basis)
-    np.testing.assert_allclose(after.p, before.p, rtol=0, atol=1e-12)
+    before = _sticks(tmp_path / "before.csv", cfg, 1, psi0, ham.basis)
+    after = _sticks(tmp_path / "after.csv", cfg, 1, propagate(psi0, ham, 25.0), ham.basis)
+    np.testing.assert_allclose(after["p"], before["p"], rtol=0, atol=1e-12)
 
 
 # -- late window ---------------------------------------------------------------------

@@ -355,9 +355,19 @@ sys.stdout.buffer.write(w.tobytes() + v.tobytes())
 """
 
 
-def _solve_bytes(threads):
+# what a cache key reads first: scipy's OpenBLAS, loaded here by ctypes
+_KEY_THEN_SOLVE = """
+import os
+from quniverse import model
+threads = len(os.listdir("/proc/self/task"))
+model.solve_library()
+assert len(os.listdir("/proc/self/task")) == threads, "a new OpenBLAS pool is left running"
+""" + _SOLVE
+
+
+def _solve_bytes(threads, script=_SOLVE):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", _SOLVE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True).stdout
     dim = 6 * (6 + 12 + 24)
     data = np.frombuffer(out, dtype=np.float64)
@@ -378,6 +388,12 @@ def test_solve_bit_identical_at_same_blas_thread_count():
     # eigenvectors agree up to sign (the spectrum is non-degenerate)
     signs = np.sign(np.sum(v1 * v2, axis=0))
     np.testing.assert_allclose(v1, v2 * signs, rtol=0, atol=1e-9)
+
+
+def test_identity_read_stops_the_pool_it_starts_and_the_solve_keeps_its_bytes():
+    # Reading the identity loads scipy's OpenBLAS, which starts a spinning
+    # thread pool; it is shut down at once, and the solve restarts it
+    assert _solve_bytes(2, _KEY_THEN_SOLVE)[0] == _solve_bytes(2)[0]
 
 
 _ASSEMBLE = """

@@ -13,7 +13,7 @@ from quniverse import __version__, cli, units
 from quniverse.cache import CACHE_DIR_ENV, cache_key
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
-from quniverse.dynamics import pass_workers
+from quniverse.dynamics import NUFFT_MIN_TIMES, pass_workers
 from quniverse.model import build_system_levels, gemm_library, gemm_openblas, gemm_threads
 from quniverse.observables import (
     EIGENVALUE_CLIP_TOL,
@@ -154,7 +154,7 @@ def test_t_fit_blank_only_at_t0(tmp_path):
     # at t = 0 the off-level populations are round-off, which has no temperature
     cfg = toy21_config()
     run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
-    levels = build_system_levels(cfg).ladder
+    levels = build_system_levels(cfg)
     for n in range(3):
         cols = read_trajectory(tmp_path / f"traj_n{n}.csv")
         t_fit = cols["T_fit_K"]
@@ -551,3 +551,41 @@ def test_config_file_errors_surface(tmp_path):
     bad.write_text("nonsense_key = 3\n")
     with pytest.raises(ValueError, match="unknown configuration key"):
         main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
+
+
+# A warm process imports numpy and top-level scipy only: scipy.linalg is
+# for the solve, scipy.special for the full fill of H, both on a miss.
+_WARM_CALLS = """
+import json, sys
+import quniverse.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[:2] in (["scipy", "special"], ["scipy", "linalg"],
+                                             ["scipy", "fft"]))
+
+loaded = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    assert quniverse.cli.main(argv) == 0, name
+    loaded[name] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_warm_run_sticks_and_compare_import_no_scipy_submodule(tmp_path):
+    cfg_path = tmp_path / "toy21.cfg"
+    cfg_path.write_text(toy21_config().canonical_string())
+    main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cold")])  # fills the cache
+    warm, traj = tmp_path / "warm", str(tmp_path / "warm" / "traj_n1.csv")
+    calls = [("run", ["run", "--config", str(cfg_path), "--out", str(warm)]),
+             ("sticks", ["sticks", "--traj", traj, "--time", "7.5",
+                         "--out", str(tmp_path / "sticks.csv")]),
+             ("compare", ["compare", "--traj", traj, "--out", str(tmp_path / "compare.json")])]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _WARM_CALLS, json.dumps(calls)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120)
+    loaded = json.loads(done.stdout.splitlines()[-1])  # after what the calls print
+    assert loaded == {"import": [], "run": [], "sticks": [], "compare": []}
+    manifest = json.loads((warm / "manifest.json").read_text())
+    # a cache hit, on the NUFFT path
+    assert manifest["cache"]["hit"] and manifest["n_points"] >= NUFFT_MIN_TIMES

@@ -304,20 +304,22 @@ def _blas_thread_counts():
 
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
 def test_stacked_products_give_each_state_its_own_bytes(n_rows):
-    # The property the NUFFT's stacked spreading products rest on: with
-    # at most _K_PANEL points, a state's 32 columns of a product stacked
-    # with other states' are the bytes of its product alone, and neither
-    # depends on how many threads numpy's OpenBLAS runs.  The rows are an
-    # F-ordered slice of a taller matrix, like the views of V.
+    # The properties the NUFFT's stacked spreading products rest on.  On
+    # one OpenBLAS thread (`gemm_threads(1)`, as in the pass), with at
+    # most _K_PANEL points, a state's 32 columns of a product stacked
+    # with other states' are the bytes of its product alone.  And those
+    # bytes do not depend on the thread count numpy's OpenBLAS had before
+    # the pass pinned it.  The rows are an F-ordered slice of a taller
+    # matrix, like the views of V.
     rng = np.random.default_rng(n_rows)
     v = np.asfortranarray(rng.standard_normal((n_rows + 37, dynamics._K_PANEL + 9)))
-    for inner in (1, 31, 32, 244, 245, 383, dynamics._K_PANEL):
+    for inner in (1, 31, 32, 244, 245, 257, 300, 383, dynamics._K_PANEL):
         rows = v[5:5 + n_rows, 3:3 + inner]
         for k in range(1, 7):
             spread = rng.standard_normal((inner, 32 * k))
             products = []
             for threads in _blas_thread_counts():
-                with threads:
+                with threads, model.gemm_threads(1):
                     products.append([rows @ spread] + [
                         rows @ np.ascontiguousarray(spread[:, 32 * s:32 * (s + 1)])
                         for s in range(k)])

@@ -7,12 +7,16 @@ import pytest
 from quniverse import units
 from quniverse.config import ModelConfig
 from quniverse.model import (
+    CHECK_COLUMNS,
+    CHECK_ROWS,
     SOLVE_CONTRACT,
     assemble_hamiltonian,
     build_basis,
     build_environment,
     build_hamiltonian_matrix,
     build_system_levels,
+    eigen_residual,
+    polyad_eigenvalues,
     temperature_of,
 )
 from conftest import hamiltonian_matrix, toy6_config, toy21_config
@@ -87,18 +91,18 @@ def test_config_hash_tracks_content():
 # -- system polyad ----------------------------------------------------------
 
 def test_production_polyad_unit_spacing():
-    levels = build_system_levels(ModelConfig())
-    assert levels.eigenvalues.size == 6
-    np.testing.assert_allclose(np.diff(levels.eigenvalues), 1.0, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(levels.ladder, np.arange(6.0))
+    eigenvalues = polyad_eigenvalues(ModelConfig())
+    assert eigenvalues.size == 6
+    np.testing.assert_allclose(np.diff(eigenvalues), 1.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(build_system_levels(ModelConfig()), np.arange(6.0))
 
 
 def test_single_level_polyad():
     cfg = ModelConfig(n_system_levels=1, polyad_N=0, total_energy=0,
                       n_env_levels=2, degeneracy_A=1)
-    levels = build_system_levels(cfg)
-    assert levels.eigenvalues.shape == (1,)
-    assert levels.eigenvalues[0] == 0.0
+    eigenvalues = polyad_eigenvalues(cfg)
+    assert eigenvalues.shape == (1,)
+    assert eigenvalues[0] == 0.0
 
 
 def _char_poly_roots_3x3(a):
@@ -117,14 +121,14 @@ def _char_poly_roots_3x3(a):
 def test_polyad_block_against_char_poly_oracle():
     cfg = ModelConfig(n_system_levels=3, polyad_N=2, omega0=10.0, kappa=0.5,
                       total_energy=2, n_env_levels=3, degeneracy_A=1)
-    levels = build_system_levels(cfg)
+    eigenvalues = polyad_eigenvalues(cfg)
     # the local-mode polyad block, built here independently of the model
     N = cfg.polyad_N
     off = 0.5 * cfg.kappa * np.sqrt([(n1 + 1.0) * (N - n1) for n1 in range(N)])
     block = N * cfg.omega0 * np.eye(N + 1) + np.diag(off, 1) + np.diag(off, -1)
     expected = _char_poly_roots_3x3(block)
-    np.testing.assert_allclose(levels.eigenvalues, expected, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(np.diff(levels.eigenvalues), 0.5, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.diff(eigenvalues), 0.5, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -135,7 +139,7 @@ def test_polyad_spacing_property(case):
     kappa = float(rng.uniform(0.05, 5.0))
     cfg = ModelConfig(n_system_levels=N + 1, polyad_N=N, omega0=omega0,
                       kappa=kappa, total_energy=0, n_env_levels=1, degeneracy_A=1)
-    evals = build_system_levels(cfg).eigenvalues
+    evals = polyad_eigenvalues(cfg)
     np.testing.assert_allclose(np.diff(evals), kappa, rtol=0, atol=1e-10 * max(1.0, omega0 * N))
 
 
@@ -231,6 +235,19 @@ def test_hamiltonian_pinned_for_this_solve_contract(n_env_levels, scope):
     matrix = hamiltonian_matrix(ModelConfig(n_env_levels=n_env_levels, coupling_scope=scope))
     digest = hashlib.sha256(matrix.tobytes()).hexdigest()
     assert digest == H_SHA256[SOLVE_CONTRACT][n_env_levels, scope]
+
+
+def test_eigen_residual_unchanged_by_repeated_columns(toy21, toy21_ham):
+    # 21 < CHECK_COLUMNS, so the sampled columns repeat; a max over them
+    # equals the max over each column once
+    v, w = toy21_ham.eigenvectors, toy21_ham.eigenvalues
+    rows = hamiltonian_matrix(toy21)[:CHECK_ROWS]
+    sampled = np.linspace(0, w.size - 1, CHECK_COLUMNS).astype(np.intp)
+    cols = np.unique(sampled)
+    assert cols.size < sampled.size
+    once = float(np.abs(rows @ v[:, cols] - v[:CHECK_ROWS, cols] * w[cols]).max())
+    assert eigen_residual(rows, w, v) == once
+    assert toy21_ham.eig_residual == once
 
 
 def test_system_changing_only_scope():

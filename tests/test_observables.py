@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from quniverse import dynamics, observables, units
 from quniverse.config import ModelConfig
@@ -248,7 +247,7 @@ def _trajectories(cfg, ham, states, times):
     psi0 = [initial_state(cfg, ham.basis, n) for n in states]
     results = trajectories(
         propagate_blocks(np.array([p.amplitudes for p in psi0]), ham, times), times,
-        ham.basis, build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
+        ham.basis, build_system_levels(cfg), temperature_of(cfg).kbt_reduced,
         cfg.energy_unit_wavenumbers,
     )
     return psi0, results
@@ -275,7 +274,7 @@ def test_trajectory_matches_per_time_references(overrides):
     cfg = toy21_config(**overrides)
     ham = assemble_hamiltonian(cfg)
     basis = ham.basis
-    ladder = build_system_levels(cfg).ladder
+    ladder = build_system_levels(cfg)
     kbt = temperature_of(cfg).kbt_reduced
     unit = cfg.energy_unit_wavenumbers
     times = np.linspace(0.0, 60.0, 2 * TIME_CHUNK + 22)  # two full chunks and a partial one
@@ -352,7 +351,7 @@ def test_trajectory_bundle(toy21_ham, toy21):
 
 def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     basis = toy21_ham.basis
-    ladder = build_system_levels(toy21).ladder
+    ladder = build_system_levels(toy21)
     kbt = temperature_of(toy21).kbt_reduced
     times = np.linspace(0.0, 8.0, 5)
     psi0 = np.array([initial_state(toy21, basis, n).amplitudes for n in (0, 1)])
@@ -368,7 +367,7 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
 
 def _pass(cfg, ham, psi0, times):
     return trajectories(propagate_blocks(psi0, ham, times), times, ham.basis,
-                        build_system_levels(cfg).ladder, temperature_of(cfg).kbt_reduced,
+                        build_system_levels(cfg), temperature_of(cfg).kbt_reduced,
                         cfg.energy_unit_wavenumbers)
 
 
@@ -416,14 +415,14 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (0, 3)])
     times = np.linspace(0.0, 631.0, 600)
     seen = []
-    fft = scipy.fft.fft
+    fft = np.fft.fft
 
     def recording_fft(*args, **kwargs):
         seen.append(gemm_library()[1])
         return fft(*args, **kwargs)
 
     # a normal pass: one thread inside the spreading and FFT section, 2 after it
-    monkeypatch.setattr(scipy.fft, "fft", recording_fft)
+    monkeypatch.setattr(np.fft, "fft", recording_fft)
     _pass(cfg, ham, psi0, times)
     assert seen and set(seen) == {1}
     assert gemm_library()[1] == 2
@@ -443,7 +442,7 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     def failing_fft(*args, **kwargs):
         raise RuntimeError("FFT failed")
 
-    monkeypatch.setattr(scipy.fft, "fft", failing_fft)
+    monkeypatch.setattr(np.fft, "fft", failing_fft)
     with pytest.raises(RuntimeError, match="FFT failed"):
         next(propagate_blocks(psi0, ham, times))
     assert gemm_library()[1] == 2

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from quniverse.rng import COUPLING_STREAM, SHIFT_STREAM, SeededRng
+from quniverse import rng
+from quniverse.rng import COUPLING_STREAM, LARGE_CALL_WORDS, SHIFT_STREAM, SeededRng
 
 # Frozen reference sequence: SeededRng(12345).split(0).standard_normal(5).
 # Any change here is a draw-order-contract break and must bump
@@ -93,3 +95,53 @@ def test_gaussian_scaling():
     base = SeededRng(8).split(0).standard_normal(1000)
     scaled = SeededRng(8).split(0).gaussian(10.0, 2.0, size=1000)
     np.testing.assert_allclose(scaled, 10.0 + 2.0 * base, rtol=0, atol=1e-12)
+
+
+# -- the two ndtri kernels ---------------------------------------------------
+
+def _contract_uniforms(words):
+    """The inverse CDF's arguments for raw Philox words, as the contract forms them."""
+    return ((np.asarray(words, dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+            + 0.5) * 2.0 ** -53
+
+
+def _same_bytes(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+def test_ndtri_port_matches_scipy_on_ten_million_draws():
+    port_rng = SeededRng(2024).split(COUPLING_STREAM)
+    words_rng = SeededRng(2024).split(COUPLING_STREAM)
+    calls = 40  # calls of LARGE_CALL_WORDS - 1 words: 10.5e6 draws through the port
+    for _ in range(calls):
+        got = port_rng.standard_normal(LARGE_CALL_WORDS - 1)
+        assert _same_bytes(got, ndtri(words_rng.uniform(LARGE_CALL_WORDS - 1)))
+    assert port_rng.position == calls * (LARGE_CALL_WORDS - 1) >= 10 ** 7
+
+
+def test_ndtri_port_matches_scipy_in_both_extreme_tails():
+    # The 2e5 smallest and largest words: both tail branches of cephes
+    # (z < 8 and z >= 8, lower side only) and the largest word, whose
+    # argument rounds to 1 and gives +inf
+    k = np.arange(200_000, dtype=np.uint64)
+    for words in (k << np.uint64(11), (np.uint64(2 ** 53 - 1) - k) << np.uint64(11)):
+        u = _contract_uniforms(words)
+        assert _same_bytes(rng._ndtri(u), ndtri(u))
+    assert rng._ndtri(_contract_uniforms([0]))[0] < -8.0  # z >= 8
+    assert rng._ndtri(_contract_uniforms([(2 ** 53 - 1) << 11]))[0] == np.inf
+
+
+@pytest.mark.parametrize("words", [LARGE_CALL_WORDS - 1, LARGE_CALL_WORDS])
+def test_kernel_follows_the_call_word_count(monkeypatch, words):
+    port_calls = []
+
+    def recording_port(u):
+        port_calls.append(u.size)
+        return port(u)
+
+    port = rng._ndtri
+    monkeypatch.setattr(rng, "_ndtri", recording_port)
+    got = SeededRng(77).split(SHIFT_STREAM).standard_normal(words)
+    u = SeededRng(77).split(SHIFT_STREAM).uniform(words)
+    assert port_calls == ([words] if words < LARGE_CALL_WORDS else [])
+    assert _same_bytes(got, ndtri(u)) and _same_bytes(got, port(u))
