@@ -18,16 +18,23 @@ several states at once, one row block of V at a time.  A row block is
 one range [e0, e1) of environment states taken in every system level,
 so that it holds every amplitude the reduced density matrix sums at a
 fixed system pair: a consumer can reduce each block to its observables
-and drop it.  Neither the (T, n) amplitude array of a state nor a grid
-over all rows is ever built.  The block height depends on the universe
-alone (`env_block_size`), so a state's bytes never depend on which other
+and drop it.  The block height depends on the universe alone
+(`env_block_size`), so a state's bytes never depend on which other
 states share the pass.  Two kernels fill a block:
 
-* Direct: the (n, T) phase matrix exp(-i E t_k) a of each state times
-  the block's rows of V, one GEMM of width 2T per state and system level
-  (4 n^2 T flops per state in all).  Single times (`propagate`), grids
-  that are not uniform from 0, and grids shorter than NUFFT_MIN_TIMES
-  take it.
+* Direct: per state, the (n, T) phase matrix Z = exp(-i E t_k) a, its
+  float64 view transposed to a contiguous (2T, n) matrix Z^T, times
+  V^T's columns of one system level: one GEMM of height 2T per state and
+  system level (4 n^2 T flops per state in all).  V is stored
+  column-major, as LAPACK returns it, so V^T is row-major and each
+  product reads its level's rows of V in storage order, with V as the
+  right operand.  Rows 2i and 2i + 1 of a product are the real and
+  imaginary parts of the level's amplitudes at times[i].  Every state's
+  (T, n) amplitudes are held (as many values as the states' phase
+  matrices), and each row block is gathered from them.  Single times
+  (`propagate`), grids that are not uniform from 0, and grids shorter
+  than NUFFT_MIN_TIMES take it; they are short, so this costs k n T
+  complex values, where the NUFFT never builds a grid over all rows.
 * NUFFT: on a uniform grid t_k = k D, k = 0..T-1, the same product is
   c_i(t_k) = sum_j V_ij a_j exp(-i theta_j k) with theta_j = E_j D mod
   2 pi, a type-1 non-uniform FFT of every row (Dutt & Rokhlin 1993).
@@ -52,24 +59,31 @@ states share the pass.  Two kernels fill a block:
   Fourier transform (Gauss-Legendre quadrature); the block's amplitudes
   are the grid's first T columns.
 
-Threads: a NUFFT pass runs on W worker threads, W = the thread count of
+Threads: both kernels run on W worker threads, W = the thread count of
 numpy's OpenBLAS (`pass_workers`; 1 when that library is not found), and
 each worker runs single-threaded kernels, as FINUFFT does (Barnett et
-al., above).  In each row block worker w spreads grid blocks w, w + W,
-... with its own product buffers into their grid columns, which no
-other worker writes; then it transforms and deconvolves states w, w + W,
-... in place, one `numpy.fft.fft` per state (pocketfft: single-threaded,
-and it releases the GIL).  numpy's OpenBLAS runs on one thread only
-inside this section, and gets its count back before the block is
-yielded.  The bytes cannot move with W: every product of the pass runs
-on that one OpenBLAS thread whatever W is, with the same shape and
-operands (tested from 1 and from 2 threads outside the section), every
-row is transformed alone, and no sum spans two workers.  On 2 cores the
-small spreading products (128 x <= 384 x 192) reached only ~40 GFLOP/s
-on one 2-thread OpenBLAS, against ~90 for large products, and a second
-FFT thread gained ~10 %; two workers took the production pass's
-propagation from 2.6-2.9 s to 1.9-2.1 s.  The direct kernel keeps the
-calling thread and OpenBLAS's own threads.
+al., above).  In each NUFFT row block worker w spreads grid blocks w,
+w + W, ... with its own product buffers into their grid columns, which
+no other worker writes; then it transforms and deconvolves states w,
+w + W, ... in place, one `numpy.fft.fft` per state (pocketfft:
+single-threaded, and it releases the GIL).  The direct kernel's worker
+w makes each state's products of system levels w, w + W, ... and moves
+them into those levels' amplitudes.  numpy's OpenBLAS runs on one
+thread only inside these sections and for V^T c(0), and gets its count
+back before a block is yielded.  The bytes cannot move with W or with
+that count: every product of the pass runs on one OpenBLAS thread, with
+the same shape and operands whatever W is (tested from 1 and from 2
+threads outside the section), every row is transformed alone, and no
+sum spans two workers.  A threaded V^T c(0) would also leave OpenBLAS's
+idle threads spinning (~0.13 s) on the cores the workers need.  On 2
+cores the small spreading products (128 x <= 384 x 192) reached only
+~40 GFLOP/s on one 2-thread OpenBLAS, against ~90 for large products,
+and a second FFT thread gained ~10 %; two workers took the production
+pass's propagation from 2.6-2.9 s to 1.9-2.1 s.  At one time and 9180
+states the six level products take 50-65 ms on two workers and ~100 ms
+on one; the same flops as 72 products with V as the left operand, each
+over 128 of its rows (strided in memory), took 180-215 ms on a 2-thread
+OpenBLAS.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -187,7 +201,7 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     and c[s, i, r] is the amplitude of state s at times[i] on basis index
     rows[r], shape (k, len(times), len(rows)).  Each time is computed
     directly from the initial state (not chained).  c is a view of a
-    buffer that the next block overwrites.
+    buffer that the next block overwrites, contiguous along its rows.
 
     A uniform grid from 0 of at least NUFFT_MIN_TIMES times takes the
     NUFFT kernel, any other the direct product (see the module docstring);
@@ -202,7 +216,10 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
         )
     times = np.asarray(times, dtype=float)
     v, e = ham.eigenvectors, ham.eigenvalues
-    a = np.hstack([eigen_coefficients(v, c) for c in amplitudes])
+    # On one thread, as every product of the pass: a threaded product here
+    # would leave OpenBLAS's idle threads spinning on the workers' cores.
+    with gemm_threads(1):
+        a = np.hstack([eigen_coefficients(v, c) for c in amplitudes])
     ns = ham.basis.n_system_levels
     ne = ham.dim // ns
     eb = env_block_size(ns, ne)
@@ -219,23 +236,37 @@ def _block_rows(ns: int, ne: int, e0: int, e1: int) -> np.ndarray:
 
 
 def _direct_blocks(v, e, a, times, ns, ranges):
-    """Row blocks of V (exp(-i E t) a), one GEMM of width 2T per state and system level."""
-    k, n_times, ne = a.shape[1], times.size, v.shape[0] // ns
-    phases = np.empty((k, e.size, n_times), dtype=np.complex128)
-    phases.imag = np.multiply.outer(-e, times)
-    phases.real = 0.0
-    np.exp(phases, out=phases)
-    phases *= a.T[:, :, None]
+    """Row blocks of V (exp(-i E t) a): per state, one GEMM of height 2T per system level."""
+    k, n_times, n = a.shape[1], times.size, e.size
+    ne = n // ns
+    amplitudes = np.empty((k, n_times, n), dtype=np.complex128)
+    phases = np.empty((n, n_times), dtype=np.complex128)
+    phases_t = np.empty((2 * n_times, n))
+    workers = min(pass_workers(), ns)
+    products = [np.empty((2 * n_times, ne)) for _ in range(workers)]
+
+    def multiply(w, s):
+        """Levels w, w + W, ... of state s; product rows 2i, 2i + 1 are Re, Im at times[i]."""
+        for level in range(w, ns, workers):
+            cols = slice(level * ne, (level + 1) * ne)
+            np.matmul(phases_t, v.T[:, cols], out=products[w])
+            np.copyto(amplitudes[s, :, cols].view(np.float64).reshape(n_times, ne, 2),
+                      products[w].reshape(n_times, 2, ne).transpose(0, 2, 1))
+
+    with ThreadPoolExecutor(workers) as pool, gemm_threads(1):
+        for s in range(k):
+            phases.imag = np.multiply.outer(-e, times)
+            phases.real = 0.0
+            np.exp(phases, out=phases)
+            phases *= a[:, s, None]
+            np.copyto(phases_t, phases.view(np.float64).T)
+            run_shares(pool, lambda w: multiply(w, s), workers)
     buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
     for e0, e1 in ranges:
-        width = e1 - e0
-        c = buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
-        for s in range(k):
-            for level in range(ns):
-                rows = slice(level * ne + e0, level * ne + e1)
-                c[s, :, level * width:(level + 1) * width] = (
-                    _real_times_complex(v[rows], phases[s]).T)
-        yield _block_rows(ns, ne, e0, e1), c
+        rows = _block_rows(ns, ne, e0, e1)
+        c = buffer[:k * n_times * rows.size].reshape(k, n_times, rows.size)
+        # rows are in range; "clip" gathers into c without a temporary
+        yield rows, np.take(amplitudes, rows, axis=2, out=c, mode="clip")
 
 
 # Uniform grids of at least this many times take the NUFFT.  Measured on

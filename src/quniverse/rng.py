@@ -17,8 +17,10 @@ hard contract, pinned by golden-value tests:
 * One variate consumes exactly one 64-bit Philox word.  A standard
   normal is produced by the inverse CDF: x = ndtri((raw >> 11 + 0.5) /
   2^53).  The argument is never 0, and is 1 (x = +inf) only for the
-  largest word, where raw >> 11 + 0.5 rounds up to 2^53: once in 2^53
-  draws.  sigma = 0 still consumes a word and returns the mean exactly.
+  largest words, where raw >> 11 + 0.5 rounds up to 2^53: once in 2^53
+  draws.  Such a draw raises ValueError naming the seed, the stream and
+  the word, before it can reach a Hamiltonian and its solve.  sigma = 0
+  still consumes a word and returns the mean exactly.
 
 The inverse CDF is cephes ``ndtri`` (S. L. Moshier, *Methods and Programs
 for Mathematical Functions*, 1989), the function behind
@@ -162,13 +164,23 @@ class SeededRng:
         return float(u[0]) if size is None else u
 
     def standard_normal(self, size: int | None = None):
-        """Standard normal variates; the kernel follows the word count (module docstring)."""
+        """Standard normal variates; the kernel follows the word count (module docstring).
+
+        Raises ValueError if a variate is infinite (the largest words), so
+        that no infinite draw reaches a Hamiltonian.
+        """
         u = self.uniform(1 if size is None else size)
         if u.size < LARGE_CALL_WORDS:
             x = _ndtri(u)
         else:
             from scipy.special import ndtri
             x = ndtri(u)
+        infinite = np.flatnonzero(np.isinf(x))
+        if infinite.size:
+            word = self._position - u.size + int(infinite[0])
+            raise ValueError(
+                f"seed {self._seed}, spawn key {self._spawn_key}: word {word} gives an "
+                f"infinite normal variate")
         return float(x[0]) if size is None else x
 
     def gaussian(self, mean: float, sigma: float, size: int | None = None):

@@ -14,7 +14,8 @@ from quniverse.cache import CACHE_DIR_ENV, cache_key
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.dynamics import NUFFT_MIN_TIMES, pass_workers
-from quniverse.model import build_system_levels, gemm_library, gemm_openblas, gemm_threads
+from quniverse.model import (build_system_levels, gemm_library, gemm_openblas, gemm_threads,
+                             solve_library)
 from quniverse.observables import (
     EIGENVALUE_CLIP_TOL,
     HERMITICITY_TOL,
@@ -454,11 +455,12 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 
 
 # sha256 of every toy21 output but the manifest (which records timings),
-# per package version.  Bump __version__ with every change that moves an
-# output byte, and record the new hashes here under it.  Recorded with
-# scipy's bundled OpenBLAS on x86-64.
+# per package version and per kernel of the two OpenBLAS libraries (numpy's
+# for the GEMMs, scipy's for the solve), which OPENBLAS_CORETYPE can
+# override.  Bump __version__ with every change that moves an output byte,
+# and record the new hashes here under it for every kernel.
 OUTPUT_SHA256 = {
-    "0.4.0": {
+    ("0.4.0", "SkylakeX", "SkylakeX"): {
         120: {
             "anomalies.json": "ce84f056fb06294ad774a6d19fba70bdb74165a6adedeafe06e21742afe79d66",
             "sticks_n0.csv": "e82127bcaa71d8b45de6f261ba15056f034b2fe28a83e39fb8b5a61683cfd356",
@@ -482,36 +484,102 @@ OUTPUT_SHA256 = {
             "traj_n2.csv": "e38b2c85c30e8ee63fb876401d415e682a996be76de75e68bd1c231ffa56f740",
         },
     },
-    "0.3.0": {
-        120: {
-            "anomalies.json": "416187df75f7c0a52c04d071d4f611e865a568324ac34abae6b7f35bad6d7a47",
-            "sticks_n0.csv": "067c30aeec0faf4a9b0a29b58e0d246bf3ea606d67223d296ba6675b9456674d",
-            "sticks_n1.csv": "ac82f19d892d6819a354f7f0cc607a454b8b4877472fd152b9c37d4dae8e53ea",
-            "sticks_n2.csv": "d31642f4d58a2ee4c99103fb77ca8fd8bcf467b1aae4afd855a382f9145f5965",
-            "sticks_t.csv": "9b11e40528ee8b332d2c79d153dc18853b40a4d992e5d83ee9b123b9b26b452b",
-            "summary.json": "34e4c8c0298c554e3941f7185363955068afb508b6c46d472779c2fc6db3a630",
-            "traj_n0.csv": "711ea74a6c2d50c8f856b91a1308ea4be5230f7b12aaa58f21347910cb537bb4",
-            "traj_n1.csv": "804eaaa66d9ecceb00b355d99944a5f43341ebc414347923e403ef7e726db43e",
-            "traj_n2.csv": "072d17a17de7197ded92dc8fe07da80f3ec21715902f9a63f22ec26f84950fab",
-        },
-        40: {
-            "anomalies.json": "20ab85d26556e0409f223016d6c9a3f38d2ec11b185b78dfe65e82aee2a1f34f",
-            "sticks_n0.csv": "a5497acbd115e766b4651b58d6dba3514e7b8d4a37298b12f76ed7a272affb76",
-            "sticks_n1.csv": "c000cae41e349bb30107e4d1dae353d8e7b76b2790d064741b40ffa11284ad7d",
-            "sticks_n2.csv": "868c7ca8e4f6bdbcc704fe3e0fa86184f85cefd68b0062e34f9c68cf6acbdee2",
-            "sticks_t.csv": "9b11e40528ee8b332d2c79d153dc18853b40a4d992e5d83ee9b123b9b26b452b",
-            "summary.json": "8546b1a66400c41c8f0eb922ffb5120682a9bb7b4522caf11456134fd12928c5",
-            "traj_n0.csv": "84bb22691e8e2f4f83e1fc613ce050d02f720699115cc9c439b906e36f8b6caf",
-            "traj_n1.csv": "f796ff90aeeefdf8e6c8c604e00483479aba841e746cc09b84ab58fb33e8fef9",
-            "traj_n2.csv": "8e22c0dad1f532486a29b2385c584e9ae7d5768b6d66bad7f94de108b582c951",
-        },
-    },
 }
 
 
 # A toy21 grid block holds at most 21 points, fewer than dynamics._K_PANEL,
 # so cutting spreading products at a K-panel moved no toy21 byte.
-OUTPUT_SHA256["0.5.0"] = OUTPUT_SHA256["0.4.0"]
+OUTPUT_SHA256["0.5.0", "SkylakeX", "SkylakeX"] = OUTPUT_SHA256["0.4.0", "SkylakeX", "SkylakeX"]
+
+
+# 0.6.0 moved the direct kernel's sums (one product per system level over
+# all eigenvectors) and so the bytes of direct grids; the NUFFT's did not move.
+OUTPUT_SHA256["0.6.0", "SkylakeX", "SkylakeX"] = {
+    120: OUTPUT_SHA256["0.4.0", "SkylakeX", "SkylakeX"][120],
+    40: {
+        "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
+        "sticks_n0.csv": "14ae3771f0d48a9dc6b9dc5ca86aefd0d1649c75bf642923af2d61e42d536883",
+        "sticks_n1.csv": "42e938ee2c939872791b5ff3b377811422cc364f669b520f3e1d28975d1bf225",
+        "sticks_n2.csv": "c4f02d7c116af54c160fc7acae739dbb0eb574b27fff5d0294681259e4567fea",
+        "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
+        "summary.json": "948790767d721406e3f1b4ac80298defcecd00d8ba5cef15eb1e198e2ce55ba4",
+        "traj_n0.csv": "51ec25ecc035e9b9cc11cfaae56d4aa7d7363e4b8c87d3abf9c448fdff47f1fe",
+        "traj_n1.csv": "059620e595ea8bb7111f5634c13f59ee8da240dd8456db7af621cbf0c07f02bc",
+        "traj_n2.csv": "1c2439a8a9794bebd422775e5880bda36b5b43129279155b833859658924745e",
+    },
+}
+OUTPUT_SHA256["0.6.0", "Haswell", "Haswell"] = {
+    120: {
+        "anomalies.json": "10ce8a4b8994614d2a21c270fc71ed2290dac911f334426d180ccaf0ea66923f",
+        "sticks_n0.csv": "0ae746ba866a5dee3c7d26f46f93005fc51a569c8a7f862e191de9b89a21b26e",
+        "sticks_n1.csv": "a45edbf29e60d68e3383f4197dd895c86286754b5ba13c040a861d6fbb8ae54a",
+        "sticks_n2.csv": "933a21a5a2d1f23b3f7c5ac08e0863a2e07211fef9ff1ffc49314f9561221f1a",
+        "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
+        "summary.json": "cbab20c0cd94395b159379d54bbb20fcce399685579d3a9bcbd50b8d6058f9e1",
+        "traj_n0.csv": "99ae255731d7d1f47c340f1e3e06b67b1fa30d1f2555e54bce8852d54b1e6f89",
+        "traj_n1.csv": "9f694dce734015e0100389842a8fcfa9cb3bb66905f8eac3c37922561674d8aa",
+        "traj_n2.csv": "89f7524d69a6ad532b4d32671c90533efdde6453a2055a06922c2c62f13b3abb",
+    },
+    40: {
+        "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
+        "sticks_n0.csv": "bd680c4e46b6eca3671e97fb1894af0938fa7a3461287fad6c3c6b55dae63c75",
+        "sticks_n1.csv": "e0bae20f722791173379e751f5ff367a843505bde1dc5bfa9f17b2a7fd071424",
+        "sticks_n2.csv": "127fff8855c09bc2709026899589329dbb81ca867c707c547bded8176255e9f2",
+        "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
+        "summary.json": "75025fdf6bbccff7beadbe247f5db78044c92bb44cac5791f5a4b1e9052c9234",
+        "traj_n0.csv": "e5211a16fa76e632158dee40b97473d305ef43b96c9b6942f50dffb541a1c3f3",
+        "traj_n1.csv": "15c105b50b8c8c5be2019584d1bd4d8f9b152a921afa225cb55baad66e87b770",
+        "traj_n2.csv": "5fca8a90402c7e3bd1362f468a5e7021cb702c1fc5852a8acdbcc0c5f374b6ba",
+    },
+}
+OUTPUT_SHA256["0.6.0", "Sandybridge", "Sandybridge"] = {
+    120: {
+        "anomalies.json": "77f7321032001ac91fe06b6c32ed2ab1e3a2ff5b3ae3fe100208c50016fb69a3",
+        "sticks_n0.csv": "7768f4d364a7381dd3a78f557a0355d0f881c7722bf76f973c36a00143ea8815",
+        "sticks_n1.csv": "41e31adaf234a59aa5f22359337b8dbb62263b0449c33fe149f946e7bf5db132",
+        "sticks_n2.csv": "f79a95bf5720eb3b95b9be65147d1e4447382683cdea6ac170c7fb32335d6fab",
+        "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
+        "summary.json": "da89d74c97e2a293135513fb9388c376cded96b5249bdd90014583ddb9399fc8",
+        "traj_n0.csv": "e237773446824c45874f832d9954528b2583a458eae9ce276f95cc027c765144",
+        "traj_n1.csv": "cab88c6cf23d052074e157d119ecb325e6c4858484a32212f508eb6c660370f1",
+        "traj_n2.csv": "2f0c619a2934a1c16b02e7304b8a8931bb7ce23daef860b2db069ef727498707",
+    },
+    40: {
+        "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
+        "sticks_n0.csv": "e171e98a83df0e226eba6b022adbf9be6da0385fa1db72949a5cfe646367a6dc",
+        "sticks_n1.csv": "252d8f2fbdc30d59025a8ef99daaf9b31c8b933053b57dfbb2be4684cefc442c",
+        "sticks_n2.csv": "7c1e8a871fe6f48a4796280f8287176229ffbe731a47d9fd18f8038054116f3d",
+        "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
+        "summary.json": "da8fc2865f2275dfc354af2589f51dc98d339608540a40d7b7af6e591b92e7fe",
+        "traj_n0.csv": "eeea3417538c67a2cad62886a1695aa077f64ecff49d49444d8f688d5407fe7e",
+        "traj_n1.csv": "0d0ad4da9c86aa19ac2a42477fab91c91a1bf57f1749f5e5dfa9de8c27e50e2f",
+        "traj_n2.csv": "dac0e3303cd51bf6385f9d4caa0a0c552da2cda9b5432aef6ec14dafcdd13787",
+    },
+}
+OUTPUT_SHA256["0.6.0", "Nehalem", "Nehalem"] = {
+    120: {
+        "anomalies.json": "a131157ff73a701bc7fc8f0f34e7eabc37f76f3d4a200de7fd1a6aa43c1072ee",
+        "sticks_n0.csv": "e71fbc437b2c52e1de37cd28e3e8aaf4f17e9bd8f06b9618acba6224aa76aaab",
+        "sticks_n1.csv": "ab23bf281a0407b9a003ca1d96e5ce9c0180ffb1667a341ee8df82d1a6f250a5",
+        "sticks_n2.csv": "4d7edd4ba4758b66e6de110e83aee96d62d732ccae0e85e569b5b0381e5dd4ac",
+        "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
+        "summary.json": "51df44cb6006c9a01f08a3154a9c7da74914c885ac1573d8f6e39fd91a7873db",
+        "traj_n0.csv": "d936e48c1ddf39b812fff110b23489777d65cff3757a4987aec3def11bcc1443",
+        "traj_n1.csv": "efaa619ac50abe53a3420caea1be2f77babfb7081ae59c3ef0a7a0475c757fe9",
+        "traj_n2.csv": "a7ba3b92e07d3401d854f712c50a6b7edf6a087bb9d16494f363aae8da38fc9e",
+    },
+    40: {
+        "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
+        "sticks_n0.csv": "7e89431114be6f6ff1355771f01fae0a9837dd877bec4980ae2c0f859a8327da",
+        "sticks_n1.csv": "424c5e19c549a95f9276e78ee32c9b57cb98b7ff855dbf27cd093d8889acfba6",
+        "sticks_n2.csv": "d578a1535f8d9b7e04e8fd819952d29ee4a2168a48be0a838b1b2631b61106ad",
+        "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
+        "summary.json": "32ab42aac328880b594aeb9bcde1eff92ae6c2d810152176db14a48db21a543e",
+        "traj_n0.csv": "fc5a273c21d4b4bbcbdb8c07a00dbd2edfa997d37283b9382812ba2b43c8d372",
+        "traj_n1.csv": "7140287a6e2600c2dc59841fa84f2fca3b65a43a53c98935e064885f5e6fcd9f",
+        "traj_n2.csv": "3374efd86af70876b81d1d3ad53f51f2fa91bbb82c7a74c833b48e4638492cfb",
+    },
+}
 
 
 def test_package_metadata_has_this_version():
@@ -520,15 +588,24 @@ def test_package_metadata_has_this_version():
     assert pyproject["project"]["version"] == __version__
 
 
+def _kernel(config: str) -> str:
+    """The kernel an OpenBLAS config string names: "... NO_AFFINITY SkylakeX MAX_THREADS=64"."""
+    return [word for word in config.split() if "=" not in word][-1]
+
+
 @pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
 def test_outputs_pinned_for_this_version(tmp_path, n_points):
-    assert __version__ in OUTPUT_SHA256, f"no output hashes recorded for {__version__}"
     run_experiment(toy21_config(), [0, 1, 2], tmp_path, n_points=n_points)
     main(["sticks", "--traj", str(tmp_path / "traj_n1.csv"), "--time", "7.5",
           "--out", str(tmp_path / "sticks_t.csv")])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in tmp_path.iterdir() if path.name != "manifest.json"}
-    assert got == OUTPUT_SHA256[__version__][n_points]
+           for path in sorted(tmp_path.iterdir()) if path.name != "manifest.json"}
+    key = (__version__, _kernel(gemm_library()[0]), _kernel(solve_library()[0]))
+    assert key in OUTPUT_SHA256, (
+        f"no output hashes recorded for version {key[0]} with numpy's BLAS kernel "
+        f"{key[1]} and scipy's LAPACK kernel {key[2]}; add OUTPUT_SHA256[{key!r}] "
+        f"with {n_points}: {got!r}")
+    assert got == OUTPUT_SHA256[key][n_points]
 
 
 def test_nufft_run_at_huge_t_max_finishes(tmp_path):

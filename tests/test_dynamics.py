@@ -154,6 +154,12 @@ def test_propagate_blocks_match_single_calls(toy6_ham):
     psi0 = PureState(random_normalized_state(toy6_ham.dim, 6))
     times = np.linspace(0.0, 5.0, 11)
     (batch,) = propagated(psi0.amplitudes[None], toy6_ham, times)
+    # every block's c, on both kernels, has a contiguous row axis, which
+    # the observables view as float64
+    for grid in (times, np.linspace(0.0, 5.0, NUFFT_MIN_TIMES)):
+        for rows, c in propagate_blocks(psi0.amplitudes[None], toy6_ham, grid):
+            assert c.strides[-1] == c.itemsize and c.shape == (1, grid.size, rows.size)
+            assert c.view(np.float64).shape == (1, grid.size, 2 * rows.size)
     v, w = toy6_ham.eigenvectors, toy6_ham.eigenvalues
     for k, t in enumerate(times):
         single = propagate(psi0, toy6_ham, float(t))
@@ -284,15 +290,25 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
 
 
 def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
-    # 3 workers on 2 states: more workers than states, and than this machine's cores
+    # 3 workers on 2 states: more workers than states, and than this
+    # machine's cores; on the NUFFT grid, on a direct one and at one time
     cfg, ham = mid_ham
     psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (2, 4)])
-    times = np.linspace(0.0, 631.0, 600)
+    grids = {"nufft": np.linspace(0.0, 631.0, 600), "direct": np.linspace(0.0, 631.0, 40)}
+    assert dynamics._uniform_step(grids["nufft"]) is not None
+    assert grids["direct"].size < NUFFT_MIN_TIMES
+
+    def outputs():
+        single = propagate(PureState(psi0[1]), ham, 12.5).amplitudes
+        return {**{name: propagated(psi0, ham, times) for name, times in grids.items()},
+                "single time": single}
+
     monkeypatch.setattr(dynamics, "pass_workers", lambda: 1)
-    one = propagated(psi0, ham, times)
+    one = outputs()
     for workers in (2, 3):
         monkeypatch.setattr(dynamics, "pass_workers", lambda workers=workers: workers)
-        assert one.tobytes() == propagated(psi0, ham, times).tobytes(), workers
+        for name, got in outputs().items():
+            assert one[name].tobytes() == got.tobytes(), (name, workers)
 
 
 def _blas_thread_counts():

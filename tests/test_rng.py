@@ -145,3 +145,33 @@ def test_kernel_follows_the_call_word_count(monkeypatch, words):
     u = SeededRng(77).split(SHIFT_STREAM).uniform(words)
     assert port_calls == ([words] if words < LARGE_CALL_WORDS else [])
     assert _same_bytes(got, ndtri(u)) and _same_bytes(got, port(u))
+
+
+class _FixedWords:
+    """A bit generator stand-in whose words are random except `word` at `at`."""
+
+    def __init__(self, word, at):
+        self.word, self.at = np.uint64(word), at
+
+    def random_raw(self, n):
+        words = np.random.default_rng(0).integers(0, 2 ** 63, n, dtype=np.uint64)
+        words[self.at] = self.word
+        return words
+
+
+@pytest.mark.parametrize("size", [5, LARGE_CALL_WORDS], ids=["port", "scipy"])
+def test_infinite_draw_refused_with_its_seed_stream_and_word(size):
+    # every word from (2^53 - 1) << 11 up gives u = 1.0 and ndtri = +inf;
+    # the word just below it is the largest finite draw
+    first_infinite = (2 ** 53 - 1) << 11
+    for word in (2 ** 64 - 1, first_infinite):
+        draws = SeededRng(31).split(COUPLING_STREAM)
+        draws.standard_normal(7)
+        draws._bitgen = _FixedWords(word, at=3)
+        with pytest.raises(ValueError, match=r"seed 31, spawn key \(1,\): word 10 gives an "
+                                             r"infinite normal variate"):
+            draws.gaussian(0.0, 1.0, size=size)
+    draws = SeededRng(31).split(COUPLING_STREAM)
+    draws._bitgen = _FixedWords(first_infinite - 1, at=3)
+    x = draws.gaussian(0.0, 1.0, size=size)
+    assert np.isfinite(x).all() and x[3] == ndtri(_contract_uniforms([first_infinite - 1]))[0]
