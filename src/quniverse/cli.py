@@ -94,6 +94,17 @@ def _timed(items, timing: dict, key: str):
         yield item
 
 
+def _check_phase(config: ModelConfig, t_reduced: float, what: str) -> None:
+    """Refuse a time at which the phases E t could pass 2**40 rad, where one ulp is ~2e-4 rad."""
+    # the zero-order energies' bound from the config (production: 13, E t ~ 8e3 rad at 30 ps)
+    e_bound = ((config.n_system_levels - 1) * config.kappa
+               + config.n_env_levels * config.omega_E)
+    phase = abs(t_reduced) * e_bound
+    if phase > MAX_PHASE:
+        raise ValueError(f"{what} is too long: the phases E t reach "
+                         f"{phase:.3g} rad, beyond 2**40 rad, where one ulp is ~2e-4 rad")
+
+
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
                    n_points: int) -> None:
     """Reject a run that could only fail after the Hamiltonian is solved."""
@@ -112,15 +123,8 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
                          "rate needs 3 time points")
     if not (t_max_ps > 0.0 and math.isfinite(t_max_ps)):
         raise ValueError(f"t_max_ps must be positive and finite, got {t_max_ps}")
-    # The phases E t lose precision with their size: above 2**40 rad one
-    # ulp is ~2e-4 rad.  E_bound bounds the zero-order energies from the
-    # config alone (production: 13 reduced units, E t ~ 8e3 rad at 30 ps).
-    e_bound = ((config.n_system_levels - 1) * config.kappa
-               + config.n_env_levels * config.omega_E)
-    phase = units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers) * e_bound
-    if phase > MAX_PHASE:
-        raise ValueError(f"--t-max-ps {t_max_ps} is too long: the phases E t reach "
-                         f"{phase:.3g} rad, beyond 2**40 rad, where one ulp is ~2e-4 rad")
+    _check_phase(config, units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
+                 f"--t-max-ps {t_max_ps}")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
@@ -358,7 +362,8 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     contract is refused: its run may not be reproducible by this one.  So
     is a trajectory whose header names another state (than its file
     name), seed or config (than the manifest): it belongs to another run.
-    These checks and the time's come before anything is built.
+    These checks and the time's (finite, with phases E t within 2**40 rad,
+    as `run` asks) come before anything is built.
     """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
@@ -391,6 +396,7 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
     if not math.isfinite(t_reduced):
         raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
+    _check_phase(config, t_reduced, f"the stick diagram time {t_reduced}")
     ham = assemble_hamiltonian(config)
     psi0 = initial_state(config, ham.basis, n)
     state = propagate(psi0, ham, t_reduced)

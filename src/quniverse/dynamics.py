@@ -28,10 +28,12 @@ states share the pass.  Two kernels fill a block:
   system level (4 n^2 T flops per state in all).  V is stored
   column-major, as LAPACK returns it, so V^T is row-major and each
   product reads its level's rows of V in storage order, with V as the
-  right operand.  Rows 2i and 2i + 1 of a product are the real and
-  imaginary parts of the level's amplitudes at times[i].  Every state's
-  (T, n) amplitudes are held (as many values as the states' phase
-  matrices), and each row block is gathered from them.  Single times
+  right operand (one time at 9180 states: 50-65 ms on two workers; the
+  same flops with V as the left operand, 72 products over 128 strided
+  rows, took 180-215 ms).  Rows 2i and 2i + 1 of a product are the real
+  and imaginary parts of the level's amplitudes at times[i].  Every
+  state's (T, n) amplitudes are held (as many values as the states'
+  phase matrices), and each row block is gathered from them.  Single times
   (`propagate`), grids that are not uniform from 0, and grids shorter
   than NUFFT_MIN_TIMES take it; they are short, so this costs k n T
   complex values, where the NUFFT never builds a grid over all rows.
@@ -59,31 +61,8 @@ states share the pass.  Two kernels fill a block:
   Fourier transform (Gauss-Legendre quadrature); the block's amplitudes
   are the grid's first T columns.
 
-Threads: both kernels run on W worker threads, W = the thread count of
-numpy's OpenBLAS (`pass_workers`; 1 when that library is not found), and
-each worker runs single-threaded kernels, as FINUFFT does (Barnett et
-al., above).  In each NUFFT row block worker w spreads grid blocks w,
-w + W, ... with its own product buffers into their grid columns, which
-no other worker writes; then it transforms and deconvolves states w,
-w + W, ... in place, one `numpy.fft.fft` per state (pocketfft:
-single-threaded, and it releases the GIL).  The direct kernel's worker
-w makes each state's products of system levels w, w + W, ... and moves
-them into those levels' amplitudes.  numpy's OpenBLAS runs on one
-thread only inside these sections and for V^T c(0), and gets its count
-back before a block is yielded.  The bytes cannot move with W or with
-that count: every product of the pass runs on one OpenBLAS thread, with
-the same shape and operands whatever W is (tested from 1 and from 2
-threads outside the section), every row is transformed alone, and no
-sum spans two workers.  A threaded V^T c(0) would also leave OpenBLAS's
-idle threads spinning (~0.13 s) on the cores the workers need.  On 2
-cores the small spreading products (128 x <= 384 x 192) reached only
-~40 GFLOP/s on one 2-thread OpenBLAS, against ~90 for large products,
-and a second FFT thread gained ~10 %; two workers took the production
-pass's propagation from 2.6-2.9 s to 1.9-2.1 s.  At one time and 9180
-states the six level products take 50-65 ms on two workers and ~100 ms
-on one; the same flops as 72 products with V as the left operand, each
-over 128 of its rows (strided in memory), took 180-215 ms on a 2-thread
-OpenBLAS.
+Threads: both kernels and the observables split their work into shares
+run by `run_shares`, which owns the pass's threads.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -95,6 +74,7 @@ production size the two paths agree to < 1e-13 in every amplitude.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -253,14 +233,13 @@ def _direct_blocks(v, e, a, times, ns, ranges):
             np.copyto(amplitudes[s, :, cols].view(np.float64).reshape(n_times, ne, 2),
                       products[w].reshape(n_times, 2, ne).transpose(0, 2, 1))
 
-    with ThreadPoolExecutor(workers) as pool, gemm_threads(1):
-        for s in range(k):
-            phases.imag = np.multiply.outer(-e, times)
-            phases.real = 0.0
-            np.exp(phases, out=phases)
-            phases *= a[:, s, None]
-            np.copyto(phases_t, phases.view(np.float64).T)
-            run_shares(pool, lambda w: multiply(w, s), workers)
+    for s in range(k):
+        phases.imag = np.multiply.outer(-e, times)
+        phases.real = 0.0
+        np.exp(phases, out=phases)
+        phases *= a[:, s, None]
+        np.copyto(phases_t, phases.view(np.float64).T)
+        run_shares(lambda w: multiply(w, s), workers)
     buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
     for e0, e1 in ranges:
         rows = _block_rows(ns, ne, e0, e1)
@@ -290,22 +269,48 @@ _K_PANEL = 384
 
 
 def pass_workers() -> int:
-    """Worker threads of a NUFFT pass and of its observables: numpy's OpenBLAS thread count.
-
-    1 when that library is not found (see "Threads" in the module docstring).
-    """
+    """W, the pass's worker threads: numpy's OpenBLAS thread count, 1 without it (`run_shares`)."""
     found = gemm_openblas()
     return max(1, found.get_threads()) if found is not None else 1
 
 
-def run_shares(pool: ThreadPoolExecutor, task, shares: int) -> None:
-    """task(w) for w = 0..shares-1 on `pool`; returns once every share is done.
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` threads, built once per worker count."""
+    return ThreadPoolExecutor(workers)
 
-    The first failure is raised only after every share has finished, so
-    no worker still runs when the caller moves on.
+
+def run_shares(task, shares: int) -> None:
+    """task(w) for w = 0..shares-1 on the pass's W workers, each on one OpenBLAS thread.
+
+    The pass's one parallel primitive.  The direct products, the NUFFT's
+    spreading and transforms and the observables' sums are each cut into
+    shares <= W = `pass_workers()`; share w takes the items w, w + shares,
+    ... (system levels, grid blocks or states), whose outputs no other
+    share writes.  The shares run on one process-wide pool of W threads, with
+    numpy's OpenBLAS held at one thread until all are done, as FINUFFT
+    runs single-threaded kernels on its workers (Barnett et al., above);
+    the count is restored before this returns, so before a block is
+    yielded.  The first failure is raised only then, so no worker still
+    runs when the caller moves on.  A task must not call run_shares: it
+    would wait on the pool it runs in.
+
+    No byte can move with W or numpy's thread count: every product runs
+    on one OpenBLAS thread with the same shape and operands whatever W is
+    (tested from 1 and 2 threads outside the pin), every row is
+    transformed alone (pocketfft: single-threaded, releasing the GIL),
+    and every sum belongs to one state and one share.  On 2 cores the
+    small spreading products (128 x <= 384 x 192) reached ~40 GFLOP/s on
+    one 2-thread OpenBLAS, against ~90 for large products, and a second
+    FFT thread gained ~10 %; two workers took a production pass's
+    propagation from 2.6-2.9 s to 1.9-2.1 s, its observables from
+    0.85-0.94 s to 0.47-0.62 s, and one time's direct products from
+    ~100 ms to 50-65 ms.  A pool built per call was no faster.
     """
-    futures = [pool.submit(task, w) for w in range(shares)]
-    wait(futures)
+    pool = _pool(pass_workers())  # read before the pin, inside which it is 1
+    with gemm_threads(1):
+        futures = [pool.submit(task, w) for w in range(shares)]
+        wait(futures)
     for future in futures:
         future.result()
 
@@ -420,10 +425,8 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
             np.fft.fft(grid[s], axis=0, out=grid[s])
             grid[s].view(np.float64)[:n_times] *= deconvolution
 
-    with ThreadPoolExecutor(workers) as pool:
-        for e0, e1 in ranges:
-            grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
-            with gemm_threads(1):
-                run_shares(pool, lambda w: spread(w, grid, e0, e1), workers)
-                run_shares(pool, lambda w: transform(w, grid), owners)
-            yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]
+    for e0, e1 in ranges:
+        grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
+        run_shares(lambda w: spread(w, grid, e0, e1), workers)
+        run_shares(lambda w: transform(w, grid), owners)
+        yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

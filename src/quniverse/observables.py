@@ -19,19 +19,11 @@ gates, the RDM spectrum and the free energies follow once all blocks
 are in.  The summation order over rows is fixed by the block layout, so
 a state's values do not depend on the other states in the pass.  The
 tests hold it against single-time references in `tests/oracles.py`.
-
-Threads: the pass's W worker threads (`dynamics.pass_workers`) split
-each block by state: worker w adds the sums of states w, w + W, ...
-Every reduction is per state (a sum along the rows of one state and
-time, an RDM product per state and time), so a state's sums are the
-same bytes whichever worker makes them and whatever W is; the final
-amplitudes are copied on the calling thread.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +133,7 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     sum p, sum p ln p, shell partial sums and raw RDM c c^H at every time,
     TIME_CHUNK times at a time, and is then dropped; only the final-time
     amplitudes are kept.  Each state's sums depend on that state alone,
-    and are made by the worker thread that owns the state (see the
-    module docstring).
+    and are made by the share that owns the state (`dynamics.run_shares`).
 
     Once every block is in, each state must pass the gates at every time:
     unit norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
@@ -157,7 +148,6 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     times = np.asarray(times, dtype=float)
     ns, n_times = basis.n_system_levels, times.size
     n_shells = ns - 1 + basis.degeneracies.size
-    workers = dynamics.pass_workers()
     sums = None
 
     def add_share(w, owners, c, labels, starts):
@@ -179,21 +169,20 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
             cs = chunk.reshape(*chunk.shape[:2], ns, -1)
             rho[:, span] += cs @ cs.conj().swapaxes(-1, -2)
 
-    with ThreadPoolExecutor(workers) as pool:
-        for rows, c in blocks:
-            if sums is None:
-                k = c.shape[0]
-                owners = min(workers, k)
-                sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
-                        np.zeros((k, n_times, n_shells)),
-                        np.zeros((k, n_times, ns, ns), dtype=np.complex128))
-                final = np.empty((k, basis.size), dtype=np.complex128)
-            # runs of one shell label along the block's rows (m grows with the
-            # row within each system level)
-            labels = basis.shell_label[rows]
-            starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            dynamics.run_shares(pool, lambda w: add_share(w, owners, c, labels, starts), owners)
-            final[:, rows] = c[:, -1]
+    for rows, c in blocks:
+        if sums is None:
+            k = c.shape[0]
+            owners = min(dynamics.pass_workers(), k)
+            sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
+                    np.zeros((k, n_times, n_shells)),
+                    np.zeros((k, n_times, ns, ns), dtype=np.complex128))
+            final = np.empty((k, basis.size), dtype=np.complex128)
+        # runs of one shell label along the block's rows (m grows with the
+        # row within each system level)
+        labels = basis.shell_label[rows]
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        dynamics.run_shares(lambda w: add_share(w, owners, c, labels, starts), owners)
+        final[:, rows] = c[:, -1]
     return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, system_levels,
                         kbt_reduced, energy_unit_wavenumbers) for s in range(k)]
 

@@ -428,20 +428,25 @@ def test_cli_sticks_refuses_edited_trajectory_header(tmp_path, toy_cfg_file, mon
     assert not sticks_out.exists()
 
 
-@pytest.mark.parametrize("when", [["--time", "nan"], ["--time-ps", "inf"]],
-                         ids=["nan_time", "infinite_time_ps"])
-def test_cli_sticks_refuses_non_finite_time(tmp_path, toy_cfg_file, monkeypatch, when):
+@pytest.mark.parametrize("when, message", [
+    (["--time", "nan"], "must be finite"),
+    (["--time-ps", "inf"], "must be finite"),
+    # phases E t past 2**40 rad, which `run` refuses too
+    (["--time", "1e30"], "time 1e[+]30 is too long"),
+    (["--time-ps=-1e28"], "is too long: the phases E t reach"),
+], ids=["nan_time", "infinite_time_ps", "huge_time", "huge_negative_time_ps"])
+def test_cli_sticks_refuses_non_finite_time(tmp_path, toy_cfg_file, monkeypatch, when, message):
     _, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run7"
     main(["run", "--config", str(cfg_path), "--out", str(out),
           "--states", "1", "--t-max-ps", "2.0", "--n-points", "30"])
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the universe was rebuilt for a non-finite time")
+        raise AssertionError("the universe was rebuilt for a refused time")
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     sticks_out = tmp_path / "sticks.csv"
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=message):
         main(["sticks", "--traj", str(out / "traj_n1.csv"), *when, "--out", str(sticks_out)])
     assert not sticks_out.exists()
 

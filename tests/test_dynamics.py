@@ -1,12 +1,17 @@
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.constants
 
 from quniverse import dynamics, model, units
+from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.dynamics import (
     NUFFT_MIN_TIMES,
@@ -346,6 +351,29 @@ def test_stacked_products_give_each_state_its_own_bytes(n_rows):
             for other in products[1:]:
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(products[0], other)), (
                     inner, k)
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
+def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
+    # The two byte tests above, rerun in a child process whose OpenBLAS
+    # libraries (both DYNAMIC_ARCH builds) take the kernels that
+    # OPENBLAS_CORETYPE names: those a Haswell or Zen, a Sandy Bridge and
+    # a Nehalem host would pick.
+    src = Path(dynamics.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, CACHE_DIR_ENV: str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", "from quniverse.model import gemm_library; print(gemm_library()[0])"],
+        env=env, capture_output=True, text=True, check=True)
+    if kernel not in probe.stdout.split():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels "
+                    f"(numpy's OpenBLAS reads {probe.stdout.strip()!r})")
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_stacked_products_give_each_state_its_own_bytes",
+         f"{__file__}::test_nufft_bytes_independent_of_pass_workers"],
+        env=env, cwd=src.parent, capture_output=True, text=True)
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
 
 
 @pytest.mark.parametrize("t_max_ps", [1.5, 30.0])

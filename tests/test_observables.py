@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -415,17 +416,34 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (0, 3)])
     times = np.linspace(0.0, 631.0, 600)
     seen = []
-    fft = np.fft.fft
+    shares = []  # (numpy's OpenBLAS threads, thread name) in the observables' shares
+    fft, xlogx = np.fft.fft, observables._xlogx
 
     def recording_fft(*args, **kwargs):
         seen.append(gemm_library()[1])
         return fft(*args, **kwargs)
 
-    # a normal pass: one thread inside the spreading and FFT section, 2 after it
+    def recording_xlogx(p):
+        if threading.current_thread() is not threading.main_thread():
+            shares.append((gemm_library()[1], threading.current_thread().name))
+        return xlogx(p)
+
+    # two normal passes: one thread inside the FFT's and the observables'
+    # shares, 2 after them, and the second pass on the first's workers
     monkeypatch.setattr(np.fft, "fft", recording_fft)
-    _pass(cfg, ham, psi0, times)
+    monkeypatch.setattr(observables, "_xlogx", recording_xlogx)
+    workers = []
+    for _ in range(2):
+        shares.clear()
+        _pass(cfg, ham, psi0, times)
+        assert shares and {threads for threads, _ in shares} == {1}
+        workers.append({name for _, name in shares})
+        assert gemm_library()[1] == 2
     assert seen and set(seen) == {1}
-    assert gemm_library()[1] == 2
+    assert workers[1] <= workers[0]
+    # W = 2 shares run at once (W read before the pin, inside which it is 1)
+    barrier = threading.Barrier(2, timeout=10)
+    dynamics.run_shares(lambda w: barrier.wait(), 2)
     # a gate failure once every block is in
     monkeypatch.setattr(observables, "NORM_TOL", 1e-300)
     with pytest.raises(ValueError, match="norm"):
