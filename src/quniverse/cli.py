@@ -38,9 +38,8 @@ from .analysis import (
 )
 from .cache import cache_key
 from .config import ModelConfig
-from .dynamics import PureState, initial_state, pass_workers, propagate, propagate_blocks
-from .model import (assemble_hamiltonian, build_system_levels, gemm_library, progress,
-                    solve_library, temperature_of)
+from .dynamics import initial_state, pass_workers, propagate, propagate_blocks
+from .model import assemble_hamiltonian, gemm_library, progress, solve_library, temperature_of
 from .observables import trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
@@ -148,7 +147,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     timing["build_and_solve"] = time.perf_counter() - t0
 
     basis = ham.basis
-    ladder = build_system_levels(config)
     temp = temperature_of(config)
     unit = config.energy_unit_wavenumbers
     t_max = units.ps_to_reduced_time(t_max_ps, unit)
@@ -163,9 +161,9 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     workers = pass_workers()
     progress(f"propagating {len(states)} states over {n_points} times "
              f"on {workers} worker thread{'s' if workers > 1 else ''}")
-    psi0 = np.stack([initial_state(config, basis, n).amplitudes for n in states])
+    psi0 = np.stack([initial_state(config, n) for n in states])
     blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
-    results = trajectories(blocks, times, basis, ladder, temp.kbt_reduced, unit)
+    results = trajectories(blocks, times, config, basis)
     timing["observables"] += time.perf_counter() - t0 - timing["propagate"]
 
     shell = config.total_energy
@@ -175,7 +173,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     for n, result in zip(states, results):
         t1 = time.perf_counter()
         traj = result.columns
-        final_state = PureState(result.final_amplitudes, float(times[-1]))
+        final = result.final_amplitudes
+        p_final = final.real ** 2 + final.imag ** 2
         s_univ_series = traj["S_univ"]
         rate = entropy_production_rate(times, s_univ_series)
         dips = detect_negative_production(times, rate)
@@ -194,7 +193,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "S_univ_final": float(s_univ_series[-1]),
             "S_partial_final": float(partial[-1]),
             "effective_states": float(np.exp(s_univ_series[late].mean())),
-            "shell_population_final": float(final_state.probabilities()[in_shell].sum()),
+            "shell_population_final": float(p_final[in_shell].sum()),
             "health": result.health,
         })
         t2 = time.perf_counter()
@@ -203,7 +202,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         _write_trajectory(traj_path, config, n, traj)
         outputs.append(traj_path.name)
         sticks_path = out / f"sticks_n{n}.csv"
-        _write_sticks(sticks_path, config, n, final_state, stick_text)
+        _write_sticks(sticks_path, config, n, times[-1], final, stick_text)
         outputs.append(sticks_path.name)
         t3 = time.perf_counter()
         timing["observables"] += t2 - t1
@@ -276,29 +275,45 @@ def _stick_text(basis) -> tuple[np.ndarray, list[str], list[str]]:
             [f",{n},{m},{l},{shell}\n" for n, m, l, shell in labels.tolist()])
 
 
-def _write_sticks(path, config, n, state, stick_text):
+def _write_sticks(path, config, n, t, amplitudes, stick_text):
+    """The stick diagram of state n's `amplitudes` at time t: p = Re^2 + Im^2 per stick."""
     order, before, after = stick_text
-    p = state.probabilities()[order].tolist()
+    c = amplitudes[order]
+    p = (c.real ** 2 + c.imag ** 2).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
-                 f"time_reduced={float(state.time)!r} seed={config.rng_seed} "
+                 # 0.0 + t: a time of -0.0 is written as 0.0
+                 f"time_reduced={0.0 + float(t)!r} seed={config.rng_seed} "
                  f"config_sha256={config.content_hash()}\n")
         fh.write("energy,p,n,m,l,shell\n")
         fh.writelines(f"{a}{x!r}{b}" for a, x, b in zip(before, p, after))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
-    """Trajectory CSV back into column arrays (comment header skipped)."""
+    """Trajectory CSV back into column arrays (comment header skipped).
+
+    A file without rows, or a row that is not one number (or empty field)
+    per header column, such as the cut last row of a run killed mid-write,
+    raises ValueError naming the file and the line.
+    """
     with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
+        skipped = fh.readline().startswith("#")
+        if not skipped:
             fh.seek(0)
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(x) if x else np.nan for x in row] for row in reader]
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, the header has {len(header)}")
+                rows.append([float(x) if x else np.nan for x in row])
+            except ValueError as exc:
+                raise ValueError(f"malformed trajectory file {path}, line "
+                                 f"{reader.line_num + skipped}: {exc}") from None
+    if not rows:
+        raise ValueError(f"malformed trajectory file {path}: no rows")
     data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValueError(f"malformed trajectory file {path}")
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
@@ -356,14 +371,17 @@ def _trajectory_header(path) -> dict[str, str]:
 
 
 def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
-    """Rebuild the universe from the run manifest and re-emit sticks at a finite time.
+    """Rebuild the universe from the run manifest and propagate the state to a finite time.
 
-    A manifest written by another code version or under another draw
-    contract is refused: its run may not be reproducible by this one.  So
-    is a trajectory whose header names another state (than its file
-    name), seed or config (than the manifest): it belongs to another run.
-    These checks and the time's (finite, with phases E t within 2**40 rad,
-    as `run` asks) come before anything is built.
+    Returns (config, n, the time in reduced units, the amplitudes then,
+    basis).  A manifest written by another code version or under another
+    draw contract is refused: its run may not be reproducible by this
+    one.  So is a trajectory whose header names another state (than its
+    file name), seed or config (than the manifest): it belongs to another
+    run.  These checks, the time's (finite, with phases E t within 2**40
+    rad, as `run` asks) and the state's (`initial_state` builds it from
+    the config alone) come before the Hamiltonian is assembled, so before
+    any solve.
     """
     traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
@@ -397,10 +415,9 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     if not math.isfinite(t_reduced):
         raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
     _check_phase(config, t_reduced, f"the stick diagram time {t_reduced}")
+    psi0 = initial_state(config, n)
     ham = assemble_hamiltonian(config)
-    psi0 = initial_state(config, ham.basis, n)
-    state = propagate(psi0, ham, t_reduced)
-    return config, n, state, ham.basis
+    return config, n, t_reduced, propagate(psi0, ham, t_reduced), ham.basis
 
 
 def main(argv=None) -> int:
@@ -463,8 +480,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sticks":
-        config, n, state, basis = _sticks_from_manifest(args.traj, args.time, args.time_ps)
-        _write_sticks(args.out or "/dev/stdout", config, n, state, _stick_text(basis))
+        config, n, t, amplitudes, basis = _sticks_from_manifest(args.traj, args.time,
+                                                                args.time_ps)
+        _write_sticks(args.out or "/dev/stdout", config, n, t, amplitudes, _stick_text(basis))
         return 0
 
     return 2  # pragma: no cover

@@ -1,5 +1,9 @@
 """Initial states and analytic time propagation in the eigenbasis.
 
+A state is its complex (dim,) amplitude array over the zero-order product
+basis: `initial_state` builds one from the config alone, and `propagate`
+returns the amplitudes of one state at one time.
+
 Propagation is exact: c(t) = V exp(-i E t) V^T c(0) through the stored
 eigendecomposition.  Every requested time is reached in a single step
 from the input state (no step-to-step error accumulation).
@@ -62,7 +66,7 @@ states share the pass.  Two kernels fill a block:
   are the grid's first T columns.
 
 Threads: both kernels and the observables split their work into shares
-run by `run_shares`, which owns the pass's threads.
+run by `run_shares`, which owns the pass's threads and the split.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -78,48 +82,37 @@ import functools
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig
-from .model import UniverseBasis, UniverseHamiltonian, gemm_openblas, gemm_threads
+from .model import UniverseHamiltonian, gemm_openblas, gemm_threads
 from .rng import PHASE_STREAM, SeededRng
 
 
-@dataclass
-class PureState:
-    """Complex amplitudes over the zero-order product basis at one time."""
-
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def probabilities(self) -> np.ndarray:
-        """|c_i|^2 as Re^2 + Im^2, the form the trajectory observables use."""
-        c = self.amplitudes
-        return c.real ** 2 + c.imag ** 2
-
-
-def initial_state(config: ModelConfig, basis: UniverseBasis, n: int) -> PureState:
+def initial_state(config: ModelConfig, n: int) -> np.ndarray:
     """Equal-weight superposition over the environment rung conserving n + m.
 
     The system sits in eigenlevel n; the environment occupies every
     quasi-degenerate state of rung m = config.total_energy - n with
     amplitude 1/sqrt(g(m)), real positive unless config.random_initial_phases
     draws random phases from the phase stream of the config's seed.  The
-    result is a product state: S_vN of the system is zero.
+    result is a product state (S_vN of the system is zero), as complex
+    amplitudes over the flat basis of `model.build_basis`: the rung's
+    states are the indices n N_E + sum_{m' < m} g(m') + l, l = 0..g(m)-1.
     """
-    if not 0 <= n < basis.n_system_levels:
-        raise ValueError(f"system level n={n} outside 0..{basis.n_system_levels - 1}")
+    ns, degs = config.n_system_levels, config.degeneracies()
+    if not 0 <= n < ns:
+        raise ValueError(f"system level n={n} outside 0..{ns - 1}")
     m = config.total_energy - n
-    if not 0 <= m < basis.degeneracies.size:
+    if not 0 <= m < len(degs):
         raise ValueError(
             f"initial condition needs environment rung m={m} for n={n}, "
-            f"total energy {config.total_energy}; valid rungs are 0..{basis.degeneracies.size - 1}"
+            f"total energy {config.total_energy}; valid rungs are 0..{len(degs) - 1}"
         )
-    g = int(basis.degeneracies[m])
-    amplitudes = np.zeros(basis.size, dtype=np.complex128)
-    start = basis.index_of(n, m, 0)
+    g = degs[m]
+    amplitudes = np.zeros(config.n_universe_states, dtype=np.complex128)
+    start = n * config.n_env_states + sum(degs[:m])
     amp = 1.0 / np.sqrt(g)
     if not config.random_initial_phases:
         amplitudes[start:start + g] = amp
@@ -127,7 +120,7 @@ def initial_state(config: ModelConfig, basis: UniverseBasis, n: int) -> PureStat
         phases = SeededRng(config.rng_seed).split(PHASE_STREAM).split(n)
         theta = 2.0 * np.pi * phases.uniform(size=g)
         amplitudes[start:start + g] = amp * np.exp(1j * theta)
-    return PureState(amplitudes=amplitudes, time=0.0)
+    return amplitudes
 
 
 def _real_times_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -148,15 +141,15 @@ def eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.n
     return _real_times_complex(eigenvectors[lo:hi].T, amplitudes[lo:hi, None])
 
 
-def propagate(state: PureState, ham: UniverseHamiltonian, t: float) -> PureState:
-    """Evolve `state` by time t (negative t runs backward).
+def propagate(amplitudes: np.ndarray, ham: UniverseHamiltonian, t: float) -> np.ndarray:
+    """The amplitudes of one state evolved by time t (negative t runs backward).
 
     The one-state, one-time case of `propagate_blocks`.
     """
-    amplitudes = np.empty(ham.dim, dtype=np.complex128)
-    for rows, c in propagate_blocks(state.amplitudes[None], ham, [t]):
-        amplitudes[rows] = c[0, 0]
-    return PureState(amplitudes=amplitudes, time=state.time + t)
+    out = np.empty(ham.dim, dtype=np.complex128)
+    for rows, c in propagate_blocks(amplitudes[None], ham, [t]):
+        out[rows] = c[0, 0]
+    return out
 
 
 def env_block_size(n_system_levels: int, n_env_states: int) -> int:
@@ -222,16 +215,15 @@ def _direct_blocks(v, e, a, times, ns, ranges):
     amplitudes = np.empty((k, n_times, n), dtype=np.complex128)
     phases = np.empty((n, n_times), dtype=np.complex128)
     phases_t = np.empty((2 * n_times, n))
-    workers = min(pass_workers(), ns)
-    products = [np.empty((2 * n_times, ne)) for _ in range(workers)]
 
-    def multiply(w, s):
-        """Levels w, w + W, ... of state s; product rows 2i, 2i + 1 are Re, Im at times[i]."""
-        for level in range(w, ns, workers):
+    def multiply(levels, s):
+        """One share of state s's system levels; product rows 2i, 2i + 1 are Re, Im at times[i]."""
+        product = np.empty((2 * n_times, ne))
+        for level in range(ns)[levels]:
             cols = slice(level * ne, (level + 1) * ne)
-            np.matmul(phases_t, v.T[:, cols], out=products[w])
+            np.matmul(phases_t, v.T[:, cols], out=product)
             np.copyto(amplitudes[s, :, cols].view(np.float64).reshape(n_times, ne, 2),
-                      products[w].reshape(n_times, 2, ne).transpose(0, 2, 1))
+                      product.reshape(n_times, 2, ne).transpose(0, 2, 1))
 
     for s in range(k):
         phases.imag = np.multiply.outer(-e, times)
@@ -239,7 +231,7 @@ def _direct_blocks(v, e, a, times, ns, ranges):
         np.exp(phases, out=phases)
         phases *= a[:, s, None]
         np.copyto(phases_t, phases.view(np.float64).T)
-        run_shares(lambda w: multiply(w, s), workers)
+        run_shares(lambda levels: multiply(levels, s), ns)
     buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
     for e0, e1 in ranges:
         rows = _block_rows(ns, ne, e0, e1)
@@ -280,17 +272,19 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers)
 
 
-def run_shares(task, shares: int) -> None:
-    """task(w) for w = 0..shares-1 on the pass's W workers, each on one OpenBLAS thread.
+def run_shares(task, items: int) -> None:
+    """task(share) for each share of `items` items, on W workers at one OpenBLAS thread each.
 
     The pass's one parallel primitive.  The direct products, the NUFFT's
     spreading and transforms and the observables' sums are each cut into
-    shares <= W = `pass_workers()`; share w takes the items w, w + shares,
-    ... (system levels, grid blocks or states), whose outputs no other
-    share writes.  The shares run on one process-wide pool of W threads, with
-    numpy's OpenBLAS held at one thread until all are done, as FINUFFT
-    runs single-threaded kernels on its workers (Barnett et al., above);
-    the count is restored before this returns, so before a block is
+    S = min(W, items) shares, W = `pass_workers()`: share w is
+    slice(w, None, S), so it takes the items w, w + S, ... (system
+    levels, grid blocks or states), whose outputs no other share writes.
+    A caller indexes its own sequence of items with that slice.  The
+    shares run on one process-wide pool of W threads, with numpy's
+    OpenBLAS held at one thread until all are done, as FINUFFT runs
+    single-threaded kernels on its workers (Barnett et al., above); the
+    count is restored before this returns, so before a block is
     yielded.  The first failure is raised only then, so no worker still
     runs when the caller moves on.  A task must not call run_shares: it
     would wait on the pool it runs in.
@@ -307,9 +301,10 @@ def run_shares(task, shares: int) -> None:
     0.85-0.94 s to 0.47-0.62 s, and one time's direct products from
     ~100 ms to 50-65 ms.  A pool built per call was no faster.
     """
-    pool = _pool(pass_workers())  # read before the pin, inside which it is 1
+    workers = pass_workers()  # read before the pin, inside which it is 1
+    pool, shares = _pool(workers), min(workers, items)
     with gemm_threads(1):
-        futures = [pool.submit(task, w) for w in range(shares)]
+        futures = [pool.submit(task, slice(w, None, shares)) for w in range(shares)]
         wait(futures)
     for future in futures:
         future.result()
@@ -394,21 +389,18 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2) / m_grid)[:, None]
     tallest = ns * (ranges[0][1] - ranges[0][0])
     buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
-    workers = pass_workers()
-    owners = min(workers, k)
-    # per worker: one system level's product and the piece being added to it
-    products = [np.empty((tallest // ns, 2 * _BLOCK * k)) for _ in range(workers)]
-    parts = [np.empty((tallest // ns, 2 * _BLOCK * k)) for _ in range(workers)]
 
-    def spread(w, grid, e0, e1):
-        """Grid blocks w, w + W, ... of the row block: disjoint grid columns."""
+    def spread(blocks, grid, e0, e1):
+        """One share of the plan's grid blocks for the row block: disjoint grid columns."""
         width = e1 - e0
-        for lo, hi, terms in plan[w::workers]:
+        # one system level's product and the piece being added to it
+        product, piece = np.empty((2, width, 2 * _BLOCK * k))
+        for lo, hi, terms in plan[blocks]:
             if not terms:
                 grid[:, lo:hi] = 0.0
                 continue
             cols = 2 * (hi - lo) * k
-            acc, part = products[w][:width, :cols], parts[w][:width, :cols]
+            acc, part = product[:, :cols], piece[:, :cols]
             for level in range(ns):
                 rows = slice(level * ne + e0, level * ne + e1)
                 for i, (j0, j1, spreading) in enumerate(terms):
@@ -419,14 +411,14 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                 np.copyto(grid[:, lo:hi, level * width:(level + 1) * width],
                           acc.view(np.complex128).reshape(width, k, hi - lo).transpose(1, 2, 0))
 
-    def transform(w, grid):
-        """FFT and deconvolution of states w, w + W, ..., each in place."""
-        for s in range(w, k, owners):
+    def transform(states, grid):
+        """FFT and deconvolution of one share of the states, each in place."""
+        for s in range(k)[states]:
             np.fft.fft(grid[s], axis=0, out=grid[s])
             grid[s].view(np.float64)[:n_times] *= deconvolution
 
     for e0, e1 in ranges:
         grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
-        run_shares(lambda w: spread(w, grid, e0, e1), workers)
-        run_shares(lambda w: transform(w, grid), owners)
+        run_shares(lambda blocks: spread(blocks, grid, e0, e1), len(plan))
+        run_shares(lambda states: transform(states, grid), k)
         yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

@@ -32,7 +32,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,8 @@ class EnvironmentLevels:
 class UniverseBasis:
     """Indexed product basis |n, m, l> with zero-order energies and shell labels.
 
-    Flat ordering is system-major: index = n * N_E + offset(m) + l with
-    environment states rung-major.  This makes the reduced density
+    Flat ordering is system-major: index = n * N_E + sum_{m' < m} g(m') + l
+    with environment states rung-major.  This makes the reduced density
     matrix a plain reshape-and-contract.
     """
 
@@ -72,7 +72,6 @@ class UniverseBasis:
     shell_label: np.ndarray
     n_system_levels: int
     degeneracies: np.ndarray
-    env_offsets: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -81,15 +80,6 @@ class UniverseBasis:
     @property
     def n_env_states(self) -> int:
         return self.size // self.n_system_levels
-
-    def index_of(self, n: int, m: int, l: int) -> int:
-        if not 0 <= n < self.n_system_levels:
-            raise ValueError(f"system level n={n} out of range")
-        if not 0 <= m < self.degeneracies.size:
-            raise ValueError(f"environment rung m={m} out of range")
-        if not 0 <= l < self.degeneracies[m]:
-            raise ValueError(f"degeneracy index l={l} out of range for rung m={m}")
-        return n * self.n_env_states + int(self.env_offsets[m]) + l
 
 
 @dataclass
@@ -169,15 +159,12 @@ def build_basis(config: ModelConfig) -> UniverseBasis:
     l = np.tile(env.l, ns)
     energy = np.repeat(build_system_levels(config), ne) + np.tile(env.energy, ns)
     shell = n + m
-    degs = np.asarray(config.degeneracies(), dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(degs)[:-1]))
     return UniverseBasis(
         n=n, m=m, l=l,
         zero_order_energy=energy,
         shell_label=shell,
         n_system_levels=ns,
-        degeneracies=degs,
-        env_offsets=offsets,
+        degeneracies=np.asarray(config.degeneracies(), dtype=np.int64),
     )
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, units
-from .model import UniverseBasis
+from .config import ModelConfig
+from .model import UniverseBasis, build_system_levels, temperature_of
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -122,8 +123,7 @@ class Trajectory:
 
 
 def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndarray,
-                 basis: UniverseBasis, system_levels: np.ndarray, kbt_reduced: float,
-                 energy_unit_wavenumbers: float) -> list[Trajectory]:
+                 config: ModelConfig, basis: UniverseBasis) -> list[Trajectory]:
     """Every observable at every time of k trajectories, reduced row block by row block.
 
     `blocks` yields `(rows, c)` as `dynamics.propagate_blocks` does: c[s, i, r]
@@ -140,19 +140,19 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     to the module tolerances), S_vN in [0, ln N_S], S_univ in [0, ln N_SE],
     and the majorization bound S_vN <= -sum(rho_nn ln rho_nn).  A failure
     raises ValueError.  Free energies are relative to the first time, and
-    T_fit_K is NaN where no Boltzmann fit exists.  `health` reports the
-    largest norm error, RDM hermiticity error and RDM trace error, the
-    most negative RDM eigenvalue before clipping, and the smallest
-    majorization slack -sum(rho_nn ln rho_nn) - S_vN.
+    T_fit_K is NaN where no Boltzmann fit exists; the system ladder, k_B T
+    and the energy unit come from `config`, whose basis `basis` is.
+    `health` reports the largest norm error, RDM hermiticity error and RDM
+    trace error, the most negative RDM eigenvalue before clipping, and the
+    smallest majorization slack -sum(rho_nn ln rho_nn) - S_vN.
     """
     times = np.asarray(times, dtype=float)
     ns, n_times = basis.n_system_levels, times.size
     n_shells = ns - 1 + basis.degeneracies.size
     sums = None
 
-    def add_share(w, owners, c, labels, starts):
-        """Add the block's share of the sums of states w, w + owners, ..."""
-        own = slice(w, None, owners)
+    def add_share(own, c, labels, starts):
+        """Add the block's share to the sums of one share of the states."""
         norm2, plogp_sum, shell_plogp, rho = (x[own] for x in sums)
         c = c[own]
         for start in range(0, n_times, TIME_CHUNK):
@@ -172,7 +172,6 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     for rows, c in blocks:
         if sums is None:
             k = c.shape[0]
-            owners = min(dynamics.pass_workers(), k)
             sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
                     np.zeros((k, n_times, n_shells)),
                     np.zeros((k, n_times, ns, ns), dtype=np.complex128))
@@ -181,10 +180,11 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
         # row within each system level)
         labels = basis.shell_label[rows]
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        dynamics.run_shares(lambda w: add_share(w, owners, c, labels, starts), owners)
+        dynamics.run_shares(lambda own: add_share(own, c, labels, starts), k)
         final[:, rows] = c[:, -1]
-    return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, system_levels,
-                        kbt_reduced, energy_unit_wavenumbers) for s in range(k)]
+    ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
+    return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, ladder, kbt,
+                        config.energy_unit_wavenumbers) for s in range(k)]
 
 
 def _trajectory(norm2, plogp_sum, shell_plogp, rho, final, times, n_universe,

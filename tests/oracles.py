@@ -1,7 +1,8 @@
 """Single-time observables: the references the tests hold
 `observables.trajectories` against.
 
-Each function computes one quantity of one state, the plain way: the
+Each function computes one quantity of one state, given as its complex
+amplitude array, the plain way: the
 reduced density matrix by one reshape-and-contract, entropies from its
 spectrum or from the populations, shell sums by bincount over the whole
 basis.  The package itself evaluates the same quantities only over whole
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quniverse.dynamics import PureState
 from quniverse.model import UniverseBasis, UniverseHamiltonian
 from quniverse.observables import EIGENVALUE_CLIP_TOL, HERMITICITY_TOL, TRACE_TOL
 
@@ -24,7 +24,6 @@ class ReducedDensityMatrix:
     """System-side density matrix from tracing the universe projector over E."""
 
     matrix: np.ndarray
-    time: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -45,16 +44,21 @@ class ReducedDensityMatrix:
             raise ValueError(f"RDM eigenvalues outside [0, 1]: [{lam.min()}, {lam.max()}]")
 
 
-def reduced_density_matrix(state: PureState, basis: UniverseBasis) -> ReducedDensityMatrix:
+def probabilities(c: np.ndarray) -> np.ndarray:
+    """|c_i|^2 as Re^2 + Im^2, the form the trajectory observables and the sticks use."""
+    return c.real ** 2 + c.imag ** 2
+
+
+def reduced_density_matrix(c: np.ndarray, basis: UniverseBasis) -> ReducedDensityMatrix:
     """rho_S[n, n'] = sum_{m,l} c_(n,m,l) conj(c_(n',m,l)).
 
     The flat basis order is system-major, so the trace over E is a
     reshape to (N_S, N_E) followed by one small contraction.
     """
-    c = state.amplitudes.reshape(basis.n_system_levels, basis.n_env_states)
+    c = c.reshape(basis.n_system_levels, basis.n_env_states)
     rho = c @ c.conj().T
     rho = 0.5 * (rho + rho.conj().T)  # exact hermiticity against rounding
-    return ReducedDensityMatrix(matrix=rho, time=state.time)
+    return ReducedDensityMatrix(matrix=rho)
 
 
 def shannon_entropy(p: np.ndarray) -> float:
@@ -80,14 +84,13 @@ def von_neumann_entropy(rdm: ReducedDensityMatrix) -> float:
     return shannon_entropy(np.clip(lam, 0.0, 1.0))
 
 
-def universe_entropy(state: PureState, reference=None) -> float:
+def universe_entropy(c: np.ndarray, reference=None) -> float:
     """Shannon entropy of |c_i|^2 in a reference basis, in nats.
 
     reference: None for the zero-order product basis (the default
     "good" basis for heat flow), or a UniverseHamiltonian for its energy
     eigenbasis (populations constant in time, entropy frozen).
     """
-    c = state.amplitudes
     if reference is None:
         return shannon_entropy(np.abs(c) ** 2)
     v = reference.eigenvectors
@@ -117,14 +120,14 @@ def shell_partial_entropies(p: np.ndarray, shell_labels: np.ndarray,
     return np.bincount(shell_labels, weights=plogp, minlength=n_shells)
 
 
-def shell_decompose(state: PureState, basis: UniverseBasis) -> tuple[np.ndarray, np.ndarray]:
+def shell_decompose(c: np.ndarray, basis: UniverseBasis) -> tuple[np.ndarray, np.ndarray]:
     """Population and partial entropy -sum(p ln p) of each shell n + m.
 
     Returns (populations, partial_entropies), indexed by shell.  The
     partial entropies are an exact additive decomposition of the
     zero-order-basis S_univ.
     """
-    p = state.probabilities()
+    p = probabilities(c)
     n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
     populations = np.bincount(basis.shell_label, weights=p, minlength=n_shells)
     return populations, shell_partial_entropies(p, basis.shell_label, n_shells)

@@ -19,7 +19,8 @@ from quniverse.dynamics import initial_state, propagate
 from quniverse.model import assemble_hamiltonian, polyad_eigenvalues
 
 from conftest import hamiltonian_matrix
-from oracles import expectation, reduced_density_matrix, universe_entropy, von_neumann_entropy
+from oracles import (expectation, probabilities, reduced_density_matrix, universe_entropy,
+                     von_neumann_entropy)
 
 SEEDS = (1, 2, 3)
 STATES = tuple(range(6))
@@ -113,15 +114,15 @@ def test_criterion_5_effective_state_count(production_runs):
 
 def test_criterion_6a_unitarity_energy_group(production_ham):
     cfg = production_config(SEEDS[0])
-    psi0 = initial_state(cfg, production_ham.basis, 2)
-    e0 = expectation(production_ham, psi0.amplitudes)
+    psi0 = initial_state(cfg, 2)
+    e0 = expectation(production_ham, psi0)
     psi_a = propagate(psi0, production_ham, 150.0)
     psi_ab = propagate(psi_a, production_ham, 73.0)
     psi_direct = propagate(psi0, production_ham, 223.0)
-    norm_err = max(abs(np.linalg.norm(psi_a.amplitudes) - 1.0),
-                   abs(np.linalg.norm(psi_ab.amplitudes) - 1.0))
-    energy_err = abs(expectation(production_ham, psi_ab.amplitudes) - e0) / max(1.0, abs(e0))
-    group_err = float(np.abs(psi_ab.amplitudes - psi_direct.amplitudes).max())
+    norm_err = max(abs(np.linalg.norm(psi_a) - 1.0),
+                   abs(np.linalg.norm(psi_ab) - 1.0))
+    energy_err = abs(expectation(production_ham, psi_ab) - e0) / max(1.0, abs(e0))
+    group_err = float(np.abs(psi_ab - psi_direct).max())
     ok = norm_err <= 1e-9 and energy_err <= 1e-9 and group_err <= 1e-9
     _report("6a unitarity/energy/group", bool(ok),
             f"norm={norm_err:.1e} energy={energy_err:.1e} group={group_err:.1e}")
@@ -131,11 +132,11 @@ def test_criterion_6b_rdm_properties(production_ham):
     cfg = production_config(SEEDS[0])
     checks = []
     for n in STATES:
-        psi0 = initial_state(cfg, production_ham.basis, n)
+        psi0 = initial_state(cfg, n)
         rdm0 = reduced_density_matrix(psi0, production_ham.basis)
         rdm0.validate()
         checks.append(abs(von_neumann_entropy(rdm0)) <= 1e-12)
-    psi_t = propagate(initial_state(cfg, production_ham.basis, 0),
+    psi_t = propagate(initial_state(cfg, 0),
                       production_ham, 400.0)
     rdm_t = reduced_density_matrix(psi_t, production_ham.basis)
     rdm_t.validate()
@@ -147,7 +148,7 @@ def test_criterion_6b_rdm_properties(production_ham):
 
 def test_criterion_6c_universe_entropy_frozen_in_eigenbasis(production_ham):
     cfg = production_config(SEEDS[0])
-    psi0 = initial_state(cfg, production_ham.basis, 3)
+    psi0 = initial_state(cfg, 3)
     s_ref = universe_entropy(psi0, reference=production_ham)
     drift = 0.0
     for t in (57.0, 311.0):
@@ -173,11 +174,11 @@ def test_criterion_6e_alpha_zero_freeze():
     matrix = hamiltonian_matrix(cfg)
     off_diag_max = float(np.abs(matrix - np.diag(np.diag(matrix))).max())
     del matrix
-    psi0 = initial_state(cfg, ham.basis, 1)
-    p0 = psi0.probabilities()
+    psi0 = initial_state(cfg, 1)
+    p0 = probabilities(psi0)
     drift = 0.0
     for t in (100.0, 500.0):
-        pt = propagate(psi0, ham, t).probabilities()
+        pt = probabilities(propagate(psi0, ham, t))
         drift = max(drift, float(np.abs(pt - p0).max()))
     ok = off_diag_max == 0.0 and drift <= 1e-12
     _report("6e alpha=0 freeze", bool(ok),

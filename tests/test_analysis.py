@@ -12,11 +12,11 @@ from quniverse.analysis import (
 )
 from quniverse.cli import _stick_text, _write_sticks
 from quniverse.config import ModelConfig
-from quniverse.dynamics import PureState, initial_state, propagate
+from quniverse.dynamics import initial_state, propagate
 from quniverse.model import build_basis
 
 from conftest import random_normalized_state, toy6_config
-from oracles import shell_decompose, universe_entropy
+from oracles import probabilities, shell_decompose, universe_entropy
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def production_basis():
 def test_initial_state_confined_to_its_shell(production_basis):
     cfg, basis = production_basis
     for n in (0, 3, 5):
-        psi = initial_state(cfg, basis, n)
+        psi = initial_state(cfg, n)
         populations, partials = shell_decompose(psi, basis)
         np.testing.assert_allclose(populations[5], 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(partials[5], universe_entropy(psi), rtol=0, atol=1e-12)
@@ -44,7 +44,7 @@ def test_uniform_shell_population_gives_log_count(production_basis):
     assert idx.size == 378
     amps = np.zeros(basis.size, dtype=complex)
     amps[idx] = 1.0 / math.sqrt(378.0)
-    _, partials = shell_decompose(PureState(amps), basis)
+    _, partials = shell_decompose(amps, basis)
     np.testing.assert_allclose(partials[5], math.log(378.0), rtol=1e-12)
     others = np.delete(partials, 5)
     np.testing.assert_array_equal(others, 0.0)
@@ -53,7 +53,7 @@ def test_uniform_shell_population_gives_log_count(production_basis):
 
 def test_shell_decomposition_sums(toy21_ham):
     basis = toy21_ham.basis
-    psi = PureState(random_normalized_state(basis.size, 31))
+    psi = random_normalized_state(basis.size, 31)
     populations, partials = shell_decompose(psi, basis)
     np.testing.assert_allclose(populations.sum(), 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(partials.sum(), universe_entropy(psi), rtol=0, atol=1e-10)
@@ -116,9 +116,9 @@ def test_multiple_dips_disjoint_and_ordered():
 
 # -- stick diagrams -----------------------------------------------------------------
 
-def _sticks(path, cfg, n, state, basis):
-    """The columns of `state`'s sticks CSV, as the CLI writes it."""
-    _write_sticks(path, cfg, n, state, _stick_text(basis))
+def _sticks(path, cfg, n, t, amplitudes, basis):
+    """The columns of the sticks CSV of `amplitudes` at time t, as the CLI writes it."""
+    _write_sticks(path, cfg, n, t, amplitudes, _stick_text(basis))
     table = np.loadtxt(path, delimiter=",", skiprows=2)
     assert path.read_text().splitlines()[1] == "energy,p,n,m,l,shell"
     return dict(zip(("energy", "p", "n", "m", "l", "shell"), table.T))
@@ -126,13 +126,13 @@ def _sticks(path, cfg, n, state, basis):
 
 def test_sticks_of_initial_state(production_basis, tmp_path):
     cfg, basis = production_basis
-    psi = initial_state(cfg, basis, 2)
-    diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, psi, basis)
+    psi = initial_state(cfg, 2)
+    diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, 0.0, psi, basis)
     order = stick_order(basis)
     assert diagram["p"].size == basis.size
     assert np.all(np.diff(diagram["energy"]) >= 0)
     np.testing.assert_array_equal(diagram["energy"], basis.zero_order_energy[order])
-    np.testing.assert_array_equal(diagram["p"], psi.probabilities()[order])
+    np.testing.assert_array_equal(diagram["p"], probabilities(psi)[order])
     np.testing.assert_allclose(diagram["p"].sum(), 1.0, rtol=0, atol=1e-12)
     live = diagram["p"] > 0
     assert live.sum() == 48
@@ -146,9 +146,10 @@ def test_sticks_frozen_at_alpha_zero(tmp_path):
 
     cfg = toy6_config(alpha=0.0)
     ham = assemble_hamiltonian(cfg)
-    psi0 = initial_state(cfg, ham.basis, 1)
-    before = _sticks(tmp_path / "before.csv", cfg, 1, psi0, ham.basis)
-    after = _sticks(tmp_path / "after.csv", cfg, 1, propagate(psi0, ham, 25.0), ham.basis)
+    psi0 = initial_state(cfg, 1)
+    before = _sticks(tmp_path / "before.csv", cfg, 1, 0.0, psi0, ham.basis)
+    after = _sticks(tmp_path / "after.csv", cfg, 1, 25.0, propagate(psi0, ham, 25.0),
+                   ham.basis)
     np.testing.assert_allclose(after["p"], before["p"], rtol=0, atol=1e-12)
 
 

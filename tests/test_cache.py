@@ -177,7 +177,7 @@ def test_store_over_mapped_entry_keeps_earlier_mapping():
     assemble_hamiltonian(cfg)
     mapped = assemble_hamiltonian(cfg)
     assert mapped.cache_hit
-    psi0 = initial_state(cfg, mapped.basis, 1).amplitudes[None]
+    psi0 = initial_state(cfg, 1)[None]
     times = np.linspace(0.0, 50.0, 7)
     before = propagated(psi0, mapped, times)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,25 @@ def test_compare_missing_column_rejected(tmp_path):
         compare_free_energy(path)
 
 
+@pytest.mark.parametrize("body, where", [
+    ("", ": no rows"),
+    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0\n", ", line 3: 3 fields, the header has 4"),
+    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0,0.0,9.0\n", ", line 3: 5 fields, the header has 4"),
+    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0,1.2e", ", line 3: could not convert string to float"),
+], ids=["header_only", "short_row", "long_row", "cut_number"])
+def test_compare_names_malformed_trajectory_file(tmp_path, body, where):
+    path = tmp_path / "traj_n0.csv"
+    path.write_text("time_reduced,S_univ,dF,minus_dF_over_kT\n" + body)
+    message = f"^malformed trajectory file {re.escape(str(path))}"
+    with pytest.raises(ValueError, match=message + where):
+        compare_free_energy(path)
+    # the line count holds after a comment header too
+    path.write_text("# quniverse trajectory\ntime_reduced,S_univ,dF,minus_dF_over_kT\n" + body)
+    shifted = where.replace(", line 3", ", line 4")
+    with pytest.raises(ValueError, match=message + shifted):
+        compare_free_energy(path)
+
+
 def test_cli_run_and_compare_commands(tmp_path, toy_cfg_file, capsys):
     cfg, cfg_path = toy_cfg_file
     out = tmp_path / "cli_run"
@@ -424,6 +444,27 @@ def test_cli_sticks_refuses_edited_trajectory_header(tmp_path, toy_cfg_file, mon
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     sticks_out = tmp_path / "sticks.csv"
     with pytest.raises(ValueError, match=f"header does not match .*{field}="):
+        main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
+def test_cli_sticks_refuses_out_of_range_state_before_building(tmp_path, toy_cfg_file,
+                                                               monkeypatch):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run8"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "0", "--t-max-ps", "2.0", "--n-points", "30"])
+    # a trajectory file for a state the config does not have: toy6 has levels 0..1
+    first, rest = (out / "traj_n0.csv").read_text().split("\n", 1)
+    traj = out / "traj_n5.csv"
+    traj.write_text(first.replace("state_n=0 ", "state_n=5 ") + "\n" + rest)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was rebuilt for a refused state")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match=r"system level n=5 outside 0\.\.1"):
         main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
     assert not sticks_out.exists()
 

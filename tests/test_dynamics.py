@@ -15,7 +15,6 @@ from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.dynamics import (
     NUFFT_MIN_TIMES,
-    PureState,
     eigen_coefficients,
     env_block_size,
     initial_state,
@@ -26,7 +25,7 @@ from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_bas
 
 from conftest import (hamiltonian_matrix, propagated,
                       random_normalized_state, toy6_config, toy21_config)
-from oracles import expectation
+from oracles import expectation, probabilities
 
 
 @pytest.fixture(scope="module")
@@ -39,51 +38,50 @@ def production_basis():
 
 def test_initial_state_n2_occupies_rung3(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(cfg, basis, 2)
-    p = psi.probabilities()
+    psi = initial_state(cfg, 2)
+    p = probabilities(psi)
     support = np.flatnonzero(p > 0)
     assert support.size == 48  # g(3)
     np.testing.assert_array_equal(basis.n[support], 2)
     np.testing.assert_array_equal(basis.m[support], 3)
-    np.testing.assert_allclose(psi.amplitudes[support], 1.0 / math.sqrt(48.0))
-    assert psi.time == 0.0
+    np.testing.assert_allclose(psi[support], 1.0 / math.sqrt(48.0))
 
 
-def test_initial_state_n5_occupies_ground_rung(production_basis):
-    cfg, basis = production_basis
-    psi = initial_state(cfg, basis, 5)
-    support = np.flatnonzero(psi.probabilities() > 0)
+def test_initial_state_n5_occupies_ground_rung():
+    cfg = ModelConfig()
+    psi = initial_state(cfg, 5)
+    support = np.flatnonzero(probabilities(psi) > 0)
     assert support.size == 6  # g(0)
-    np.testing.assert_allclose(psi.amplitudes[support], 1.0 / math.sqrt(6.0))
+    np.testing.assert_allclose(psi[support], 1.0 / math.sqrt(6.0))
 
 
 @pytest.mark.parametrize("n", range(6))
-def test_initial_states_normalized(production_basis, n):
-    cfg, basis = production_basis
-    psi = initial_state(cfg, basis, n)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+def test_initial_states_normalized(n):
+    cfg = ModelConfig()
+    psi = initial_state(cfg, n)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
-def test_initial_state_invalid_levels(production_basis):
-    cfg, basis = production_basis
+def test_initial_state_invalid_levels():
+    cfg = ModelConfig()
     with pytest.raises(ValueError):
-        initial_state(cfg, basis, 6)
+        initial_state(cfg, 6)
     with pytest.raises(ValueError):
-        initial_state(cfg, basis, -1)
+        initial_state(cfg, -1)
     short = ModelConfig(n_env_levels=3)  # total_energy 5: m = 5 beyond the last rung, 2
     with pytest.raises(ValueError, match="rung m=5"):
-        initial_state(short, build_basis(short), 0)
+        initial_state(short, 0)
 
 
-def test_initial_state_random_phases_change_phases_not_probabilities(production_basis):
-    cfg, basis = production_basis
+def test_initial_state_random_phases_change_phases_not_probabilities():
+    cfg = ModelConfig()
     phased_cfg = dataclasses.replace(cfg, random_initial_phases=True)
-    flat = initial_state(cfg, basis, 1)
-    phased = initial_state(phased_cfg, basis, 1)
-    np.testing.assert_allclose(phased.probabilities(), flat.probabilities(), atol=1e-15)
-    assert not np.allclose(phased.amplitudes, flat.amplitudes)
-    again = initial_state(phased_cfg, basis, 1)
-    np.testing.assert_array_equal(phased.amplitudes, again.amplitudes)
+    flat = initial_state(cfg, 1)
+    phased = initial_state(phased_cfg, 1)
+    np.testing.assert_allclose(probabilities(phased), probabilities(flat), atol=1e-15)
+    assert not np.allclose(phased, flat)
+    again = initial_state(phased_cfg, 1)
+    np.testing.assert_array_equal(phased, again)
 
 
 # -- propagation --------------------------------------------------------------
@@ -101,76 +99,74 @@ def _taylor_expm_apply(h, c, t, terms=120):
 
 
 def test_propagate_matches_taylor_series(toy6, toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 1))
+    psi0 = random_normalized_state(toy6_ham.dim, 1)
     matrix = hamiltonian_matrix(toy6)
     for t in (0.3, 1.7, 4.0):
         fast = propagate(psi0, toy6_ham, t)
-        oracle = _taylor_expm_apply(matrix, psi0.amplitudes, t)
-        assert np.abs(fast.amplitudes - oracle).max() <= 1e-9
+        oracle = _taylor_expm_apply(matrix, psi0, t)
+        assert np.abs(fast - oracle).max() <= 1e-9
 
 
 def test_propagate_t0_identity(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 2))
+    psi0 = random_normalized_state(toy6_ham.dim, 2)
     out = propagate(psi0, toy6_ham, 0.0)
-    np.testing.assert_allclose(out.amplitudes, psi0.amplitudes, rtol=0, atol=1e-12)
-    assert out.time == 0.0
+    np.testing.assert_allclose(out, psi0, rtol=0, atol=1e-12)
 
 
 def test_propagate_unitary_and_conserves_energy(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 3))
-    e0 = expectation(toy6_ham, psi0.amplitudes)
+    psi0 = random_normalized_state(toy6_ham.dim, 3)
+    e0 = expectation(toy6_ham, psi0)
     for t in np.linspace(0.0, 20.0, 9):
         psi_t = propagate(psi0, toy6_ham, float(t))
-        assert abs(np.linalg.norm(psi_t.amplitudes) - 1.0) <= 1e-10
-        e_t = expectation(toy6_ham, psi_t.amplitudes)
+        assert abs(np.linalg.norm(psi_t) - 1.0) <= 1e-10
+        e_t = expectation(toy6_ham, psi_t)
         assert abs(e_t - e0) <= 1e-9 * max(1.0, abs(e0))
 
 
 def test_propagate_group_property(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 4))
+    psi0 = random_normalized_state(toy6_ham.dim, 4)
     two_step = propagate(propagate(psi0, toy6_ham, 1.3), toy6_ham, 2.9)
     one_step = propagate(psi0, toy6_ham, 4.2)
-    assert np.abs(two_step.amplitudes - one_step.amplitudes).max() <= 1e-9
-    assert abs(two_step.time - one_step.time) < 1e-12
+    assert np.abs(two_step - one_step).max() <= 1e-9
 
 
 def test_propagate_reversible(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 5))
+    psi0 = random_normalized_state(toy6_ham.dim, 5)
     back = propagate(propagate(psi0, toy6_ham, 7.7), toy6_ham, -7.7)
-    assert np.abs(back.amplitudes - psi0.amplitudes).max() <= 1e-9
+    assert np.abs(back - psi0).max() <= 1e-9
 
 
 def test_alpha_zero_freezes_populations():
     cfg = toy6_config(alpha=0.0)
     ham = assemble_hamiltonian(cfg)
-    psi0 = initial_state(cfg, ham.basis, 0)
-    p0 = psi0.probabilities()
+    psi0 = initial_state(cfg, 0)
+    p0 = probabilities(psi0)
     for t in (0.5, 3.0, 50.0):
-        pt = propagate(psi0, ham, t).probabilities()
+        pt = probabilities(propagate(psi0, ham, t))
         np.testing.assert_allclose(pt, p0, rtol=0, atol=1e-12)
 
 
 def test_propagate_dimension_mismatch(toy6_ham):
     with pytest.raises(ValueError, match="dimension"):
-        propagate(PureState(np.zeros(5, dtype=complex)), toy6_ham, 1.0)
+        propagate(np.zeros(5, dtype=complex), toy6_ham, 1.0)
 
 
 def test_propagate_blocks_match_single_calls(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 6))
+    psi0 = random_normalized_state(toy6_ham.dim, 6)
     times = np.linspace(0.0, 5.0, 11)
-    (batch,) = propagated(psi0.amplitudes[None], toy6_ham, times)
+    (batch,) = propagated(psi0[None], toy6_ham, times)
     # every block's c, on both kernels, has a contiguous row axis, which
     # the observables view as float64
     for grid in (times, np.linspace(0.0, 5.0, NUFFT_MIN_TIMES)):
-        for rows, c in propagate_blocks(psi0.amplitudes[None], toy6_ham, grid):
+        for rows, c in propagate_blocks(psi0[None], toy6_ham, grid):
             assert c.strides[-1] == c.itemsize and c.shape == (1, grid.size, rows.size)
             assert c.view(np.float64).shape == (1, grid.size, 2 * rows.size)
     v, w = toy6_ham.eigenvectors, toy6_ham.eigenvalues
     for k, t in enumerate(times):
         single = propagate(psi0, toy6_ham, float(t))
-        np.testing.assert_allclose(batch[k], single.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-12)
         # complex-arithmetic oracle, independent of the real-GEMM view
-        direct = (v * np.exp(-1j * w * t)) @ (v.T.astype(complex) @ psi0.amplitudes)
+        direct = (v * np.exp(-1j * w * t)) @ (v.T.astype(complex) @ psi0)
         np.testing.assert_allclose(batch[k], direct, rtol=0, atol=1e-12)
 
 
@@ -196,7 +192,7 @@ def _toy21_states(ham, cfg):
     for n in range(cfg.n_system_levels):
         for phases in (False, True):
             yield f"n={n} phases={phases}", initial_state(
-                dataclasses.replace(cfg, random_initial_phases=phases), ham.basis, n).amplitudes
+                dataclasses.replace(cfg, random_initial_phases=phases), n)
     yield "full support", random_normalized_state(ham.dim, 21)
 
 
@@ -212,7 +208,7 @@ def test_eigen_coefficients_match_full_product(toy21, toy21_ham):
 def test_eigen_coefficients_read_only_the_support():
     cfg = toy21_config()
     ham = assemble_hamiltonian(cfg)
-    c = initial_state(cfg, ham.basis, 1).amplitudes
+    c = initial_state(cfg, 1)
     support = np.flatnonzero(c)
     poisoned = ham.eigenvectors.copy()
     outside = np.ones(ham.dim, dtype=bool)
@@ -284,8 +280,8 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
     times = np.linspace(0.0, t_max, n_times)
     assert _wraps(ham, times) > min_wraps
     states = np.array([
-        initial_state(cfg, ham.basis, 0).amplitudes,
-        initial_state(dataclasses.replace(cfg, random_initial_phases=True), ham.basis, 3).amplitudes,
+        initial_state(cfg, 0),
+        initial_state(dataclasses.replace(cfg, random_initial_phases=True), 3),
         random_normalized_state(ham.dim, 8)])
     fast = propagated(states, ham, times)
     for c, got in zip(states, fast):
@@ -298,13 +294,13 @@ def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
     # 3 workers on 2 states: more workers than states, and than this
     # machine's cores; on the NUFFT grid, on a direct one and at one time
     cfg, ham = mid_ham
-    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (2, 4)])
+    psi0 = np.array([initial_state(cfg, n) for n in (2, 4)])
     grids = {"nufft": np.linspace(0.0, 631.0, 600), "direct": np.linspace(0.0, 631.0, 40)}
     assert dynamics._uniform_step(grids["nufft"]) is not None
     assert grids["direct"].size < NUFFT_MIN_TIMES
 
     def outputs():
-        single = propagate(PureState(psi0[1]), ham, 12.5).amplitudes
+        single = propagate(psi0[1], ham, 12.5)
         return {**{name: propagated(psi0, ham, times) for name, times in grids.items()},
                 "single time": single}
 
@@ -418,7 +414,7 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
         raise AssertionError("NUFFT path taken")
 
     monkeypatch.setattr(dynamics, "_nufft_blocks", refuse)
-    psi0 = initial_state(toy21, toy21_ham.basis, 1).amplitudes[None]
+    psi0 = initial_state(toy21, 1)[None]
     uniform = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     jittered = uniform.copy()
     jittered[7] += 1e-9
@@ -440,13 +436,13 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
 def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
     flipped = UniverseHamiltonian(toy21_ham.basis, toy21_ham.eigenvalues[::-1],
                                   toy21_ham.eigenvectors[:, ::-1], toy21_ham.eig_residual)
-    psi0 = initial_state(toy21, toy21_ham.basis, 1)
+    psi0 = initial_state(toy21, 1)
     times = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     with pytest.raises(ValueError, match="ascending"):
-        propagated(psi0.amplitudes[None], flipped, times)
+        propagated(psi0[None], flipped, times)
     # the direct path needs no order
-    np.testing.assert_allclose(propagate(psi0, flipped, 3.0).amplitudes,
-                               propagate(psi0, toy21_ham, 3.0).amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(propagate(psi0, flipped, 3.0),
+                               propagate(psi0, toy21_ham, 3.0), rtol=0, atol=1e-12)
 
 
 # -- unit conversion ------------------------------------------------------------

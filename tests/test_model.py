@@ -290,11 +290,14 @@ def test_coupling_width_statistics():
 # -- basis indexing ----------------------------------------------------------
 
 def test_basis_flat_index_bijection(toy21_ham):
+    # i = n N_E + sum_{m' < m} g(m') + l, the layout `dynamics.initial_state` relies on
     basis = toy21_ham.basis
+    offsets = np.concatenate(([0], np.cumsum(basis.degeneracies)[:-1]))
     seen = set()
     for i in range(basis.size):
         n, m, l = basis.n[i], basis.m[i], basis.l[i]
-        assert basis.index_of(n, m, l) == i
+        assert 0 <= l < basis.degeneracies[m]
+        assert n * basis.n_env_states + offsets[m] + l == i
         seen.add((n, m, l))
     assert len(seen) == basis.size
 
@@ -303,16 +306,6 @@ def test_basis_shell_labels(toy21_ham):
     basis = toy21_ham.basis
     np.testing.assert_array_equal(basis.shell_label, basis.n + basis.m)
     assert np.count_nonzero(basis.shell_label == 2) == 7  # g(2) + g(1) + g(0) = 4 + 2 + 1
-
-
-def test_basis_index_errors(toy6_ham):
-    basis = toy6_ham.basis
-    with pytest.raises(ValueError):
-        basis.index_of(2, 0, 0)
-    with pytest.raises(ValueError):
-        basis.index_of(0, 5, 0)
-    with pytest.raises(ValueError):
-        basis.index_of(0, 0, 1)  # g(0) = 1
 
 
 def test_production_basis_counts():

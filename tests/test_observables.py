@@ -8,7 +8,7 @@ import pytest
 
 from quniverse import dynamics, observables, units
 from quniverse.config import ModelConfig
-from quniverse.dynamics import PureState, env_block_size, initial_state, propagate, propagate_blocks
+from quniverse.dynamics import env_block_size, initial_state, propagate, propagate_blocks
 from quniverse.model import (assemble_hamiltonian, build_basis, build_system_levels, gemm_library,
                              gemm_openblas, gemm_threads, temperature_of)
 from quniverse.observables import (
@@ -21,6 +21,7 @@ from quniverse.observables import (
 from conftest import as_blocks, propagated, random_normalized_state, toy21_config
 from oracles import (
     ReducedDensityMatrix,
+    probabilities,
     reduced_density_matrix,
     shannon_entropy,
     shell_partial_entropies,
@@ -45,7 +46,7 @@ def _rdm_from_diag(diag):
 
 def test_rdm_of_product_state_is_projector(production_basis):
     cfg, basis = production_basis
-    psi = initial_state(cfg, basis, 2)
+    psi = initial_state(cfg, 2)
     rdm = reduced_density_matrix(psi, basis)
     expected = np.zeros((6, 6))
     expected[2, 2] = 1.0
@@ -59,9 +60,9 @@ def test_rdm_maximally_entangled_pair():
                       degeneracy_A=2, total_energy=0)
     basis = build_basis(cfg)
     amps = np.zeros(4, dtype=complex)
-    amps[basis.index_of(0, 0, 0)] = 1.0 / math.sqrt(2.0)
-    amps[basis.index_of(1, 0, 1)] = 1.0 / math.sqrt(2.0)
-    rdm = reduced_density_matrix(PureState(amps), basis)
+    for n, l in ((0, 0), (1, 1)):
+        amps[(basis.n == n) & (basis.m == 0) & (basis.l == l)] = 1.0 / math.sqrt(2.0)
+    rdm = reduced_density_matrix(amps, basis)
     np.testing.assert_allclose(rdm.matrix, np.diag([0.5, 0.5]), rtol=0, atol=1e-15)
     np.testing.assert_allclose(von_neumann_entropy(rdm), math.log(2.0), rtol=1e-12)
 
@@ -82,7 +83,7 @@ def _brute_force_rdm(amps, basis):
 def test_rdm_against_brute_force_partial_trace(toy21_ham, seed):
     basis = toy21_ham.basis
     amps = random_normalized_state(basis.size, seed)
-    rdm = reduced_density_matrix(PureState(amps), basis)
+    rdm = reduced_density_matrix(amps, basis)
     oracle = _brute_force_rdm(amps, basis)
     assert np.abs(rdm.matrix - oracle).max() <= 1e-12
     rdm.validate()
@@ -102,7 +103,7 @@ def test_rdm_validation_catches_corruption():
 def test_entropy_of_pure_state_is_zero(production_basis):
     cfg, basis = production_basis
     for n in range(6):
-        rdm = reduced_density_matrix(initial_state(cfg, basis, n), basis)
+        rdm = reduced_density_matrix(initial_state(cfg, n), basis)
         assert abs(von_neumann_entropy(rdm)) <= 1e-12
 
 
@@ -128,18 +129,18 @@ def test_entropy_rejects_corrupted_rdm():
 def test_universe_entropy_single_basis_state(toy6_ham):
     amps = np.zeros(toy6_ham.dim, dtype=complex)
     amps[3] = 1.0
-    assert universe_entropy(PureState(amps)) == 0.0
+    assert universe_entropy(amps) == 0.0
 
 
-def test_universe_entropy_of_initial_states(production_basis):
-    cfg, basis = production_basis
+def test_universe_entropy_of_initial_states():
+    cfg = ModelConfig()
     for n, g in zip(range(6), [192, 96, 48, 24, 12, 6]):
-        psi = initial_state(cfg, basis, n)
+        psi = initial_state(cfg, n)
         np.testing.assert_allclose(universe_entropy(psi), math.log(g), rtol=1e-12)
 
 
 def test_universe_entropy_frozen_in_energy_eigenbasis(toy6_ham):
-    psi0 = PureState(random_normalized_state(toy6_ham.dim, 9))
+    psi0 = random_normalized_state(toy6_ham.dim, 9)
     s_ref = universe_entropy(psi0, reference=toy6_ham)
     for t in (0.7, 3.1, 12.9):
         psi_t = propagate(psi0, toy6_ham, t)
@@ -227,7 +228,7 @@ def test_diagonal_entropy_dominates_eigen_entropy(toy21_ham):
     basis = toy21_ham.basis
     for seed in range(6):
         rdm = reduced_density_matrix(
-            PureState(random_normalized_state(basis.size, seed)), basis
+            random_normalized_state(basis.size, seed), basis
         )
         s_diag = shannon_entropy(rdm.diagonal())
         s_vn = von_neumann_entropy(rdm)
@@ -236,8 +237,8 @@ def test_diagonal_entropy_dominates_eigen_entropy(toy21_ham):
 
 def test_shell_partials_sum_to_universe_entropy(toy21_ham):
     basis = toy21_ham.basis
-    psi = PureState(random_normalized_state(basis.size, 20))
-    partials = shell_partial_entropies(psi.probabilities(), basis.shell_label)
+    psi = random_normalized_state(basis.size, 20)
+    partials = shell_partial_entropies(probabilities(psi), basis.shell_label)
     np.testing.assert_allclose(partials.sum(), universe_entropy(psi), rtol=0, atol=1e-10)
 
 
@@ -245,13 +246,8 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
 
 def _trajectories(cfg, ham, states, times):
     """Every state of `states` in one pass; (initial states, their Trajectory records)."""
-    psi0 = [initial_state(cfg, ham.basis, n) for n in states]
-    results = trajectories(
-        propagate_blocks(np.array([p.amplitudes for p in psi0]), ham, times), times,
-        ham.basis, build_system_levels(cfg), temperature_of(cfg).kbt_reduced,
-        cfg.energy_unit_wavenumbers,
-    )
-    return psi0, results
+    psi0 = np.array([initial_state(cfg, n) for n in states])
+    return psi0, trajectories(propagate_blocks(psi0, ham, times), times, cfg, ham.basis)
 
 
 def _trajectory(cfg, ham, n, times):
@@ -292,7 +288,7 @@ def test_trajectory_matches_per_time_references(overrides):
         for t in times:
             psi = propagate(psi0, ham, float(t))
             rdm = reduced_density_matrix(psi, basis)
-            p = psi.probabilities()
+            p = probabilities(psi)
             ref["S_vN"].append(von_neumann_entropy(rdm))
             ref["S_univ"].append(shannon_entropy(p))
             ref["U_S"].append(float(np.dot(ladder, rdm.diagonal())))
@@ -317,7 +313,7 @@ def test_trajectory_matches_per_time_references(overrides):
             close(cols[f"S_partial_{s}"], ref["partials"][:, s])
         for k in range(basis.n_system_levels):
             close(cols[f"rdm_diag_{k}"], ref["diag"][:, k])
-        close(result.final_amplitudes, propagate(psi0, ham, float(times[-1])).amplitudes)
+        close(result.final_amplitudes, propagate(psi0, ham, float(times[-1])))
 
         t_fit = cols["T_fit_K"]
         if cfg.alpha == 0.0:
@@ -352,24 +348,20 @@ def test_trajectory_bundle(toy21_ham, toy21):
 
 def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     basis = toy21_ham.basis
-    ladder = build_system_levels(toy21)
-    kbt = temperature_of(toy21).kbt_reduced
     times = np.linspace(0.0, 8.0, 5)
-    psi0 = np.array([initial_state(toy21, basis, n).amplitudes for n in (0, 1)])
+    psi0 = np.array([initial_state(toy21, n) for n in (0, 1)])
     amps = propagated(psi0, toy21_ham, times)
-    trajectories(as_blocks(amps, basis, 3), times, basis, ladder, kbt, 111.77)
+    trajectories(as_blocks(amps, basis, 3), times, toy21, basis)
     bad = amps.copy()
     bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
-        trajectories(as_blocks(bad, basis, 3), times, basis, ladder, kbt, 111.77)
+        trajectories(as_blocks(bad, basis, 3), times, toy21, basis)
 
 
 # -- the pass's worker threads ------------------------------------------------------
 
 def _pass(cfg, ham, psi0, times):
-    return trajectories(propagate_blocks(psi0, ham, times), times, ham.basis,
-                        build_system_levels(cfg), temperature_of(cfg).kbt_reduced,
-                        cfg.energy_unit_wavenumbers)
+    return trajectories(propagate_blocks(psi0, ham, times), times, cfg, ham.basis)
 
 
 @pytest.mark.parametrize("states", [[0], [0, 3], "valid"], ids=["0", "0,3-random-phases", "all"])
@@ -380,7 +372,7 @@ def test_pass_bytes_independent_of_worker_count(monkeypatch, mid_ham, states):
                   if 0 <= cfg.total_energy - n < cfg.n_env_levels]
     else:
         cfg = dataclasses.replace(cfg, random_initial_phases=len(states) > 1)
-    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in states])
+    psi0 = np.array([initial_state(cfg, n) for n in states])
     times = np.linspace(0.0, 631.0, 600)
     runs = []
     # 3 workers, more than this machine's cores, switching often: a lost
@@ -413,7 +405,7 @@ def two_blas_threads():
 
 def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads):
     cfg, ham = mid_ham
-    psi0 = np.array([initial_state(cfg, ham.basis, n).amplitudes for n in (0, 3)])
+    psi0 = np.array([initial_state(cfg, n) for n in (0, 3)])
     times = np.linspace(0.0, 631.0, 600)
     seen = []
     shares = []  # (numpy's OpenBLAS threads, thread name) in the observables' shares
