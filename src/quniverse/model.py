@@ -15,6 +15,14 @@ solve needs it.  A cached eigensystem is checked instead against the
 first CHECK_ROWS rows of H, which the same fill function regenerates
 from the first draws of the coupling stream.
 
+The solve (`diagonalize`) runs the three LAPACK stages of dsyevd one at
+a time, through ctypes and without the GIL: tridiagonal reduction, the
+divide-and-conquer eigensolver writing into H's own memory while the
+Householder reflectors wait packed beside it, and the back-transform in
+place.  It keeps dsyevd's eigenpair bytes in 2.5 n² doubles instead of
+3 n², and a miss refuses a solve that cannot fit the machine's memory
+before H is built.
+
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
 absolute polyad block cancels out of every difference quantity and of
@@ -30,6 +38,8 @@ import functools
 import math
 import os
 import sys
+import threading
+import time
 import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -353,22 +363,131 @@ def progress(message: str) -> None:
     print(f"quniverse: {message}", file=sys.stderr, flush=True)
 
 
-def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a dense symmetric matrix (ascending).
+# Seconds between the heartbeat lines that `diagonalize` prints while LAPACK runs.
+HEARTBEAT_SECONDS = 30.0
 
-    Solves in place: `matrix` is overwritten.  `matrix.T` is the
-    F-ordered view of the symmetric C-ordered matrix, so LAPACK works on
-    it without a copy and returns the eigenvectors in its memory.
+# dsyevd solves unscaled only when max|A| is 0 or lies in [sqrt(smlnum),
+# 1/sqrt(smlnum)], smlnum = safmin / eps; otherwise it scales A first.
+_UNSCALED_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_UNSCALED_MAX = 1.0 / _UNSCALED_MIN
+
+
+@functools.cache
+def _lapack(name: str) -> Callable[..., None]:
+    """The `scipy.linalg.cython_lapack` routine `name`, to be called through ctypes.
+
+    It is the LAPACK that `scipy.linalg` calls.  Every argument is a
+    pointer (`char *`, LP64 `int *` or `double *`; the wrappers take no
+    string lengths), and ctypes releases the GIL for the call.
     """
-    import scipy.linalg
+    from scipy.linalg import cython_lapack
 
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)
+    n_args = signature.count(b",") + 1
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(get_pointer(capsule, signature))
+
+
+def _call(name: str, *args) -> None:
+    """Call LAPACK's `name` on `args` and a trailing info; raise if info is not 0.
+
+    A str goes as `char *`, an int as `int *` and an array as its data pointer.
+    """
+    info = ctypes.c_int(0)
+    pointers = [ctypes.c_char_p(a.encode()) if isinstance(a, str)
+                else ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
+                else ctypes.c_void_p(a.ctypes.data) for a in args]
+    _lapack(name)(*pointers, ctypes.byref(info))
+    if info.value != 0:
+        raise RuntimeError(f"{name} returned info={info.value}")
+
+
+@contextlib.contextmanager
+def _heartbeat(what: str) -> Iterator[None]:
+    """A progress line every HEARTBEAT_SECONDS inside the block, from a daemon thread."""
+    start = time.perf_counter()
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(HEARTBEAT_SECONDS):
+            progress(f"{what}: {time.perf_counter() - start:.0f} s so far")
+
+    thread = threading.Thread(target=beat, name="quniverse-heartbeat", daemon=True)
+    thread.start()
     try:
-        return scipy.linalg.eigh(matrix.T, overwrite_a=True, check_finite=False,
-                                 driver="evd")
-    except Exception as exc:
-        raise RuntimeError(
-            f"dense symmetric eigensolver failed: dim={matrix.shape[0]}: {exc}"
-        ) from exc
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (w, V) of a dense symmetric matrix, ascending.
+
+    Solves in place: `matrix` (C-ordered float64) is overwritten, and V
+    is `matrix.T`, the F-ordered view of the symmetric matrix in which
+    LAPACK works.  The three stages are those of LAPACK's dsyevd, called
+    with its arguments and its workspace sizes, so w and V are its bytes:
+
+    1. dsytrd reduces the lower triangle to tridiagonal form and leaves
+       the Householder reflectors in the strict lower triangle, which is
+       then packed out (n²/2 doubles);
+    2. dstedc('I') writes the tridiagonal problem's eigenvectors into the
+       matrix's memory, using its n² + 4n + 1 workspace;
+    3. that workspace takes the unpacked reflectors, and dormtr applies
+       their product Q to the eigenvectors in place.
+
+    The peak is 2.5 n² doubles, where dsyevd holds the matrix and 2 n²
+    more.  dsyevd would scale a matrix whose max|A| is tiny or huge;
+    such a matrix is refused instead.  A progress line ends each stage,
+    and a heartbeat line follows every HEARTBEAT_SECONDS while LAPACK runs.
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n) or matrix.dtype != np.float64 or not (
+            matrix.flags.c_contiguous and matrix.flags.writeable):
+        raise ValueError(f"expected a writeable C-ordered square float64 matrix, got "
+                         f"{matrix.dtype} {matrix.shape}")
+    a, ld = matrix.T, max(n, 1)
+    try:
+        anrm = max(float(matrix.max()), -float(matrix.min())) if n else 0.0
+        if not (anrm == 0.0 or _UNSCALED_MIN <= anrm <= _UNSCALED_MAX):
+            raise RuntimeError(f"max|A| = {anrm:.3g} is outside LAPACK's unscaled range "
+                               f"[{_UNSCALED_MIN:.3g}, {_UNSCALED_MAX:.3g}]")
+        w, e, tau = np.empty(n), np.empty(ld), np.empty(ld)
+        with _heartbeat(f"solving {n} x {n}"):
+            t0 = time.perf_counter()
+            query = np.empty(1)
+            _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
+            lwork = max(int(query[0]), 1)
+            _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
+            # column j of a below its diagonal is row j of `matrix` after it
+            packed = np.empty(n * (n - 1) // 2)
+            columns = np.split(packed, np.cumsum(np.arange(n - 1, 0, -1))[:-1]) if n > 1 else []
+            for j, column in enumerate(columns):
+                column[:] = matrix[j, j + 1:]
+            t1 = time.perf_counter()
+            progress(f"tridiagonalized in {t1 - t0:.1f} s")
+            work = np.zeros(n * n + 4 * n + 1)
+            _call("dstedc", "I", n, w, e, a, ld, work, work.size,
+                  np.empty(3 + 5 * n, dtype=np.int32), 3 + 5 * n)
+            t2 = time.perf_counter()
+            progress(f"divide and conquer in {t2 - t1:.1f} s")
+            reflectors = work[:n * n].reshape(n, n)
+            for j, column in enumerate(columns):
+                reflectors[j, j + 1:] = column
+            del packed, columns
+            # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
+            # dormqr's blocking reads at most 64n + 65·64
+            lwork = min(work.size, 64 * n + 65 * 64)
+            _call("dormtr", "L", "L", "N", n, n, work, ld, tau, a, ld, np.empty(lwork), lwork)
+            progress(f"back-transformed in {time.perf_counter() - t2:.1f} s")
+    except RuntimeError as exc:
+        raise RuntimeError(f"dense symmetric eigensolver failed: dim={n}: {exc}") from exc
+    return w, a
 
 
 # Rows of H regenerated to check an eigensystem, eigenvector columns
@@ -397,6 +516,55 @@ def _residual_bound(rows: np.ndarray) -> float:
     return CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
 
 
+def solve_bytes(dim: int) -> int:
+    """Peak bytes of `diagonalize` on a dim x dim matrix: 2.5 dim² doubles."""
+    return int(2.5 * dim * dim) * 8
+
+
+def machine_memory() -> tuple[int, int] | None:
+    """(total, available) bytes of memory for this process; None without /proc/meminfo.
+
+    MemTotal and MemAvailable, each capped by a numeric cgroup-v2
+    memory.max (the available by what the cgroup has not used yet).
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            info = {line.split(":")[0]: line.split()[1] for line in fh}
+        total, available = int(info["MemTotal"]) * 1024, int(info["MemAvailable"]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
+    try:
+        with open("/proc/self/cgroup") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        group = Path("/sys/fs/cgroup") / path.lstrip("/")
+        limit = int((group / "memory.max").read_text())
+    except (OSError, StopIteration, ValueError):  # no cgroup v2, or memory.max reads "max"
+        return total, available
+    try:
+        available = min(available, limit - int((group / "memory.current").read_text()))
+    except (OSError, ValueError):
+        available = min(available, limit)
+    return min(total, limit), available
+
+
+def check_solve_memory(dim: int) -> None:
+    """Refuse a solve larger than this machine's memory; warn if it exceeds what is available.
+
+    Does nothing where the memory cannot be read.
+    """
+    found = machine_memory()
+    if found is None:
+        return
+    total, available = found
+    need = solve_bytes(dim)
+    if need > total:
+        raise MemoryError(f"the {dim} x {dim} eigensolve needs {need / 1e6:.0f} MB, more than "
+                          f"this machine's {total / 1e6:.0f} MB; refused before building H")
+    if need > available:
+        warnings.warn(f"the {dim} x {dim} eigensolve needs {need / 1e6:.0f} MB, more than the "
+                      f"{available / 1e6:.0f} MB available now", stacklevel=3)
+
+
 def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     """Build the basis and the checked eigendecomposition of H for (config, seed).
 
@@ -404,10 +572,12 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     cached eigensystem is mapped and checked against CHECK_ROWS
     regenerated rows of H; the full H is never built on an accepted
     entry, and the cache directory is not written.  A miss or a rejected
-    entry (with a warning naming its key and residual) builds H, solves
-    it in place, checks the result and stores it, replacing a rejected
-    entry atomically; a failed store (unwritable directory, full disk)
-    only warns.  QUNIVERSE_CACHE_DIR chooses the cache directory.
+    entry (with a warning naming its key and residual) first checks that
+    the solve fits the machine's memory (`check_solve_memory`), then
+    builds H, solves it in place, checks the result and stores it,
+    replacing a rejected entry atomically; a failed store (unwritable
+    directory, full disk) only warns.  QUNIVERSE_CACHE_DIR chooses the
+    cache directory.
     """
     basis = build_basis(config)
     progress(f"basis of {basis.size} states ({basis.n_system_levels} system levels x "
@@ -425,6 +595,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
                                        cache_hit=True)
         warnings.warn(f"cache entry {key} fails the eigen check "
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
+    check_solve_memory(basis.size)
     progress(f"solving the dense {basis.size} x {basis.size} eigenproblem")
     h = build_hamiltonian_matrix(config, basis)
     rows = h[:CHECK_ROWS].copy()
@@ -432,11 +603,16 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     residual = eigen_residual(rows, eigenvalues, eigenvectors)
     if not residual <= _residual_bound(rows):
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
+    start = time.perf_counter()
     try:
         cache.store_eigensystem(config, eigenvalues, eigenvectors)
     except OSError as exc:
         warnings.warn(f"solved, but not cached in {cache.CACHE_DIR_ENV}="
                       f"{cache.cache_dir()}: {exc}", stacklevel=2)
+    else:
+        progress(f"stored entry {key[:12]}, "
+                 f"{(eigenvalues.nbytes + eigenvectors.nbytes) / 1e6:.0f} MB, "
+                 f"in {time.perf_counter() - start:.1f} s")
     return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quniverse import __version__, cli, units
+from quniverse import __version__, cli, model, units
 from quniverse.cache import CACHE_DIR_ENV, cache_key
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
@@ -318,9 +318,12 @@ def test_run_logs_one_stderr_line_per_stage(tmp_path, toy_cfg_file, capsys):
     assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
     warm = capsys.readouterr()
     workers = pass_workers()
+    solve = [f"solving the dense {cfg.n_universe_states} x {cfg.n_universe_states} eigenproblem",
+             "tridiagonalized in ", "divide and conquer in ", "back-transformed in ",
+             f"stored entry {key}, 0 MB, in "]
     stages = [f"basis of {cfg.n_universe_states} states (2 system levels x 3 environment states)",
               f"cache miss: no entry {key}",
-              f"solving the dense {cfg.n_universe_states} x {cfg.n_universe_states} eigenproblem",
+              *solve,
               f"propagating 2 states over 120 times on {workers} worker thread",
               "writing trajectories, stick diagrams, summary and manifest to "]
     lines = cold.err.splitlines()
@@ -328,9 +331,9 @@ def test_run_logs_one_stderr_line_per_stage(tmp_path, toy_cfg_file, capsys):
     for line, stage in zip(lines, stages):
         assert line.startswith(f"quniverse: {stage}"), (line, stage)
     lines = warm.err.splitlines()
-    assert len(lines) == len(stages) - 1
+    assert len(lines) == len(stages) - len(solve)
     assert lines[1].startswith(f"quniverse: cache hit: entry {key}, eigen residual ")
-    for line, stage in zip(lines[2:], stages[3:]):
+    for line, stage in zip(lines[2:], stages[2 + len(solve):]):
         assert line.startswith(f"quniverse: {stage}"), (line, stage)
     # stdout keeps only the summary line
     assert cold.out == f"wrote 6 files to {tmp_path / 'cold'}\n"
@@ -466,6 +469,28 @@ def test_cli_sticks_refuses_out_of_range_state_before_building(tmp_path, toy_cfg
     sticks_out = tmp_path / "sticks.csv"
     with pytest.raises(ValueError, match=r"system level n=5 outside 0\.\.1"):
         main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
+def test_cli_sticks_refuses_a_solve_larger_than_memory_before_building(tmp_path,
+                                                                      toy_cfg_file,
+                                                                      monkeypatch):
+    _, cfg_path = toy_cfg_file
+    out = tmp_path / "cli_run9"
+    main(["run", "--config", str(cfg_path), "--out", str(out),
+          "--states", "0", "--t-max-ps", "2.0", "--n-points", "30"])
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "empty_cache"))
+    monkeypatch.setattr(model, "machine_memory", lambda: (100, 100))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was built for a refused solve")
+
+    monkeypatch.setattr(model, "build_hamiltonian_matrix", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(MemoryError, match=r"6 x 6 eigensolve needs 0 MB, more than "
+                                          r"this machine's 0 MB"):
+        main(["sticks", "--traj", str(out / "traj_n0.csv"), "--time", "1.0",
+              "--out", str(sticks_out)])
     assert not sticks_out.exists()
 
 

@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quniverse import units
+from quniverse import model, units
 from quniverse.config import ModelConfig
 from quniverse.model import (
     CHECK_COLUMNS,
@@ -15,7 +21,9 @@ from quniverse.model import (
     build_environment,
     build_hamiltonian_matrix,
     build_system_levels,
+    diagonalize,
     eigen_residual,
+    solve_bytes,
     polyad_eigenvalues,
     temperature_of,
 )
@@ -349,3 +357,125 @@ def test_temperature_halves_when_base_squares():
     t2 = temperature_of(toy6_config(degeneracy_b=2.0)).kelvin
     t4 = temperature_of(toy6_config(degeneracy_b=4.0)).kelvin
     np.testing.assert_allclose(t4, t2 / 2.0, rtol=1e-12)
+
+
+# -- the solve ----------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _symmetric(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return np.triu(m) + np.triu(m, 1).T
+
+
+# n <= 25 takes dstedc's dsteqr path; from 33 on dsytrd is blocked; for
+# 34 <= n <= 80 dsyevd's workspace cuts dormqr's block size
+@pytest.mark.parametrize("n", [1, 2, 3, 21, 25, 26, 32, 33, 50, 129, 300])
+def test_diagonalize_is_dsyevd_bit_for_bit(n):
+    h = _symmetric(n, seed=n)
+    w0, v0 = scipy.linalg.eigh(h, check_finite=False, driver="evd")
+    w, v = diagonalize(h)
+    assert np.array_equal(w, w0) and np.array_equal(v, v0)
+    assert np.shares_memory(v, h) and v.flags.f_contiguous
+
+
+def test_diagonalize_hamiltonian_is_dsyevd_bit_for_bit():
+    h = hamiltonian_matrix(ModelConfig(n_env_levels=3))  # 252 states
+    w0, v0 = scipy.linalg.eigh(h, check_finite=False, driver="evd")
+    w, v = diagonalize(h)
+    assert np.array_equal(w, w0) and np.array_equal(v, v0)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150, math.nan])
+def test_diagonalize_refuses_a_matrix_dsyevd_would_scale(scale):
+    with pytest.raises(RuntimeError, match="outside LAPACK's unscaled range"):
+        diagonalize(_symmetric(4, seed=0) * scale)
+
+
+def test_diagonalize_refuses_a_layout_it_cannot_solve_in_place():
+    with pytest.raises(ValueError, match="C-ordered square float64"):
+        diagonalize(np.asfortranarray(_symmetric(4, seed=0)[:, :3]))
+
+
+# VmHWM is the high-water RSS of this process's own memory; ru_maxrss
+# would start from the spawning process's RSS, taken over at exec
+MEMORY_CHILD = """
+import numpy as np
+import scipy.linalg
+from quniverse.model import diagonalize
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+def symmetric(n):  # no n x n temporary beside the matrix
+    h = np.random.default_rng(0).standard_normal((n, n))
+    for i in range(n):
+        h[i, i + 1:] = h[i + 1:, i]
+    return h
+
+diagonalize(symmetric(1000))  # OpenBLAS touches its buffers on first use
+h = symmetric(2000)
+before = high_water()
+diagonalize(h)
+print((high_water() - before) / (8 * 2000**2))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_diagonalize_peak_memory_over_the_matrix():
+    """H plus 1.5 n² doubles: the packed reflectors and dstedc's workspace (dsyevd: 2 n²)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    growth = float(done.stdout)
+    assert growth <= 1.75, f"peak RSS grew by {growth:.2f} n^2 doubles over H"
+
+
+def test_solve_prints_stages_heartbeat_and_store(monkeypatch, capsys):
+    monkeypatch.setattr(model, "HEARTBEAT_SECONDS", 0.002)
+    ham = assemble_hamiltonian(ModelConfig(n_env_levels=5))  # 1116 states, cold
+    err = capsys.readouterr().err
+    stages = ["tridiagonalized in", "divide and conquer in", "back-transformed in",
+              "stored entry"]
+    at = [next(i for i, line in enumerate(err.splitlines()) if stage in line)
+          for stage in stages]
+    assert at == sorted(at)
+    assert re.search(r"^quniverse: solving 1116 x 1116: \d+ s so far$", err, re.MULTILINE)
+    assert not ham.cache_hit
+
+
+def _memory(monkeypatch, total, available):
+    monkeypatch.setattr(model, "machine_memory", lambda: (total, available))
+
+
+def test_solve_larger_than_memory_refused_before_h_is_built(monkeypatch):
+    cfg = toy21_config()
+    _memory(monkeypatch, solve_bytes(cfg.n_universe_states) - 8, 10 ** 12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was built for a refused solve")
+
+    monkeypatch.setattr(model, "build_hamiltonian_matrix", refuse)
+    with pytest.raises(MemoryError, match=r"21 x 21 eigensolve needs \d+ MB, more than "
+                                          r"this machine's \d+ MB"):
+        assemble_hamiltonian(cfg)
+
+
+def test_solve_larger_than_available_memory_warns(monkeypatch):
+    cfg = toy21_config()
+    _memory(monkeypatch, 10 ** 12, solve_bytes(cfg.n_universe_states) - 8)
+    with pytest.warns(UserWarning, match=r"21 x 21 eigensolve needs .* MB available now"):
+        ham = assemble_hamiltonian(cfg)
+    assert not ham.cache_hit
+
+
+def test_machine_memory_reads_this_machine():
+    found = model.machine_memory()
+    if found is None:
+        pytest.skip("no /proc/meminfo")
+    total, available = found
+    assert 0 < available <= total
