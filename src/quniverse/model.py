@@ -466,7 +466,7 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
             # column j of a below its diagonal is row j of `matrix` after it
             packed = np.empty(n * (n - 1) // 2)
-            columns = np.split(packed, np.cumsum(np.arange(n - 1, 0, -1))[:-1]) if n > 1 else []
+            columns = np.split(packed, np.cumsum(np.arange(n - 1, 1, -1))) if n > 1 else []
             for j, column in enumerate(columns):
                 column[:] = matrix[j, j + 1:]
             t1 = time.perf_counter()
@@ -536,15 +536,12 @@ def machine_memory() -> tuple[int, int] | None:
     try:
         with open("/proc/self/cgroup") as fh:
             path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        group = Path("/sys/fs/cgroup") / path.lstrip("/")
-        limit = int((group / "memory.max").read_text())
-    except (OSError, StopIteration, ValueError):  # no cgroup v2, or memory.max reads "max"
+        group = Path("/sys/fs/cgroup", path.lstrip("/"))
+        limit = int((group / "memory.max").read_text())  # "max" when there is none
+        used = int((group / "memory.current").read_text())
+    except (OSError, StopIteration, ValueError):
         return total, available
-    try:
-        available = min(available, limit - int((group / "memory.current").read_text()))
-    except (OSError, ValueError):
-        available = min(available, limit)
-    return min(total, limit), available
+    return min(total, limit), min(available, limit - used)
 
 
 def check_solve_memory(dim: int) -> None:

@@ -479,3 +479,22 @@ def test_machine_memory_reads_this_machine():
         pytest.skip("no /proc/meminfo")
     total, available = found
     assert 0 < available <= total
+
+
+def test_machine_memory_caps_by_a_cgroup_v2_limit(tmp_path, monkeypatch):
+    files = {"proc/meminfo": "MemTotal:       8000000 kB\nMemAvailable:   6000000 kB\n",
+             "proc/self/cgroup": "0::/user.slice/run\n",
+             "sys/fs/cgroup/user.slice/run/memory.max": "2048000000\n",
+             "sys/fs/cgroup/user.slice/run/memory.current": "1024000000\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+
+    def inside(*parts):
+        return Path(tmp_path, *(str(part).lstrip("/") for part in parts))
+
+    monkeypatch.setattr(model, "open", lambda path: open(inside(path)), raising=False)
+    monkeypatch.setattr(model, "Path", inside)
+    assert model.machine_memory() == (2048000000, 2048000000 - 1024000000)
+    (tmp_path / "sys/fs/cgroup/user.slice/run/memory.max").write_text("max\n")
+    assert model.machine_memory() == (8000000 * 1024, 6000000 * 1024)
