@@ -464,7 +464,7 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
             lwork = max(int(query[0]), 1)
             _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
-            # column j of a below its diagonal is row j of `matrix` after it
+            # column j of `a` below its diagonal is row j of `matrix` right of it
             packed = np.empty(n * (n - 1) // 2)
             columns = np.split(packed, np.cumsum(np.arange(n - 1, 1, -1))) if n > 1 else []
             for j, column in enumerate(columns):

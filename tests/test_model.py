@@ -23,8 +23,8 @@ from quniverse.model import (
     build_system_levels,
     diagonalize,
     eigen_residual,
-    solve_bytes,
     polyad_eigenvalues,
+    solve_bytes,
     temperature_of,
 )
 from conftest import hamiltonian_matrix, toy6_config, toy21_config
