@@ -1,15 +1,10 @@
 """On-disk cache for universe eigendecompositions.
 
 At production size the dense symmetric solve dominates runtime, so
-eigenpairs are stored keyed by a hash of what determines their bytes:
-the config without NOT_IN_HAMILTONIAN (seed included), the draw-order
-contract version, `model.SOLVE_CONTRACT` (assembly and solver code) and
-`model.solve_library()` (the LAPACK library and its thread count, or,
-for a LAPACK other than scipy's bundled OpenBLAS, the settings that
-choose the thread count).  The
-package version is not in the key: a release that changes only outputs
-keeps every entry.  Any change to those inputs changes the key; stale
-entries are simply never hit.
+eigenpairs are stored under a key, `model.cache_key(config)`: a hash of
+what determines their bytes.  Any change to those inputs changes the
+key; stale entries are simply never hit.  This module knows only files:
+it takes the key and the dimension, never a config.
 
 An entry is one file, `{key}.npy`: a Fortran-ordered (n, n + 1) float64
 array whose column 0 holds the eigenvalues and whose columns 1..n hold
@@ -21,11 +16,10 @@ so a mapping keeps seeing the entry it opened even if a later store
 replaces it.  A file of the wrong size, shape or layout is discarded
 with a warning.
 
-This module only reads and writes entries.  The key does not pin the
-matrix, so `model.assemble_hamiltonian` checks every loaded entry
-against regenerated rows of H, re-solves a rejected one and stores the
-new solve over it.  Loading only reads: a hit writes, renames or touches
-no file in the directory.
+The key does not pin the matrix, so `model.assemble_hamiltonian`
+checks every loaded entry against regenerated rows of H, re-solves a
+rejected one and stores the new solve over it.  Loading only reads: a
+hit writes, renames or touches no file in the directory.
 
 The directory is bounded: after each store, the oldest `*.npy` files by
 mtime (entries, and the two-file `*.eigvals.npy`/`*.eigvecs.npy` entries
@@ -49,19 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model  # model imports this module too; used at call time only
-from .config import ModelConfig
-from .rng import DRAW_CONTRACT_VERSION
-
 CACHE_DIR_ENV = "QUNIVERSE_CACHE_DIR"
 CACHE_MAX_MB_ENV = "QUNIVERSE_CACHE_MAX_MB"
 DEFAULT_CACHE_MAX_MB = 4096.0
-
-# Config fields that do not enter H: the temperature convention, the
-# energy unit, the phases of the initial states and the microcanonical
-# shell.  Configs that differ only in them share one entry.
-NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "paper_compat",
-                      "random_initial_phases", "total_energy")
 
 
 def cache_dir() -> Path:
@@ -71,26 +55,18 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "quniverse"
 
 
-def cache_key(config: ModelConfig) -> str:
-    library, threads = model.solve_library()
-    return config.content_hash(exclude=NOT_IN_HAMILTONIAN, draw_contract=DRAW_CONTRACT_VERSION,
-                               solve_contract=model.SOLVE_CONTRACT, solve_library=library,
-                               solve_threads=threads)
+def entry_path(key: str) -> Path:
+    return cache_dir() / f"{key}.npy"
 
 
-def entry_path(config: ModelConfig) -> Path:
-    return cache_dir() / f"{cache_key(config)}.npy"
-
-
-def load_eigensystem(config: ModelConfig) -> tuple[np.ndarray, np.ndarray] | None:
-    """Cached (eigenvalues, eigenvectors) for this config, or None on miss.
+def load_eigensystem(key: str, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cached (eigenvalues, eigenvectors) of a dim x dim problem, or None on miss.
 
     Both are read-only views of the mapped entry.
     """
-    path = entry_path(config)
+    path = entry_path(key)
     if not path.exists():
         return None
-    dim = config.n_universe_states
     try:
         data = np.load(path, mmap_mode="r")
         # np.load refuses a file shorter than its header promises (mapping
@@ -108,8 +84,7 @@ def load_eigensystem(config: ModelConfig) -> tuple[np.ndarray, np.ndarray] | Non
     return data[:, 0], data[:, 1:]
 
 
-def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
-                      eigenvectors: np.ndarray) -> None:
+def store_eigensystem(key: str, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
     """Write the entry by streaming w and then V column by column; no combined copy.
 
     Then evict the oldest files beyond the size cap, keeping this entry.
@@ -125,12 +100,12 @@ def store_eigensystem(config: ModelConfig, eigenvalues: np.ndarray,
             np.lib.format.write_array_header_1_0(fh, header)
             np.ascontiguousarray(eigenvalues, dtype=np.float64).tofile(fh)
             np.asfortranarray(eigenvectors, dtype=np.float64).T.tofile(fh)
-        os.replace(tmp, entry_path(config))
+        os.replace(tmp, entry_path(key))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _evict(base, keep=entry_path(config))
+    _evict(base, keep=entry_path(key))
 
 
 def _evict(base: Path, keep: Path) -> None:

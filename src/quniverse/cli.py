@@ -36,10 +36,10 @@ from .analysis import (
     late_window_slice,
     stick_order,
 )
-from .cache import cache_key
+from .blas import gemm_library, pass_workers, solve_library
 from .config import ModelConfig
-from .dynamics import initial_state, pass_workers, propagate, propagate_blocks
-from .model import assemble_hamiltonian, gemm_library, progress, solve_library, temperature_of
+from .dynamics import initial_state, propagate, propagate_blocks
+from .model import assemble_hamiltonian, progress, temperature_of
 from .observables import trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
@@ -236,7 +236,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         states=list(states),
         t_max_reduced=float(t_max),
         n_points=n_points,
-        cache={"key": cache_key(config), "hit": ham.cache_hit,
+        cache={"key": ham.key, "hit": ham.cache_hit,
                "eig_residual": ham.eig_residual, "solve_library": library,
                "solve_threads": threads, "gemm_library": gemm, "gemm_threads": gemm_threads,
                "pass_workers": workers},
@@ -248,11 +248,20 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         temperature=dataclasses.asdict(temp),
         outputs=outputs,
         timing_seconds=timing,
-        # ru_maxrss is in KiB on Linux
-        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        peak_rss_mb=_peak_rss_mb(),
     )
     (out / "manifest.json").write_text(manifest.to_json())
     return manifest
+
+
+def _peak_rss_mb() -> float:
+    """This process's own peak RSS in MiB: VmHWM, or ru_maxrss where there is no /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        # in KiB on Linux, and starting from the RSS of the process that spawned this one
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _write_trajectory(path, config, n, traj):

@@ -66,7 +66,7 @@ states share the pass.  Two kernels fill a block:
   are the grid's first T columns.
 
 Threads: both kernels and the observables split their work into shares
-run by `run_shares`, which owns the pass's threads and the split.
+run by `blas.run_shares`, which owns the pass's threads and the split.
 
 Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
 aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
@@ -78,15 +78,14 @@ production size the two paths agree to < 1e-13 in every amplitude.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
+from .blas import gemm_threads, run_shares
 from .config import ModelConfig
-from .model import UniverseHamiltonian, gemm_openblas, gemm_threads
+from .model import UniverseHamiltonian
 from .rng import PHASE_STREAM, SeededRng
 
 
@@ -129,7 +128,7 @@ def _real_times_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (mat @ z.view(np.float64)).view(np.complex128)
 
 
-def eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+def _eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """V^T c as a complex (dim, 1) column, read from the rows where c is nonzero.
 
     Rows outside the span [lo, hi) of the nonzero amplitudes add only
@@ -192,7 +191,7 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     # On one thread, as every product of the pass: a threaded product here
     # would leave OpenBLAS's idle threads spinning on the workers' cores.
     with gemm_threads(1):
-        a = np.hstack([eigen_coefficients(v, c) for c in amplitudes])
+        a = np.hstack([_eigen_coefficients(v, c) for c in amplitudes])
     ns = ham.basis.n_system_levels
     ne = ham.dim // ns
     eb = env_block_size(ns, ne)
@@ -258,56 +257,6 @@ _BLOCK = 16  # G: grid columns per spreading GEMM
 # stacked.  At production size (seed 1), 5 of the plan's 95 wrap ranges
 # hold more points (386-391) and sum in two pieces.
 _K_PANEL = 384
-
-
-def pass_workers() -> int:
-    """W, the pass's worker threads: numpy's OpenBLAS thread count, 1 without it (`run_shares`)."""
-    found = gemm_openblas()
-    return max(1, found.get_threads()) if found is not None else 1
-
-
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of `workers` threads, built once per worker count."""
-    return ThreadPoolExecutor(workers)
-
-
-def run_shares(task, items: int) -> None:
-    """task(share) for each share of `items` items, on W workers at one OpenBLAS thread each.
-
-    The pass's one parallel primitive.  The direct products, the NUFFT's
-    spreading and transforms and the observables' sums are each cut into
-    S = min(W, items) shares, W = `pass_workers()`: share w is
-    slice(w, None, S), so it takes the items w, w + S, ... (system
-    levels, grid blocks or states), whose outputs no other share writes.
-    A caller indexes its own sequence of items with that slice.  The
-    shares run on one process-wide pool of W threads, with numpy's
-    OpenBLAS held at one thread until all are done, as FINUFFT runs
-    single-threaded kernels on its workers (Barnett et al., above); the
-    count is restored before this returns, so before a block is
-    yielded.  The first failure is raised only then, so no worker still
-    runs when the caller moves on.  A task must not call run_shares: it
-    would wait on the pool it runs in.
-
-    No byte can move with W or numpy's thread count: every product runs
-    on one OpenBLAS thread with the same shape and operands whatever W is
-    (tested from 1 and 2 threads outside the pin), every row is
-    transformed alone (pocketfft: single-threaded, releasing the GIL),
-    and every sum belongs to one state and one share.  On 2 cores the
-    small spreading products (128 x <= 384 x 192) reached ~40 GFLOP/s on
-    one 2-thread OpenBLAS, against ~90 for large products, and a second
-    FFT thread gained ~10 %; two workers took a production pass's
-    propagation from 2.6-2.9 s to 1.9-2.1 s, its observables from
-    0.85-0.94 s to 0.47-0.62 s, and one time's direct products from
-    ~100 ms to 50-65 ms.  A pool built per call was no faster.
-    """
-    workers = pass_workers()  # read before the pin, inside which it is 1
-    pool, shares = _pool(workers), min(workers, items)
-    with gemm_threads(1):
-        futures = [pool.submit(task, slice(w, None, shares)) for w in range(shares)]
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 def _uniform_step(times: np.ndarray) -> float | None:

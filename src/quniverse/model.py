@@ -36,7 +36,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import os
 import sys
 import threading
 import time
@@ -46,11 +45,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import cache, units
+from . import blas, cache, units
 from .config import ModelConfig
-from .rng import COUPLING_STREAM, LARGE_CALL_WORDS, SHIFT_STREAM, SeededRng
+from .rng import (COUPLING_STREAM, DRAW_CONTRACT_VERSION, LARGE_CALL_WORDS, SHIFT_STREAM,
+                  SeededRng)
 
 
 @dataclass(frozen=True)
@@ -97,15 +96,16 @@ class UniverseHamiltonian:
     """The universe Hamiltonian as its checked eigendecomposition.
 
     `eig_residual` is the sampled residual R of `eigen_residual` against
-    regenerated rows of H; `cache_hit` says whether the eigenpairs came
-    from the on-disk cache (an accepted entry, then read-only views of
-    its mapping) or from a solve.
+    regenerated rows of H; `key` is the config's `cache_key`; `cache_hit`
+    says whether the eigenpairs came from the on-disk cache (an accepted
+    entry, then read-only views of its mapping) or from a solve.
     """
 
     basis: UniverseBasis
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eig_residual: float
+    key: str
     cache_hit: bool = False
 
     @property
@@ -116,32 +116,10 @@ class UniverseHamiltonian:
 def build_system_levels(config: ModelConfig) -> np.ndarray:
     """System energies on the shifted-origin ladder, e_n = n * kappa.
 
-    The polyad eigenvalues are exactly equally spaced by kappa
-    (`polyad_eigenvalues`), so the ladder is analytic.
+    The polyad block is kappa * Jx in the spin-N/2 representation, so its
+    eigenvalues are exactly equally spaced by kappa (the tests solve it).
     """
     return config.kappa * np.arange(config.polyad_N + 1, dtype=float)
-
-
-def polyad_eigenvalues(config: ModelConfig) -> np.ndarray:
-    """Absolute eigenvalues (ascending) of the coupled-oscillator polyad block.
-
-    In the local-mode basis {|n1, N - n1>} the block is tridiagonal with
-    constant diagonal N*omega0 and ladder off-diagonals
-    (kappa/2) * sqrt((n1+1) n2).  This is kappa * Jx in the spin-N/2
-    representation, so the polyad eigenvalues are exactly equally spaced
-    by kappa (normal-mode frequencies omega0 -/+ kappa/2).  Solved
-    numerically, as the check of the ladder that `build_system_levels`
-    uses.
-    """
-    N = config.polyad_N
-    diag = np.full(N + 1, N * config.omega0, dtype=float)
-    if N == 0:
-        return diag
-    import scipy.linalg
-
-    n1 = np.arange(N, dtype=float)
-    off = 0.5 * config.kappa * np.sqrt((n1 + 1.0) * (N - n1))
-    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 def build_environment(config: ModelConfig) -> EnvironmentLevels:
@@ -242,120 +220,23 @@ def _coupling_rows(couplings: SeededRng, sigma: float, dim: int, k: int) -> Iter
 # assembly change that forgets to.
 SOLVE_CONTRACT = 1
 
+# Config fields that do not enter H: the temperature convention, the
+# energy unit, the phases of the initial states and the microcanonical
+# shell.  Configs that differ only in them share one cache entry.
+NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "paper_compat",
+                      "random_initial_phases", "total_energy")
 
-# Environment variables that set the BLAS thread count of a LAPACK
-# other than scipy's bundled OpenBLAS (see `solve_library`).
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
 
+def cache_key(config: ModelConfig) -> str:
+    """The key of the config's cache entry: a hash of what fixes its eigenpairs' bytes.
 
-@functools.cache
-def solve_library() -> tuple[str, int]:
-    """(identity, thread count) of the OpenBLAS that runs `diagonalize`.
-
-    scipy's wheels bundle their own OpenBLAS (`libscipy_openblas`) for
-    LAPACK, a library apart from numpy's.  Its `scipy_openblas_get_config`
-    names the version and the kernel chosen at run time (e.g. "OpenBLAS
-    0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the
-    thread count (OPENBLAS_NUM_THREADS) it fixes the solve's summation
-    order.  When that library is not found (a scipy built against another
-    LAPACK), neither can be read: the identity then names scipy's version,
-    the core count and every THREAD_VARIABLES setting, so runs with other
-    thread settings still get other cache keys, and the count is 0.
+    The config without NOT_IN_HAMILTONIAN (seed included), the draw-order
+    contract, SOLVE_CONTRACT and `blas.solve_library()`.
     """
-    found = _bundled_openblas()
-    if found is not None:
-        return found
-    settings = " ".join(f"{name}={os.environ.get(name, '')}" for name in THREAD_VARIABLES)
-    return f"unknown LAPACK, scipy {scipy.__version__}, {os.cpu_count()} cores, {settings}", 0
-
-
-def _bundled_openblas() -> tuple[str, int] | None:
-    """(config string, thread count) of scipy's bundled OpenBLAS, or None if it is absent."""
-    found = _wheel_openblas(scipy, "")
-    return None if found is None else (found.config, found.get_threads())
-
-
-@dataclass(frozen=True)
-class WheelOpenBLAS:
-    """The ctypes entry points of an OpenBLAS that a numpy or scipy wheel bundles."""
-
-    config: str
-    get_threads: Callable[[], int]
-    set_threads: Callable[[int], None]
-
-
-def _wheel_openblas(package, suffix: str) -> WheelOpenBLAS | None:
-    """The OpenBLAS in `package`'s `<name>.libs` directory, or None if absent.
-
-    Its `scipy_openblas_*` symbols end in `suffix` ("64_" for numpy's
-    64-bit-integer build).  Loading the library starts its thread pool,
-    whose workers spin for 2^28 cycles (~0.13 s at 2.1 GHz, measured)
-    before they sleep, taking a core from whatever runs next.  Nothing in
-    the process can be using a library that this call loads, so then the
-    pool is shut down at once; OpenBLAS starts it again on its next
-    threaded call, as it does after a fork.  That is scipy's library on a
-    warm run, which reads only its identity (numpy's is loaded by numpy).
-    """
-    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-    for path in sorted(libs.glob(f"libscipy_openblas{suffix}*.so*")):
-        try:
-            ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            loaded = True
-        except OSError:
-            loaded = False
-        try:
-            lib = ctypes.CDLL(str(path))
-            config, get_threads, set_threads = (
-                getattr(lib, f"scipy_openblas_{name}{suffix}")
-                for name in ("get_config", "get_num_threads", "set_num_threads"))
-        except (OSError, AttributeError):
-            continue
-        config.argtypes, config.restype = [], ctypes.c_char_p
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        found = WheelOpenBLAS(config().decode(), get_threads, set_threads)
-        shutdown = getattr(lib, "blas_thread_shutdown_", None)
-        if not loaded and shutdown is not None:
-            shutdown()
-        return found
-    return None
-
-
-@functools.cache
-def gemm_openblas() -> WheelOpenBLAS | None:
-    """numpy's bundled OpenBLAS (`libscipy_openblas64_`), or None if it is absent.
-
-    It runs every numpy matmul, so the propagation's GEMMs; scipy's
-    library (`solve_library`) runs only the solve.
-    """
-    return _wheel_openblas(np, "64_")
-
-
-def gemm_library() -> tuple[str, int]:
-    """(identity, thread count) of numpy's bundled OpenBLAS; the count is 0 if it is absent."""
-    found = gemm_openblas()
-    if found is None:
-        return f"unknown BLAS, numpy {np.__version__}", 0
-    return found.config, found.get_threads()
-
-
-@contextlib.contextmanager
-def gemm_threads(count: int) -> Iterator[None]:
-    """Run numpy's OpenBLAS on `count` threads inside the block, then restore its count.
-
-    Does nothing when that library is absent.
-    """
-    found = gemm_openblas()
-    if found is None:
-        yield
-        return
-    before = found.get_threads()
-    found.set_threads(count)
-    try:
-        yield
-    finally:
-        found.set_threads(before)
+    library, threads = blas.solve_library()
+    return config.content_hash(exclude=NOT_IN_HAMILTONIAN, draw_contract=DRAW_CONTRACT_VERSION,
+                               solve_contract=SOLVE_CONTRACT, solve_library=library,
+                               solve_threads=threads)
 
 
 def progress(message: str) -> None:
@@ -464,11 +345,12 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
             lwork = max(int(query[0]), 1)
             _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
-            # column j of `a` below its diagonal is row j of `matrix` right of it
+            # column j of `a` below its diagonal is row j of `matrix` right of it,
+            # packed from starts[j]; no view of `packed` outlives it
             packed = np.empty(n * (n - 1) // 2)
-            columns = np.split(packed, np.cumsum(np.arange(n - 1, 1, -1))) if n > 1 else []
-            for j, column in enumerate(columns):
-                column[:] = matrix[j, j + 1:]
+            starts = [j * (2 * n - 1 - j) // 2 for j in range(n - 1)]
+            for j, start in enumerate(starts):
+                packed[start:start + n - 1 - j] = matrix[j, j + 1:]
             t1 = time.perf_counter()
             progress(f"tridiagonalized in {t1 - t0:.1f} s")
             work = np.zeros(n * n + 4 * n + 1)
@@ -477,9 +359,9 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             t2 = time.perf_counter()
             progress(f"divide and conquer in {t2 - t1:.1f} s")
             reflectors = work[:n * n].reshape(n, n)
-            for j, column in enumerate(columns):
-                reflectors[j, j + 1:] = column
-            del packed, columns
+            for j, start in enumerate(starts):
+                reflectors[j, j + 1:] = packed[start:start + n - 1 - j]
+            del packed  # freed before dormtr's ~30 s at production size
             # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
             # dormqr's blocking reads at most 64n + 65·64
             lwork = min(work.size, 64 * n + 65 * 64)
@@ -579,8 +461,8 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     basis = build_basis(config)
     progress(f"basis of {basis.size} states ({basis.n_system_levels} system levels x "
              f"{basis.n_env_states} environment states)")
-    key = cache.cache_key(config)
-    cached = cache.load_eigensystem(config)
+    key = cache_key(config)
+    cached = cache.load_eigensystem(key, basis.size)
     if cached is None:
         progress(f"cache miss: no entry {key[:12]}")
     else:
@@ -588,7 +470,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         residual = eigen_residual(rows, *cached)
         if residual <= _residual_bound(rows):
             progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
-            return UniverseHamiltonian(basis, *cached, eig_residual=residual,
+            return UniverseHamiltonian(basis, *cached, eig_residual=residual, key=key,
                                        cache_hit=True)
         warnings.warn(f"cache entry {key} fails the eigen check "
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
@@ -602,7 +484,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
     start = time.perf_counter()
     try:
-        cache.store_eigensystem(config, eigenvalues, eigenvectors)
+        cache.store_eigensystem(key, eigenvalues, eigenvectors)
     except OSError as exc:
         warnings.warn(f"solved, but not cached in {cache.CACHE_DIR_ENV}="
                       f"{cache.cache_dir()}: {exc}", stacklevel=2)
@@ -610,7 +492,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         progress(f"stored entry {key[:12]}, "
                  f"{(eigenvalues.nbytes + eigenvectors.nbytes) / 1e6:.0f} MB, "
                  f"in {time.perf_counter() - start:.1f} s")
-    return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual)
+    return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual, key=key)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, units
+from . import blas, units
 from .config import ModelConfig
 from .model import UniverseBasis, build_system_levels, temperature_of
 
@@ -133,7 +133,7 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     sum p, sum p ln p, shell partial sums and raw RDM c c^H at every time,
     TIME_CHUNK times at a time, and is then dropped; only the final-time
     amplitudes are kept.  Each state's sums depend on that state alone,
-    and are made by the share that owns the state (`dynamics.run_shares`).
+    and are made by the share that owns the state (`blas.run_shares`).
 
     Once every block is in, each state must pass the gates at every time:
     unit norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
@@ -180,7 +180,7 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
         # row within each system level)
         labels = basis.shell_label[rows]
         starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        dynamics.run_shares(lambda own: add_share(own, c, labels, starts), k)
+        blas.run_shares(lambda own: add_share(own, c, labels, starts), k)
         final[:, rows] = c[:, -1]
     ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
     return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, ladder, kbt,

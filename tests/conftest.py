@@ -3,11 +3,11 @@ import os
 import numpy as np
 import pytest
 
+from quniverse.blas import gemm_library, gemm_openblas
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
 from quniverse.dynamics import _block_rows, propagate_blocks
-from quniverse.model import (assemble_hamiltonian, build_basis, build_hamiltonian_matrix,
-                             gemm_library, gemm_openblas)
+from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
 
 
 # The acceptance suite keeps the shared cache on purpose: its

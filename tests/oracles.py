@@ -1,5 +1,6 @@
 """Single-time observables: the references the tests hold
-`observables.trajectories` against.
+`observables.trajectories` against, and the solved polyad block that
+`model.build_system_levels`' analytic ladder is held against.
 
 Each function computes one quantity of one state, given as its complex
 amplitude array, the plain way: the
@@ -14,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from quniverse.config import ModelConfig
 from quniverse.model import UniverseBasis, UniverseHamiltonian
 from quniverse.observables import EIGENVALUE_CLIP_TOL, HERMITICITY_TOL, TRACE_TOL
 
@@ -131,3 +134,23 @@ def shell_decompose(c: np.ndarray, basis: UniverseBasis) -> tuple[np.ndarray, np
     n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
     populations = np.bincount(basis.shell_label, weights=p, minlength=n_shells)
     return populations, shell_partial_entropies(p, basis.shell_label, n_shells)
+
+
+def polyad_eigenvalues(config: ModelConfig) -> np.ndarray:
+    """Absolute eigenvalues (ascending) of the coupled-oscillator polyad block.
+
+    In the local-mode basis {|n1, N - n1>} the block is tridiagonal with
+    constant diagonal N*omega0 and ladder off-diagonals
+    (kappa/2) * sqrt((n1+1) n2).  This is kappa * Jx in the spin-N/2
+    representation, so the polyad eigenvalues are exactly equally spaced
+    by kappa (normal-mode frequencies omega0 -/+ kappa/2).  Solved
+    numerically, as the check of the ladder that `build_system_levels`
+    uses.
+    """
+    N = config.polyad_N
+    diag = np.full(N + 1, N * config.omega0, dtype=float)
+    if N == 0:
+        return diag
+    n1 = np.arange(N, dtype=float)
+    off = 0.5 * config.kappa * np.sqrt((n1 + 1.0) * (N - n1))
+    return scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)

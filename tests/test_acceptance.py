@@ -16,11 +16,11 @@ import pytest
 from quniverse.cli import compare_free_energy, read_trajectory, run_experiment
 from quniverse.config import ModelConfig
 from quniverse.dynamics import initial_state, propagate
-from quniverse.model import assemble_hamiltonian, polyad_eigenvalues
+from quniverse.model import assemble_hamiltonian
 
 from conftest import hamiltonian_matrix
-from oracles import (expectation, probabilities, reduced_density_matrix, universe_entropy,
-                     von_neumann_entropy)
+from oracles import (expectation, polyad_eigenvalues, probabilities, reduced_density_matrix,
+                     universe_entropy, von_neumann_entropy)
 
 SEEDS = (1, 2, 3)
 STATES = tuple(range(6))

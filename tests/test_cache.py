@@ -15,19 +15,11 @@ import numpy as np
 import pytest
 import scipy
 
-from quniverse import cache, model
-from quniverse.cache import (
-    CACHE_MAX_MB_ENV,
-    NOT_IN_HAMILTONIAN,
-    cache_dir,
-    cache_key,
-    entry_path,
-    load_eigensystem,
-    store_eigensystem,
-)
+from quniverse import blas, cache, model
+from quniverse.cache import CACHE_MAX_MB_ENV, cache_dir, entry_path
 from quniverse.cli import run_experiment
 from quniverse.dynamics import initial_state
-from quniverse.model import assemble_hamiltonian, diagonalize
+from quniverse.model import NOT_IN_HAMILTONIAN, assemble_hamiltonian, cache_key, diagonalize
 
 from conftest import hamiltonian_matrix, propagated, toy21_config
 
@@ -47,6 +39,18 @@ def _run(cfg, out, n_points=40):
 def _solve(cfg):
     """cfg's eigensystem, solved without the cache."""
     return diagonalize(hamiltonian_matrix(cfg))
+
+
+def _path(cfg):
+    return entry_path(cache_key(cfg))
+
+
+def _load(cfg):
+    return cache.load_eigensystem(cache_key(cfg), cfg.n_universe_states)
+
+
+def _store(cfg, eigenvalues, eigenvectors):
+    cache.store_eigensystem(cache_key(cfg), eigenvalues, eigenvectors)
 
 
 def _assert_same_outputs(a, b):
@@ -84,7 +88,7 @@ def test_hit_leaves_cache_directory_untouched():
 
 def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     cfg = toy21_config(rng_seed=1)
-    store_eigensystem(cfg, *_solve(toy21_config(rng_seed=2)))
+    _store(cfg, *_solve(toy21_config(rng_seed=2)))
 
     with pytest.warns(UserWarning, match=f"cache entry {cache_key(cfg)} fails the eigen check"):
         manifest = _run(cfg, tmp_path / "cached")
@@ -93,7 +97,7 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     assert manifest.cache["eig_residual"] <= model.CHECK_RTOL
 
     # the rejected entry was replaced by this matrix's eigensystem
-    w, v = load_eigensystem(cfg)
+    w, v = _load(cfg)
     own_w, own_v = _solve(cfg)
     assert np.array_equal(w, own_w) and np.array_equal(v, own_v)
     assert assemble_hamiltonian(cfg).cache_hit
@@ -130,7 +134,7 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     assert manifest["cache"]["hit"] is True
     assert manifest["cache"]["key"] == cache_key(cfg)
     assert 0.0 <= manifest["cache"]["eig_residual"] <= model.CHECK_RTOL
-    library, threads = model.solve_library()
+    library, threads = blas.solve_library()
     assert (manifest["cache"]["solve_library"], manifest["cache"]["solve_threads"]) == (
         library, threads)
     assert manifest["peak_rss_mb"] > 0.0
@@ -159,13 +163,13 @@ def test_hit_maps_entry_read_only():
     cfg = toy21_config(rng_seed=1)
     cold = assemble_hamiltonian(cfg)
     before = _listing()
-    assert list(before) == [entry_path(cfg).name]
+    assert list(before) == [_path(cfg).name]
     warm = assemble_hamiltonian(cfg)
     assert warm.cache_hit
     for array in (warm.eigenvalues, warm.eigenvectors):
         assert type(array) is np.ndarray
         assert not array.flags.writeable
-        assert _mapped_file(array) == entry_path(cfg)
+        assert _mapped_file(array) == _path(cfg)
     assert warm.eigenvectors.flags.f_contiguous
     assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
     assert np.array_equal(warm.eigenvectors, cold.eigenvectors)
@@ -182,8 +186,8 @@ def test_store_over_mapped_entry_keeps_earlier_mapping():
     before = propagated(psi0, mapped, times)
 
     foreign_w, foreign_v = _solve(toy21_config(rng_seed=2))
-    store_eigensystem(cfg, foreign_w, foreign_v)
-    _, v = load_eigensystem(cfg)
+    _store(cfg, foreign_w, foreign_v)
+    _, v = _load(cfg)
     assert np.array_equal(v, foreign_v)
     assert not np.array_equal(mapped.eigenvectors, foreign_v)
     assert np.array_equal(propagated(psi0, mapped, times), before)
@@ -191,8 +195,8 @@ def test_store_over_mapped_entry_keeps_earlier_mapping():
 
 def _store_aged(cfg, age_s):
     """Store cfg's eigensystem and date its entry `age_s` seconds back."""
-    store_eigensystem(cfg, *_solve(cfg))
-    path = entry_path(cfg)
+    _store(cfg, *_solve(cfg))
+    path = _path(cfg)
     stamp = path.stat().st_mtime - age_s
     os.utime(path, (stamp, stamp))
     return path
@@ -227,8 +231,8 @@ def test_store_never_evicts_the_entry_it_wrote(monkeypatch):
     older = _store_aged(toy21_config(rng_seed=1), 100)
     newer = _aged_file("f" * 64 + ".npy", 10, -1000)  # mtime in the future
     cfg = toy21_config(rng_seed=2)
-    store_eigensystem(cfg, *_solve(cfg))
-    assert [p.name for p in cache_dir().iterdir()] == [entry_path(cfg).name]
+    _store(cfg, *_solve(cfg))
+    assert [p.name for p in cache_dir().iterdir()] == [_path(cfg).name]
     assert not older.exists() and not newer.exists()
 
 
@@ -246,8 +250,8 @@ def test_invalid_cap_warns_and_evicts_nothing(monkeypatch, value):
     cfg = toy21_config(rng_seed=2)
     w, v = _solve(cfg)
     with pytest.warns(UserWarning, match=f"ignoring {CACHE_MAX_MB_ENV}"):
-        store_eigensystem(cfg, w, v)
-    assert old.exists() and entry_path(cfg).exists()
+        _store(cfg, w, v)
+    assert old.exists() and _path(cfg).exists()
 
 
 def _damage(path, kind):
@@ -271,9 +275,9 @@ def _damage(path, kind):
 def test_damaged_entry_discarded_and_resolved(kind):
     cfg = toy21_config(rng_seed=1)
     cold = assemble_hamiltonian(cfg)
-    _damage(entry_path(cfg), kind)
+    _damage(_path(cfg), kind)
     with pytest.warns(UserWarning, match="discarding"):
-        assert load_eigensystem(cfg) is None
+        assert _load(cfg) is None
     with pytest.warns(UserWarning, match="discarding"):
         again = assemble_hamiltonian(cfg)
     assert not again.cache_hit
@@ -324,9 +328,9 @@ def test_key_covers_hamiltonian_fields(name):
 
 
 @pytest.mark.parametrize("owner, name, changed", [
-    (cache, "DRAW_CONTRACT_VERSION", "changed"),
+    (model, "DRAW_CONTRACT_VERSION", "changed"),
     (model, "SOLVE_CONTRACT", "changed"),
-    (model, "solve_library", lambda: ("another LAPACK", 2)),
+    (blas, "solve_library", lambda: ("another LAPACK", 2)),
 ], ids=["DRAW_CONTRACT_VERSION", "SOLVE_CONTRACT", "solve_library"])
 def test_key_covers_code_and_draw_versions(monkeypatch, owner, name, changed):
     before = cache_key(toy21_config())
@@ -358,9 +362,9 @@ sys.stdout.buffer.write(w.tobytes() + v.tobytes())
 # what a cache key reads first: scipy's OpenBLAS, loaded here by ctypes
 _KEY_THEN_SOLVE = """
 import os
-from quniverse import model
+from quniverse import blas
 threads = len(os.listdir("/proc/self/task"))
-model.solve_library()
+blas.solve_library()
 assert len(os.listdir("/proc/self/task")) == threads, "a new OpenBLAS pool is left running"
 """ + _SOLVE
 
@@ -398,11 +402,11 @@ def test_identity_read_stops_the_pool_it_starts_and_the_solve_keeps_its_bytes():
 
 _ASSEMBLE = """
 import json
-from quniverse import cache, model
+from quniverse import blas, model
 from quniverse.config import ModelConfig
 cfg = ModelConfig(n_env_levels=3, alpha=0.05)
 ham = model.assemble_hamiltonian(cfg)
-print(json.dumps([cache.cache_key(cfg), ham.cache_hit, model.solve_library()[1]]))
+print(json.dumps([model.cache_key(cfg), ham.cache_hit, blas.solve_library()[1]]))
 """
 
 
@@ -428,12 +432,12 @@ def test_one_thread_run_never_maps_a_two_thread_entry():
 def test_key_separates_thread_settings_without_bundled_openblas(monkeypatch):
     # another LAPACK: its thread count cannot be read, so the key takes
     # the settings that choose it
-    monkeypatch.setattr(model, "_bundled_openblas", lambda: None)
-    monkeypatch.setattr(model, "solve_library", model.solve_library.__wrapped__)
+    monkeypatch.setattr(blas, "_wheel_openblas", lambda package, suffix: None)
+    monkeypatch.setattr(blas, "solve_library", blas.solve_library.__wrapped__)
     keys = []
     for threads in ("1", "2"):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        library, count = model.solve_library()
+        library, count = blas.solve_library()
         assert count == 0 and f"scipy {scipy.__version__}" in library
         keys.append(cache_key(toy21_config()))
     assert keys[0] != keys[1]

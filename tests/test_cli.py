@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from quniverse import __version__, cli, model, units
-from quniverse.cache import CACHE_DIR_ENV, cache_key
+from quniverse.blas import gemm_library, gemm_openblas, gemm_threads, pass_workers, solve_library
+from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
-from quniverse.dynamics import NUFFT_MIN_TIMES, pass_workers
-from quniverse.model import (build_system_levels, gemm_library, gemm_openblas, gemm_threads,
-                             solve_library)
+from quniverse.dynamics import NUFFT_MIN_TIMES
+from quniverse.model import build_system_levels, cache_key
 from quniverse.observables import (
     EIGENVALUE_CLIP_TOL,
     HERMITICITY_TOL,
@@ -356,6 +356,27 @@ def test_manifest_records_gemm_library_and_pass_workers(tmp_path):
 def _run_manifest_text(out):
     _run(toy21_config(), out, n_points=120)
     return (out / "manifest.json").read_text()
+
+
+# A parent that holds 320 MiB of touched memory runs `quniverse` as its child
+_HOLDING_PARENT = """
+import subprocess, sys
+import numpy as np
+held = np.ones(40 * 2**20)
+subprocess.run([sys.executable, "-m", "quniverse.cli", *sys.argv[1:]], check=True)
+"""
+
+
+def test_manifest_peak_rss_is_the_run_process_own(tmp_path):
+    # ru_maxrss would start from the parent's RSS, taken over at exec
+    cfg_path = tmp_path / "toy21.cfg"
+    cfg_path.write_text(toy21_config().canonical_string())
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-c", _HOLDING_PARENT, "run", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "out")],
+                   env=env, check=True, capture_output=True, timeout=120)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert 0.0 < manifest["peak_rss_mb"] < 200.0
 
 
 def test_cli_seed_and_compat_overrides(tmp_path, toy_cfg_file):
@@ -701,16 +722,15 @@ def test_config_file_errors_surface(tmp_path):
         main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
 
 
-# A warm process imports numpy and top-level scipy only: scipy.linalg is
-# for the solve, scipy.special for the full fill of H, both on a miss.
+# A warm process imports no scipy module: scipy.linalg is for the solve,
+# scipy.special for the full fill of H, both on a miss, and the cache key
+# finds scipy's OpenBLAS without importing scipy.
 _WARM_CALLS = """
 import json, sys
 import quniverse.cli
 
 def scipy_modules():
-    return sorted(name for name in sys.modules
-                  if name.split(".")[:2] in (["scipy", "special"], ["scipy", "linalg"],
-                                             ["scipy", "fft"]))
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
 for name, argv in json.loads(sys.argv[1]):

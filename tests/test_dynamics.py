@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 import scipy.constants
 
-from quniverse import dynamics, model, units
+from quniverse import blas, dynamics, units
 from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.dynamics import (
     NUFFT_MIN_TIMES,
-    eigen_coefficients,
+    _eigen_coefficients,
     env_block_size,
     initial_state,
     propagate,
     propagate_blocks,
 )
-from quniverse.model import UniverseHamiltonian, assemble_hamiltonian, build_basis
+from quniverse.model import assemble_hamiltonian, build_basis
 
 from conftest import (hamiltonian_matrix, propagated,
                       random_normalized_state, toy6_config, toy21_config)
@@ -199,7 +199,7 @@ def _toy21_states(ham, cfg):
 def test_eigen_coefficients_match_full_product(toy21, toy21_ham):
     v = toy21_ham.eigenvectors
     for label, c in _toy21_states(toy21_ham, toy21):
-        trimmed = eigen_coefficients(v, c)
+        trimmed = _eigen_coefficients(v, c)
         assert trimmed.shape == (toy21_ham.dim, 1)
         full = v.T @ c.real + 1j * (v.T @ c.imag)
         np.testing.assert_allclose(trimmed[:, 0], full, rtol=0, atol=1e-14, err_msg=label)
@@ -214,9 +214,9 @@ def test_eigen_coefficients_read_only_the_support():
     outside = np.ones(ham.dim, dtype=bool)
     outside[support[0]:support[-1] + 1] = False
     poisoned[outside] = np.nan
-    np.testing.assert_array_equal(eigen_coefficients(poisoned, c),
-                                  eigen_coefficients(ham.eigenvectors, c))
-    assert not np.any(eigen_coefficients(ham.eigenvectors, np.zeros(ham.dim, complex)))
+    np.testing.assert_array_equal(_eigen_coefficients(poisoned, c),
+                                  _eigen_coefficients(ham.eigenvectors, c))
+    assert not np.any(_eigen_coefficients(ham.eigenvectors, np.zeros(ham.dim, complex)))
 
 
 # -- the NUFFT path on uniform grids ----------------------------------------------
@@ -263,8 +263,7 @@ def test_nufft_kernel_wraps_around_the_grid(monkeypatch, toy21, toy21_ham, edge)
     w, period = toy21_ham.eigenvalues, 2.0 * np.pi / times[1]
     shifted = w - w[0] + 1e-3 if edge == "low" else w - w[-1] + period - 1e-3
     assert shifted[0] > 0.0 and shifted[-1] < period
-    ham = UniverseHamiltonian(toy21_ham.basis, shifted, toy21_ham.eigenvectors,
-                              toy21_ham.eig_residual)
+    ham = dataclasses.replace(toy21_ham, eigenvalues=shifted)
     labels, states = zip(*_toy21_states(ham, toy21))
     fast = propagated(np.array(states), ham, times)
     for label, c, got in zip(labels, states, fast):
@@ -304,19 +303,19 @@ def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
         return {**{name: propagated(psi0, ham, times) for name, times in grids.items()},
                 "single time": single}
 
-    monkeypatch.setattr(dynamics, "pass_workers", lambda: 1)
+    monkeypatch.setattr(blas, "pass_workers", lambda: 1)
     one = outputs()
     for workers in (2, 3):
-        monkeypatch.setattr(dynamics, "pass_workers", lambda workers=workers: workers)
+        monkeypatch.setattr(blas, "pass_workers", lambda workers=workers: workers)
         for name, got in outputs().items():
             assert one[name].tobytes() == got.tobytes(), (name, workers)
 
 
 def _blas_thread_counts():
     """1 and 2 numpy OpenBLAS threads where its count can be set, else only the current one."""
-    if model.gemm_openblas() is None:
+    if blas.gemm_openblas() is None:
         return [contextlib.nullcontext()]
-    return [model.gemm_threads(1), model.gemm_threads(2)]
+    return [blas.gemm_threads(1), blas.gemm_threads(2)]
 
 
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
@@ -336,7 +335,7 @@ def test_stacked_products_give_each_state_its_own_bytes(n_rows):
             spread = rng.standard_normal((inner, 32 * k))
             products = []
             for threads in _blas_thread_counts():
-                with threads, model.gemm_threads(1):
+                with threads, blas.gemm_threads(1):
                     products.append([rows @ spread] + [
                         rows @ np.ascontiguousarray(spread[:, 32 * s:32 * (s + 1)])
                         for s in range(k)])
@@ -359,7 +358,7 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, CACHE_DIR_ENV: str(tmp_path / "cache"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
-        [sys.executable, "-c", "from quniverse.model import gemm_library; print(gemm_library()[0])"],
+        [sys.executable, "-c", "from quniverse.blas import gemm_library; print(gemm_library()[0])"],
         env=env, capture_output=True, text=True, check=True)
     if kernel not in probe.stdout.split():
         pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels "
@@ -399,14 +398,14 @@ def test_spreading_plan_covers_each_window_in_capped_pieces(mid_ham, t_max_ps):
 
 
 def test_pass_workers_follow_numpy_blas_thread_count(monkeypatch):
-    if model.gemm_openblas() is None:
-        assert dynamics.pass_workers() == 1
+    if blas.gemm_openblas() is None:
+        assert blas.pass_workers() == 1
         pytest.skip("numpy's bundled OpenBLAS not found")
     for threads in (1, 2, 3):
-        with model.gemm_threads(threads):
-            assert dynamics.pass_workers() == threads
-    monkeypatch.setattr(dynamics, "gemm_openblas", lambda: None)
-    assert dynamics.pass_workers() == 1
+        with blas.gemm_threads(threads):
+            assert blas.pass_workers() == threads
+    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
+    assert blas.pass_workers() == 1
 
 
 def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):
@@ -434,8 +433,8 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
 
 
 def test_nufft_refuses_unsorted_eigenvalues(toy21, toy21_ham):
-    flipped = UniverseHamiltonian(toy21_ham.basis, toy21_ham.eigenvalues[::-1],
-                                  toy21_ham.eigenvectors[:, ::-1], toy21_ham.eig_residual)
+    flipped = dataclasses.replace(toy21_ham, eigenvalues=toy21_ham.eigenvalues[::-1],
+                                  eigenvectors=toy21_ham.eigenvectors[:, ::-1])
     psi0 = initial_state(toy21, 1)
     times = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     with pytest.raises(ValueError, match="ascending"):

@@ -1,0 +1,66 @@
+"""The package's import graph: layers without a cycle.
+
+`blas` is a leaf, `cache` knows only files (the key comes from `model`,
+which owns both contracts it covers), and no module imports one that
+imports it back, at module level or inside a function.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quniverse"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _imports(path: Path) -> set[str]:
+    """The quniverse modules that the module at `path` imports anywhere in its body.
+
+    A name imported from the package itself that is not a module (such
+    as `__version__`) comes from `__init__`, which imports nothing.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 1 or base.split(".")[0] == "quniverse":
+                base = base.removeprefix("quniverse").lstrip(".")
+                if base:
+                    found.add(base.split(".")[0])
+                else:  # from . import a, b
+                    found.update(alias.name if alias.name in MODULES else "__init__"
+                                 for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("quniverse."))
+    return found - {"__init__"}
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return {name: _imports(PACKAGE / f"{name}.py") for name in sorted(MODULES)}
+
+
+def test_graph_is_read(graph):
+    # the walk sees what the package is known to import
+    assert {"blas", "cache", "config", "rng"} <= graph["model"]
+    assert {"blas", "dynamics", "model"} <= graph["cli"]
+    assert set().union(*graph.values()) <= MODULES
+
+
+def test_no_module_imports_one_that_imports_it_back(graph):
+    def reaches(start, target, seen=()):
+        return any(m == target or (m not in seen and reaches(m, target, (*seen, m)))
+                   for m in graph[start])
+
+    cycles = sorted(name for name in graph if reaches(name, name))
+    assert cycles == [], f"modules on an import cycle: {cycles}"
+
+
+def test_cache_knows_only_files(graph):
+    assert graph["cache"] & {"model", "config", "rng"} == set()
+
+
+def test_blas_is_a_leaf(graph):
+    assert graph["blas"] == set()

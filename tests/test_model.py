@@ -23,11 +23,11 @@ from quniverse.model import (
     build_system_levels,
     diagonalize,
     eigen_residual,
-    polyad_eigenvalues,
     solve_bytes,
     temperature_of,
 )
 from conftest import hamiltonian_matrix, toy6_config, toy21_config
+from oracles import polyad_eigenvalues
 
 
 # -- configuration -----------------------------------------------------------
@@ -399,15 +399,16 @@ def test_diagonalize_refuses_a_layout_it_cannot_solve_in_place():
 
 
 # VmHWM is the high-water RSS of this process's own memory; ru_maxrss
-# would start from the spawning process's RSS, taken over at exec
+# would start from the spawning process's RSS, taken over at exec.  VmRSS
+# is also read as dormtr starts, once the packed reflectors are unpacked.
 MEMORY_CHILD = """
 import numpy as np
 import scipy.linalg
-from quniverse.model import diagonalize
+from quniverse import model
 
-def high_water():
+def status(field):
     with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(field + ":"))
 
 def symmetric(n):  # no n x n temporary beside the matrix
     h = np.random.default_rng(0).standard_normal((n, n))
@@ -415,24 +416,45 @@ def symmetric(n):  # no n x n temporary beside the matrix
         h[i, i + 1:] = h[i + 1:, i]
     return h
 
-diagonalize(symmetric(1000))  # OpenBLAS touches its buffers on first use
+at_dormtr, call = [], model._call
+
+def recording_call(name, *args):
+    if name == "dormtr":
+        at_dormtr.append(status("VmRSS"))
+    call(name, *args)
+
+model._call = recording_call
+model.diagonalize(symmetric(1000))  # OpenBLAS touches its buffers on first use
 h = symmetric(2000)
-before = high_water()
-diagonalize(h)
-print((high_water() - before) / (8 * 2000**2))
+before = status("VmHWM")
+model.diagonalize(h)
+print((status("VmHWM") - before) / (8 * 2000**2), (at_dormtr[-1] - before) / (8 * 2000**2))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-def test_diagonalize_peak_memory_over_the_matrix():
-    """H plus 1.5 n² doubles: the packed reflectors and dstedc's workspace (dsyevd: 2 n²)."""
+@pytest.fixture(scope="module")
+def solve_memory():
+    """(peak, RSS as dormtr starts) of a 2000 x 2000 solve, in n² doubles over H."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", MEMORY_CHILD], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    growth = float(done.stdout)
+    return tuple(float(x) for x in done.stdout.split())
+
+
+def test_diagonalize_peak_memory_over_the_matrix(solve_memory):
+    """H plus 1.5 n² doubles: the packed reflectors and dstedc's workspace (dsyevd: 2 n²)."""
+    growth = solve_memory[0]
     assert growth <= 1.75, f"peak RSS grew by {growth:.2f} n^2 doubles over H"
+
+
+def test_diagonalize_frees_the_packed_reflectors_before_dormtr(solve_memory):
+    """H plus dstedc's n² workspace, which holds the unpacked reflectors, and no more."""
+    growth = solve_memory[1]
+    assert growth <= 1.25, f"RSS at dormtr grew by {growth:.2f} n^2 doubles over H"
 
 
 def test_solve_prints_stages_heartbeat_and_store(monkeypatch, capsys):

@@ -6,11 +6,11 @@ import threading
 import numpy as np
 import pytest
 
-from quniverse import dynamics, observables, units
+from quniverse import blas, observables, units
+from quniverse.blas import gemm_library, gemm_openblas, gemm_threads
 from quniverse.config import ModelConfig
 from quniverse.dynamics import env_block_size, initial_state, propagate, propagate_blocks
-from quniverse.model import (assemble_hamiltonian, build_basis, build_system_levels, gemm_library,
-                             gemm_openblas, gemm_threads, temperature_of)
+from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
 from quniverse.observables import (
     TIME_CHUNK,
     boltzmann_fit_temperature,
@@ -381,7 +381,7 @@ def test_pass_bytes_independent_of_worker_count(monkeypatch, mid_ham, states):
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(dynamics, "pass_workers", lambda workers=workers: workers)
+            monkeypatch.setattr(blas, "pass_workers", lambda workers=workers: workers)
             runs.append(_pass(cfg, ham, psi0, times))
     finally:
         sys.setswitchinterval(interval)
@@ -435,7 +435,7 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     assert workers[1] <= workers[0]
     # W = 2 shares run at once (W read before the pin, inside which it is 1)
     barrier = threading.Barrier(2, timeout=10)
-    dynamics.run_shares(lambda w: barrier.wait(), 2)
+    blas.run_shares(lambda w: barrier.wait(), 2)
     # a gate failure once every block is in
     monkeypatch.setattr(observables, "NORM_TOL", 1e-300)
     with pytest.raises(ValueError, match="norm"):
