@@ -11,16 +11,20 @@ summary entry are written.
 Everything a run writes is reproducible from its manifest: the config
 echo (seed included) pins the Hamiltonian bit-exactly and the grid
 parameters pin the sampling.  CSV bodies contain no timestamps, so a
-repeated run with the same seed is byte-identical.
+repeated run with the same seed is byte-identical.  Every file is
+written whole (`_whole`) and the manifest last, so a directory with a
+manifest holds the files that it lists, complete.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -47,38 +51,6 @@ SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
 MAX_PHASE = 2.0 ** 40
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, plus bookkeeping.
-
-    `cache` says what the eigensystem cache did: its `key`, whether the
-    run used a cached entry (`hit`; false for a miss or a rejected
-    entry), the sampled eigen-residual of the check, and the LAPACK
-    library and thread count that the key covers (`solve_library`,
-    `solve_threads`).  Beside them, the BLAS that ran the propagation's
-    GEMMs and its thread count (`gemm_library`, `gemm_threads`) and the
-    pass's worker threads (`pass_workers`).
-    """
-
-    config: dict
-    seed: int
-    code_version: str
-    draw_contract: int
-    schema_version: int
-    states: list[int]
-    t_max_reduced: float
-    n_points: int
-    cache: dict
-    constants: dict
-    temperature: dict
-    outputs: list[str]
-    timing_seconds: dict
-    peak_rss_mb: float
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def _timed(items, timing: dict, key: str):
@@ -109,12 +81,6 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
     """Reject a run that could only fail after the Hamiltonian is solved."""
     if not states:
         raise ValueError("no initial states requested")
-    valid = [n for n in range(config.n_system_levels)
-             if 0 <= config.total_energy - n < config.n_env_levels]
-    bad = [n for n in states if n not in valid]
-    if bad:
-        raise ValueError(f"initial states {bad} are not valid; with total_energy="
-                         f"{config.total_energy} the valid levels are {valid}")
     if len(set(states)) != len(states):
         raise ValueError(f"duplicate initial states in {states}")
     if n_points < 3:
@@ -128,16 +94,19 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
                    *, t_max_ps: float = DEFAULT_T_MAX_PS,
-                   n_points: int = DEFAULT_N_POINTS) -> RunManifest:
+                   n_points: int = DEFAULT_N_POINTS) -> dict:
     """Propagate all requested initial states in one pass and write all artifacts.
 
     Per state: a trajectory CSV of the observable columns, a final-time
     stick diagram CSV, and an entry in the shell summary; plus one
-    anomaly report and one manifest for the run.  Each state's files
-    depend only on the config, the grid and that state, not on which
-    other states are requested.
+    anomaly report and one manifest for the run, which is returned as
+    the dict it writes.  Each state's files depend only on the config,
+    the grid and that state, not on which other states are requested.
+    Every request and state check comes before anything is built or
+    written; an existing manifest is removed just before the first write.
     """
     _check_request(config, states, t_max_ps, n_points)
+    psi0 = np.stack([initial_state(config, n) for n in states])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
@@ -161,7 +130,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     workers = pass_workers()
     progress(f"propagating {len(states)} states over {n_points} times "
              f"on {workers} worker thread{'s' if workers > 1 else ''}")
-    psi0 = np.stack([initial_state(config, n) for n in states])
     blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
     results = trajectories(blocks, times, config, basis)
     timing["observables"] += time.perf_counter() - t0 - timing["propagate"]
@@ -170,6 +138,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     in_shell = basis.shell_label == shell
     stick_text = _stick_text(basis)
     progress(f"writing trajectories, stick diagrams, summary and manifest to {out}")
+    (out / "manifest.json").unlink(missing_ok=True)
     for n, result in zip(states, results):
         t1 = time.perf_counter()
         traj = result.columns
@@ -198,12 +167,11 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         })
         t2 = time.perf_counter()
 
-        traj_path = out / f"traj_n{n}.csv"
-        _write_trajectory(traj_path, config, n, traj)
-        outputs.append(traj_path.name)
-        sticks_path = out / f"sticks_n{n}.csv"
-        _write_sticks(sticks_path, config, n, times[-1], final, stick_text)
-        outputs.append(sticks_path.name)
+        with _whole(out / f"traj_n{n}.csv") as fh:
+            _write_trajectory(fh, config, n, traj)
+        with _whole(out / f"sticks_n{n}.csv") as fh:
+            _write_sticks(fh, config, n, times[-1], final, stick_text)
+        outputs += [f"traj_n{n}.csv", f"sticks_n{n}.csv"]
         t3 = time.perf_counter()
         timing["observables"] += t2 - t1
         timing["write"] += t3 - t2
@@ -218,40 +186,59 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "temperature_kelvin": temp.kelvin,
         "states": summary_rows,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    outputs.append("summary.json")
-
-    (out / "anomalies.json").write_text(json.dumps(anomaly_report, indent=2, sort_keys=True))
-    outputs.append("anomalies.json")
+    _write_json(out / "summary.json", summary)
+    _write_json(out / "anomalies.json", anomaly_report)
+    outputs += ["summary.json", "anomalies.json"]
     timing["write"] += time.perf_counter() - t0
 
     library, threads = solve_library()
     gemm, gemm_threads = gemm_library()
-    manifest = RunManifest(
-        config=config.to_dict(),
-        seed=config.rng_seed,
-        code_version=__version__,
-        draw_contract=DRAW_CONTRACT_VERSION,
-        schema_version=SCHEMA_VERSION,
-        states=list(states),
-        t_max_reduced=float(t_max),
-        n_points=n_points,
-        cache={"key": ham.key, "hit": ham.cache_hit,
-               "eig_residual": ham.eig_residual, "solve_library": library,
-               "solve_threads": threads, "gemm_library": gemm, "gemm_threads": gemm_threads,
-               "pass_workers": workers},
-        constants={
+    manifest = {
+        "config": config.to_dict(),
+        "seed": config.rng_seed,
+        "code_version": __version__,
+        "draw_contract": DRAW_CONTRACT_VERSION,
+        "schema_version": SCHEMA_VERSION,
+        "states": list(states),
+        "t_max_reduced": float(t_max),
+        "n_points": n_points,
+        # the cache's key and whether the run used an entry (false for a miss or a
+        # rejected one), the check's residual, the LAPACK the key covers, the BLAS
+        # that ran the pass's GEMMs, and the pass's worker threads
+        "cache": {"key": ham.key, "hit": ham.cache_hit, "eig_residual": ham.eig_residual,
+                  "solve_library": library, "solve_threads": threads,
+                  "gemm_library": gemm, "gemm_threads": gemm_threads,
+                  "pass_workers": workers},
+        "constants": {
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),
             "energy_unit_wavenumbers": unit,
         },
-        temperature=dataclasses.asdict(temp),
-        outputs=outputs,
-        timing_seconds=timing,
-        peak_rss_mb=_peak_rss_mb(),
-    )
-    (out / "manifest.json").write_text(manifest.to_json())
+        "temperature": dataclasses.asdict(temp),
+        "outputs": outputs,
+        "timing_seconds": timing,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    _write_json(out / "manifest.json", manifest)
     return manifest
+
+
+@contextlib.contextmanager
+def _whole(path):
+    """Write `path.tmp` in the block, then rename it to `path`; if the block
+    raises, remove `path.tmp` and leave `path` as it was."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path, record) -> None:
+    with _whole(path) as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True))
 
 
 def _peak_rss_mb() -> float:
@@ -264,15 +251,14 @@ def _peak_rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _write_trajectory(path, config, n, traj):
+def _write_trajectory(fh, config, n, traj):
     """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
     rows = np.column_stack(list(traj.values())).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
-                 f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
-        fh.write(",".join(traj) + "\n")
-        fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
-                      for row in rows)
+    fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
+             f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
+    fh.write(",".join(traj) + "\n")
+    fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
+                  for row in rows)
 
 
 def _stick_text(basis) -> tuple[np.ndarray, list[str], list[str]]:
@@ -284,31 +270,28 @@ def _stick_text(basis) -> tuple[np.ndarray, list[str], list[str]]:
             [f",{n},{m},{l},{shell}\n" for n, m, l, shell in labels.tolist()])
 
 
-def _write_sticks(path, config, n, t, amplitudes, stick_text):
+def _write_sticks(fh, config, n, t, amplitudes, stick_text):
     """The stick diagram of state n's `amplitudes` at time t: p = Re^2 + Im^2 per stick."""
     order, before, after = stick_text
     c = amplitudes[order]
     p = (c.real ** 2 + c.imag ** 2).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
-                 # 0.0 + t: a time of -0.0 is written as 0.0
-                 f"time_reduced={0.0 + float(t)!r} seed={config.rng_seed} "
-                 f"config_sha256={config.content_hash()}\n")
-        fh.write("energy,p,n,m,l,shell\n")
-        fh.writelines(f"{a}{x!r}{b}" for a, x, b in zip(before, p, after))
+    fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
+             # 0.0 + t: a time of -0.0 is written as 0.0
+             f"time_reduced={0.0 + float(t)!r} seed={config.rng_seed} "
+             f"config_sha256={config.content_hash()}\n")
+    fh.write("energy,p,n,m,l,shell\n")
+    fh.writelines(f"{a}{x!r}{b}" for a, x, b in zip(before, p, after))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:
-    """Trajectory CSV back into column arrays (comment header skipped).
+    """Trajectory CSV back into column arrays.
 
-    A file without rows, or a row that is not one number (or empty field)
-    per header column, such as the cut last row of a run killed mid-write,
-    raises ValueError naming the file and the line.
+    A file that does not start with the `# quniverse trajectory` line,
+    has no rows, or has a row that is not one number (or empty field) per
+    header column raises ValueError naming the file and the line.
     """
     with open(path) as fh:
-        skipped = fh.readline().startswith("#")
-        if not skipped:
-            fh.seek(0)
+        _trajectory_header(fh, path)
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = []
@@ -319,7 +302,7 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
                 rows.append([float(x) if x else np.nan for x in row])
             except ValueError as exc:
                 raise ValueError(f"malformed trajectory file {path}, line "
-                                 f"{reader.line_num + skipped}: {exc}") from None
+                                 f"{reader.line_num + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"malformed trajectory file {path}: no rows")
     data = np.asarray(rows)
@@ -370,12 +353,13 @@ def compare_free_energy(traj_path) -> dict:
     }
 
 
-def _trajectory_header(path) -> dict[str, str]:
-    """The `key=value` fields of a trajectory CSV's `# quniverse trajectory` line."""
-    with open(path) as fh:
-        words = fh.readline().split()
+def _trajectory_header(fh, path) -> dict[str, str]:
+    """The `key=value` fields of the `# quniverse trajectory` line, read from `fh` open
+    on `path`, that starts every trajectory CSV."""
+    words = fh.readline().split()
     if words[:3] != ["#", "quniverse", "trajectory"]:
-        raise ValueError(f"{path} does not start with a quniverse trajectory header")
+        raise ValueError(f"malformed trajectory file {path}, line 1: "
+                         "it does not start with '# quniverse trajectory'")
     return dict(word.partition("=")[::2] for word in words[3:])
 
 
@@ -387,9 +371,11 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     draw contract is refused: its run may not be reproducible by this
     one.  So is a trajectory whose header names another state (than its
     file name), seed or config (than the manifest): it belongs to another
-    run.  These checks, the time's (finite, with phases E t within 2**40
-    rad, as `run` asks) and the state's (`initial_state` builds it from
-    the config alone) come before the Hamiltonian is assembled, so before
+    run.  So is a trajectory that the manifest does not list, such as a
+    state's file left by an earlier run into the same directory.  These
+    checks, the time's (finite, with phases E t within 2**40 rad, as
+    `run` asks) and the state's (`initial_state` builds it from the
+    config alone) come before the Hamiltonian is assembled, so before
     any solve.
     """
     traj_path = Path(traj_path)
@@ -411,7 +397,8 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     if not name.startswith("traj_n"):
         raise ValueError(f"cannot infer initial state from file name {traj_path.name}")
     n = int(name.removeprefix("traj_n"))
-    header = _trajectory_header(traj_path)
+    with open(traj_path) as fh:
+        header = _trajectory_header(fh, traj_path)
     expected = {"state_n": str(n), "seed": str(manifest["seed"]),
                 "config_sha256": config.content_hash()}
     wrong = sorted(k for k, v in expected.items() if header.get(k) != v)
@@ -425,6 +412,9 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
     _check_phase(config, t_reduced, f"the stick diagram time {t_reduced}")
     psi0 = initial_state(config, n)
+    if traj_path.name not in manifest["outputs"]:
+        raise ValueError(f"{traj_path.name} is not among the outputs of {manifest_path}; "
+                         f"it was left by another run")
     ham = assemble_hamiltonian(config)
     return config, n, t_reduced, propagate(psi0, ham, t_reduced), ham.basis
 
@@ -476,22 +466,22 @@ def main(argv=None) -> int:
             config, states, args.out,
             t_max_ps=args.t_max_ps, n_points=args.n_points,
         )
-        print(f"wrote {len(manifest.outputs)} files to {args.out}")
+        print(f"wrote {len(manifest['outputs'])} files to {args.out}")
         return 0
 
     if args.command == "compare":
         report = compare_free_energy(args.traj)
-        text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
-            Path(args.out).write_text(text)
+            _write_json(args.out, report)
         else:
-            print(text)
+            print(json.dumps(report, indent=2, sort_keys=True))
         return 0
 
     if args.command == "sticks":
         config, n, t, amplitudes, basis = _sticks_from_manifest(args.traj, args.time,
                                                                 args.time_ps)
-        _write_sticks(args.out or "/dev/stdout", config, n, t, amplitudes, _stick_text(basis))
+        with _whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            _write_sticks(fh, config, n, t, amplitudes, _stick_text(basis))
         return 0
 
     return 2  # pragma: no cover

@@ -122,22 +122,18 @@ def initial_state(config: ModelConfig, n: int) -> np.ndarray:
     return amplitudes
 
 
-def _real_times_complex(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real `mat` times complex `z` (2-D) as one real GEMM over the float64 view of z."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    return (mat @ z.view(np.float64)).view(np.complex128)
-
-
 def _eigen_coefficients(eigenvectors: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """V^T c as a complex (dim, 1) column, read from the rows where c is nonzero.
 
     Rows outside the span [lo, hi) of the nonzero amplitudes add only
     zeros, so `V[lo:hi]^T c[lo:hi]` (a slice of V, not a copy) is the
-    full product up to summation order.
+    full product up to summation order.  It is one real GEMM over the
+    float64 view of c.
     """
     nonzero = np.flatnonzero(amplitudes)
     lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
-    return _real_times_complex(eigenvectors[lo:hi].T, amplitudes[lo:hi, None])
+    c = np.ascontiguousarray(amplitudes[lo:hi, None], dtype=np.complex128)
+    return (eigenvectors[lo:hi].T @ c.view(np.float64)).view(np.complex128)
 
 
 def propagate(amplitudes: np.ndarray, ham: UniverseHamiltonian, t: float) -> np.ndarray:

@@ -118,7 +118,8 @@ def test_multiple_dips_disjoint_and_ordered():
 
 def _sticks(path, cfg, n, t, amplitudes, basis):
     """The columns of the sticks CSV of `amplitudes` at time t, as the CLI writes it."""
-    _write_sticks(path, cfg, n, t, amplitudes, _stick_text(basis))
+    with open(path, "w", newline="") as fh:
+        _write_sticks(fh, cfg, n, t, amplitudes, _stick_text(basis))
     table = np.loadtxt(path, delimiter=",", skiprows=2)
     assert path.read_text().splitlines()[1] == "energy,p,n,m,l,shell"
     return dict(zip(("energy", "p", "n", "m", "l", "shell"), table.T))

@@ -92,9 +92,9 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
 
     with pytest.warns(UserWarning, match=f"cache entry {cache_key(cfg)} fails the eigen check"):
         manifest = _run(cfg, tmp_path / "cached")
-    assert manifest.cache["key"] == cache_key(cfg)
-    assert manifest.cache["hit"] is False
-    assert manifest.cache["eig_residual"] <= model.CHECK_RTOL
+    assert manifest["cache"]["key"] == cache_key(cfg)
+    assert manifest["cache"]["hit"] is False
+    assert manifest["cache"]["eig_residual"] <= model.CHECK_RTOL
 
     # the rejected entry was replaced by this matrix's eigensystem
     w, v = _load(cfg)
@@ -104,7 +104,7 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
 
     # and the run wrote what a run on an empty cache writes
     monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "empty_cache"))
-    assert not _run(cfg, tmp_path / "fresh").cache["hit"]
+    assert not _run(cfg, tmp_path / "fresh")["cache"]["hit"]
     _assert_same_outputs(tmp_path / "cached", tmp_path / "fresh")
 
 
@@ -116,7 +116,7 @@ def test_unwritable_cache_warns_and_the_run_completes(tmp_path, monkeypatch):
     cfg = toy21_config(rng_seed=1)
     with pytest.warns(UserWarning, match=f"solved, but not cached in {cache.CACHE_DIR_ENV}="):
         manifest = _run(cfg, tmp_path / "uncached")
-    assert manifest.cache["hit"] is False
+    assert manifest["cache"]["hit"] is False
     assert blocker.read_text() == ""
 
     monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
@@ -128,7 +128,7 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     cfg = toy21_config(rng_seed=1)
     cold = _run(cfg, tmp_path / "cold")
     warm = _run(cfg, tmp_path / "warm")
-    assert not cold.cache["hit"] and warm.cache["hit"]
+    assert not cold["cache"]["hit"] and warm["cache"]["hit"]
     _assert_same_outputs(tmp_path / "cold", tmp_path / "warm")
     manifest = json.loads((tmp_path / "warm" / "manifest.json").read_text())
     assert manifest["cache"]["hit"] is True
@@ -145,7 +145,7 @@ def test_cold_and_warm_nufft_runs_write_identical_outputs(tmp_path):
     cfg = toy21_config(rng_seed=1)
     _run(cfg, tmp_path / "cold", n_points=120)
     warm = _run(cfg, tmp_path / "warm", n_points=120)
-    assert warm.cache["hit"]
+    assert warm["cache"]["hit"]
     _assert_same_outputs(tmp_path / "cold", tmp_path / "warm")
 
 

@@ -49,12 +49,12 @@ def test_toy_run_writes_all_artifacts(tmp_path):
     cfg = toy6_config(alpha=0.2, rng_seed=31)
     out = tmp_path / "run"
     manifest = _run(cfg, out)
-    for name in manifest.outputs:
+    for name in manifest["outputs"]:
         assert (out / name).exists(), name
     assert (out / "manifest.json").exists()
     expected = {"traj_n0.csv", "traj_n1.csv", "sticks_n0.csv", "sticks_n1.csv",
                 "summary.json", "anomalies.json"}
-    assert expected == set(manifest.outputs)
+    assert expected == set(manifest["outputs"])
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["shell_state_count"] == cfg.shell_size(cfg.total_energy)
@@ -96,7 +96,7 @@ def test_repeated_run_byte_identical(tmp_path, monkeypatch):
     _run(cfg, out_a)
     # a second empty cache, so that both runs solve
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache_b"))
-    assert not _run(cfg, out_b).cache["hit"]
+    assert not _run(cfg, out_b)["cache"]["hit"]
     for name in ("traj_n0.csv", "traj_n1.csv", "sticks_n0.csv",
                  "sticks_n1.csv", "summary.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -212,8 +212,8 @@ def test_summary_reports_numerical_health_within_gates(tmp_path):
 
 @pytest.mark.parametrize("states, kwargs, message", [
     ([], {}, "no initial states"),
-    ([2], {}, "not valid"),
-    ([-1], {}, "not valid"),
+    ([2], {}, r"outside 0\.\.1"),
+    ([-1], {}, r"outside 0\.\.1"),
     ([0, 1, 0], {}, "duplicate"),
     ([0, 1], {"n_points": 2}, "n_points"),
     ([0, 1], {"t_max_ps": 0.0}, "t_max_ps"),
@@ -256,7 +256,7 @@ def test_compare_zero_discrepancy_on_synthetic(tmp_path):
     path = tmp_path / "synthetic.csv"
     t = np.linspace(0.0, 10.0, 21)
     s = 1.0 - np.exp(-t)
-    lines = ["time_reduced,S_univ,dF,minus_dF_over_kT"]
+    lines = ["# quniverse trajectory", "time_reduced,S_univ,dF,minus_dF_over_kT"]
     for ti, si in zip(t.tolist(), s.tolist()):
         lines.append(f"{ti!r},{2.0 + si!r},{-si!r},{si!r}")
     path.write_text("\n".join(lines) + "\n")
@@ -269,27 +269,29 @@ def test_compare_zero_discrepancy_on_synthetic(tmp_path):
 
 def test_compare_missing_column_rejected(tmp_path):
     path = tmp_path / "broken.csv"
-    path.write_text("time_reduced,S_univ\n0.0,1.0\n1.0,1.1\n")
+    path.write_text("# quniverse trajectory\ntime_reduced,S_univ\n0.0,1.0\n1.0,1.1\n")
     with pytest.raises(ValueError, match="lacks required column"):
         compare_free_energy(path)
 
 
-@pytest.mark.parametrize("body, where", [
-    ("", ": no rows"),
-    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0\n", ", line 3: 3 fields, the header has 4"),
-    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0,0.0,9.0\n", ", line 3: 5 fields, the header has 4"),
-    ("0.0,1.0,0.0,0.0\n1.0,1.1,0.0,1.2e", ", line 3: could not convert string to float"),
-], ids=["header_only", "short_row", "long_row", "cut_number"])
-def test_compare_names_malformed_trajectory_file(tmp_path, body, where):
+_TRAJECTORY_HEAD = "# quniverse trajectory\ntime_reduced,S_univ,dF,minus_dF_over_kT\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    (_TRAJECTORY_HEAD, ": no rows"),
+    (_TRAJECTORY_HEAD + "0.0,1.0,0.0,0.0\n1.0,1.1,0.0\n", ", line 4: 3 fields, the header has 4"),
+    (_TRAJECTORY_HEAD + "0.0,1.0,0.0,0.0\n1.0,1.1,0.0,0.0,9.0\n",
+     ", line 4: 5 fields, the header has 4"),
+    (_TRAJECTORY_HEAD + "0.0,1.0,0.0,0.0\n1.0,1.1,0.0,1.2e",
+     ", line 4: could not convert string to float"),
+    (_TRAJECTORY_HEAD.split("\n", 1)[1] + "0.0,1.0,0.0,0.0\n",
+     ", line 1: it does not start with '# quniverse trajectory'"),
+], ids=["header_only", "short_row", "long_row", "cut_number", "no_trajectory_line"])
+def test_compare_names_malformed_trajectory_file(tmp_path, text, where):
     path = tmp_path / "traj_n0.csv"
-    path.write_text("time_reduced,S_univ,dF,minus_dF_over_kT\n" + body)
-    message = f"^malformed trajectory file {re.escape(str(path))}"
-    with pytest.raises(ValueError, match=message + where):
-        compare_free_energy(path)
-    # the line count holds after a comment header too
-    path.write_text("# quniverse trajectory\ntime_reduced,S_univ,dF,minus_dF_over_kT\n" + body)
-    shifted = where.replace(", line 3", ", line 4")
-    with pytest.raises(ValueError, match=message + shifted):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^malformed trajectory file {re.escape(str(path))}"
+                                         + where):
         compare_free_energy(path)
 
 
@@ -491,6 +493,99 @@ def test_cli_sticks_refuses_out_of_range_state_before_building(tmp_path, toy_cfg
     with pytest.raises(ValueError, match=r"system level n=5 outside 0\.\.1"):
         main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
     assert not sticks_out.exists()
+
+
+def test_failed_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, toy_cfg_file,
+                                                             monkeypatch):
+    cfg, _ = toy_cfg_file
+    out = tmp_path / "run"
+    _run(cfg, out)
+    write_sticks = cli._write_sticks
+
+    def fail_second_state(dest, config, n, *args):
+        if n == 1:
+            raise OSError("no space left on device")
+        write_sticks(dest, config, n, *args)
+
+    monkeypatch.setattr(cli, "_write_sticks", fail_second_state)
+    with pytest.raises(OSError, match="no space left"):
+        _run(cfg, out)
+    assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in out.glob("*.tmp")) == []
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(FileNotFoundError, match="manifest.json not found"):
+        main(["sticks", "--traj", str(out / "traj_n0.csv"), "--time", "1.0",
+              "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
+def test_cli_sticks_refuses_a_trajectory_the_manifest_does_not_list(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    run_experiment(toy21_config(), [0, 1, 2], out, t_max_ps=2.0, n_points=50)
+    run_experiment(toy21_config(), [0], out, t_max_ps=2.0, n_points=50)
+    assert (out / "traj_n1.csv").exists()  # left by the first run, with its seed and config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was rebuilt for an unlisted trajectory")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match="traj_n1.csv is not among the outputs of"):
+        main(["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "1.0",
+              "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
+def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg_file, capsys):
+    cfg, _ = toy_cfg_file
+    _run(cfg, tmp_path / "run")
+    traj = str(tmp_path / "run" / "traj_n1.csv")
+    for command, when in (("sticks", ["--time", "5.0"]), ("compare", [])):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--traj", traj, *when, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--traj", traj, *when]) == 0
+        printed = capsys.readouterr().out
+        # print() ends the JSON report with a newline, which the file does not have
+        assert printed == out.read_text() + ("\n" if command == "compare" else "")
+    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+
+
+# Every key of a toy21 manifest, nested keys as dotted paths; a key added,
+# renamed or dropped shows here.
+MANIFEST_KEYS = [
+    "cache.eig_residual", "cache.gemm_library", "cache.gemm_threads", "cache.hit",
+    "cache.key", "cache.pass_workers", "cache.solve_library", "cache.solve_threads",
+    "code_version",
+    "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
+    "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
+    "config.n_system_levels", "config.omega0", "config.omega_E", "config.paper_compat",
+    "config.polyad_N", "config.random_initial_phases", "config.rng_seed",
+    "config.total_energy",
+    "constants.energy_unit_wavenumbers", "constants.kB_wavenumber_per_K",
+    "constants.reduced_time_unit_ps",
+    "draw_contract", "n_points", "outputs", "peak_rss_mb", "schema_version", "seed",
+    "states", "t_max_reduced",
+    "temperature.beta_reduced", "temperature.discrepancy_percent",
+    "temperature.kbt_reduced", "temperature.kelvin", "temperature.kelvin_analytic",
+    "temperature.kelvin_compat",
+    "timing_seconds.build_and_solve", "timing_seconds.observables",
+    "timing_seconds.propagate", "timing_seconds.write",
+]
+
+
+def _key_paths(record, prefix=""):
+    """The dotted path of every leaf of a JSON object; lists are leaves."""
+    if not isinstance(record, dict):
+        return [prefix.removesuffix(".")]
+    return [path for key, value in record.items() for path in _key_paths(value, f"{prefix}{key}.")]
+
+
+def test_manifest_has_the_recorded_key_tree(tmp_path):
+    returned = run_experiment(toy21_config(), [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(_key_paths(written)) == MANIFEST_KEYS
+    assert written == json.loads(json.dumps(returned))  # run returns the dict it writes
 
 
 def test_cli_sticks_refuses_a_solve_larger_than_memory_before_building(tmp_path,

@@ -2,10 +2,13 @@
 
 `blas` is a leaf, `cache` knows only files (the key comes from `model`,
 which owns both contracts it covers), and no module imports one that
-imports it back, at module level or inside a function.
+imports it back, at module level or inside a function.  The names that
+perfbench's tracer patches stay where it looks for them.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,25 @@ def test_cache_knows_only_files(graph):
 
 def test_blas_is_a_leaf(graph):
     assert graph["blas"] == set()
+
+
+# Targets of perfbench/spans.py that the package has not had for several
+# versions; the harness reports them as absent.  No other may go missing.
+STALE_TARGETS = {"cache.solve_with_cache", "dynamics.propagate_to_times",
+                 "observables.observable_record", "analysis.shell_decompose",
+                 "analysis.stick_diagram"}
+
+
+def test_every_traced_name_resolves_but_the_known_stale_ones():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", PACKAGE.parent.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = set()
+    for name, module, path in spans.TARGETS:
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            unresolved.add(name)
+    assert unresolved <= STALE_TARGETS, sorted(unresolved - STALE_TARGETS)
