@@ -12,8 +12,8 @@ Everything a run writes is reproducible from its manifest: the config
 echo (seed included) pins the Hamiltonian bit-exactly and the grid
 parameters pin the sampling.  CSV bodies contain no timestamps, so a
 repeated run with the same seed is byte-identical.  Every file is
-written whole (`_whole`) and the manifest last, so a directory with a
-manifest holds the files that it lists, complete.
+written whole (`cache.write_whole`) and the manifest last, so a
+directory with a manifest holds the files that it lists, complete.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .analysis import (
     stick_order,
 )
 from .blas import gemm_library, pass_workers, solve_library
+from .cache import write_whole
 from .config import ModelConfig
 from .dynamics import initial_state, propagate, propagate_blocks
 from .model import assemble_hamiltonian, progress, temperature_of
@@ -77,8 +78,13 @@ def _check_phase(config: ModelConfig, t_reduced: float, what: str) -> None:
 
 
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
-                   n_points: int) -> None:
-    """Reject a run that could only fail after the Hamiltonian is solved."""
+                   n_points: int, out: Path) -> None:
+    """Reject a run that could only fail after the Hamiltonian is solved.
+
+    That includes an `out` that this process could not make or write
+    into: the directory, or else its nearest existing parent, must be a
+    directory it may write and enter.
+    """
     if not states:
         raise ValueError("no initial states requested")
     if len(set(states)) != len(states):
@@ -90,6 +96,10 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
         raise ValueError(f"t_max_ps must be positive and finite, got {t_max_ps}")
     _check_phase(config, units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
                  f"--t-max-ps {t_max_ps}")
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ValueError(f"cannot write the run into {out}: {existing} is not a "
+                         f"directory this process may write")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
@@ -103,12 +113,12 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     the dict it writes.  Each state's files depend only on the config,
     the grid and that state, not on which other states are requested.
     Every request and state check comes before anything is built or
-    written; an existing manifest is removed just before the first write.
+    written; `out_dir` is made at the first write, and an existing
+    manifest is removed just before it.
     """
-    _check_request(config, states, t_max_ps, n_points)
-    psi0 = np.stack([initial_state(config, n) for n in states])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_request(config, states, t_max_ps, n_points, out)
+    psi0 = np.stack([initial_state(config, n) for n in states])
     timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
 
     t0 = time.perf_counter()
@@ -167,9 +177,9 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         })
         t2 = time.perf_counter()
 
-        with _whole(out / f"traj_n{n}.csv") as fh:
+        with write_whole(out / f"traj_n{n}.csv") as fh:
             _write_trajectory(fh, config, n, traj)
-        with _whole(out / f"sticks_n{n}.csv") as fh:
+        with write_whole(out / f"sticks_n{n}.csv") as fh:
             _write_sticks(fh, config, n, times[-1], final, stick_text)
         outputs += [f"traj_n{n}.csv", f"sticks_n{n}.csv"]
         t3 = time.perf_counter()
@@ -223,21 +233,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     return manifest
 
 
-@contextlib.contextmanager
-def _whole(path):
-    """Write `path.tmp` in the block, then rename it to `path`; if the block
-    raises, remove `path.tmp` and leave `path` as it was."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_json(path, record) -> None:
-    with _whole(path) as fh:
+    with write_whole(path) as fh:
         fh.write(json.dumps(record, indent=2, sort_keys=True))
 
 
@@ -314,8 +311,11 @@ def compare_free_energy(traj_path) -> dict:
 
     The short-time window where the universe entropy runs ahead of the
     free-energy surrogate is reported as a flagged transient, not a
-    failure.
+    failure.  A trajectory with a `manifest.json` beside it must belong
+    to that run (`_checked_run`); a lone CSV is read as it is.
     """
+    if (Path(traj_path).parent / "manifest.json").exists():
+        _checked_run(Path(traj_path))
     cols = read_trajectory(traj_path)
     for needed in ("time_reduced", "S_univ", "dF", "minus_dF_over_kT"):
         if needed not in cols:
@@ -363,27 +363,20 @@ def _trajectory_header(fh, path) -> dict[str, str]:
     return dict(word.partition("=")[::2] for word in words[3:])
 
 
-def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
-    """Rebuild the universe from the run manifest and propagate the state to a finite time.
+def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
+    """(config, n, initial amplitudes) of the run whose `manifest.json` sits beside
+    the trajectory `traj_path`, once the file is checked to belong to it.
 
-    Returns (config, n, the time in reduced units, the amplitudes then,
-    basis).  A manifest written by another code version or under another
-    draw contract is refused: its run may not be reproducible by this
-    one.  So is a trajectory whose header names another state (than its
-    file name), seed or config (than the manifest): it belongs to another
-    run.  So is a trajectory that the manifest does not list, such as a
-    state's file left by an earlier run into the same directory.  These
-    checks, the time's (finite, with phases E t within 2**40 rad, as
-    `run` asks) and the state's (`initial_state` builds it from the
-    config alone) come before the Hamiltonian is assembled, so before
-    any solve.
+    A manifest written by another code version or under another draw
+    contract is refused: its run may not be reproducible by this one.
+    So is a trajectory whose header names another state (than its file
+    name), seed or config (than the manifest): it belongs to another run.
+    So is a state the config does not have (`initial_state` builds it
+    from the config alone), and a trajectory that the manifest does not
+    list, such as a state's file left by an earlier run into the same
+    directory.
     """
-    traj_path = Path(traj_path)
     manifest_path = traj_path.parent / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{manifest_path} not found; stick diagrams are recomputed from the manifest"
-        )
     manifest = json.loads(manifest_path.read_text())
     written = (manifest.get("code_version"), manifest.get("draw_contract"))
     if written != (__version__, DRAW_CONTRACT_VERSION):
@@ -406,15 +399,33 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
         raise ValueError(f"{traj_path.name} header does not match {manifest_path}: "
                          + ", ".join(f"{k}={header.get(k)} (expected {expected[k]})"
                                      for k in wrong))
+    psi0 = initial_state(config, n)
+    if traj_path.name not in manifest["outputs"]:
+        raise ValueError(f"{traj_path.name} is not among the outputs of {manifest_path}; "
+                         f"it was left by another run")
+    return config, n, psi0
+
+
+def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
+    """Rebuild the universe from the run manifest and propagate the state to a finite time.
+
+    Returns (config, n, the time in reduced units, the amplitudes then,
+    basis).  The run directory's checks (`_checked_run`) and the time's
+    (finite, with phases E t within 2**40 rad, as `run` asks) come before
+    the Hamiltonian is assembled, so before any solve.
+    """
+    traj_path = Path(traj_path)
+    manifest_path = traj_path.parent / "manifest.json"
+    if not manifest_path.exists():
+        raise FileNotFoundError(
+            f"{manifest_path} not found; stick diagrams are recomputed from the manifest"
+        )
+    config, n, psi0 = _checked_run(traj_path)
     if t_reduced is None:
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
     if not math.isfinite(t_reduced):
         raise ValueError(f"the stick diagram time must be finite, got {t_reduced}")
     _check_phase(config, t_reduced, f"the stick diagram time {t_reduced}")
-    psi0 = initial_state(config, n)
-    if traj_path.name not in manifest["outputs"]:
-        raise ValueError(f"{traj_path.name} is not among the outputs of {manifest_path}; "
-                         f"it was left by another run")
     ham = assemble_hamiltonian(config)
     return config, n, t_reduced, propagate(psi0, ham, t_reduced), ham.basis
 
@@ -480,7 +491,7 @@ def main(argv=None) -> int:
     if args.command == "sticks":
         config, n, t, amplitudes, basis = _sticks_from_manifest(args.traj, args.time,
                                                                 args.time_ps)
-        with _whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        with write_whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
             _write_sticks(fh, config, n, t, amplitudes, _stick_text(basis))
         return 0
 

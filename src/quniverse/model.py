@@ -315,11 +315,11 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with its arguments and its workspace sizes, so w and V are its bytes:
 
     1. dsytrd reduces the lower triangle to tridiagonal form and leaves
-       the Householder reflectors in the strict lower triangle, which is
-       then packed out (n²/2 doubles);
+       the Householder reflectors in the strict lower triangle, which
+       dtrttp then packs out (n²/2 doubles);
     2. dstedc('I') writes the tridiagonal problem's eigenvectors into the
        matrix's memory, using its n² + 4n + 1 workspace;
-    3. that workspace takes the unpacked reflectors, and dormtr applies
+    3. dtpttr unpacks the reflectors into that workspace, and dormtr applies
        their product Q to the eigenvectors in place.
 
     The peak is 2.5 n² doubles, where dsyevd holds the matrix and 2 n²
@@ -345,12 +345,10 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
             lwork = max(int(query[0]), 1)
             _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
-            # column j of `a` below its diagonal is row j of `matrix` right of it,
-            # packed from starts[j]; no view of `packed` outlives it
+            # the strict lower triangle of `a` is the lower triangle of its
+            # (n - 1) x (n - 1) block from a[1, 0]; no view of `packed` outlives it
             packed = np.empty(n * (n - 1) // 2)
-            starts = [j * (2 * n - 1 - j) // 2 for j in range(n - 1)]
-            for j, start in enumerate(starts):
-                packed[start:start + n - 1 - j] = matrix[j, j + 1:]
+            _call("dtrttp", "L", max(n - 1, 0), a[1:], ld, packed)
             t1 = time.perf_counter()
             progress(f"tridiagonalized in {t1 - t0:.1f} s")
             work = np.zeros(n * n + 4 * n + 1)
@@ -358,9 +356,7 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                   np.empty(3 + 5 * n, dtype=np.int32), 3 + 5 * n)
             t2 = time.perf_counter()
             progress(f"divide and conquer in {t2 - t1:.1f} s")
-            reflectors = work[:n * n].reshape(n, n)
-            for j, start in enumerate(starts):
-                reflectors[j, j + 1:] = packed[start:start + n - 1 - j]
+            _call("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
             del packed  # freed before dormtr's ~30 s at production size
             # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
             # dormqr's blocking reads at most 64n + 65·64
@@ -484,7 +480,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
     start = time.perf_counter()
     try:
-        cache.store_eigensystem(key, eigenvalues, eigenvectors)
+        evicted = cache.store_eigensystem(key, eigenvalues, eigenvectors)
     except OSError as exc:
         warnings.warn(f"solved, but not cached in {cache.CACHE_DIR_ENV}="
                       f"{cache.cache_dir()}: {exc}", stacklevel=2)
@@ -492,6 +488,8 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         progress(f"stored entry {key[:12]}, "
                  f"{(eigenvalues.nbytes + eigenvectors.nbytes) / 1e6:.0f} MB, "
                  f"in {time.perf_counter() - start:.1f} s")
+        for name, size in evicted:
+            progress(f"evicted entry {name[:12]}, {size / 1e6:.0f} MB, the least recently used")
     return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual, key=key)
 
 

@@ -7,6 +7,7 @@ A miss or a rejected entry solves in place and stores the result.
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,67 @@ def test_invalid_cap_warns_and_evicts_nothing(monkeypatch, value):
     with pytest.warns(UserWarning, match=f"ignoring {CACHE_MAX_MB_ENV}"):
         _store(cfg, w, v)
     assert old.exists() and _path(cfg).exists()
+
+
+def test_store_evicts_the_least_recently_used(monkeypatch, capsys):
+    a, b, c, d = (toy21_config(rng_seed=seed) for seed in (1, 2, 3, 4))
+    entry_bytes = _store_aged(a, 300).stat().st_size
+    _store_aged(b, 200)
+    _store_aged(c, 100)
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, repr(3.5 * entry_bytes / 2 ** 20))
+    mtime = _path(a).stat().st_mtime_ns
+    assert assemble_hamiltonian(a).cache_hit  # A is used last of the three
+    assert _path(a).stat().st_mtime_ns == mtime
+    capsys.readouterr()
+    assemble_hamiltonian(d)
+    # four entries exceed a cap of three and a half: B goes, though A was written first
+    assert [_path(cfg).exists() for cfg in (a, b, c, d)] == [True, False, True, True]
+    evicted = [line for line in capsys.readouterr().err.splitlines() if "evicted" in line]
+    assert evicted == [f"quniverse: evicted entry {cache_key(b)[:12]}, 0 MB, "
+                       f"the least recently used"]
+
+
+def test_hit_goes_on_unstamped_where_the_stamp_is_refused(monkeypatch):
+    cfg = toy21_config(rng_seed=1)
+    cold = assemble_hamiltonian(cfg)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("not the entry's owner")
+
+    monkeypatch.setattr(os, "utime", refuse)
+    warm = assemble_hamiltonian(cfg)
+    assert warm.cache_hit and np.array_equal(warm.eigenvectors, cold.eigenvectors)
+
+
+def test_entry_takes_the_umask_mode():
+    cfg = toy21_config(rng_seed=1)
+    _store(cfg, *_solve(cfg))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(_path(cfg).stat().st_mode) == 0o666 & ~umask
+
+
+def test_nested_writers_of_one_path_both_finish_and_leave_one_whole_file(tmp_path):
+    path = tmp_path / "new" / "traj_n0.csv"
+    with cache.write_whole(path) as outer:
+        outer.write("outer writer's line\n" * 1000)
+        with cache.write_whole(path) as inner:
+            inner.write("inner 10 b")
+        assert path.read_text() == "inner 10 b"
+        outer.write("outer's tail\n")
+    assert path.read_text() == "outer writer's line\n" * 1000 + "outer's tail\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["traj_n0.csv"]
+
+
+def test_write_whole_leaves_the_path_as_it_was_when_the_block_raises(tmp_path):
+    path = tmp_path / "entry.npy"
+    path.write_bytes(b"earlier")
+    with pytest.raises(OSError, match="disk full"):
+        with cache.write_whole(path, "wb") as fh:
+            fh.write(b"part")
+            raise OSError("disk full")
+    assert path.read_bytes() == b"earlier"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.npy"]
 
 
 def _damage(path, kind):

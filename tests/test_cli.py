@@ -220,16 +220,34 @@ def test_summary_reports_numerical_health_within_gates(tmp_path):
     ([0, 1], {"t_max_ps": -1.0}, "t_max_ps"),
     ([0, 1], {"t_max_ps": math.inf}, "t_max_ps"),
     ([0, 1], {"t_max_ps": 1e300}, "--t-max-ps 1e[+]300 is too long"),
+    ([0, 1], {"writable": False}, "is not a directory this process may write"),
 ], ids=["no_states", "state_too_high", "state_negative", "duplicate_state",
-        "two_points", "zero_t_max", "negative_t_max", "infinite_t_max", "phase_beyond_2_40"])
+        "two_points", "zero_t_max", "negative_t_max", "infinite_t_max", "phase_beyond_2_40",
+        "unwritable_out"])
 def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, message):
     def solve_reached(*args, **kw):
         raise AssertionError("the Hamiltonian was assembled before the input was checked")
 
     monkeypatch.setattr("quniverse.cli.assemble_hamiltonian", solve_reached)
+    kwargs = dict(kwargs)
+    if not kwargs.pop("writable", True):
+        # root passes every permission check, so the refusal is patched in
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
     cfg = toy6_config(alpha=0.2, rng_seed=31)
     with pytest.raises(ValueError, match=message):
         run_experiment(cfg, states, tmp_path / "out", **kwargs)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_that_fails_before_its_first_write_leaves_no_directory(tmp_path, monkeypatch):
+    def solve_fails(*args, **kwargs):
+        raise MemoryError("the solve does not fit")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", solve_fails)
+    out = tmp_path / "new" / "run"
+    with pytest.raises(MemoryError):
+        run_experiment(toy6_config(), [0], out, t_max_ps=2.0, n_points=50)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_different_seed_changes_output(tmp_path):
@@ -529,11 +547,12 @@ def test_cli_sticks_refuses_a_trajectory_the_manifest_does_not_list(tmp_path, mo
         raise AssertionError("the universe was rebuilt for an unlisted trajectory")
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
-    sticks_out = tmp_path / "sticks.csv"
-    with pytest.raises(ValueError, match="traj_n1.csv is not among the outputs of"):
-        main(["sticks", "--traj", str(out / "traj_n1.csv"), "--time", "1.0",
-              "--out", str(sticks_out)])
-    assert not sticks_out.exists()
+    # compare, too, checks the run directory beside the trajectory
+    for command, when in (("sticks", ["--time", "1.0"]), ("compare", [])):
+        report = tmp_path / f"{command}.out"
+        with pytest.raises(ValueError, match="traj_n1.csv is not among the outputs of"):
+            main([command, "--traj", str(out / "traj_n1.csv"), *when, "--out", str(report)])
+        assert not report.exists()
 
 
 def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg_file, capsys):
@@ -541,14 +560,14 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
     _run(cfg, tmp_path / "run")
     traj = str(tmp_path / "run" / "traj_n1.csv")
     for command, when in (("sticks", ["--time", "5.0"]), ("compare", [])):
-        out = tmp_path / f"{command}.out"
+        out = tmp_path / "reports" / f"{command}.out"  # --out's directory is made
         assert main([command, "--traj", traj, *when, "--out", str(out)]) == 0
         capsys.readouterr()
         assert main([command, "--traj", traj, *when]) == 0
         printed = capsys.readouterr().out
         # print() ends the JSON report with a newline, which the file does not have
         assert printed == out.read_text() + ("\n" if command == "compare" else "")
-    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+    assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
 
 
 # Every key of a toy21 manifest, nested keys as dotted paths; a key added,

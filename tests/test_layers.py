@@ -3,12 +3,14 @@
 `blas` is a leaf, `cache` knows only files (the key comes from `model`,
 which owns both contracts it covers), and no module imports one that
 imports it back, at module level or inside a function.  The names that
-perfbench's tracer patches stay where it looks for them.
+perfbench's tracer patches stay where it looks for them.  Every file is
+written by one function, `cache.write_whole`.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,18 @@ def test_every_traced_name_resolves_but_the_known_stale_ones():
         if not callable(owner):
             unresolved.add(name)
     assert unresolved <= STALE_TARGETS, sorted(unresolved - STALE_TARGETS)
+
+
+def test_one_whole_file_writer():
+    """No module renames a file into place or makes a tmp file but `cache.write_whole`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        if path.stem == "cache":
+            writer = next(node for node in ast.parse("\n".join(lines)).body
+                          if getattr(node, "name", None) == "write_whole")
+            first = min(node.lineno for node in (writer, *writer.decorator_list)) - 1
+            lines[first:writer.end_lineno] = []
+        found += [f"{path.name}: {line.strip()}" for line in lines
+                  if re.search(r"\bos\.replace\b|\btempfile\b", line)]
+    assert found == []
