@@ -23,12 +23,15 @@ time to now, keeping its mtime, and goes on without that where it is
 refused (an entry owned by another user).
 
 The directory is bounded: after each store, the least recently used
-`*.npy` files, by the later of access time and mtime (entries, and the
+`*.npy*` files, by the later of access time and mtime, are removed until
+they hold at most QUNIVERSE_CACHE_MAX_MB MiB (default 4096), never the
+entry just written.  Those are the package's own files: entries, the
 two-file `*.eigvals.npy`/`*.eigvecs.npy` entries of earlier versions,
-which nothing reads any more), are removed until the directory holds at
-most QUNIVERSE_CACHE_MAX_MB MiB (default 4096), never the entry just
-written.  Removing a file another process has mapped is safe: its
-mapping stays valid.
+which nothing reads any more, and the `{key}.npy.<pid>-<hex>.tmp` file
+of a store that was killed.  Files with other names are never touched.
+A live store's tmp file is the newest; should it be removed, that store
+fails and its process goes on uncached.  Removing a file another process
+has mapped is safe: its mapping stays valid.
 
 The directory comes from QUNIVERSE_CACHE_DIR, defaulting to
 ~/.cache/quniverse.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 import time
 import warnings
 from collections.abc import Iterator
@@ -132,8 +136,8 @@ def store_eigensystem(key: str, eigenvalues: np.ndarray,
 
 
 def _evict(base: Path, keep: Path) -> list[tuple[str, int]]:
-    """Remove the least recently used `*.npy` files in `base` until they fit the
-    cap, never `keep`; return the (name, bytes) of each file removed.
+    """Remove the least recently used regular `*.npy*` files in `base` until they
+    fit the cap, never `keep`; return the (name, bytes) of each file removed.
 
     A file's last use is the later of its access time and its mtime.  A
     cap that is not a non-negative number is reported and not applied:
@@ -149,12 +153,13 @@ def _evict(base: Path, keep: Path) -> list[tuple[str, int]]:
                       f"number of MiB; the cache is not trimmed", stacklevel=3)
         return []
     files = []
-    for path in base.glob("*.npy"):
+    for path in base.glob("*.npy*"):
         try:
-            st = path.stat()
+            st = path.lstat()
         except FileNotFoundError:  # removed by a concurrent store
             continue
-        files.append((max(st.st_atime_ns, st.st_mtime_ns), path, st.st_size))
+        if stat.S_ISREG(st.st_mode):
+            files.append((max(st.st_atime_ns, st.st_mtime_ns), path, st.st_size))
     total = sum(size for _, _, size in files)
     evicted = []
     for _, path, size in sorted(files):

@@ -5,8 +5,11 @@ A run makes one pass over the eigenvectors for all requested states:
 `dynamics.propagate_blocks` yields the amplitudes one row block at a
 time and `observables.trajectories` reduces each block to every state's
 sums before the next is made.  Each state then gets its trajectory
-columns and final-time amplitudes, from which its CSV files and its
-summary entry are written.
+columns and final-time amplitudes, from which its summary and anomaly
+entries are made; only then are the files written.
+
+Every command checks its request and its output target, then builds,
+then writes, so a bad request fails before the Hamiltonian is assembled.
 
 Everything a run writes is reproducible from its manifest: the config
 echo (seed included) pins the Hamiltonian bit-exactly and the grid
@@ -78,13 +81,8 @@ def _check_phase(config: ModelConfig, t_reduced: float, what: str) -> None:
 
 
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
-                   n_points: int, out: Path) -> None:
-    """Reject a run that could only fail after the Hamiltonian is solved.
-
-    That includes an `out` that this process could not make or write
-    into: the directory, or else its nearest existing parent, must be a
-    directory it may write and enter.
-    """
+                   n_points: int) -> None:
+    """Reject a run that could only fail after the Hamiltonian is solved."""
     if not states:
         raise ValueError("no initial states requested")
     if len(set(states)) != len(states):
@@ -96,10 +94,18 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
         raise ValueError(f"t_max_ps must be positive and finite, got {t_max_ps}")
     _check_phase(config, units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
                  f"--t-max-ps {t_max_ps}")
-    existing = next(p for p in (out, *out.parents) if p.exists())
+
+
+def _check_out(path: Path) -> None:
+    """Refuse an output file that `write_whole` could not write: `path` must not be
+    a directory, and its nearest existing parent must be a directory this process
+    may write and enter.  Every command checks its output so, before it builds."""
+    if path.is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    existing = next(p for p in path.parents if p.exists())
     if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
-        raise ValueError(f"cannot write the run into {out}: {existing} is not a "
-                         f"directory this process may write")
+        raise ValueError(f"cannot write {path}: {existing} is not a directory "
+                         f"this process may write")
 
 
 def run_experiment(config: ModelConfig, states: list[int], out_dir,
@@ -112,12 +118,14 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     anomaly report and one manifest for the run, which is returned as
     the dict it writes.  Each state's files depend only on the config,
     the grid and that state, not on which other states are requested.
-    Every request and state check comes before anything is built or
-    written; `out_dir` is made at the first write, and an existing
+    Every request and state check comes before anything is built, and
+    every entry of the summary and the anomaly report is made before the
+    first write; `out_dir` is made at the first write, and an existing
     manifest is removed just before it.
     """
     out = Path(out_dir)
-    _check_request(config, states, t_max_ps, n_points, out)
+    _check_request(config, states, t_max_ps, n_points)
+    _check_out(out / "manifest.json")
     psi0 = np.stack([initial_state(config, n) for n in states])
     timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
 
@@ -131,10 +139,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     t_max = units.ps_to_reduced_time(t_max_ps, unit)
     times = np.linspace(0.0, t_max, n_points)
     late = late_window_slice(n_points)
-
-    outputs: list[str] = []
-    summary_rows = []
-    anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
+    shell = config.total_energy
+    in_shell = basis.shell_label == shell
 
     t0 = time.perf_counter()
     workers = pass_workers()
@@ -142,29 +148,19 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
              f"on {workers} worker thread{'s' if workers > 1 else ''}")
     blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
     results = trajectories(blocks, times, config, basis)
-    timing["observables"] += time.perf_counter() - t0 - timing["propagate"]
-
-    shell = config.total_energy
-    in_shell = basis.shell_label == shell
-    stick_text = _stick_text(basis)
-    progress(f"writing trajectories, stick diagrams, summary and manifest to {out}")
-    (out / "manifest.json").unlink(missing_ok=True)
+    summary_rows = []
+    anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
     for n, result in zip(states, results):
-        t1 = time.perf_counter()
-        traj = result.columns
-        final = result.final_amplitudes
-        p_final = final.real ** 2 + final.imag ** 2
-        s_univ_series = traj["S_univ"]
+        s_univ_series = result.columns["S_univ"]
         rate = entropy_production_rate(times, s_univ_series)
-        dips = detect_negative_production(times, rate)
         anomaly_report["states"].append({
             "n": n,
-            "dips": [dataclasses.asdict(d) for d in dips],
+            "dips": [dataclasses.asdict(d) for d in detect_negative_production(times, rate)],
             "min_rate": float(rate.min()),
             "min_rate_time": float(times[int(rate.argmin())]),
         })
-
-        partial = traj[f"S_partial_{shell}"]
+        partial = result.columns[f"S_partial_{shell}"]
+        final = result.final_amplitudes
         summary_rows.append({
             "n": n,
             "S_univ": float(s_univ_series[late].mean()),
@@ -172,21 +168,9 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "S_univ_final": float(s_univ_series[-1]),
             "S_partial_final": float(partial[-1]),
             "effective_states": float(np.exp(s_univ_series[late].mean())),
-            "shell_population_final": float(p_final[in_shell].sum()),
+            "shell_population_final": float((final.real ** 2 + final.imag ** 2)[in_shell].sum()),
             "health": result.health,
         })
-        t2 = time.perf_counter()
-
-        with write_whole(out / f"traj_n{n}.csv") as fh:
-            _write_trajectory(fh, config, n, traj)
-        with write_whole(out / f"sticks_n{n}.csv") as fh:
-            _write_sticks(fh, config, n, times[-1], final, stick_text)
-        outputs += [f"traj_n{n}.csv", f"sticks_n{n}.csv"]
-        t3 = time.perf_counter()
-        timing["observables"] += t2 - t1
-        timing["write"] += t3 - t2
-
-    t0 = time.perf_counter()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "seed": config.rng_seed,
@@ -196,10 +180,20 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "temperature_kelvin": temp.kelvin,
         "states": summary_rows,
     }
+    timing["observables"] = time.perf_counter() - t0 - timing["propagate"]
+
+    t0 = time.perf_counter()
+    progress(f"writing trajectories, stick diagrams, summary and manifest to {out}")
+    (out / "manifest.json").unlink(missing_ok=True)
+    stick_text = _stick_text(basis)
+    for n, result in zip(states, results):
+        with write_whole(out / f"traj_n{n}.csv") as fh:
+            _write_trajectory(fh, config, n, result.columns)
+        with write_whole(out / f"sticks_n{n}.csv") as fh:
+            _write_sticks(fh, config, n, times[-1], result.final_amplitudes, stick_text)
     _write_json(out / "summary.json", summary)
     _write_json(out / "anomalies.json", anomaly_report)
-    outputs += ["summary.json", "anomalies.json"]
-    timing["write"] += time.perf_counter() - t0
+    timing["write"] = time.perf_counter() - t0
 
     library, threads = solve_library()
     gemm, gemm_threads = gemm_library()
@@ -225,7 +219,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "energy_unit_wavenumbers": unit,
         },
         "temperature": dataclasses.asdict(temp),
-        "outputs": outputs,
+        "outputs": [f"{kind}_n{n}.csv" for n in states for kind in ("traj", "sticks")]
+        + ["summary.json", "anomalies.json"],
         "timing_seconds": timing,
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -367,6 +362,8 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     """(config, n, initial amplitudes) of the run whose `manifest.json` sits beside
     the trajectory `traj_path`, once the file is checked to belong to it.
 
+    Without a manifest there, it raises FileNotFoundError.
+
     A manifest written by another code version or under another draw
     contract is refused: its run may not be reproducible by this one.
     So is a trajectory whose header names another state (than its file
@@ -377,7 +374,11 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     directory.
     """
     manifest_path = traj_path.parent / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{manifest_path} not found; the run's manifest is "
+                                f"needed to rebuild its universe") from None
     written = (manifest.get("code_version"), manifest.get("draw_contract"))
     if written != (__version__, DRAW_CONTRACT_VERSION):
         raise ValueError(
@@ -414,13 +415,7 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     (finite, with phases E t within 2**40 rad, as `run` asks) come before
     the Hamiltonian is assembled, so before any solve.
     """
-    traj_path = Path(traj_path)
-    manifest_path = traj_path.parent / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{manifest_path} not found; stick diagrams are recomputed from the manifest"
-        )
-    config, n, psi0 = _checked_run(traj_path)
+    config, n, psi0 = _checked_run(Path(traj_path))
     if t_reduced is None:
         t_reduced = units.ps_to_reduced_time(t_ps, config.energy_unit_wavenumbers)
     if not math.isfinite(t_reduced):
@@ -480,22 +475,20 @@ def main(argv=None) -> int:
         print(f"wrote {len(manifest['outputs'])} files to {args.out}")
         return 0
 
+    # compare and sticks: the report goes to --out, or else to stdout, as the same bytes
+    if args.out:
+        _check_out(Path(args.out))
     if args.command == "compare":
         report = compare_free_energy(args.traj)
-        if args.out:
-            _write_json(args.out, report)
-        else:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "sticks":
+    else:
         config, n, t, amplitudes, basis = _sticks_from_manifest(args.traj, args.time,
                                                                 args.time_ps)
-        with write_whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with write_whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.command == "compare":
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        else:
             _write_sticks(fh, config, n, t, amplitudes, _stick_text(basis))
-        return 0
-
-    return 2  # pragma: no cover
+    return 0
 
 
 if __name__ == "__main__":

@@ -222,9 +222,22 @@ def test_store_evicts_oldest_beyond_cap(monkeypatch):
     new = _store_aged(toy21_config(rng_seed=3), 0)
     # 1.05 MB of legacy files and three entries exceed 1 MiB: the oldest go
     # first until the rest fit, the legacy files count, and files that are
-    # not *.npy are never touched
+    # not *.npy* are never touched
     assert not old.exists() and not legacy_w.exists()
     assert legacy_v.exists() and mid.exists() and new.exists() and unrelated.exists()
+
+
+def test_store_evicts_the_tmp_file_of_a_killed_store(monkeypatch):
+    # a store killed by SIGKILL never reaches write_whole's cleanup
+    killed = _aged_file("a" * 64 + ".npy.4242-0badf00d.tmp", 3 * 2 ** 20, 100)
+    (cache_dir() / "subdirectory").mkdir()
+    notes = _aged_file("notes.txt", 3 * 2 ** 20, 200)
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, "1")
+    cfg = toy21_config(rng_seed=1)
+    w, v = _solve(cfg)
+    assert cache.store_eigensystem(cache_key(cfg), w, v) == [(killed.name, 3 * 2 ** 20)]
+    assert sorted(p.name for p in cache_dir().iterdir()) == sorted(
+        [_path(cfg).name, notes.name, "subdirectory"])
 
 
 def test_store_never_evicts_the_entry_it_wrote(monkeypatch):

@@ -285,6 +285,23 @@ def test_compare_zero_discrepancy_on_synthetic(tmp_path):
     assert report["transient_end_reduced"] == 0.0
 
 
+def test_compare_flags_an_early_transient(tmp_path):
+    # dS_univ runs ahead of -dF/(kT) by 0.5 exp(-2 t): beyond the 0.05 floor of
+    # the tolerance up to t = 1.0, so the transient ends at the next time, 1.5
+    path = tmp_path / "synthetic.csv"
+    t = np.linspace(0.0, 10.0, 21)
+    s = 1.0 - np.exp(-t)
+    lines = ["# quniverse trajectory", "time_reduced,S_univ,dF,minus_dF_over_kT"]
+    for ti, si, di in zip(t.tolist(), s.tolist(), (0.5 * np.exp(-2.0 * t)).tolist()):
+        lines.append(f"{ti!r},{2.0 + si!r},{di - si!r},{si - di!r}")
+    path.write_text("\n".join(lines) + "\n")
+    report = compare_free_energy(path)
+    assert report["transient_flagged"]
+    assert report["transient_end_reduced"] == 1.5
+    assert report["max_abs_difference"] == pytest.approx(0.5, abs=1e-12)
+    assert report["late_mean_abs_difference"] < 1e-6
+
+
 def test_compare_missing_column_rejected(tmp_path):
     path = tmp_path / "broken.csv"
     path.write_text("# quniverse trajectory\ntime_reduced,S_univ\n0.0,1.0\n1.0,1.1\n")
@@ -498,19 +515,53 @@ def test_cli_sticks_refuses_out_of_range_state_before_building(tmp_path, toy_cfg
     out = tmp_path / "cli_run8"
     main(["run", "--config", str(cfg_path), "--out", str(out),
           "--states", "0", "--t-max-ps", "2.0", "--n-points", "30"])
-    # a trajectory file for a state the config does not have: toy6 has levels 0..1
     first, rest = (out / "traj_n0.csv").read_text().split("\n", 1)
-    traj = out / "traj_n5.csv"
-    traj.write_text(first.replace("state_n=0 ", "state_n=5 ") + "\n" + rest)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the universe was rebuilt for a refused state")
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     sticks_out = tmp_path / "sticks.csv"
-    with pytest.raises(ValueError, match=r"system level n=5 outside 0\.\.1"):
-        main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
-    assert not sticks_out.exists()
+    # a trajectory file for a state the config does not have (toy6 has levels
+    # 0..1), and one whose name does not say its state
+    for name, state, message in (
+            ("traj_n5.csv", "5", r"system level n=5 outside 0\.\.1"),
+            ("state0.csv", "0", "cannot infer initial state from file name state0.csv")):
+        traj = out / name
+        traj.write_text(first.replace("state_n=0 ", f"state_n={state} ") + "\n" + rest)
+        with pytest.raises(ValueError, match=message):
+            main(["sticks", "--traj", str(traj), "--time", "1.0", "--out", str(sticks_out)])
+        assert not sticks_out.exists()
+
+
+@pytest.mark.parametrize("target, message", [
+    ("adir", "adir: it is a directory"),
+    ("afile/report.out", "afile is not a directory this process may write"),
+    ("locked/new/report.out", "locked is not a directory this process may write"),
+], ids=["existing_directory", "under_a_file", "under_an_unwritable_directory"])
+@pytest.mark.parametrize("command, when", [("sticks", ["--time", "1.0"]), ("compare", [])],
+                         ids=["sticks", "compare"])
+def test_cli_sticks_and_compare_refuse_a_bad_out_before_building(tmp_path, monkeypatch,
+                                                                 command, when, target,
+                                                                 message):
+    _run(toy6_config(alpha=0.2, rng_seed=31), tmp_path / "run")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("a regular file\n")
+    (tmp_path / "locked").mkdir()
+    access = os.access
+    # root passes every permission check, so the refusal is patched in
+    monkeypatch.setattr(os, "access", lambda path, mode: (Path(path).name != "locked"
+                                                          and access(path, mode)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was built for a refused --out")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(ValueError, match=message):
+        main([command, "--traj", str(tmp_path / "run" / "traj_n1.csv"), *when,
+              "--out", str(tmp_path / target)])
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_failed_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, toy_cfg_file,
@@ -564,9 +615,7 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
         assert main([command, "--traj", traj, *when, "--out", str(out)]) == 0
         capsys.readouterr()
         assert main([command, "--traj", traj, *when]) == 0
-        printed = capsys.readouterr().out
-        # print() ends the JSON report with a newline, which the file does not have
-        assert printed == out.read_text() + ("\n" if command == "compare" else "")
+        assert capsys.readouterr().out == out.read_text()
     assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == []
 
 
