@@ -1,8 +1,9 @@
-"""The OpenBLAS libraries that numpy's and scipy's wheels bundle, and the pass's threads.
+"""The OpenBLAS that numpy's wheel bundles, and the pass's threads.
 
-numpy's runs the propagation's GEMMs and scipy's the solve.  This module
-reads both through ctypes, without importing scipy, and owns the pass's
-pool.  It imports no other quniverse module.
+That one library runs every numpy matmul, so the propagation's GEMMs,
+and the solve's LAPACK stages, which `model.diagonalize` binds from it by
+name.  This module reads it through ctypes and owns the pass's pool.  It
+imports no other quniverse module.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import importlib.util
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -19,101 +19,63 @@ from pathlib import Path
 
 import numpy as np
 
-# Environment variables that set the BLAS thread count of a LAPACK
-# other than scipy's bundled OpenBLAS (see `solve_library`).
+# Environment variables that set the thread count of a BLAS other than
+# numpy's bundled OpenBLAS (see `library`).
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 
 
-@functools.cache
-def solve_library() -> tuple[str, int]:
-    """(identity, thread count) of the OpenBLAS that runs `model.diagonalize`.
-
-    scipy's wheels bundle their own OpenBLAS (`libscipy_openblas`) for
-    LAPACK, a library apart from numpy's.  Its `scipy_openblas_get_config`
-    names the version and the kernel chosen at run time (e.g. "OpenBLAS
-    0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the
-    thread count (OPENBLAS_NUM_THREADS) it fixes the solve's summation
-    order.  When that library is not found (a scipy built against another
-    LAPACK), neither can be read: the identity then names scipy's version,
-    the core count and every THREAD_VARIABLES setting, so runs with other
-    thread settings still get other cache keys, and the count is 0.
-    """
-    found = _wheel_openblas("scipy", "")
-    if found is not None:
-        return found.config, found.get_threads()
-    import scipy
-
-    settings = " ".join(f"{name}={os.environ.get(name, '')}" for name in THREAD_VARIABLES)
-    return f"unknown LAPACK, scipy {scipy.__version__}, {os.cpu_count()} cores, {settings}", 0
-
-
 @dataclass(frozen=True)
 class WheelOpenBLAS:
-    """The ctypes entry points of an OpenBLAS that a numpy or scipy wheel bundles."""
+    """The ctypes handle and thread entry points of numpy's bundled OpenBLAS."""
 
+    lib: ctypes.CDLL
     config: str
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
 
 
-def _wheel_openblas(package: str, suffix: str) -> WheelOpenBLAS | None:
-    """The OpenBLAS in `package`'s `<package>.libs` directory, or None if absent.
+@functools.cache
+def gemm_openblas() -> WheelOpenBLAS | None:
+    """numpy's bundled OpenBLAS (`numpy.libs/libscipy_openblas64_*`), or None if it is absent.
 
-    The package is located, not imported.  The library's `scipy_openblas_*`
-    symbols end in `suffix` ("64_" for numpy's 64-bit-integer build).
-    Loading the library starts its thread pool, whose workers spin for
-    2^28 cycles (~0.13 s at 2.1 GHz, measured) before they sleep, taking
-    a core from whatever runs next.  Nothing in the process can be using
-    a library that this call loads, so then the pool is shut down at
-    once; OpenBLAS starts it again on its next threaded call, as it does
-    after a fork.  That is scipy's library on a warm run, which reads
-    only its identity (numpy's is loaded by numpy).
+    numpy has loaded it already, so this only opens a second handle.  It
+    is the ILP64 build: its symbols end in "64_" and its integers are
+    64-bit.
     """
-    spec = importlib.util.find_spec(package)
-    if spec is None or spec.origin is None:
-        return None
-    libs = Path(spec.origin).resolve().parent.parent / f"{package}.libs"
-    for path in sorted(libs.glob(f"libscipy_openblas{suffix}*.so*")):
-        try:
-            ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            loaded = True
-        except OSError:
-            loaded = False
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
             config, get_threads, set_threads = (
-                getattr(lib, f"scipy_openblas_{name}{suffix}")
+                getattr(lib, f"scipy_openblas_{name}64_")
                 for name in ("get_config", "get_num_threads", "set_num_threads"))
         except (OSError, AttributeError):
             continue
         config.argtypes, config.restype = [], ctypes.c_char_p
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        found = WheelOpenBLAS(config().decode(), get_threads, set_threads)
-        shutdown = getattr(lib, "blas_thread_shutdown_", None)
-        if not loaded and shutdown is not None:
-            shutdown()
-        return found
+        return WheelOpenBLAS(lib, config().decode(), get_threads, set_threads)
     return None
 
 
-@functools.cache
-def gemm_openblas() -> WheelOpenBLAS | None:
-    """numpy's bundled OpenBLAS (`libscipy_openblas64_`), or None if it is absent.
+def library() -> tuple[str, int]:
+    """(identity, thread count) of the library that runs the solve and the GEMMs.
 
-    It runs every numpy matmul, so the propagation's GEMMs; scipy's
-    library (`solve_library`) runs only the solve.
+    For numpy's bundled OpenBLAS, `scipy_openblas_get_config64_` names
+    the version and the kernel chosen at run time (e.g. "OpenBLAS 0.3.30
+    DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the thread
+    count (OPENBLAS_NUM_THREADS) it fixes the solve's summation order.
+    Without that library neither can be read: the identity then names
+    numpy's version, the core count and every THREAD_VARIABLES setting,
+    so runs with other thread settings still get other cache keys, and
+    the count is 0.
     """
-    return _wheel_openblas("numpy", "64_")
-
-
-def gemm_library() -> tuple[str, int]:
-    """(identity, thread count) of numpy's bundled OpenBLAS; the count is 0 if it is absent."""
     found = gemm_openblas()
-    if found is None:
-        return f"unknown BLAS, numpy {np.__version__}", 0
-    return found.config, found.get_threads()
+    if found is not None:
+        return found.config, found.get_threads()
+    settings = " ".join(f"{name}={os.environ.get(name, '')}" for name in THREAD_VARIABLES)
+    return f"unknown LAPACK, numpy {np.__version__}, {os.cpu_count()} cores, {settings}", 0
 
 
 @contextlib.contextmanager

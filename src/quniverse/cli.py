@@ -43,7 +43,7 @@ from .analysis import (
     late_window_slice,
     stick_order,
 )
-from .blas import gemm_library, pass_workers, solve_library
+from .blas import library, pass_workers
 from .cache import write_whole
 from .config import ModelConfig
 from .dynamics import initial_state, propagate, propagate_blocks
@@ -195,8 +195,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     _write_json(out / "anomalies.json", anomaly_report)
     timing["write"] = time.perf_counter() - t0
 
-    library, threads = solve_library()
-    gemm, gemm_threads = gemm_library()
+    blas_library, blas_threads = library()
     manifest = {
         "config": config.to_dict(),
         "seed": config.rng_seed,
@@ -207,11 +206,10 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "t_max_reduced": float(t_max),
         "n_points": n_points,
         # the cache's key and whether the run used an entry (false for a miss or a
-        # rejected one), the check's residual, the LAPACK the key covers, the BLAS
-        # that ran the pass's GEMMs, and the pass's worker threads
+        # rejected one), the check's residual, the library that the key covers and
+        # that ran the solve and the pass's GEMMs, and the pass's worker threads
         "cache": {"key": ham.key, "hit": ham.cache_hit, "eig_residual": ham.eig_residual,
-                  "solve_library": library, "solve_threads": threads,
-                  "gemm_library": gemm, "gemm_threads": gemm_threads,
+                  "blas_library": blas_library, "blas_threads": blas_threads,
                   "pass_workers": workers},
         "constants": {
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
@@ -362,7 +360,8 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     """(config, n, initial amplitudes) of the run whose `manifest.json` sits beside
     the trajectory `traj_path`, once the file is checked to belong to it.
 
-    Without a manifest there, it raises FileNotFoundError.
+    Without a manifest there, it raises FileNotFoundError; a damaged
+    manifest (not whole JSON, or without a field this reads) is refused.
 
     A manifest written by another code version or under another draw
     contract is refused: its run may not be reproducible by this one.
@@ -379,6 +378,9 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     except FileNotFoundError:
         raise FileNotFoundError(f"{manifest_path} not found; the run's manifest is "
                                 f"needed to rebuild its universe") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path} is damaged ({exc}); re-run the trajectory "
+                         f"to write it again") from None
     written = (manifest.get("code_version"), manifest.get("draw_contract"))
     if written != (__version__, DRAW_CONTRACT_VERSION):
         raise ValueError(
@@ -386,6 +388,10 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
             f"{written[1]}, this is {__version__} under {DRAW_CONTRACT_VERSION}; "
             f"re-run the trajectory with this version"
         )
+    missing = sorted({"config", "seed", "outputs"} - set(manifest))
+    if missing:
+        raise ValueError(f"{manifest_path} is damaged (no {', '.join(missing)}); re-run the "
+                         f"trajectory to write it again")
     config = ModelConfig.from_dict(manifest["config"])
     name = traj_path.stem
     if not name.startswith("traj_n"):

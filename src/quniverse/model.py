@@ -16,12 +16,14 @@ first CHECK_ROWS rows of H, which the same fill function regenerates
 from the first draws of the coupling stream.
 
 The solve (`diagonalize`) runs the three LAPACK stages of dsyevd one at
-a time, through ctypes and without the GIL: tridiagonal reduction, the
+a time, through ctypes and without the GIL, in numpy's bundled OpenBLAS
+(the library of every GEMM): tridiagonal reduction, the
 divide-and-conquer eigensolver writing into H's own memory while the
 Householder reflectors wait packed beside it, and the back-transform in
 place.  It keeps dsyevd's eigenpair bytes in 2.5 n² doubles instead of
-3 n², and a miss refuses a solve that cannot fit the machine's memory
-before H is built.
+3 n² (`numpy.linalg.eigh`, the same dsyevd, where numpy bundles no
+OpenBLAS), and a miss refuses a solve that cannot fit the machine's
+memory before H is built.
 
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import math
 import sys
 import threading
@@ -213,7 +214,7 @@ def _coupling_rows(couplings: SeededRng, sigma: float, dim: int, k: int) -> Iter
 
 # The eigenpair bytes of a config are fixed by the assembly of H (draws,
 # fill, basis order), by `diagonalize` and by the LAPACK library and its
-# thread count.  The cache key covers this contract and `solve_library`
+# thread count.  The cache key covers this contract and `blas.library`
 # instead of the package version, so a release that changes only outputs
 # keeps every cache entry.  Bump it with any change to the assembly or to
 # `diagonalize`; `tests/test_model.py` pins the sha256 of H to catch an
@@ -221,9 +222,11 @@ def _coupling_rows(couplings: SeededRng, sigma: float, dim: int, k: int) -> Iter
 SOLVE_CONTRACT = 1
 
 # Config fields that do not enter H: the temperature convention, the
-# energy unit, the phases of the initial states and the microcanonical
-# shell.  Configs that differ only in them share one cache entry.
-NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "paper_compat",
+# energy unit, the absolute polyad frequency (H is measured from the
+# polyad's bottom), the phases of the initial states and the
+# microcanonical shell.  Configs that differ only in them share one cache
+# entry.
+NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "omega0", "paper_compat",
                       "random_initial_phases", "total_energy")
 
 
@@ -231,12 +234,11 @@ def cache_key(config: ModelConfig) -> str:
     """The key of the config's cache entry: a hash of what fixes its eigenpairs' bytes.
 
     The config without NOT_IN_HAMILTONIAN (seed included), the draw-order
-    contract, SOLVE_CONTRACT and `blas.solve_library()`.
+    contract, SOLVE_CONTRACT and `blas.library()`.
     """
-    library, threads = blas.solve_library()
+    library, threads = blas.library()
     return config.content_hash(exclude=NOT_IN_HAMILTONIAN, draw_contract=DRAW_CONTRACT_VERSION,
-                               solve_contract=SOLVE_CONTRACT, solve_library=library,
-                               solve_threads=threads)
+                               solve_contract=SOLVE_CONTRACT, library=library, threads=threads)
 
 
 def progress(message: str) -> None:
@@ -253,36 +255,31 @@ _UNSCALED_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 
 
-@functools.cache
 def _lapack(name: str) -> Callable[..., None]:
-    """The `scipy.linalg.cython_lapack` routine `name`, to be called through ctypes.
+    """LAPACK's `name` in numpy's bundled OpenBLAS (`scipy_<name>_64_`), called through ctypes.
 
-    It is the LAPACK that `scipy.linalg` calls.  Every argument is a
-    pointer (`char *`, LP64 `int *` or `double *`; the wrappers take no
-    string lengths), and ctypes releases the GIL for the call.
+    A Fortran routine of the ILP64 build: every argument is a pointer
+    (`char *`, `int64_t *` or `double *`), and each character argument's
+    length follows them all.  ctypes releases the GIL for the call.
     """
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    signature = get_name(capsule)
-    n_args = signature.count(b",") + 1
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(get_pointer(capsule, signature))
+    routine = getattr(blas.gemm_openblas().lib, f"scipy_{name}_64_")
+    routine.restype = None
+    return routine
 
 
 def _call(name: str, *args) -> None:
     """Call LAPACK's `name` on `args` and a trailing info; raise if info is not 0.
 
-    A str goes as `char *`, an int as `int *` and an array as its data pointer.
+    A str goes as `char *`, an int as `int64_t *` and an array as its data pointer.
     """
-    info = ctypes.c_int(0)
-    pointers = [ctypes.c_char_p(a.encode()) if isinstance(a, str)
-                else ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
-                else ctypes.c_void_p(a.ctypes.data) for a in args]
-    _lapack(name)(*pointers, ctypes.byref(info))
+    info = ctypes.c_int64(0)
+    pointers = [a.encode() if isinstance(a, str)
+                else ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+                else a.ctypes.data for a in args]
+    lengths = [len(a) for a in args if isinstance(a, str)]
+    routine = _lapack(name)
+    routine.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
+    routine(*pointers, ctypes.byref(info), *lengths)
     if info.value != 0:
         raise RuntimeError(f"{name} returned info={info.value}")
 
@@ -323,7 +320,9 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
        their product Q to the eigenvectors in place.
 
     The peak is 2.5 n² doubles, where dsyevd holds the matrix and 2 n²
-    more.  dsyevd would scale a matrix whose max|A| is tiny or huge;
+    more.  Where numpy bundles no OpenBLAS, `numpy.linalg.eigh` (dsyevd
+    itself) solves a copy instead, in ~5 n² (`solve_bytes`), and V is a
+    new array.  dsyevd would scale a matrix whose max|A| is tiny or huge;
     such a matrix is refused instead.  A progress line ends each stage,
     and a heartbeat line follows every HEARTBEAT_SECONDS while LAPACK runs.
     """
@@ -338,8 +337,10 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not (anrm == 0.0 or _UNSCALED_MIN <= anrm <= _UNSCALED_MAX):
             raise RuntimeError(f"max|A| = {anrm:.3g} is outside LAPACK's unscaled range "
                                f"[{_UNSCALED_MIN:.3g}, {_UNSCALED_MAX:.3g}]")
-        w, e, tau = np.empty(n), np.empty(ld), np.empty(ld)
         with _heartbeat(f"solving {n} x {n}"):
+            if blas.gemm_openblas() is None:
+                return tuple(np.linalg.eigh(matrix))
+            w, e, tau = np.empty(n), np.empty(ld), np.empty(ld)
             t0 = time.perf_counter()
             query = np.empty(1)
             _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
@@ -353,7 +354,7 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             progress(f"tridiagonalized in {t1 - t0:.1f} s")
             work = np.zeros(n * n + 4 * n + 1)
             _call("dstedc", "I", n, w, e, a, ld, work, work.size,
-                  np.empty(3 + 5 * n, dtype=np.int32), 3 + 5 * n)
+                  np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
             t2 = time.perf_counter()
             progress(f"divide and conquer in {t2 - t1:.1f} s")
             _call("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
@@ -395,8 +396,12 @@ def _residual_bound(rows: np.ndarray) -> float:
 
 
 def solve_bytes(dim: int) -> int:
-    """Peak bytes of `diagonalize` on a dim x dim matrix: 2.5 dim² doubles."""
-    return int(2.5 * dim * dim) * 8
+    """Peak bytes of `diagonalize` on a dim x dim matrix: 2.5 dim² doubles, 5 through eigh.
+
+    `numpy.linalg.eigh` holds H, its copy, dsyevd's 2 n² workspace and
+    the returned V (4.08 n² over H measured at n = 4572, 4.10 at 3000).
+    """
+    return int((2.5 if blas.gemm_openblas() is not None else 5.0) * dim * dim) * 8
 
 
 def machine_memory() -> tuple[int, int] | None:

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from quniverse.blas import gemm_library, gemm_openblas
+from quniverse.blas import gemm_openblas, library
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
 from quniverse.dynamics import _block_rows, propagate_blocks
@@ -28,9 +28,9 @@ def _private_cache_dir(request, tmp_path_factory, monkeypatch):
 @pytest.fixture(autouse=True)
 def _blas_threads_unchanged():
     """Fail a test that leaves numpy's OpenBLAS on another thread count (then restore it)."""
-    before = gemm_library()[1]
+    before = library()[1]
     yield
-    after = gemm_library()[1]
+    after = library()[1]
     if after != before:
         gemm_openblas().set_threads(before)
         pytest.fail(f"numpy's OpenBLAS thread count changed from {before} to {after}")

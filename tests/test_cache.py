@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
-
 from quniverse import blas, cache, model
 from quniverse.cache import CACHE_MAX_MB_ENV, cache_dir, entry_path
 from quniverse.cli import run_experiment
@@ -135,8 +133,8 @@ def test_cold_and_warm_runs_write_identical_outputs(tmp_path):
     assert manifest["cache"]["hit"] is True
     assert manifest["cache"]["key"] == cache_key(cfg)
     assert 0.0 <= manifest["cache"]["eig_residual"] <= model.CHECK_RTOL
-    library, threads = blas.solve_library()
-    assert (manifest["cache"]["solve_library"], manifest["cache"]["solve_threads"]) == (
+    library, threads = blas.library()
+    assert (manifest["cache"]["blas_library"], manifest["cache"]["blas_threads"]) == (
         library, threads)
     assert manifest["peak_rss_mb"] > 0.0
 
@@ -365,7 +363,6 @@ def test_damaged_entry_discarded_and_resolved(kind):
 _KEPT = {
     "n_system_levels": dict(n_system_levels=4, polyad_N=3),
     "polyad_N": dict(n_system_levels=4, polyad_N=3),
-    "omega0": dict(omega0=6.0),
     "kappa": dict(kappa=2.0),
     "n_env_levels": dict(n_env_levels=4),
     "omega_E": dict(omega_E=2.0),
@@ -377,6 +374,7 @@ _KEPT = {
 }
 _DROPPED = {
     "energy_unit_wavenumbers": 100.0,
+    "omega0": 6.0,
     "paper_compat": True,
     "random_initial_phases": True,
     "total_energy": 1,
@@ -399,14 +397,16 @@ def test_key_ignores_fields_outside_hamiltonian(name):
 
 @pytest.mark.parametrize("name", sorted(_KEPT))
 def test_key_covers_hamiltonian_fields(name):
-    assert cache_key(toy21_config(**_KEPT[name])) != cache_key(toy21_config())
+    changed = toy21_config(**_KEPT[name])
+    assert cache_key(changed) != cache_key(toy21_config())
+    assert hamiltonian_matrix(changed).tobytes() != hamiltonian_matrix(toy21_config()).tobytes()
 
 
 @pytest.mark.parametrize("owner, name, changed", [
     (model, "DRAW_CONTRACT_VERSION", "changed"),
     (model, "SOLVE_CONTRACT", "changed"),
-    (blas, "solve_library", lambda: ("another LAPACK", 2)),
-], ids=["DRAW_CONTRACT_VERSION", "SOLVE_CONTRACT", "solve_library"])
+    (blas, "library", lambda: ("another LAPACK", 2)),
+], ids=["DRAW_CONTRACT_VERSION", "SOLVE_CONTRACT", "library"])
 def test_key_covers_code_and_draw_versions(monkeypatch, owner, name, changed):
     before = cache_key(toy21_config())
     monkeypatch.setattr(owner, name, changed)
@@ -434,12 +434,13 @@ sys.stdout.buffer.write(w.tobytes() + v.tobytes())
 """
 
 
-# what a cache key reads first: scipy's OpenBLAS, loaded here by ctypes
+# what a cache key reads first: the identity of numpy's OpenBLAS, which
+# numpy has loaded already
 _KEY_THEN_SOLVE = """
 import os
 from quniverse import blas
 threads = len(os.listdir("/proc/self/task"))
-blas.solve_library()
+blas.library()
 assert len(os.listdir("/proc/self/task")) == threads, "a new OpenBLAS pool is left running"
 """ + _SOLVE
 
@@ -469,9 +470,9 @@ def test_solve_bit_identical_at_same_blas_thread_count():
     np.testing.assert_allclose(v1, v2 * signs, rtol=0, atol=1e-9)
 
 
-def test_identity_read_stops_the_pool_it_starts_and_the_solve_keeps_its_bytes():
-    # Reading the identity loads scipy's OpenBLAS, which starts a spinning
-    # thread pool; it is shut down at once, and the solve restarts it
+def test_identity_read_starts_no_pool_and_the_solve_keeps_its_bytes():
+    # Loading a second OpenBLAS would start a second thread pool, whose
+    # workers spin before they sleep; reading the identity loads nothing
     assert _solve_bytes(2, _KEY_THEN_SOLVE)[0] == _solve_bytes(2)[0]
 
 
@@ -481,7 +482,7 @@ from quniverse import blas, model
 from quniverse.config import ModelConfig
 cfg = ModelConfig(n_env_levels=3, alpha=0.05)
 ham = model.assemble_hamiltonian(cfg)
-print(json.dumps([model.cache_key(cfg), ham.cache_hit, blas.solve_library()[1]]))
+print(json.dumps([model.cache_key(cfg), ham.cache_hit, blas.library()[1]]))
 """
 
 
@@ -507,12 +508,11 @@ def test_one_thread_run_never_maps_a_two_thread_entry():
 def test_key_separates_thread_settings_without_bundled_openblas(monkeypatch):
     # another LAPACK: its thread count cannot be read, so the key takes
     # the settings that choose it
-    monkeypatch.setattr(blas, "_wheel_openblas", lambda package, suffix: None)
-    monkeypatch.setattr(blas, "solve_library", blas.solve_library.__wrapped__)
+    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
     keys = []
     for threads in ("1", "2"):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        library, count = blas.solve_library()
-        assert count == 0 and f"scipy {scipy.__version__}" in library
+        library, count = blas.library()
+        assert count == 0 and f"numpy {np.__version__}" in library
         keys.append(cache_key(toy21_config()))
     assert keys[0] != keys[1]

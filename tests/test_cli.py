@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quniverse import __version__, cli, model, units
-from quniverse.blas import gemm_library, gemm_openblas, gemm_threads, pass_workers, solve_library
+from quniverse.blas import gemm_openblas, gemm_threads, library, pass_workers
 from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
@@ -376,18 +376,18 @@ def test_run_logs_one_stderr_line_per_stage(tmp_path, toy_cfg_file, capsys):
     assert cold.out == f"wrote 6 files to {tmp_path / 'cold'}\n"
 
 
-def test_manifest_records_gemm_library_and_pass_workers(tmp_path):
+def test_manifest_records_blas_library_and_pass_workers(tmp_path):
     manifest = json.loads(_run_manifest_text(tmp_path / "run"))
-    library, threads = gemm_library()
-    assert manifest["cache"]["gemm_library"] == library
-    assert manifest["cache"]["gemm_threads"] == threads
+    identity, threads = library()
+    assert manifest["cache"]["blas_library"] == identity
+    assert manifest["cache"]["blas_threads"] == threads
     assert manifest["cache"]["pass_workers"] == pass_workers() == max(1, threads)
     if gemm_openblas() is None:
         return
-    assert library.startswith("OpenBLAS")
+    assert identity.startswith("OpenBLAS")
     with gemm_threads(1):
         manifest = json.loads(_run_manifest_text(tmp_path / "one"))
-    assert (manifest["cache"]["gemm_threads"], manifest["cache"]["pass_workers"]) == (1, 1)
+    assert (manifest["cache"]["blas_threads"], manifest["cache"]["pass_workers"]) == (1, 1)
 
 
 def _run_manifest_text(out):
@@ -588,6 +588,25 @@ def test_failed_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, toy_cfg_f
     assert not sticks_out.exists()
 
 
+@pytest.mark.parametrize("damage", ["cut", "no_config"])
+@pytest.mark.parametrize("command, when", [("sticks", ["--time", "1.0"]), ("compare", [])],
+                         ids=["sticks", "compare"])
+def test_damaged_manifest_refused_naming_it(tmp_path, command, when, damage):
+    out = tmp_path / "run"
+    run_experiment(toy21_config(), [0, 1, 2], out, t_max_ps=2.0, n_points=50)
+    manifest = out / "manifest.json"
+    if damage == "cut":
+        manifest.write_bytes(manifest.read_bytes()[:100])
+    else:
+        record = json.loads(manifest.read_text())
+        del record["config"]
+        manifest.write_text(json.dumps(record))
+    report = tmp_path / f"{command}.out"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))} is damaged .*; re-run"):
+        main([command, "--traj", str(out / "traj_n1.csv"), *when, "--out", str(report)])
+    assert not report.exists()
+
+
 def test_cli_sticks_refuses_a_trajectory_the_manifest_does_not_list(tmp_path, monkeypatch):
     out = tmp_path / "run"
     run_experiment(toy21_config(), [0, 1, 2], out, t_max_ps=2.0, n_points=50)
@@ -622,8 +641,8 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
 # Every key of a toy21 manifest, nested keys as dotted paths; a key added,
 # renamed or dropped shows here.
 MANIFEST_KEYS = [
-    "cache.eig_residual", "cache.gemm_library", "cache.gemm_threads", "cache.hit",
-    "cache.key", "cache.pass_workers", "cache.solve_library", "cache.solve_threads",
+    "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.hit",
+    "cache.key", "cache.pass_workers",
     "code_version",
     "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
     "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
@@ -710,12 +729,12 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 
 
 # sha256 of every toy21 output but the manifest (which records timings),
-# per package version and per kernel of the two OpenBLAS libraries (numpy's
-# for the GEMMs, scipy's for the solve), which OPENBLAS_CORETYPE can
-# override.  Bump __version__ with every change that moves an output byte,
-# and record the new hashes here under it for every kernel.
+# per package version and per kernel of numpy's OpenBLAS (which runs the
+# solve and the GEMMs), which OPENBLAS_CORETYPE can override.  Bump
+# __version__ with every change that moves an output byte, and record the
+# new hashes here under it for every kernel.
 OUTPUT_SHA256 = {
-    ("0.4.0", "SkylakeX", "SkylakeX"): {
+    ("0.4.0", "SkylakeX"): {
         120: {
             "anomalies.json": "ce84f056fb06294ad774a6d19fba70bdb74165a6adedeafe06e21742afe79d66",
             "sticks_n0.csv": "e82127bcaa71d8b45de6f261ba15056f034b2fe28a83e39fb8b5a61683cfd356",
@@ -744,13 +763,13 @@ OUTPUT_SHA256 = {
 
 # A toy21 grid block holds at most 21 points, fewer than dynamics._K_PANEL,
 # so cutting spreading products at a K-panel moved no toy21 byte.
-OUTPUT_SHA256["0.5.0", "SkylakeX", "SkylakeX"] = OUTPUT_SHA256["0.4.0", "SkylakeX", "SkylakeX"]
+OUTPUT_SHA256["0.5.0", "SkylakeX"] = OUTPUT_SHA256["0.4.0", "SkylakeX"]
 
 
 # 0.6.0 moved the direct kernel's sums (one product per system level over
 # all eigenvectors) and so the bytes of direct grids; the NUFFT's did not move.
-OUTPUT_SHA256["0.6.0", "SkylakeX", "SkylakeX"] = {
-    120: OUTPUT_SHA256["0.4.0", "SkylakeX", "SkylakeX"][120],
+OUTPUT_SHA256["0.6.0", "SkylakeX"] = {
+    120: OUTPUT_SHA256["0.4.0", "SkylakeX"][120],
     40: {
         "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
         "sticks_n0.csv": "14ae3771f0d48a9dc6b9dc5ca86aefd0d1649c75bf642923af2d61e42d536883",
@@ -763,7 +782,7 @@ OUTPUT_SHA256["0.6.0", "SkylakeX", "SkylakeX"] = {
         "traj_n2.csv": "1c2439a8a9794bebd422775e5880bda36b5b43129279155b833859658924745e",
     },
 }
-OUTPUT_SHA256["0.6.0", "Haswell", "Haswell"] = {
+OUTPUT_SHA256["0.6.0", "Haswell"] = {
     120: {
         "anomalies.json": "10ce8a4b8994614d2a21c270fc71ed2290dac911f334426d180ccaf0ea66923f",
         "sticks_n0.csv": "0ae746ba866a5dee3c7d26f46f93005fc51a569c8a7f862e191de9b89a21b26e",
@@ -787,7 +806,7 @@ OUTPUT_SHA256["0.6.0", "Haswell", "Haswell"] = {
         "traj_n2.csv": "5fca8a90402c7e3bd1362f468a5e7021cb702c1fc5852a8acdbcc0c5f374b6ba",
     },
 }
-OUTPUT_SHA256["0.6.0", "Sandybridge", "Sandybridge"] = {
+OUTPUT_SHA256["0.6.0", "Sandybridge"] = {
     120: {
         "anomalies.json": "77f7321032001ac91fe06b6c32ed2ab1e3a2ff5b3ae3fe100208c50016fb69a3",
         "sticks_n0.csv": "7768f4d364a7381dd3a78f557a0355d0f881c7722bf76f973c36a00143ea8815",
@@ -811,7 +830,7 @@ OUTPUT_SHA256["0.6.0", "Sandybridge", "Sandybridge"] = {
         "traj_n2.csv": "dac0e3303cd51bf6385f9d4caa0a0c552da2cda9b5432aef6ec14dafcdd13787",
     },
 }
-OUTPUT_SHA256["0.6.0", "Nehalem", "Nehalem"] = {
+OUTPUT_SHA256["0.6.0", "Nehalem"] = {
     120: {
         "anomalies.json": "a131157ff73a701bc7fc8f0f34e7eabc37f76f3d4a200de7fd1a6aa43c1072ee",
         "sticks_n0.csv": "e71fbc437b2c52e1de37cd28e3e8aaf4f17e9bd8f06b9618acba6224aa76aaab",
@@ -837,6 +856,12 @@ OUTPUT_SHA256["0.6.0", "Nehalem", "Nehalem"] = {
 }
 
 
+# 0.6.1 records one library in the manifest's `cache` section, where 0.6.0
+# recorded numpy's and scipy's; no other byte moved.
+OUTPUT_SHA256.update({("0.6.1", kernel): OUTPUT_SHA256["0.6.0", kernel]
+                      for kernel in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")})
+
+
 def test_package_metadata_has_this_version():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
@@ -855,11 +880,10 @@ def test_outputs_pinned_for_this_version(tmp_path, n_points):
           "--out", str(tmp_path / "sticks_t.csv")])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.iterdir()) if path.name != "manifest.json"}
-    key = (__version__, _kernel(gemm_library()[0]), _kernel(solve_library()[0]))
+    key = (__version__, _kernel(library()[0]))
     assert key in OUTPUT_SHA256, (
-        f"no output hashes recorded for version {key[0]} with numpy's BLAS kernel "
-        f"{key[1]} and scipy's LAPACK kernel {key[2]}; add OUTPUT_SHA256[{key!r}] "
-        f"with {n_points}: {got!r}")
+        f"no output hashes recorded for version {key[0]} with numpy's OpenBLAS kernel "
+        f"{key[1]}; add OUTPUT_SHA256[{key!r}] with {n_points}: {got!r}")
     assert got == OUTPUT_SHA256[key][n_points]
 
 
@@ -885,10 +909,10 @@ def test_config_file_errors_surface(tmp_path):
         main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
 
 
-# A warm process imports no scipy module: scipy.linalg is for the solve,
-# scipy.special for the full fill of H, both on a miss, and the cache key
-# finds scipy's OpenBLAS without importing scipy.
-_WARM_CALLS = """
+# A warm process imports no scipy module, and a cold one no more than
+# scipy.special, for the full fill of H: the solve and the cache key read
+# numpy's OpenBLAS.
+_CALLS = """
 import json, sys
 import quniverse.cli
 
@@ -903,19 +927,33 @@ print(json.dumps(loaded))
 """
 
 
+def _modules_loaded_by(calls):
+    """{"import": scipy modules after `import quniverse.cli`, name: after each call} of a
+    fresh interpreter that makes the CLI calls `calls`, [(name, argv), ...], in order."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _CALLS, json.dumps(calls)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])  # after what the calls print
+
+
 def test_warm_run_sticks_and_compare_import_no_scipy_submodule(tmp_path):
     cfg_path = tmp_path / "toy21.cfg"
     cfg_path.write_text(toy21_config().canonical_string())
-    main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cold")])  # fills the cache
+    cold = _modules_loaded_by([("run", ["run", "--config", str(cfg_path),
+                                        "--out", str(tmp_path / "cold")])])  # fills the cache
+    special = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.special; "
+         "print(json.dumps([name for name in sys.modules if name.split('.')[0] == 'scipy']))"],
+        check=True, capture_output=True, text=True).stdout
+    assert set(cold["run"]) <= set(json.loads(special)), cold["run"]
+    assert not any(name.startswith("scipy.linalg") for name in cold["run"])
+    assert not json.loads((tmp_path / "cold" / "manifest.json").read_text())["cache"]["hit"]
     warm, traj = tmp_path / "warm", str(tmp_path / "warm" / "traj_n1.csv")
-    calls = [("run", ["run", "--config", str(cfg_path), "--out", str(warm)]),
-             ("sticks", ["sticks", "--traj", traj, "--time", "7.5",
-                         "--out", str(tmp_path / "sticks.csv")]),
-             ("compare", ["compare", "--traj", traj, "--out", str(tmp_path / "compare.json")])]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", _WARM_CALLS, json.dumps(calls)], env=env,
-                          check=True, capture_output=True, text=True, timeout=120)
-    loaded = json.loads(done.stdout.splitlines()[-1])  # after what the calls print
+    loaded = _modules_loaded_by([
+        ("run", ["run", "--config", str(cfg_path), "--out", str(warm)]),
+        ("sticks", ["sticks", "--traj", traj, "--time", "7.5",
+                    "--out", str(tmp_path / "sticks.csv")]),
+        ("compare", ["compare", "--traj", traj, "--out", str(tmp_path / "compare.json")])])
     assert loaded == {"import": [], "run": [], "sticks": [], "compare": []}
     manifest = json.loads((warm / "manifest.json").read_text())
     # a cache hit, on the NUFFT path

@@ -350,15 +350,15 @@ def test_stacked_products_give_each_state_its_own_bytes(n_rows):
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
-    # The two byte tests above, rerun in a child process whose OpenBLAS
-    # libraries (both DYNAMIC_ARCH builds) take the kernels that
-    # OPENBLAS_CORETYPE names: those a Haswell or Zen, a Sandy Bridge and
-    # a Nehalem host would pick.
+    # The two byte tests above and the toy21 output pins, rerun in a child
+    # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
+    # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
+    # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
     src = Path(dynamics.__file__).parents[1]
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, CACHE_DIR_ENV: str(tmp_path / "cache"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run(
-        [sys.executable, "-c", "from quniverse.blas import gemm_library; print(gemm_library()[0])"],
+        [sys.executable, "-c", "from quniverse.blas import library; print(library()[0])"],
         env=env, capture_output=True, text=True, check=True)
     if kernel not in probe.stdout.split():
         pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernels "
@@ -366,7 +366,8 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_stacked_products_give_each_state_its_own_bytes",
-         f"{__file__}::test_nufft_bytes_independent_of_pass_workers"],
+         f"{__file__}::test_nufft_bytes_independent_of_pass_workers",
+         f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version"],
         env=env, cwd=src.parent, capture_output=True, text=True)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
 

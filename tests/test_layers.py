@@ -4,12 +4,15 @@
 which owns both contracts it covers), and no module imports one that
 imports it back, at module level or inside a function.  The names that
 perfbench's tracer patches stay where it looks for them.  Every file is
-written by one function, `cache.write_whole`.
+written by one function, `cache.write_whole`.  One BLAS library serves
+the process: no module imports `scipy.linalg`, and every LAPACK routine
+that the solve calls is bound from numpy's bundled OpenBLAS.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -106,3 +109,32 @@ def test_one_whole_file_writer():
         found += [f"{path.name}: {line.strip()}" for line in lines
                   if re.search(r"\bos\.replace\b|\btempfile\b", line)]
     assert found == []
+
+
+def test_no_module_imports_scipy_linalg():
+    """Neither at module level nor inside a function: it would load scipy's own OpenBLAS."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy.linalg" or name.startswith("scipy.linalg.")]
+    assert found == []
+
+
+def test_every_routine_the_solve_calls_resolves_in_numpy_openblas():
+    from quniverse import blas, model
+
+    if blas.gemm_openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found; the solve is numpy.linalg.eigh")
+    names = {node.args[0].value
+             for node in ast.walk(ast.parse(inspect.getsource(model.diagonalize)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_call"}
+    assert names == {"dsytrd", "dtrttp", "dstedc", "dtpttr", "dormtr"}
+    for name in sorted(names):
+        assert callable(model._lapack(name)), name

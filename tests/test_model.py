@@ -8,9 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from quniverse import model, units
+from quniverse import blas, model, units
 from quniverse.config import ModelConfig
 from quniverse.model import (
     CHECK_COLUMNS,
@@ -374,7 +373,7 @@ def _symmetric(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 21, 25, 26, 32, 33, 50, 129, 300])
 def test_diagonalize_is_dsyevd_bit_for_bit(n):
     h = _symmetric(n, seed=n)
-    w0, v0 = scipy.linalg.eigh(h, check_finite=False, driver="evd")
+    w0, v0 = np.linalg.eigh(h)  # dsyevd
     w, v = diagonalize(h)
     assert np.array_equal(w, w0) and np.array_equal(v, v0)
     assert np.shares_memory(v, h) and v.flags.f_contiguous
@@ -382,9 +381,24 @@ def test_diagonalize_is_dsyevd_bit_for_bit(n):
 
 def test_diagonalize_hamiltonian_is_dsyevd_bit_for_bit():
     h = hamiltonian_matrix(ModelConfig(n_env_levels=3))  # 252 states
-    w0, v0 = scipy.linalg.eigh(h, check_finite=False, driver="evd")
+    w0, v0 = np.linalg.eigh(h)
     w, v = diagonalize(h)
     assert np.array_equal(w, w0) and np.array_equal(v, v0)
+
+
+def test_without_bundled_openblas_the_solve_is_eigh_with_the_same_bytes(monkeypatch):
+    h = hamiltonian_matrix(ModelConfig(n_env_levels=3))
+    staged = diagonalize(h.copy())
+
+    def refuse(name):
+        raise AssertionError(f"{name} bound without numpy's bundled OpenBLAS")
+
+    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
+    monkeypatch.setattr(model, "_lapack", refuse)
+    w, v = diagonalize(h)
+    assert np.array_equal(w, staged[0]) and np.array_equal(v, staged[1])
+    assert solve_bytes(h.shape[0]) == 5 * h.size * 8
+
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150, math.nan])
@@ -403,7 +417,6 @@ def test_diagonalize_refuses_a_layout_it_cannot_solve_in_place():
 # is also read as dormtr starts, once the packed reflectors are unpacked.
 MEMORY_CHILD = """
 import numpy as np
-import scipy.linalg
 from quniverse import model
 
 def status(field):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quniverse import blas, observables, units
-from quniverse.blas import gemm_library, gemm_openblas, gemm_threads
+from quniverse.blas import gemm_openblas, gemm_threads, library
 from quniverse.config import ModelConfig
 from quniverse.dynamics import env_block_size, initial_state, propagate, propagate_blocks
 from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
@@ -412,12 +412,12 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     fft, xlogx = np.fft.fft, observables._xlogx
 
     def recording_fft(*args, **kwargs):
-        seen.append(gemm_library()[1])
+        seen.append(library()[1])
         return fft(*args, **kwargs)
 
     def recording_xlogx(p):
         if threading.current_thread() is not threading.main_thread():
-            shares.append((gemm_library()[1], threading.current_thread().name))
+            shares.append((library()[1], threading.current_thread().name))
         return xlogx(p)
 
     # two normal passes: one thread inside the FFT's and the observables'
@@ -430,7 +430,7 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
         _pass(cfg, ham, psi0, times)
         assert shares and {threads for threads, _ in shares} == {1}
         workers.append({name for _, name in shares})
-        assert gemm_library()[1] == 2
+        assert library()[1] == 2
     assert seen and set(seen) == {1}
     assert workers[1] <= workers[0]
     # W = 2 shares run at once (W read before the pin, inside which it is 1)
@@ -440,13 +440,13 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     monkeypatch.setattr(observables, "NORM_TOL", 1e-300)
     with pytest.raises(ValueError, match="norm"):
         _pass(cfg, ham, psi0, times)
-    assert gemm_library()[1] == 2
+    assert library()[1] == 2
     # a consumer that stops after one block
     blocks = propagate_blocks(psi0, ham, times)
     next(blocks)
-    assert gemm_library()[1] == 2
+    assert library()[1] == 2
     blocks.close()
-    assert gemm_library()[1] == 2
+    assert library()[1] == 2
 
     # a worker that fails inside the section
     def failing_fft(*args, **kwargs):
@@ -455,4 +455,4 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     monkeypatch.setattr(np.fft, "fft", failing_fft)
     with pytest.raises(RuntimeError, match="FFT failed"):
         next(propagate_blocks(psi0, ham, times))
-    assert gemm_library()[1] == 2
+    assert library()[1] == 2
