@@ -1,9 +1,10 @@
-"""The OpenBLAS that numpy's wheel bundles, and the pass's threads.
+"""numpy's bundled OpenBLAS, which the package requires, and the pass's threads.
 
-That one library runs every numpy matmul, so the propagation's GEMMs,
-and the solve's LAPACK stages, which `model.diagonalize` binds from it by
-name.  This module reads it through ctypes and owns the pass's pool.  It
-imports no other quniverse module.
+numpy's PyPI wheel bundles OpenBLAS.  That one library runs every numpy
+matmul, so the propagation's GEMMs, and the solve's LAPACK stages, which
+`model.diagonalize` calls through `lapack`.  This module is the only one
+that knows the library: it opens it through ctypes, calls its routines
+and owns the pass's pool.  It imports no other quniverse module.
 """
 
 from __future__ import annotations
@@ -11,18 +12,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-# Environment variables that set the thread count of a BLAS other than
-# numpy's bundled OpenBLAS (see `library`).
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -36,8 +31,8 @@ class WheelOpenBLAS:
 
 
 @functools.cache
-def gemm_openblas() -> WheelOpenBLAS | None:
-    """numpy's bundled OpenBLAS (`numpy.libs/libscipy_openblas64_*`), or None if it is absent.
+def gemm_openblas() -> WheelOpenBLAS:
+    """numpy's bundled OpenBLAS (`numpy.libs/libscipy_openblas64_*`); RuntimeError if it is absent.
 
     numpy has loaded it already, so this only opens a second handle.  It
     is the ILP64 build: its symbols end in "64_" and its integers are
@@ -56,38 +51,48 @@ def gemm_openblas() -> WheelOpenBLAS | None:
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         return WheelOpenBLAS(lib, config().decode(), get_threads, set_threads)
-    return None
+    raise RuntimeError("quniverse needs the OpenBLAS that numpy's PyPI wheel bundles, and "
+                       f"{libs} holds no libscipy_openblas64_*; install numpy from its "
+                       "PyPI wheel")
 
 
 def library() -> tuple[str, int]:
-    """(identity, thread count) of the library that runs the solve and the GEMMs.
+    """(identity, thread count) of numpy's OpenBLAS, which runs the solve and the GEMMs.
 
-    For numpy's bundled OpenBLAS, `scipy_openblas_get_config64_` names
-    the version and the kernel chosen at run time (e.g. "OpenBLAS 0.3.30
-    DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"); with the thread
-    count (OPENBLAS_NUM_THREADS) it fixes the solve's summation order.
-    Without that library neither can be read: the identity then names
-    numpy's version, the core count and every THREAD_VARIABLES setting,
-    so runs with other thread settings still get other cache keys, and
-    the count is 0.
+    `scipy_openblas_get_config64_` names the version and the kernel
+    chosen at run time (e.g. "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY
+    SkylakeX MAX_THREADS=64"); with the thread count
+    (OPENBLAS_NUM_THREADS) it fixes the solve's summation order.
     """
     found = gemm_openblas()
-    if found is not None:
-        return found.config, found.get_threads()
-    settings = " ".join(f"{name}={os.environ.get(name, '')}" for name in THREAD_VARIABLES)
-    return f"unknown LAPACK, numpy {np.__version__}, {os.cpu_count()} cores, {settings}", 0
+    return found.config, found.get_threads()
+
+
+def lapack(name: str, *args) -> None:
+    """Call LAPACK's `name` on `args` and a trailing info; raise if info is not 0.
+
+    The routine is `scipy_<name>_64_`, a Fortran routine of the ILP64
+    build: every argument is a pointer, so a str goes as `char *`, an
+    int as `int64_t *` and an array as its data pointer, and each str's
+    length follows them all.  ctypes releases the GIL for the call.
+    """
+    info = ctypes.c_int64(0)
+    pointers = [a.encode() if isinstance(a, str)
+                else ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+                else a.ctypes.data for a in args]
+    lengths = [len(a) for a in args if isinstance(a, str)]
+    routine = getattr(gemm_openblas().lib, f"scipy_{name}_64_")
+    routine.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
+    routine.restype = None
+    routine(*pointers, ctypes.byref(info), *lengths)
+    if info.value != 0:
+        raise RuntimeError(f"{name} returned info={info.value}")
 
 
 @contextlib.contextmanager
 def gemm_threads(count: int) -> Iterator[None]:
-    """Run numpy's OpenBLAS on `count` threads inside the block, then restore its count.
-
-    Does nothing when that library is absent.
-    """
+    """Run numpy's OpenBLAS on `count` threads inside the block, then restore its count."""
     found = gemm_openblas()
-    if found is None:
-        yield
-        return
     before = found.get_threads()
     found.set_threads(count)
     try:
@@ -97,9 +102,8 @@ def gemm_threads(count: int) -> Iterator[None]:
 
 
 def pass_workers() -> int:
-    """W, the pass's worker threads: numpy's OpenBLAS thread count, 1 without it (`run_shares`)."""
-    found = gemm_openblas()
-    return max(1, found.get_threads()) if found is not None else 1
+    """W, the pass's worker threads: numpy's OpenBLAS thread count (`run_shares`)."""
+    return max(1, gemm_openblas().get_threads())
 
 
 @functools.cache

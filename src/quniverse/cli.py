@@ -72,7 +72,7 @@ def _timed(items, timing: dict, key: str):
 def _check_phase(config: ModelConfig, t_reduced: float, what: str) -> None:
     """Refuse a time at which the phases E t could pass 2**40 rad, where one ulp is ~2e-4 rad."""
     # the zero-order energies' bound from the config (production: 13, E t ~ 8e3 rad at 30 ps)
-    e_bound = ((config.n_system_levels - 1) * config.kappa
+    e_bound = ((config.n_system_levels - 1) * abs(config.kappa)
                + config.n_env_levels * config.omega_E)
     phase = abs(t_reduced) * e_bound
     if phase > MAX_PHASE:
@@ -394,9 +394,10 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
                          f"trajectory to write it again")
     config = ModelConfig.from_dict(manifest["config"])
     name = traj_path.stem
-    if not name.startswith("traj_n"):
+    digits = name.removeprefix("traj_n")
+    if not (name.startswith("traj_n") and digits.isascii() and digits.isdigit()):
         raise ValueError(f"cannot infer initial state from file name {traj_path.name}")
-    n = int(name.removeprefix("traj_n"))
+    n = int(digits)
     with open(traj_path) as fh:
         header = _trajectory_header(fh, traj_path)
     expected = {"state_n": str(n), "seed": str(manifest["seed"]),

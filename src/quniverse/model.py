@@ -16,14 +16,12 @@ first CHECK_ROWS rows of H, which the same fill function regenerates
 from the first draws of the coupling stream.
 
 The solve (`diagonalize`) runs the three LAPACK stages of dsyevd one at
-a time, through ctypes and without the GIL, in numpy's bundled OpenBLAS
-(the library of every GEMM): tridiagonal reduction, the
-divide-and-conquer eigensolver writing into H's own memory while the
-Householder reflectors wait packed beside it, and the back-transform in
-place.  It keeps dsyevd's eigenpair bytes in 2.5 n² doubles instead of
-3 n² (`numpy.linalg.eigh`, the same dsyevd, where numpy bundles no
-OpenBLAS), and a miss refuses a solve that cannot fit the machine's
-memory before H is built.
+a time, without the GIL, in numpy's bundled OpenBLAS (`blas.lapack`):
+tridiagonal reduction, the divide-and-conquer eigensolver writing into
+H's own memory while the Householder reflectors wait packed beside it,
+and the back-transform in place.  It keeps dsyevd's eigenpair bytes in
+2.5 n² doubles instead of 3 n², and a miss refuses a solve that cannot
+fit the machine's memory before H is built.
 
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
@@ -35,13 +33,12 @@ product state the integer n + m used for shell bookkeeping.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
 import sys
 import threading
 import time
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,35 +252,6 @@ _UNSCALED_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 
 
-def _lapack(name: str) -> Callable[..., None]:
-    """LAPACK's `name` in numpy's bundled OpenBLAS (`scipy_<name>_64_`), called through ctypes.
-
-    A Fortran routine of the ILP64 build: every argument is a pointer
-    (`char *`, `int64_t *` or `double *`), and each character argument's
-    length follows them all.  ctypes releases the GIL for the call.
-    """
-    routine = getattr(blas.gemm_openblas().lib, f"scipy_{name}_64_")
-    routine.restype = None
-    return routine
-
-
-def _call(name: str, *args) -> None:
-    """Call LAPACK's `name` on `args` and a trailing info; raise if info is not 0.
-
-    A str goes as `char *`, an int as `int64_t *` and an array as its data pointer.
-    """
-    info = ctypes.c_int64(0)
-    pointers = [a.encode() if isinstance(a, str)
-                else ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
-                else a.ctypes.data for a in args]
-    lengths = [len(a) for a in args if isinstance(a, str)]
-    routine = _lapack(name)
-    routine.argtypes = [ctypes.c_void_p] * (len(args) + 1) + [ctypes.c_size_t] * len(lengths)
-    routine(*pointers, ctypes.byref(info), *lengths)
-    if info.value != 0:
-        raise RuntimeError(f"{name} returned info={info.value}")
-
-
 @contextlib.contextmanager
 def _heartbeat(what: str) -> Iterator[None]:
     """A progress line every HEARTBEAT_SECONDS inside the block, from a daemon thread."""
@@ -319,12 +287,12 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     3. dtpttr unpacks the reflectors into that workspace, and dormtr applies
        their product Q to the eigenvectors in place.
 
-    The peak is 2.5 n² doubles, where dsyevd holds the matrix and 2 n²
-    more.  Where numpy bundles no OpenBLAS, `numpy.linalg.eigh` (dsyevd
-    itself) solves a copy instead, in ~5 n² (`solve_bytes`), and V is a
-    new array.  dsyevd would scale a matrix whose max|A| is tiny or huge;
-    such a matrix is refused instead.  A progress line ends each stage,
-    and a heartbeat line follows every HEARTBEAT_SECONDS while LAPACK runs.
+    Each stage is a `blas.lapack` call into numpy's bundled OpenBLAS.
+    The peak is 2.5 n² doubles (`solve_bytes`), where dsyevd holds the
+    matrix and 2 n² more.  dsyevd would scale a matrix whose max|A| is
+    tiny or huge; such a matrix is refused instead.  A progress line
+    ends each stage, and a heartbeat line follows every
+    HEARTBEAT_SECONDS while LAPACK runs.
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n) or matrix.dtype != np.float64 or not (
@@ -338,31 +306,30 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise RuntimeError(f"max|A| = {anrm:.3g} is outside LAPACK's unscaled range "
                                f"[{_UNSCALED_MIN:.3g}, {_UNSCALED_MAX:.3g}]")
         with _heartbeat(f"solving {n} x {n}"):
-            if blas.gemm_openblas() is None:
-                return tuple(np.linalg.eigh(matrix))
             w, e, tau = np.empty(n), np.empty(ld), np.empty(ld)
             t0 = time.perf_counter()
             query = np.empty(1)
-            _call("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
+            blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
             lwork = max(int(query[0]), 1)
-            _call("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
+            blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
             # the strict lower triangle of `a` is the lower triangle of its
             # (n - 1) x (n - 1) block from a[1, 0]; no view of `packed` outlives it
             packed = np.empty(n * (n - 1) // 2)
-            _call("dtrttp", "L", max(n - 1, 0), a[1:], ld, packed)
+            blas.lapack("dtrttp", "L", max(n - 1, 0), a[1:], ld, packed)
             t1 = time.perf_counter()
             progress(f"tridiagonalized in {t1 - t0:.1f} s")
             work = np.zeros(n * n + 4 * n + 1)
-            _call("dstedc", "I", n, w, e, a, ld, work, work.size,
-                  np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
+            blas.lapack("dstedc", "I", n, w, e, a, ld, work, work.size,
+                        np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
             t2 = time.perf_counter()
             progress(f"divide and conquer in {t2 - t1:.1f} s")
-            _call("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
+            blas.lapack("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
             del packed  # freed before dormtr's ~30 s at production size
             # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
             # dormqr's blocking reads at most 64n + 65·64
             lwork = min(work.size, 64 * n + 65 * 64)
-            _call("dormtr", "L", "L", "N", n, n, work, ld, tau, a, ld, np.empty(lwork), lwork)
+            blas.lapack("dormtr", "L", "L", "N", n, n, work, ld, tau, a, ld, np.empty(lwork),
+                        lwork)
             progress(f"back-transformed in {time.perf_counter() - t2:.1f} s")
     except RuntimeError as exc:
         raise RuntimeError(f"dense symmetric eigensolver failed: dim={n}: {exc}") from exc
@@ -396,12 +363,8 @@ def _residual_bound(rows: np.ndarray) -> float:
 
 
 def solve_bytes(dim: int) -> int:
-    """Peak bytes of `diagonalize` on a dim x dim matrix: 2.5 dim² doubles, 5 through eigh.
-
-    `numpy.linalg.eigh` holds H, its copy, dsyevd's 2 n² workspace and
-    the returned V (4.08 n² over H measured at n = 4572, 4.10 at 3000).
-    """
-    return int((2.5 if blas.gemm_openblas() is not None else 5.0) * dim * dim) * 8
+    """Peak bytes of `diagonalize` on a dim x dim matrix: 2.5 dim² doubles."""
+    return int(2.5 * dim * dim) * 8
 
 
 def machine_memory() -> tuple[int, int] | None:

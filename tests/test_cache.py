@@ -503,16 +503,3 @@ def test_one_thread_run_never_maps_a_two_thread_entry():
     assert _assemble_with(1) == [key_one, True, 1]
     assert sorted(p.name for p in cache_dir().iterdir()) == sorted(
         [f"{key_one}.npy", f"{key_two}.npy"])
-
-
-def test_key_separates_thread_settings_without_bundled_openblas(monkeypatch):
-    # another LAPACK: its thread count cannot be read, so the key takes
-    # the settings that choose it
-    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
-    keys = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
-        library, count = blas.library()
-        assert count == 0 and f"numpy {np.__version__}" in library
-        keys.append(cache_key(toy21_config()))
-    assert keys[0] != keys[1]

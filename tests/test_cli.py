@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quniverse import __version__, cli, model, units
-from quniverse.blas import gemm_openblas, gemm_threads, library, pass_workers
+from quniverse.blas import gemm_threads, library, pass_workers
 from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
@@ -220,10 +220,12 @@ def test_summary_reports_numerical_health_within_gates(tmp_path):
     ([0, 1], {"t_max_ps": -1.0}, "t_max_ps"),
     ([0, 1], {"t_max_ps": math.inf}, "t_max_ps"),
     ([0, 1], {"t_max_ps": 1e300}, "--t-max-ps 1e[+]300 is too long"),
+    # the phases' bound takes |kappa|: at kappa = -2 it read 0 rad
+    ([0], {"config": {"kappa": -2.0}, "t_max_ps": 1e16}, "--t-max-ps 1e[+]16 is too long"),
     ([0, 1], {"writable": False}, "is not a directory this process may write"),
 ], ids=["no_states", "state_too_high", "state_negative", "duplicate_state",
         "two_points", "zero_t_max", "negative_t_max", "infinite_t_max", "phase_beyond_2_40",
-        "unwritable_out"])
+        "phase_beyond_2_40_negative_kappa", "unwritable_out"])
 def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, message):
     def solve_reached(*args, **kw):
         raise AssertionError("the Hamiltonian was assembled before the input was checked")
@@ -233,7 +235,7 @@ def test_bad_request_fails_before_solve(tmp_path, monkeypatch, states, kwargs, m
     if not kwargs.pop("writable", True):
         # root passes every permission check, so the refusal is patched in
         monkeypatch.setattr(os, "access", lambda path, mode: False)
-    cfg = toy6_config(alpha=0.2, rng_seed=31)
+    cfg = toy6_config(alpha=0.2, rng_seed=31, **kwargs.pop("config", {}))
     with pytest.raises(ValueError, match=message):
         run_experiment(cfg, states, tmp_path / "out", **kwargs)
     assert not (tmp_path / "out").exists()
@@ -382,8 +384,6 @@ def test_manifest_records_blas_library_and_pass_workers(tmp_path):
     assert manifest["cache"]["blas_library"] == identity
     assert manifest["cache"]["blas_threads"] == threads
     assert manifest["cache"]["pass_workers"] == pass_workers() == max(1, threads)
-    if gemm_openblas() is None:
-        return
     assert identity.startswith("OpenBLAS")
     with gemm_threads(1):
         manifest = json.loads(_run_manifest_text(tmp_path / "one"))
@@ -523,10 +523,11 @@ def test_cli_sticks_refuses_out_of_range_state_before_building(tmp_path, toy_cfg
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     sticks_out = tmp_path / "sticks.csv"
     # a trajectory file for a state the config does not have (toy6 has levels
-    # 0..1), and one whose name does not say its state
+    # 0..1), and two whose names do not say their state
     for name, state, message in (
             ("traj_n5.csv", "5", r"system level n=5 outside 0\.\.1"),
-            ("state0.csv", "0", "cannot infer initial state from file name state0.csv")):
+            ("state0.csv", "0", "cannot infer initial state from file name state0.csv"),
+            ("traj_nx.csv", "0", "cannot infer initial state from file name traj_nx.csv")):
         traj = out / name
         traj.write_text(first.replace("state_n=0 ", f"state_n={state} ") + "\n" + rest)
         with pytest.raises(ValueError, match=message):

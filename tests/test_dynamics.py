@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import os
@@ -311,13 +310,6 @@ def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
             assert one[name].tobytes() == got.tobytes(), (name, workers)
 
 
-def _blas_thread_counts():
-    """1 and 2 numpy OpenBLAS threads where its count can be set, else only the current one."""
-    if blas.gemm_openblas() is None:
-        return [contextlib.nullcontext()]
-    return [blas.gemm_threads(1), blas.gemm_threads(2)]
-
-
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
 def test_stacked_products_give_each_state_its_own_bytes(n_rows):
     # The properties the NUFFT's stacked spreading products rest on.  On
@@ -334,8 +326,8 @@ def test_stacked_products_give_each_state_its_own_bytes(n_rows):
         for k in range(1, 7):
             spread = rng.standard_normal((inner, 32 * k))
             products = []
-            for threads in _blas_thread_counts():
-                with threads, blas.gemm_threads(1):
+            for threads in (1, 2):
+                with blas.gemm_threads(threads), blas.gemm_threads(1):
                     products.append([rows @ spread] + [
                         rows @ np.ascontiguousarray(spread[:, 32 * s:32 * (s + 1)])
                         for s in range(k)])
@@ -398,15 +390,10 @@ def test_spreading_plan_covers_each_window_in_capped_pieces(mid_ham, t_max_ps):
     assert largest > (dynamics._K_PANEL if t_max_ps == 1.5 else 0)
 
 
-def test_pass_workers_follow_numpy_blas_thread_count(monkeypatch):
-    if blas.gemm_openblas() is None:
-        assert blas.pass_workers() == 1
-        pytest.skip("numpy's bundled OpenBLAS not found")
+def test_pass_workers_follow_numpy_blas_thread_count():
     for threads in (1, 2, 3):
         with blas.gemm_threads(threads):
             assert blas.pass_workers() == threads
-    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
-    assert blas.pass_workers() == 1
 
 
 def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_ham):

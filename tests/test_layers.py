@@ -5,8 +5,10 @@ which owns both contracts it covers), and no module imports one that
 imports it back, at module level or inside a function.  The names that
 perfbench's tracer patches stay where it looks for them.  Every file is
 written by one function, `cache.write_whole`.  One BLAS library serves
-the process: no module imports `scipy.linalg`, and every LAPACK routine
-that the solve calls is bound from numpy's bundled OpenBLAS.
+the process, and only `blas` knows it: no module imports `scipy.linalg`,
+no other module imports `ctypes`, every LAPACK routine that the solve
+calls is in numpy's bundled OpenBLAS, and without that library the
+package refuses to run.
 """
 
 import ast
@@ -127,14 +129,34 @@ def test_no_module_imports_scipy_linalg():
     assert found == []
 
 
+def test_only_blas_imports_ctypes():
+    """The library's ABI (symbol names, ILP64 integers, string lengths) is known in `blas` alone."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "ctypes" for name in names if name):
+                found.add(path.stem)
+    assert found == {"blas"}
+
+
 def test_every_routine_the_solve_calls_resolves_in_numpy_openblas():
     from quniverse import blas, model
 
-    if blas.gemm_openblas() is None:
-        pytest.skip("numpy's bundled OpenBLAS not found; the solve is numpy.linalg.eigh")
     names = {node.args[0].value
              for node in ast.walk(ast.parse(inspect.getsource(model.diagonalize)))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_call"}
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lapack"}
     assert names == {"dsytrd", "dtrttp", "dstedc", "dtpttr", "dormtr"}
     for name in sorted(names):
-        assert callable(model._lapack(name)), name
+        assert callable(getattr(blas.gemm_openblas().lib, f"scipy_{name}_64_")), name
+
+
+def test_without_numpy_bundled_openblas_the_package_refuses(tmp_path, monkeypatch):
+    from quniverse import blas
+
+    # a numpy whose directory has no numpy.libs beside it, as in a build
+    # against another BLAS
+    monkeypatch.setattr(blas.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    with pytest.raises(RuntimeError, match="OpenBLAS that numpy's PyPI wheel bundles"):
+        blas.gemm_openblas.__wrapped__()

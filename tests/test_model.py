@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quniverse import blas, model, units
+from quniverse import model, units
 from quniverse.config import ModelConfig
 from quniverse.model import (
     CHECK_COLUMNS,
@@ -386,21 +386,6 @@ def test_diagonalize_hamiltonian_is_dsyevd_bit_for_bit():
     assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
-def test_without_bundled_openblas_the_solve_is_eigh_with_the_same_bytes(monkeypatch):
-    h = hamiltonian_matrix(ModelConfig(n_env_levels=3))
-    staged = diagonalize(h.copy())
-
-    def refuse(name):
-        raise AssertionError(f"{name} bound without numpy's bundled OpenBLAS")
-
-    monkeypatch.setattr(blas, "gemm_openblas", lambda: None)
-    monkeypatch.setattr(model, "_lapack", refuse)
-    w, v = diagonalize(h)
-    assert np.array_equal(w, staged[0]) and np.array_equal(v, staged[1])
-    assert solve_bytes(h.shape[0]) == 5 * h.size * 8
-
-
-
 @pytest.mark.parametrize("scale", [1e-150, 1e150, math.nan])
 def test_diagonalize_refuses_a_matrix_dsyevd_would_scale(scale):
     with pytest.raises(RuntimeError, match="outside LAPACK's unscaled range"):
@@ -417,7 +402,7 @@ def test_diagonalize_refuses_a_layout_it_cannot_solve_in_place():
 # is also read as dormtr starts, once the packed reflectors are unpacked.
 MEMORY_CHILD = """
 import numpy as np
-from quniverse import model
+from quniverse import blas, model
 
 def status(field):
     with open("/proc/self/status") as fh:
@@ -429,14 +414,14 @@ def symmetric(n):  # no n x n temporary beside the matrix
         h[i, i + 1:] = h[i + 1:, i]
     return h
 
-at_dormtr, call = [], model._call
+at_dormtr, lapack = [], blas.lapack
 
-def recording_call(name, *args):
+def recording_lapack(name, *args):
     if name == "dormtr":
         at_dormtr.append(status("VmRSS"))
-    call(name, *args)
+    lapack(name, *args)
 
-model._call = recording_call
+blas.lapack = recording_lapack
 model.diagonalize(symmetric(1000))  # OpenBLAS touches its buffers on first use
 h = symmetric(2000)
 before = status("VmHWM")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quniverse import blas, observables, units
-from quniverse.blas import gemm_openblas, gemm_threads, library
+from quniverse.blas import gemm_threads, library
 from quniverse.config import ModelConfig
 from quniverse.dynamics import env_block_size, initial_state, propagate, propagate_blocks
 from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
@@ -396,9 +396,7 @@ def test_pass_bytes_independent_of_worker_count(monkeypatch, mid_ham, states):
 
 @pytest.fixture
 def two_blas_threads():
-    """numpy's OpenBLAS on 2 threads, so a pass runs 2 workers; skipped if it cannot be set."""
-    if gemm_openblas() is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
+    """numpy's OpenBLAS on 2 threads, so a pass runs 2 workers."""
     with gemm_threads(2):
         yield
 
