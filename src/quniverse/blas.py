@@ -5,6 +5,11 @@ matmul, so the propagation's GEMMs, and the solve's LAPACK stages, which
 `model.diagonalize` calls through `lapack`.  This module is the only one
 that knows the library: it opens it through ctypes, calls its routines
 and owns the pass's pool.  It imports no other quniverse module.
+
+The solve is the only multi-threaded BLAS call.  Every product over V
+runs inside `gemm_threads(1)`: the pass's shares (`run_shares`), Vᵀc(0)
+and the eigen check.  So a cache hit wakes no OpenBLAS worker, which
+would spin ~2**28 cycles before it sleeps, on a core the pass needs.
 """
 
 from __future__ import annotations

@@ -350,12 +350,17 @@ def eigen_residual(rows: np.ndarray, eigenvalues: np.ndarray,
 
     `rows` holds the first k rows of H.  S is CHECK_COLUMNS evenly
     spaced eigenvector columns, so the check costs O(k n |S|) and reads
-    a small slice of V instead of all of it.
+    a small slice of V instead of all of it.  The product runs on one
+    OpenBLAS thread, as every product of the pass that follows it: on
+    more, the library's idle worker would spin on a core that a pass
+    worker needs, and R's last bits would move with the thread count.
     """
     k, dim = rows.shape
     cols = np.linspace(0, dim - 1, CHECK_COLUMNS).astype(np.intp)  # repeats when dim < 64
     v_s = eigenvectors[:, cols]
-    return float(np.abs(rows @ v_s - v_s[:k] * eigenvalues[cols]).max())
+    with blas.gemm_threads(1):
+        product = rows @ v_s
+    return float(np.abs(product - v_s[:k] * eigenvalues[cols]).max())
 
 
 def _residual_bound(rows: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from quniverse import __version__, cli, model, units
 from quniverse.blas import gemm_threads, library, pass_workers
 from quniverse.cache import CACHE_DIR_ENV
 from quniverse.config import ModelConfig
-from quniverse.cli import compare_free_energy, main, read_trajectory, run_experiment
+from quniverse.cli import MAX_PHASE, compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.dynamics import NUFFT_MIN_TIMES
 from quniverse.model import build_system_levels, cache_key
 from quniverse.observables import (
@@ -721,6 +721,43 @@ def test_cli_sticks_refuses_non_finite_time(tmp_path, toy_cfg_file, monkeypatch,
     assert not sticks_out.exists()
 
 
+@pytest.mark.parametrize("refused_by", ["config_bound", "eigenvalues"])
+def test_run_and_sticks_refuse_phases_past_2_40_in_the_spectrum(tmp_path, monkeypatch,
+                                                               refused_by):
+    # At alpha 5 the couplings widen the spectrum of these 252 states to
+    # |E| ~ 160, where the zero-order ladder reads 8: at t = 2**40 / 100 the
+    # ladder's phases are inside 2**40 rad and the spectrum's are not.
+    cfg = ModelConfig(n_env_levels=3, alpha=5.0)
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(cfg.canonical_string())
+    main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+          "--states", "5", "--t-max-ps", "2.0", "--n-points", "30"])
+    t = MAX_PHASE / 100
+    ladder = (cfg.n_system_levels - 1) * abs(cfg.kappa) + cfg.n_env_levels * cfg.omega_E
+    energies = cli.assemble_hamiltonian(cfg).eigenvalues  # a hit
+    assert ladder * t <= MAX_PHASE < np.abs(energies).max() * t
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"reached past the check by {refused_by}")
+
+    if refused_by == "config_bound":
+        monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    else:
+        # the config's bound as it was, from the ladder alone
+        monkeypatch.setattr(cli, "_energy_bound", lambda config: ladder)
+        monkeypatch.setattr(cli, "propagate_blocks", refuse)
+        monkeypatch.setattr(cli, "propagate", refuse)
+    t_ps = units.reduced_time_to_ps(t, cfg.energy_unit_wavenumbers)
+    with pytest.raises(ValueError, match="is too long: the phases E t reach"):
+        run_experiment(cfg, [5], tmp_path / "long", t_max_ps=t_ps, n_points=30)
+    assert not (tmp_path / "long").exists()
+    sticks_out = tmp_path / "sticks.csv"
+    with pytest.raises(ValueError, match="the stick diagram time .* is too long"):
+        main(["sticks", "--traj", str(tmp_path / "run" / "traj_n5.csv"), "--time", repr(t),
+              "--out", str(sticks_out)])
+    assert not sticks_out.exists()
+
+
 @pytest.mark.parametrize("when", [[], ["--time", "1.0", "--time-ps", "5"]],
                          ids=["no_time", "both_times"])
 def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
@@ -959,3 +996,64 @@ def test_warm_run_sticks_and_compare_import_no_scipy_submodule(tmp_path):
     manifest = json.loads((warm / "manifest.json").read_text())
     # a cache hit, on the NUFFT path
     assert manifest["cache"]["hit"] and manifest["n_points"] >= NUFFT_MIN_TIMES
+
+
+# Waits until no thread's CPU ticks move, so that OpenBLAS's workers have
+# spun out their start-up, then runs the CLI calls json.loads(argv[1]) and
+# prints the library's thread count and the ticks that each thread which
+# existed before the calls, but the main one, gained in them.
+_WORKER_TICKS = """
+import json, os, sys, time
+import quniverse.cli
+from quniverse.blas import library
+
+def ticks():
+    found = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # the thread has exited
+            continue
+        found[int(tid)] = int(fields[11]) + int(fields[12])  # utime + stime
+    return found
+
+before = ticks()
+while True:
+    time.sleep(0.25)
+    now, before = before, ticks()
+    if now == before:
+        break
+for argv in json.loads(sys.argv[1]):
+    assert quniverse.cli.main(argv) == 0, argv
+after = ticks()
+gained = {tid: after.get(tid, n) - n for tid, n in before.items() if tid != os.getpid()}
+print(json.dumps({"threads": library()[1], "gained": gained}))
+"""
+
+
+def test_cache_hit_run_sticks_and_compare_wake_no_openblas_worker(tmp_path):
+    # Every product of a hit runs on one OpenBLAS thread, so the library's
+    # idle workers stay asleep; a woken one spins ~2**28 cycles on a core
+    # that a pass worker needs
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc to read the threads' CPU ticks from")
+    cfg_path = tmp_path / "mid.cfg"
+    cfg_path.write_text(ModelConfig(n_env_levels=6, rng_seed=1).canonical_string())
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(SRC),
+               **{CACHE_DIR_ENV: str(tmp_path / "cache")})
+    subprocess.run([sys.executable, "-m", "quniverse.cli", "run", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "cold"), "--states", "0,3", "--n-points", "120"],
+                   env=env, check=True, capture_output=True, timeout=120)  # fills the cache
+    warm, traj = tmp_path / "warm", str(tmp_path / "warm" / "traj_n3.csv")
+    calls = [["run", "--config", str(cfg_path), "--out", str(warm), "--states", "0,3",
+              "--n-points", "120"],
+             ["sticks", "--traj", traj, "--time-ps", "12.0", "--out", str(tmp_path / "s.csv")],
+             ["compare", "--traj", traj, "--out", str(tmp_path / "compare.json")]]
+    done = subprocess.run([sys.executable, "-c", _WORKER_TICKS, json.dumps(calls)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120)
+    found = json.loads(done.stdout.splitlines()[-1])
+    if found["threads"] < 2:
+        pytest.skip(f"numpy's OpenBLAS runs {found['threads']} thread here")
+    assert json.loads((warm / "manifest.json").read_text())["cache"]["hit"]
+    assert found["gained"] and not any(found["gained"].values()), found["gained"]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quniverse import model, units
+from quniverse.blas import gemm_threads
 from quniverse.config import ModelConfig
 from quniverse.model import (
     CHECK_COLUMNS,
@@ -255,6 +256,20 @@ def test_eigen_residual_unchanged_by_repeated_columns(toy21, toy21_ham):
     once = float(np.abs(rows @ v[:, cols] - v[:CHECK_ROWS, cols] * w[cols]).max())
     assert eigen_residual(rows, w, v) == once
     assert toy21_ham.eig_residual == once
+
+
+def test_eigen_residual_has_the_same_bytes_on_any_blas_thread_count(mid_ham):
+    # Its product runs on one OpenBLAS thread whatever the library's count;
+    # on two, R's last bits moved (1.7347e-15 against 1.7365e-15 on the
+    # production entry of seed 1), and the idle worker spun into the pass
+    cfg, ham = mid_ham
+    rows = build_hamiltonian_matrix(cfg, ham.basis, n_rows=CHECK_ROWS)
+    found = []
+    for threads in (1, 2):
+        with gemm_threads(threads):
+            found.append(np.float64(eigen_residual(rows, ham.eigenvalues,
+                                                   ham.eigenvectors)).tobytes())
+    assert found[0] == found[1] == np.float64(ham.eig_residual).tobytes()
 
 
 def test_system_changing_only_scope():
