@@ -19,6 +19,10 @@ parameters pin the sampling.  CSV bodies contain no timestamps, so a
 repeated run with the same seed is byte-identical.  Every file is
 written whole (`cache.write_whole`) and the manifest last, so a
 directory with a manifest holds the files that it lists, complete.
+
+`model.stage` is the package's one clock: a run's `timing_seconds` is
+the record of the stages that it entered (`model.recording`), each
+stage's seconds summed, and 0.0 for a stage that did not run.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 import os
 import resource
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -48,27 +51,15 @@ from .analysis import (
 from .blas import library, pass_workers
 from .cache import write_whole
 from .config import ModelConfig
-from .dynamics import initial_state, propagate, propagate_blocks
-from .model import assemble_hamiltonian, progress, temperature_of
-from .observables import trajectories
+from .dynamics import initial_state, pass_bytes, propagate, propagate_blocks
+from .model import assemble_hamiltonian, check_memory, progress, recording, stage, temperature_of
+from .observables import sum_bytes, trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
 SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
 MAX_PHASE = 2.0 ** 40
-
-
-def _timed(items, timing: dict, key: str):
-    """Yield from `items`, adding the time spent producing them to timing[key]."""
-    items = iter(items)
-    while True:
-        t0 = time.perf_counter()
-        item = next(items, None)
-        timing[key] += time.perf_counter() - t0
-        if item is None:
-            return
-        yield item
 
 
 def _energy_bound(config: ModelConfig) -> float:
@@ -100,7 +91,12 @@ def _check_phase(e_max: float, t_reduced: float, what: str) -> None:
 
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
                    n_points: int) -> None:
-    """Reject a run that could only fail after the Hamiltonian is solved."""
+    """Reject a run that could only fail after the Hamiltonian is solved.
+
+    That includes a pass larger than this machine's memory (`check_memory`):
+    the grid that `propagate_blocks` holds, V, and the sums that
+    `trajectories` keeps per state and time.
+    """
     if not states:
         raise ValueError("no initial states requested")
     if len(set(states)) != len(states):
@@ -113,6 +109,9 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
     _check_phase(_energy_bound(config),
                  units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
                  f"--t-max-ps {t_max_ps}")
+    check_memory(pass_bytes(len(states), n_points, config.n_system_levels, config.n_env_states)
+                 + len(states) * n_points * sum_bytes(config),
+                 f"the pass of {len(states)} states over {n_points} times")
 
 
 def _check_out(path: Path) -> None:
@@ -141,80 +140,80 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     phases' check comes again on the eigenvalues, before the pass), and
     every entry of the summary and the anomaly report is made before the
     first write; `out_dir` is made at the first write, and an existing
-    manifest is removed just before it.
+    manifest is removed just before it.  The manifest's `timing_seconds`
+    holds the seconds of this call's stages alone, and `cache.evicted`
+    the files that its store evicted.
     """
     out = Path(out_dir)
     _check_request(config, states, t_max_ps, n_points)
     _check_out(out / "manifest.json")
     psi0 = np.stack([initial_state(config, n) for n in states])
-    timing = {"build_and_solve": 0.0, "propagate": 0.0, "observables": 0.0, "write": 0.0}
 
-    t0 = time.perf_counter()
-    ham = assemble_hamiltonian(config)
-    timing["build_and_solve"] = time.perf_counter() - t0
+    with recording() as record:
+        with stage("build_and_solve"):
+            ham = assemble_hamiltonian(config)
 
-    basis = ham.basis
-    temp = temperature_of(config)
-    unit = config.energy_unit_wavenumbers
-    t_max = units.ps_to_reduced_time(t_max_ps, unit)
-    _check_phase(float(np.abs(ham.eigenvalues).max()), t_max, f"--t-max-ps {t_max_ps}")
-    times = np.linspace(0.0, t_max, n_points)
-    late = late_window_slice(n_points)
-    shell = config.total_energy
-    in_shell = basis.shell_label == shell
+        basis = ham.basis
+        temp = temperature_of(config)
+        unit = config.energy_unit_wavenumbers
+        t_max = units.ps_to_reduced_time(t_max_ps, unit)
+        _check_phase(float(np.abs(ham.eigenvalues).max()), t_max, f"--t-max-ps {t_max_ps}")
+        times = np.linspace(0.0, t_max, n_points)
+        late = late_window_slice(n_points)
+        shell = config.total_energy
+        in_shell = basis.shell_label == shell
 
-    t0 = time.perf_counter()
-    workers = pass_workers()
-    progress(f"propagating {len(states)} states over {n_points} times "
-             f"on {workers} worker thread{'s' if workers > 1 else ''}")
-    blocks = _timed(propagate_blocks(psi0, ham, times), timing, "propagate")
-    results = trajectories(blocks, times, config, basis)
-    summary_rows = []
-    anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
-    for n, result in zip(states, results):
-        s_univ_series = result.columns["S_univ"]
-        rate = entropy_production_rate(times, s_univ_series)
-        anomaly_report["states"].append({
-            "n": n,
-            "dips": [dataclasses.asdict(d) for d in detect_negative_production(times, rate)],
-            "min_rate": float(rate.min()),
-            "min_rate_time": float(times[int(rate.argmin())]),
-        })
-        partial = result.columns[f"S_partial_{shell}"]
-        final = result.final_amplitudes
-        summary_rows.append({
-            "n": n,
-            "S_univ": float(s_univ_series[late].mean()),
-            "S_partial": float(partial[late].mean()),
-            "S_univ_final": float(s_univ_series[-1]),
-            "S_partial_final": float(partial[-1]),
-            "effective_states": float(np.exp(s_univ_series[late].mean())),
-            "shell_population_final": float((final.real ** 2 + final.imag ** 2)[in_shell].sum()),
-            "health": result.health,
-        })
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": config.rng_seed,
-        "microcanonical_shell": config.total_energy,
-        "shell_state_count": config.shell_size(config.total_energy),
-        "late_window_fraction": LATE_FRACTION,
-        "temperature_kelvin": temp.kelvin,
-        "states": summary_rows,
-    }
-    timing["observables"] = time.perf_counter() - t0 - timing["propagate"]
+        workers = pass_workers()
+        progress(f"propagating {len(states)} states over {n_points} times "
+                 f"on {workers} worker thread{'s' if workers > 1 else ''}")
+        results = trajectories(propagate_blocks(psi0, ham, times), times, config, basis)
+        with stage("observables"):
+            summary_rows = []
+            anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
+            for n, result in zip(states, results):
+                s_univ_series = result.columns["S_univ"]
+                rate = entropy_production_rate(times, s_univ_series)
+                anomaly_report["states"].append({
+                    "n": n,
+                    "dips": [dataclasses.asdict(d)
+                             for d in detect_negative_production(times, rate)],
+                    "min_rate": float(rate.min()),
+                    "min_rate_time": float(times[int(rate.argmin())]),
+                })
+                partial = result.columns[f"S_partial_{shell}"]
+                final = result.final_amplitudes
+                summary_rows.append({
+                    "n": n,
+                    "S_univ": float(s_univ_series[late].mean()),
+                    "S_partial": float(partial[late].mean()),
+                    "S_univ_final": float(s_univ_series[-1]),
+                    "S_partial_final": float(partial[-1]),
+                    "effective_states": float(np.exp(s_univ_series[late].mean())),
+                    "shell_population_final": float(
+                        (final.real ** 2 + final.imag ** 2)[in_shell].sum()),
+                    "health": result.health,
+                })
+            summary = {
+                "schema_version": SCHEMA_VERSION,
+                "seed": config.rng_seed,
+                "microcanonical_shell": config.total_energy,
+                "shell_state_count": config.shell_size(config.total_energy),
+                "late_window_fraction": LATE_FRACTION,
+                "temperature_kelvin": temp.kelvin,
+                "states": summary_rows,
+            }
 
-    t0 = time.perf_counter()
-    progress(f"writing trajectories, stick diagrams, summary and manifest to {out}")
-    (out / "manifest.json").unlink(missing_ok=True)
-    stick_text = _stick_text(basis)
-    for n, result in zip(states, results):
-        with write_whole(out / f"traj_n{n}.csv") as fh:
-            _write_trajectory(fh, config, n, result.columns)
-        with write_whole(out / f"sticks_n{n}.csv") as fh:
-            _write_sticks(fh, config, n, times[-1], result.final_amplitudes, stick_text)
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "anomalies.json", anomaly_report)
-    timing["write"] = time.perf_counter() - t0
+        with stage("write", begin=f"writing trajectories, stick diagrams, summary and "
+                                  f"manifest to {out}"):
+            (out / "manifest.json").unlink(missing_ok=True)
+            stick_text = _stick_text(basis)
+            for n, result in zip(states, results):
+                with write_whole(out / f"traj_n{n}.csv") as fh:
+                    _write_trajectory(fh, config, n, result.columns)
+                with write_whole(out / f"sticks_n{n}.csv") as fh:
+                    _write_sticks(fh, config, n, times[-1], result.final_amplitudes, stick_text)
+            _write_json(out / "summary.json", summary)
+            _write_json(out / "anomalies.json", anomaly_report)
 
     blas_library, blas_threads = library()
     manifest = {
@@ -228,10 +227,11 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "n_points": n_points,
         # the cache's key and whether the run used an entry (false for a miss or a
         # rejected one), the check's residual, the library that the key covers and
-        # that ran the solve and the pass's GEMMs, and the pass's worker threads
+        # that ran the solve and the pass's GEMMs, the pass's worker threads, and
+        # the files that the run's store evicted
         "cache": {"key": ham.key, "hit": ham.cache_hit, "eig_residual": ham.eig_residual,
                   "blas_library": blas_library, "blas_threads": blas_threads,
-                  "pass_workers": workers},
+                  "pass_workers": workers, "evicted": record.evicted},
         "constants": {
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),
@@ -240,7 +240,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "temperature": dataclasses.asdict(temp),
         "outputs": [f"{kind}_n{n}.csv" for n in states for kind in ("traj", "sticks")]
         + ["summary.json", "anomalies.json"],
-        "timing_seconds": timing,
+        "timing_seconds": record.seconds,
         "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(out / "manifest.json", manifest)
@@ -457,6 +457,15 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     return config, n, t_reduced, propagate(psi0, ham, t_reduced), ham.basis
 
 
+def _state_list(text: str) -> list[int]:
+    """`--states`: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated system levels, "
+                                         f"got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="quniverse",
@@ -467,7 +476,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run trajectories for one config")
     p_run.add_argument("--config", required=True, help="key = value config file")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--states", default=None,
+    p_run.add_argument("--states", default=None, type=_state_list,
                        help="comma-separated initial system levels (default: all)")
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--paper-compat", action="store_true",
@@ -498,8 +507,7 @@ def main(argv=None) -> int:
             overrides["paper_compat"] = True
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        states = (list(range(config.n_system_levels)) if args.states is None
-                  else [int(s) for s in args.states.split(",")])
+        states = list(range(config.n_system_levels)) if args.states is None else args.states
         manifest = run_experiment(
             config, states, args.out,
             t_max_ps=args.t_max_ps, n_points=args.n_points,

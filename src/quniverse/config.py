@@ -150,7 +150,11 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        """Parse `key = value` lines; unknown keys are refused by `from_dict`."""
+        """Parse `key = value` lines.
+
+        A malformed line, an unknown or repeated key and a value that does
+        not parse as its field's type are refused with `{path}:{lineno}:`.
+        """
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         data = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -161,9 +165,14 @@ class ModelConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key not in types:
+                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
             if key in data:
                 raise ValueError(f"{path}:{lineno}: duplicate configuration key {key!r}")
-            data[key] = _parse_value(value, types.get(key))
+            try:
+                data[key] = _parse_value(value, types[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls.from_dict(data)
 
 

@@ -85,7 +85,7 @@ import numpy as np
 
 from .blas import gemm_threads, run_shares
 from .config import ModelConfig
-from .model import UniverseHamiltonian
+from .model import UniverseHamiltonian, stage
 from .rng import PHASE_STREAM, SeededRng
 
 
@@ -158,6 +158,22 @@ def env_block_size(n_system_levels: int, n_env_states: int) -> int:
     return max(1, math.ceil(n_env_states / (2 * n_system_levels)))
 
 
+def pass_bytes(n_states: int, n_times: int, n_system_levels: int, n_env_states: int) -> int:
+    """Bytes that `propagate_blocks` holds for k states on a uniform grid of T times
+    from 0, with V's n² doubles: the NUFFT's grid of one row block (k 2T rows of
+    `env_block_size` environment states in every system level), or, below
+    NUFFT_MIN_TIMES, the direct product's amplitudes on every row and its phase
+    matrices.  88.5 MB and 0.67 GB at production size, 6 states and T = 600.
+    """
+    ns, ne = n_system_levels, n_env_states
+    n = ns * ne
+    if n_times < NUFFT_MIN_TIMES:
+        values = (n_states + 2) * n_times * n
+    else:
+        values = n_states * 2 * n_times * ns * env_block_size(ns, ne)
+    return 16 * values + 8 * n * n
+
+
 def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
                      times) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The amplitudes of k states at every time, one row block at a time.
@@ -174,7 +190,9 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     A uniform grid from 0 of at least NUFFT_MIN_TIMES times takes the
     NUFFT kernel, any other the direct product (see the module docstring);
     the two agree to rounding.  A state's values depend on that state
-    alone, not on the others in the pass.
+    alone, not on the others in the pass.  Vᵀc(0), made in this call,
+    and each block's work, made as it is asked for, are `model.stage`s
+    named "propagate".
     """
     amplitudes = np.asarray(amplitudes)
     if amplitudes.ndim != 2 or amplitudes.shape[1] != ham.dim:
@@ -186,7 +204,7 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     v, e = ham.eigenvectors, ham.eigenvalues
     # On one thread, as every product of the pass: a threaded product here
     # would leave OpenBLAS's idle threads spinning on the workers' cores.
-    with gemm_threads(1):
+    with stage("propagate"), gemm_threads(1):
         a = np.hstack([_eigen_coefficients(v, c) for c in amplitudes])
     ns = ham.basis.n_system_levels
     ne = ham.dim // ns
@@ -220,19 +238,22 @@ def _direct_blocks(v, e, a, times, ns, ranges):
             np.copyto(amplitudes[s, :, cols].view(np.float64).reshape(n_times, ne, 2),
                       product.reshape(n_times, 2, ne).transpose(0, 2, 1))
 
-    for s in range(k):
-        phases.imag = np.multiply.outer(-e, times)
-        phases.real = 0.0
-        np.exp(phases, out=phases)
-        phases *= a[:, s, None]
-        np.copyto(phases_t, phases.view(np.float64).T)
-        run_shares(lambda levels: multiply(levels, s), ns)
-    buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
+    with stage("propagate"):
+        for s in range(k):
+            phases.imag = np.multiply.outer(-e, times)
+            phases.real = 0.0
+            np.exp(phases, out=phases)
+            phases *= a[:, s, None]
+            np.copyto(phases_t, phases.view(np.float64).T)
+            run_shares(lambda levels: multiply(levels, s), ns)
+        buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
     for e0, e1 in ranges:
-        rows = _block_rows(ns, ne, e0, e1)
-        c = buffer[:k * n_times * rows.size].reshape(k, n_times, rows.size)
-        # rows are in range; "clip" gathers into c without a temporary
-        yield rows, np.take(amplitudes, rows, axis=2, out=c, mode="clip")
+        with stage("propagate"):
+            rows = _block_rows(ns, ne, e0, e1)
+            c = buffer[:k * n_times * rows.size].reshape(k, n_times, rows.size)
+            # rows are in range; "clip" gathers into c without a temporary
+            np.take(amplitudes, rows, axis=2, out=c, mode="clip")
+        yield rows, c
 
 
 # Uniform grids of at least this many times take the NUFFT.  Measured on
@@ -330,10 +351,12 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     if np.any(np.diff(e) < 0.0):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
     k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
-    plan = _spreading_plan(e, a, step, n_times)
-    deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2) / m_grid)[:, None]
-    tallest = ns * (ranges[0][1] - ranges[0][0])
-    buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
+    with stage("propagate"):
+        plan = _spreading_plan(e, a, step, n_times)
+        deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2)
+                                                / m_grid)[:, None]
+        tallest = ns * (ranges[0][1] - ranges[0][0])
+        buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
 
     def spread(blocks, grid, e0, e1):
         """One share of the plan's grid blocks for the row block: disjoint grid columns."""
@@ -363,7 +386,8 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
             grid[s].view(np.float64)[:n_times] *= deconvolution
 
     for e0, e1 in ranges:
-        grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
-        run_shares(lambda blocks: spread(blocks, grid, e0, e1), len(plan))
-        run_shares(lambda states: transform(states, grid), k)
+        with stage("propagate"):
+            grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
+            run_shares(lambda blocks: spread(blocks, grid, e0, e1), len(plan))
+            run_shares(lambda states: transform(states, grid), k)
         yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]

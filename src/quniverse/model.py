@@ -23,6 +23,12 @@ and the back-transform in place.  It keeps dsyevd's eigenpair bytes in
 2.5 n² doubles instead of 3 n², and a miss refuses a solve that cannot
 fit the machine's memory before H is built.
 
+`stage` is the package's one clock.  Each timed stage of a run (the
+build, the fill, the three LAPACK stages, the store, the load, the eigen
+check, the pass and the write) is one `stage` block: it prints the
+stage's stderr line and adds its seconds to the `RunRecord` of the
+`recording` block around it, which `run` writes as `timing_seconds`.
+
 Energy origin: system energies are measured from the bottom of the
 polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
 absolute polyad block cancels out of every difference quantity and of
@@ -33,13 +39,14 @@ product state the integer n + m used for shell bookkeeping.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import sys
 import threading
 import time
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +250,63 @@ def progress(message: str) -> None:
     print(f"quniverse: {message}", file=sys.stderr, flush=True)
 
 
+# Every stage that a run records: the build, the pass, its observables and
+# the write; within the build, the stages of a miss (the fill, the three
+# LAPACK stages and the store), the load and the eigen check.
+STAGES = ("build_and_solve", "propagate", "observables", "write", "fill", "tridiagonalize",
+          "divide_and_conquer", "back_transform", "store", "load", "check")
+
+
+@dataclass
+class RunRecord:
+    """What one run's stages did: the seconds of each of STAGES, 0.0 for a stage that
+    did not run, and the names of the cache files that its store evicted."""
+
+    seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    evicted: list[str] = field(default_factory=list)
+
+
+# The record of the `recording` block that the calling thread is in.  A
+# thread of `blas.run_shares` starts without it, so stages are entered on
+# the calling thread only.
+_RECORD: contextvars.ContextVar[RunRecord | None] = contextvars.ContextVar("quniverse_record",
+                                                                          default=None)
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[RunRecord]:
+    """A new RunRecord of the stages entered in the block, and of them alone."""
+    record = RunRecord()
+    token = _RECORD.set(record)
+    try:
+        yield record
+    finally:
+        _RECORD.reset(token)
+
+
+@contextlib.contextmanager
+def stage(name: str, begin: str | None = None, done: str | None = None) -> Iterator[None]:
+    """Time the block as the stage `name` of STAGES: the package's one clock.
+
+    `begin` is printed as the block starts and, if the block completes,
+    `done` followed by "in <seconds> s".  The seconds are added, whether
+    the block completes or not, to the record of the `recording` block
+    around it, if there is one.  A stage inside another counts in both.
+    """
+    if begin is not None:
+        progress(begin)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds = time.perf_counter() - start
+        record = _RECORD.get()
+        if record is not None:
+            record.seconds[name] += seconds
+    if done is not None:
+        progress(f"{done} in {seconds:.1f} s")
+
+
 # Seconds between the heartbeat lines that `diagonalize` prints while LAPACK runs.
 HEARTBEAT_SECONDS = 30.0
 
@@ -255,12 +319,13 @@ _UNSCALED_MAX = 1.0 / _UNSCALED_MIN
 @contextlib.contextmanager
 def _heartbeat(what: str) -> Iterator[None]:
     """A progress line every HEARTBEAT_SECONDS inside the block, from a daemon thread."""
-    start = time.perf_counter()
     stop = threading.Event()
 
     def beat() -> None:
+        beats = 0
         while not stop.wait(HEARTBEAT_SECONDS):
-            progress(f"{what}: {time.perf_counter() - start:.0f} s so far")
+            beats += 1
+            progress(f"{what}: {beats * HEARTBEAT_SECONDS:.0f} s so far")
 
     thread = threading.Thread(target=beat, name="quniverse-heartbeat", daemon=True)
     thread.start()
@@ -307,30 +372,27 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                f"[{_UNSCALED_MIN:.3g}, {_UNSCALED_MAX:.3g}]")
         with _heartbeat(f"solving {n} x {n}"):
             w, e, tau = np.empty(n), np.empty(ld), np.empty(ld)
-            t0 = time.perf_counter()
-            query = np.empty(1)
-            blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
-            lwork = max(int(query[0]), 1)
-            blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
-            # the strict lower triangle of `a` is the lower triangle of its
-            # (n - 1) x (n - 1) block from a[1, 0]; no view of `packed` outlives it
-            packed = np.empty(n * (n - 1) // 2)
-            blas.lapack("dtrttp", "L", max(n - 1, 0), a[1:], ld, packed)
-            t1 = time.perf_counter()
-            progress(f"tridiagonalized in {t1 - t0:.1f} s")
-            work = np.zeros(n * n + 4 * n + 1)
-            blas.lapack("dstedc", "I", n, w, e, a, ld, work, work.size,
-                        np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
-            t2 = time.perf_counter()
-            progress(f"divide and conquer in {t2 - t1:.1f} s")
-            blas.lapack("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
-            del packed  # freed before dormtr's ~30 s at production size
-            # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
-            # dormqr's blocking reads at most 64n + 65·64
-            lwork = min(work.size, 64 * n + 65 * 64)
-            blas.lapack("dormtr", "L", "L", "N", n, n, work, ld, tau, a, ld, np.empty(lwork),
-                        lwork)
-            progress(f"back-transformed in {time.perf_counter() - t2:.1f} s")
+            with stage("tridiagonalize", done="tridiagonalized"):
+                query = np.empty(1)
+                blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, query, -1)
+                lwork = max(int(query[0]), 1)
+                blas.lapack("dsytrd", "L", n, a, ld, w, e, tau, np.empty(lwork), lwork)
+                # the strict lower triangle of `a` is the lower triangle of its
+                # (n - 1) x (n - 1) block from a[1, 0]; no view of `packed` outlives it
+                packed = np.empty(n * (n - 1) // 2)
+                blas.lapack("dtrttp", "L", max(n - 1, 0), a[1:], ld, packed)
+            with stage("divide_and_conquer", done="divide and conquer"):
+                work = np.zeros(n * n + 4 * n + 1)
+                blas.lapack("dstedc", "I", n, w, e, a, ld, work, work.size,
+                            np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
+            with stage("back_transform", done="back-transformed"):
+                blas.lapack("dtpttr", "L", max(n - 1, 0), packed, work[1:], ld)
+                del packed  # freed before dormtr's ~30 s at production size
+                # dsyevd passes dormtr the same n² + 4n + 1 doubles, of which
+                # dormqr's blocking reads at most 64n + 65·64
+                lwork = min(work.size, 64 * n + 65 * 64)
+                blas.lapack("dormtr", "L", "L", "N", n, n, work, ld, tau, a, ld,
+                            np.empty(lwork), lwork)
     except RuntimeError as exc:
         raise RuntimeError(f"dense symmetric eigensolver failed: dim={n}: {exc}") from exc
     return w, a
@@ -395,21 +457,22 @@ def machine_memory() -> tuple[int, int] | None:
     return min(total, limit), min(available, limit - used)
 
 
-def check_solve_memory(dim: int) -> None:
-    """Refuse a solve larger than this machine's memory; warn if it exceeds what is available.
+def check_memory(need: int, what: str) -> None:
+    """Refuse `what`, which needs `need` bytes, if that is more than this machine's
+    memory; warn if it is more than the memory available now.
 
-    Does nothing where the memory cannot be read.
+    `what` names the work, such as "the 9180 x 9180 eigensolve".  Does
+    nothing where the memory cannot be read.
     """
     found = machine_memory()
     if found is None:
         return
     total, available = found
-    need = solve_bytes(dim)
     if need > total:
-        raise MemoryError(f"the {dim} x {dim} eigensolve needs {need / 1e6:.0f} MB, more than "
-                          f"this machine's {total / 1e6:.0f} MB; refused before building H")
+        raise MemoryError(f"{what} needs {need / 1e6:.0f} MB, more than this machine's "
+                          f"{total / 1e6:.0f} MB; refused before building H")
     if need > available:
-        warnings.warn(f"the {dim} x {dim} eigensolve needs {need / 1e6:.0f} MB, more than the "
+        warnings.warn(f"{what} needs {need / 1e6:.0f} MB, more than the "
                       f"{available / 1e6:.0f} MB available now", stacklevel=3)
 
 
@@ -421,48 +484,54 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     regenerated rows of H; the full H is never built on an accepted
     entry, and the cache directory is not written.  A miss or a rejected
     entry (with a warning naming its key and residual) first checks that
-    the solve fits the machine's memory (`check_solve_memory`), then
+    the solve fits the machine's memory (`check_memory`), then
     builds H, solves it in place, checks the result and stores it,
     replacing a rejected entry atomically; a failed store (unwritable
     directory, full disk) only warns.  QUNIVERSE_CACHE_DIR chooses the
-    cache directory.
+    cache directory.  The load, the check, the fill, the solve's stages
+    and the store are each a `stage`, and the names of the files that the
+    store evicted go to the run's record too.
     """
     basis = build_basis(config)
     progress(f"basis of {basis.size} states ({basis.n_system_levels} system levels x "
              f"{basis.n_env_states} environment states)")
     key = cache_key(config)
-    cached = cache.load_eigensystem(key, basis.size)
+    with stage("load"):
+        cached = cache.load_eigensystem(key, basis.size)
     if cached is None:
         progress(f"cache miss: no entry {key[:12]}")
     else:
-        rows = build_hamiltonian_matrix(config, basis, n_rows=CHECK_ROWS)
-        residual = eigen_residual(rows, *cached)
+        with stage("check"):
+            rows = build_hamiltonian_matrix(config, basis, n_rows=CHECK_ROWS)
+            residual = eigen_residual(rows, *cached)
         if residual <= _residual_bound(rows):
             progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
             return UniverseHamiltonian(basis, *cached, eig_residual=residual, key=key,
                                        cache_hit=True)
         warnings.warn(f"cache entry {key} fails the eigen check "
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
-    check_solve_memory(basis.size)
-    progress(f"solving the dense {basis.size} x {basis.size} eigenproblem")
-    h = build_hamiltonian_matrix(config, basis)
+    check_memory(solve_bytes(basis.size), f"the {basis.size} x {basis.size} eigensolve")
+    with stage("fill", begin=f"solving the dense {basis.size} x {basis.size} eigenproblem"):
+        h = build_hamiltonian_matrix(config, basis)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
-    residual = eigen_residual(rows, eigenvalues, eigenvectors)
+    with stage("check"):
+        residual = eigen_residual(rows, eigenvalues, eigenvectors)
     if not residual <= _residual_bound(rows):
         raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
-    start = time.perf_counter()
+    mb = (eigenvalues.nbytes + eigenvectors.nbytes) / 1e6
     try:
-        evicted = cache.store_eigensystem(key, eigenvalues, eigenvectors)
+        with stage("store", done=f"stored entry {key[:12]}, {mb:.0f} MB,"):
+            evicted = cache.store_eigensystem(key, eigenvalues, eigenvectors)
     except OSError as exc:
         warnings.warn(f"solved, but not cached in {cache.CACHE_DIR_ENV}="
                       f"{cache.cache_dir()}: {exc}", stacklevel=2)
     else:
-        progress(f"stored entry {key[:12]}, "
-                 f"{(eigenvalues.nbytes + eigenvectors.nbytes) / 1e6:.0f} MB, "
-                 f"in {time.perf_counter() - start:.1f} s")
         for name, size in evicted:
             progress(f"evicted entry {name[:12]}, {size / 1e6:.0f} MB, the least recently used")
+        record = _RECORD.get()
+        if record is not None:
+            record.evicted += [name for name, _ in evicted]
     return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual, key=key)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blas, units
 from .config import ModelConfig
-from .model import UniverseBasis, build_system_levels, temperature_of
+from .model import UniverseBasis, build_system_levels, stage, temperature_of
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -108,6 +108,13 @@ def _require(ok: np.ndarray, times: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} at t={float(times[int(np.argmin(ok))])!r}")
 
 
+def sum_bytes(config: ModelConfig) -> int:
+    """Bytes of one state's sums at one time in `trajectories`: sum p, sum p ln p,
+    the shell sums and the raw RDM (696 at production size)."""
+    ns = config.n_system_levels
+    return 8 * (2 + ns - 1 + config.n_env_levels) + 16 * ns * ns
+
+
 @dataclass
 class Trajectory:
     """One state's observables over a run's grid.
@@ -144,7 +151,9 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     and the energy unit come from `config`, whose basis `basis` is.
     `health` reports the largest norm error, RDM hermiticity error and RDM
     trace error, the most negative RDM eigenvalue before clipping, and the
-    smallest majorization slack -sum(rho_nn ln rho_nn) - S_vN.
+    smallest majorization slack -sum(rho_nn ln rho_nn) - S_vN.  Each
+    block's reduction, and the gates and columns, are `model.stage`s named
+    "observables"; the blocks are made outside them.
     """
     times = np.asarray(times, dtype=float)
     ns, n_times = basis.n_system_levels, times.size
@@ -170,21 +179,23 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
             rho[:, span] += cs @ cs.conj().swapaxes(-1, -2)
 
     for rows, c in blocks:
-        if sums is None:
-            k = c.shape[0]
-            sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
-                    np.zeros((k, n_times, n_shells)),
-                    np.zeros((k, n_times, ns, ns), dtype=np.complex128))
-            final = np.empty((k, basis.size), dtype=np.complex128)
-        # runs of one shell label along the block's rows (m grows with the
-        # row within each system level)
-        labels = basis.shell_label[rows]
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        blas.run_shares(lambda own: add_share(own, c, labels, starts), k)
-        final[:, rows] = c[:, -1]
-    ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
-    return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, ladder, kbt,
-                        config.energy_unit_wavenumbers) for s in range(k)]
+        with stage("observables"):
+            if sums is None:
+                k = c.shape[0]
+                sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
+                        np.zeros((k, n_times, n_shells)),
+                        np.zeros((k, n_times, ns, ns), dtype=np.complex128))
+                final = np.empty((k, basis.size), dtype=np.complex128)
+            # runs of one shell label along the block's rows (m grows with the
+            # row within each system level)
+            labels = basis.shell_label[rows]
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            blas.run_shares(lambda own: add_share(own, c, labels, starts), k)
+            final[:, rows] = c[:, -1]
+    with stage("observables"):
+        ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
+        return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, ladder, kbt,
+                            config.energy_unit_wavenumbers) for s in range(k)]
 
 
 def _trajectory(norm2, plogp_sum, shell_plogp, rho, final, times, n_universe,

@@ -12,7 +12,7 @@ import pytest
 
 from quniverse import __version__, cli, model, units
 from quniverse.blas import gemm_threads, library, pass_workers
-from quniverse.cache import CACHE_DIR_ENV
+from quniverse.cache import CACHE_DIR_ENV, CACHE_MAX_MB_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import MAX_PHASE, compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.dynamics import NUFFT_MIN_TIMES
@@ -63,8 +63,7 @@ def test_toy_run_writes_all_artifacts(tmp_path):
     manifest_echo = json.loads((out / "manifest.json").read_text())
     assert ModelConfig.from_dict(manifest_echo["config"]) == cfg
     assert manifest_echo["seed"] == 31
-    assert set(manifest_echo["timing_seconds"]) == {
-        "build_and_solve", "propagate", "observables", "write"}
+    assert set(manifest_echo["timing_seconds"]) == set(model.STAGES)
     assert all(v >= 0.0 for v in manifest_echo["timing_seconds"].values())
 
 
@@ -642,8 +641,8 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
 # Every key of a toy21 manifest, nested keys as dotted paths; a key added,
 # renamed or dropped shows here.
 MANIFEST_KEYS = [
-    "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.hit",
-    "cache.key", "cache.pass_workers",
+    "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.evicted",
+    "cache.hit", "cache.key", "cache.pass_workers",
     "code_version",
     "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
     "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
@@ -657,8 +656,10 @@ MANIFEST_KEYS = [
     "temperature.beta_reduced", "temperature.discrepancy_percent",
     "temperature.kbt_reduced", "temperature.kelvin", "temperature.kelvin_analytic",
     "temperature.kelvin_compat",
-    "timing_seconds.build_and_solve", "timing_seconds.observables",
-    "timing_seconds.propagate", "timing_seconds.write",
+    "timing_seconds.back_transform", "timing_seconds.build_and_solve",
+    "timing_seconds.check", "timing_seconds.divide_and_conquer", "timing_seconds.fill",
+    "timing_seconds.load", "timing_seconds.observables", "timing_seconds.propagate",
+    "timing_seconds.store", "timing_seconds.tridiagonalize", "timing_seconds.write",
 ]
 
 
@@ -674,6 +675,81 @@ def test_manifest_has_the_recorded_key_tree(tmp_path):
     written = json.loads((tmp_path / "manifest.json").read_text())
     assert sorted(_key_paths(written)) == MANIFEST_KEYS
     assert written == json.loads(json.dumps(returned))  # run returns the dict it writes
+
+
+# The stages that only a miss runs
+MISS_STAGES = ("fill", "tridiagonalize", "divide_and_conquer", "back_transform", "store")
+
+
+def test_manifest_times_the_stages_of_a_miss_and_a_hit(tmp_path):
+    cold = run_experiment(toy21_config(), [0, 1, 2], tmp_path / "cold", t_max_ps=2.0,
+                          n_points=120)
+    warm = run_experiment(toy21_config(), [0, 1, 2], tmp_path / "warm", t_max_ps=2.0,
+                          n_points=120)
+    assert (cold["cache"]["hit"], warm["cache"]["hit"]) == (False, True)
+    seconds = cold["timing_seconds"]
+    assert all(seconds[name] > 0.0 for name in (*MISS_STAGES, "check")), seconds
+    assert sum(seconds[name] for name in (*MISS_STAGES, "load", "check")) \
+        <= seconds["build_and_solve"], seconds
+    seconds = warm["timing_seconds"]
+    assert seconds["load"] > 0.0 and seconds["check"] > 0.0, seconds
+    assert all(seconds[name] == 0.0 for name in MISS_STAGES), seconds
+    for manifest in (cold, warm):
+        seconds = manifest["timing_seconds"]
+        assert all(seconds[name] > 0.0 for name in ("propagate", "observables", "write"))
+        assert seconds["load"] + seconds["check"] <= seconds["build_and_solve"]
+        assert sorted(_key_paths(manifest)) == MANIFEST_KEYS
+
+
+def test_each_run_records_only_its_own_stages(tmp_path):
+    with model.recording() as outer:
+        first = _run(toy21_config(), tmp_path / "first")
+        second = _run(toy21_config(), tmp_path / "second")
+    # the miss's stages stay in the first run's record, and neither reaches the caller's
+    assert first["timing_seconds"]["fill"] > 0.0
+    assert second["timing_seconds"]["fill"] == 0.0
+    assert set(outer.seconds.values()) == {0.0}
+
+
+def test_manifest_names_the_files_that_its_store_evicted(tmp_path, monkeypatch):
+    older = Path(os.environ[CACHE_DIR_ENV]) / "older.npy"
+    older.parent.mkdir(parents=True, exist_ok=True)
+    older.write_bytes(bytes(3 * 2 ** 20))
+    os.utime(older, (1, 1))
+    monkeypatch.setenv(CACHE_MAX_MB_ENV, "1")
+    assert _run(toy21_config(), tmp_path / "cold")["cache"]["evicted"] == ["older.npy"]
+    assert not older.exists()
+    assert _run(toy21_config(), tmp_path / "warm")["cache"]["evicted"] == []
+    assert _run(toy6_config(), tmp_path / "fits")["cache"]["evicted"] == []
+
+
+@pytest.mark.parametrize("n_points, refused", [(50000, True), (600, False)])
+def test_run_refuses_a_pass_larger_than_memory_before_building(tmp_path, monkeypatch,
+                                                               n_points, refused):
+    monkeypatch.setattr(model, "machine_memory", lambda: (7 * 2 ** 30, 7 * 2 ** 30))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was built")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    config = ModelConfig(rng_seed=1)  # configs/production.cfg
+    # the grid, V and the sums: 8.26e9 bytes at T = 50000
+    error, message = ((MemoryError, r"^the pass of 6 states over 50000 times needs 8256 MB, "
+                                    r"more than this machine's 7516 MB") if refused
+                      else (AssertionError, "the universe was built"))
+    with pytest.raises(error, match=message):
+        run_experiment(config, list(range(6)), tmp_path / "out", n_points=n_points)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_a_malformed_states_list(tmp_path, toy_cfg_file, capsys):
+    _, cfg_path = toy_cfg_file
+    with pytest.raises(SystemExit):
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+              "--states", "0,,1"])
+    assert ("argument --states: expected comma-separated system levels, got '0,,1'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sticks_refuses_a_solve_larger_than_memory_before_building(tmp_path,

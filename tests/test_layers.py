@@ -113,6 +113,25 @@ def test_one_whole_file_writer():
     assert found == []
 
 
+# Clocks that measure durations; `time.time_ns` stamps an entry's access time.
+CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time"}
+
+
+def test_only_stage_reads_the_clock():
+    """Every duration the package measures is a `model.stage`: no other code reads a clock."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        stage = next((node for node in tree.body if path.stem == "model"
+                      and getattr(node, "name", None) == "stage"), None)
+        inside_stage = {id(node) for node in ast.walk(stage)} if stage else set()
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (getattr(node, "attr", None) in CLOCKS
+                      or isinstance(node, ast.alias) and node.name in CLOCKS)
+                  and id(node) not in inside_stage]
+    assert found == []
+
+
 def test_no_module_imports_scipy_linalg():
     """Neither at module level nor inside a function: it would load scipy's own OpenBLAS."""
     found = []

@@ -80,7 +80,8 @@ def test_config_file_round_trip(tmp_path):
 def test_config_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text("polyad_N = 5\nn_sistem_levels = 6\n")
-    with pytest.raises(ValueError, match="unknown configuration key"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown configuration key "
+                                         f"'n_sistem_levels'"):
         ModelConfig.from_file(path)
 
 
@@ -88,6 +89,18 @@ def test_config_file_duplicate_key_rejected(tmp_path):
     path = tmp_path / "model.cfg"
     path.write_text("alpha = 0.1\nalpha = 0.2\n")
     with pytest.raises(ValueError, match="duplicate"):
+        ModelConfig.from_file(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_env_levels = 8.0", "n_env_levels: invalid literal for int() with base 10: '8.0'"),
+    ("alpha = nan", "alpha: non-finite value 'nan'"),
+    ("paper_compat = maybe", "paper_compat: cannot parse boolean from 'maybe'"),
+], ids=["int", "float", "bool"])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "model.cfg"
+    path.write_text(f"polyad_N = 5\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         ModelConfig.from_file(path)
 
 
