@@ -109,7 +109,7 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
     _check_phase(_energy_bound(config),
                  units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
                  f"--t-max-ps {t_max_ps}")
-    check_memory(pass_bytes(len(states), n_points, config.n_system_levels, config.n_env_states)
+    check_memory(pass_bytes(config, len(states), n_points)
                  + len(states) * n_points * sum_bytes(config),
                  f"the pass of {len(states)} states over {n_points} times")
 

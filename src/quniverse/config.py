@@ -153,7 +153,8 @@ class ModelConfig:
         """Parse `key = value` lines.
 
         A malformed line, an unknown or repeated key and a value that does
-        not parse as its field's type are refused with `{path}:{lineno}:`.
+        not parse as its field's type are refused with `{path}:{lineno}:`,
+        and a value out of its range (`__post_init__`) with `{path}:`.
         """
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         data = {}
@@ -173,7 +174,10 @@ class ModelConfig:
                 data[key] = _parse_value(value, types[key])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _format_value(v) -> str:

@@ -44,36 +44,45 @@ states share the pass.  Two kernels fill a block:
 * NUFFT: on a uniform grid t_k = k D, k = 0..T-1, the same product is
   c_i(t_k) = sum_j V_ij a_j exp(-i theta_j k) with theta_j = E_j D mod
   2 pi, a type-1 non-uniform FFT of every row (Dutt & Rokhlin 1993).
-  Each point theta_j is spread onto a periodic grid of M = 2T points by
-  the "exponential of semicircle" kernel phi(z) = exp(beta (sqrt(1 - z^2)
-  - 1)) of width W = 16 grid points, beta = 2.30 W (Barnett, Magland &
-  af Klinteberg, SIAM J. Sci. Comput. 41, 2019); the mode shift K0 = T//2
-  is absorbed into the weights a_j exp(-i theta_j K0) and a twiddle of
-  every grid column, so that FFT outputs 0..T-1 are the times in order.
-  Eigenvalues are ascending, so the points under a block of G = 16 grid
-  columns are one contiguous range of j per 2 pi wrap of E D, cut into
-  pieces of at most _K_PANEL points.  The kernel and the block layout
-  are the same for every state; only the weights differ.  So each
-  (grid block, piece) is one real GEMM per system level: the level's
-  rows of V (a view of the mapping, no gather) times every state's
-  spreading columns side by side (width 2 G k).  No product sums over
-  more than one OpenBLAS K-panel, which keeps a state's columns of it
-  the bytes of that state's product alone (see _K_PANEL).  That is
-  4 n^2 (G + W) flops per state, and all states together read V about
-  twice per run.  The products are moved into a state-major (k, M, rows)
-  grid, transformed in place along M and divided by the kernel's
-  Fourier transform (Gauss-Legendre quadrature); the block's amplitudes
-  are the grid's first T columns.
+  A real initial state has real weights a (V^T c(0) has imaginary part
+  0.0), so each point theta_j is spread onto a periodic real grid of
+  N = 4T points by the "exponential of semicircle" kernel phi(z) =
+  exp(beta (sqrt(1 - z^2) - 1)) of width W = 16 grid points, beta = 2.30 W
+  (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  The
+  times are the grid's Fourier modes 0..T-1, within N/4 of mode 0, where
+  the kernel's transform is accurate, so no mode shift is needed.  A
+  state with complex weights (random initial phases) takes two real
+  weight columns, Re a and Im a, and its modes are X_re + i X_im: twice
+  the spreading, grid and FFT of a real state (a production pass of six
+  such states took 2.1-2.6 s and 88 MB more grid, against 1.3-1.4 s for
+  six real ones, on 2 cores).  Eigenvalues are
+  ascending, so the points under a block of G = 16 grid points are one
+  contiguous range of j per 2 pi wrap of E D, cut into pieces of at most
+  _K_PANEL points.  The kernel and the block layout are the same for
+  every column; only the weights differ.  So each (grid block, piece) is
+  one real GEMM per system level: the level's rows of V (a view of the
+  mapping, no gather) times every column's spreading matrix side by side
+  (G columns each).  No product sums over more than one OpenBLAS K-panel,
+  which keeps a column's share of it the bytes of that column's product
+  alone (see _K_PANEL).  That is 2 n^2 (G + W) flops per real state, and
+  all states together read V about twice per run; the spreading matrices
+  hold n (G + W - 1) doubles per column, 13.7 MB for six production
+  states.  Each product is copied into a (columns, 2T, rows) grid as
+  complex pairs of grid points (even points the real parts, odd points
+  the imaginary parts), which one length-2T FFT per row transforms in
+  place; `_real_grid_modes` then unpacks the first T modes and divides
+  them by the kernel's Fourier transform (Gauss-Legendre quadrature).
 
 Threads: both kernels and the observables split their work into shares
 run by `blas.run_shares`, which owns the pass's threads and the split.
 
-Accuracy: with W = 16 and upsampling M/T = 2 the kernel's truncation and
-aliasing errors are ~1e-15 relative to sum_j |V_ij a_j|; the deconvolution
-amplifies them at most ~8-fold at the band edge.  The NUFFT needs E_j D
-only modulo 2 pi, so its phases are no less exact than the direct path's
-E_j t_k, which reach ~7.8e3 rad at production t_max (one ulp ~1e-12).  At
-production size the two paths agree to < 1e-13 in every amplitude.
+Accuracy: with W = 16 and modes within N/4 of mode 0 (upsampling 2 for
+a band of 2T modes) the kernel's truncation and aliasing errors are
+~1e-15 relative to sum_j |V_ij a_j|; the deconvolution amplifies them at
+most ~8-fold at the band edge.  The NUFFT needs E_j D only modulo 2 pi,
+so its phases are no less exact than the direct path's E_j t_k, which
+reach ~7.8e3 rad at production t_max (one ulp ~1e-12).  At production
+size the two paths agree to < 1e-13 in every amplitude.
 """
 
 from __future__ import annotations
@@ -158,19 +167,21 @@ def env_block_size(n_system_levels: int, n_env_states: int) -> int:
     return max(1, math.ceil(n_env_states / (2 * n_system_levels)))
 
 
-def pass_bytes(n_states: int, n_times: int, n_system_levels: int, n_env_states: int) -> int:
-    """Bytes that `propagate_blocks` holds for k states on a uniform grid of T times
-    from 0, with V's n² doubles: the NUFFT's grid of one row block (k 2T rows of
-    `env_block_size` environment states in every system level), or, below
-    NUFFT_MIN_TIMES, the direct product's amplitudes on every row and its phase
-    matrices.  88.5 MB and 0.67 GB at production size, 6 states and T = 600.
+def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
+    """Bytes that `propagate_blocks` holds for k of the config's initial states on a
+    uniform grid of T times from 0, with V's n² doubles: the NUFFT's grid of one row
+    block (2T complex rows of `env_block_size` environment states in every system
+    level, per weight column: one per state, two with random initial phases), or,
+    below NUFFT_MIN_TIMES, the direct product's amplitudes on every row and its
+    phase matrices.  88.5 MB and 0.67 GB at production size, 6 states and T = 600.
     """
-    ns, ne = n_system_levels, n_env_states
+    ns, ne = config.n_system_levels, config.n_env_states
     n = ns * ne
     if n_times < NUFFT_MIN_TIMES:
         values = (n_states + 2) * n_times * n
     else:
-        values = n_states * 2 * n_times * ns * env_block_size(ns, ne)
+        columns = n_states * (2 if config.random_initial_phases else 1)
+        values = columns * 2 * n_times * ns * env_block_size(ns, ne)
     return 16 * values + 8 * n * n
 
 
@@ -263,7 +274,8 @@ def _direct_blocks(v, e, a, times, ns, ranges):
 NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
-_BLOCK = 16  # G: grid columns per spreading GEMM
+_BLOCK = 16  # G: real grid points per spreading GEMM
+_UNPACK_ROWS = 32  # modes per chunk of `_real_grid_modes`' unpacking
 # Points per spreading GEMM: at most one OpenBLAS DGEMM K-panel.  OpenBLAS
 # picks its kernel by a product's size, and a state's columns stacked
 # with other states' make a larger product than its columns alone.  With
@@ -271,8 +283,8 @@ _BLOCK = 16  # G: grid columns per spreading GEMM
 # columns the same bits at every inner dimension K <= 384, and first
 # differ at K = 385 (tested).  So capping K keeps a state's bytes
 # independent of the other states in the pass, with every product
-# stacked.  At production size (seed 1), 5 of the plan's 95 wrap ranges
-# hold more points (386-391) and sum in two pieces.
+# stacked.  At production size (seed 1) a wrap range holds at most 200
+# points, so no product there is cut.
 _K_PANEL = 384
 
 
@@ -302,48 +314,82 @@ def _kernel_transform(freq: np.ndarray) -> np.ndarray:
 
 
 def _spreading_plan(e, weights, step, n_times):
-    """Per block of G grid columns: (lo, hi, [(j0, j1, S)]), one S per piece of a wrap.
+    """Per block of G real grid points: (lo, hi, [(j0, j1, S)]), one S per piece of a wrap.
 
-    The points under the block in each wrap are cut into consecutive
-    pieces j0..j1-1 of at most _K_PANEL points.  S is the spreading
-    matrix of points j0..j1-1 for all k states as a real (j1 - j0,
-    2 k (hi - lo)) matrix, the float64 view of a complex one whose
-    columns are ordered (state, grid column): V[rows, j0:j1] @ S views
-    back as those grid columns' complex share for every state.
+    The grid holds N = 4T real points.  The points under the block in
+    each wrap are cut into consecutive pieces j0..j1-1 of at most
+    _K_PANEL points.  S is the spreading matrix of points j0..j1-1 for
+    all weight columns as a real (j1 - j0, columns (hi - lo)) matrix,
+    ordered (column, grid point): V[rows, j0:j1] @ S is those grid
+    points' share for every column.
     """
-    k = weights.shape[1]
-    m_grid, k0, half = 2 * n_times, n_times // 2, _KERNEL_WIDTH / 2
+    n_grid, half = 4 * n_times, _KERNEL_WIDTH / 2
     # Grid positions of the points, unfolded (ascending) and folded into
-    # [0, M): u = wrap M + pos, with pos = theta M / (2 pi).
-    u = e * (step * m_grid / (2.0 * np.pi))
-    wrap = np.floor(u / m_grid)
-    pos = u - wrap * m_grid
-    weights = weights * np.exp(-2j * np.pi / m_grid * np.mod(pos * k0, m_grid))[:, None]
-    twiddle = np.exp(2j * np.pi / m_grid * np.mod(np.arange(m_grid) * k0, m_grid))
-    # A block's window of G + W - 1 columns is shorter than M (>= 2
+    # [0, N): u = wrap N + pos, with pos = theta N / (2 pi).
+    u = e * (step * n_grid / (2.0 * np.pi))
+    wrap = np.floor(u / n_grid)
+    pos = u - wrap * n_grid
+    # A block's window of G + W - 1 points is shorter than N (>= 4
     # NUFFT_MIN_TIMES), so it can hold point j only shifted by a wrap
     # p in wrap_j - 1 .. wrap_j + 1: the only shifts worth searching,
     # however many empty wraps the points span.
     shifts = np.unique(np.concatenate((wrap - 1.0, wrap, wrap + 1.0)))
     plan = []
-    for lo in range(0, m_grid, _BLOCK):
-        hi = min(lo + _BLOCK, m_grid)
-        # Points within half a kernel of columns lo..hi-1, shifted by p wraps
-        # (u - p M), form one contiguous range of j for each p.
+    for lo in range(0, n_grid, _BLOCK):
+        hi = min(lo + _BLOCK, n_grid)
+        # Points within half a kernel of grid points lo..hi-1, shifted by p
+        # wraps (u - p N), form one contiguous range of j for each p.
         first, last = lo - half, hi - 1 + half
-        starts = np.searchsorted(u, first + shifts * m_grid, "right")
-        ends = np.searchsorted(u, last + shifts * m_grid, "left")
+        starts = np.searchsorted(u, first + shifts * n_grid, "right")
+        ends = np.searchsorted(u, last + shifts * n_grid, "left")
         hit = starts < ends
         terms = []
         for p, start, end in zip(shifts[hit], starts[hit], ends[hit]):
             for j0 in range(start, end, _K_PANEL):
                 j1 = min(j0 + _K_PANEL, end)
-                offset = (np.arange(lo, hi) - m_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
-                spread = (_es_kernel(offset / half)[:, None, :] * weights[j0:j1, :, None]
-                          * twiddle[lo:hi])  # (points, states, columns)
-                terms.append((j0, j1, spread.reshape(j1 - j0, -1).view(np.float64)))
+                offset = (np.arange(lo, hi) - n_grid * (wrap[j0:j1, None] - p)) - pos[j0:j1, None]
+                spread = _es_kernel(offset / half)[:, None, :] * weights[j0:j1, :, None]
+                terms.append((j0, j1, spread.reshape(j1 - j0, -1)))  # (points, columns x G)
         plan.append((lo, hi, terms))
     return plan
+
+
+def _unpack_factors(n_times):
+    """(A, B), each (T, 1): X[k] = A[k] Z[k] + B[k] conj Z[2T - k], k = 0..T-1.
+
+    Z is the length-2T FFT of a real 4T-point grid g packed as
+    z[m] = g[2m] + i g[2m + 1]; X[k] is g's k-th Fourier mode, already
+    divided by the kernel's transform phi_hat(k / 4T):
+    X[k] = (1/2 (Z[k] + conj Z[2T - k]) + 1/2 e^(-2 pi i k / 4T) (Z[k] - conj Z[2T - k]) / i)
+    / phi_hat(k / 4T).
+    """
+    modes = np.arange(n_times)
+    scale = 0.5 / _kernel_transform(modes / (4 * n_times))
+    twiddle = 1j * np.exp(-2j * np.pi / (4 * n_times) * modes)
+    return (scale * (1.0 - twiddle))[:, None], (scale * (1.0 + twiddle))[:, None]
+
+
+def _real_grid_modes(plane, factors):
+    """In place: each column of the (2T, rows) plane packs a real 4T-point grid; leave its
+    first T deconvolved Fourier modes in plane[:T].
+
+    After the plane's FFT, mode k reads row k and its mirror row 2T - k
+    (row 0 for k = 0), which lies beyond T for k >= 1.  So writing mode
+    k over row k destroys nothing that a later mode reads, and each chunk
+    of _UNPACK_ROWS modes needs a temporary of that many rows, not of the
+    plane.
+    """
+    ahead, behind = factors
+    n_times = ahead.shape[0]
+    np.fft.fft(plane, axis=0, out=plane)
+    for k0 in range(0, n_times, _UNPACK_ROWS):
+        k1 = min(k0 + _UNPACK_ROWS, n_times)
+        mirror = plane[-np.arange(k0, k1)]  # rows 2T - k, modulo 2T
+        np.conjugate(mirror, out=mirror)
+        mirror *= behind[k0:k1]
+        modes = plane[k0:k1]
+        modes *= ahead[k0:k1]
+        modes += mirror
 
 
 def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
@@ -352,22 +398,30 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
     k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
     with stage("propagate"):
-        plan = _spreading_plan(e, a, step, n_times)
-        deconvolution = 1.0 / _kernel_transform((np.arange(n_times) - n_times // 2)
-                                                / m_grid)[:, None]
+        # One real weight column per state, and a second, its imaginary
+        # part, for each state whose weights are complex; the second
+        # columns' planes follow every state's first.
+        phased = np.flatnonzero(np.any(a.imag != 0.0, axis=0))
+        second_plane = {s: k + i for i, s in enumerate(phased)}
+        weights = np.hstack((a.real, a.imag[:, phased]))
+        columns = weights.shape[1]
+        plan = _spreading_plan(e, weights, step, n_times)
+        factors = _unpack_factors(n_times)
         tallest = ns * (ranges[0][1] - ranges[0][0])
-        buffer = np.empty(k * m_grid * tallest, dtype=np.complex128)
+        buffer = np.empty(columns * m_grid * tallest, dtype=np.complex128)
 
     def spread(blocks, grid, e0, e1):
-        """One share of the plan's grid blocks for the row block: disjoint grid columns."""
+        """One share of the plan's grid blocks for the row block: disjoint grid points."""
         width = e1 - e0
         # one system level's product and the piece being added to it
-        product, piece = np.empty((2, width, 2 * _BLOCK * k))
+        product, piece = np.empty((2, width, _BLOCK * columns))
         for lo, hi, terms in plan[blocks]:
+            # real points lo..hi-1 are the complex grid values lo/2..hi/2-1
+            span = slice(lo // 2, hi // 2)
             if not terms:
-                grid[:, lo:hi] = 0.0
+                grid[:, span] = 0.0
                 continue
-            cols = 2 * (hi - lo) * k
+            cols = (hi - lo) * columns
             acc, part = product[:, :cols], piece[:, :cols]
             for level in range(ns):
                 rows = slice(level * ne + e0, level * ne + e1)
@@ -376,18 +430,25 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                         np.matmul(v[rows, j0:j1], spreading, out=acc)
                     else:
                         acc += np.matmul(v[rows, j0:j1], spreading, out=part)
-                np.copyto(grid[:, lo:hi, level * width:(level + 1) * width],
-                          acc.view(np.complex128).reshape(width, k, hi - lo).transpose(1, 2, 0))
+                np.copyto(grid[:, span, level * width:(level + 1) * width],
+                          acc.view(np.complex128).reshape(width, columns, -1).transpose(1, 2, 0))
 
     def transform(states, grid):
-        """FFT and deconvolution of one share of the states, each in place."""
+        """One share of the states' modes, each made in place in the state's first plane."""
         for s in range(k)[states]:
-            np.fft.fft(grid[s], axis=0, out=grid[s])
-            grid[s].view(np.float64)[:n_times] *= deconvolution
+            _real_grid_modes(grid[s], factors)
+            if s in second_plane:
+                second = grid[second_plane[s]]
+                _real_grid_modes(second, factors)
+                # X = X_re + i X_im
+                modes, other = grid[s, :n_times], second[:n_times]
+                np.subtract(modes.real, other.imag, out=modes.real)
+                np.add(modes.imag, other.real, out=modes.imag)
 
     for e0, e1 in ranges:
         with stage("propagate"):
-            grid = buffer[:k * m_grid * ns * (e1 - e0)].reshape(k, m_grid, ns * (e1 - e0))
+            grid = buffer[:columns * m_grid * ns * (e1 - e0)].reshape(columns, m_grid,
+                                                                      ns * (e1 - e0))
             run_shares(lambda blocks: spread(blocks, grid, e0, e1), len(plan))
             run_shares(lambda states: transform(states, grid), k)
-        yield _block_rows(ns, ne, e0, e1), grid[:, :n_times]
+        yield _block_rows(ns, ne, e0, e1), grid[:k, :n_times]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quniverse import __version__, cli, model, units
+from quniverse import __version__, cli, dynamics, model, units
 from quniverse.blas import gemm_threads, library, pass_workers
 from quniverse.cache import CACHE_DIR_ENV, CACHE_MAX_MB_ENV
 from quniverse.config import ModelConfig
@@ -23,6 +24,7 @@ from quniverse.observables import (
     MAJORIZATION_TOL,
     NORM_TOL,
     TRACE_TOL,
+    sum_bytes,
 )
 from quniverse.rng import DRAW_CONTRACT_VERSION
 
@@ -742,6 +744,29 @@ def test_run_refuses_a_pass_larger_than_memory_before_building(tmp_path, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+def test_run_sizes_a_random_phase_pass_on_two_columns_per_state(tmp_path, monkeypatch):
+    # a machine between the pass of six real states and that of six
+    # random-phase states, whose complex weights take two grid columns each
+    config = ModelConfig(rng_seed=1)
+    phased = dataclasses.replace(config, random_initial_phases=True)
+    sums = 6 * 600 * sum_bytes(config)
+    real, doubled = (dynamics.pass_bytes(c, 6, 600) + sums for c in (config, phased))
+    assert doubled - real == 6 * 16 * 2 * 600 * 6 * 128  # one more grid per state
+    memory = (real + doubled) // 2
+    monkeypatch.setattr(model, "machine_memory", lambda: (memory, memory))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the universe was built")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
+    with pytest.raises(AssertionError, match="the universe was built"):
+        run_experiment(config, list(range(6)), tmp_path / "real", n_points=600)
+    with pytest.raises(MemoryError, match=rf"^the pass of 6 states over 600 times needs "
+                                          rf"{doubled / 1e6:.0f} MB, more than this machine's"):
+        run_experiment(phased, list(range(6)), tmp_path / "phased", n_points=600)
+    assert not (tmp_path / "phased").exists()
+
+
 def test_cli_run_refuses_a_malformed_states_list(tmp_path, toy_cfg_file, capsys):
     _, cfg_path = toy_cfg_file
     with pytest.raises(SystemExit):
@@ -974,6 +999,67 @@ OUTPUT_SHA256["0.6.0", "Nehalem"] = {
 # recorded numpy's and scipy's; no other byte moved.
 OUTPUT_SHA256.update({("0.6.1", kernel): OUTPUT_SHA256["0.6.0", kernel]
                       for kernel in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")})
+
+
+# 0.7.0 spreads real weights onto a real 4T-point grid, which moved the
+# NUFFT's bytes; the direct kernel's, so the 40-point files and the one-time
+# `sticks_t.csv`, did not move.
+OUTPUT_SHA256["0.7.0", "SkylakeX"] = {
+    120: {
+        "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
+        "sticks_n0.csv": "ba3cc91eb1019304aa58feb2dec6e9edfc8eddd15edb2122811ae3b65b29cd37",
+        "sticks_n1.csv": "a6095e99bd3e958b64f804653eaf2ce020ee2bfba1fa69e5107b65988ddc3424",
+        "sticks_n2.csv": "73888203730721e797b70333af844a89d09cea523606f31acb573f6f6ee9f7c2",
+        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "SkylakeX"][120]["sticks_t.csv"],
+        "summary.json": "83e68c1566f54ec84d1dbb5f0ad12966cd981e368630f8623e0f2366b8bae4ce",
+        "traj_n0.csv": "db62fea5cc2bc259fdd76f9af629d44d1ee0a31b46104c6d574014dbcc53e1e3",
+        "traj_n1.csv": "97ab67ed6efa78bc671f1b54b707d0b4187866ecde6bbe48d562a5977e4f1bf9",
+        "traj_n2.csv": "9e2f33012c2b4489d2d029813adc792675eeb4894f701133a204a21a60752573",
+    },
+    40: OUTPUT_SHA256["0.6.1", "SkylakeX"][40],
+}
+OUTPUT_SHA256["0.7.0", "Haswell"] = {
+    120: {
+        "anomalies.json": "695f62a82fdef27bf024363a70762e5f870ff06690d259fca6862b468195242a",
+        "sticks_n0.csv": "e0c55e598f92dc395ea6aff0f66a8dda9da9eabd089780a2ede327e589625a90",
+        "sticks_n1.csv": "86baee2396d61e98a9c816d85b219c66c21aea4b9e5021a223c2b321944b6891",
+        "sticks_n2.csv": "9dac4f4baa41dbb3f5a4678166e727720b2dc3e61a3ab21b2bb84b25b088cd3a",
+        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Haswell"][120]["sticks_t.csv"],
+        "summary.json": "344cb301aadabe0752fbd12854e3006101980f7cd15eaa8779eff3206e2a825e",
+        "traj_n0.csv": "d1270dfb9572e3096d2d61934adc41ac1823d86c90034f5d8f4089921da9eaed",
+        "traj_n1.csv": "c4cf9293ab756269a3f8a8078c226266571c21c9c1bd6b5f045a6613a997f228",
+        "traj_n2.csv": "eddfd29a2a2e182162472dc3a7393507d766864fa0dc4e1e2df89802f1146cc5",
+    },
+    40: OUTPUT_SHA256["0.6.1", "Haswell"][40],
+}
+OUTPUT_SHA256["0.7.0", "Sandybridge"] = {
+    120: {
+        "anomalies.json": "460c6502c6b37694ca548f770da69cf1bcea96ef62fe6de2da920eb72f265455",
+        "sticks_n0.csv": "095b72f1f48e19063c8067f156117d47019876a1ca6d4fa6579df04b8726a0f1",
+        "sticks_n1.csv": "c5e4f23921a9e93e94673e546905b0337bf35273d87c1a396bc318742acc2985",
+        "sticks_n2.csv": "9b3b58057033aa4562e02b3810ccaaf44d93c356dc658a7408dde63ec2e8a362",
+        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Sandybridge"][120]["sticks_t.csv"],
+        "summary.json": "22b4d3fd339273afb603fcb7ab92546e0e1742bd45e36ead8dfe10d066516013",
+        "traj_n0.csv": "ce3cb90e6e9306968e4d2f58d96c26027bb73913598fb65d5e47e056fdc274bf",
+        "traj_n1.csv": "22d5a13a752b01c6cde9bfac62b40d485d1978b4bca5039782a5567d295c56a9",
+        "traj_n2.csv": "5dd66c988da42a23e334e1cac18472b52de705c20c60aba27dafbf578d9dc2c4",
+    },
+    40: OUTPUT_SHA256["0.6.1", "Sandybridge"][40],
+}
+OUTPUT_SHA256["0.7.0", "Nehalem"] = {
+    120: {
+        "anomalies.json": "4510db53ae8680b1e73bfd8ed96ed7c4687aab45a2e967242c89ab34262dc084",
+        "sticks_n0.csv": "b31d9e87df1e3b72182de848798cd1d541e2de275641e41883365a08c0fb632d",
+        "sticks_n1.csv": "07907d2413d167b7a7ba43d0808779de58001104b62f0c266d1b69171ceb5b91",
+        "sticks_n2.csv": "f4fd49daa05c2d2e05c21ca34da01d601e218f1bc55b9acbc76aef4e0b015865",
+        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Nehalem"][120]["sticks_t.csv"],
+        "summary.json": "649de0020efde8156fdf09d094013180372cca91b1eee5a0c551bf8b0936d798",
+        "traj_n0.csv": "4b860026bffafae53438f10a31ab12d924f9bb6574ff1c67041a5f6d2b9dcd85",
+        "traj_n1.csv": "864e0c63186b2361e0e9be23edcb757628c7befeb3121ce0d775dd79288d1695",
+        "traj_n2.csv": "e6365ce98670ec0697a6f4c79138a8ed4c0084a9286d73bb126ee4f4367a0ed7",
+    },
+    40: OUTPUT_SHA256["0.6.1", "Nehalem"][40],
+}
 
 
 def test_package_metadata_has_this_version():

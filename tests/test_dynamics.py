@@ -288,6 +288,58 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
         np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+def _grid_bytes(amplitudes, ham, times):
+    """Bytes of the buffer that the NUFFT's row blocks are views of."""
+    (_, c), *_ = propagate_blocks(amplitudes, ham, times)
+    return c.base.nbytes
+
+
+@pytest.mark.parametrize("universe", ["toy21", "mid"])
+def test_random_phase_states_take_two_columns_and_match_direct_product(
+        request, monkeypatch, universe):
+    # every state of the pass has complex weights: two real columns each,
+    # so twice the grid of the same states with real weights
+    cfg, ham = (request.getfixturevalue("mid_ham") if universe == "mid" else
+                (request.getfixturevalue("toy21"), request.getfixturevalue("toy21_ham")))
+    phased = dataclasses.replace(cfg, random_initial_phases=True)
+    levels = [n for n in range(cfg.n_system_levels)
+              if 0 <= cfg.total_energy - n < cfg.n_env_levels]
+    times = np.linspace(0.0, 631.0, 201)
+    states = np.array([initial_state(phased, n) for n in levels])
+    real = np.array([initial_state(cfg, n) for n in levels])
+    assert _grid_bytes(states, ham, times) == 2 * _grid_bytes(real, ham, times)
+    fast = propagated(states, ham, times)
+    for n, c, got in zip(levels, states, fast):
+        direct = _direct(monkeypatch, c[None], ham, times)[0]
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12, err_msg=f"n={n}")
+
+
+def test_nufft_state_bytes_independent_of_other_states_with_random_phases(toy21, toy21_ham):
+    # real and complex weights side by side, in several orders: each
+    # state's amplitudes are the bytes of its pass alone
+    phased = dataclasses.replace(toy21, random_initial_phases=True)
+    states = [initial_state(toy21, 0), initial_state(phased, 1), initial_state(phased, 2),
+              random_normalized_state(toy21_ham.dim, 28), initial_state(toy21, 2)]
+    times = np.linspace(0.0, 631.0, NUFFT_MIN_TIMES + 1)
+    alone = [propagated(c[None], toy21_ham, times)[0].tobytes() for c in states]
+    for order in ([1, 0], [2, 1, 3], [4, 3, 2, 1, 0], [0, 2, 4, 1, 3]):
+        together = propagated(np.array([states[i] for i in order]), toy21_ham, times)
+        for i, got in zip(order, together):
+            assert got.tobytes() == alone[i], (order, i)
+
+
+@pytest.mark.parametrize("phases", [False, True], ids=["real", "random_phases"])
+def test_pass_bytes_count_the_nufft_grid(toy21, toy21_ham, phases):
+    cfg = dataclasses.replace(toy21, random_initial_phases=phases)
+    states = [0, 2]
+    for n_times in (NUFFT_MIN_TIMES, 250):
+        amplitudes = np.array([initial_state(cfg, n) for n in states])
+        grid = _grid_bytes(amplitudes, toy21_ham, np.linspace(0.0, 40.0, n_times))
+        assert grid == dynamics.pass_bytes(cfg, len(states), n_times) - 8 * toy21_ham.dim ** 2
+        # one row block: 2 environment states in each of 3 system levels
+        assert grid == (2 if phases else 1) * len(states) * 16 * 2 * n_times * 3 * 2
+
+
 def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
     # 3 workers on 2 states: more workers than states, and than this
     # machine's cores; on the NUFFT grid, on a direct one and at one time
@@ -340,9 +392,29 @@ def test_stacked_products_give_each_state_its_own_bytes(n_rows):
                     inner, k)
 
 
+def test_stacked_products_give_each_weight_column_its_own_bytes():
+    # As above, at the width the pass stacks: a weight column's G = 16
+    # columns of a spreading product, stacked with up to 11 other columns'
+    # (six random-phase states), are the bytes of its product alone.
+    rng, width = np.random.default_rng(16), dynamics._BLOCK
+    v = np.asfortranarray(rng.standard_normal((128 + 37, dynamics._K_PANEL + 9)))
+    for n_rows in (1, 26, 128):
+        for inner in (1, 31, 244, 257, 383, dynamics._K_PANEL):
+            rows = v[5:5 + n_rows, 3:3 + inner]
+            spread = rng.standard_normal((inner, width * 12))
+            with blas.gemm_threads(1):
+                for columns in range(1, 13):
+                    stacked = rows @ spread[:, :width * columns]
+                    for c in range(columns):
+                        cols = slice(width * c, width * (c + 1))
+                        alone = rows @ np.ascontiguousarray(spread[:, cols])
+                        assert stacked[:, cols].tobytes() == alone.tobytes(), (
+                            n_rows, inner, columns, c)
+
+
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
-    # The two byte tests above and the toy21 output pins, rerun in a child
+    # The three byte tests above and the toy21 output pins, rerun in a child
     # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
     # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
     # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
@@ -358,6 +430,7 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_stacked_products_give_each_state_its_own_bytes",
+         f"{__file__}::test_stacked_products_give_each_weight_column_its_own_bytes",
          f"{__file__}::test_nufft_bytes_independent_of_pass_workers",
          f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version"],
         env=env, cwd=src.parent, capture_output=True, text=True)
@@ -366,24 +439,24 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
 
 @pytest.mark.parametrize("t_max_ps", [1.5, 30.0])
 def test_spreading_plan_covers_each_window_in_capped_pieces(mid_ham, t_max_ps):
-    # At 1.5 ps a grid block's window holds up to ~1070 points, so the cut
+    # At 1.5 ps a grid block's window holds up to ~700 points, so the cut
     # at _K_PANEL is exercised; at 30 ps a window's points span many wraps.
     cfg, ham = mid_ham
     e, n_times = ham.eigenvalues, 120
     step = units.ps_to_reduced_time(t_max_ps, cfg.energy_unit_wavenumbers) / (n_times - 1)
-    plan = dynamics._spreading_plan(e, np.ones((e.size, 2), complex), step, n_times)
-    m_grid, half = 2 * n_times, dynamics._KERNEL_WIDTH / 2
-    u = e * (step * m_grid / (2.0 * np.pi))
+    plan = dynamics._spreading_plan(e, np.ones((e.size, 2)), step, n_times)
+    n_grid, half = 4 * n_times, dynamics._KERNEL_WIDTH / 2
+    u = e * (step * n_grid / (2.0 * np.pi))
     largest = 0
     for lo, hi, terms in plan:
         # brute force: point j lies in the window (lo - W/2, hi - 1 + W/2)
         # shifted by the one whole number of grid periods that could hold it
         first, last = lo - half, hi - 1 + half
-        p = np.floor((u - first) / m_grid)
-        inside = np.flatnonzero((u > first + p * m_grid) & (u < last + p * m_grid))
+        p = np.floor((u - first) / n_grid)
+        inside = np.flatnonzero((u > first + p * n_grid) & (u < last + p * n_grid))
         pieces = [np.arange(j0, j1) for j0, j1, _ in terms]
         assert all(piece.size <= dynamics._K_PANEL for piece in pieces)
-        assert all(s.shape == (j1 - j0, 2 * 2 * (hi - lo)) for j0, j1, s in terms)
+        assert all(s.shape == (j1 - j0, 2 * (hi - lo)) for j0, j1, s in terms)
         got = np.sort(np.concatenate(pieces)) if pieces else np.array([], int)
         np.testing.assert_array_equal(got, inside, err_msg=f"grid block {lo}..{hi - 1}")
         largest = max(largest, inside.size)

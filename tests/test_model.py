@@ -104,6 +104,13 @@ def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, message):
         ModelConfig.from_file(path)
 
 
+def test_config_file_out_of_range_value_names_file(tmp_path):
+    path = tmp_path / "model.cfg"
+    path.write_text("polyad_N = 5\nalpha = -1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: alpha must be non-negative')}$"):
+        ModelConfig.from_file(path)
+
+
 def test_config_hash_tracks_content():
     assert ModelConfig().content_hash() != ModelConfig(rng_seed=1).content_hash()
     assert ModelConfig().content_hash() == ModelConfig().content_hash()
