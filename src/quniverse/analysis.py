@@ -48,24 +48,11 @@ def detect_negative_production(times: np.ndarray, rates: np.ndarray) -> list[Dip
     """
     times = np.asarray(times, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    below = rates < 0.0
-    intervals: list[DipInterval] = []
-    i = 0
-    while i < below.size:
-        if below[i]:
-            j = i
-            while j + 1 < below.size and below[j + 1]:
-                j += 1
-            segment = rates[i:j + 1]
-            intervals.append(DipInterval(
-                t_start=float(times[i]),
-                t_end=float(times[j]),
-                min_rate=float(segment.min()),
-            ))
-            i = j + 1
-        else:
-            i += 1
-    return intervals
+    # a dip runs from a False -> True edge of `rates < 0` to the next True -> False one
+    edges = np.flatnonzero(np.diff(rates < 0.0, prepend=False, append=False))
+    return [DipInterval(t_start=float(times[i]), t_end=float(times[j - 1]),
+                        min_rate=float(rates[i:j].min()))
+            for i, j in zip(edges[::2], edges[1::2])]
 
 
 def stick_order(basis: UniverseBasis) -> np.ndarray:

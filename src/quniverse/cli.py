@@ -52,7 +52,8 @@ from .blas import library, pass_workers
 from .cache import write_whole
 from .config import ModelConfig
 from .dynamics import initial_state, pass_bytes, propagate, propagate_blocks
-from .model import assemble_hamiltonian, check_memory, progress, recording, stage, temperature_of
+from .model import (assemble_hamiltonian, build_basis, check_memory, progress, recording,
+                    stage, temperature_of)
 from .observables import sum_bytes, trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
@@ -153,7 +154,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         with stage("build_and_solve"):
             ham = assemble_hamiltonian(config)
 
-        basis = ham.basis
         temp = temperature_of(config)
         unit = config.energy_unit_wavenumbers
         t_max = units.ps_to_reduced_time(t_max_ps, unit)
@@ -161,12 +161,12 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         times = np.linspace(0.0, t_max, n_points)
         late = late_window_slice(n_points)
         shell = config.total_energy
-        in_shell = basis.shell_label == shell
+        in_shell = ham.basis.shell_label == shell
 
         workers = pass_workers()
         progress(f"propagating {len(states)} states over {n_points} times "
                  f"on {workers} worker thread{'s' if workers > 1 else ''}")
-        results = trajectories(propagate_blocks(psi0, ham, times), times, config, basis)
+        results = trajectories(propagate_blocks(psi0, ham, times), times, config)
         with stage("observables"):
             summary_rows = []
             anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
@@ -206,7 +206,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         with stage("write", begin=f"writing trajectories, stick diagrams, summary and "
                                   f"manifest to {out}"):
             (out / "manifest.json").unlink(missing_ok=True)
-            stick_text = _stick_text(basis)
+            stick_text = _stick_text(config)
             for n, result in zip(states, results):
                 with write_whole(out / f"traj_n{n}.csv") as fh:
                     _write_trajectory(fh, config, n, result.columns)
@@ -272,9 +272,10 @@ def _write_trajectory(fh, config, n, traj):
                   for row in rows)
 
 
-def _stick_text(basis) -> tuple[np.ndarray, list[str], list[str]]:
+def _stick_text(config: ModelConfig) -> tuple[np.ndarray, list[str], list[str]]:
     """What every state's sticks CSV shares: the stick order (basis indices) and, per
     stick, the text before its p ("energy,") and after it (",n,m,l,shell" and newline)."""
+    basis = build_basis(config)
     order = stick_order(basis)
     labels = np.column_stack([basis.n, basis.m, basis.l, basis.shell_label])[order]
     return (order, [f"{x!r}," for x in basis.zero_order_energy[order].tolist()],
@@ -382,7 +383,8 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     the trajectory `traj_path`, once the file is checked to belong to it.
 
     Without a manifest there, it raises FileNotFoundError; a damaged
-    manifest (not whole JSON, or without a field this reads) is refused.
+    manifest (not whole JSON, without a field this reads, or with a config
+    that is not one) is refused.
 
     A manifest written by another code version or under another draw
     contract is refused: its run may not be reproducible by this one.
@@ -394,14 +396,18 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     directory.
     """
     manifest_path = traj_path.parent / "manifest.json"
+
+    def damaged(what) -> ValueError:
+        return ValueError(f"{manifest_path} is damaged ({what}); re-run the trajectory "
+                          f"to write it again")
+
     try:
         manifest = json.loads(manifest_path.read_text())
     except FileNotFoundError:
         raise FileNotFoundError(f"{manifest_path} not found; the run's manifest is "
                                 f"needed to rebuild its universe") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path} is damaged ({exc}); re-run the trajectory "
-                         f"to write it again") from None
+        raise damaged(exc) from None
     written = (manifest.get("code_version"), manifest.get("draw_contract"))
     if written != (__version__, DRAW_CONTRACT_VERSION):
         raise ValueError(
@@ -411,9 +417,13 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
         )
     missing = sorted({"config", "seed", "outputs"} - set(manifest))
     if missing:
-        raise ValueError(f"{manifest_path} is damaged (no {', '.join(missing)}); re-run the "
-                         f"trajectory to write it again")
-    config = ModelConfig.from_dict(manifest["config"])
+        raise damaged(f"no {', '.join(missing)}")
+    if not isinstance(manifest["config"], dict):
+        raise damaged("config: not an object")
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise damaged(f"config: {exc}") from None
     name = traj_path.stem
     digits = name.removeprefix("traj_n")
     if not (name.startswith("traj_n") and digits.isascii() and digits.isdigit()):
@@ -438,8 +448,8 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
 def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None):
     """Rebuild the universe from the run manifest and propagate the state to a finite time.
 
-    Returns (config, n, the time in reduced units, the amplitudes then,
-    basis).  The run directory's checks (`_checked_run`) and the time's
+    Returns (config, n, the time in reduced units, the amplitudes then).
+    The run directory's checks (`_checked_run`) and the time's
     (finite, with phases E t within 2**40 rad by the config's bound, as
     `run` asks) come before the Hamiltonian is assembled, so before any
     solve; the phases are checked again on the eigenvalues before the
@@ -454,7 +464,7 @@ def _sticks_from_manifest(traj_path, t_reduced: float | None, t_ps: float | None
     _check_phase(_energy_bound(config), t_reduced, what)
     ham = assemble_hamiltonian(config)
     _check_phase(float(np.abs(ham.eigenvalues).max()), t_reduced, what)
-    return config, n, t_reduced, propagate(psi0, ham, t_reduced), ham.basis
+    return config, n, t_reduced, propagate(psi0, ham, t_reduced)
 
 
 def _state_list(text: str) -> list[int]:
@@ -521,13 +531,12 @@ def main(argv=None) -> int:
     if args.command == "compare":
         report = compare_free_energy(args.traj)
     else:
-        config, n, t, amplitudes, basis = _sticks_from_manifest(args.traj, args.time,
-                                                                args.time_ps)
+        config, n, t, amplitudes = _sticks_from_manifest(args.traj, args.time, args.time_ps)
     with write_whole(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.command == "compare":
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
         else:
-            _write_sticks(fh, config, n, t, amplitudes, _stick_text(basis))
+            _write_sticks(fh, config, n, t, amplitudes, _stick_text(config))
     return 0
 
 

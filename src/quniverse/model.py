@@ -9,7 +9,8 @@ analytic.
 
 Every function here takes the config as its only source of the
 universe: each draws from its own substream of SeededRng(config.rng_seed),
-so no caller can pair a config with another seed's draws.  Only the
+and builds the basis it needs (`build_basis`), so no caller can pair a
+config with another seed's draws or another universe's basis.  Only the
 eigenpairs and the basis reach the dynamics, so H is built only when a
 solve needs it.  A cached eigensystem is checked instead against the
 first CHECK_ROWS rows of H, which the same fill function regenerates
@@ -161,11 +162,10 @@ def build_basis(config: ModelConfig) -> UniverseBasis:
     )
 
 
-def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
-                             n_rows: int | None = None) -> np.ndarray:
+def build_hamiltonian_matrix(config: ModelConfig, n_rows: int | None = None) -> np.ndarray:
     """The first `n_rows` rows of the dense symmetric H = H_S + H_E + H_SE.
 
-    Diagonal: the zero-order energies of the basis.  Off-diagonal: one
+    Diagonal: the zero-order energies of the config's basis.  Off-diagonal: one
     independent Gaussian variate of width alpha*omega_E per strictly
     upper-triangle element, drawn row-major from the coupling stream and
     mirrored to the lower triangle, so symmetry is exact by construction.
@@ -177,6 +177,7 @@ def build_hamiltonian_matrix(config: ModelConfig, basis: UniverseBasis,
     (the stream contract is unconditional) but elements diagonal in the
     system index are zeroed before mirroring.
     """
+    basis = build_basis(config)
     dim = basis.size
     k = dim if n_rows is None else min(int(n_rows), dim)
     sigma = config.alpha * config.omega_E
@@ -502,7 +503,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         progress(f"cache miss: no entry {key[:12]}")
     else:
         with stage("check"):
-            rows = build_hamiltonian_matrix(config, basis, n_rows=CHECK_ROWS)
+            rows = build_hamiltonian_matrix(config, n_rows=CHECK_ROWS)
             residual = eigen_residual(rows, *cached)
         if residual <= _residual_bound(rows):
             progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
@@ -512,7 +513,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
     check_memory(solve_bytes(basis.size), f"the {basis.size} x {basis.size} eigensolve")
     with stage("fill", begin=f"solving the dense {basis.size} x {basis.size} eigenproblem"):
-        h = build_hamiltonian_matrix(config, basis)
+        h = build_hamiltonian_matrix(config)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
     with stage("check"):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import blas, units
 from .config import ModelConfig
-from .model import UniverseBasis, build_system_levels, stage, temperature_of
+from .model import build_basis, build_system_levels, stage, temperature_of
 
 NORM_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
@@ -130,7 +130,7 @@ class Trajectory:
 
 
 def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndarray,
-                 config: ModelConfig, basis: UniverseBasis) -> list[Trajectory]:
+                 config: ModelConfig) -> list[Trajectory]:
     """Every observable at every time of k trajectories, reduced row block by row block.
 
     `blocks` yields `(rows, c)` as `dynamics.propagate_blocks` does: c[s, i, r]
@@ -147,8 +147,8 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     to the module tolerances), S_vN in [0, ln N_S], S_univ in [0, ln N_SE],
     and the majorization bound S_vN <= -sum(rho_nn ln rho_nn).  A failure
     raises ValueError.  Free energies are relative to the first time, and
-    T_fit_K is NaN where no Boltzmann fit exists; the system ladder, k_B T
-    and the energy unit come from `config`, whose basis `basis` is.
+    T_fit_K is NaN where no Boltzmann fit exists; the basis, the system
+    ladder, k_B T and the energy unit come from `config`.
     `health` reports the largest norm error, RDM hermiticity error and RDM
     trace error, the most negative RDM eigenvalue before clipping, and the
     smallest majorization slack -sum(rho_nn ln rho_nn) - S_vN.  Each
@@ -156,6 +156,7 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     "observables"; the blocks are made outside them.
     """
     times = np.asarray(times, dtype=float)
+    basis = build_basis(config)
     ns, n_times = basis.n_system_levels, times.size
     n_shells = ns - 1 + basis.degeneracies.size
     sums = None

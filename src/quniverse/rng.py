@@ -157,19 +157,17 @@ class SeededRng:
         self._position += n
         return self._bitgen.random_raw(n)
 
-    def uniform(self, size: int | None = None):
-        """Uniform variates on the open interval (0, 1)."""
-        n = 1 if size is None else int(size)
-        u = ((self._raw(n) >> _U64_11).astype(np.float64) + 0.5) * _INV_2_53
-        return float(u[0]) if size is None else u
+    def uniform(self, size: int) -> np.ndarray:
+        """`size` uniform variates on the open interval (0, 1)."""
+        return ((self._raw(int(size)) >> _U64_11).astype(np.float64) + 0.5) * _INV_2_53
 
-    def standard_normal(self, size: int | None = None):
-        """Standard normal variates; the kernel follows the word count (module docstring).
+    def standard_normal(self, size: int) -> np.ndarray:
+        """`size` standard normal variates; the kernel follows the word count (module docstring).
 
         Raises ValueError if a variate is infinite (the largest words), so
         that no infinite draw reaches a Hamiltonian.
         """
-        u = self.uniform(1 if size is None else size)
+        u = self.uniform(size)
         if u.size < LARGE_CALL_WORDS:
             x = _ndtri(u)
         else:
@@ -181,10 +179,10 @@ class SeededRng:
             raise ValueError(
                 f"seed {self._seed}, spawn key {self._spawn_key}: word {word} gives an "
                 f"infinite normal variate")
-        return float(x[0]) if size is None else x
+        return x
 
-    def gaussian(self, mean: float, sigma: float, size: int | None = None):
-        """Gaussian variate(s); always advances the stream, even for sigma = 0."""
+    def gaussian(self, mean: float, sigma: float, size: int) -> np.ndarray:
+        """`size` Gaussian variates; always advances the stream, even for sigma = 0."""
         if sigma < 0.0:
             raise ValueError("sigma must be non-negative")
         x = self.standard_normal(size)

@@ -22,16 +22,13 @@ SPEED_OF_LIGHT_CM_PER_S = 2.99792458e10
 COMPAT_TEMPERATURE_KELVIN = 230.41
 
 
-def reduced_time_unit_seconds(energy_unit_wavenumbers: float) -> float:
-    """Duration of one reduced time unit (hbar / energy unit) in seconds."""
+def reduced_time_unit_ps(energy_unit_wavenumbers: float) -> float:
+    """Duration of one reduced time unit (hbar / energy unit) in picoseconds (~0.0475
+    for 111.77 cm^-1)."""
     if energy_unit_wavenumbers <= 0.0:
         raise ValueError("energy unit must be positive")
-    return 1.0 / (2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_S * energy_unit_wavenumbers)
-
-
-def reduced_time_unit_ps(energy_unit_wavenumbers: float) -> float:
-    """Duration of one reduced time unit in picoseconds (~0.0475 for 111.77 cm^-1)."""
-    return reduced_time_unit_seconds(energy_unit_wavenumbers) * 1e12
+    seconds = 1.0 / (2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_S * energy_unit_wavenumbers)
+    return seconds * 1e12
 
 
 def reduced_time_to_ps(t: float, energy_unit_wavenumbers: float) -> float:

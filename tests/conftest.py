@@ -7,7 +7,7 @@ from quniverse.blas import gemm_openblas, library
 from quniverse.cache import CACHE_DIR_ENV, cache_dir
 from quniverse.config import ModelConfig
 from quniverse.dynamics import _block_rows, propagate_blocks
-from quniverse.model import assemble_hamiltonian, build_basis, build_hamiltonian_matrix
+from quniverse.model import assemble_hamiltonian, build_hamiltonian_matrix
 
 
 # The acceptance suite keeps the shared cache on purpose: its
@@ -142,7 +142,7 @@ def random_normalized_state(dim, seed):
 
 def hamiltonian_matrix(config):
     """The full dense H of (config, seed), from the fill that assemble_hamiltonian uses."""
-    return build_hamiltonian_matrix(config, build_basis(config))
+    return build_hamiltonian_matrix(config)
 
 
 def propagated(amplitudes, ham, times):

@@ -102,11 +102,14 @@ def test_single_constructed_dip_recovered():
     assert intervals == [DipInterval(t_start=12.0, t_end=16.0, min_rate=-0.5)]
 
 
-def test_multiple_dips_disjoint_and_ordered():
-    t = np.arange(12.0)
-    rate = np.array([1, -1, -2, 1, 1, -0.5, 1, 1, -3, -1, 1, 1], dtype=float)
-    intervals = detect_negative_production(t, rate)
-    assert [(d.t_start, d.t_end) for d in intervals] == [(1, 2), (5, 5), (8, 9)]
+@pytest.mark.parametrize("rate, spans", [
+    ([1, -1, -2, 1, 1, -0.5, 1, 1, -3, -1, 1, 1], [(1, 2), (5, 5), (8, 9)]),
+    ([-1, -2, 1, 0, -0.5, 1, 1, -3, -1], [(0, 1), (4, 4), (7, 8)]),
+], ids=["inside", "at_both_ends"])
+def test_multiple_dips_disjoint_and_ordered(rate, spans):
+    t = np.arange(float(len(rate)))
+    intervals = detect_negative_production(t, np.array(rate, dtype=float))
+    assert [(d.t_start, d.t_end) for d in intervals] == spans
     assert intervals[0].min_rate == -2.0
     starts = [d.t_start for d in intervals]
     assert starts == sorted(starts)
@@ -116,10 +119,10 @@ def test_multiple_dips_disjoint_and_ordered():
 
 # -- stick diagrams -----------------------------------------------------------------
 
-def _sticks(path, cfg, n, t, amplitudes, basis):
+def _sticks(path, cfg, n, t, amplitudes):
     """The columns of the sticks CSV of `amplitudes` at time t, as the CLI writes it."""
     with open(path, "w", newline="") as fh:
-        _write_sticks(fh, cfg, n, t, amplitudes, _stick_text(basis))
+        _write_sticks(fh, cfg, n, t, amplitudes, _stick_text(cfg))
     table = np.loadtxt(path, delimiter=",", skiprows=2)
     assert path.read_text().splitlines()[1] == "energy,p,n,m,l,shell"
     return dict(zip(("energy", "p", "n", "m", "l", "shell"), table.T))
@@ -128,7 +131,7 @@ def _sticks(path, cfg, n, t, amplitudes, basis):
 def test_sticks_of_initial_state(production_basis, tmp_path):
     cfg, basis = production_basis
     psi = initial_state(cfg, 2)
-    diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, 0.0, psi, basis)
+    diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, 0.0, psi)
     order = stick_order(basis)
     assert diagram["p"].size == basis.size
     assert np.all(np.diff(diagram["energy"]) >= 0)
@@ -148,9 +151,8 @@ def test_sticks_frozen_at_alpha_zero(tmp_path):
     cfg = toy6_config(alpha=0.0)
     ham = assemble_hamiltonian(cfg)
     psi0 = initial_state(cfg, 1)
-    before = _sticks(tmp_path / "before.csv", cfg, 1, 0.0, psi0, ham.basis)
-    after = _sticks(tmp_path / "after.csv", cfg, 1, 25.0, propagate(psi0, ham, 25.0),
-                   ham.basis)
+    before = _sticks(tmp_path / "before.csv", cfg, 1, 0.0, psi0)
+    after = _sticks(tmp_path / "after.csv", cfg, 1, 25.0, propagate(psi0, ham, 25.0))
     np.testing.assert_allclose(after["p"], before["p"], rtol=0, atol=1e-12)
 
 

@@ -63,10 +63,10 @@ def test_hit_never_builds_full_matrix(monkeypatch):
     assert not cold.cache_hit
     fill = model.build_hamiltonian_matrix
 
-    def rows_only(config, basis, n_rows=None):
+    def rows_only(config, n_rows=None):
         if n_rows is None:
             raise AssertionError("a cache hit built the full Hamiltonian")
-        return fill(config, basis, n_rows)
+        return fill(config, n_rows)
 
     monkeypatch.setattr(model, "build_hamiltonian_matrix", rows_only)
     warm = assemble_hamiltonian(cfg)
@@ -427,9 +427,9 @@ def test_key_ignores_package_version(monkeypatch):
 _SOLVE = """
 import sys
 from quniverse.config import ModelConfig
-from quniverse.model import build_basis, build_hamiltonian_matrix, diagonalize
+from quniverse.model import build_hamiltonian_matrix, diagonalize
 cfg = ModelConfig(n_env_levels=3, alpha=0.05)
-w, v = diagonalize(build_hamiltonian_matrix(cfg, build_basis(cfg)))
+w, v = diagonalize(build_hamiltonian_matrix(cfg))
 sys.stdout.buffer.write(w.tobytes() + v.tobytes())
 """
 

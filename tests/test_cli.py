@@ -590,7 +590,8 @@ def test_failed_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, toy_cfg_f
     assert not sticks_out.exists()
 
 
-@pytest.mark.parametrize("damage", ["cut", "no_config"])
+@pytest.mark.parametrize("damage", ["cut", "no_config", "config_not_object",
+                                    "config_wrong_type"])
 @pytest.mark.parametrize("command, when", [("sticks", ["--time", "1.0"]), ("compare", [])],
                          ids=["sticks", "compare"])
 def test_damaged_manifest_refused_naming_it(tmp_path, command, when, damage):
@@ -601,7 +602,12 @@ def test_damaged_manifest_refused_naming_it(tmp_path, command, when, damage):
         manifest.write_bytes(manifest.read_bytes()[:100])
     else:
         record = json.loads(manifest.read_text())
-        del record["config"]
+        if damage == "no_config":
+            del record["config"]
+        elif damage == "config_not_object":
+            record["config"] = None
+        else:
+            record["config"]["alpha"] = str(record["config"]["alpha"])
         manifest.write_text(json.dumps(record))
     report = tmp_path / f"{command}.out"
     with pytest.raises(ValueError, match=f"^{re.escape(str(manifest))} is damaged .*; re-run"):
@@ -868,197 +874,107 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 
 
 # sha256 of every toy21 output but the manifest (which records timings),
-# per package version and per kernel of numpy's OpenBLAS (which runs the
+# for this package version, per kernel of numpy's OpenBLAS (which runs the
 # solve and the GEMMs), which OPENBLAS_CORETYPE can override.  Bump
-# __version__ with every change that moves an output byte, and record the
-# new hashes here under it for every kernel.
+# __version__ with every change that moves an output byte, and re-record
+# these hashes under it for every kernel.
 OUTPUT_SHA256 = {
-    ("0.4.0", "SkylakeX"): {
+    ("0.7.0", "SkylakeX"): {
         120: {
-            "anomalies.json": "ce84f056fb06294ad774a6d19fba70bdb74165a6adedeafe06e21742afe79d66",
-            "sticks_n0.csv": "e82127bcaa71d8b45de6f261ba15056f034b2fe28a83e39fb8b5a61683cfd356",
-            "sticks_n1.csv": "7baa5ac70dcb96916c3ab0de30ee1c6d95ab36561ded2eca6d1accbe95e737bb",
-            "sticks_n2.csv": "b0d0ae6b40e9a553cb694c7d74fdb2efa38dd750ff5a585b4a430bac5c7acb10",
+            "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
+            "sticks_n0.csv": "ba3cc91eb1019304aa58feb2dec6e9edfc8eddd15edb2122811ae3b65b29cd37",
+            "sticks_n1.csv": "a6095e99bd3e958b64f804653eaf2ce020ee2bfba1fa69e5107b65988ddc3424",
+            "sticks_n2.csv": "73888203730721e797b70333af844a89d09cea523606f31acb573f6f6ee9f7c2",
             "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
-            "summary.json": "a02ec027a21c274161c248dd1b55b9af75ab3e0ead73fc6c21877fe5543f791d",
-            "traj_n0.csv": "45264af916bbdfc1e22caac697f0f6008aff43a2faa1d023b6df93294201bef8",
-            "traj_n1.csv": "a6e67fcbcab98db82dd0a0d3315768760f46264effd902246aae2ecb131b628b",
-            "traj_n2.csv": "238ebd2c196cdea9dd5fd24f9b514efa20000c701091c83cd064ca74dec319f0",
+            "summary.json": "83e68c1566f54ec84d1dbb5f0ad12966cd981e368630f8623e0f2366b8bae4ce",
+            "traj_n0.csv": "db62fea5cc2bc259fdd76f9af629d44d1ee0a31b46104c6d574014dbcc53e1e3",
+            "traj_n1.csv": "97ab67ed6efa78bc671f1b54b707d0b4187866ecde6bbe48d562a5977e4f1bf9",
+            "traj_n2.csv": "9e2f33012c2b4489d2d029813adc792675eeb4894f701133a204a21a60752573",
         },
         40: {
-            "anomalies.json": "0d03d9e2dea0dd4e59f46261529154c677b57d9de90440159948df8926acd8c7",
-            "sticks_n0.csv": "071dda29f605c06da035e641cac2fae34febb8e6b87f36366499f6460777cd98",
+            "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
+            "sticks_n0.csv": "14ae3771f0d48a9dc6b9dc5ca86aefd0d1649c75bf642923af2d61e42d536883",
             "sticks_n1.csv": "42e938ee2c939872791b5ff3b377811422cc364f669b520f3e1d28975d1bf225",
-            "sticks_n2.csv": "df21763e030c9f1b60e687a4d586e933eae7e2de1aedae5a7050b59f73c795b3",
+            "sticks_n2.csv": "c4f02d7c116af54c160fc7acae739dbb0eb574b27fff5d0294681259e4567fea",
             "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
-            "summary.json": "ccca516a63daa072dd1c904bfb78e6324c0bb54703799a4804073c2025f728fd",
-            "traj_n0.csv": "4da31329bd3119a2be94488747a598cb094392529c5375ad8e45a12a9df65794",
-            "traj_n1.csv": "fc9a79232a7292d014f2e427a3c9092509ce8807bcadf5d93f75de3b6837c47d",
-            "traj_n2.csv": "e38b2c85c30e8ee63fb876401d415e682a996be76de75e68bd1c231ffa56f740",
+            "summary.json": "948790767d721406e3f1b4ac80298defcecd00d8ba5cef15eb1e198e2ce55ba4",
+            "traj_n0.csv": "51ec25ecc035e9b9cc11cfaae56d4aa7d7363e4b8c87d3abf9c448fdff47f1fe",
+            "traj_n1.csv": "059620e595ea8bb7111f5634c13f59ee8da240dd8456db7af621cbf0c07f02bc",
+            "traj_n2.csv": "1c2439a8a9794bebd422775e5880bda36b5b43129279155b833859658924745e",
         },
     },
-}
-
-
-# A toy21 grid block holds at most 21 points, fewer than dynamics._K_PANEL,
-# so cutting spreading products at a K-panel moved no toy21 byte.
-OUTPUT_SHA256["0.5.0", "SkylakeX"] = OUTPUT_SHA256["0.4.0", "SkylakeX"]
-
-
-# 0.6.0 moved the direct kernel's sums (one product per system level over
-# all eigenvectors) and so the bytes of direct grids; the NUFFT's did not move.
-OUTPUT_SHA256["0.6.0", "SkylakeX"] = {
-    120: OUTPUT_SHA256["0.4.0", "SkylakeX"][120],
-    40: {
-        "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
-        "sticks_n0.csv": "14ae3771f0d48a9dc6b9dc5ca86aefd0d1649c75bf642923af2d61e42d536883",
-        "sticks_n1.csv": "42e938ee2c939872791b5ff3b377811422cc364f669b520f3e1d28975d1bf225",
-        "sticks_n2.csv": "c4f02d7c116af54c160fc7acae739dbb0eb574b27fff5d0294681259e4567fea",
-        "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
-        "summary.json": "948790767d721406e3f1b4ac80298defcecd00d8ba5cef15eb1e198e2ce55ba4",
-        "traj_n0.csv": "51ec25ecc035e9b9cc11cfaae56d4aa7d7363e4b8c87d3abf9c448fdff47f1fe",
-        "traj_n1.csv": "059620e595ea8bb7111f5634c13f59ee8da240dd8456db7af621cbf0c07f02bc",
-        "traj_n2.csv": "1c2439a8a9794bebd422775e5880bda36b5b43129279155b833859658924745e",
+    ("0.7.0", "Haswell"): {
+        120: {
+            "anomalies.json": "695f62a82fdef27bf024363a70762e5f870ff06690d259fca6862b468195242a",
+            "sticks_n0.csv": "e0c55e598f92dc395ea6aff0f66a8dda9da9eabd089780a2ede327e589625a90",
+            "sticks_n1.csv": "86baee2396d61e98a9c816d85b219c66c21aea4b9e5021a223c2b321944b6891",
+            "sticks_n2.csv": "9dac4f4baa41dbb3f5a4678166e727720b2dc3e61a3ab21b2bb84b25b088cd3a",
+            "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
+            "summary.json": "344cb301aadabe0752fbd12854e3006101980f7cd15eaa8779eff3206e2a825e",
+            "traj_n0.csv": "d1270dfb9572e3096d2d61934adc41ac1823d86c90034f5d8f4089921da9eaed",
+            "traj_n1.csv": "c4cf9293ab756269a3f8a8078c226266571c21c9c1bd6b5f045a6613a997f228",
+            "traj_n2.csv": "eddfd29a2a2e182162472dc3a7393507d766864fa0dc4e1e2df89802f1146cc5",
+        },
+        40: {
+            "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
+            "sticks_n0.csv": "bd680c4e46b6eca3671e97fb1894af0938fa7a3461287fad6c3c6b55dae63c75",
+            "sticks_n1.csv": "e0bae20f722791173379e751f5ff367a843505bde1dc5bfa9f17b2a7fd071424",
+            "sticks_n2.csv": "127fff8855c09bc2709026899589329dbb81ca867c707c547bded8176255e9f2",
+            "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
+            "summary.json": "75025fdf6bbccff7beadbe247f5db78044c92bb44cac5791f5a4b1e9052c9234",
+            "traj_n0.csv": "e5211a16fa76e632158dee40b97473d305ef43b96c9b6942f50dffb541a1c3f3",
+            "traj_n1.csv": "15c105b50b8c8c5be2019584d1bd4d8f9b152a921afa225cb55baad66e87b770",
+            "traj_n2.csv": "5fca8a90402c7e3bd1362f468a5e7021cb702c1fc5852a8acdbcc0c5f374b6ba",
+        },
     },
-}
-OUTPUT_SHA256["0.6.0", "Haswell"] = {
-    120: {
-        "anomalies.json": "10ce8a4b8994614d2a21c270fc71ed2290dac911f334426d180ccaf0ea66923f",
-        "sticks_n0.csv": "0ae746ba866a5dee3c7d26f46f93005fc51a569c8a7f862e191de9b89a21b26e",
-        "sticks_n1.csv": "a45edbf29e60d68e3383f4197dd895c86286754b5ba13c040a861d6fbb8ae54a",
-        "sticks_n2.csv": "933a21a5a2d1f23b3f7c5ac08e0863a2e07211fef9ff1ffc49314f9561221f1a",
-        "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
-        "summary.json": "cbab20c0cd94395b159379d54bbb20fcce399685579d3a9bcbd50b8d6058f9e1",
-        "traj_n0.csv": "99ae255731d7d1f47c340f1e3e06b67b1fa30d1f2555e54bce8852d54b1e6f89",
-        "traj_n1.csv": "9f694dce734015e0100389842a8fcfa9cb3bb66905f8eac3c37922561674d8aa",
-        "traj_n2.csv": "89f7524d69a6ad532b4d32671c90533efdde6453a2055a06922c2c62f13b3abb",
+    ("0.7.0", "Sandybridge"): {
+        120: {
+            "anomalies.json": "460c6502c6b37694ca548f770da69cf1bcea96ef62fe6de2da920eb72f265455",
+            "sticks_n0.csv": "095b72f1f48e19063c8067f156117d47019876a1ca6d4fa6579df04b8726a0f1",
+            "sticks_n1.csv": "c5e4f23921a9e93e94673e546905b0337bf35273d87c1a396bc318742acc2985",
+            "sticks_n2.csv": "9b3b58057033aa4562e02b3810ccaaf44d93c356dc658a7408dde63ec2e8a362",
+            "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
+            "summary.json": "22b4d3fd339273afb603fcb7ab92546e0e1742bd45e36ead8dfe10d066516013",
+            "traj_n0.csv": "ce3cb90e6e9306968e4d2f58d96c26027bb73913598fb65d5e47e056fdc274bf",
+            "traj_n1.csv": "22d5a13a752b01c6cde9bfac62b40d485d1978b4bca5039782a5567d295c56a9",
+            "traj_n2.csv": "5dd66c988da42a23e334e1cac18472b52de705c20c60aba27dafbf578d9dc2c4",
+        },
+        40: {
+            "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
+            "sticks_n0.csv": "e171e98a83df0e226eba6b022adbf9be6da0385fa1db72949a5cfe646367a6dc",
+            "sticks_n1.csv": "252d8f2fbdc30d59025a8ef99daaf9b31c8b933053b57dfbb2be4684cefc442c",
+            "sticks_n2.csv": "7c1e8a871fe6f48a4796280f8287176229ffbe731a47d9fd18f8038054116f3d",
+            "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
+            "summary.json": "da8fc2865f2275dfc354af2589f51dc98d339608540a40d7b7af6e591b92e7fe",
+            "traj_n0.csv": "eeea3417538c67a2cad62886a1695aa077f64ecff49d49444d8f688d5407fe7e",
+            "traj_n1.csv": "0d0ad4da9c86aa19ac2a42477fab91c91a1bf57f1749f5e5dfa9de8c27e50e2f",
+            "traj_n2.csv": "dac0e3303cd51bf6385f9d4caa0a0c552da2cda9b5432aef6ec14dafcdd13787",
+        },
     },
-    40: {
-        "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
-        "sticks_n0.csv": "bd680c4e46b6eca3671e97fb1894af0938fa7a3461287fad6c3c6b55dae63c75",
-        "sticks_n1.csv": "e0bae20f722791173379e751f5ff367a843505bde1dc5bfa9f17b2a7fd071424",
-        "sticks_n2.csv": "127fff8855c09bc2709026899589329dbb81ca867c707c547bded8176255e9f2",
-        "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
-        "summary.json": "75025fdf6bbccff7beadbe247f5db78044c92bb44cac5791f5a4b1e9052c9234",
-        "traj_n0.csv": "e5211a16fa76e632158dee40b97473d305ef43b96c9b6942f50dffb541a1c3f3",
-        "traj_n1.csv": "15c105b50b8c8c5be2019584d1bd4d8f9b152a921afa225cb55baad66e87b770",
-        "traj_n2.csv": "5fca8a90402c7e3bd1362f468a5e7021cb702c1fc5852a8acdbcc0c5f374b6ba",
+    ("0.7.0", "Nehalem"): {
+        120: {
+            "anomalies.json": "4510db53ae8680b1e73bfd8ed96ed7c4687aab45a2e967242c89ab34262dc084",
+            "sticks_n0.csv": "b31d9e87df1e3b72182de848798cd1d541e2de275641e41883365a08c0fb632d",
+            "sticks_n1.csv": "07907d2413d167b7a7ba43d0808779de58001104b62f0c266d1b69171ceb5b91",
+            "sticks_n2.csv": "f4fd49daa05c2d2e05c21ca34da01d601e218f1bc55b9acbc76aef4e0b015865",
+            "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
+            "summary.json": "649de0020efde8156fdf09d094013180372cca91b1eee5a0c551bf8b0936d798",
+            "traj_n0.csv": "4b860026bffafae53438f10a31ab12d924f9bb6574ff1c67041a5f6d2b9dcd85",
+            "traj_n1.csv": "864e0c63186b2361e0e9be23edcb757628c7befeb3121ce0d775dd79288d1695",
+            "traj_n2.csv": "e6365ce98670ec0697a6f4c79138a8ed4c0084a9286d73bb126ee4f4367a0ed7",
+        },
+        40: {
+            "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
+            "sticks_n0.csv": "7e89431114be6f6ff1355771f01fae0a9837dd877bec4980ae2c0f859a8327da",
+            "sticks_n1.csv": "424c5e19c549a95f9276e78ee32c9b57cb98b7ff855dbf27cd093d8889acfba6",
+            "sticks_n2.csv": "d578a1535f8d9b7e04e8fd819952d29ee4a2168a48be0a838b1b2631b61106ad",
+            "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
+            "summary.json": "32ab42aac328880b594aeb9bcde1eff92ae6c2d810152176db14a48db21a543e",
+            "traj_n0.csv": "fc5a273c21d4b4bbcbdb8c07a00dbd2edfa997d37283b9382812ba2b43c8d372",
+            "traj_n1.csv": "7140287a6e2600c2dc59841fa84f2fca3b65a43a53c98935e064885f5e6fcd9f",
+            "traj_n2.csv": "3374efd86af70876b81d1d3ad53f51f2fa91bbb82c7a74c833b48e4638492cfb",
+        },
     },
-}
-OUTPUT_SHA256["0.6.0", "Sandybridge"] = {
-    120: {
-        "anomalies.json": "77f7321032001ac91fe06b6c32ed2ab1e3a2ff5b3ae3fe100208c50016fb69a3",
-        "sticks_n0.csv": "7768f4d364a7381dd3a78f557a0355d0f881c7722bf76f973c36a00143ea8815",
-        "sticks_n1.csv": "41e31adaf234a59aa5f22359337b8dbb62263b0449c33fe149f946e7bf5db132",
-        "sticks_n2.csv": "f79a95bf5720eb3b95b9be65147d1e4447382683cdea6ac170c7fb32335d6fab",
-        "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
-        "summary.json": "da89d74c97e2a293135513fb9388c376cded96b5249bdd90014583ddb9399fc8",
-        "traj_n0.csv": "e237773446824c45874f832d9954528b2583a458eae9ce276f95cc027c765144",
-        "traj_n1.csv": "cab88c6cf23d052074e157d119ecb325e6c4858484a32212f508eb6c660370f1",
-        "traj_n2.csv": "2f0c619a2934a1c16b02e7304b8a8931bb7ce23daef860b2db069ef727498707",
-    },
-    40: {
-        "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
-        "sticks_n0.csv": "e171e98a83df0e226eba6b022adbf9be6da0385fa1db72949a5cfe646367a6dc",
-        "sticks_n1.csv": "252d8f2fbdc30d59025a8ef99daaf9b31c8b933053b57dfbb2be4684cefc442c",
-        "sticks_n2.csv": "7c1e8a871fe6f48a4796280f8287176229ffbe731a47d9fd18f8038054116f3d",
-        "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
-        "summary.json": "da8fc2865f2275dfc354af2589f51dc98d339608540a40d7b7af6e591b92e7fe",
-        "traj_n0.csv": "eeea3417538c67a2cad62886a1695aa077f64ecff49d49444d8f688d5407fe7e",
-        "traj_n1.csv": "0d0ad4da9c86aa19ac2a42477fab91c91a1bf57f1749f5e5dfa9de8c27e50e2f",
-        "traj_n2.csv": "dac0e3303cd51bf6385f9d4caa0a0c552da2cda9b5432aef6ec14dafcdd13787",
-    },
-}
-OUTPUT_SHA256["0.6.0", "Nehalem"] = {
-    120: {
-        "anomalies.json": "a131157ff73a701bc7fc8f0f34e7eabc37f76f3d4a200de7fd1a6aa43c1072ee",
-        "sticks_n0.csv": "e71fbc437b2c52e1de37cd28e3e8aaf4f17e9bd8f06b9618acba6224aa76aaab",
-        "sticks_n1.csv": "ab23bf281a0407b9a003ca1d96e5ce9c0180ffb1667a341ee8df82d1a6f250a5",
-        "sticks_n2.csv": "4d7edd4ba4758b66e6de110e83aee96d62d732ccae0e85e569b5b0381e5dd4ac",
-        "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
-        "summary.json": "51df44cb6006c9a01f08a3154a9c7da74914c885ac1573d8f6e39fd91a7873db",
-        "traj_n0.csv": "d936e48c1ddf39b812fff110b23489777d65cff3757a4987aec3def11bcc1443",
-        "traj_n1.csv": "efaa619ac50abe53a3420caea1be2f77babfb7081ae59c3ef0a7a0475c757fe9",
-        "traj_n2.csv": "a7ba3b92e07d3401d854f712c50a6b7edf6a087bb9d16494f363aae8da38fc9e",
-    },
-    40: {
-        "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
-        "sticks_n0.csv": "7e89431114be6f6ff1355771f01fae0a9837dd877bec4980ae2c0f859a8327da",
-        "sticks_n1.csv": "424c5e19c549a95f9276e78ee32c9b57cb98b7ff855dbf27cd093d8889acfba6",
-        "sticks_n2.csv": "d578a1535f8d9b7e04e8fd819952d29ee4a2168a48be0a838b1b2631b61106ad",
-        "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
-        "summary.json": "32ab42aac328880b594aeb9bcde1eff92ae6c2d810152176db14a48db21a543e",
-        "traj_n0.csv": "fc5a273c21d4b4bbcbdb8c07a00dbd2edfa997d37283b9382812ba2b43c8d372",
-        "traj_n1.csv": "7140287a6e2600c2dc59841fa84f2fca3b65a43a53c98935e064885f5e6fcd9f",
-        "traj_n2.csv": "3374efd86af70876b81d1d3ad53f51f2fa91bbb82c7a74c833b48e4638492cfb",
-    },
-}
-
-
-# 0.6.1 records one library in the manifest's `cache` section, where 0.6.0
-# recorded numpy's and scipy's; no other byte moved.
-OUTPUT_SHA256.update({("0.6.1", kernel): OUTPUT_SHA256["0.6.0", kernel]
-                      for kernel in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")})
-
-
-# 0.7.0 spreads real weights onto a real 4T-point grid, which moved the
-# NUFFT's bytes; the direct kernel's, so the 40-point files and the one-time
-# `sticks_t.csv`, did not move.
-OUTPUT_SHA256["0.7.0", "SkylakeX"] = {
-    120: {
-        "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
-        "sticks_n0.csv": "ba3cc91eb1019304aa58feb2dec6e9edfc8eddd15edb2122811ae3b65b29cd37",
-        "sticks_n1.csv": "a6095e99bd3e958b64f804653eaf2ce020ee2bfba1fa69e5107b65988ddc3424",
-        "sticks_n2.csv": "73888203730721e797b70333af844a89d09cea523606f31acb573f6f6ee9f7c2",
-        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "SkylakeX"][120]["sticks_t.csv"],
-        "summary.json": "83e68c1566f54ec84d1dbb5f0ad12966cd981e368630f8623e0f2366b8bae4ce",
-        "traj_n0.csv": "db62fea5cc2bc259fdd76f9af629d44d1ee0a31b46104c6d574014dbcc53e1e3",
-        "traj_n1.csv": "97ab67ed6efa78bc671f1b54b707d0b4187866ecde6bbe48d562a5977e4f1bf9",
-        "traj_n2.csv": "9e2f33012c2b4489d2d029813adc792675eeb4894f701133a204a21a60752573",
-    },
-    40: OUTPUT_SHA256["0.6.1", "SkylakeX"][40],
-}
-OUTPUT_SHA256["0.7.0", "Haswell"] = {
-    120: {
-        "anomalies.json": "695f62a82fdef27bf024363a70762e5f870ff06690d259fca6862b468195242a",
-        "sticks_n0.csv": "e0c55e598f92dc395ea6aff0f66a8dda9da9eabd089780a2ede327e589625a90",
-        "sticks_n1.csv": "86baee2396d61e98a9c816d85b219c66c21aea4b9e5021a223c2b321944b6891",
-        "sticks_n2.csv": "9dac4f4baa41dbb3f5a4678166e727720b2dc3e61a3ab21b2bb84b25b088cd3a",
-        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Haswell"][120]["sticks_t.csv"],
-        "summary.json": "344cb301aadabe0752fbd12854e3006101980f7cd15eaa8779eff3206e2a825e",
-        "traj_n0.csv": "d1270dfb9572e3096d2d61934adc41ac1823d86c90034f5d8f4089921da9eaed",
-        "traj_n1.csv": "c4cf9293ab756269a3f8a8078c226266571c21c9c1bd6b5f045a6613a997f228",
-        "traj_n2.csv": "eddfd29a2a2e182162472dc3a7393507d766864fa0dc4e1e2df89802f1146cc5",
-    },
-    40: OUTPUT_SHA256["0.6.1", "Haswell"][40],
-}
-OUTPUT_SHA256["0.7.0", "Sandybridge"] = {
-    120: {
-        "anomalies.json": "460c6502c6b37694ca548f770da69cf1bcea96ef62fe6de2da920eb72f265455",
-        "sticks_n0.csv": "095b72f1f48e19063c8067f156117d47019876a1ca6d4fa6579df04b8726a0f1",
-        "sticks_n1.csv": "c5e4f23921a9e93e94673e546905b0337bf35273d87c1a396bc318742acc2985",
-        "sticks_n2.csv": "9b3b58057033aa4562e02b3810ccaaf44d93c356dc658a7408dde63ec2e8a362",
-        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Sandybridge"][120]["sticks_t.csv"],
-        "summary.json": "22b4d3fd339273afb603fcb7ab92546e0e1742bd45e36ead8dfe10d066516013",
-        "traj_n0.csv": "ce3cb90e6e9306968e4d2f58d96c26027bb73913598fb65d5e47e056fdc274bf",
-        "traj_n1.csv": "22d5a13a752b01c6cde9bfac62b40d485d1978b4bca5039782a5567d295c56a9",
-        "traj_n2.csv": "5dd66c988da42a23e334e1cac18472b52de705c20c60aba27dafbf578d9dc2c4",
-    },
-    40: OUTPUT_SHA256["0.6.1", "Sandybridge"][40],
-}
-OUTPUT_SHA256["0.7.0", "Nehalem"] = {
-    120: {
-        "anomalies.json": "4510db53ae8680b1e73bfd8ed96ed7c4687aab45a2e967242c89ab34262dc084",
-        "sticks_n0.csv": "b31d9e87df1e3b72182de848798cd1d541e2de275641e41883365a08c0fb632d",
-        "sticks_n1.csv": "07907d2413d167b7a7ba43d0808779de58001104b62f0c266d1b69171ceb5b91",
-        "sticks_n2.csv": "f4fd49daa05c2d2e05c21ca34da01d601e218f1bc55b9acbc76aef4e0b015865",
-        "sticks_t.csv": OUTPUT_SHA256["0.6.1", "Nehalem"][120]["sticks_t.csv"],
-        "summary.json": "649de0020efde8156fdf09d094013180372cca91b1eee5a0c551bf8b0936d798",
-        "traj_n0.csv": "4b860026bffafae53438f10a31ab12d924f9bb6574ff1c67041a5f6d2b9dcd85",
-        "traj_n1.csv": "864e0c63186b2361e0e9be23edcb757628c7befeb3121ce0d775dd79288d1695",
-        "traj_n2.csv": "e6365ce98670ec0697a6f4c79138a8ed4c0084a9286d73bb126ee4f4367a0ed7",
-    },
-    40: OUTPUT_SHA256["0.6.1", "Nehalem"][40],
 }
 
 
@@ -1084,6 +1000,8 @@ def test_outputs_pinned_for_this_version(tmp_path, n_points):
     assert key in OUTPUT_SHA256, (
         f"no output hashes recorded for version {key[0]} with numpy's OpenBLAS kernel "
         f"{key[1]}; add OUTPUT_SHA256[{key!r}] with {n_points}: {got!r}")
+    assert {version for version, _ in OUTPUT_SHA256} == {__version__}, (
+        "OUTPUT_SHA256 holds this version's hashes only: re-record them for every kernel")
     assert got == OUTPUT_SHA256[key][n_points]
 
 

@@ -8,7 +8,8 @@ written by one function, `cache.write_whole`.  One BLAS library serves
 the process, and only `blas` knows it: no module imports `scipy.linalg`,
 no other module imports `ctypes`, every LAPACK routine that the solve
 calls is in numpy's bundled OpenBLAS, and without that library the
-package refuses to run.
+package refuses to run.  A universe is built from its config alone: no
+function takes a config beside a basis, an environment table or an rng.
 """
 
 import ast
@@ -179,3 +180,35 @@ def test_without_numpy_bundled_openblas_the_package_refuses(tmp_path, monkeypatc
     monkeypatch.setattr(blas.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
     with pytest.raises(RuntimeError, match="OpenBLAS that numpy's PyPI wheel bundles"):
         blas.gemm_openblas.__wrapped__()
+
+
+# What a universe is built from, by parameter name or annotation.
+BUILT_FROM = {"config": "ModelConfig", "basis": "UniverseBasis", "env": "EnvironmentLevels",
+              "rng": "SeededRng"}
+
+
+def _takes_config_and_what_it_builds(tree: ast.AST) -> list[str]:
+    """The functions in `tree` that take a config beside a basis, an environment or an rng."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        kinds = set()
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs):
+            annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+            kinds |= {kind for kind, cls in BUILT_FROM.items()
+                      if arg.arg == kind or re.search(rf"\b{cls}\b", annotation)}
+        if "config" in kinds and kinds - {"config"}:
+            found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_no_function_takes_a_basis_beside_its_config():
+    """Every function that needs a basis, an environment table or an rng of a universe builds
+    it from the config (`model.build_basis`, `model.build_environment`,
+    `SeededRng(config.rng_seed)`), so none can be paired with another universe's."""
+    sample = "def f(config, basis): pass\ndef g(c: ModelConfig, r: SeededRng | None): pass\n"
+    assert _takes_config_and_what_it_builds(ast.parse(sample)) == ["f:1", "g:2"]
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _takes_config_and_what_it_builds(ast.parse(path.read_text(), str(path)))]
+    assert found == []

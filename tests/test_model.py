@@ -283,7 +283,7 @@ def test_eigen_residual_has_the_same_bytes_on_any_blas_thread_count(mid_ham):
     # on two, R's last bits moved (1.7347e-15 against 1.7365e-15 on the
     # production entry of seed 1), and the idle worker spun into the pass
     cfg, ham = mid_ham
-    rows = build_hamiltonian_matrix(cfg, ham.basis, n_rows=CHECK_ROWS)
+    rows = build_hamiltonian_matrix(cfg, n_rows=CHECK_ROWS)
     found = []
     for threads in (1, 2):
         with gemm_threads(threads):
@@ -312,8 +312,8 @@ def test_system_changing_only_scope():
 def test_leading_rows_match_full_matrix(scope, k):
     cfg = toy21_config(coupling_scope=scope)
     basis = build_basis(cfg)
-    full = build_hamiltonian_matrix(cfg, basis)
-    rows = build_hamiltonian_matrix(cfg, basis, n_rows=k)
+    full = build_hamiltonian_matrix(cfg)
+    rows = build_hamiltonian_matrix(cfg, n_rows=k)
     assert rows.shape == (min(k, basis.size), basis.size)
     assert np.array_equal(rows, full[:k])
 
@@ -321,7 +321,7 @@ def test_leading_rows_match_full_matrix(scope, k):
 def test_coupling_width_statistics():
     cfg = toy21_config(alpha=0.25, rng_seed=5)
     basis = build_basis(cfg)
-    h = build_hamiltonian_matrix(cfg, basis)
+    h = build_hamiltonian_matrix(cfg)
     iu = np.triu_indices(basis.size, 1)
     draws = h[iu]
     sigma = 0.25 * cfg.omega_E

@@ -247,7 +247,7 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
 def _trajectories(cfg, ham, states, times):
     """Every state of `states` in one pass; (initial states, their Trajectory records)."""
     psi0 = np.array([initial_state(cfg, n) for n in states])
-    return psi0, trajectories(propagate_blocks(psi0, ham, times), times, cfg, ham.basis)
+    return psi0, trajectories(propagate_blocks(psi0, ham, times), times, cfg)
 
 
 def _trajectory(cfg, ham, n, times):
@@ -351,17 +351,17 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     times = np.linspace(0.0, 8.0, 5)
     psi0 = np.array([initial_state(toy21, n) for n in (0, 1)])
     amps = propagated(psi0, toy21_ham, times)
-    trajectories(as_blocks(amps, basis, 3), times, toy21, basis)
+    trajectories(as_blocks(amps, basis, 3), times, toy21)
     bad = amps.copy()
     bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
-        trajectories(as_blocks(bad, basis, 3), times, toy21, basis)
+        trajectories(as_blocks(bad, basis, 3), times, toy21)
 
 
 # -- the pass's worker threads ------------------------------------------------------
 
 def _pass(cfg, ham, psi0, times):
-    return trajectories(propagate_blocks(psi0, ham, times), times, cfg, ham.basis)
+    return trajectories(propagate_blocks(psi0, ham, times), times, cfg)
 
 
 @pytest.mark.parametrize("states", [[0], [0, 3], "valid"], ids=["0", "0,3-random-phases", "all"])

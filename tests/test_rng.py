@@ -36,7 +36,7 @@ def test_different_seeds_differ():
 
 def test_sigma_zero_returns_mean_exactly_and_advances():
     rng = SeededRng(3).split(0)
-    assert rng.gaussian(2.5, 0.0) == 2.5
+    assert rng.gaussian(2.5, 0.0, size=1).tolist() == [2.5]
     assert rng.position == 1
     xs = rng.gaussian(-1.0, 0.0, size=10)
     assert np.all(xs == -1.0)
@@ -45,7 +45,7 @@ def test_sigma_zero_returns_mean_exactly_and_advances():
 
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        SeededRng(0).gaussian(0.0, -1e-9)
+        SeededRng(0).gaussian(0.0, -1e-9, size=1)
 
 
 def test_seed_range_validated():
@@ -66,8 +66,8 @@ def test_vectorized_draws_match_scalar_draws():
     # one variate consumes one word, so chunking cannot change the sequence
     vec = SeededRng(5).split(1).standard_normal(10)
     rng = SeededRng(5).split(1)
-    scalars = [rng.standard_normal() for _ in range(10)]
-    np.testing.assert_array_equal(vec, scalars)
+    words = np.concatenate([rng.standard_normal(size=1) for _ in range(10)])
+    np.testing.assert_array_equal(vec, words)
 
 
 def test_substreams_independent():
