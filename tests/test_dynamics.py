@@ -363,38 +363,66 @@ def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
 
 
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
-def test_stacked_products_give_each_weight_column_its_own_bytes(n_rows):
-    # The properties the NUFFT's stacked spreading products rest on.  On
-    # one OpenBLAS thread (`gemm_threads(1)`, as in the pass), with at
-    # most _K_PANEL points, a weight column's G = 16 columns of a spreading
-    # product, stacked with up to 11 other columns' (six random-phase
-    # states), are the bytes of its product alone.  And those bytes do not
-    # depend on the thread count numpy's OpenBLAS had before the pass
-    # pinned it.  The rows are an F-ordered slice of a taller matrix, like
-    # the views of V.
-    rng, width = np.random.default_rng(n_rows), dynamics._BLOCK
+def test_stacked_products_give_each_state_its_own_bytes(n_rows):
+    # The properties the NUFFT's stacked spreading products rest on, in the
+    # pass's column layout: each state's G = 16 columns of a spreading
+    # product, then, after every state's, another G for each state whose
+    # weights are complex (here the odd ones of six).  On one OpenBLAS
+    # thread (`gemm_threads(1)`, as in the pass), with at most _K_PANEL
+    # points, a state's columns in the stack of the first k states are the
+    # bytes of its columns stacked alone.  And those bytes do not depend on
+    # the thread count numpy's OpenBLAS had before the pass pinned it.  The
+    # rows are an F-ordered slice of a taller matrix, like the views of V.
+    rng, width, phased = np.random.default_rng(n_rows), dynamics._BLOCK, (1, 3, 5)
     v = np.asfortranarray(rng.standard_normal((n_rows + 37, dynamics._K_PANEL + 9)))
+
+    def layout(states):
+        """The (state, plane) of each G columns, in the pass's order."""
+        return [(s, 0) for s in states] + [(s, 1) for s in states if s in phased]
+
+    everyone = layout(range(6))
     for inner in (1, 31, 32, 244, 245, 257, 300, 383, dynamics._K_PANEL):
         rows = v[5:5 + n_rows, 3:3 + inner]
-        spread = rng.standard_normal((inner, width * 12))
+        spread = dict(zip(everyone, np.split(
+            rng.standard_normal((inner, width * len(everyone))), len(everyone), axis=1)))
+        stacks = [layout(range(k)) for k in range(1, 7)] + [layout([s]) for s in range(6)]
         products = []
         for threads in (1, 2):
             with blas.gemm_threads(threads), blas.gemm_threads(1):
-                products.append(
-                    [rows @ spread[:, :width * columns] for columns in range(1, 13)]
-                    + [rows @ np.ascontiguousarray(spread[:, width * c:width * (c + 1)])
-                       for c in range(12)])
-        stacked, alone = products[0][:12], products[0][12:]
-        for columns, product in enumerate(stacked, start=1):
-            for c in range(columns):
-                assert product[:, width * c:width * (c + 1)].tobytes() == alone[c].tobytes(), (
-                    inner, columns, c)
+                products.append([rows @ np.hstack([spread[c] for c in stack]) for stack in stacks])
+        columns = [dict(zip(stack, np.split(product, len(stack), axis=1)))
+                   for stack, product in zip(stacks, products[0])]
+        stacked, alone = columns[:6], columns[6:]
+        for k, got in enumerate(stacked, start=1):
+            for s in range(k):
+                for plane, own in alone[s].items():
+                    assert got[plane].tobytes() == own.tobytes(), (inner, k, plane)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*products)), inner
+
+
+def test_stacked_products_give_each_weight_column_its_own_bytes():
+    # As above, one weight column at a time: a weight column's G = 16
+    # columns of a spreading product, stacked with up to 11 other columns'
+    # (six random-phase states), are the bytes of its product alone.
+    rng, width = np.random.default_rng(16), dynamics._BLOCK
+    v = np.asfortranarray(rng.standard_normal((128 + 37, dynamics._K_PANEL + 9)))
+    for n_rows in (1, 26, 128):
+        for inner in (1, 31, 244, 257, 383, dynamics._K_PANEL):
+            rows = v[5:5 + n_rows, 3:3 + inner]
+            spread = rng.standard_normal((inner, width * 12))
+            with blas.gemm_threads(1):
+                for columns in range(1, 13):
+                    stacked = rows @ spread[:, :width * columns]
+                    for c in range(columns):
+                        cols = slice(width * c, width * (c + 1))
+                        alone = rows @ np.ascontiguousarray(spread[:, cols])
+                        assert stacked[:, cols].tobytes() == alone.tobytes(), (
+                            n_rows, inner, columns, c)
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
-    # The two byte tests above and the toy21 output pins, rerun in a child
+    # The three byte tests above and the toy21 output pins, rerun in a child
     # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
     # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
     # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
@@ -409,6 +437,7 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
                     f"(numpy's OpenBLAS reads {probe.stdout.strip()!r})")
     child = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_stacked_products_give_each_state_its_own_bytes",
          f"{__file__}::test_stacked_products_give_each_weight_column_its_own_bytes",
          f"{__file__}::test_nufft_bytes_independent_of_pass_workers",
          f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version"],
