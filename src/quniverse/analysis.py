@@ -24,11 +24,9 @@ def entropy_production_rate(times: np.ndarray, s_univ: np.ndarray) -> np.ndarray
     """dS_univ/dt by central differences, one-sided at the endpoints.
 
     Exact for linear series everywhere and for quadratics at interior
-    points (second-order central stencil).  The grid must be uniform:
-    its step is taken as times[1] - times[0].
+    points (second-order central stencil).  The grid must be uniform, of
+    at least 3 points: its step is taken as times[1] - times[0].
     """
-    if len(times) < 3:
-        raise ValueError("need at least 3 time points")
     return np.gradient(np.asarray(s_univ, dtype=float), times[1] - times[0])
 
 

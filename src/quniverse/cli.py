@@ -61,6 +61,9 @@ SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
 MAX_PHASE = 2.0 ** 40
+# The manifest fields that `sticks` and `compare` read, with the JSON type each must have.
+_MANIFEST_FIELDS = {"config": (dict, "an object"), "seed": (int, "an integer"),
+                   "outputs": (list, "a list")}
 
 
 def _energy_bound(config: ModelConfig) -> float:
@@ -383,8 +386,9 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
     the trajectory `traj_path`, once the file is checked to belong to it.
 
     Without a manifest there, it raises FileNotFoundError; a damaged
-    manifest (not whole JSON, without a field this reads, or with a config
-    that is not one) is refused.
+    manifest (not whole JSON, not an object, a field of _MANIFEST_FIELDS
+    missing or of another JSON type, or a config that is not one) is
+    refused.
 
     A manifest written by another code version or under another draw
     contract is refused: its run may not be reproducible by this one.
@@ -408,6 +412,8 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
                                 f"needed to rebuild its universe") from None
     except json.JSONDecodeError as exc:
         raise damaged(exc) from None
+    if type(manifest) is not dict:
+        raise damaged("not a JSON object")
     written = (manifest.get("code_version"), manifest.get("draw_contract"))
     if written != (__version__, DRAW_CONTRACT_VERSION):
         raise ValueError(
@@ -415,11 +421,10 @@ def _checked_run(traj_path: Path) -> tuple[ModelConfig, int, np.ndarray]:
             f"{written[1]}, this is {__version__} under {DRAW_CONTRACT_VERSION}; "
             f"re-run the trajectory with this version"
         )
-    missing = sorted({"config", "seed", "outputs"} - set(manifest))
-    if missing:
-        raise damaged(f"no {', '.join(missing)}")
-    if not isinstance(manifest["config"], dict):
-        raise damaged("config: not an object")
+    wrong = [f"{field}: not {what}" for field, (kind, what) in _MANIFEST_FIELDS.items()
+             if type(manifest.get(field)) is not kind]
+    if wrong:
+        raise damaged("; ".join(wrong))
     try:
         config = ModelConfig.from_dict(manifest["config"])
     except (TypeError, ValueError) as exc:

@@ -97,8 +97,6 @@ class ModelConfig:
 
     def degeneracy(self, m: int) -> int:
         """g(m) = A * b^(m * omega_E), validated integral in __post_init__."""
-        if not 0 <= m < self.n_env_levels:
-            raise ValueError(f"environment rung m={m} out of range 0..{self.n_env_levels - 1}")
         return round(self.degeneracy_A * self.degeneracy_b ** (m * self.omega_E))
 
     def degeneracies(self):

@@ -64,11 +64,7 @@ class EnvironmentLevels:
 
     m: np.ndarray
     l: np.ndarray
-    shift: np.ndarray
     energy: np.ndarray
-
-    def __len__(self) -> int:
-        return self.energy.size
 
 
 @dataclass(frozen=True)
@@ -140,14 +136,14 @@ def build_environment(config: ModelConfig) -> EnvironmentLevels:
     sigma = config.alpha * config.omega_E * math.sqrt(2.0)
     shift = SeededRng(config.rng_seed).split(SHIFT_STREAM).gaussian(0.0, sigma, size=m.size)
     energy = m * config.omega_E + shift
-    return EnvironmentLevels(m=m, l=l, shift=shift, energy=energy)
+    return EnvironmentLevels(m=m, l=l, energy=energy)
 
 
 def build_basis(config: ModelConfig) -> UniverseBasis:
     """Product basis |n, m, l> in system-major, rung-major flat order."""
     env = build_environment(config)
     ns = config.n_system_levels
-    ne = len(env)
+    ne = env.energy.size
     n = np.repeat(np.arange(ns), ne)
     m = np.tile(env.m, ns)
     l = np.tile(env.l, ns)

@@ -60,8 +60,6 @@ def free_energy_change(u_system: np.ndarray, s_vn: np.ndarray,
     dimensionless quantity directly comparable with dS_univ.  Both are
     exactly zero at the first entry.
     """
-    if kbt_reduced <= 0.0:
-        raise ValueError("temperature must be positive")
     u = np.asarray(u_system, dtype=float)
     s = np.asarray(s_vn, dtype=float)
     df = (u - u[0]) - kbt_reduced * (s - s[0])

@@ -137,17 +137,10 @@ class SeededRng:
     """Counter-based Gaussian/uniform stream, splittable into independent substreams."""
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not 0 <= int(seed) < 2 ** 64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         self._seed = int(seed)
         self._spawn_key = _spawn_key
         self._bitgen = Philox(SeedSequence(entropy=self._seed, spawn_key=_spawn_key))
         self._position = 0
-
-    @property
-    def position(self) -> int:
-        """Number of 64-bit words consumed so far."""
-        return self._position
 
     def split(self, stream_id: int) -> "SeededRng":
         """Fresh independent substream; same (seed, stream_id) always yields the same sequence."""
@@ -183,7 +176,5 @@ class SeededRng:
 
     def gaussian(self, mean: float, sigma: float, size: int) -> np.ndarray:
         """`size` Gaussian variates; always advances the stream, even for sigma = 0."""
-        if sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
         x = self.standard_normal(size)
         return mean + sigma * x

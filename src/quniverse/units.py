@@ -25,8 +25,6 @@ COMPAT_TEMPERATURE_KELVIN = 230.41
 def reduced_time_unit_ps(energy_unit_wavenumbers: float) -> float:
     """Duration of one reduced time unit (hbar / energy unit) in picoseconds (~0.0475
     for 111.77 cm^-1)."""
-    if energy_unit_wavenumbers <= 0.0:
-        raise ValueError("energy unit must be positive")
     seconds = 1.0 / (2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_S * energy_unit_wavenumbers)
     return seconds * 1e12
 
@@ -41,8 +39,6 @@ def ps_to_reduced_time(t_ps: float, energy_unit_wavenumbers: float) -> float:
 
 def temperature_kelvin(degeneracy_b: float, energy_unit_wavenumbers: float) -> float:
     """Bath temperature unit/(k_B ln b) implied by the degeneracy base."""
-    if degeneracy_b <= 1.0:
-        raise ValueError("degeneracy base must exceed 1 for a finite positive temperature")
     return energy_unit_wavenumbers / (KB_WAVENUMBER_PER_KELVIN * math.log(degeneracy_b))
 
 

@@ -81,11 +81,6 @@ def test_rate_of_quadratic_exact_at_interior():
     np.testing.assert_allclose(rate[1:-1], 2.0 * t[1:-1], rtol=0, atol=1e-12)
 
 
-def test_rate_needs_three_points():
-    with pytest.raises(ValueError):
-        entropy_production_rate(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-
-
 # -- dip detection ------------------------------------------------------------------
 
 def test_no_dip_for_increasing_series():

@@ -590,8 +590,8 @@ def test_failed_rerun_leaves_no_manifest_and_no_partial_file(tmp_path, toy_cfg_f
     assert not sticks_out.exists()
 
 
-@pytest.mark.parametrize("damage", ["cut", "no_config", "config_not_object",
-                                    "config_wrong_type"])
+@pytest.mark.parametrize("damage", ["cut", "not_object", "no_config", "config_not_object",
+                                    "config_wrong_type", "outputs_null", "outputs_string"])
 @pytest.mark.parametrize("command, when", [("sticks", ["--time", "1.0"]), ("compare", [])],
                          ids=["sticks", "compare"])
 def test_damaged_manifest_refused_naming_it(tmp_path, command, when, damage):
@@ -602,10 +602,16 @@ def test_damaged_manifest_refused_naming_it(tmp_path, command, when, damage):
         manifest.write_bytes(manifest.read_bytes()[:100])
     else:
         record = json.loads(manifest.read_text())
-        if damage == "no_config":
+        if damage == "not_object":
+            record = list(record.items())
+        elif damage == "no_config":
             del record["config"]
         elif damage == "config_not_object":
             record["config"] = None
+        elif damage == "outputs_null":
+            record["outputs"] = None
+        elif damage == "outputs_string":
+            record["outputs"] = "traj_n1.csv"
         else:
             record["config"]["alpha"] = str(record["config"]["alpha"])
         manifest.write_text(json.dumps(record))

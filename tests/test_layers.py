@@ -10,6 +10,8 @@ no other module imports `ctypes`, every LAPACK routine that the solve
 calls is in numpy's bundled OpenBLAS, and without that library the
 package refuses to run.  A universe is built from its config alone: no
 function takes a config beside a basis, an environment table or an rng.
+Every public function, class, method and property is read somewhere in
+the package.
 """
 
 import ast
@@ -212,3 +214,42 @@ def test_no_function_takes_a_basis_beside_its_config():
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
              for name in _takes_config_and_what_it_builds(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+def _unread_public_names(trees: dict[str, ast.AST]) -> list[str]:
+    """`module.name` (or `module.Class.name`) of every public module-level function or class,
+    method or property in `trees` whose name no node outside its own definition reads."""
+    defined = []  # (qualified name, name, ids of the definition's nodes)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name, item)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+    reads = []  # (name, id of the node)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, id(node)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, id(node)))
+    unread = []
+    for qualified, name, definition in defined:
+        if name.startswith("_") or qualified == "cli.main":
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(read == name and node not in inside for read, node in reads):
+            unread.append(qualified)
+    return unread
+
+
+def test_every_public_function_is_read_by_the_package():
+    """Public surface that nothing in the package reads is dead code kept alive by tests;
+    the command line's `main` is its entry point."""
+    sample = ("class A:\n    def used(self): return self.used\n    def read(self): pass\n"
+              "def f(): return f()\ndef g(): return A().read()\ndef main(): g()\n")
+    assert _unread_public_names({"m": ast.parse(sample)}) == ["m.A.used", "m.f", "m.main"]
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_public_names(trees) == []

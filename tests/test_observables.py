@@ -185,11 +185,6 @@ def test_free_energy_change_antisymmetric(seed):
     np.testing.assert_allclose(minus_fwd[1], -minus_rev[1], rtol=0, atol=1e-12)
 
 
-def test_free_energy_requires_positive_temperature():
-    with pytest.raises(ValueError):
-        free_energy_change([1.0, 0.0], [0.0, 0.0], 0.0)
-
-
 # -- Boltzmann fit temperature ---------------------------------------------------
 
 def test_t_fit_recovers_analytic_temperature():
