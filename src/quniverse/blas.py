@@ -1,4 +1,5 @@
-"""numpy's bundled OpenBLAS, which the package requires, and the pass's threads.
+"""numpy's bundled OpenBLAS, which the package requires, the pass's threads, and
+numpy's SIMD level.
 
 numpy's PyPI wheel bundles OpenBLAS.  That one library runs every numpy
 matmul, so the propagation's GEMMs, and the solve's LAPACK stages, which
@@ -10,6 +11,11 @@ The solve is the only multi-threaded BLAS call.  Every product over V
 runs inside `gemm_threads(1)`: the pass's shares (`run_shares`), Vᵀc(0)
 and the eigen check.  So a cache hit wakes no OpenBLAS worker, which
 would spin ~2**28 cycles before it sleeps, on a core the pass needs.
+
+numpy's own SIMD dispatch picks the loops of its ufuncs, and those of
+float64 `log` and `exp` give other bytes at X86_V3 than at X86_V4.  The
+outputs take both, so their bytes depend on `simd_level` as well as on
+the OpenBLAS kernel; the solve and the fill take neither.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,16 @@ def library() -> tuple[str, int]:
     """
     found = gemm_openblas()
     return found.config, found.get_threads()
+
+
+def simd_level() -> str:
+    """The highest of numpy's x86-64 levels X86_V2, X86_V3 and X86_V4 that its SIMD dispatch
+    takes on this process ("none" if none does), as `numpy.show_runtime()` lists them.
+
+    NPY_DISABLE_CPU_FEATURES can lower it, as on a host with no AVX-512.
+    """
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(level)),
+                "none")
 
 
 def lapack(name: str, *args) -> None:

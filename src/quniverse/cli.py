@@ -48,7 +48,7 @@ from .analysis import (
     late_window_slice,
     stick_order,
 )
-from .blas import library, pass_workers
+from .blas import library, pass_workers, simd_level
 from .cache import write_whole
 from .config import ModelConfig
 from .dynamics import initial_state, pass_bytes, propagate, propagate_blocks
@@ -164,7 +164,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         times = np.linspace(0.0, t_max, n_points)
         late = late_window_slice(n_points)
         shell = config.total_energy
-        in_shell = ham.basis.shell_label == shell
+        in_shell = build_basis(config).shell_label == shell
 
         workers = pass_workers()
         progress(f"propagating {len(states)} states over {n_points} times "
@@ -230,10 +230,12 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "n_points": n_points,
         # the cache's key and whether the run used an entry (false for a miss or a
         # rejected one), the check's residual, the library that the key covers and
-        # that ran the solve and the pass's GEMMs, the pass's worker threads, and
-        # the files that the run's store evicted
+        # that ran the solve and the pass's GEMMs, numpy's version and SIMD level,
+        # which move output bytes but no eigenpair's (so the key leaves them out),
+        # the pass's worker threads, and the files that the run's store evicted
         "cache": {"key": ham.key, "hit": ham.cache_hit, "eig_residual": ham.eig_residual,
                   "blas_library": blas_library, "blas_threads": blas_threads,
+                  "numpy_version": np.__version__, "numpy_simd_level": simd_level(),
                   "pass_workers": workers, "evicted": record.evicted},
         "constants": {
             "kB_wavenumber_per_K": units.KB_WAVENUMBER_PER_KELVIN,

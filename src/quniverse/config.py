@@ -32,8 +32,6 @@ class ModelConfig:
     """
 
     n_system_levels: int = 6
-    polyad_N: int = 5
-    omega0: float = 34.64
     kappa: float = 1.0
     n_env_levels: int = 8
     omega_E: float = 1.0
@@ -50,13 +48,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_system_levels < 1:
             raise ValueError("n_system_levels must be a positive integer")
-        if self.polyad_N < 0:
-            raise ValueError("polyad_N must be non-negative")
-        if self.n_system_levels != self.polyad_N + 1:
-            raise ValueError(
-                f"n_system_levels ({self.n_system_levels}) must equal "
-                f"polyad_N + 1 ({self.polyad_N + 1})"
-            )
         if self.n_env_levels < 1:
             raise ValueError("n_env_levels must be a positive integer")
         if self.omega_E <= 0.0:
@@ -77,16 +68,21 @@ class ModelConfig:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
         if self.total_energy < 0:
             raise ValueError("total_energy must be non-negative")
-        if self.total_energy > self.polyad_N:
+        if self.total_energy > self.n_system_levels - 1:
             raise ValueError(
-                "total_energy must not exceed polyad_N, otherwise not every "
+                "total_energy must not exceed n_system_levels - 1, otherwise not every "
                 "system level can participate in the microcanonical shell"
             )
         if self.coupling_scope not in _COUPLING_SCOPES:
             raise ValueError(f"coupling_scope must be one of {_COUPLING_SCOPES}")
         # The degeneracy law must produce exact positive integers.
         for m in range(self.n_env_levels):
-            g = self.degeneracy_A * self.degeneracy_b ** (m * self.omega_E)
+            try:
+                g = self.degeneracy_A * self.degeneracy_b ** (m * self.omega_E)
+            except OverflowError:
+                g = math.inf
+            if not math.isfinite(g):
+                raise ValueError(f"degeneracy A*b^(m*omega_E) overflows a float at rung m={m}")
             if abs(g - round(g)) > 1e-9 * max(1.0, g) or round(g) < 1:
                 raise ValueError(
                     f"degeneracy A*b^(m*omega_E) = {g} is not a positive integer "

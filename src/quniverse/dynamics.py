@@ -217,8 +217,7 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     # would leave OpenBLAS's idle threads spinning on the workers' cores.
     with stage("propagate"), gemm_threads(1):
         a = np.hstack([_eigen_coefficients(v, c) for c in amplitudes])
-    ns = ham.basis.n_system_levels
-    ne = ham.dim // ns
+    ns, ne = ham.config.n_system_levels, ham.config.n_env_states
     eb = env_block_size(ns, ne)
     ranges = [(e0, min(e0 + eb, ne)) for e0 in range(0, ne, eb)]
     step = _uniform_step(times)

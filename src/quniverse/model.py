@@ -11,7 +11,7 @@ Every function here takes the config as its only source of the
 universe: each draws from its own substream of SeededRng(config.rng_seed),
 and builds the basis it needs (`build_basis`), so no caller can pair a
 config with another seed's draws or another universe's basis.  Only the
-eigenpairs and the basis reach the dynamics, so H is built only when a
+eigenpairs and the config reach the dynamics, so H is built only when a
 solve needs it.  A cached eigensystem is checked instead against the
 first CHECK_ROWS rows of H, which the same fill function regenerates
 from the first draws of the coupling stream.
@@ -31,10 +31,11 @@ stage's stderr line and adds its seconds to the `RunRecord` of the
 `recording` block around it, which `run` writes as `timing_seconds`.
 
 Energy origin: system energies are measured from the bottom of the
-polyad, e_n = n * kappa.  The constant offset N*omega0 - N*kappa/2 of the
-absolute polyad block cancels out of every difference quantity and of
-the dynamics, and this origin makes the nominal universe energy of a
-product state the integer n + m used for shell bookkeeping.
+polyad, e_n = n * kappa.  The constant offset of the absolute polyad
+block (its quanta times the oscillators' frequency, less N*kappa/2)
+cancels out of every difference quantity and of the dynamics, and this
+origin makes the nominal universe energy of a product state the integer
+n + m used for shell bookkeeping.
 """
 
 from __future__ import annotations
@@ -59,21 +60,12 @@ from .rng import (COUPLING_STREAM, DRAW_CONTRACT_VERSION, LARGE_CALL_WORDS, SHIF
 
 
 @dataclass(frozen=True)
-class EnvironmentLevels:
-    """One row per zero-order environment state |m, l>."""
-
-    m: np.ndarray
-    l: np.ndarray
-    energy: np.ndarray
-
-
-@dataclass(frozen=True)
 class UniverseBasis:
     """Indexed product basis |n, m, l> with zero-order energies and shell labels.
 
     Flat ordering is system-major: index = n * N_E + sum_{m' < m} g(m') + l
     with environment states rung-major.  This makes the reduced density
-    matrix a plain reshape-and-contract.
+    matrix a plain reshape-and-contract.  Its counts are the config's.
     """
 
     n: np.ndarray
@@ -81,16 +73,6 @@ class UniverseBasis:
     l: np.ndarray
     zero_order_energy: np.ndarray
     shell_label: np.ndarray
-    n_system_levels: int
-    degeneracies: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.zero_order_energy.size
-
-    @property
-    def n_env_states(self) -> int:
-        return self.size // self.n_system_levels
 
 
 @dataclass
@@ -103,7 +85,7 @@ class UniverseHamiltonian:
     entry, then read-only views of its mapping) or from a solve.
     """
 
-    basis: UniverseBasis
+    config: ModelConfig
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eig_residual: float
@@ -121,41 +103,34 @@ def build_system_levels(config: ModelConfig) -> np.ndarray:
     The polyad block is kappa * Jx in the spin-N/2 representation, so its
     eigenvalues are exactly equally spaced by kappa (the tests solve it).
     """
-    return config.kappa * np.arange(config.polyad_N + 1, dtype=float)
+    return config.kappa * np.arange(config.n_system_levels, dtype=float)
 
 
-def build_environment(config: ModelConfig) -> EnvironmentLevels:
-    """Environment table with Gaussian-spread rungs.
+def _env_rungs(config: ModelConfig) -> np.ndarray:
+    """The rung m of each environment state |m, l>, rung-major."""
+    return np.repeat(np.arange(config.n_env_levels), config.degeneracies())
+
+
+def build_environment(config: ModelConfig) -> np.ndarray:
+    """The (N_E,) energies of the environment states |m, l>, rung-major.
 
     Energies are m*omega_E + X(m,l) with X ~ N(0, alpha*omega_E*sqrt(2)),
     drawn rung-major from the shift stream of the config's seed.
     """
-    degs = config.degeneracies()
-    m = np.repeat(np.arange(config.n_env_levels), degs)
-    l = np.concatenate([np.arange(g) for g in degs])
+    m = _env_rungs(config)
     sigma = config.alpha * config.omega_E * math.sqrt(2.0)
     shift = SeededRng(config.rng_seed).split(SHIFT_STREAM).gaussian(0.0, sigma, size=m.size)
-    energy = m * config.omega_E + shift
-    return EnvironmentLevels(m=m, l=l, energy=energy)
+    return m * config.omega_E + shift
 
 
 def build_basis(config: ModelConfig) -> UniverseBasis:
     """Product basis |n, m, l> in system-major, rung-major flat order."""
-    env = build_environment(config)
-    ns = config.n_system_levels
-    ne = env.energy.size
+    ns, ne = config.n_system_levels, config.n_env_states
     n = np.repeat(np.arange(ns), ne)
-    m = np.tile(env.m, ns)
-    l = np.tile(env.l, ns)
-    energy = np.repeat(build_system_levels(config), ne) + np.tile(env.energy, ns)
-    shell = n + m
-    return UniverseBasis(
-        n=n, m=m, l=l,
-        zero_order_energy=energy,
-        shell_label=shell,
-        n_system_levels=ns,
-        degeneracies=np.asarray(config.degeneracies(), dtype=np.int64),
-    )
+    m = np.tile(_env_rungs(config), ns)
+    l = np.tile(np.concatenate([np.arange(g) for g in config.degeneracies()]), ns)
+    energy = np.repeat(build_system_levels(config), ne) + np.tile(build_environment(config), ns)
+    return UniverseBasis(n=n, m=m, l=l, zero_order_energy=energy, shell_label=n + m)
 
 
 def build_hamiltonian_matrix(config: ModelConfig, n_rows: int | None = None) -> np.ndarray:
@@ -174,7 +149,7 @@ def build_hamiltonian_matrix(config: ModelConfig, n_rows: int | None = None) -> 
     system index are zeroed before mirroring.
     """
     basis = build_basis(config)
-    dim = basis.size
+    dim = config.n_universe_states
     k = dim if n_rows is None else min(int(n_rows), dim)
     sigma = config.alpha * config.omega_E
     couplings = SeededRng(config.rng_seed).split(COUPLING_STREAM)
@@ -223,12 +198,10 @@ def _coupling_rows(couplings: SeededRng, sigma: float, dim: int, k: int) -> Iter
 SOLVE_CONTRACT = 1
 
 # Config fields that do not enter H: the temperature convention, the
-# energy unit, the absolute polyad frequency (H is measured from the
-# polyad's bottom), the phases of the initial states and the
-# microcanonical shell.  Configs that differ only in them share one cache
-# entry.
-NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "omega0", "paper_compat",
-                      "random_initial_phases", "total_energy")
+# energy unit, the phases of the initial states and the microcanonical
+# shell.  Configs that differ only in them share one cache entry.
+NOT_IN_HAMILTONIAN = ("energy_unit_wavenumbers", "paper_compat", "random_initial_phases",
+                      "total_energy")
 
 
 def cache_key(config: ModelConfig) -> str:
@@ -474,7 +447,7 @@ def check_memory(need: int, what: str) -> None:
 
 
 def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
-    """Build the basis and the checked eigendecomposition of H for (config, seed).
+    """The checked eigendecomposition of H for (config, seed).
 
     The same (config, seed) always produces a bit-identical matrix.  A
     cached eigensystem is mapped and checked against CHECK_ROWS
@@ -489,12 +462,12 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     and the store are each a `stage`, and the names of the files that the
     store evicted go to the run's record too.
     """
-    basis = build_basis(config)
-    progress(f"basis of {basis.size} states ({basis.n_system_levels} system levels x "
-             f"{basis.n_env_states} environment states)")
+    dim = config.n_universe_states
+    progress(f"basis of {dim} states ({config.n_system_levels} system levels x "
+             f"{config.n_env_states} environment states)")
     key = cache_key(config)
     with stage("load"):
-        cached = cache.load_eigensystem(key, basis.size)
+        cached = cache.load_eigensystem(key, dim)
     if cached is None:
         progress(f"cache miss: no entry {key[:12]}")
     else:
@@ -503,12 +476,12 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
             residual = eigen_residual(rows, *cached)
         if residual <= _residual_bound(rows):
             progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
-            return UniverseHamiltonian(basis, *cached, eig_residual=residual, key=key,
+            return UniverseHamiltonian(config, *cached, eig_residual=residual, key=key,
                                        cache_hit=True)
         warnings.warn(f"cache entry {key} fails the eigen check "
                       f"(residual {residual:.3g}); re-solving", stacklevel=2)
-    check_memory(solve_bytes(basis.size), f"the {basis.size} x {basis.size} eigensolve")
-    with stage("fill", begin=f"solving the dense {basis.size} x {basis.size} eigenproblem"):
+    check_memory(solve_bytes(dim), f"the {dim} x {dim} eigensolve")
+    with stage("fill", begin=f"solving the dense {dim} x {dim} eigenproblem"):
         h = build_hamiltonian_matrix(config)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
@@ -529,7 +502,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         record = _RECORD.get()
         if record is not None:
             record.evicted += [name for name, _ in evicted]
-    return UniverseHamiltonian(basis, eigenvalues, eigenvectors, eig_residual=residual, key=key)
+    return UniverseHamiltonian(config, eigenvalues, eigenvectors, eig_residual=residual, key=key)
 
 
 @dataclass(frozen=True)

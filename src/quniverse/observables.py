@@ -154,9 +154,9 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     "observables"; the blocks are made outside them.
     """
     times = np.asarray(times, dtype=float)
-    basis = build_basis(config)
-    ns, n_times = basis.n_system_levels, times.size
-    n_shells = ns - 1 + basis.degeneracies.size
+    shell_label = build_basis(config).shell_label
+    ns, n_times, dim = config.n_system_levels, times.size, config.n_universe_states
+    n_shells = ns - 1 + config.n_env_levels
     sums = None
 
     def add_share(own, c, labels, starts):
@@ -184,16 +184,16 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
                 sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
                         np.zeros((k, n_times, n_shells)),
                         np.zeros((k, n_times, ns, ns), dtype=np.complex128))
-                final = np.empty((k, basis.size), dtype=np.complex128)
+                final = np.empty((k, dim), dtype=np.complex128)
             # runs of one shell label along the block's rows (m grows with the
             # row within each system level)
-            labels = basis.shell_label[rows]
+            labels = shell_label[rows]
             starts = np.flatnonzero(np.diff(labels, prepend=-1))
             blas.run_shares(lambda own: add_share(own, c, labels, starts), k)
             final[:, rows] = c[:, -1]
     with stage("observables"):
         ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
-        return [_trajectory(*(x[s] for x in sums), final[s], times, basis.size, ladder, kbt,
+        return [_trajectory(*(x[s] for x in sums), final[s], times, dim, ladder, kbt,
                             config.energy_unit_wavenumbers) for s in range(k)]
 
 

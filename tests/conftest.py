@@ -88,7 +88,7 @@ def pytest_runtest_teardown(item, nextitem):
 def toy6_config(**overrides):
     """2 system levels x 3 environment states: the smallest interesting universe."""
     params = dict(
-        n_system_levels=2, polyad_N=1, omega0=3.0, kappa=1.0,
+        n_system_levels=2, kappa=1.0,
         n_env_levels=2, omega_E=1.0, degeneracy_A=1, degeneracy_b=2.0,
         alpha=0.3, energy_unit_wavenumbers=111.77, rng_seed=7, total_energy=1,
     )
@@ -99,7 +99,7 @@ def toy6_config(**overrides):
 def toy21_config(**overrides):
     """3 system levels x 7 environment states, small enough for brute-force oracles."""
     params = dict(
-        n_system_levels=3, polyad_N=2, omega0=5.0, kappa=1.0,
+        n_system_levels=3, kappa=1.0,
         n_env_levels=3, omega_E=1.0, degeneracy_A=1, degeneracy_b=2.0,
         alpha=0.1, energy_unit_wavenumbers=111.77, rng_seed=11, total_energy=2,
     )
@@ -154,9 +154,9 @@ def propagated(amplitudes, ham, times):
     return out
 
 
-def as_blocks(amplitudes, basis, env_block):
+def as_blocks(amplitudes, config, env_block):
     """A (k, T, dim) amplitude array as row blocks of `env_block` environment states."""
-    ns, ne = basis.n_system_levels, basis.n_env_states
+    ns, ne = config.n_system_levels, config.n_env_states
     for e0 in range(0, ne, env_block):
         rows = _block_rows(ns, ne, e0, min(e0 + env_block, ne))
         yield rows, np.ascontiguousarray(amplitudes[:, :, rows])

@@ -52,13 +52,13 @@ def probabilities(c: np.ndarray) -> np.ndarray:
     return c.real ** 2 + c.imag ** 2
 
 
-def reduced_density_matrix(c: np.ndarray, basis: UniverseBasis) -> ReducedDensityMatrix:
+def reduced_density_matrix(c: np.ndarray, config: ModelConfig) -> ReducedDensityMatrix:
     """rho_S[n, n'] = sum_{m,l} c_(n,m,l) conj(c_(n',m,l)).
 
     The flat basis order is system-major, so the trace over E is a
     reshape to (N_S, N_E) followed by one small contraction.
     """
-    c = c.reshape(basis.n_system_levels, basis.n_env_states)
+    c = c.reshape(config.n_system_levels, config.n_env_states)
     rho = c @ c.conj().T
     rho = 0.5 * (rho + rho.conj().T)  # exact hermiticity against rounding
     return ReducedDensityMatrix(matrix=rho)
@@ -131,24 +131,26 @@ def shell_decompose(c: np.ndarray, basis: UniverseBasis) -> tuple[np.ndarray, np
     zero-order-basis S_univ.
     """
     p = probabilities(c)
-    n_shells = basis.n_system_levels - 1 + basis.degeneracies.size
+    n_shells = int(basis.shell_label.max()) + 1  # (N_S - 1) + (n_env_levels - 1) + 1
     populations = np.bincount(basis.shell_label, weights=p, minlength=n_shells)
     return populations, shell_partial_entropies(p, basis.shell_label, n_shells)
 
 
-def polyad_eigenvalues(config: ModelConfig) -> np.ndarray:
+def polyad_eigenvalues(config: ModelConfig, omega0: float = 34.64) -> np.ndarray:
     """Absolute eigenvalues (ascending) of the coupled-oscillator polyad block.
 
-    In the local-mode basis {|n1, N - n1>} the block is tridiagonal with
-    constant diagonal N*omega0 and ladder off-diagonals
-    (kappa/2) * sqrt((n1+1) n2).  This is kappa * Jx in the spin-N/2
-    representation, so the polyad eigenvalues are exactly equally spaced
-    by kappa (normal-mode frequencies omega0 -/+ kappa/2).  Solved
+    The polyad holds N = n_system_levels - 1 quanta.  In the local-mode
+    basis {|n1, N - n1>} the block is tridiagonal with constant diagonal
+    N*omega0, omega0 the local oscillators' frequency, and ladder
+    off-diagonals (kappa/2) * sqrt((n1+1) n2).  This is kappa * Jx in the
+    spin-N/2 representation, so the polyad eigenvalues are exactly equally
+    spaced by kappa (normal-mode frequencies omega0 -/+ kappa/2), whatever
+    omega0 is: the model measures them from the polyad's bottom.  Solved
     numerically, as the check of the ladder that `build_system_levels`
     uses.
     """
-    N = config.polyad_N
-    diag = np.full(N + 1, N * config.omega0, dtype=float)
+    N = config.n_system_levels - 1
+    diag = np.full(N + 1, N * omega0, dtype=float)
     if N == 0:
         return diag
     n1 = np.arange(N, dtype=float)

@@ -148,12 +148,12 @@ def test_criterion_6b_rdm_properties(production_ham):
     checks = []
     for n in STATES:
         psi0 = initial_state(cfg, n)
-        rdm0 = reduced_density_matrix(psi0, production_ham.basis)
+        rdm0 = reduced_density_matrix(psi0, production_ham.config)
         rdm0.validate()
         checks.append(abs(von_neumann_entropy(rdm0)) <= 1e-12)
     psi_t = propagate(initial_state(cfg, 0),
                       production_ham, 400.0)
-    rdm_t = reduced_density_matrix(psi_t, production_ham.basis)
+    rdm_t = reduced_density_matrix(psi_t, production_ham.config)
     rdm_t.validate()
     s = von_neumann_entropy(rdm_t)
     checks.append(0.0 <= s <= math.log(6.0))

@@ -42,7 +42,7 @@ def test_uniform_shell_population_gives_log_count(production_basis):
     cfg, basis = production_basis
     idx = np.flatnonzero(basis.shell_label == 5)
     assert idx.size == 378
-    amps = np.zeros(basis.size, dtype=complex)
+    amps = np.zeros(cfg.n_universe_states, dtype=complex)
     amps[idx] = 1.0 / math.sqrt(378.0)
     _, partials = shell_decompose(amps, basis)
     np.testing.assert_allclose(partials[5], math.log(378.0), rtol=1e-12)
@@ -52,9 +52,8 @@ def test_uniform_shell_population_gives_log_count(production_basis):
 
 
 def test_shell_decomposition_sums(toy21_ham):
-    basis = toy21_ham.basis
-    psi = random_normalized_state(basis.size, 31)
-    populations, partials = shell_decompose(psi, basis)
+    psi = random_normalized_state(toy21_ham.dim, 31)
+    populations, partials = shell_decompose(psi, build_basis(toy21_ham.config))
     np.testing.assert_allclose(populations.sum(), 1.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(partials.sum(), universe_entropy(psi), rtol=0, atol=1e-10)
 
@@ -128,7 +127,7 @@ def test_sticks_of_initial_state(production_basis, tmp_path):
     psi = initial_state(cfg, 2)
     diagram = _sticks(tmp_path / "sticks.csv", cfg, 2, 0.0, psi)
     order = stick_order(basis)
-    assert diagram["p"].size == basis.size
+    assert diagram["p"].size == cfg.n_universe_states
     assert np.all(np.diff(diagram["energy"]) >= 0)
     np.testing.assert_array_equal(diagram["energy"], basis.zero_order_energy[order])
     np.testing.assert_array_equal(diagram["p"], probabilities(psi)[order])

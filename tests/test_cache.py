@@ -358,11 +358,9 @@ def test_damaged_entry_discarded_and_resolved(kind):
     assert assemble_hamiltonian(cfg).cache_hit
 
 
-# one valid changed value per kept field; n_system_levels and polyad_N
-# move together, as the config requires
+# one valid changed value per kept field
 _KEPT = {
-    "n_system_levels": dict(n_system_levels=4, polyad_N=3),
-    "polyad_N": dict(n_system_levels=4, polyad_N=3),
+    "n_system_levels": dict(n_system_levels=4),
     "kappa": dict(kappa=2.0),
     "n_env_levels": dict(n_env_levels=4),
     "omega_E": dict(omega_E=2.0),
@@ -374,7 +372,6 @@ _KEPT = {
 }
 _DROPPED = {
     "energy_unit_wavenumbers": 100.0,
-    "omega0": 6.0,
     "paper_compat": True,
     "random_initial_phases": True,
     "total_energy": 1,

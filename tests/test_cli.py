@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quniverse import __version__, cli, dynamics, model, units
-from quniverse.blas import gemm_threads, library, pass_workers
+from quniverse.blas import gemm_threads, library, pass_workers, simd_level
 from quniverse.cache import CACHE_DIR_ENV, CACHE_MAX_MB_ENV
 from quniverse.config import ModelConfig
 from quniverse.cli import MAX_PHASE, compare_free_energy, main, read_trajectory, run_experiment
@@ -386,6 +386,8 @@ def test_manifest_records_blas_library_and_pass_workers(tmp_path):
     assert manifest["cache"]["blas_threads"] == threads
     assert manifest["cache"]["pass_workers"] == pass_workers() == max(1, threads)
     assert identity.startswith("OpenBLAS")
+    assert manifest["cache"]["numpy_version"] == np.__version__
+    assert manifest["cache"]["numpy_simd_level"] == simd_level()
     with gemm_threads(1):
         manifest = json.loads(_run_manifest_text(tmp_path / "one"))
     assert (manifest["cache"]["blas_threads"], manifest["cache"]["pass_workers"]) == (1, 1)
@@ -656,12 +658,13 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
 # renamed or dropped shows here.
 MANIFEST_KEYS = [
     "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.evicted",
-    "cache.hit", "cache.key", "cache.pass_workers",
+    "cache.hit", "cache.key", "cache.numpy_simd_level", "cache.numpy_version",
+    "cache.pass_workers",
     "code_version",
     "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
     "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
-    "config.n_system_levels", "config.omega0", "config.omega_E", "config.paper_compat",
-    "config.polyad_N", "config.random_initial_phases", "config.rng_seed",
+    "config.n_system_levels", "config.omega_E", "config.paper_compat",
+    "config.random_initial_phases", "config.rng_seed",
     "config.total_energy",
     "constants.energy_unit_wavenumbers", "constants.kB_wavenumber_per_K",
     "constants.reduced_time_unit_ps",
@@ -881,104 +884,106 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 
 # sha256 of every toy21 output but the manifest (which records timings),
 # for this package version, per kernel of numpy's OpenBLAS (which runs the
-# solve and the GEMMs), which OPENBLAS_CORETYPE can override.  Bump
+# solve and the GEMMs) and per SIMD level of numpy's own loops (`log` and
+# `exp` among them), at the levels that hosts of each kernel run:
+# OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES emulate them.  Bump
 # __version__ with every change that moves an output byte, and re-record
 # these hashes under it for every kernel.
 OUTPUT_SHA256 = {
-    ("0.7.0", "SkylakeX"): {
+    ("0.8.0", "SkylakeX", "X86_V4"): {
         120: {
             "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
-            "sticks_n0.csv": "ba3cc91eb1019304aa58feb2dec6e9edfc8eddd15edb2122811ae3b65b29cd37",
-            "sticks_n1.csv": "a6095e99bd3e958b64f804653eaf2ce020ee2bfba1fa69e5107b65988ddc3424",
-            "sticks_n2.csv": "73888203730721e797b70333af844a89d09cea523606f31acb573f6f6ee9f7c2",
-            "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
+            "sticks_n0.csv": "d9414941112275c49d3619e6dad529b382ab83174559e207cb8ab43876b2bdcb",
+            "sticks_n1.csv": "2bd46c014552242668c4e96277997795a98c7bf5ae441436f3efa0aa9e46d1a5",
+            "sticks_n2.csv": "18777520c16b0a21dc51f8212f2f7589d8aed5a30e69c039438955127c4e7f1e",
+            "sticks_t.csv": "0a16b46ac4adf0f3b2a2f8f1bdf0c44c35171710a819f027a67279b86bd24c76",
             "summary.json": "83e68c1566f54ec84d1dbb5f0ad12966cd981e368630f8623e0f2366b8bae4ce",
-            "traj_n0.csv": "db62fea5cc2bc259fdd76f9af629d44d1ee0a31b46104c6d574014dbcc53e1e3",
-            "traj_n1.csv": "97ab67ed6efa78bc671f1b54b707d0b4187866ecde6bbe48d562a5977e4f1bf9",
-            "traj_n2.csv": "9e2f33012c2b4489d2d029813adc792675eeb4894f701133a204a21a60752573",
+            "traj_n0.csv": "3b0c80a8543a7528126fe75d10a8fcea80354d29977df2c1de755d24cfd0b3a7",
+            "traj_n1.csv": "1eaeeaa70b0d5e0c744233c4a9d16e091eded2905786d20295d9c98350b921bb",
+            "traj_n2.csv": "66146a3a6b17b2d02dcbd595d5c5cc6a962d47e20dd323623e890f372856af16",
         },
         40: {
             "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
-            "sticks_n0.csv": "14ae3771f0d48a9dc6b9dc5ca86aefd0d1649c75bf642923af2d61e42d536883",
-            "sticks_n1.csv": "42e938ee2c939872791b5ff3b377811422cc364f669b520f3e1d28975d1bf225",
-            "sticks_n2.csv": "c4f02d7c116af54c160fc7acae739dbb0eb574b27fff5d0294681259e4567fea",
-            "sticks_t.csv": "035e12fc0e999c78be84cfac3d0b31566dd83d1027fb76005e67b2ee873b8322",
+            "sticks_n0.csv": "275d00dee2273e9e9669fcda0336e06ebbc504950f7a8625c0ee538c07c22a7b",
+            "sticks_n1.csv": "bff65a04f7c1c5e4351eb56b7df4f61d7bf9de17a100ae9e19df74648adb4295",
+            "sticks_n2.csv": "281a4ec39ae104eea70307c7140286c815ee7ab2625ef158309db9e2770290ec",
+            "sticks_t.csv": "0a16b46ac4adf0f3b2a2f8f1bdf0c44c35171710a819f027a67279b86bd24c76",
             "summary.json": "948790767d721406e3f1b4ac80298defcecd00d8ba5cef15eb1e198e2ce55ba4",
-            "traj_n0.csv": "51ec25ecc035e9b9cc11cfaae56d4aa7d7363e4b8c87d3abf9c448fdff47f1fe",
-            "traj_n1.csv": "059620e595ea8bb7111f5634c13f59ee8da240dd8456db7af621cbf0c07f02bc",
-            "traj_n2.csv": "1c2439a8a9794bebd422775e5880bda36b5b43129279155b833859658924745e",
+            "traj_n0.csv": "5ac85beadcf0fe3024b96cbbdfb5884ac82e7eb37aa0a9eb72aef05b354bff1d",
+            "traj_n1.csv": "2005523530a08156dad6ff51dbf34f5489f56a4b4ece850702e79494fa8647b2",
+            "traj_n2.csv": "50e77f8e32c15c70585629859b501959bc00be701c36d9746f58c4420df21a88",
         },
     },
-    ("0.7.0", "Haswell"): {
+    ("0.8.0", "Haswell", "X86_V3"): {
         120: {
-            "anomalies.json": "695f62a82fdef27bf024363a70762e5f870ff06690d259fca6862b468195242a",
-            "sticks_n0.csv": "e0c55e598f92dc395ea6aff0f66a8dda9da9eabd089780a2ede327e589625a90",
-            "sticks_n1.csv": "86baee2396d61e98a9c816d85b219c66c21aea4b9e5021a223c2b321944b6891",
-            "sticks_n2.csv": "9dac4f4baa41dbb3f5a4678166e727720b2dc3e61a3ab21b2bb84b25b088cd3a",
-            "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
-            "summary.json": "344cb301aadabe0752fbd12854e3006101980f7cd15eaa8779eff3206e2a825e",
-            "traj_n0.csv": "d1270dfb9572e3096d2d61934adc41ac1823d86c90034f5d8f4089921da9eaed",
-            "traj_n1.csv": "c4cf9293ab756269a3f8a8078c226266571c21c9c1bd6b5f045a6613a997f228",
-            "traj_n2.csv": "eddfd29a2a2e182162472dc3a7393507d766864fa0dc4e1e2df89802f1146cc5",
+            "anomalies.json": "a808c01e05c507099e36b65f8fbbfbc39bb1e9034fa4bdaeb305da4ecff07b1e",
+            "sticks_n0.csv": "6a8415583b2c09bb4fdf22ee4cd30ec49e660b00e3dbc390d0705dc610d352b2",
+            "sticks_n1.csv": "f6563908a86a51851bdeb7f58e40210b5991cd608c7e9471de303751e8c361a7",
+            "sticks_n2.csv": "08faf479fc2253e201baf24e94306a1cc6eaabadc7849f58fdfa0ee32cf3fd8c",
+            "sticks_t.csv": "08fce87490bc6a87e22e9cb70f8fefc902a80bd62f5ce73557a26a74216d1875",
+            "summary.json": "29bb88bc20b0e1b10762eca1bdbb8701e8d503e69a29e96027f7861c08917d73",
+            "traj_n0.csv": "8c15a1c0495ce586f5d99f84293bc07f77aab22f8b9676232058693d33312772",
+            "traj_n1.csv": "94154f9cfdfd4760da3767844819ee98037a8fea5d2c3abe815a8e61d7e49676",
+            "traj_n2.csv": "0d1294655f9cc68704b5203a9bdbb4e22a33ad76813a127532a8de33a4a9f7fa",
         },
         40: {
             "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
-            "sticks_n0.csv": "bd680c4e46b6eca3671e97fb1894af0938fa7a3461287fad6c3c6b55dae63c75",
-            "sticks_n1.csv": "e0bae20f722791173379e751f5ff367a843505bde1dc5bfa9f17b2a7fd071424",
-            "sticks_n2.csv": "127fff8855c09bc2709026899589329dbb81ca867c707c547bded8176255e9f2",
-            "sticks_t.csv": "0bbb9f9e5c7184991f9ebd30ecb951e7d0a263e62a5817d9f9466d495681bcf3",
+            "sticks_n0.csv": "4c8ee8b0a084253e2c443d4e7919db2f026e3cc215ba604fbb6c2a6490d2c22b",
+            "sticks_n1.csv": "d09ad944fe23f7e24785886cae790ef06228c75085cf290d0ebe416fa4ec59d7",
+            "sticks_n2.csv": "b08d5616a661fb7f7a243f86a4213492121f96384105f889a16a0da5863645a3",
+            "sticks_t.csv": "08fce87490bc6a87e22e9cb70f8fefc902a80bd62f5ce73557a26a74216d1875",
             "summary.json": "75025fdf6bbccff7beadbe247f5db78044c92bb44cac5791f5a4b1e9052c9234",
-            "traj_n0.csv": "e5211a16fa76e632158dee40b97473d305ef43b96c9b6942f50dffb541a1c3f3",
-            "traj_n1.csv": "15c105b50b8c8c5be2019584d1bd4d8f9b152a921afa225cb55baad66e87b770",
-            "traj_n2.csv": "5fca8a90402c7e3bd1362f468a5e7021cb702c1fc5852a8acdbcc0c5f374b6ba",
+            "traj_n0.csv": "aeb06bb6b34964fc67577ae92a623cf90ff882526c2ec89597b86d8326eeed19",
+            "traj_n1.csv": "19db97094944fcf66ed3ac094381b73d9a05350fbcc02f0bd0d23750e81126cf",
+            "traj_n2.csv": "e6b815125410590ceadd54227669d6756448a5112e3aac1dea64f28a1305280b",
         },
     },
-    ("0.7.0", "Sandybridge"): {
+    ("0.8.0", "Sandybridge", "X86_V2"): {
         120: {
-            "anomalies.json": "460c6502c6b37694ca548f770da69cf1bcea96ef62fe6de2da920eb72f265455",
-            "sticks_n0.csv": "095b72f1f48e19063c8067f156117d47019876a1ca6d4fa6579df04b8726a0f1",
-            "sticks_n1.csv": "c5e4f23921a9e93e94673e546905b0337bf35273d87c1a396bc318742acc2985",
-            "sticks_n2.csv": "9b3b58057033aa4562e02b3810ccaaf44d93c356dc658a7408dde63ec2e8a362",
-            "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
-            "summary.json": "22b4d3fd339273afb603fcb7ab92546e0e1742bd45e36ead8dfe10d066516013",
-            "traj_n0.csv": "ce3cb90e6e9306968e4d2f58d96c26027bb73913598fb65d5e47e056fdc274bf",
-            "traj_n1.csv": "22d5a13a752b01c6cde9bfac62b40d485d1978b4bca5039782a5567d295c56a9",
-            "traj_n2.csv": "5dd66c988da42a23e334e1cac18472b52de705c20c60aba27dafbf578d9dc2c4",
+            "anomalies.json": "9dcb3a03430beab61673de08d47386d7f22bc2500c8bd8356464a217f5ee60ea",
+            "sticks_n0.csv": "5e0f5dffe2b00ec05c291e3236ed48cb67ba5cd194098cf66ca686a32aecfde2",
+            "sticks_n1.csv": "33eb6eec2b22301dfbcf98b373d8a2f73aaeaf1b836b8b395f7c9c8d872c19f8",
+            "sticks_n2.csv": "3848ee72ec266f9307009514270e3c222f2718f8abe331f805ce7cda24424daf",
+            "sticks_t.csv": "4d3a783a60ad190d1d5c5c93e549c80263443cb7d367f2b0cc3dc7c1195d24f8",
+            "summary.json": "c815918972346f5f09087bac63d482362536b2110c94d2580cb2f5ec53a40ae0",
+            "traj_n0.csv": "d6520f67e771f2d60b3e9d173bec7134fc4d3caddb402af7589479e71a9b029a",
+            "traj_n1.csv": "8505af3193b5092b767f0625dca6acc0512c39c7f3467f7d0c901df40d229345",
+            "traj_n2.csv": "60c03aeb883e2a036cdf12c514587baa5ce05a0cde9582650c332f4df96ce978",
         },
         40: {
             "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
-            "sticks_n0.csv": "e171e98a83df0e226eba6b022adbf9be6da0385fa1db72949a5cfe646367a6dc",
-            "sticks_n1.csv": "252d8f2fbdc30d59025a8ef99daaf9b31c8b933053b57dfbb2be4684cefc442c",
-            "sticks_n2.csv": "7c1e8a871fe6f48a4796280f8287176229ffbe731a47d9fd18f8038054116f3d",
-            "sticks_t.csv": "d7c13f146b4d6a0e0c48777f2a1d560a0a35f390c3b0f91f8429547cbbffa3dd",
+            "sticks_n0.csv": "058a24382a5740fe8a5b6883f99e7950869580c388b4dc0c1cdf14fde1b654f5",
+            "sticks_n1.csv": "c3e7e5e54dcd5ca0080599e882642977b48f1296946fbdcfbf5d8b4fdbe33de3",
+            "sticks_n2.csv": "578aa8d15f797d2ab536daeb813a86b748c0f16073d75d978ca45c28698681b9",
+            "sticks_t.csv": "4d3a783a60ad190d1d5c5c93e549c80263443cb7d367f2b0cc3dc7c1195d24f8",
             "summary.json": "da8fc2865f2275dfc354af2589f51dc98d339608540a40d7b7af6e591b92e7fe",
-            "traj_n0.csv": "eeea3417538c67a2cad62886a1695aa077f64ecff49d49444d8f688d5407fe7e",
-            "traj_n1.csv": "0d0ad4da9c86aa19ac2a42477fab91c91a1bf57f1749f5e5dfa9de8c27e50e2f",
-            "traj_n2.csv": "dac0e3303cd51bf6385f9d4caa0a0c552da2cda9b5432aef6ec14dafcdd13787",
+            "traj_n0.csv": "0e6cefd252383ffbd39f7c79551c5108abcf4176fb87b1d124ae3ecc8bd1921d",
+            "traj_n1.csv": "c17cc3a1940b7ee235dd2c4dd2dd5bbe6e2688a0323bccadfb211be1d8163fda",
+            "traj_n2.csv": "c8535a5ca70673377c2f70a097999f8e3e17dc4b2c2ca04a68525c6712fca8ab",
         },
     },
-    ("0.7.0", "Nehalem"): {
+    ("0.8.0", "Nehalem", "X86_V2"): {
         120: {
-            "anomalies.json": "4510db53ae8680b1e73bfd8ed96ed7c4687aab45a2e967242c89ab34262dc084",
-            "sticks_n0.csv": "b31d9e87df1e3b72182de848798cd1d541e2de275641e41883365a08c0fb632d",
-            "sticks_n1.csv": "07907d2413d167b7a7ba43d0808779de58001104b62f0c266d1b69171ceb5b91",
-            "sticks_n2.csv": "f4fd49daa05c2d2e05c21ca34da01d601e218f1bc55b9acbc76aef4e0b015865",
-            "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
-            "summary.json": "649de0020efde8156fdf09d094013180372cca91b1eee5a0c551bf8b0936d798",
-            "traj_n0.csv": "4b860026bffafae53438f10a31ab12d924f9bb6574ff1c67041a5f6d2b9dcd85",
-            "traj_n1.csv": "864e0c63186b2361e0e9be23edcb757628c7befeb3121ce0d775dd79288d1695",
-            "traj_n2.csv": "e6365ce98670ec0697a6f4c79138a8ed4c0084a9286d73bb126ee4f4367a0ed7",
+            "anomalies.json": "a6f73082c98a44f80ddc6138aba8e0798f458f2ae6b2f98ceb654b3c5cfdcfba",
+            "sticks_n0.csv": "3571efa493a445620c5134335b2db732ca97bb4644574796a77a5f34a98f8342",
+            "sticks_n1.csv": "40b31002f5a08dd02b7acd1fb35f7f69935f7de3d80d171134c856a869d54f3f",
+            "sticks_n2.csv": "226e0b775476e4dfdc706c62548c3b71fc275323ae8b66228d1bc6f3ddba0aa6",
+            "sticks_t.csv": "5a8b0333bc306be961e89f44b5bda639f0b8f971fd97b3a97f9ee762ddc28c3d",
+            "summary.json": "b156442b79f5417a4ca220b739b15a6cb7f05e3cbf2d91571fc7cff71982e3e3",
+            "traj_n0.csv": "a0ee97d399498e13ff7f1f7eb7585a6bdc5d7e9f3d47109c5edd5cd73523da5d",
+            "traj_n1.csv": "f0969cae7b2b7d2319087890b5c7aeb48f4413f6a36fb04c4fc0ede4eaf6aab3",
+            "traj_n2.csv": "a6d396d946012e5297992a565ae8835a248318cd28694b875a79eddbd4770c7f",
         },
         40: {
             "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
-            "sticks_n0.csv": "7e89431114be6f6ff1355771f01fae0a9837dd877bec4980ae2c0f859a8327da",
-            "sticks_n1.csv": "424c5e19c549a95f9276e78ee32c9b57cb98b7ff855dbf27cd093d8889acfba6",
-            "sticks_n2.csv": "d578a1535f8d9b7e04e8fd819952d29ee4a2168a48be0a838b1b2631b61106ad",
-            "sticks_t.csv": "5ad43683290cc9c42b0a6e21de321e691e0d3c6fbf0340ac4c877bd7f391b619",
+            "sticks_n0.csv": "07e5e55befbe5d02b4669bd53c4440961cab76ee180bacbbf2f84789dbbd70ca",
+            "sticks_n1.csv": "2e0c04723c906683d396ed1346bd32074b8b40dd02b88b1c7cd07ac969f89ebe",
+            "sticks_n2.csv": "6169a11db022825d51863c487f08a31bd69b276289fa17fd891260443e61f498",
+            "sticks_t.csv": "5a8b0333bc306be961e89f44b5bda639f0b8f971fd97b3a97f9ee762ddc28c3d",
             "summary.json": "32ab42aac328880b594aeb9bcde1eff92ae6c2d810152176db14a48db21a543e",
-            "traj_n0.csv": "fc5a273c21d4b4bbcbdb8c07a00dbd2edfa997d37283b9382812ba2b43c8d372",
-            "traj_n1.csv": "7140287a6e2600c2dc59841fa84f2fca3b65a43a53c98935e064885f5e6fcd9f",
-            "traj_n2.csv": "3374efd86af70876b81d1d3ad53f51f2fa91bbb82c7a74c833b48e4638492cfb",
+            "traj_n0.csv": "ccd126db36da08983e26938ddd5be18f52763a6f97ee42bffd66a71ceac7eece",
+            "traj_n1.csv": "7426c45934f6b7414becae164071c5b6e209854ef93542c176f9bcffac0e1b42",
+            "traj_n2.csv": "7a329128164fe3b060571dfa4c111d0db8d9c2b9f7efe2b115a6847d1bd033c5",
         },
     },
 }
@@ -1002,11 +1007,12 @@ def test_outputs_pinned_for_this_version(tmp_path, n_points):
           "--out", str(tmp_path / "sticks_t.csv")])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.iterdir()) if path.name != "manifest.json"}
-    key = (__version__, _kernel(library()[0]))
+    key = (__version__, _kernel(library()[0]), simd_level())
     assert key in OUTPUT_SHA256, (
         f"no output hashes recorded for version {key[0]} with numpy's OpenBLAS kernel "
-        f"{key[1]}; add OUTPUT_SHA256[{key!r}] with {n_points}: {got!r}")
-    assert {version for version, _ in OUTPUT_SHA256} == {__version__}, (
+        f"{key[1]} at numpy's SIMD level {key[2]}; add OUTPUT_SHA256[{key!r}] with "
+        f"{n_points}: {got!r}")
+    assert {version for version, _, _ in OUTPUT_SHA256} == {__version__}, (
         "OUTPUT_SHA256 holds this version's hashes only: re-record them for every kernel")
     assert got == OUTPUT_SHA256[key][n_points]
 

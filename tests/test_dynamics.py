@@ -420,15 +420,35 @@ def test_stacked_products_give_each_weight_column_its_own_bytes():
                             n_rows, inner, columns, c)
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
+# numpy's SIMD level on the hosts whose OpenBLAS picks each kernel: a Haswell
+# or Zen 2 host has AVX2 and no AVX-512, a Sandy Bridge or Nehalem host no AVX2.
+KERNEL_LEVELS = {"Haswell": "X86_V3", "Sandybridge": "X86_V2", "Nehalem": "X86_V2"}
+
+
+def _numpy_features_above(level):
+    """The SIMD features that numpy dispatches to in this process and a host at `level`
+    lacks: those after `level` in numpy's dispatch list, which is in ascending order
+    (X86_V3 X86_V4 AVX512_ICL AVX512_SPR over an X86_V2 baseline in numpy 2.4)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    dispatch = list(__cpu_dispatch__)
+    above = dispatch[dispatch.index(level) + 1:] if level in dispatch else dispatch
+    return [feature for feature in above if __cpu_features__.get(feature)]
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_LEVELS))
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
     # The three byte tests above and the toy21 output pins, rerun in a child
     # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
     # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
     # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
+    # numpy's own loops are held to the SIMD level that such a host runs.
     src = Path(dynamics.__file__).parents[1]
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, CACHE_DIR_ENV: str(tmp_path / "cache"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    above = _numpy_features_above(KERNEL_LEVELS[kernel])
+    if above:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(above)
     probe = subprocess.run(
         [sys.executable, "-c", "from quniverse.blas import library; print(library()[0])"],
         env=env, capture_output=True, text=True, check=True)

@@ -9,12 +9,13 @@ the process, and only `blas` knows it: no module imports `scipy.linalg`,
 no other module imports `ctypes`, every LAPACK routine that the solve
 calls is in numpy's bundled OpenBLAS, and without that library the
 package refuses to run.  A universe is built from its config alone: no
-function takes a config beside a basis, an environment table or an rng.
-Every public function, class, method and property is read somewhere in
-the package.
+function takes a config beside a basis or an rng.  Every public
+function, class, method and property, and every config field, is read
+somewhere in the package.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -185,12 +186,11 @@ def test_without_numpy_bundled_openblas_the_package_refuses(tmp_path, monkeypatc
 
 
 # What a universe is built from, by parameter name or annotation.
-BUILT_FROM = {"config": "ModelConfig", "basis": "UniverseBasis", "env": "EnvironmentLevels",
-              "rng": "SeededRng"}
+BUILT_FROM = {"config": "ModelConfig", "basis": "UniverseBasis", "rng": "SeededRng"}
 
 
 def _takes_config_and_what_it_builds(tree: ast.AST) -> list[str]:
-    """The functions in `tree` that take a config beside a basis, an environment or an rng."""
+    """The functions in `tree` that take a config beside a basis or an rng."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -206,9 +206,9 @@ def _takes_config_and_what_it_builds(tree: ast.AST) -> list[str]:
 
 
 def test_no_function_takes_a_basis_beside_its_config():
-    """Every function that needs a basis, an environment table or an rng of a universe builds
-    it from the config (`model.build_basis`, `model.build_environment`,
-    `SeededRng(config.rng_seed)`), so none can be paired with another universe's."""
+    """Every function that needs a basis or an rng of a universe builds it from the config
+    (`model.build_basis`, `SeededRng(config.rng_seed)`), so none can be paired with another
+    universe's."""
     sample = "def f(config, basis): pass\ndef g(c: ModelConfig, r: SeededRng | None): pass\n"
     assert _takes_config_and_what_it_builds(ast.parse(sample)) == ["f:1", "g:2"]
     found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
@@ -253,3 +253,14 @@ def test_every_public_function_is_read_by_the_package():
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert _unread_public_names(trees) == []
+
+
+def test_every_config_field_is_read_by_the_package():
+    """A config field that no code reads changes nothing a run computes, only the config's
+    hash: every field is the attribute of some attribute load in the package."""
+    from quniverse.config import ModelConfig
+
+    reads = {node.attr for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in dataclasses.fields(ModelConfig) if f.name not in reads] == []

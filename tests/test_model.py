@@ -29,6 +29,8 @@ from quniverse.model import (
 from conftest import hamiltonian_matrix, toy6_config, toy21_config
 from oracles import polyad_eigenvalues
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 # -- configuration -----------------------------------------------------------
 
@@ -42,8 +44,8 @@ def test_production_config_counts():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(n_system_levels=5),                 # != polyad_N + 1
-    dict(total_energy=6),                    # > polyad_N
+    dict(n_system_levels=0),
+    dict(total_energy=6),                    # > n_system_levels - 1
     dict(degeneracy_b=1.0),                  # infinite temperature
     dict(degeneracy_b=0.5),
     dict(alpha=-0.01),
@@ -54,10 +56,33 @@ def test_production_config_counts():
     dict(rng_seed=2 ** 64),
     dict(coupling_scope="everything"),
     dict(energy_unit_wavenumbers=0.0),
+    dict(omega_E=2000.0),                    # 2^(m*omega_E) overflows a float
+    dict(degeneracy_b=1e308),                # A*b^m overflows a float
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ValueError):
         ModelConfig(**bad)
+
+
+def test_config_file_overflowing_degeneracy_names_file(tmp_path):
+    path = tmp_path / "model.cfg"
+    path.write_text("omega_E = 2000\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: degeneracy .* overflows"):
+        ModelConfig.from_file(path)
+
+
+@pytest.mark.parametrize("name, expected", [("production", ModelConfig(rng_seed=1)),
+                                            ("toy", toy6_config(alpha=0.2))])
+def test_shipped_configs_parse(name, expected):
+    assert ModelConfig.from_file(CONFIGS / f"{name}.cfg") == expected
+
+
+@pytest.mark.parametrize("key", ["polyad_N", "omega0"])
+def test_config_file_dropped_fields_rejected(tmp_path, key):
+    path = tmp_path / "model.cfg"
+    path.write_text(f"alpha = 0.1\n{key} = 5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: unknown configuration key')}"):
+        ModelConfig.from_file(path)
 
 
 def test_non_integer_degeneracy_rejected():
@@ -79,7 +104,7 @@ def test_config_file_round_trip(tmp_path):
 
 def test_config_file_unknown_key_rejected(tmp_path):
     path = tmp_path / "model.cfg"
-    path.write_text("polyad_N = 5\nn_sistem_levels = 6\n")
+    path.write_text("n_system_levels = 6\nn_sistem_levels = 6\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown configuration key "
                                          f"'n_sistem_levels'"):
         ModelConfig.from_file(path)
@@ -99,14 +124,14 @@ def test_config_file_duplicate_key_rejected(tmp_path):
 ], ids=["int", "float", "bool"])
 def test_config_file_bad_value_names_file_line_and_key(tmp_path, line, message):
     path = tmp_path / "model.cfg"
-    path.write_text(f"polyad_N = 5\n{line}\n")
+    path.write_text(f"n_system_levels = 6\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
         ModelConfig.from_file(path)
 
 
 def test_config_file_out_of_range_value_names_file(tmp_path):
     path = tmp_path / "model.cfg"
-    path.write_text("polyad_N = 5\nalpha = -1\n")
+    path.write_text("n_system_levels = 6\nalpha = -1\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: alpha must be non-negative')}$"):
         ModelConfig.from_file(path)
 
@@ -126,7 +151,7 @@ def test_production_polyad_unit_spacing():
 
 
 def test_single_level_polyad():
-    cfg = ModelConfig(n_system_levels=1, polyad_N=0, total_energy=0,
+    cfg = ModelConfig(n_system_levels=1, total_energy=0,
                       n_env_levels=2, degeneracy_A=1)
     eigenvalues = polyad_eigenvalues(cfg)
     assert eigenvalues.shape == (1,)
@@ -147,13 +172,14 @@ def _char_poly_roots_3x3(a):
 
 
 def test_polyad_block_against_char_poly_oracle():
-    cfg = ModelConfig(n_system_levels=3, polyad_N=2, omega0=10.0, kappa=0.5,
-                      total_energy=2, n_env_levels=3, degeneracy_A=1)
-    eigenvalues = polyad_eigenvalues(cfg)
+    cfg = ModelConfig(n_system_levels=3, kappa=0.5, total_energy=2, n_env_levels=3,
+                      degeneracy_A=1)
+    omega0 = 10.0
+    eigenvalues = polyad_eigenvalues(cfg, omega0)
     # the local-mode polyad block, built here independently of the model
-    N = cfg.polyad_N
+    N = cfg.n_system_levels - 1
     off = 0.5 * cfg.kappa * np.sqrt([(n1 + 1.0) * (N - n1) for n1 in range(N)])
-    block = N * cfg.omega0 * np.eye(N + 1) + np.diag(off, 1) + np.diag(off, -1)
+    block = N * omega0 * np.eye(N + 1) + np.diag(off, 1) + np.diag(off, -1)
     expected = _char_poly_roots_3x3(block)
     np.testing.assert_allclose(eigenvalues, expected, rtol=0, atol=1e-9)
     np.testing.assert_allclose(np.diff(eigenvalues), 0.5, rtol=0, atol=1e-10)
@@ -165,38 +191,43 @@ def test_polyad_spacing_property(case):
     N = int(rng.integers(1, 12))
     omega0 = float(rng.uniform(0.5, 80.0))
     kappa = float(rng.uniform(0.05, 5.0))
-    cfg = ModelConfig(n_system_levels=N + 1, polyad_N=N, omega0=omega0,
-                      kappa=kappa, total_energy=0, n_env_levels=1, degeneracy_A=1)
-    evals = polyad_eigenvalues(cfg)
+    cfg = ModelConfig(n_system_levels=N + 1, kappa=kappa, total_energy=0, n_env_levels=1,
+                      degeneracy_A=1)
+    evals = polyad_eigenvalues(cfg, omega0)
     np.testing.assert_allclose(np.diff(evals), kappa, rtol=0, atol=1e-10 * max(1.0, omega0 * N))
 
 
 # -- environment ------------------------------------------------------------
 
+def _env_rungs(cfg):
+    """(m, l) of each environment state: the basis's first N_E rows, system level 0."""
+    basis = build_basis(cfg)
+    return basis.m[:cfg.n_env_states], basis.l[:cfg.n_env_states]
+
+
 def test_environment_counts_production():
     cfg = ModelConfig()
-    env = build_environment(cfg)
-    assert env.energy.size == 1530
-    counts = np.bincount(env.m)
+    energy, (m, l) = build_environment(cfg), _env_rungs(cfg)
+    assert energy.shape == (1530,)
+    counts = np.bincount(m)
     np.testing.assert_array_equal(counts, [6, 12, 24, 48, 96, 192, 384, 768])
     # rung-major draw order: m ascending, l ascending
-    assert np.all(np.diff(env.m) >= 0)
-    for m in range(8):
-        np.testing.assert_array_equal(env.l[env.m == m], np.arange(counts[m]))
+    assert np.all(np.diff(m) >= 0)
+    for rung in range(8):
+        np.testing.assert_array_equal(l[m == rung], np.arange(counts[rung]))
 
 
 def test_environment_zero_alpha_exact():
     cfg = ModelConfig(alpha=0.0)
-    env = build_environment(cfg)
-    np.testing.assert_array_equal(env.energy, env.m.astype(float))
+    np.testing.assert_array_equal(build_environment(cfg), _env_rungs(cfg)[0].astype(float))
 
 
 def test_environment_shift_statistics():
     cfg = ModelConfig(alpha=0.05, rng_seed=2024)
-    env = build_environment(cfg)
+    m = _env_rungs(cfg)[0]
     sigma = 0.05 * math.sqrt(2.0)
-    shift = env.energy - env.m * cfg.omega_E
-    top = shift[env.m == 7]
+    shift = build_environment(cfg) - m * cfg.omega_E
+    top = shift[m == 7]
     assert top.size == 768
     assert abs(top.mean()) < 3.0 * sigma / math.sqrt(768)
     assert abs(top.std(ddof=1) - sigma) < 0.1 * sigma
@@ -218,7 +249,7 @@ def test_toy_hamiltonian_symmetric_and_reconstructs(toy6, toy6_ham):
 
 def test_diagonal_is_zero_order_energy(toy6, toy6_ham):
     np.testing.assert_array_equal(
-        np.diag(hamiltonian_matrix(toy6)), toy6_ham.basis.zero_order_energy
+        np.diag(hamiltonian_matrix(toy6)), build_basis(toy6).zero_order_energy
     )
 
 
@@ -228,7 +259,7 @@ def test_alpha_zero_hamiltonian_diagonal():
     matrix = hamiltonian_matrix(cfg)
     off = matrix - np.diag(np.diag(matrix))
     assert np.all(off == 0.0)
-    np.testing.assert_array_equal(np.diag(matrix), ham.basis.zero_order_energy)
+    np.testing.assert_array_equal(np.diag(matrix), build_basis(cfg).zero_order_energy)
 
 
 def test_identical_seed_bit_identical_matrix():
@@ -294,11 +325,10 @@ def test_eigen_residual_has_the_same_bytes_on_any_blas_thread_count(mid_ham):
 
 def test_system_changing_only_scope():
     cfg = toy21_config(coupling_scope="system_changing_only")
-    ham = assemble_hamiltonian(cfg)
     matrix = hamiltonian_matrix(cfg)
-    n = ham.basis.n
+    n = build_basis(cfg).n
     same_system = np.equal.outer(n, n)
-    off_diag = ~np.eye(ham.dim, dtype=bool)
+    off_diag = ~np.eye(n.size, dtype=bool)
     assert np.all(matrix[same_system & off_diag] == 0.0)
     assert np.any(matrix[~same_system] != 0.0)
     # draw-order contract: couplings between system-changing pairs are
@@ -311,18 +341,17 @@ def test_system_changing_only_scope():
 @pytest.mark.parametrize("k", [1, 16, 40])
 def test_leading_rows_match_full_matrix(scope, k):
     cfg = toy21_config(coupling_scope=scope)
-    basis = build_basis(cfg)
+    dim = cfg.n_universe_states
     full = build_hamiltonian_matrix(cfg)
     rows = build_hamiltonian_matrix(cfg, n_rows=k)
-    assert rows.shape == (min(k, basis.size), basis.size)
+    assert rows.shape == (min(k, dim), dim)
     assert np.array_equal(rows, full[:k])
 
 
 def test_coupling_width_statistics():
     cfg = toy21_config(alpha=0.25, rng_seed=5)
-    basis = build_basis(cfg)
     h = build_hamiltonian_matrix(cfg)
-    iu = np.triu_indices(basis.size, 1)
+    iu = np.triu_indices(cfg.n_universe_states, 1)
     draws = h[iu]
     sigma = 0.25 * cfg.omega_E
     assert abs(draws.mean()) < 3.0 * sigma / math.sqrt(draws.size)
@@ -331,21 +360,21 @@ def test_coupling_width_statistics():
 
 # -- basis indexing ----------------------------------------------------------
 
-def test_basis_flat_index_bijection(toy21_ham):
+def test_basis_flat_index_bijection(toy21):
     # i = n N_E + sum_{m' < m} g(m') + l, the layout `dynamics.initial_state` relies on
-    basis = toy21_ham.basis
-    offsets = np.concatenate(([0], np.cumsum(basis.degeneracies)[:-1]))
+    basis, degs = build_basis(toy21), toy21.degeneracies()
+    offsets = np.concatenate(([0], np.cumsum(degs)[:-1]))
     seen = set()
-    for i in range(basis.size):
+    for i in range(toy21.n_universe_states):
         n, m, l = basis.n[i], basis.m[i], basis.l[i]
-        assert 0 <= l < basis.degeneracies[m]
-        assert n * basis.n_env_states + offsets[m] + l == i
+        assert 0 <= l < degs[m]
+        assert n * toy21.n_env_states + offsets[m] + l == i
         seen.add((n, m, l))
-    assert len(seen) == basis.size
+    assert len(seen) == basis.n.size == toy21.n_universe_states
 
 
-def test_basis_shell_labels(toy21_ham):
-    basis = toy21_ham.basis
+def test_basis_shell_labels(toy21):
+    basis = build_basis(toy21)
     np.testing.assert_array_equal(basis.shell_label, basis.n + basis.m)
     assert np.count_nonzero(basis.shell_label == 2) == 7  # g(2) + g(1) + g(0) = 4 + 2 + 1
 
@@ -353,7 +382,7 @@ def test_basis_shell_labels(toy21_ham):
 def test_production_basis_counts():
     cfg = ModelConfig()
     basis = build_basis(cfg)
-    assert basis.size == 9180
+    assert basis.shell_label.size == 9180
     assert np.count_nonzero(basis.shell_label == 5) == 378
     assert int(np.bincount(basis.shell_label).sum()) == 9180
 
@@ -380,7 +409,7 @@ def test_temperature_reference_values():
 def test_temperature_identity_case():
     # ln b = 1 and an energy unit of k_B * 1K makes T exactly 1 Kelvin
     cfg = ModelConfig(
-        n_system_levels=2, polyad_N=1, total_energy=0, n_env_levels=1,
+        n_system_levels=2, total_energy=0, n_env_levels=1,
         degeneracy_A=1, degeneracy_b=math.e,
         energy_unit_wavenumbers=units.KB_WAVENUMBER_PER_KELVIN,
     )

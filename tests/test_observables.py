@@ -32,22 +32,16 @@ from oracles import (
 BOLTZMANN_6 = 2.0 ** -np.arange(6) / (2.0 ** -np.arange(6)).sum()
 
 
-@pytest.fixture(scope="module")
-def production_basis():
-    cfg = ModelConfig()
-    return cfg, build_basis(cfg)
-
-
 def _rdm_from_diag(diag):
     return ReducedDensityMatrix(matrix=np.diag(np.asarray(diag, dtype=complex)))
 
 
 # -- reduced density matrix ---------------------------------------------------
 
-def test_rdm_of_product_state_is_projector(production_basis):
-    cfg, basis = production_basis
+def test_rdm_of_product_state_is_projector():
+    cfg = ModelConfig()
     psi = initial_state(cfg, 2)
-    rdm = reduced_density_matrix(psi, basis)
+    rdm = reduced_density_matrix(psi, cfg)
     expected = np.zeros((6, 6))
     expected[2, 2] = 1.0
     np.testing.assert_allclose(rdm.matrix, expected, rtol=0, atol=1e-14)
@@ -56,13 +50,13 @@ def test_rdm_of_product_state_is_projector(production_basis):
 
 def test_rdm_maximally_entangled_pair():
     # 2 system levels x 2 env states, amplitudes 1/sqrt(2) on |0,a> and |1,b>
-    cfg = ModelConfig(n_system_levels=2, polyad_N=1, n_env_levels=1,
+    cfg = ModelConfig(n_system_levels=2, n_env_levels=1,
                       degeneracy_A=2, total_energy=0)
     basis = build_basis(cfg)
     amps = np.zeros(4, dtype=complex)
     for n, l in ((0, 0), (1, 1)):
         amps[(basis.n == n) & (basis.m == 0) & (basis.l == l)] = 1.0 / math.sqrt(2.0)
-    rdm = reduced_density_matrix(amps, basis)
+    rdm = reduced_density_matrix(amps, cfg)
     np.testing.assert_allclose(rdm.matrix, np.diag([0.5, 0.5]), rtol=0, atol=1e-15)
     np.testing.assert_allclose(von_neumann_entropy(rdm), math.log(2.0), rtol=1e-12)
 
@@ -70,10 +64,10 @@ def test_rdm_maximally_entangled_pair():
 def _brute_force_rdm(amps, basis):
     # oracle: full outer product, then explicit index-summed partial trace
     rho_se = np.outer(amps, amps.conj())
-    ns = basis.n_system_levels
+    ns = int(basis.n.max()) + 1
     rho = np.zeros((ns, ns), dtype=complex)
-    for i in range(basis.size):
-        for j in range(basis.size):
+    for i in range(amps.size):
+        for j in range(amps.size):
             if basis.m[i] == basis.m[j] and basis.l[i] == basis.l[j]:
                 rho[basis.n[i], basis.n[j]] += rho_se[i, j]
     return rho
@@ -81,10 +75,9 @@ def _brute_force_rdm(amps, basis):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rdm_against_brute_force_partial_trace(toy21_ham, seed):
-    basis = toy21_ham.basis
-    amps = random_normalized_state(basis.size, seed)
-    rdm = reduced_density_matrix(amps, basis)
-    oracle = _brute_force_rdm(amps, basis)
+    amps = random_normalized_state(toy21_ham.dim, seed)
+    rdm = reduced_density_matrix(amps, toy21_ham.config)
+    oracle = _brute_force_rdm(amps, build_basis(toy21_ham.config))
     assert np.abs(rdm.matrix - oracle).max() <= 1e-12
     rdm.validate()
 
@@ -100,10 +93,10 @@ def test_rdm_validation_catches_corruption():
 
 # -- von Neumann entropy -------------------------------------------------------
 
-def test_entropy_of_pure_state_is_zero(production_basis):
-    cfg, basis = production_basis
+def test_entropy_of_pure_state_is_zero():
+    cfg = ModelConfig()
     for n in range(6):
-        rdm = reduced_density_matrix(initial_state(cfg, n), basis)
+        rdm = reduced_density_matrix(initial_state(cfg, n), cfg)
         assert abs(von_neumann_entropy(rdm)) <= 1e-12
 
 
@@ -220,20 +213,18 @@ def test_t_fit_tolerates_small_noise():
 
 def test_diagonal_entropy_dominates_eigen_entropy(toy21_ham):
     # majorization: -sum rho_nn ln rho_nn >= S_vN for every state
-    basis = toy21_ham.basis
     for seed in range(6):
-        rdm = reduced_density_matrix(
-            random_normalized_state(basis.size, seed), basis
-        )
+        rdm = reduced_density_matrix(random_normalized_state(toy21_ham.dim, seed),
+                                     toy21_ham.config)
         s_diag = shannon_entropy(rdm.diagonal())
         s_vn = von_neumann_entropy(rdm)
         assert s_diag >= s_vn - 1e-9
 
 
 def test_shell_partials_sum_to_universe_entropy(toy21_ham):
-    basis = toy21_ham.basis
-    psi = random_normalized_state(basis.size, 20)
-    partials = shell_partial_entropies(probabilities(psi), basis.shell_label)
+    psi = random_normalized_state(toy21_ham.dim, 20)
+    partials = shell_partial_entropies(probabilities(psi),
+                                       build_basis(toy21_ham.config).shell_label)
     np.testing.assert_allclose(partials.sum(), universe_entropy(psi), rtol=0, atol=1e-10)
 
 
@@ -265,7 +256,7 @@ def _t_fit_reference(pops, levels, unit):
 def test_trajectory_matches_per_time_references(overrides):
     cfg = toy21_config(**overrides)
     ham = assemble_hamiltonian(cfg)
-    basis = ham.basis
+    basis = build_basis(cfg)
     ladder = build_system_levels(cfg)
     kbt = temperature_of(cfg).kbt_reduced
     unit = cfg.energy_unit_wavenumbers
@@ -277,12 +268,12 @@ def test_trajectory_matches_per_time_references(overrides):
     for psi0, result in zip(psi0s, results):
         cols = result.columns
         n_shells = len([k for k in cols if k.startswith("S_partial_")])
-        assert n_shells == basis.n_system_levels - 1 + basis.degeneracies.size
+        assert n_shells == cfg.n_system_levels - 1 + cfg.n_env_levels
 
         ref = {k: [] for k in ("S_vN", "S_univ", "U_S", "diag", "partials", "T_fit_K")}
         for t in times:
             psi = propagate(psi0, ham, float(t))
-            rdm = reduced_density_matrix(psi, basis)
+            rdm = reduced_density_matrix(psi, cfg)
             p = probabilities(psi)
             ref["S_vN"].append(von_neumann_entropy(rdm))
             ref["S_univ"].append(shannon_entropy(p))
@@ -306,7 +297,7 @@ def test_trajectory_matches_per_time_references(overrides):
         close(cols["minus_dF_over_kT"], -ref["dF"] / kbt)
         for s in range(n_shells):
             close(cols[f"S_partial_{s}"], ref["partials"][:, s])
-        for k in range(basis.n_system_levels):
+        for k in range(cfg.n_system_levels):
             close(cols[f"rdm_diag_{k}"], ref["diag"][:, k])
         close(result.final_amplitudes, propagate(psi0, ham, float(times[-1])))
 
@@ -342,15 +333,14 @@ def test_trajectory_bundle(toy21_ham, toy21):
 
 
 def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
-    basis = toy21_ham.basis
     times = np.linspace(0.0, 8.0, 5)
     psi0 = np.array([initial_state(toy21, n) for n in (0, 1)])
     amps = propagated(psi0, toy21_ham, times)
-    trajectories(as_blocks(amps, basis, 3), times, toy21)
+    trajectories(as_blocks(amps, toy21, 3), times, toy21)
     bad = amps.copy()
     bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
-        trajectories(as_blocks(bad, basis, 3), times, toy21)
+        trajectories(as_blocks(bad, toy21, 3), times, toy21)
 
 
 # -- the pass's worker threads ------------------------------------------------------
