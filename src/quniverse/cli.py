@@ -5,8 +5,10 @@ A run makes one pass over the eigenvectors for all requested states:
 `dynamics.propagate_blocks` yields the amplitudes one row block at a
 time and `observables.trajectories` reduces each block to every state's
 sums before the next is made.  Each state then gets its trajectory
-columns and final-time amplitudes, from which its summary and anomaly
-entries are made; only then are the files written.
+columns and final-time amplitudes, from which `analysis.run_summary`
+makes its summary row and this module its anomaly entry; only then are
+the files written.  `compare` reports `analysis.free_energy_agreement`
+of a trajectory CSV, as the summary row holds it.
 
 Every command checks its request and its output target, then builds,
 then writes, so a bad request fails before the Hamiltonian is assembled.
@@ -41,13 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, units
-from .analysis import (
-    LATE_FRACTION,
-    detect_negative_production,
-    entropy_production_rate,
-    late_window_slice,
-    stick_order,
-)
+from .analysis import (detect_negative_production, entropy_production_rate,
+                       free_energy_agreement, run_summary, stick_order)
 from .blas import library, pass_workers, simd_level
 from .cache import write_whole
 from .config import ModelConfig
@@ -57,7 +54,6 @@ from .model import (assemble_hamiltonian, build_basis, check_memory, progress, r
 from .observables import sum_bytes, trajectories
 from .rng import DRAW_CONTRACT_VERSION
 
-SCHEMA_VERSION = 1
 DEFAULT_T_MAX_PS = 30.0
 DEFAULT_N_POINTS = 600
 MAX_PHASE = 2.0 ** 40
@@ -157,25 +153,20 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         with stage("build_and_solve"):
             ham = assemble_hamiltonian(config)
 
-        temp = temperature_of(config)
         unit = config.energy_unit_wavenumbers
         t_max = units.ps_to_reduced_time(t_max_ps, unit)
         _check_phase(float(np.abs(ham.eigenvalues).max()), t_max, f"--t-max-ps {t_max_ps}")
         times = np.linspace(0.0, t_max, n_points)
-        late = late_window_slice(n_points)
-        shell = config.total_energy
-        in_shell = build_basis(config).shell_label == shell
 
         workers = pass_workers()
         progress(f"propagating {len(states)} states over {n_points} times "
                  f"on {workers} worker thread{'s' if workers > 1 else ''}")
         results = trajectories(propagate_blocks(psi0, ham, times), times, config)
         with stage("observables"):
-            summary_rows = []
+            summary = run_summary(config, states, results)
             anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}
             for n, result in zip(states, results):
-                s_univ_series = result.columns["S_univ"]
-                rate = entropy_production_rate(times, s_univ_series)
+                rate = entropy_production_rate(times, result.columns["S_univ"])
                 anomaly_report["states"].append({
                     "n": n,
                     "dips": [dataclasses.asdict(d)
@@ -183,28 +174,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
                     "min_rate": float(rate.min()),
                     "min_rate_time": float(times[int(rate.argmin())]),
                 })
-                partial = result.columns[f"S_partial_{shell}"]
-                final = result.final_amplitudes
-                summary_rows.append({
-                    "n": n,
-                    "S_univ": float(s_univ_series[late].mean()),
-                    "S_partial": float(partial[late].mean()),
-                    "S_univ_final": float(s_univ_series[-1]),
-                    "S_partial_final": float(partial[-1]),
-                    "effective_states": float(np.exp(s_univ_series[late].mean())),
-                    "shell_population_final": float(
-                        (final.real ** 2 + final.imag ** 2)[in_shell].sum()),
-                    "health": result.health,
-                })
-            summary = {
-                "schema_version": SCHEMA_VERSION,
-                "seed": config.rng_seed,
-                "microcanonical_shell": config.total_energy,
-                "shell_state_count": config.shell_size(config.total_energy),
-                "late_window_fraction": LATE_FRACTION,
-                "temperature_kelvin": temp.kelvin,
-                "states": summary_rows,
-            }
 
         with stage("write", begin=f"writing trajectories, stick diagrams, summary and "
                                   f"manifest to {out}"):
@@ -224,7 +193,6 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "seed": config.rng_seed,
         "code_version": __version__,
         "draw_contract": DRAW_CONTRACT_VERSION,
-        "schema_version": SCHEMA_VERSION,
         "states": list(states),
         "t_max_reduced": float(t_max),
         "n_points": n_points,
@@ -242,7 +210,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
             "reduced_time_unit_ps": units.reduced_time_unit_ps(unit),
             "energy_unit_wavenumbers": unit,
         },
-        "temperature": dataclasses.asdict(temp),
+        "temperature": dataclasses.asdict(temperature_of(config)),
         "outputs": [f"{kind}_n{n}.csv" for n in states for kind in ("traj", "sticks")]
         + ["summary.json", "anomalies.json"],
         "timing_seconds": record.seconds,
@@ -270,7 +238,7 @@ def _peak_rss_mb() -> float:
 def _write_trajectory(fh, config, n, traj):
     """One CSV row per time; NaN (no Boltzmann fit) is written as an empty field."""
     rows = np.column_stack(list(traj.values())).tolist()
-    fh.write(f"# quniverse trajectory schema={SCHEMA_VERSION} state_n={n} "
+    fh.write(f"# quniverse trajectory state_n={n} "
              f"seed={config.rng_seed} config_sha256={config.content_hash()}\n")
     fh.write(",".join(traj) + "\n")
     fh.writelines(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n"
@@ -292,7 +260,7 @@ def _write_sticks(fh, config, n, t, amplitudes, stick_text):
     order, before, after = stick_text
     c = amplitudes[order]
     p = (c.real ** 2 + c.imag ** 2).tolist()
-    fh.write(f"# quniverse sticks schema={SCHEMA_VERSION} state_n={n} "
+    fh.write(f"# quniverse sticks state_n={n} "
              # 0.0 + t: a time of -0.0 is written as 0.0
              f"time_reduced={0.0 + float(t)!r} seed={config.rng_seed} "
              f"config_sha256={config.content_hash()}\n")
@@ -327,12 +295,10 @@ def read_trajectory(path) -> dict[str, np.ndarray]:
 
 
 def compare_free_energy(traj_path) -> dict:
-    """Align dS_univ(t) with -dF(t)/(k_B T) and quantify their agreement.
+    """The trajectory's path and `analysis.free_energy_agreement` of its columns.
 
-    The short-time window where the universe entropy runs ahead of the
-    free-energy surrogate is reported as a flagged transient, not a
-    failure.  A trajectory with a `manifest.json` beside it must belong
-    to that run (`_checked_run`); a lone CSV is read as it is.
+    A trajectory with a `manifest.json` beside it must belong to that
+    run (`_checked_run`); a lone CSV is read as it is.
     """
     if (Path(traj_path).parent / "manifest.json").exists():
         _checked_run(Path(traj_path))
@@ -340,37 +306,7 @@ def compare_free_energy(traj_path) -> dict:
     for needed in ("time_reduced", "S_univ", "dF", "minus_dF_over_kT"):
         if needed not in cols:
             raise ValueError(f"trajectory {traj_path} lacks required column {needed}")
-    t = cols["time_reduced"]
-    ds_univ = cols["S_univ"] - cols["S_univ"][0]
-    minus_df_kbt = cols["minus_dF_over_kT"]
-    diff = ds_univ - minus_df_kbt
-    late = late_window_slice(t.size)
-    late_abs = float(np.abs(diff[late]).mean())
-    late_mean_ds = float(ds_univ[late].mean())
-    scale = max(abs(late_mean_ds), 1e-12)
-    transient_tol = max(2.0 * late_abs, 0.05)
-    beyond = np.abs(diff) > transient_tol
-    if beyond.any():
-        transient_end = float(t[min(int(np.max(np.nonzero(beyond)[0])) + 1, t.size - 1)])
-    else:
-        transient_end = 0.0
-    return {
-        "trajectory": str(traj_path),
-        "late_window_fraction": LATE_FRACTION,
-        "late_mean_dS_univ": late_mean_ds,
-        "late_mean_minus_dF_over_kT": float(minus_df_kbt[late].mean()),
-        "late_mean_abs_difference": late_abs,
-        "late_relative_discrepancy": late_abs / scale,
-        "max_abs_difference": float(np.abs(diff).max()),
-        "transient_flagged": bool(beyond.any()),
-        "transient_end_reduced": transient_end,
-        "series": {
-            "time_reduced": t.tolist(),
-            "dS_univ": ds_univ.tolist(),
-            "minus_dF_over_kT": minus_df_kbt.tolist(),
-            "difference": diff.tolist(),
-        },
-    }
+    return {"trajectory": str(traj_path), **free_energy_agreement(cols)}
 
 
 def _trajectory_header(fh, path) -> dict[str, str]:
@@ -496,8 +432,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--states", default=None, type=_state_list,
                        help="comma-separated initial system levels (default: all)")
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
-    p_run.add_argument("--paper-compat", action="store_true",
-                       help="pin the reference temperature 230.41 K")
     p_run.add_argument("--t-max-ps", type=float, default=DEFAULT_T_MAX_PS)
     p_run.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
 
@@ -517,13 +451,8 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         config = ModelConfig.from_file(args.config)
-        overrides = {}
         if args.seed is not None:
-            overrides["rng_seed"] = args.seed
-        if args.paper_compat:
-            overrides["paper_compat"] = True
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+            config = dataclasses.replace(config, rng_seed=args.seed)
         states = list(range(config.n_system_levels)) if args.states is None else args.states
         manifest = run_experiment(
             config, states, args.out,

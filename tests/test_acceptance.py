@@ -115,6 +115,18 @@ def test_criterion_4_free_energy_agreement(production_runs):
             f"max late-mean |dS_univ + dF/kT| = {worst:.4f} nats (<= 0.15)")
 
 
+def test_summary_repeats_the_free_energy_agreement(production_runs):
+    # run's summary rows hold criterion 4's test, made on the columns in memory,
+    # bit for bit as compare makes it on each CSV
+    fields = ("late_mean_abs_difference", "late_relative_discrepancy",
+              "transient_flagged", "transient_end_reduced")
+    for seed, run in production_runs.items():
+        for row in run["summary"]["states"]:
+            report = compare_free_energy(run["out"] / f"traj_n{row['n']}.csv")
+            assert {f: row[f] for f in fields} == {f: report[f] for f in fields}, (seed, row["n"])
+    assert sum(len(run["summary"]["states"]) for run in production_runs.values()) == 18
+
+
 def test_criterion_5_effective_state_count(production_runs):
     counts = []
     for run in production_runs.values():

@@ -179,9 +179,15 @@ def _sticks_in_basis_order(path):
     return sticks[np.lexsort((sticks[:, 4], sticks[:, 3], sticks[:, 2]))]
 
 
-def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
+# The fields of `compare`'s report that each state's summary row repeats
+AGREEMENT_FIELDS = ("late_mean_abs_difference", "late_relative_discrepancy",
+                    "transient_flagged", "transient_end_reduced")
+
+
+@pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
+def test_summary_agrees_with_the_files_it_summarizes(tmp_path, n_points):
     cfg = toy21_config()
-    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=50)
+    run_experiment(cfg, [0, 1, 2], tmp_path, t_max_ps=2.0, n_points=n_points)
     shell = cfg.total_energy
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [row["n"] for row in summary["states"]] == [0, 1, 2]
@@ -194,6 +200,9 @@ def test_summary_agrees_with_the_files_it_summarizes(tmp_path):
         in_shell = sticks[sticks[:, 5] == shell, 1].sum()
         assert row["shell_population_final"] == in_shell
         assert 0.0 < in_shell < 1.0
+        # the paper's test, made on the columns in memory, is compare's on the CSV
+        report = compare_free_energy(tmp_path / f"traj_n{row['n']}.csv")
+        assert {f: row[f] for f in AGREEMENT_FIELDS} == {f: report[f] for f in AGREEMENT_FIELDS}
 
 
 def test_summary_reports_numerical_health_within_gates(tmp_path):
@@ -419,17 +428,23 @@ def test_manifest_peak_rss_is_the_run_process_own(tmp_path):
     assert 0.0 < manifest["peak_rss_mb"] < 200.0
 
 
-def test_cli_seed_and_compat_overrides(tmp_path, toy_cfg_file):
-    _, cfg_path = toy_cfg_file
+def test_cli_seed_and_compat_overrides(tmp_path, toy_cfg_file, capsys):
+    # --seed overrides the config file's seed; paper_compat is set in the file alone
+    cfg, _ = toy_cfg_file
+    cfg_path = tmp_path / "compat.cfg"
+    cfg_path.write_text(dataclasses.replace(cfg, paper_compat=True).canonical_string())
     out = tmp_path / "cli_run2"
     rc = main(["run", "--config", str(cfg_path), "--out", str(out),
-               "--states", "0", "--seed", "77", "--paper-compat",
-               "--t-max-ps", "1.0", "--n-points", "20"])
+               "--states", "0", "--seed", "77", "--t-max-ps", "1.0", "--n-points", "20"])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 77
     assert manifest["config"]["paper_compat"] is True
     assert manifest["temperature"]["kelvin"] == 230.41
+    with pytest.raises(SystemExit) as refused:
+        main(["run", "--config", str(cfg_path), "--out", str(out), "--paper-compat"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --paper-compat" in capsys.readouterr().err
 
 
 def test_cli_sticks_command(tmp_path, toy_cfg_file):
@@ -668,7 +683,7 @@ MANIFEST_KEYS = [
     "config.total_energy",
     "constants.energy_unit_wavenumbers", "constants.kB_wavenumber_per_K",
     "constants.reduced_time_unit_ps",
-    "draw_contract", "n_points", "outputs", "peak_rss_mb", "schema_version", "seed",
+    "draw_contract", "n_points", "outputs", "peak_rss_mb", "seed",
     "states", "t_max_reduced",
     "temperature.beta_reduced", "temperature.discrepancy_percent",
     "temperature.kbt_reduced", "temperature.kelvin", "temperature.kelvin_analytic",
@@ -883,107 +898,116 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 
 
 # sha256 of every toy21 output but the manifest (which records timings),
-# for this package version, per kernel of numpy's OpenBLAS (which runs the
-# solve and the GEMMs) and per SIMD level of numpy's own loops (`log` and
-# `exp` among them), at the levels that hosts of each kernel run:
-# OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES emulate them.  Bump
-# __version__ with every change that moves an output byte, and re-record
-# these hashes under it for every kernel.
+# and of compare's report on traj_n1.csv, for this package version, per
+# kernel of numpy's OpenBLAS (which runs the solve and the GEMMs) and per
+# SIMD level of numpy's own loops (`log` and `exp` among them), at the
+# levels that hosts of each kernel run: OPENBLAS_CORETYPE and
+# NPY_DISABLE_CPU_FEATURES emulate them.  Bump __version__ with every
+# change that moves an output byte, and re-record these hashes under it
+# for every kernel.
 OUTPUT_SHA256 = {
-    ("0.8.0", "SkylakeX", "X86_V4"): {
+    ("0.9.0", "SkylakeX", "X86_V4"): {
         120: {
             "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
-            "sticks_n0.csv": "d9414941112275c49d3619e6dad529b382ab83174559e207cb8ab43876b2bdcb",
-            "sticks_n1.csv": "2bd46c014552242668c4e96277997795a98c7bf5ae441436f3efa0aa9e46d1a5",
-            "sticks_n2.csv": "18777520c16b0a21dc51f8212f2f7589d8aed5a30e69c039438955127c4e7f1e",
-            "sticks_t.csv": "0a16b46ac4adf0f3b2a2f8f1bdf0c44c35171710a819f027a67279b86bd24c76",
-            "summary.json": "83e68c1566f54ec84d1dbb5f0ad12966cd981e368630f8623e0f2366b8bae4ce",
-            "traj_n0.csv": "3b0c80a8543a7528126fe75d10a8fcea80354d29977df2c1de755d24cfd0b3a7",
-            "traj_n1.csv": "1eaeeaa70b0d5e0c744233c4a9d16e091eded2905786d20295d9c98350b921bb",
-            "traj_n2.csv": "66146a3a6b17b2d02dcbd595d5c5cc6a962d47e20dd323623e890f372856af16",
+            "compare_n1.json": "288497e65c89f387254dd67b83630861e22620e195c5f180896b34b08e20b079",
+            "sticks_n0.csv": "13eaca962c5ecb27f4772e8d3800f510570b55063100fb2b81aaf013930b5f7d",
+            "sticks_n1.csv": "3ef8b2da0244b1707dd3057c979d0281791b765858deaa04cfea00fa5b25beb6",
+            "sticks_n2.csv": "79bfb270a0f6cd0f3d323495b0aa5f66106372e7dd3abae1f6576e75e4b6b0e4",
+            "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
+            "summary.json": "b3ff338ff39d7cf6019c050d37dbbc82e5380dc478bfeee8772db74a03d0fc7e",
+            "traj_n0.csv": "2b904cbbc004b4e0ff29545d04ea7780b30f5b9e410d3f14884bd2cf419c56d4",
+            "traj_n1.csv": "f8ab44002788f8d5d1bb6a2f16bb4d4183cf53cd2a532184fd86604004cf4ecd",
+            "traj_n2.csv": "6148ad9cf31fa73810aeab356896184f60c99af5d9f372cbd4f309bf8e60c723",
         },
         40: {
             "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
-            "sticks_n0.csv": "275d00dee2273e9e9669fcda0336e06ebbc504950f7a8625c0ee538c07c22a7b",
-            "sticks_n1.csv": "bff65a04f7c1c5e4351eb56b7df4f61d7bf9de17a100ae9e19df74648adb4295",
-            "sticks_n2.csv": "281a4ec39ae104eea70307c7140286c815ee7ab2625ef158309db9e2770290ec",
-            "sticks_t.csv": "0a16b46ac4adf0f3b2a2f8f1bdf0c44c35171710a819f027a67279b86bd24c76",
-            "summary.json": "948790767d721406e3f1b4ac80298defcecd00d8ba5cef15eb1e198e2ce55ba4",
-            "traj_n0.csv": "5ac85beadcf0fe3024b96cbbdfb5884ac82e7eb37aa0a9eb72aef05b354bff1d",
-            "traj_n1.csv": "2005523530a08156dad6ff51dbf34f5489f56a4b4ece850702e79494fa8647b2",
-            "traj_n2.csv": "50e77f8e32c15c70585629859b501959bc00be701c36d9746f58c4420df21a88",
+            "compare_n1.json": "b1d559040964f002c340f6dc655f4227b7a334b96b7da82b4a9f7460ab4f44ee",
+            "sticks_n0.csv": "3ee13767db3fbc1f005b4224f7b0f25254564ed435ae9e6f3b9922bb11aff773",
+            "sticks_n1.csv": "c9218d062b8fe0890b71a6e861e72c508010a0fa4930872cb5e9fc9c213f793e",
+            "sticks_n2.csv": "68074d453eefc9ed4ef6a6617d2cb8c4c42749fa4db2ffdc61b9ae270155369a",
+            "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
+            "summary.json": "3e8dc35192ad05ffb9c9b0043a0cc74b4bd9608935feea56a94d0abd8c972e25",
+            "traj_n0.csv": "6369a68098e65457b15c0f8b14068ea5c1052d64ef1fd298a34e53af687b7e78",
+            "traj_n1.csv": "a8a339c3578ef1a46ad762156b676db6d520306a68896e74abb02b95be412ec4",
+            "traj_n2.csv": "a9a1212bc714d8eaadb6a1fb29d065d5b6f152d93f88799ec3d4ee356909031d",
         },
     },
-    ("0.8.0", "Haswell", "X86_V3"): {
+    ("0.9.0", "Haswell", "X86_V3"): {
         120: {
             "anomalies.json": "a808c01e05c507099e36b65f8fbbfbc39bb1e9034fa4bdaeb305da4ecff07b1e",
-            "sticks_n0.csv": "6a8415583b2c09bb4fdf22ee4cd30ec49e660b00e3dbc390d0705dc610d352b2",
-            "sticks_n1.csv": "f6563908a86a51851bdeb7f58e40210b5991cd608c7e9471de303751e8c361a7",
-            "sticks_n2.csv": "08faf479fc2253e201baf24e94306a1cc6eaabadc7849f58fdfa0ee32cf3fd8c",
-            "sticks_t.csv": "08fce87490bc6a87e22e9cb70f8fefc902a80bd62f5ce73557a26a74216d1875",
-            "summary.json": "29bb88bc20b0e1b10762eca1bdbb8701e8d503e69a29e96027f7861c08917d73",
-            "traj_n0.csv": "8c15a1c0495ce586f5d99f84293bc07f77aab22f8b9676232058693d33312772",
-            "traj_n1.csv": "94154f9cfdfd4760da3767844819ee98037a8fea5d2c3abe815a8e61d7e49676",
-            "traj_n2.csv": "0d1294655f9cc68704b5203a9bdbb4e22a33ad76813a127532a8de33a4a9f7fa",
+            "compare_n1.json": "076617f5b3b3ae9a9ddcb1699540699c5a290f06c1355c4878a952d66e93a9b1",
+            "sticks_n0.csv": "c83d46f90305566d57ba58c554916da627a851b467242d963a51f62f2067990a",
+            "sticks_n1.csv": "c529ce2921509e6a6d3ec44ff6cccac316a9590be37e17b09ec27dc9ddacdabb",
+            "sticks_n2.csv": "855a25361d0e21b5d996c59770b40a8a40bff3a36af37d916eb96a55b1d13294",
+            "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
+            "summary.json": "4e4bb041898dec167f558b165a0d83b3f5e6db8a4e8d8c4b5e6010f7f4d97a4d",
+            "traj_n0.csv": "e1779bbc71c83912da1afdc8be4d32b4fa0cb86403813611c69148e7fe639408",
+            "traj_n1.csv": "b7a93307fa7519d11d95e83ff4791dcff1f0cccf320d3c2097c913801a3ed2d5",
+            "traj_n2.csv": "51fcd6b090f88f17101d6eb33363c04126a3e894c9120f369e77a3ffb2f887b4",
         },
         40: {
             "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
-            "sticks_n0.csv": "4c8ee8b0a084253e2c443d4e7919db2f026e3cc215ba604fbb6c2a6490d2c22b",
-            "sticks_n1.csv": "d09ad944fe23f7e24785886cae790ef06228c75085cf290d0ebe416fa4ec59d7",
-            "sticks_n2.csv": "b08d5616a661fb7f7a243f86a4213492121f96384105f889a16a0da5863645a3",
-            "sticks_t.csv": "08fce87490bc6a87e22e9cb70f8fefc902a80bd62f5ce73557a26a74216d1875",
-            "summary.json": "75025fdf6bbccff7beadbe247f5db78044c92bb44cac5791f5a4b1e9052c9234",
-            "traj_n0.csv": "aeb06bb6b34964fc67577ae92a623cf90ff882526c2ec89597b86d8326eeed19",
-            "traj_n1.csv": "19db97094944fcf66ed3ac094381b73d9a05350fbcc02f0bd0d23750e81126cf",
-            "traj_n2.csv": "e6b815125410590ceadd54227669d6756448a5112e3aac1dea64f28a1305280b",
+            "compare_n1.json": "843a24264422a9a4dab3d2f3cc26ee523cfd365d822e626702c611816d9a0c96",
+            "sticks_n0.csv": "020e7ea955be7f24d536af6a308f635f9419c76319a48b18cf7cc4bd19eb33bd",
+            "sticks_n1.csv": "a83d7868f3c24e313f1fc1d3f5b9bcfc3ee7d14643e39d0df1fe8444c76d5ae0",
+            "sticks_n2.csv": "93f3e4038f96b6118dd41675ecacdc71e271034c6344ae3ed1c005aa5cbfde3f",
+            "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
+            "summary.json": "1353212091d04462fd19ddf9213d484efdcf2b918703be92cc63d555f41c421b",
+            "traj_n0.csv": "a0f050ffb8b54d7f69ff90d60a87ae072ce57a21467f580e53ceada791fc5022",
+            "traj_n1.csv": "60422051350cabbad18234b83288d46eed2705c0bad8f23e7673a215a6172cd3",
+            "traj_n2.csv": "59970c94b9d5bea2bf83f47913e92f90a5e5744041d06be025a7c1d32c003863",
         },
     },
-    ("0.8.0", "Sandybridge", "X86_V2"): {
+    ("0.9.0", "Sandybridge", "X86_V2"): {
         120: {
             "anomalies.json": "9dcb3a03430beab61673de08d47386d7f22bc2500c8bd8356464a217f5ee60ea",
-            "sticks_n0.csv": "5e0f5dffe2b00ec05c291e3236ed48cb67ba5cd194098cf66ca686a32aecfde2",
-            "sticks_n1.csv": "33eb6eec2b22301dfbcf98b373d8a2f73aaeaf1b836b8b395f7c9c8d872c19f8",
-            "sticks_n2.csv": "3848ee72ec266f9307009514270e3c222f2718f8abe331f805ce7cda24424daf",
-            "sticks_t.csv": "4d3a783a60ad190d1d5c5c93e549c80263443cb7d367f2b0cc3dc7c1195d24f8",
-            "summary.json": "c815918972346f5f09087bac63d482362536b2110c94d2580cb2f5ec53a40ae0",
-            "traj_n0.csv": "d6520f67e771f2d60b3e9d173bec7134fc4d3caddb402af7589479e71a9b029a",
-            "traj_n1.csv": "8505af3193b5092b767f0625dca6acc0512c39c7f3467f7d0c901df40d229345",
-            "traj_n2.csv": "60c03aeb883e2a036cdf12c514587baa5ce05a0cde9582650c332f4df96ce978",
+            "compare_n1.json": "d87435922d25b63b6928b6c3c1b0966e911f534842756b8cadc996a6c1102c26",
+            "sticks_n0.csv": "02308b0f7e9e3908b85df7739ff6367ccce7681f6248d042b98fb5dacb074465",
+            "sticks_n1.csv": "f0cf587bc9a46bf9e6bb9e3ac88b3782cdba423a456b460c98fdf8521efee928",
+            "sticks_n2.csv": "ed5d1dd2a999a028c930a547ba62450bafb1d47a79268f607b897ba15f530b4a",
+            "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
+            "summary.json": "81bc3b3c71e84dce348bb5d4d9025dd175f09704f5c8270f836fc066d01f6021",
+            "traj_n0.csv": "a2cdab7c9ab44d45e3a091b400ad2ab52635ea2ef0735c297538a763b426b1e6",
+            "traj_n1.csv": "08b7b873dc2d37d68fdcbbae922908634a9a2e40808bd3e21f8007291e1b6a29",
+            "traj_n2.csv": "bdc396d6840ea53c52ebfe52e699bc6a1787b5655badbd2a0102a01534ed7051",
         },
         40: {
             "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
-            "sticks_n0.csv": "058a24382a5740fe8a5b6883f99e7950869580c388b4dc0c1cdf14fde1b654f5",
-            "sticks_n1.csv": "c3e7e5e54dcd5ca0080599e882642977b48f1296946fbdcfbf5d8b4fdbe33de3",
-            "sticks_n2.csv": "578aa8d15f797d2ab536daeb813a86b748c0f16073d75d978ca45c28698681b9",
-            "sticks_t.csv": "4d3a783a60ad190d1d5c5c93e549c80263443cb7d367f2b0cc3dc7c1195d24f8",
-            "summary.json": "da8fc2865f2275dfc354af2589f51dc98d339608540a40d7b7af6e591b92e7fe",
-            "traj_n0.csv": "0e6cefd252383ffbd39f7c79551c5108abcf4176fb87b1d124ae3ecc8bd1921d",
-            "traj_n1.csv": "c17cc3a1940b7ee235dd2c4dd2dd5bbe6e2688a0323bccadfb211be1d8163fda",
-            "traj_n2.csv": "c8535a5ca70673377c2f70a097999f8e3e17dc4b2c2ca04a68525c6712fca8ab",
+            "compare_n1.json": "a9610c4736bed992c8b1f9c287fabf3db202c9e8c5107b1effb8879f7e2b79be",
+            "sticks_n0.csv": "e8ded7218b925507006af9905d032086546b8107d040fd299d71c1b51259871e",
+            "sticks_n1.csv": "a42a89b8f399f38c9ad0a252e8153681bb0558683306862ba455db14b55f607c",
+            "sticks_n2.csv": "f880ba4ad6eb14b903c5aa8fa8431beea4d52124aa8d90d3e24ba455c78f9de0",
+            "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
+            "summary.json": "64f4f8b53b0467f83b0bd2a1ee45818096db558b30c289e6474edf57bb916dab",
+            "traj_n0.csv": "1c945f40954401aa57212a9448eacac6737688cbf5084f06b81a180713d46664",
+            "traj_n1.csv": "9c6e017fbae77d8cb87792cc37b73790efc538c33130e4f2dc4a8362d18fba59",
+            "traj_n2.csv": "d78aeef1aad561038364303135f765346c0604f935231bd0a7121d0804bf6d35",
         },
     },
-    ("0.8.0", "Nehalem", "X86_V2"): {
+    ("0.9.0", "Nehalem", "X86_V2"): {
         120: {
             "anomalies.json": "a6f73082c98a44f80ddc6138aba8e0798f458f2ae6b2f98ceb654b3c5cfdcfba",
-            "sticks_n0.csv": "3571efa493a445620c5134335b2db732ca97bb4644574796a77a5f34a98f8342",
-            "sticks_n1.csv": "40b31002f5a08dd02b7acd1fb35f7f69935f7de3d80d171134c856a869d54f3f",
-            "sticks_n2.csv": "226e0b775476e4dfdc706c62548c3b71fc275323ae8b66228d1bc6f3ddba0aa6",
-            "sticks_t.csv": "5a8b0333bc306be961e89f44b5bda639f0b8f971fd97b3a97f9ee762ddc28c3d",
-            "summary.json": "b156442b79f5417a4ca220b739b15a6cb7f05e3cbf2d91571fc7cff71982e3e3",
-            "traj_n0.csv": "a0ee97d399498e13ff7f1f7eb7585a6bdc5d7e9f3d47109c5edd5cd73523da5d",
-            "traj_n1.csv": "f0969cae7b2b7d2319087890b5c7aeb48f4413f6a36fb04c4fc0ede4eaf6aab3",
-            "traj_n2.csv": "a6d396d946012e5297992a565ae8835a248318cd28694b875a79eddbd4770c7f",
+            "compare_n1.json": "071d3c2915f2e9e59b4af20a84de7acbadde75964ebebba0578e12ef1a36affe",
+            "sticks_n0.csv": "0a5ffec4c3ddcbe5c44e2b12e0676b9928aceeb97c0fb69a5cf99216655bfc43",
+            "sticks_n1.csv": "a5411988e6b4e78ddc0e1b1b43db3f2c60aac0805c8b8f603574994a40c99a56",
+            "sticks_n2.csv": "09ee8ee64b8c6b3e3ee97b60a0bf9492d3510500bd6c3ef3b7d095c5685323b6",
+            "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
+            "summary.json": "901bbe77c2c4abb3113fdec45b73ead05ede1fd123b0232c35cfa149218d1e91",
+            "traj_n0.csv": "94ea17f93f728cde0df031e096e0cbc4e5414674e272bcd81cc901dc50634636",
+            "traj_n1.csv": "08c3d187eb5a6c258377e89e062f01cad04bb9a4358724821e570ce3e8369a53",
+            "traj_n2.csv": "3872eceee69aef01daabde67872d5707cf9c2557392bc5cff6cbce5ad97b3ac5",
         },
         40: {
             "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
-            "sticks_n0.csv": "07e5e55befbe5d02b4669bd53c4440961cab76ee180bacbbf2f84789dbbd70ca",
-            "sticks_n1.csv": "2e0c04723c906683d396ed1346bd32074b8b40dd02b88b1c7cd07ac969f89ebe",
-            "sticks_n2.csv": "6169a11db022825d51863c487f08a31bd69b276289fa17fd891260443e61f498",
-            "sticks_t.csv": "5a8b0333bc306be961e89f44b5bda639f0b8f971fd97b3a97f9ee762ddc28c3d",
-            "summary.json": "32ab42aac328880b594aeb9bcde1eff92ae6c2d810152176db14a48db21a543e",
-            "traj_n0.csv": "ccd126db36da08983e26938ddd5be18f52763a6f97ee42bffd66a71ceac7eece",
-            "traj_n1.csv": "7426c45934f6b7414becae164071c5b6e209854ef93542c176f9bcffac0e1b42",
-            "traj_n2.csv": "7a329128164fe3b060571dfa4c111d0db8d9c2b9f7efe2b115a6847d1bd033c5",
+            "compare_n1.json": "dac330327f33ed1ea88c987087cc3eb88a3e8abe4b98641f49499148c65d5ba4",
+            "sticks_n0.csv": "35b2f856fbe857adf617dff8cf804524805278f9ddaf395268f4b7627fff9adf",
+            "sticks_n1.csv": "5be43dbe595a06e3dc9d80ec5274e6efbf2b823fc3dc9a7b1dd110bdc912b947",
+            "sticks_n2.csv": "7dcb1dd5dcb0d6ab6f69781adc486a0a4ab5f050e8eba22c49932d60a83f698c",
+            "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
+            "summary.json": "f19529f136df344777b2c4942daedd6c20aba55295a271b23a85f476ad89f526",
+            "traj_n0.csv": "921c3cd1699fb6f1cb065174d64feb076ffc0b34222baeb471d4b23597d6ee75",
+            "traj_n1.csv": "5a5915bbf66b0cd6b9bb0daf6d95978d1fe5fd1f2d2bda0abd5cc041740d0f79",
+            "traj_n2.csv": "064f018b1ed3c2920543f22844425f530e8b1df3a343c8346d60bb9f2fb52003",
         },
     },
 }
@@ -1001,10 +1025,13 @@ def _kernel(config: str) -> str:
 
 
 @pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
-def test_outputs_pinned_for_this_version(tmp_path, n_points):
+def test_outputs_pinned_for_this_version(tmp_path, monkeypatch, n_points):
     run_experiment(toy21_config(), [0, 1, 2], tmp_path, n_points=n_points)
     main(["sticks", "--traj", str(tmp_path / "traj_n1.csv"), "--time", "7.5",
           "--out", str(tmp_path / "sticks_t.csv")])
+    # from inside the run, so that the report's "trajectory" names no machine's path
+    monkeypatch.chdir(tmp_path)
+    main(["compare", "--traj", "traj_n1.csv", "--out", "compare_n1.json"])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.iterdir()) if path.name != "manifest.json"}
     key = (__version__, _kernel(library()[0]), simd_level())
