@@ -90,12 +90,13 @@ def _check_phase(e_max: float, t_reduced: float, what: str) -> None:
 
 
 def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
-                   n_points: int) -> None:
-    """Reject a run that could only fail after the Hamiltonian is solved.
+                   n_points: int) -> int:
+    """Reject a run that could only fail after the Hamiltonian is solved, and return the
+    bytes that its pass plans.
 
     That includes a pass larger than this machine's memory (`check_memory`):
-    the grid that `propagate_blocks` holds, V, and the sums that
-    `trajectories` keeps per state and time.
+    what `propagate_blocks` allocates with V (`pass_bytes`), and what
+    `trajectories` allocates to reduce its blocks (`sum_bytes`).
     """
     if not states:
         raise ValueError("no initial states requested")
@@ -109,9 +110,10 @@ def _check_request(config: ModelConfig, states: list[int], t_max_ps: float,
     _check_phase(_energy_bound(config),
                  units.ps_to_reduced_time(t_max_ps, config.energy_unit_wavenumbers),
                  f"--t-max-ps {t_max_ps}")
-    check_memory(pass_bytes(config, len(states), n_points)
-                 + len(states) * n_points * sum_bytes(config),
-                 f"the pass of {len(states)} states over {n_points} times")
+    need = (pass_bytes(config, len(states), n_points)
+            + sum_bytes(config, len(states), n_points))
+    check_memory(need, f"the pass of {len(states)} states over {n_points} times")
+    return need
 
 
 def _check_out(path: Path) -> None:
@@ -145,7 +147,7 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     the files that its store evicted.
     """
     out = Path(out_dir)
-    _check_request(config, states, t_max_ps, n_points)
+    planned = _check_request(config, states, t_max_ps, n_points)
     _check_out(out / "manifest.json")
     psi0 = np.stack([initial_state(config, n) for n in states])
 
@@ -197,11 +199,14 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "t_max_reduced": float(t_max),
         "n_points": n_points,
         # the cache's key and whether the run used an entry (false for a miss or a
-        # rejected one), the check's residual, the library that the key covers and
-        # that ran the solve and the pass's GEMMs, numpy's version and SIMD level,
-        # which move output bytes but no eigenpair's (so the key leaves them out),
-        # the pass's worker threads, and the files that the run's store evicted
-        "cache": {"key": ham.key, "hit": ham.cache_hit, "eig_residual": ham.eig_residual,
+        # rejected one), the solve that ran instead ("dsyevd", or "diagonal" at
+        # alpha = 0, which uses no entry), the check's residual, the library that
+        # the key covers and that ran the solve and the pass's GEMMs, numpy's
+        # version and SIMD level, which move output bytes but no eigenpair's (so
+        # the key leaves them out), the pass's worker threads, and the files that
+        # the run's store evicted
+        "cache": {"key": ham.key, "hit": ham.cache_hit, "solve": ham.solve,
+                  "eig_residual": ham.eig_residual,
                   "blas_library": blas_library, "blas_threads": blas_threads,
                   "numpy_version": np.__version__, "numpy_simd_level": simd_level(),
                   "pass_workers": workers, "evicted": record.evicted},
@@ -214,6 +219,8 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "outputs": [f"{kind}_n{n}.csv" for n in states for kind in ("traj", "sticks")]
         + ["summary.json", "anomalies.json"],
         "timing_seconds": record.seconds,
+        # the pass's bytes that the request's check planned (V's included), and the peak
+        "planned_pass_bytes": planned,
         "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(out / "manifest.json", manifest)

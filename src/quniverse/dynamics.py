@@ -53,9 +53,8 @@ states share the pass.  Two kernels fill a block:
   the kernel's transform is accurate, so no mode shift is needed.  A
   state with complex weights (random initial phases) takes two real
   weight columns, Re a and Im a, and its modes are X_re + i X_im: twice
-  the spreading, grid and FFT of a real state (a production pass of six
-  such states took 2.1-2.6 s and 88 MB more grid, against 1.3-1.4 s for
-  six real ones, on 2 cores).  Eigenvalues are
+  the spreading, plan, plane and FFT of a real state, in the same
+  yielded block.  Eigenvalues are
   ascending, so the points under a block of G = 16 grid points are one
   contiguous range of j per 2 pi wrap of E D, cut into pieces of at most
   _K_PANEL points.  The kernel and the block layout are the same for
@@ -67,11 +66,15 @@ states share the pass.  Two kernels fill a block:
   alone (see _K_PANEL).  That is 2 n^2 (G + W) flops per real state, and
   all states together read V about twice per run; the spreading matrices
   hold n (G + W - 1) doubles per column, 13.7 MB for six production
-  states.  Each product is copied into a (columns, 2T, rows) grid as
+  states.  A row block is made one system level at a time.  Each of the
+  level's products is copied into one (columns, 2T, rows) plane as
   complex pairs of grid points (even points the real parts, odd points
   the imaginary parts), which one length-2T FFT per row transforms in
   place; `_real_grid_modes` then unpacks the first T modes and divides
-  them by the kernel's Fourier transform (Gauss-Legendre quadrature).
+  them by the kernel's Fourier transform (Gauss-Legendre quadrature), and
+  they are copied into the level's columns of the block that is yielded.
+  At production size the block of six states holds 44.2 MB and the plane
+  14.7 MB (29.5 MB for six random-phase states).
 
 Threads: both kernels and the observables split their work into shares
 run by `blas.run_shares`, which owns the pass's threads and the split.
@@ -159,30 +162,47 @@ def propagate(amplitudes: np.ndarray, ham: UniverseHamiltonian, t: float) -> np.
 def env_block_size(n_system_levels: int, n_env_states: int) -> int:
     """Environment states per row block of `propagate_blocks`.
 
-    A block's NUFFT grid for n_system_levels states is then at most half
-    of one state's grid over all rows (128 of 1530 at production size).
-    It depends on the universe alone, never on how many states share a
-    pass: the block layout fixes every summation order over rows.
+    A block of n_system_levels states' amplitudes then holds at most
+    about half of one state's amplitudes over all rows (128 of 1530
+    environment states at production size).  It depends on the universe
+    alone, never on how many states share a pass: the block layout fixes
+    every summation order over rows.
     """
     return max(1, math.ceil(n_env_states / (2 * n_system_levels)))
 
 
 def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
-    """Bytes that `propagate_blocks` holds for k of the config's initial states on a
-    uniform grid of T times from 0, with V's n² doubles: the NUFFT's grid of one row
-    block (2T complex rows of `env_block_size` environment states in every system
-    level, per weight column: one per state, two with random initial phases), or,
-    below NUFFT_MIN_TIMES, the direct product's amplitudes on every row and its
-    phase matrices.  88.5 MB and 0.67 GB at production size, 6 states and T = 600.
+    """Bytes that `propagate_blocks` allocates for k of the config's initial states on a
+    uniform grid of T times from 0, with V's n² doubles (which a cache hit maps).
+
+    Both kernels hold Vᵀc(0) (k n complex values) and the block that they
+    yield (k T N_S eb complex values, eb = `env_block_size`).  From
+    NUFFT_MIN_TIMES times on, the NUFFT adds one system level's plane
+    (columns 2T eb complex values; a column per state, two with random
+    initial phases), the spreading plan and its weights (at most 2G +
+    (4T mod G) + 1 doubles per eigenpair and column: a point lies under
+    at most two grid blocks, or three where the last block is short), and
+    per share the spreading's products (2 eb G columns doubles) and an
+    unpacking chunk (_UNPACK_VALUES complex values).  Shares are counted
+    as k, the most that the transform makes; a pass on more workers than
+    states holds one more product per further worker.  Below
+    NUFFT_MIN_TIMES, the direct product adds every state's amplitudes on
+    every row, one phase matrix and its transposed float64 copy, and its
+    level products (2T N_E doubles each, at most N_S at once).  Nothing
+    depends on the machine.  At production size, 6 real states and
+    T = 600: 0.76 GB, of which V is 0.67 GB; the block and the plane hold
+    98.3 kB per time.
     """
     ns, ne = config.n_system_levels, config.n_env_states
-    n = ns * ne
+    n, eb = ns * ne, env_block_size(ns, ne)
+    values = n_states * (n + n_times * ns * eb)
     if n_times < NUFFT_MIN_TIMES:
-        values = (n_states + 2) * n_times * n
-    else:
-        columns = n_states * (2 if config.random_initial_phases else 1)
-        values = columns * 2 * n_times * ns * env_block_size(ns, ne)
-    return 16 * values + 8 * n * n
+        values += (n_states + 3) * n_times * n
+        return 16 * values + 8 * n * n
+    columns = n_states * (2 if config.random_initial_phases else 1)
+    values += columns * 2 * n_times * eb + n_states * (eb * _BLOCK * columns + _UNPACK_VALUES)
+    plan = n * columns * (2 * _BLOCK + (4 * n_times) % _BLOCK + 1)
+    return 16 * values + 8 * plan + 8 * n * n
 
 
 def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
@@ -274,7 +294,11 @@ NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
 _BLOCK = 16  # G: real grid points per spreading GEMM
-_UNPACK_ROWS = 32  # modes per chunk of `_real_grid_modes`' unpacking
+# Values per chunk of `_real_grid_modes`' unpacking, so that its temporary
+# does not grow with T: 192 modes of a production plane (128 rows), as
+# fast as one chunk of all 600 and ~8 % faster than chunks of 32 (measured
+# on one thread).
+_UNPACK_VALUES = 32 * 768
 # Points per spreading GEMM: at most one OpenBLAS DGEMM K-panel.  OpenBLAS
 # picks its kernel by a product's size, and a state's columns stacked
 # with other states' make a larger product than its columns alone.  With
@@ -375,14 +399,15 @@ def _real_grid_modes(plane, factors):
     After the plane's FFT, mode k reads row k and its mirror row 2T - k
     (row 0 for k = 0), which lies beyond T for k >= 1.  So writing mode
     k over row k destroys nothing that a later mode reads, and each chunk
-    of _UNPACK_ROWS modes needs a temporary of that many rows, not of the
-    plane.
+    of modes needs a temporary of its mirror rows, _UNPACK_VALUES values
+    whatever the plane's width, not of the plane.
     """
     ahead, behind = factors
     n_times = ahead.shape[0]
     np.fft.fft(plane, axis=0, out=plane)
-    for k0 in range(0, n_times, _UNPACK_ROWS):
-        k1 = min(k0 + _UNPACK_ROWS, n_times)
+    step = max(1, _UNPACK_VALUES // plane.shape[1])
+    for k0 in range(0, n_times, step):
+        k1 = min(k0 + step, n_times)
         mirror = plane[-np.arange(k0, k1)]  # rows 2T - k, modulo 2T
         np.conjugate(mirror, out=mirror)
         mirror *= behind[k0:k1]
@@ -392,10 +417,17 @@ def _real_grid_modes(plane, factors):
 
 
 def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
-    """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT."""
+    """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT.
+
+    Each block is made one system level at a time: the level's rows are
+    spread into one plane of every weight column's 2T-point grid, and each
+    state's first T modes, unpacked in its plane, are copied into the
+    level's columns of the block that is yielded.
+    """
     if np.any(np.diff(e) < 0.0):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
     k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
+    eb = ranges[0][1] - ranges[0][0]
     with stage("propagate"):
         # One real weight column per state, and a second, its imaginary
         # part, for each state whose weights are complex; the second
@@ -406,48 +438,52 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
         columns = weights.shape[1]
         plan = _spreading_plan(e, weights, step, n_times)
         factors = _unpack_factors(n_times)
-        tallest = ns * (ranges[0][1] - ranges[0][0])
-        buffer = np.empty(columns * m_grid * tallest, dtype=np.complex128)
+        plane_buffer = np.empty(columns * m_grid * eb, dtype=np.complex128)
+        block_buffer = np.empty(k * n_times * ns * eb, dtype=np.complex128)
 
-    def spread(blocks, grid, e0, e1):
-        """One share of the plan's grid blocks for the row block: disjoint grid points."""
-        width = e1 - e0
-        # one system level's product and the piece being added to it
+    def spread(share, plane, rows):
+        """One share of the plan's grid blocks for one level's rows: disjoint grid points."""
+        width = plane.shape[2]
+        # the level's product and the piece being added to it
         product, piece = np.empty((2, width, _BLOCK * columns))
-        for lo, hi, terms in plan[blocks]:
+        for lo, hi, terms in plan[share]:
             # real points lo..hi-1 are the complex grid values lo/2..hi/2-1
             span = slice(lo // 2, hi // 2)
             if not terms:
-                grid[:, span] = 0.0
+                plane[:, span] = 0.0
                 continue
             cols = (hi - lo) * columns
             acc, part = product[:, :cols], piece[:, :cols]
-            for level in range(ns):
-                rows = slice(level * ne + e0, level * ne + e1)
-                for i, (j0, j1, spreading) in enumerate(terms):
-                    if i == 0:
-                        np.matmul(v[rows, j0:j1], spreading, out=acc)
-                    else:
-                        acc += np.matmul(v[rows, j0:j1], spreading, out=part)
-                np.copyto(grid[:, span, level * width:(level + 1) * width],
-                          acc.view(np.complex128).reshape(width, columns, -1).transpose(1, 2, 0))
+            for i, (j0, j1, spreading) in enumerate(terms):
+                if i == 0:
+                    np.matmul(v[rows, j0:j1], spreading, out=acc)
+                else:
+                    acc += np.matmul(v[rows, j0:j1], spreading, out=part)
+            np.copyto(plane[:, span],
+                      acc.view(np.complex128).reshape(width, columns, -1).transpose(1, 2, 0))
 
-    def transform(states, grid):
-        """One share of the states' modes, each made in place in the state's first plane."""
+    def transform(states, plane, modes):
+        """One share of the states' modes at one level, copied into `modes`, (k, T, width)."""
         for s in range(k)[states]:
-            _real_grid_modes(grid[s], factors)
+            _real_grid_modes(plane[s], factors)
+            own = plane[s, :n_times]
             if s in second_plane:
-                second = grid[second_plane[s]]
+                second = plane[second_plane[s]]
                 _real_grid_modes(second, factors)
                 # X = X_re + i X_im
-                modes, other = grid[s, :n_times], second[:n_times]
-                np.subtract(modes.real, other.imag, out=modes.real)
-                np.add(modes.imag, other.real, out=modes.imag)
+                other = second[:n_times]
+                np.subtract(own.real, other.imag, out=own.real)
+                np.add(own.imag, other.real, out=own.imag)
+            np.copyto(modes[s], own)
 
     for e0, e1 in ranges:
         with stage("propagate"):
-            grid = buffer[:columns * m_grid * ns * (e1 - e0)].reshape(columns, m_grid,
-                                                                      ns * (e1 - e0))
-            run_shares(lambda blocks: spread(blocks, grid, e0, e1), len(plan))
-            run_shares(lambda states: transform(states, grid), k)
-        yield _block_rows(ns, ne, e0, e1), grid[:k, :n_times]
+            width = e1 - e0
+            plane = plane_buffer[:columns * m_grid * width].reshape(columns, m_grid, width)
+            c = block_buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
+            for level in range(ns):
+                rows = slice(level * ne + e0, level * ne + e1)
+                modes = c[:, :, level * width:(level + 1) * width]
+                run_shares(lambda share: spread(share, plane, rows), len(plan))
+                run_shares(lambda states: transform(states, plane, modes), k)
+        yield _block_rows(ns, ne, e0, e1), c

@@ -82,7 +82,9 @@ class UniverseHamiltonian:
     `eig_residual` is the sampled residual R of `eigen_residual` against
     regenerated rows of H; `key` is the config's `cache_key`; `cache_hit`
     says whether the eigenpairs came from the on-disk cache (an accepted
-    entry, then read-only views of its mapping) or from a solve.
+    entry, then read-only views of its mapping) or from a solve, and
+    `solve` names the solve: "dsyevd" (`diagonalize`), "diagonal"
+    (`diagonal_eigensystem`, for alpha = 0) or None (a hit).
     """
 
     config: ModelConfig
@@ -91,6 +93,7 @@ class UniverseHamiltonian:
     eig_residual: float
     key: str
     cache_hit: bool = False
+    solve: str | None = None
 
     @property
     def dim(self) -> int:
@@ -368,6 +371,28 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, a
 
 
+def diagonal_eigensystem(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of the diagonal matrix diag(d) with `diagonalize`'s bytes, without LAPACK.
+
+    On a diagonal matrix dsytrd leaves the diagonal d, a zero
+    off-diagonal and tau = 0; dstedc (dsteqr for n <= 25) finds n blocks
+    of size 1 and starts from Z = I; and dormtr applies Q = I.  So w and V
+    are d and I after the selection sort that ends dstedc and dsteqr: for
+    each i, the first minimum of d[i:] trades places with d[i], and its
+    column of Z with column i, when it is strictly smaller.  The sort is
+    not stable, so ties keep LAPACK's order only through this loop.  V is
+    F-ordered, as `diagonalize` returns it.
+    """
+    w = np.array(d, dtype=np.float64)
+    rows = np.eye(w.size)  # row i is column i of V
+    for i in range(w.size - 1):
+        k = i + int(np.argmin(w[i:]))
+        if k != i:
+            w[[i, k]] = w[[k, i]]
+            rows[[i, k]] = rows[[k, i]]
+    return w, rows.T
+
+
 # Rows of H regenerated to check an eigensystem, eigenvector columns
 # sampled by that check, and its tolerance relative to max(1, max|H[:k]|)
 # (the form of acceptance criterion 6g's reconstruction bound).
@@ -461,11 +486,23 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     cache directory.  The load, the check, the fill, the solve's stages
     and the store are each a `stage`, and the names of the files that the
     store evicted go to the run's record too.
+
+    At alpha = 0, H is the diagonal of the zero-order energies, and
+    `diagonal_eigensystem` gives its eigenpairs (as the stage
+    "divide_and_conquer"): no H is filled, no LAPACK runs, and no cache
+    entry is read or written.  The eigen check runs all the same.
     """
     dim = config.n_universe_states
     progress(f"basis of {dim} states ({config.n_system_levels} system levels x "
              f"{config.n_env_states} environment states)")
     key = cache_key(config)
+    if config.alpha == 0.0:
+        check_memory(8 * dim * dim, f"the {dim} x {dim} eigenvectors")
+        with stage("divide_and_conquer", begin="alpha = 0: H is diagonal, sorting its "
+                                                "energies without LAPACK or the cache",
+                   done="sorted"):
+            eigenvalues, eigenvectors = diagonal_eigensystem(build_basis(config).zero_order_energy)
+        return _checked(config, eigenvalues, eigenvectors, key, "diagonal")
     with stage("load"):
         cached = cache.load_eigensystem(key, dim)
     if cached is None:
@@ -485,10 +522,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         h = build_hamiltonian_matrix(config)
     rows = h[:CHECK_ROWS].copy()
     eigenvalues, eigenvectors = diagonalize(h)
-    with stage("check"):
-        residual = eigen_residual(rows, eigenvalues, eigenvectors)
-    if not residual <= _residual_bound(rows):
-        raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
+    ham = _checked(config, eigenvalues, eigenvectors, key, "dsyevd", rows)
     mb = (eigenvalues.nbytes + eigenvectors.nbytes) / 1e6
     try:
         with stage("store", done=f"stored entry {key[:12]}, {mb:.0f} MB,"):
@@ -502,7 +536,21 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
         record = _RECORD.get()
         if record is not None:
             record.evicted += [name for name, _ in evicted]
-    return UniverseHamiltonian(config, eigenvalues, eigenvectors, eig_residual=residual, key=key)
+    return ham
+
+
+def _checked(config, eigenvalues, eigenvectors, key, solve,
+             rows=None) -> UniverseHamiltonian:
+    """The solved eigenpairs as a Hamiltonian, once they pass the eigen check against
+    `rows`, H's first CHECK_ROWS rows (regenerated when not given)."""
+    with stage("check"):
+        if rows is None:
+            rows = build_hamiltonian_matrix(config, n_rows=CHECK_ROWS)
+        residual = eigen_residual(rows, eigenvalues, eigenvectors)
+    if not residual <= _residual_bound(rows):
+        raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
+    return UniverseHamiltonian(config, eigenvalues, eigenvectors, eig_residual=residual,
+                               key=key, solve=solve)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import blas, units
 from .config import ModelConfig
+from .dynamics import env_block_size
 from .model import build_basis, build_system_levels, stage, temperature_of
 
 NORM_TOL = 1e-10
@@ -106,11 +107,20 @@ def _require(ok: np.ndarray, times: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} at t={float(times[int(np.argmin(ok))])!r}")
 
 
-def sum_bytes(config: ModelConfig) -> int:
-    """Bytes of one state's sums at one time in `trajectories`: sum p, sum p ln p,
-    the shell sums and the raw RDM (696 at production size)."""
-    ns = config.n_system_levels
-    return 8 * (2 + ns - 1 + config.n_env_levels) + 16 * ns * ns
+def sum_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
+    """Bytes that `trajectories` allocates for k states over T times, beside the blocks
+    that it reduces.
+
+    Per state and time its sums: sum p, sum p ln p, the shell sums and the
+    raw RDM (696 B at production size).  Per state, its final amplitudes
+    and one step's temporaries, 49 B per amplitude of TIME_CHUNK times of
+    a block: the squares (16), p and p ln p (8 each), the p > 0 mask (1)
+    and the conjugate (16).  And the basis's shell labels.
+    """
+    ns, ne = config.n_system_levels, config.n_env_states
+    n, rows = ns * ne, ns * env_block_size(ns, ne)
+    per_time = 8 * (2 + ns - 1 + config.n_env_levels) + 16 * ns * ns
+    return n_states * (n_times * per_time + 16 * n + 49 * TIME_CHUNK * rows) + 8 * n
 
 
 @dataclass

@@ -674,7 +674,7 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
 MANIFEST_KEYS = [
     "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.evicted",
     "cache.hit", "cache.key", "cache.numpy_simd_level", "cache.numpy_version",
-    "cache.pass_workers",
+    "cache.pass_workers", "cache.solve",
     "code_version",
     "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
     "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
@@ -683,7 +683,7 @@ MANIFEST_KEYS = [
     "config.total_energy",
     "constants.energy_unit_wavenumbers", "constants.kB_wavenumber_per_K",
     "constants.reduced_time_unit_ps",
-    "draw_contract", "n_points", "outputs", "peak_rss_mb", "seed",
+    "draw_contract", "n_points", "outputs", "peak_rss_mb", "planned_pass_bytes", "seed",
     "states", "t_max_reduced",
     "temperature.beta_reduced", "temperature.discrepancy_percent",
     "temperature.kbt_reduced", "temperature.kelvin", "temperature.kelvin_analytic",
@@ -707,6 +707,10 @@ def test_manifest_has_the_recorded_key_tree(tmp_path):
     written = json.loads((tmp_path / "manifest.json").read_text())
     assert sorted(_key_paths(written)) == MANIFEST_KEYS
     assert written == json.loads(json.dumps(returned))  # run returns the dict it writes
+    # a miss in this test's cache directory, and the bytes that the request's check planned
+    assert written["cache"]["solve"] == "dsyevd"
+    assert written["planned_pass_bytes"] == (dynamics.pass_bytes(toy21_config(), 3, 50)
+                                             + sum_bytes(toy21_config(), 3, 50))
 
 
 # The stages that only a miss runs
@@ -758,16 +762,17 @@ def test_manifest_names_the_files_that_its_store_evicted(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n_points, refused", [(50000, True), (600, False)])
 def test_run_refuses_a_pass_larger_than_memory_before_building(tmp_path, monkeypatch,
                                                                n_points, refused):
-    monkeypatch.setattr(model, "machine_memory", lambda: (7 * 2 ** 30, 7 * 2 ** 30))
+    monkeypatch.setattr(model, "machine_memory", lambda: (5 * 2 ** 30, 5 * 2 ** 30))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the universe was built")
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     config = ModelConfig(rng_seed=1)  # configs/production.cfg
-    # the grid, V and the sums: 8.26e9 bytes at T = 50000
-    error, message = ((MemoryError, r"^the pass of 6 states over 50000 times needs 8256 MB, "
-                                    r"more than this machine's 7516 MB") if refused
+    # the block, one level's plane, V and the sums: 5.82e9 bytes at T = 50000, which
+    # a 7 GiB machine holds and a 5 GiB one does not
+    error, message = ((MemoryError, r"^the pass of 6 states over 50000 times needs 5825 MB, "
+                                    r"more than this machine's 5369 MB") if refused
                       else (AssertionError, "the universe was built"))
     with pytest.raises(error, match=message):
         run_experiment(config, list(range(6)), tmp_path / "out", n_points=n_points)
@@ -779,9 +784,12 @@ def test_run_sizes_a_random_phase_pass_on_two_columns_per_state(tmp_path, monkey
     # random-phase states, whose complex weights take two grid columns each
     config = ModelConfig(rng_seed=1)
     phased = dataclasses.replace(config, random_initial_phases=True)
-    sums = 6 * 600 * sum_bytes(config)
-    real, doubled = (dynamics.pass_bytes(c, 6, 600) + sums for c in (config, phased))
-    assert doubled - real == 6 * 16 * 2 * 600 * 6 * 128  # one more grid per state
+    real, doubled = (dynamics.pass_bytes(c, 6, 600) + sum_bytes(c, 6, 600)
+                     for c in (config, phased))
+    # per state, a second column's plane (2T x 128 complex values), plan and
+    # weights (33 doubles per eigenpair) and spreading products; the yielded
+    # block holds each state's complex modes either way
+    assert doubled - real == 6 * (16 * 2 * 600 * 128 + 8 * 9180 * 33 + 16 * 6 * 128 * 16)
     memory = (real + doubled) // 2
     monkeypatch.setattr(model, "machine_memory", lambda: (memory, memory))
 

@@ -288,8 +288,8 @@ def test_nufft_matches_direct_product_mid(monkeypatch, mid_ham, n_times, t_max, 
         np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def _grid_bytes(amplitudes, ham, times):
-    """Bytes of the buffer that the NUFFT's row blocks are views of."""
+def _block_bytes(amplitudes, ham, times):
+    """Bytes of the buffer that the row blocks are views of."""
     (_, c), *_ = propagate_blocks(amplitudes, ham, times)
     return c.base.nbytes
 
@@ -298,7 +298,8 @@ def _grid_bytes(amplitudes, ham, times):
 def test_random_phase_states_take_two_columns_and_match_direct_product(
         request, monkeypatch, universe):
     # every state of the pass has complex weights: two real columns each,
-    # so twice the grid of the same states with real weights
+    # which double the plane and the plan, while the yielded block holds
+    # each state's complex modes as it does for real weights
     cfg, ham = (request.getfixturevalue("mid_ham") if universe == "mid" else
                 (request.getfixturevalue("toy21"), request.getfixturevalue("toy21_ham")))
     phased = dataclasses.replace(cfg, random_initial_phases=True)
@@ -307,7 +308,7 @@ def test_random_phase_states_take_two_columns_and_match_direct_product(
     times = np.linspace(0.0, 631.0, 201)
     states = np.array([initial_state(phased, n) for n in levels])
     real = np.array([initial_state(cfg, n) for n in levels])
-    assert _grid_bytes(states, ham, times) == 2 * _grid_bytes(real, ham, times)
+    assert _block_bytes(states, ham, times) == _block_bytes(real, ham, times)
     fast = propagated(states, ham, times)
     for n, c, got in zip(levels, states, fast):
         direct = _direct(monkeypatch, c[None], ham, times)[0]
@@ -330,14 +331,26 @@ def test_nufft_state_bytes_independent_of_other_states_with_random_phases(toy21,
 
 @pytest.mark.parametrize("phases", [False, True], ids=["real", "random_phases"])
 def test_pass_bytes_count_the_nufft_grid(toy21, toy21_ham, phases):
+    # the yielded block and one system level's plane, whose columns and
+    # plan a random-phase state doubles; the traced bound on every other
+    # allocation is tested at mid size (test_observables.py), where the
+    # kernel's quadrature and Python's objects do not dominate
     cfg = dataclasses.replace(toy21, random_initial_phases=phases)
     states = [0, 2]
+    amplitudes = np.array([initial_state(cfg, n) for n in states])
     for n_times in (NUFFT_MIN_TIMES, 250):
-        amplitudes = np.array([initial_state(cfg, n) for n in states])
-        grid = _grid_bytes(amplitudes, toy21_ham, np.linspace(0.0, 40.0, n_times))
-        assert grid == dynamics.pass_bytes(cfg, len(states), n_times) - 8 * toy21_ham.dim ** 2
+        block = _block_bytes(amplitudes, toy21_ham, np.linspace(0.0, 40.0, n_times))
         # one row block: 2 environment states in each of 3 system levels
-        assert grid == (2 if phases else 1) * len(states) * 16 * 2 * n_times * 3 * 2
+        assert block == len(states) * 16 * n_times * 3 * 2
+        planned = dynamics.pass_bytes(cfg, len(states), n_times) - 8 * toy21_ham.dim ** 2
+        columns = (2 if phases else 1) * len(states)
+        assert planned >= block + columns * 16 * 2 * n_times * 2
+        if phases:
+            real = dynamics.pass_bytes(toy21, len(states), n_times) - 8 * toy21_ham.dim ** 2
+            # the second columns' planes, plan and weights, and spreading products
+            plan = 2 * 16 + (4 * n_times) % 16 + 1
+            assert planned - real == len(states) * (16 * 2 * n_times * 2 + 8 * 21 * plan
+                                                    + 16 * len(states) * 2 * 16)
 
 
 def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):

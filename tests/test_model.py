@@ -262,6 +262,52 @@ def test_alpha_zero_hamiltonian_diagonal():
     np.testing.assert_array_equal(np.diag(matrix), build_basis(cfg).zero_order_energy)
 
 
+def _tied(n, levels, seed):
+    """n diagonal entries drawn from `levels` values, in no order: ties everywhere."""
+    return np.random.default_rng(seed).integers(levels, size=n) * 0.5 - 1.0
+
+
+@pytest.mark.parametrize("d", [
+    _tied(20, 4, 1), _tied(25, 25, 2), _tied(300, 12, 3), np.zeros(40),
+    build_basis(ModelConfig(n_env_levels=4, alpha=0.0)).zero_order_energy,
+], ids=["dsteqr-20", "dsteqr-25", "dstedc-300", "zero-40", "zero-order-540"])
+def test_diagonal_eigensystem_is_diagonalize_bit_for_bit(d):
+    # n <= 25 takes dsteqr inside dstedc, larger n dstedc's own loop; both
+    # end in the same selection sort, which is not stable under ties
+    assert np.unique(d).size < d.size
+    w, v = diagonalize(np.diag(d))
+    got_w, got_v = model.diagonal_eigensystem(d)
+    assert got_w.tobytes() == w.tobytes()
+    assert got_v.flags.f_contiguous and v.flags.f_contiguous
+    assert got_v.tobytes(order="F") == v.tobytes(order="F")
+
+
+def test_alpha_zero_sorts_without_lapack_or_the_cache(monkeypatch, tmp_path):
+    cfg = toy21_config(alpha=0.0)
+    w, v = diagonalize(hamiltonian_matrix(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was filled, LAPACK ran or the cache was used")
+
+    fill = model.build_hamiltonian_matrix
+    monkeypatch.setattr(model, "build_hamiltonian_matrix",
+                        lambda config, n_rows=None: refuse() if n_rows is None
+                        else fill(config, n_rows=n_rows))
+    for name in ("diagonalize", "_heartbeat"):
+        monkeypatch.setattr(model, name, refuse)
+    for name in ("load_eigensystem", "store_eigensystem"):
+        monkeypatch.setattr(model.cache, name, refuse)
+    monkeypatch.setenv(model.cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
+    with model.recording() as record:
+        ham = assemble_hamiltonian(cfg)
+    assert (ham.cache_hit, ham.solve) == (False, "diagonal")
+    assert ham.eigenvalues.tobytes() == w.tobytes()
+    assert ham.eigenvectors.tobytes(order="F") == v.tobytes(order="F")
+    assert ham.eig_residual == 0.0
+    assert record.seconds["divide_and_conquer"] > 0.0 and record.seconds["check"] > 0.0
+    assert not (tmp_path / "cache").exists()
+
+
 def test_identical_seed_bit_identical_matrix():
     cfg = toy21_config()
     a = hamiltonian_matrix(cfg)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from quniverse import blas, observables, units
 from quniverse.blas import gemm_threads, library
 from quniverse.config import ModelConfig
-from quniverse.dynamics import env_block_size, initial_state, propagate, propagate_blocks
+from quniverse.dynamics import (env_block_size, initial_state, pass_bytes, propagate,
+                                propagate_blocks)
 from quniverse.model import assemble_hamiltonian, build_basis, build_system_levels, temperature_of
 from quniverse.observables import (
     TIME_CHUNK,
     boltzmann_fit_temperature,
     free_energy_change,
+    sum_bytes,
     system_energy,
     trajectories,
 )
@@ -377,6 +380,30 @@ def test_pass_bytes_independent_of_worker_count(monkeypatch, mid_ham, states):
                 assert one.columns[name].tobytes() == other.columns[name].tobytes(), name
             assert one.final_amplitudes.tobytes() == other.final_amplitudes.tobytes()
             assert one.health == other.health
+
+
+@pytest.mark.parametrize("phases, n_times", [(False, 600), (True, 600), (False, 60)],
+                         ids=["real", "random_phases", "direct"])
+def test_pass_allocates_at_most_its_planned_bytes(mid_ham, phases, n_times):
+    # every allocation of a pass and its reduction, traced, within what the
+    # request's check plans: pass_bytes without V (made before the trace)
+    # and sum_bytes; a first pass makes the imports and caches outside it
+    cfg, ham = mid_ham
+    cfg = dataclasses.replace(cfg, random_initial_phases=phases)
+    states = [n for n in range(cfg.n_system_levels)
+              if 0 <= cfg.total_energy - n < cfg.n_env_levels]
+    psi0 = np.array([initial_state(cfg, n) for n in states])
+    times = np.linspace(0.0, 631.0, n_times)
+    _pass(cfg, ham, psi0, times)
+    tracemalloc.start()
+    try:
+        _pass(cfg, ham, psi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    planned = (pass_bytes(cfg, len(states), n_times) - 8 * ham.dim ** 2
+               + sum_bytes(cfg, len(states), n_times))
+    assert peak <= planned, (peak, planned)
 
 
 @pytest.fixture
