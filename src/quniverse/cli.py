@@ -142,9 +142,11 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
     phases' check comes again on the eigenvalues, before the pass), and
     every entry of the summary and the anomaly report is made before the
     first write; `out_dir` is made at the first write, and an existing
-    manifest is removed just before it.  The manifest's `timing_seconds`
-    holds the seconds of this call's stages alone, and `cache.evicted`
-    the files that its store evicted.
+    manifest is removed just before it.  A gate of the pass that fails (the
+    initial states' reconstruction at t = 0 among them) names the
+    eigensystem's cache key and whether it was a hit.  The manifest's
+    `timing_seconds` holds the seconds of this call's stages alone, and
+    `cache.evicted` the files that its store evicted.
     """
     out = Path(out_dir)
     planned = _check_request(config, states, t_max_ps, n_points)
@@ -163,7 +165,12 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         workers = pass_workers()
         progress(f"propagating {len(states)} states over {n_points} times "
                  f"on {workers} worker thread{'s' if workers > 1 else ''}")
-        results = trajectories(propagate_blocks(psi0, ham, times), times, config)
+        try:
+            results = trajectories(propagate_blocks(psi0, ham, times), times, config, psi0)
+        except ValueError as err:
+            # a gate of the pass failed: name the eigensystem that it used
+            raise ValueError(f"{err}; eigensystem key {ham.key}, "
+                             f"cache hit: {str(ham.cache_hit).lower()}") from err
         with stage("observables"):
             summary = run_summary(config, states, results)
             anomaly_report = {"seed": config.rng_seed, "threshold": 0.0, "states": []}

@@ -53,7 +53,7 @@ states share the pass.  Two kernels fill a block:
   the kernel's transform is accurate, so no mode shift is needed.  A
   state with complex weights (random initial phases) takes two real
   weight columns, Re a and Im a, and its modes are X_re + i X_im: twice
-  the spreading, plan, plane and FFT of a real state, in the same
+  the spreading, plan, plane and rfft of a real state, in the same
   yielded block.  Eigenvalues are
   ascending, so the points under a block of G = 16 grid points are one
   contiguous range of j per 2 pi wrap of E D, cut into pieces of at most
@@ -67,12 +67,11 @@ states share the pass.  Two kernels fill a block:
   all states together read V about twice per run; the spreading matrices
   hold n (G + W - 1) doubles per column, 13.7 MB for six production
   states.  A row block is made one system level at a time.  Each of the
-  level's products is copied into one (columns, 2T, rows) plane as
-  complex pairs of grid points (even points the real parts, odd points
-  the imaginary parts), which one length-2T FFT per row transforms in
-  place; `_real_grid_modes` then unpacks the first T modes and divides
-  them by the kernel's Fourier transform (Gauss-Legendre quadrature), and
-  they are copied into the level's columns of the block that is yielded.
+  level's products is copied into one real (columns, 4T, rows) plane,
+  and `np.fft.rfft` transforms each column's 4T-point grid of each row;
+  its first T modes, divided by the kernel's Fourier transform
+  (Gauss-Legendre quadrature), are written into the level's columns of
+  the block that is yielded.
   At production size the block of six states holds 44.2 MB and the plane
   14.7 MB (29.5 MB for six random-phase states).
 
@@ -178,19 +177,19 @@ def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
     Both kernels hold Vᵀc(0) (k n complex values) and the block that they
     yield (k T N_S eb complex values, eb = `env_block_size`).  From
     NUFFT_MIN_TIMES times on, the NUFFT adds one system level's plane
-    (columns 2T eb complex values; a column per state, two with random
-    initial phases), the spreading plan and its weights (at most 2G +
-    (4T mod G) + 1 doubles per eigenpair and column: a point lies under
-    at most two grid blocks, or three where the last block is short), and
-    per share the spreading's products (2 eb G columns doubles) and an
-    unpacking chunk (_UNPACK_VALUES complex values).  Shares are counted
-    as k, the most that the transform makes; a pass on more workers than
-    states holds one more product per further worker.  Below
+    (columns 4T eb doubles; a column per state, two with random initial
+    phases), the spreading plan and its weights (at most 2G + (4T mod G)
+    + 1 doubles per eigenpair and column: a point lies under at most two
+    grid blocks, or three where the last block is short), and per share
+    the spreading's products (2 eb G columns doubles) and the rfft's
+    output (at most max(_FFT_VALUES, 2T + 1) complex values).  Shares are
+    counted as k, the most that the transform makes; a pass on more
+    workers than states holds one more product per further worker.  Below
     NUFFT_MIN_TIMES, the direct product adds every state's amplitudes on
     every row, one phase matrix and its transposed float64 copy, and its
     level products (2T N_E doubles each, at most N_S at once).  Nothing
     depends on the machine.  At production size, 6 real states and
-    T = 600: 0.76 GB, of which V is 0.67 GB; the block and the plane hold
+    T = 600: 0.77 GB, of which V is 0.67 GB; the block and the plane hold
     98.3 kB per time.
     """
     ns, ne = config.n_system_levels, config.n_env_states
@@ -200,9 +199,9 @@ def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
         values += (n_states + 3) * n_times * n
         return 16 * values + 8 * n * n
     columns = n_states * (2 if config.random_initial_phases else 1)
-    values += columns * 2 * n_times * eb + n_states * (eb * _BLOCK * columns + _UNPACK_VALUES)
-    plan = n * columns * (2 * _BLOCK + (4 * n_times) % _BLOCK + 1)
-    return 16 * values + 8 * plan + 8 * n * n
+    values += n_states * (eb * _BLOCK * columns + max(_FFT_VALUES, 2 * n_times + 1))
+    doubles = columns * 4 * n_times * eb + n * columns * (2 * _BLOCK + (4 * n_times) % _BLOCK + 1)
+    return 16 * values + 8 * doubles + 8 * n * n
 
 
 def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
@@ -294,11 +293,11 @@ NUFFT_MIN_TIMES = 96
 _KERNEL_WIDTH = 16  # W: grid points under the spreading kernel
 _KERNEL_BETA = 2.30 * _KERNEL_WIDTH
 _BLOCK = 16  # G: real grid points per spreading GEMM
-# Values per chunk of `_real_grid_modes`' unpacking, so that its temporary
-# does not grow with T: 192 modes of a production plane (128 rows), as
-# fast as one chunk of all 600 and ~8 % faster than chunks of 32 (measured
-# on one thread).
-_UNPACK_VALUES = 32 * 768
+# Complex values per `np.fft.rfft` call's output, so that the transform's
+# temporary does not grow with a plane's width: a call takes
+# _FFT_VALUES // (2T + 1) rows of V, and at least one; at production that
+# is one call per state and level (1201 modes x 128 rows).
+_FFT_VALUES = 160 * 1024
 # Points per spreading GEMM: at most one OpenBLAS DGEMM K-panel.  OpenBLAS
 # picks its kernel by a product's size, and a state's columns stacked
 # with other states' make a larger product than its columns alone.  With
@@ -377,56 +376,18 @@ def _spreading_plan(e, weights, step, n_times):
     return plan
 
 
-def _unpack_factors(n_times):
-    """(A, B), each (T, 1): X[k] = A[k] Z[k] + B[k] conj Z[2T - k], k = 0..T-1.
-
-    Z is the length-2T FFT of a real 4T-point grid g packed as
-    z[m] = g[2m] + i g[2m + 1]; X[k] is g's k-th Fourier mode, already
-    divided by the kernel's transform phi_hat(k / 4T):
-    X[k] = (1/2 (Z[k] + conj Z[2T - k]) + 1/2 e^(-2 pi i k / 4T) (Z[k] - conj Z[2T - k]) / i)
-    / phi_hat(k / 4T).
-    """
-    modes = np.arange(n_times)
-    scale = 0.5 / _kernel_transform(modes / (4 * n_times))
-    twiddle = 1j * np.exp(-2j * np.pi / (4 * n_times) * modes)
-    return (scale * (1.0 - twiddle))[:, None], (scale * (1.0 + twiddle))[:, None]
-
-
-def _real_grid_modes(plane, factors):
-    """In place: each column of the (2T, rows) plane packs a real 4T-point grid; leave its
-    first T deconvolved Fourier modes in plane[:T].
-
-    After the plane's FFT, mode k reads row k and its mirror row 2T - k
-    (row 0 for k = 0), which lies beyond T for k >= 1.  So writing mode
-    k over row k destroys nothing that a later mode reads, and each chunk
-    of modes needs a temporary of its mirror rows, _UNPACK_VALUES values
-    whatever the plane's width, not of the plane.
-    """
-    ahead, behind = factors
-    n_times = ahead.shape[0]
-    np.fft.fft(plane, axis=0, out=plane)
-    step = max(1, _UNPACK_VALUES // plane.shape[1])
-    for k0 in range(0, n_times, step):
-        k1 = min(k0 + step, n_times)
-        mirror = plane[-np.arange(k0, k1)]  # rows 2T - k, modulo 2T
-        np.conjugate(mirror, out=mirror)
-        mirror *= behind[k0:k1]
-        modes = plane[k0:k1]
-        modes *= ahead[k0:k1]
-        modes += mirror
-
-
 def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
     """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT.
 
     Each block is made one system level at a time: the level's rows are
-    spread into one plane of every weight column's 2T-point grid, and each
-    state's first T modes, unpacked in its plane, are copied into the
-    level's columns of the block that is yielded.
+    spread into one plane of every weight column's real 4T-point grid, and
+    each state's first T modes, `np.fft.rfft` of its grid divided by the
+    kernel's transform, are written into the level's columns of the block
+    that is yielded.
     """
     if np.any(np.diff(e) < 0.0):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
-    k, ne, m_grid = a.shape[1], v.shape[0] // ns, 2 * n_times
+    k, ne, n_grid = a.shape[1], v.shape[0] // ns, 4 * n_times
     eb = ranges[0][1] - ranges[0][0]
     with stage("propagate"):
         # One real weight column per state, and a second, its imaginary
@@ -437,8 +398,8 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
         weights = np.hstack((a.real, a.imag[:, phased]))
         columns = weights.shape[1]
         plan = _spreading_plan(e, weights, step, n_times)
-        factors = _unpack_factors(n_times)
-        plane_buffer = np.empty(columns * m_grid * eb, dtype=np.complex128)
+        deconvolve = 1.0 / _kernel_transform(np.arange(n_times) / n_grid)[:, None]
+        plane_buffer = np.empty(columns * n_grid * eb)
         block_buffer = np.empty(k * n_times * ns * eb, dtype=np.complex128)
 
     def spread(share, plane, rows):
@@ -447,10 +408,8 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
         # the level's product and the piece being added to it
         product, piece = np.empty((2, width, _BLOCK * columns))
         for lo, hi, terms in plan[share]:
-            # real points lo..hi-1 are the complex grid values lo/2..hi/2-1
-            span = slice(lo // 2, hi // 2)
             if not terms:
-                plane[:, span] = 0.0
+                plane[:, lo:hi] = 0.0
                 continue
             cols = (hi - lo) * columns
             acc, part = product[:, :cols], piece[:, :cols]
@@ -459,27 +418,31 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                     np.matmul(v[rows, j0:j1], spreading, out=acc)
                 else:
                     acc += np.matmul(v[rows, j0:j1], spreading, out=part)
-            np.copyto(plane[:, span],
-                      acc.view(np.complex128).reshape(width, columns, -1).transpose(1, 2, 0))
+            np.copyto(plane[:, lo:hi], acc.reshape(width, columns, -1).transpose(1, 2, 0))
 
     def transform(states, plane, modes):
-        """One share of the states' modes at one level, copied into `modes`, (k, T, width)."""
+        """One share of the states' modes at one level, written into `modes`, (k, T, width)."""
+        width, n_modes = plane.shape[2], n_grid // 2 + 1
+        chunk = min(width, max(1, _FFT_VALUES // n_modes))  # rows of V per rfft call
+        grid_modes = np.empty(n_modes * chunk, dtype=np.complex128)
         for s in range(k)[states]:
-            _real_grid_modes(plane[s], factors)
-            own = plane[s, :n_times]
-            if s in second_plane:
-                second = plane[second_plane[s]]
-                _real_grid_modes(second, factors)
-                # X = X_re + i X_im
-                other = second[:n_times]
-                np.subtract(own.real, other.imag, out=own.real)
-                np.add(own.imag, other.real, out=own.imag)
-            np.copyto(modes[s], own)
+            for r0 in range(0, width, chunk):
+                r = slice(r0, min(r0 + chunk, width))
+                out = grid_modes[:n_modes * (r.stop - r0)].reshape(n_modes, -1)
+                own = modes[s, :, r]
+                np.fft.rfft(plane[s, :, r], axis=0, out=out)
+                np.multiply(out[:n_times], deconvolve, out=own)
+                if s in second_plane:
+                    np.fft.rfft(plane[second_plane[s], :, r], axis=0, out=out)
+                    other = np.multiply(out[:n_times], deconvolve, out=out[:n_times])
+                    # X = X_re + i X_im
+                    np.subtract(own.real, other.imag, out=own.real)
+                    np.add(own.imag, other.real, out=own.imag)
 
     for e0, e1 in ranges:
         with stage("propagate"):
             width = e1 - e0
-            plane = plane_buffer[:columns * m_grid * width].reshape(columns, m_grid, width)
+            plane = plane_buffer[:columns * n_grid * width].reshape(columns, n_grid, width)
             c = block_buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
             for level in range(ns):
                 rows = slice(level * ne + e0, level * ne + e1)

@@ -38,6 +38,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_CLIP_TOL = 1e-9
 MAJORIZATION_TOL = 1e-9
+# The eigenvectors must reconstruct each initial state at t = 0 to this
+# bound: ~1000 times the error of an undamaged production pass.
+RECONSTRUCTION_TOL = 1e-12
 # Times per vectorized step of `trajectories`: ~2.4 MB of complex
 # amplitudes per step for 6 states at production size.  Chunking the
 # times moves no byte; at production, 32 took the same time as 64 and
@@ -112,15 +115,16 @@ def sum_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
     that it reduces.
 
     Per state and time its sums: sum p, sum p ln p, the shell sums and the
-    raw RDM (696 B at production size).  Per state, its final amplitudes
-    and one step's temporaries, 49 B per amplitude of TIME_CHUNK times of
-    a block: the squares (16), p and p ln p (8 each), the p > 0 mask (1)
-    and the conjugate (16).  And the basis's shell labels.
+    raw RDM (696 B at production size).  Per state, its final amplitudes,
+    one step's temporaries, 33 B per amplitude of TIME_CHUNK times of a
+    block: p and p ln p (8 each), the p > 0 mask (1) and the conjugate
+    (16), and those of the comparison at t = 0, 40 B per row of a block.
+    And the basis's shell labels.
     """
     ns, ne = config.n_system_levels, config.n_env_states
     n, rows = ns * ne, ns * env_block_size(ns, ne)
     per_time = 8 * (2 + ns - 1 + config.n_env_levels) + 16 * ns * ns
-    return n_states * (n_times * per_time + 16 * n + 49 * TIME_CHUNK * rows) + 8 * n
+    return n_states * (n_times * per_time + 16 * n + (33 * TIME_CHUNK + 40) * rows) + 8 * n
 
 
 @dataclass
@@ -138,7 +142,7 @@ class Trajectory:
 
 
 def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndarray,
-                 config: ModelConfig) -> list[Trajectory]:
+                 config: ModelConfig, initial: np.ndarray) -> list[Trajectory]:
     """Every observable at every time of k trajectories, reduced row block by row block.
 
     `blocks` yields `(rows, c)` as `dynamics.propagate_blocks` does: c[s, i, r]
@@ -146,22 +150,27 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     block holds environment states e0..e1-1 in every system level, in
     system-major order.  Each block adds its share of every state's
     sum p, sum p ln p, shell partial sums and raw RDM c c^H at every time,
-    TIME_CHUNK times at a time, and is then dropped; only the final-time
-    amplitudes are kept.  Each state's sums depend on that state alone,
+    TIME_CHUNK times at a time, and the largest difference of the state's
+    amplitudes at times[0], which must be 0, from its initial amplitudes
+    (the rows of `initial`, shape (k, dim)).  The block is then dropped;
+    only the final-time amplitudes are kept.  Each state's sums depend on that state alone,
     and are made by the share that owns the state (`blas.run_shares`).
 
-    Once every block is in, each state must pass the gates at every time:
-    unit norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
+    Once every block is in, each state must pass the gates: its
+    amplitudes at t = 0 within RECONSTRUCTION_TOL of `initial` (the
+    eigenvectors reconstruct the initial state), and at every time unit
+    norm, a hermitian RDM with unit trace and spectrum in [0, 1] (up
     to the module tolerances), S_vN in [0, ln N_S], S_univ in [0, ln N_SE],
     and the majorization bound S_vN <= -sum(rho_nn ln rho_nn).  A failure
     raises ValueError.  Free energies are relative to the first time, and
     T_fit_K is NaN where no Boltzmann fit exists; the basis, the system
     ladder, k_B T and the energy unit come from `config`.
-    `health` reports the largest norm error, RDM hermiticity error and RDM
-    trace error, the most negative RDM eigenvalue before clipping, and the
-    smallest majorization slack -sum(rho_nn ln rho_nn) - S_vN.  Each
-    block's reduction, and the gates and columns, are `model.stage`s named
-    "observables"; the blocks are made outside them.
+    `health` reports the largest difference at t = 0, the largest norm
+    error, RDM hermiticity error and RDM trace error, the most negative RDM
+    eigenvalue before clipping, and the smallest majorization slack
+    -sum(rho_nn ln rho_nn) - S_vN.  Each block's reduction, and the gates
+    and columns, are `model.stage`s named "observables"; the blocks are
+    made outside them.
     """
     times = np.asarray(times, dtype=float)
     shell_label = build_basis(config).shell_label
@@ -169,15 +178,16 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     n_shells = ns - 1 + config.n_env_levels
     sums = None
 
-    def add_share(own, c, labels, starts):
+    def add_share(own, c, rows, labels, starts):
         """Add the block's share to the sums of one share of the states."""
-        norm2, plogp_sum, shell_plogp, rho = (x[own] for x in sums)
+        norm2, plogp_sum, shell_plogp, rho, reconstruction = (x[own] for x in sums)
         c = c[own]
+        np.maximum(reconstruction, np.abs(c[:, 0] - initial[own][:, rows]).max(axis=-1),
+                   out=reconstruction)
         for start in range(0, n_times, TIME_CHUNK):
             chunk = c[:, start:start + TIME_CHUNK]
             span = slice(start, start + chunk.shape[1])
-            squares = chunk.view(np.float64) ** 2
-            p = squares[..., ::2] + squares[..., 1::2]  # Re^2 + Im^2, bit for bit
+            p = chunk.real ** 2 + chunk.imag ** 2
             norm2[:, span] += p.sum(axis=-1)
             plogp = _xlogx(p)
             plogp_sum[:, span] += plogp.sum(axis=-1)
@@ -193,13 +203,13 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
                 k = c.shape[0]
                 sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
                         np.zeros((k, n_times, n_shells)),
-                        np.zeros((k, n_times, ns, ns), dtype=np.complex128))
+                        np.zeros((k, n_times, ns, ns), dtype=np.complex128), np.zeros(k))
                 final = np.empty((k, dim), dtype=np.complex128)
             # runs of one shell label along the block's rows (m grows with the
             # row within each system level)
             labels = shell_label[rows]
             starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            blas.run_shares(lambda own: add_share(own, c, labels, starts), k)
+            blas.run_shares(lambda own: add_share(own, c, rows, labels, starts), k)
             final[:, rows] = c[:, -1]
     with stage("observables"):
         ladder, kbt = build_system_levels(config), temperature_of(config).kbt_reduced
@@ -207,10 +217,13 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
                             config.energy_unit_wavenumbers) for s in range(k)]
 
 
-def _trajectory(norm2, plogp_sum, shell_plogp, rho, final, times, n_universe,
+def _trajectory(norm2, plogp_sum, shell_plogp, rho, reconstruction, final, times, n_universe,
                 system_levels, kbt_reduced, unit) -> Trajectory:
     """Gate one state's sums and turn them into its columns and health."""
     ns = rho.shape[-1]
+    _require(np.atleast_1d(reconstruction <= RECONSTRUCTION_TOL), times,
+             f"the eigenvectors do not reconstruct the initial state: its amplitudes "
+             f"differ by {reconstruction:.3e} (> {RECONSTRUCTION_TOL})")
     norm_err = np.abs(np.sqrt(norm2) - 1.0)
     _require(norm_err <= NORM_TOL, times,
              f"state norm deviates from 1 by {norm_err.max():.3e} (> {NORM_TOL})")
@@ -254,6 +267,7 @@ def _trajectory(norm2, plogp_sum, shell_plogp, rho, final, times, n_universe,
     cols.update((f"rdm_diag_{k}", d[:, k]) for k in range(ns))
     cols["T_fit_K"] = boltzmann_fit_temperature(d, system_levels, unit)
     health = {
+        "max_reconstruction_error": float(reconstruction),
         "max_norm_error": float(norm_err.max()),
         "max_rdm_hermiticity_error": float(h_err.max()),
         "max_rdm_trace_error": float(t_err.max()),

@@ -127,6 +127,14 @@ def test_summary_repeats_the_free_energy_agreement(production_runs):
     assert sum(len(run["summary"]["states"]) for run in production_runs.values()) == 18
 
 
+def test_every_run_reconstructs_its_initial_states(production_runs):
+    # each state's amplitudes at t = 0, made from every element of V, are
+    # its initial amplitudes to ~1e-15, far inside the run's 1e-12 gate
+    errors = [row["health"]["max_reconstruction_error"]
+              for run in production_runs.values() for row in run["summary"]["states"]]
+    assert len(errors) == 18 and max(errors) <= 1e-14, errors
+
+
 def test_criterion_5_effective_state_count(production_runs):
     counts = []
     for run in production_runs.values():

@@ -13,7 +13,7 @@ import pytest
 
 from quniverse import __version__, cli, dynamics, model, units
 from quniverse.blas import gemm_threads, library, pass_workers, simd_level
-from quniverse.cache import CACHE_DIR_ENV, CACHE_MAX_MB_ENV
+from quniverse.cache import CACHE_DIR_ENV, CACHE_MAX_MB_ENV, store_eigensystem
 from quniverse.config import ModelConfig
 from quniverse.cli import MAX_PHASE, compare_free_energy, main, read_trajectory, run_experiment
 from quniverse.dynamics import NUFFT_MIN_TIMES
@@ -23,6 +23,7 @@ from quniverse.observables import (
     HERMITICITY_TOL,
     MAJORIZATION_TOL,
     NORM_TOL,
+    RECONSTRUCTION_TOL,
     TRACE_TOL,
     sum_bytes,
 )
@@ -210,14 +211,32 @@ def test_summary_reports_numerical_health_within_gates(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     for row in summary["states"]:
         health = row["health"]
-        assert set(health) == {"max_norm_error", "max_rdm_hermiticity_error",
-                               "max_rdm_trace_error", "min_rdm_eigenvalue",
-                               "min_majorization_slack"}
+        assert set(health) == {"max_reconstruction_error", "max_norm_error",
+                               "max_rdm_hermiticity_error", "max_rdm_trace_error",
+                               "min_rdm_eigenvalue", "min_majorization_slack"}
+        assert 0.0 <= health["max_reconstruction_error"] <= RECONSTRUCTION_TOL
         assert 0.0 <= health["max_norm_error"] <= NORM_TOL
         assert 0.0 <= health["max_rdm_hermiticity_error"] <= HERMITICITY_TOL
         assert 0.0 <= health["max_rdm_trace_error"] <= TRACE_TOL
         assert health["min_rdm_eigenvalue"] >= -EIGENVALUE_CLIP_TOL
         assert health["min_majorization_slack"] >= -MAJORIZATION_TOL
+
+
+@pytest.mark.parametrize("n_points", [120, 40], ids=["nufft", "direct"])
+def test_run_refuses_an_entry_whose_eigenvectors_do_not_reconstruct_the_states(
+        tmp_path, mid_ham, n_points):
+    # one element of V off by 1e-9, outside the rows and columns that the
+    # eigen check reads, so that the entry is a hit and passes every other gate
+    cfg, ham = mid_ham
+    columns = np.linspace(0, ham.dim - 1, model.CHECK_COLUMNS).astype(np.intp)
+    assert 1500 >= model.CHECK_ROWS and 1001 not in columns
+    damaged = np.array(ham.eigenvectors)
+    damaged[1500, 1001] += 1e-9
+    store_eigensystem(ham.key, ham.eigenvalues, damaged)
+    with pytest.raises(ValueError, match=rf"do not reconstruct .* at t=0\.0; "
+                                         rf"eigensystem key {ham.key}, cache hit: true$"):
+        run_experiment(cfg, list(range(6)), tmp_path / "out", n_points=n_points)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("states, kwargs, message", [
@@ -769,9 +788,9 @@ def test_run_refuses_a_pass_larger_than_memory_before_building(tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "assemble_hamiltonian", refuse)
     config = ModelConfig(rng_seed=1)  # configs/production.cfg
-    # the block, one level's plane, V and the sums: 5.82e9 bytes at T = 50000, which
+    # the block, one level's plane, V and the sums: 5.84e9 bytes at T = 50000, which
     # a 7 GiB machine holds and a 5 GiB one does not
-    error, message = ((MemoryError, r"^the pass of 6 states over 50000 times needs 5825 MB, "
+    error, message = ((MemoryError, r"^the pass of 6 states over 50000 times needs 5837 MB, "
                                     r"more than this machine's 5369 MB") if refused
                       else (AssertionError, "the universe was built"))
     with pytest.raises(error, match=message):
@@ -914,18 +933,18 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 # change that moves an output byte, and re-record these hashes under it
 # for every kernel.
 OUTPUT_SHA256 = {
-    ("0.9.0", "SkylakeX", "X86_V4"): {
+    ("0.10.0", "SkylakeX", "X86_V4"): {
         120: {
-            "anomalies.json": "1e0e6c1b26de6df42cb57eb51767ff56d8a1d47fe1e2bcbcdb12e8871a016980",
-            "compare_n1.json": "288497e65c89f387254dd67b83630861e22620e195c5f180896b34b08e20b079",
-            "sticks_n0.csv": "13eaca962c5ecb27f4772e8d3800f510570b55063100fb2b81aaf013930b5f7d",
-            "sticks_n1.csv": "3ef8b2da0244b1707dd3057c979d0281791b765858deaa04cfea00fa5b25beb6",
-            "sticks_n2.csv": "79bfb270a0f6cd0f3d323495b0aa5f66106372e7dd3abae1f6576e75e4b6b0e4",
+            "anomalies.json": "9abdf369406588ef0f7b11405fc98ffc26dc57b30b3acb801a8eb162644770ec",
+            "compare_n1.json": "9cd5f904c971389e26a5627f539c57642b145bad0d4785af01a53cbb7e195e67",
+            "sticks_n0.csv": "ae15f1275b4dded85c9bfa9238791620267b2a4a9517bf75bdc230ab8848a65b",
+            "sticks_n1.csv": "833a3b298f5bd7357755d928bea905d5e36eed2aca96be328b8b029185106d9a",
+            "sticks_n2.csv": "715baa9df559857a4b4fe062a21473e6c3e9353a853547db19de4f1aa26302d9",
             "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
-            "summary.json": "b3ff338ff39d7cf6019c050d37dbbc82e5380dc478bfeee8772db74a03d0fc7e",
-            "traj_n0.csv": "2b904cbbc004b4e0ff29545d04ea7780b30f5b9e410d3f14884bd2cf419c56d4",
-            "traj_n1.csv": "f8ab44002788f8d5d1bb6a2f16bb4d4183cf53cd2a532184fd86604004cf4ecd",
-            "traj_n2.csv": "6148ad9cf31fa73810aeab356896184f60c99af5d9f372cbd4f309bf8e60c723",
+            "summary.json": "191bd451c2c95c4495341870146ae9ba7248cfedabef756baaa6c207499ad351",
+            "traj_n0.csv": "a86d4b9b794cd6bf96a7fca01596dfe51a43eccd7e651c778046fd60a0387a5d",
+            "traj_n1.csv": "837ea9804c0279d35d5a393d5904d61a705430dde57450e0fb33477763ffbff8",
+            "traj_n2.csv": "23c83cf36ec58000db540807189b6ba212b5c8613832c925f1ad0be7c9978329",
         },
         40: {
             "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
@@ -934,24 +953,24 @@ OUTPUT_SHA256 = {
             "sticks_n1.csv": "c9218d062b8fe0890b71a6e861e72c508010a0fa4930872cb5e9fc9c213f793e",
             "sticks_n2.csv": "68074d453eefc9ed4ef6a6617d2cb8c4c42749fa4db2ffdc61b9ae270155369a",
             "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
-            "summary.json": "3e8dc35192ad05ffb9c9b0043a0cc74b4bd9608935feea56a94d0abd8c972e25",
+            "summary.json": "d95387b48177c965ad15ba2d1a877e4190d28425b6447a4fead41a08abc4850c",
             "traj_n0.csv": "6369a68098e65457b15c0f8b14068ea5c1052d64ef1fd298a34e53af687b7e78",
             "traj_n1.csv": "a8a339c3578ef1a46ad762156b676db6d520306a68896e74abb02b95be412ec4",
             "traj_n2.csv": "a9a1212bc714d8eaadb6a1fb29d065d5b6f152d93f88799ec3d4ee356909031d",
         },
     },
-    ("0.9.0", "Haswell", "X86_V3"): {
+    ("0.10.0", "Haswell", "X86_V3"): {
         120: {
-            "anomalies.json": "a808c01e05c507099e36b65f8fbbfbc39bb1e9034fa4bdaeb305da4ecff07b1e",
-            "compare_n1.json": "076617f5b3b3ae9a9ddcb1699540699c5a290f06c1355c4878a952d66e93a9b1",
-            "sticks_n0.csv": "c83d46f90305566d57ba58c554916da627a851b467242d963a51f62f2067990a",
-            "sticks_n1.csv": "c529ce2921509e6a6d3ec44ff6cccac316a9590be37e17b09ec27dc9ddacdabb",
-            "sticks_n2.csv": "855a25361d0e21b5d996c59770b40a8a40bff3a36af37d916eb96a55b1d13294",
+            "anomalies.json": "d57717d490d71e475a6b212dccddcf05875a04558f203eb22ca069255fda379c",
+            "compare_n1.json": "ce0a6b40713c9564f1d71e8babcf35c76bea0da67cb61f1842d51f0ce15640db",
+            "sticks_n0.csv": "16ba0039de35a22f4ee101abd56d2ab18772e87626d10e0693c55a8b9388e1f8",
+            "sticks_n1.csv": "db040d04421998a3a4d558ea8be90a68130ec327444e4a42eb678838e71fe583",
+            "sticks_n2.csv": "62cbbf8803c776a6b36fc166c8f8d1964cfc6f0c70f9e9702e67efca812d69fb",
             "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
-            "summary.json": "4e4bb041898dec167f558b165a0d83b3f5e6db8a4e8d8c4b5e6010f7f4d97a4d",
-            "traj_n0.csv": "e1779bbc71c83912da1afdc8be4d32b4fa0cb86403813611c69148e7fe639408",
-            "traj_n1.csv": "b7a93307fa7519d11d95e83ff4791dcff1f0cccf320d3c2097c913801a3ed2d5",
-            "traj_n2.csv": "51fcd6b090f88f17101d6eb33363c04126a3e894c9120f369e77a3ffb2f887b4",
+            "summary.json": "918dd993ca9f70435b384a3d7a1daa00dcacffa7de4ba6b4b3664d5ba0a100a1",
+            "traj_n0.csv": "00be91430e1b51c5c2dd310bc25c56bb35b02591f1bb3e9c01803172b21fde8c",
+            "traj_n1.csv": "4ddca01f12bcd307eb4d2ee00ec352469ee1325accbda79e64b85b9b92469f18",
+            "traj_n2.csv": "725718e9b1bb603712985cdda181d22478258dc0a06553bae370325f095f3951",
         },
         40: {
             "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
@@ -960,24 +979,24 @@ OUTPUT_SHA256 = {
             "sticks_n1.csv": "a83d7868f3c24e313f1fc1d3f5b9bcfc3ee7d14643e39d0df1fe8444c76d5ae0",
             "sticks_n2.csv": "93f3e4038f96b6118dd41675ecacdc71e271034c6344ae3ed1c005aa5cbfde3f",
             "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
-            "summary.json": "1353212091d04462fd19ddf9213d484efdcf2b918703be92cc63d555f41c421b",
+            "summary.json": "71a49eb88307e6b7387e62e982f5d063bb73d11ebd9a14753b9d2fc631bfbd47",
             "traj_n0.csv": "a0f050ffb8b54d7f69ff90d60a87ae072ce57a21467f580e53ceada791fc5022",
             "traj_n1.csv": "60422051350cabbad18234b83288d46eed2705c0bad8f23e7673a215a6172cd3",
             "traj_n2.csv": "59970c94b9d5bea2bf83f47913e92f90a5e5744041d06be025a7c1d32c003863",
         },
     },
-    ("0.9.0", "Sandybridge", "X86_V2"): {
+    ("0.10.0", "Sandybridge", "X86_V2"): {
         120: {
-            "anomalies.json": "9dcb3a03430beab61673de08d47386d7f22bc2500c8bd8356464a217f5ee60ea",
-            "compare_n1.json": "d87435922d25b63b6928b6c3c1b0966e911f534842756b8cadc996a6c1102c26",
-            "sticks_n0.csv": "02308b0f7e9e3908b85df7739ff6367ccce7681f6248d042b98fb5dacb074465",
-            "sticks_n1.csv": "f0cf587bc9a46bf9e6bb9e3ac88b3782cdba423a456b460c98fdf8521efee928",
-            "sticks_n2.csv": "ed5d1dd2a999a028c930a547ba62450bafb1d47a79268f607b897ba15f530b4a",
+            "anomalies.json": "114738b15e2f764c2d985590ac597c0e5c08512787f7768ff9c7d07d79029530",
+            "compare_n1.json": "1c74bd592f50dc8426535c3bf29acf2cc07a280b8eeb88dd2e170906fb9f068a",
+            "sticks_n0.csv": "818991f2da993550399b6361e072962ad5e68f1a1426a29eaed6fff5912880d7",
+            "sticks_n1.csv": "ef3eab3172ca09ef60fc430dd6818cfbbbdd1b9253ab75174d06809674a56232",
+            "sticks_n2.csv": "2d91b245e45bac67464741c9ed91cf1446639d0a2cc42697db68b65a613c300b",
             "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
-            "summary.json": "81bc3b3c71e84dce348bb5d4d9025dd175f09704f5c8270f836fc066d01f6021",
-            "traj_n0.csv": "a2cdab7c9ab44d45e3a091b400ad2ab52635ea2ef0735c297538a763b426b1e6",
-            "traj_n1.csv": "08b7b873dc2d37d68fdcbbae922908634a9a2e40808bd3e21f8007291e1b6a29",
-            "traj_n2.csv": "bdc396d6840ea53c52ebfe52e699bc6a1787b5655badbd2a0102a01534ed7051",
+            "summary.json": "6241b959a2cb259b7c9a4b636ccc70ad4e68045cddbc2c30fc897c633800127a",
+            "traj_n0.csv": "16cb70c577a8cd7a7d6db29d8919d5e556b6a91ee68c22cdb77c85a0bfc441ca",
+            "traj_n1.csv": "993abd5e83ac556d3bbe5e4cb4e3d628a79f63709acd2f488a36e3068c21e242",
+            "traj_n2.csv": "ff791e2984fd5bbf261812f702b99d6f40db428091425d2cd8f5b6e5c1afdce5",
         },
         40: {
             "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
@@ -986,24 +1005,24 @@ OUTPUT_SHA256 = {
             "sticks_n1.csv": "a42a89b8f399f38c9ad0a252e8153681bb0558683306862ba455db14b55f607c",
             "sticks_n2.csv": "f880ba4ad6eb14b903c5aa8fa8431beea4d52124aa8d90d3e24ba455c78f9de0",
             "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
-            "summary.json": "64f4f8b53b0467f83b0bd2a1ee45818096db558b30c289e6474edf57bb916dab",
+            "summary.json": "fa7562b87a2c19cc27714d8bef201015cd8daea88f8b0e4d0beb95c266ee3882",
             "traj_n0.csv": "1c945f40954401aa57212a9448eacac6737688cbf5084f06b81a180713d46664",
             "traj_n1.csv": "9c6e017fbae77d8cb87792cc37b73790efc538c33130e4f2dc4a8362d18fba59",
             "traj_n2.csv": "d78aeef1aad561038364303135f765346c0604f935231bd0a7121d0804bf6d35",
         },
     },
-    ("0.9.0", "Nehalem", "X86_V2"): {
+    ("0.10.0", "Nehalem", "X86_V2"): {
         120: {
-            "anomalies.json": "a6f73082c98a44f80ddc6138aba8e0798f458f2ae6b2f98ceb654b3c5cfdcfba",
-            "compare_n1.json": "071d3c2915f2e9e59b4af20a84de7acbadde75964ebebba0578e12ef1a36affe",
-            "sticks_n0.csv": "0a5ffec4c3ddcbe5c44e2b12e0676b9928aceeb97c0fb69a5cf99216655bfc43",
-            "sticks_n1.csv": "a5411988e6b4e78ddc0e1b1b43db3f2c60aac0805c8b8f603574994a40c99a56",
-            "sticks_n2.csv": "09ee8ee64b8c6b3e3ee97b60a0bf9492d3510500bd6c3ef3b7d095c5685323b6",
+            "anomalies.json": "07f3eb1b47ca01347cb728f5271aaf3c829c47650c8e258d0614c1abd762f503",
+            "compare_n1.json": "82ef33b4cb2faa1b5ed1391968837e4d3f038f83f633538935cf424e34ec09d8",
+            "sticks_n0.csv": "b326b5096f4086ef22963068d47e0191eea118e022dfc6295a0e6a24bce4ade8",
+            "sticks_n1.csv": "171a39f2ef0ce285eaac4d6a2a8d0f35e9d3e19b2e7f1928ea5893d2270dae32",
+            "sticks_n2.csv": "54619d4dfb572a43ec28b46b0f6007de11cc078ac613266a09f405a496c0f86e",
             "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
-            "summary.json": "901bbe77c2c4abb3113fdec45b73ead05ede1fd123b0232c35cfa149218d1e91",
-            "traj_n0.csv": "94ea17f93f728cde0df031e096e0cbc4e5414674e272bcd81cc901dc50634636",
-            "traj_n1.csv": "08c3d187eb5a6c258377e89e062f01cad04bb9a4358724821e570ce3e8369a53",
-            "traj_n2.csv": "3872eceee69aef01daabde67872d5707cf9c2557392bc5cff6cbce5ad97b3ac5",
+            "summary.json": "a47b4c80dcb5a8c2870373f26e938537a4d4322295a18139ffc2c110cb3eb3f8",
+            "traj_n0.csv": "3e5fcc405b434ae836f146b4fb433ed0c67b8ee501f280766981d7e1298a6aba",
+            "traj_n1.csv": "9f089e22d91f0815bc05623ca0bb45f4c53f7ed03ab49389a495e7585d99d0df",
+            "traj_n2.csv": "ca37288556d8db213817695424f83a6887a129e419f6cb815898f537c511bfba",
         },
         40: {
             "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
@@ -1012,7 +1031,7 @@ OUTPUT_SHA256 = {
             "sticks_n1.csv": "5be43dbe595a06e3dc9d80ec5274e6efbf2b823fc3dc9a7b1dd110bdc912b947",
             "sticks_n2.csv": "7dcb1dd5dcb0d6ab6f69781adc486a0a4ab5f050e8eba22c49932d60a83f698c",
             "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
-            "summary.json": "f19529f136df344777b2c4942daedd6c20aba55295a271b23a85f476ad89f526",
+            "summary.json": "298a5999a910f4a6847c5f5c98bf0d6336976d0d9a26ed34958dd3fd41581aae",
             "traj_n0.csv": "921c3cd1699fb6f1cb065174d64feb076ffc0b34222baeb471d4b23597d6ee75",
             "traj_n1.csv": "5a5915bbf66b0cd6b9bb0daf6d95978d1fe5fd1f2d2bda0abd5cc041740d0f79",
             "traj_n2.csv": "064f018b1ed3c2920543f22844425f530e8b1df3a343c8346d60bb9f2fb52003",

@@ -375,6 +375,22 @@ def test_nufft_bytes_independent_of_pass_workers(monkeypatch, mid_ham):
             assert one[name].tobytes() == got.tobytes(), (name, workers)
 
 
+@pytest.mark.parametrize("phases", [False, True], ids=["real", "random_phases"])
+def test_nufft_bytes_independent_of_rfft_chunks(monkeypatch, mid_ham, phases):
+    # each rfft call transforms at most _FFT_VALUES // (2T + 1) rows of V,
+    # and one row at the least: every row's modes are the bytes of the
+    # whole level's transform (one call per state and level here), in
+    # calls of one row and of 7 rows and a last one of 4 (32 rows a level)
+    cfg, ham = mid_ham
+    cfg = dataclasses.replace(cfg, random_initial_phases=phases)
+    psi0 = np.array([initial_state(cfg, n) for n in range(6)])
+    times = np.linspace(0.0, 631.0, 600)
+    whole = [c.tobytes() for _, c in propagate_blocks(psi0, ham, times)]
+    for fft_values in (1, 7 * 1201):
+        monkeypatch.setattr(dynamics, "_FFT_VALUES", fft_values)
+        assert [c.tobytes() for _, c in propagate_blocks(psi0, ham, times)] == whole
+
+
 @pytest.mark.parametrize("n_rows", [1, 7, 26, 64, 80, 128])
 def test_stacked_products_give_each_state_its_own_bytes(n_rows):
     # The properties the NUFFT's stacked spreading products rest on, in the
@@ -451,7 +467,7 @@ def _numpy_features_above(level):
 
 @pytest.mark.parametrize("kernel", list(KERNEL_LEVELS))
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
-    # The three byte tests above and the toy21 output pins, rerun in a child
+    # The four byte tests above and the toy21 output pins, rerun in a child
     # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
     # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
     # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
@@ -473,6 +489,7 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
          f"{__file__}::test_stacked_products_give_each_state_its_own_bytes",
          f"{__file__}::test_stacked_products_give_each_weight_column_its_own_bytes",
          f"{__file__}::test_nufft_bytes_independent_of_pass_workers",
+         f"{__file__}::test_nufft_bytes_independent_of_rfft_chunks",
          f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version"],
         env=env, cwd=src.parent, capture_output=True, text=True)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]

@@ -236,7 +236,7 @@ def test_shell_partials_sum_to_universe_entropy(toy21_ham):
 def _trajectories(cfg, ham, states, times):
     """Every state of `states` in one pass; (initial states, their Trajectory records)."""
     psi0 = np.array([initial_state(cfg, n) for n in states])
-    return psi0, trajectories(propagate_blocks(psi0, ham, times), times, cfg)
+    return psi0, trajectories(propagate_blocks(psi0, ham, times), times, cfg, psi0)
 
 
 def _trajectory(cfg, ham, n, times):
@@ -339,17 +339,22 @@ def test_trajectory_gates_reject_corrupted_amplitudes(toy21_ham, toy21):
     times = np.linspace(0.0, 8.0, 5)
     psi0 = np.array([initial_state(toy21, n) for n in (0, 1)])
     amps = propagated(psi0, toy21_ham, times)
-    trajectories(as_blocks(amps, toy21, 3), times, toy21)
+    trajectories(as_blocks(amps, toy21, 3), times, toy21, psi0)
     bad = amps.copy()
     bad[1, 3] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match=r"norm .* at t=6\.0"):
-        trajectories(as_blocks(bad, toy21, 3), times, toy21)
+        trajectories(as_blocks(bad, toy21, 3), times, toy21, psi0)
+    # at t = 0, where the amplitudes must be the initial state's
+    bad = amps.copy()
+    bad[1, 0, 5] += 1e-11
+    with pytest.raises(ValueError, match=r"do not reconstruct .* 1\.000e-11 .* at t=0\.0"):
+        trajectories(as_blocks(bad, toy21, 3), times, toy21, psi0)
 
 
 # -- the pass's worker threads ------------------------------------------------------
 
 def _pass(cfg, ham, psi0, times):
-    return trajectories(propagate_blocks(psi0, ham, times), times, cfg)
+    return trajectories(propagate_blocks(psi0, ham, times), times, cfg, psi0)
 
 
 @pytest.mark.parametrize("states", [[0], [0, 3], "valid"], ids=["0", "0,3-random-phases", "all"])
@@ -419,11 +424,11 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     times = np.linspace(0.0, 631.0, 600)
     seen = []
     shares = []  # (numpy's OpenBLAS threads, thread name) in the observables' shares
-    fft, xlogx = np.fft.fft, observables._xlogx
+    rfft, xlogx = np.fft.rfft, observables._xlogx
 
     def recording_fft(*args, **kwargs):
         seen.append(library()[1])
-        return fft(*args, **kwargs)
+        return rfft(*args, **kwargs)
 
     def recording_xlogx(p):
         if threading.current_thread() is not threading.main_thread():
@@ -432,7 +437,7 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
 
     # two normal passes: one thread inside the FFT's and the observables'
     # shares, 2 after them, and the second pass on the first's workers
-    monkeypatch.setattr(np.fft, "fft", recording_fft)
+    monkeypatch.setattr(np.fft, "rfft", recording_fft)
     monkeypatch.setattr(observables, "_xlogx", recording_xlogx)
     workers = []
     for _ in range(2):
@@ -462,7 +467,7 @@ def test_pass_restores_numpy_blas_threads(monkeypatch, mid_ham, two_blas_threads
     def failing_fft(*args, **kwargs):
         raise RuntimeError("FFT failed")
 
-    monkeypatch.setattr(np.fft, "fft", failing_fft)
+    monkeypatch.setattr(np.fft, "rfft", failing_fft)
     with pytest.raises(RuntimeError, match="FFT failed"):
         next(propagate_blocks(psi0, ham, times))
     assert library()[1] == 2
