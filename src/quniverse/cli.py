@@ -444,7 +444,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="key = value config file")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--states", default=None, type=_state_list,
-                       help="comma-separated initial system levels (default: all)")
+                       help="comma-separated initial system levels (default: every level n "
+                            "whose environment rung total_energy - n exists)")
     p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.add_argument("--t-max-ps", type=float, default=DEFAULT_T_MAX_PS)
     p_run.add_argument("--n-points", type=int, default=DEFAULT_N_POINTS)
@@ -467,7 +468,8 @@ def main(argv=None) -> int:
         config = ModelConfig.from_file(args.config)
         if args.seed is not None:
             config = dataclasses.replace(config, rng_seed=args.seed)
-        states = list(range(config.n_system_levels)) if args.states is None else args.states
+        states = args.states or [n for n in range(config.total_energy + 1)
+                                 if config.total_energy - n < config.n_env_levels]
         manifest = run_experiment(
             config, states, args.out,
             t_max_ps=args.t_max_ps, n_points=args.n_points,

@@ -24,7 +24,8 @@ so that it holds every amplitude the reduced density matrix sums at a
 fixed system pair: a consumer can reduce each block to its observables
 and drop it.  The block height depends on the universe alone
 (`env_block_size`), so a state's bytes never depend on which other
-states share the pass.  Two kernels fill a block:
+states share the pass.  One loop makes each block, one system level
+at a time, and one of two kernels fills each level's columns:
 
 * Direct: per state, the (n, T) phase matrix Z = exp(-i E t_k) a, its
   float64 view transposed to a contiguous (2T, n) matrix Z^T, times
@@ -36,8 +37,8 @@ states share the pass.  Two kernels fill a block:
   same flops with V as the left operand, 72 products over 128 strided
   rows, took 180-215 ms).  Rows 2i and 2i + 1 of a product are the real
   and imaginary parts of the level's amplitudes at times[i].  Every
-  state's (T, n) amplitudes are held (as many values as the states'
-  phase matrices), and each row block is gathered from them.  Single times
+  product is held (k 2T n doubles), and a fill copies a level's columns
+  e0..e1 out of them.  Single times
   (`propagate`), grids that are not uniform from 0, and grids shorter
   than NUFFT_MIN_TIMES take it; they are short, so this costs k n T
   complex values, where the NUFFT never builds a grid over all rows.
@@ -66,12 +67,11 @@ states share the pass.  Two kernels fill a block:
   alone (see _K_PANEL).  That is 2 n^2 (G + W) flops per real state, and
   all states together read V about twice per run; the spreading matrices
   hold n (G + W - 1) doubles per column, 13.7 MB for six production
-  states.  A row block is made one system level at a time.  Each of the
-  level's products is copied into one real (columns, 4T, rows) plane,
-  and `np.fft.rfft` transforms each column's 4T-point grid of each row;
-  its first T modes, divided by the kernel's Fourier transform
-  (Gauss-Legendre quadrature), are written into the level's columns of
-  the block that is yielded.
+  states.  A fill copies the level's products into one real (columns,
+  4T, rows) plane, and `np.fft.rfft` transforms each column's 4T-point
+  grid of each row; its first T modes, divided by the kernel's Fourier
+  transform (Gauss-Legendre quadrature), are the level's columns of the
+  block.
   At production size the block of six states holds 44.2 MB and the plane
   14.7 MB (29.5 MB for six random-phase states).
 
@@ -185,9 +185,9 @@ def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
     output (at most max(_FFT_VALUES, 2T + 1) complex values).  Shares are
     counted as k, the most that the transform makes; a pass on more
     workers than states holds one more product per further worker.  Below
-    NUFFT_MIN_TIMES, the direct product adds every state's amplitudes on
-    every row, one phase matrix and its transposed float64 copy, and its
-    level products (2T N_E doubles each, at most N_S at once).  Nothing
+    NUFFT_MIN_TIMES, the direct product adds its products (every state's
+    amplitudes on every row) and one phase matrix with its transposed
+    float64 copy.  Nothing
     depends on the machine.  At production size, 6 real states and
     T = 600: 0.77 GB, of which V is 0.67 GB; the block and the plane hold
     98.3 kB per time.
@@ -196,7 +196,7 @@ def pass_bytes(config: ModelConfig, n_states: int, n_times: int) -> int:
     n, eb = ns * ne, env_block_size(ns, ne)
     values = n_states * (n + n_times * ns * eb)
     if n_times < NUFFT_MIN_TIMES:
-        values += (n_states + 3) * n_times * n
+        values += (n_states + 2) * n_times * n
         return 16 * values + 8 * n * n
     columns = n_states * (2 if config.random_initial_phases else 1)
     values += n_states * (eb * _BLOCK * columns + max(_FFT_VALUES, 2 * n_times + 1))
@@ -220,8 +220,8 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
     A uniform grid from 0 of at least NUFFT_MIN_TIMES times takes the
     NUFFT kernel, any other the direct product (see the module docstring);
     the two agree to rounding.  A state's values depend on that state
-    alone, not on the others in the pass.  Vᵀc(0), made in this call,
-    and each block's work, made as it is asked for, are `model.stage`s
+    alone, not on the others in the pass.  Vᵀc(0) and the kernel, made in
+    this call, and each block, made as it is asked for, are `model.stage`s
     named "propagate".
     """
     amplitudes = np.asarray(amplitudes)
@@ -232,17 +232,17 @@ def propagate_blocks(amplitudes: np.ndarray, ham: UniverseHamiltonian,
         )
     times = np.asarray(times, dtype=float)
     v, e = ham.eigenvectors, ham.eigenvalues
-    # On one thread, as every product of the pass: a threaded product here
-    # would leave OpenBLAS's idle threads spinning on the workers' cores.
-    with stage("propagate"), gemm_threads(1):
-        a = np.hstack([_eigen_coefficients(v, c) for c in amplitudes])
     ns, ne = ham.config.n_system_levels, ham.config.n_env_states
     eb = env_block_size(ns, ne)
-    ranges = [(e0, min(e0 + eb, ne)) for e0 in range(0, ne, eb)]
-    step = _uniform_step(times)
-    if step is None:
-        return _direct_blocks(v, e, a, times, ns, ranges)
-    return _nufft_blocks(v, e, a, step, times.size, ns, ranges)
+    with stage("propagate"):
+        # On one thread, as every product of the pass: a threaded product here
+        # would leave OpenBLAS's idle threads spinning on the workers' cores.
+        with gemm_threads(1):
+            a = np.hstack([_eigen_coefficients(v, c) for c in amplitudes])
+        step = _uniform_step(times)
+        fill = (_direct_kernel(v, e, a, times, ns, ne) if step is None
+                else _nufft_kernel(v, e, a, step, times.size, eb))
+    return _row_blocks(fill, a.shape[1], times.size, ns, ne, eb)
 
 
 def _block_rows(ns: int, ne: int, e0: int, e1: int) -> np.ndarray:
@@ -250,39 +250,47 @@ def _block_rows(ns: int, ne: int, e0: int, e1: int) -> np.ndarray:
     return (np.arange(ns)[:, None] * ne + np.arange(e0, e1)).ravel()
 
 
-def _direct_blocks(v, e, a, times, ns, ranges):
-    """Row blocks of V (exp(-i E t) a): per state, one GEMM of height 2T per system level."""
+def _row_blocks(fill, k, n_times, ns, ne, eb):
+    """The pass's one row-block loop: per range of eb environment states, fill(rows, modes)
+    writes the amplitudes on each system level's rows (a slice) into its columns of the block."""
+    buffer = np.empty(k * n_times * ns * eb, dtype=np.complex128)
+    for e0 in range(0, ne, eb):
+        width = min(eb, ne - e0)
+        with stage("propagate"):
+            c = buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
+            for level in range(ns):
+                fill(slice(level * ne + e0, level * ne + e0 + width),
+                     c[:, :, level * width:(level + 1) * width])
+        yield _block_rows(ns, ne, e0, e0 + width), c
+
+
+def _direct_kernel(v, e, a, times, ns, ne):
+    """The fill of V (exp(-i E t) a): per state, one GEMM of height 2T per system level, held."""
     k, n_times, n = a.shape[1], times.size, e.size
-    ne = n // ns
-    amplitudes = np.empty((k, n_times, n), dtype=np.complex128)
+    # rows 2i and 2i + 1 of products[s, level] are Re and Im of the level's amplitudes at times[i]
+    products = np.empty((k, ns, 2 * n_times, ne))
     phases = np.empty((n, n_times), dtype=np.complex128)
     phases_t = np.empty((2 * n_times, n))
 
     def multiply(levels, s):
-        """One share of state s's system levels; product rows 2i, 2i + 1 are Re, Im at times[i]."""
-        product = np.empty((2 * n_times, ne))
+        """One share of state s's system levels."""
         for level in range(ns)[levels]:
-            cols = slice(level * ne, (level + 1) * ne)
-            np.matmul(phases_t, v.T[:, cols], out=product)
-            np.copyto(amplitudes[s, :, cols].view(np.float64).reshape(n_times, ne, 2),
-                      product.reshape(n_times, 2, ne).transpose(0, 2, 1))
+            np.matmul(phases_t, v.T[:, level * ne:(level + 1) * ne], out=products[s, level])
 
-    with stage("propagate"):
-        for s in range(k):
-            phases.imag = np.multiply.outer(-e, times)
-            phases.real = 0.0
-            np.exp(phases, out=phases)
-            phases *= a[:, s, None]
-            np.copyto(phases_t, phases.view(np.float64).T)
-            run_shares(lambda levels: multiply(levels, s), ns)
-        buffer = np.empty(k * n_times * ns * (ranges[0][1] - ranges[0][0]), dtype=np.complex128)
-    for e0, e1 in ranges:
-        with stage("propagate"):
-            rows = _block_rows(ns, ne, e0, e1)
-            c = buffer[:k * n_times * rows.size].reshape(k, n_times, rows.size)
-            # rows are in range; "clip" gathers into c without a temporary
-            np.take(amplitudes, rows, axis=2, out=c, mode="clip")
-        yield rows, c
+    for s in range(k):
+        phases.imag = np.multiply.outer(-e, times)
+        phases.real = 0.0
+        np.exp(phases, out=phases)
+        phases *= a[:, s, None]
+        np.copyto(phases_t, phases.view(np.float64).T)
+        run_shares(lambda levels: multiply(levels, s), ns)
+
+    def fill(rows, modes):
+        level, e0 = divmod(rows.start, ne)
+        parts = products[:, level, :, e0:e0 + modes.shape[2]].reshape(k, n_times, 2, -1)
+        modes.real, modes.imag = parts[:, :, 0], parts[:, :, 1]
+
+    return fill
 
 
 # Uniform grids of at least this many times take the NUFFT.  Measured on
@@ -376,31 +384,26 @@ def _spreading_plan(e, weights, step, n_times):
     return plan
 
 
-def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
-    """Row blocks of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT.
+def _nufft_kernel(v, e, a, step, n_times, eb):
+    """The fill of V (exp(-i E k step) a), k = 0..n_times-1, by a type-1 NUFFT.
 
-    Each block is made one system level at a time: the level's rows are
-    spread into one plane of every weight column's real 4T-point grid, and
-    each state's first T modes, `np.fft.rfft` of its grid divided by the
-    kernel's transform, are written into the level's columns of the block
-    that is yielded.
+    A level's rows are spread into one plane of every weight column's real
+    4T-point grid, and each state's first T modes, `np.fft.rfft` of its
+    grid divided by the kernel's transform, are written into `modes`.
     """
     if np.any(np.diff(e) < 0.0):
         raise ValueError("the NUFFT path needs ascending eigenvalues")
-    k, ne, n_grid = a.shape[1], v.shape[0] // ns, 4 * n_times
-    eb = ranges[0][1] - ranges[0][0]
-    with stage("propagate"):
-        # One real weight column per state, and a second, its imaginary
-        # part, for each state whose weights are complex; the second
-        # columns' planes follow every state's first.
-        phased = np.flatnonzero(np.any(a.imag != 0.0, axis=0))
-        second_plane = {s: k + i for i, s in enumerate(phased)}
-        weights = np.hstack((a.real, a.imag[:, phased]))
-        columns = weights.shape[1]
-        plan = _spreading_plan(e, weights, step, n_times)
-        deconvolve = 1.0 / _kernel_transform(np.arange(n_times) / n_grid)[:, None]
-        plane_buffer = np.empty(columns * n_grid * eb)
-        block_buffer = np.empty(k * n_times * ns * eb, dtype=np.complex128)
+    k, n_grid = a.shape[1], 4 * n_times
+    # One real weight column per state, and a second, its imaginary part, for
+    # each state whose weights are complex; the second columns' planes follow
+    # every state's first.
+    phased = np.flatnonzero(np.any(a.imag != 0.0, axis=0))
+    second_plane = {s: k + i for i, s in enumerate(phased)}
+    weights = np.hstack((a.real, a.imag[:, phased]))
+    columns = weights.shape[1]
+    plan = _spreading_plan(e, weights, step, n_times)
+    deconvolve = 1.0 / _kernel_transform(np.arange(n_times) / n_grid)[:, None]
+    plane_buffer = np.empty(columns * n_grid * eb)
 
     def spread(share, plane, rows):
         """One share of the plan's grid blocks for one level's rows: disjoint grid points."""
@@ -439,14 +442,10 @@ def _nufft_blocks(v, e, a, step, n_times, ns, ranges):
                     np.subtract(own.real, other.imag, out=own.real)
                     np.add(own.imag, other.real, out=own.imag)
 
-    for e0, e1 in ranges:
-        with stage("propagate"):
-            width = e1 - e0
-            plane = plane_buffer[:columns * n_grid * width].reshape(columns, n_grid, width)
-            c = block_buffer[:k * n_times * ns * width].reshape(k, n_times, ns * width)
-            for level in range(ns):
-                rows = slice(level * ne + e0, level * ne + e1)
-                modes = c[:, :, level * width:(level + 1) * width]
-                run_shares(lambda share: spread(share, plane, rows), len(plan))
-                run_shares(lambda states: transform(states, plane, modes), k)
-        yield _block_rows(ns, ne, e0, e1), c
+    def fill(rows, modes):
+        width = modes.shape[2]
+        plane = plane_buffer[:columns * n_grid * width].reshape(columns, n_grid, width)
+        run_shares(lambda share: spread(share, plane, rows), len(plan))
+        run_shares(lambda states: transform(states, plane, modes), k)
+
+    return fill

@@ -12,9 +12,10 @@ universe: each draws from its own substream of SeededRng(config.rng_seed),
 and builds the basis it needs (`build_basis`), so no caller can pair a
 config with another seed's draws or another universe's basis.  Only the
 eigenpairs and the config reach the dynamics, so H is built only when a
-solve needs it.  A cached eigensystem is checked instead against the
-first CHECK_ROWS rows of H, which the same fill function regenerates
-from the first draws of the coupling stream.
+solve needs it.  Every eigensystem, a cache hit, a solve or the alpha = 0
+diagonal, passes the one eigen check (`_checked`) against the first
+CHECK_ROWS rows of H, which the same fill function regenerates from the
+first draws of the coupling stream.
 
 The solve (`diagonalize`) runs the three LAPACK stages of dsyevd one at
 a time, without the GIL, in numpy's bundled OpenBLAS (`blas.lapack`):
@@ -22,7 +23,9 @@ tridiagonal reduction, the divide-and-conquer eigensolver writing into
 H's own memory while the Householder reflectors wait packed beside it,
 and the back-transform in place.  It keeps dsyevd's eigenpair bytes in
 2.5 n² doubles instead of 3 n², and a miss refuses a solve that cannot
-fit the machine's memory before H is built.
+fit the machine's memory before H is built.  At alpha = 0, H is diagonal,
+and LAPACK's dsteqr sorts its energies with the solve's bytes
+(`diagonal_eigensystem`).
 
 `stage` is the package's one clock.  Each timed stage of a run (the
 build, the fill, the three LAPACK stages, the store, the load, the eigen
@@ -80,11 +83,10 @@ class UniverseHamiltonian:
     """The universe Hamiltonian as its checked eigendecomposition.
 
     `eig_residual` is the sampled residual R of `eigen_residual` against
-    regenerated rows of H; `key` is the config's `cache_key`; `cache_hit`
-    says whether the eigenpairs came from the on-disk cache (an accepted
-    entry, then read-only views of its mapping) or from a solve, and
-    `solve` names the solve: "dsyevd" (`diagonalize`), "diagonal"
-    (`diagonal_eigensystem`, for alpha = 0) or None (a hit).
+    regenerated rows of H; `key` is the config's `cache_key`; `solve`
+    names the solve: "dsyevd" (`diagonalize`), "diagonal"
+    (`diagonal_eigensystem`, for alpha = 0) or None, when the eigenpairs
+    are an accepted cache entry (read-only views of its mapping).
     """
 
     config: ModelConfig
@@ -92,12 +94,16 @@ class UniverseHamiltonian:
     eigenvectors: np.ndarray
     eig_residual: float
     key: str
-    cache_hit: bool = False
-    solve: str | None = None
+    solve: str | None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether the eigenpairs came from the on-disk cache: the one case with no solve."""
+        return self.solve is None
 
 
 def build_system_levels(config: ModelConfig) -> np.ndarray:
@@ -372,25 +378,18 @@ def diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diagonal_eigensystem(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) of the diagonal matrix diag(d) with `diagonalize`'s bytes, without LAPACK.
+    """(w, V) of the diagonal matrix diag(d) with `diagonalize`'s bytes, from dsteqr('I').
 
-    On a diagonal matrix dsytrd leaves the diagonal d, a zero
-    off-diagonal and tau = 0; dstedc (dsteqr for n <= 25) finds n blocks
-    of size 1 and starts from Z = I; and dormtr applies Q = I.  So w and V
-    are d and I after the selection sort that ends dstedc and dsteqr: for
-    each i, the first minimum of d[i:] trades places with d[i], and its
-    column of Z with column i, when it is strictly smaller.  The sort is
-    not stable, so ties keep LAPACK's order only through this loop.  V is
-    F-ordered, as `diagonalize` returns it.
+    On a diagonal matrix dsytrd leaves d, a zero off-diagonal and tau = 0,
+    and dormtr applies Q = I.  dstedc and dsteqr then both find n blocks
+    of size 1, start from Z = I and end in the same selection sort, which
+    is not stable under ties; so dsteqr on (d, 0) gives dstedc's w and V,
+    ties included.  V is F-ordered, as `diagonalize` returns it.
     """
-    w = np.array(d, dtype=np.float64)
-    rows = np.eye(w.size)  # row i is column i of V
-    for i in range(w.size - 1):
-        k = i + int(np.argmin(w[i:]))
-        if k != i:
-            w[[i, k]] = w[[k, i]]
-            rows[[i, k]] = rows[[k, i]]
-    return w, rows.T
+    n = d.size
+    w, v = np.array(d, dtype=np.float64), np.empty((n, n), order="F")
+    blas.lapack("dsteqr", "I", n, w, np.zeros(n - 1), v, n, np.empty(2 * n - 2))
+    return w, v
 
 
 # Rows of H regenerated to check an eigensystem, eigenvector columns
@@ -418,10 +417,6 @@ def eigen_residual(rows: np.ndarray, eigenvalues: np.ndarray,
     with blas.gemm_threads(1):
         product = rows @ v_s
     return float(np.abs(product - v_s[:k] * eigenvalues[cols]).max())
-
-
-def _residual_bound(rows: np.ndarray) -> float:
-    return CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
 
 
 def solve_bytes(dim: int) -> int:
@@ -475,12 +470,13 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     """The checked eigendecomposition of H for (config, seed).
 
     The same (config, seed) always produces a bit-identical matrix.  A
-    cached eigensystem is mapped and checked against CHECK_ROWS
-    regenerated rows of H; the full H is never built on an accepted
-    entry, and the cache directory is not written.  A miss or a rejected
-    entry (with a warning naming its key and residual) first checks that
-    the solve fits the machine's memory (`check_memory`), then
-    builds H, solves it in place, checks the result and stores it,
+    cached eigensystem is mapped and passes the eigen check (`_checked`)
+    against CHECK_ROWS regenerated rows of H; the full H is never built
+    on an accepted entry, and the cache directory is not written.  A miss
+    or a rejected entry (with a warning naming its key and residual)
+    first checks that the solve fits the machine's memory
+    (`check_memory`), then builds H, solves it in place, checks the
+    result against the rows it copied from H and stores it,
     replacing a rejected entry atomically; a failed store (unwritable
     directory, full disk) only warns.  QUNIVERSE_CACHE_DIR chooses the
     cache directory.  The load, the check, the fill, the solve's stages
@@ -488,8 +484,8 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     store evicted go to the run's record too.
 
     At alpha = 0, H is the diagonal of the zero-order energies, and
-    `diagonal_eigensystem` gives its eigenpairs (as the stage
-    "divide_and_conquer"): no H is filled, no LAPACK runs, and no cache
+    `diagonal_eigensystem` gives its eigenpairs by dsteqr (as the stage
+    "divide_and_conquer"): no H is filled, no solve runs, and no cache
     entry is read or written.  The eigen check runs all the same.
     """
     dim = config.n_universe_states
@@ -499,7 +495,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     if config.alpha == 0.0:
         check_memory(8 * dim * dim, f"the {dim} x {dim} eigenvectors")
         with stage("divide_and_conquer", begin="alpha = 0: H is diagonal, sorting its "
-                                                "energies without LAPACK or the cache",
+                                                "energies without a solve or the cache",
                    done="sorted"):
             eigenvalues, eigenvectors = diagonal_eigensystem(build_basis(config).zero_order_energy)
         return _checked(config, eigenvalues, eigenvectors, key, "diagonal")
@@ -508,15 +504,13 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     if cached is None:
         progress(f"cache miss: no entry {key[:12]}")
     else:
-        with stage("check"):
-            rows = build_hamiltonian_matrix(config, n_rows=CHECK_ROWS)
-            residual = eigen_residual(rows, *cached)
-        if residual <= _residual_bound(rows):
-            progress(f"cache hit: entry {key[:12]}, eigen residual {residual:.2e}")
-            return UniverseHamiltonian(config, *cached, eig_residual=residual, key=key,
-                                       cache_hit=True)
-        warnings.warn(f"cache entry {key} fails the eigen check "
-                      f"(residual {residual:.3g}); re-solving", stacklevel=2)
+        try:
+            ham = _checked(config, *cached, key, None)
+        except RuntimeError as exc:
+            warnings.warn(f"{exc}; re-solving", stacklevel=2)
+        else:
+            progress(f"cache hit: entry {key[:12]}, eigen residual {ham.eig_residual:.2e}")
+            return ham
     check_memory(solve_bytes(dim), f"the {dim} x {dim} eigensolve")
     with stage("fill", begin=f"solving the dense {dim} x {dim} eigenproblem"):
         h = build_hamiltonian_matrix(config)
@@ -541,14 +535,16 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
 
 def _checked(config, eigenvalues, eigenvectors, key, solve,
              rows=None) -> UniverseHamiltonian:
-    """The solved eigenpairs as a Hamiltonian, once they pass the eigen check against
-    `rows`, H's first CHECK_ROWS rows (regenerated when not given)."""
+    """The eigenpairs of `solve` (None: the cache entry `key`) as a Hamiltonian, once they
+    pass the eigen check against `rows`, H's first CHECK_ROWS rows (regenerated when not
+    given); RuntimeError, naming the residual, if they do not.  The one eigen check."""
     with stage("check"):
         if rows is None:
             rows = build_hamiltonian_matrix(config, n_rows=CHECK_ROWS)
         residual = eigen_residual(rows, eigenvalues, eigenvectors)
-    if not residual <= _residual_bound(rows):
-        raise RuntimeError(f"eigensolver result fails the eigen check: residual {residual:.3g}")
+    if not residual <= CHECK_RTOL * max(1.0, float(np.abs(rows).max())):
+        source = f"cache entry {key}" if solve is None else f"the {solve} solve"
+        raise RuntimeError(f"{source} fails the eigen check (residual {residual:.3g})")
     return UniverseHamiltonian(config, eigenvalues, eigenvectors, eig_residual=residual,
                                key=key, solve=solve)
 

@@ -176,7 +176,10 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
     shell_label = build_basis(config).shell_label
     ns, n_times, dim = config.n_system_levels, times.size, config.n_universe_states
     n_shells = ns - 1 + config.n_env_levels
-    sums = None
+    k = initial.shape[0]
+    sums = (np.zeros((k, n_times)), np.zeros((k, n_times)), np.zeros((k, n_times, n_shells)),
+            np.zeros((k, n_times, ns, ns), dtype=np.complex128), np.zeros(k))
+    final = np.empty((k, dim), dtype=np.complex128)
 
     def add_share(own, c, rows, labels, starts):
         """Add the block's share to the sums of one share of the states."""
@@ -199,12 +202,6 @@ def trajectories(blocks: Iterable[tuple[np.ndarray, np.ndarray]], times: np.ndar
 
     for rows, c in blocks:
         with stage("observables"):
-            if sums is None:
-                k = c.shape[0]
-                sums = (np.zeros((k, n_times)), np.zeros((k, n_times)),
-                        np.zeros((k, n_times, n_shells)),
-                        np.zeros((k, n_times, ns, ns), dtype=np.complex128), np.zeros(k))
-                final = np.empty((k, dim), dtype=np.complex128)
             # runs of one shell label along the block's rows (m grows with the
             # row within each system level)
             labels = shell_label[rows]

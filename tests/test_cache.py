@@ -89,7 +89,8 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     cfg = toy21_config(rng_seed=1)
     _store(cfg, *_solve(toy21_config(rng_seed=2)))
 
-    with pytest.warns(UserWarning, match=f"cache entry {cache_key(cfg)} fails the eigen check"):
+    with pytest.warns(UserWarning,
+                      match=f"cache entry {cache_key(cfg)} fails the eigen check \\(residual "):
         manifest = _run(cfg, tmp_path / "cached")
     assert manifest["cache"]["key"] == cache_key(cfg)
     assert manifest["cache"]["hit"] is False

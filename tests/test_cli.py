@@ -377,6 +377,20 @@ def test_cli_run_and_compare_commands(tmp_path, toy_cfg_file, capsys):
     assert "late_mean_abs_difference" in report
 
 
+@pytest.mark.parametrize("overrides, states", [
+    (dict(total_energy=0), [0]),                 # level 1 would need rung m = -1
+    (dict(total_energy=2, n_env_levels=2), [1, 2]),  # level 0 would need rung m = 2
+], ids=["total_energy_0", "two_rungs"])
+def test_run_defaults_to_the_levels_with_an_environment_rung(tmp_path, capsys, overrides,
+                                                             states):
+    path = tmp_path / "universe.cfg"
+    path.write_text(toy21_config(**overrides).canonical_string())
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--t-max-ps", "2.0", "--n-points", "40"]) == 0
+    assert sorted(out.glob("traj_n*.csv")) == [out / f"traj_n{n}.csv" for n in states]
+
+
 def test_run_logs_one_stderr_line_per_stage(tmp_path, toy_cfg_file, capsys):
     cfg, cfg_path = toy_cfg_file
     key = cache_key(cfg)[:12]

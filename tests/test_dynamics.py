@@ -531,7 +531,7 @@ def test_only_uniform_grids_from_zero_take_the_nufft(monkeypatch, toy21, toy21_h
     def refuse(*args, **kwargs):
         raise AssertionError("NUFFT path taken")
 
-    monkeypatch.setattr(dynamics, "_nufft_blocks", refuse)
+    monkeypatch.setattr(dynamics, "_nufft_kernel", refuse)
     psi0 = initial_state(toy21, 1)[None]
     uniform = np.linspace(0.0, 50.0, NUFFT_MIN_TIMES)
     jittered = uniform.copy()

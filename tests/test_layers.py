@@ -136,6 +136,23 @@ def test_only_stage_reads_the_clock():
     assert found == []
 
 
+def test_only_checked_computes_the_eigen_residual():
+    """Every eigensystem, a cache hit, a solve or the alpha = 0 diagonal, passes the one
+    eigen check, `model._checked`: no other code calls `eigen_residual`."""
+    calls = {}  # "file:line" of each call -> whether `_checked` makes it
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        checked = next((node for node in tree.body if path.stem == "model"
+                        and getattr(node, "name", None) == "_checked"), None)
+        inside_checked = {id(node) for node in ast.walk(checked)} if checked else set()
+        calls.update((f"{path.name}:{node.lineno}", id(node) in inside_checked)
+                     for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and "eigen_residual" in (getattr(node.func, "id", None),
+                                              getattr(node.func, "attr", None)))
+    assert any(calls.values())
+    assert [call for call, in_checked in calls.items() if not in_checked] == []
+
+
 def test_no_module_imports_scipy_linalg():
     """Neither at module level nor inside a function: it would load scipy's own OpenBLAS."""
     found = []
@@ -167,10 +184,10 @@ def test_only_blas_imports_ctypes():
 def test_every_routine_the_solve_calls_resolves_in_numpy_openblas():
     from quniverse import blas, model
 
-    names = {node.args[0].value
-             for node in ast.walk(ast.parse(inspect.getsource(model.diagonalize)))
+    names = {node.args[0].value for solve in (model.diagonalize, model.diagonal_eigensystem)
+             for node in ast.walk(ast.parse(inspect.getsource(solve)))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lapack"}
-    assert names == {"dsytrd", "dtrttp", "dstedc", "dtpttr", "dormtr"}
+    assert names == {"dsytrd", "dtrttp", "dstedc", "dtpttr", "dormtr", "dsteqr"}
     for name in sorted(names):
         assert callable(getattr(blas.gemm_openblas().lib, f"scipy_{name}_64_")), name
 

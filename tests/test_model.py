@@ -282,12 +282,12 @@ def test_diagonal_eigensystem_is_diagonalize_bit_for_bit(d):
     assert got_v.tobytes(order="F") == v.tobytes(order="F")
 
 
-def test_alpha_zero_sorts_without_lapack_or_the_cache(monkeypatch, tmp_path):
+def test_alpha_zero_makes_no_fill_no_solve_no_heartbeat_and_no_cache(monkeypatch, tmp_path):
     cfg = toy21_config(alpha=0.0)
     w, v = diagonalize(hamiltonian_matrix(cfg))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("H was filled, LAPACK ran or the cache was used")
+        raise AssertionError("H was filled, a solve ran or the cache was used")
 
     fill = model.build_hamiltonian_matrix
     monkeypatch.setattr(model, "build_hamiltonian_matrix",
