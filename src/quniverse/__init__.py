@@ -16,4 +16,4 @@ The public interface is the `quniverse` command line (`quniverse.cli`).
 # pyproject.toml (tested): `quniverse sticks` refuses a manifest of
 # another version.  The eigensystem cache key does not contain it (see
 # `model.SOLVE_CONTRACT`).
-__version__ = "0.10.0"
+__version__ = "0.11.0"

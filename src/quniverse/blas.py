@@ -9,8 +9,9 @@ and owns the pass's pool.  It imports no other quniverse module.
 
 The solve is the only multi-threaded BLAS call.  Every product over V
 runs inside `gemm_threads(1)`: the pass's shares (`run_shares`), Vᵀc(0)
-and the eigen check.  So a cache hit wakes no OpenBLAS worker, which
-would spin ~2**28 cycles before it sleeps, on a core the pass needs.
+and the eigen check; so does the NUFFT's kernel transform.  So a cache
+hit wakes no OpenBLAS worker, which would spin ~2**28 cycles before it
+sleeps, on a core the pass needs.
 
 numpy's own SIMD dispatch picks the loops of its ufuncs, and those of
 float64 `log` and `exp` give other bytes at X86_V3 than at X86_V4.  The

@@ -207,13 +207,13 @@ def run_experiment(config: ModelConfig, states: list[int], out_dir,
         "n_points": n_points,
         # the cache's key and whether the run used an entry (false for a miss or a
         # rejected one), the solve that ran instead ("dsyevd", or "diagonal" at
-        # alpha = 0, which uses no entry), the check's residual, the library that
+        # alpha = 0, which uses no entry), the check's two residuals, the library that
         # the key covers and that ran the solve and the pass's GEMMs, numpy's
         # version and SIMD level, which move output bytes but no eigenpair's (so
         # the key leaves them out), the pass's worker threads, and the files that
         # the run's store evicted
         "cache": {"key": ham.key, "hit": ham.cache_hit, "solve": ham.solve,
-                  "eig_residual": ham.eig_residual,
+                  "eig_residual": ham.eig_residual, "trace_residual": ham.trace_residual,
                   "blas_library": blas_library, "blas_threads": blas_threads,
                   "numpy_version": np.__version__, "numpy_simd_level": simd_level(),
                   "pass_workers": workers, "evicted": record.evicted},
@@ -279,7 +279,7 @@ def _write_sticks(fh, config, n, t, amplitudes, stick_text):
              f"time_reduced={0.0 + float(t)!r} seed={config.rng_seed} "
              f"config_sha256={config.content_hash()}\n")
     fh.write("energy,p,n,m,l,shell\n")
-    fh.writelines(f"{a}{x!r}{b}" for a, x, b in zip(before, p, after))
+    fh.write("".join([f"{a}{x!r}{b}" for a, x, b in zip(before, p, after)]))
 
 
 def read_trajectory(path) -> dict[str, np.ndarray]:

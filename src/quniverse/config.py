@@ -20,8 +20,6 @@ from pathlib import Path
 # state.  Much larger values (>~ 0.01) dissolve the shell structure.
 DEFAULT_ALPHA = 0.005
 
-_COUPLING_SCOPES = ("all", "system_changing_only")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -41,7 +39,6 @@ class ModelConfig:
     energy_unit_wavenumbers: float = 111.77
     rng_seed: int = 0
     total_energy: int = 5
-    coupling_scope: str = "all"
     paper_compat: bool = False
     random_initial_phases: bool = False
 
@@ -73,8 +70,6 @@ class ModelConfig:
                 "total_energy must not exceed n_system_levels - 1, otherwise not every "
                 "system level can participate in the microcanonical shell"
             )
-        if self.coupling_scope not in _COUPLING_SCOPES:
-            raise ValueError(f"coupling_scope must be one of {_COUPLING_SCOPES}")
         # The degeneracy law must produce exact positive integers.
         for m in range(self.n_env_levels):
             try:
@@ -193,9 +188,7 @@ def _parse_value(text: str, annotation: str):
         raise ValueError(f"cannot parse boolean from {text!r}")
     if kind == "int":
         return int(text)
-    if kind == "float":
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {text!r}")
-        return value
-    return text
+    value = float(text)  # every other field is a float
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value

@@ -402,7 +402,8 @@ def _nufft_kernel(v, e, a, step, n_times, eb):
     weights = np.hstack((a.real, a.imag[:, phased]))
     columns = weights.shape[1]
     plan = _spreading_plan(e, weights, step, n_times)
-    deconvolve = 1.0 / _kernel_transform(np.arange(n_times) / n_grid)[:, None]
+    with gemm_threads(1):  # a (T, 64) product, on one thread as every other of the pass
+        deconvolve = 1.0 / _kernel_transform(np.arange(n_times) / n_grid)[:, None]
     plane_buffer = np.empty(columns * n_grid * eb)
 
     def spread(share, plane, rows):

@@ -15,7 +15,8 @@ eigenpairs and the config reach the dynamics, so H is built only when a
 solve needs it.  Every eigensystem, a cache hit, a solve or the alpha = 0
 diagonal, passes the one eigen check (`_checked`) against the first
 CHECK_ROWS rows of H, which the same fill function regenerates from the
-first draws of the coupling stream.
+first draws of the coupling stream, and against H's trace, the sum of
+the zero-order energies.
 
 The solve (`diagonalize`) runs the three LAPACK stages of dsyevd one at
 a time, without the GIL, in numpy's bundled OpenBLAS (`blas.lapack`):
@@ -83,8 +84,9 @@ class UniverseHamiltonian:
     """The universe Hamiltonian as its checked eigendecomposition.
 
     `eig_residual` is the sampled residual R of `eigen_residual` against
-    regenerated rows of H; `key` is the config's `cache_key`; `solve`
-    names the solve: "dsyevd" (`diagonalize`), "diagonal"
+    regenerated rows of H, and `trace_residual` |sum(w) - sum(E0)| against
+    its diagonal, the zero-order energies E0; `key` is the config's
+    `cache_key`; `solve` names the solve: "dsyevd" (`diagonalize`), "diagonal"
     (`diagonal_eigensystem`, for alpha = 0) or None, when the eigenpairs
     are an accepted cache entry (read-only views of its mapping).
     """
@@ -93,6 +95,7 @@ class UniverseHamiltonian:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eig_residual: float
+    trace_residual: float
     key: str
     solve: str | None
 
@@ -152,25 +155,17 @@ def build_hamiltonian_matrix(config: ModelConfig, n_rows: int | None = None) -> 
     Row i needs only the draws of rows 0..i, so the first k rows are the
     first k rows of the full matrix bit for bit; n_rows=None (the
     default) builds all of them, the full (dim, dim) matrix.
-
-    With coupling_scope = "system_changing_only" the draws still happen
-    (the stream contract is unconditional) but elements diagonal in the
-    system index are zeroed before mirroring.
     """
-    basis = build_basis(config)
     dim = config.n_universe_states
     k = dim if n_rows is None else min(int(n_rows), dim)
     sigma = config.alpha * config.omega_E
     couplings = SeededRng(config.rng_seed).split(COUPLING_STREAM)
     h = np.zeros((k, dim), dtype=np.float64)
-    restrict = config.coupling_scope == "system_changing_only"
     for i, row in enumerate(_coupling_rows(couplings, sigma, dim, k)):
-        if restrict:
-            row[basis.n[i + 1:] == basis.n[i]] = 0.0
         h[i, i + 1:] = row
     for i in range(k - 1):
         h[i + 1:, i] = h[i, i + 1:k]
-    h[np.arange(k), np.arange(k)] = basis.zero_order_energy[:k]
+    h[np.arange(k), np.arange(k)] = build_basis(config).zero_order_energy[:k]
     return h
 
 
@@ -398,6 +393,10 @@ def diagonal_eigensystem(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 CHECK_ROWS = 16
 CHECK_COLUMNS = 64
 CHECK_RTOL = 1e-8
+# Tolerance of the trace identity sum(w) = sum(E0), relative to
+# max(1, sum|E0|): 7.8e-8 at production, where the seed-1 entry reads 0.0
+# and one eigenvalue raised by 1.5e-4, outside the sampled columns, 1.5e-4.
+TRACE_RTOL = 1e-12
 
 
 def eigen_residual(rows: np.ndarray, eigenvalues: np.ndarray,
@@ -473,7 +472,7 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
     cached eigensystem is mapped and passes the eigen check (`_checked`)
     against CHECK_ROWS regenerated rows of H; the full H is never built
     on an accepted entry, and the cache directory is not written.  A miss
-    or a rejected entry (with a warning naming its key and residual)
+    or a rejected entry (with a warning naming its key and residuals)
     first checks that the solve fits the machine's memory
     (`check_memory`), then builds H, solves it in place, checks the
     result against the rows it copied from H and stores it,
@@ -536,17 +535,22 @@ def assemble_hamiltonian(config: ModelConfig) -> UniverseHamiltonian:
 def _checked(config, eigenvalues, eigenvectors, key, solve,
              rows=None) -> UniverseHamiltonian:
     """The eigenpairs of `solve` (None: the cache entry `key`) as a Hamiltonian, once they
-    pass the eigen check against `rows`, H's first CHECK_ROWS rows (regenerated when not
-    given); RuntimeError, naming the residual, if they do not.  The one eigen check."""
+    pass the eigen check: the sampled residual against `rows`, H's first CHECK_ROWS rows
+    (regenerated when not given), and the trace identity, which sees every eigenvalue;
+    RuntimeError, naming both residuals, if they do not.  The one eigen check."""
     with stage("check"):
         if rows is None:
             rows = build_hamiltonian_matrix(config, n_rows=CHECK_ROWS)
         residual = eigen_residual(rows, eigenvalues, eigenvectors)
-    if not residual <= CHECK_RTOL * max(1.0, float(np.abs(rows).max())):
+        energies = build_basis(config).zero_order_energy
+        trace = abs(float(eigenvalues.sum()) - float(energies.sum()))
+    if not (residual <= CHECK_RTOL * max(1.0, float(np.abs(rows).max()))
+            and trace <= TRACE_RTOL * max(1.0, float(np.abs(energies).sum()))):
         source = f"cache entry {key}" if solve is None else f"the {solve} solve"
-        raise RuntimeError(f"{source} fails the eigen check (residual {residual:.3g})")
+        raise RuntimeError(f"{source} fails the eigen check (residual {residual:.3g}, "
+                           f"trace residual {trace:.3g})")
     return UniverseHamiltonian(config, eigenvalues, eigenvectors, eig_residual=residual,
-                               key=key, solve=solve)
+                               trace_residual=trace, key=key, solve=solve)
 
 
 @dataclass(frozen=True)

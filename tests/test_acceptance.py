@@ -17,7 +17,7 @@ from quniverse import cache
 from quniverse.cli import compare_free_energy, read_trajectory, run_experiment
 from quniverse.config import ModelConfig
 from quniverse.dynamics import initial_state, propagate
-from quniverse.model import assemble_hamiltonian, cache_key
+from quniverse.model import TRACE_RTOL, assemble_hamiltonian, cache_key
 
 from conftest import hamiltonian_matrix
 from oracles import (expectation, polyad_eigenvalues, probabilities, reduced_density_matrix,
@@ -246,9 +246,13 @@ def test_criterion_6g_eigensystem_quality(production_ham):
     target[sel, np.arange(sel.size)] = 1.0
     ortho = float(np.abs(v.T @ v[:, sel] - target).max())
     recon = float(np.abs((v * w) @ v[sel].T - h[:, sel]).max())
-    _report("6g eigensystem orthogonality/reconstruction",
-            bool(ortho <= 1e-10 and recon <= 1e-8 * float(np.abs(h).max())),
-            f"orthogonality={ortho:.2e}, sampled reconstruction={recon:.2e}")
+    # the trace identity sum(w) = sum(diag H) that the eigen check recorded
+    trace = production_ham.trace_residual
+    _report("6g eigensystem orthogonality/reconstruction/trace",
+            bool(ortho <= 1e-10 and recon <= 1e-8 * float(np.abs(h).max())
+                 and trace <= TRACE_RTOL * float(np.abs(np.diag(h)).sum())),
+            f"orthogonality={ortho:.2e}, sampled reconstruction={recon:.2e}, "
+            f"trace residual={trace:.2e}")
 
 
 def test_criterion_7_anomaly_report_archived(production_runs):

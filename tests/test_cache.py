@@ -108,6 +108,29 @@ def test_foreign_entry_rejected_and_resolved(tmp_path, monkeypatch):
     _assert_same_outputs(tmp_path / "cached", tmp_path / "fresh")
 
 
+def test_entry_with_one_eigenvalue_off_is_refused_by_the_trace(tmp_path, mid_ham):
+    # w[1001] raised by a quarter of its gaps: column 1001 is not sampled, so
+    # the residual passes, and only the trace identity sees it
+    cfg, ham = mid_ham
+    damaged = np.array(ham.eigenvalues)
+    damaged[1001] += 1.5e-4
+    rows = model.build_hamiltonian_matrix(cfg, n_rows=model.CHECK_ROWS)
+    assert model.eigen_residual(rows, damaged, ham.eigenvectors) <= model.CHECK_RTOL
+    _store(cfg, damaged, ham.eigenvectors)
+
+    with pytest.warns(UserWarning, match=f"cache entry {cache_key(cfg)} fails the eigen check "
+                                         r"\(residual .*, trace residual 0\.00015\); re-solving"):
+        manifest = run_experiment(cfg, [1], tmp_path / "refused", t_max_ps=2.0, n_points=40)
+    assert (manifest["cache"]["hit"], manifest["cache"]["solve"]) == (False, "dsyevd")
+    assert manifest["timing_seconds"]["tridiagonalize"] > 0.0
+    assert manifest["cache"]["trace_residual"] == ham.trace_residual
+    assert _load(cfg)[0].tobytes() == ham.eigenvalues.tobytes()
+    # the files were written from the solve, not from the damaged entry
+    assert run_experiment(cfg, [1], tmp_path / "hit", t_max_ps=2.0, n_points=40)["cache"]["hit"]
+    for name in ("traj_n1.csv", "sticks_n1.csv", "summary.json", "anomalies.json"):
+        assert (tmp_path / "refused" / name).read_bytes() == (tmp_path / "hit" / name).read_bytes()
+
+
 def test_unwritable_cache_warns_and_the_run_completes(tmp_path, monkeypatch):
     # a file where the cache directory's parent should be: mkdir fails, even as root
     blocker = tmp_path / "not_a_directory"
@@ -369,7 +392,6 @@ _KEPT = {
     "degeneracy_b": dict(degeneracy_b=3.0),
     "alpha": dict(alpha=0.2),
     "rng_seed": dict(rng_seed=12),
-    "coupling_scope": dict(coupling_scope="system_changing_only"),
 }
 _DROPPED = {
     "energy_unit_wavenumbers": 100.0,

@@ -707,9 +707,9 @@ def test_cli_sticks_and_compare_write_the_same_bytes_to_stdout(tmp_path, toy_cfg
 MANIFEST_KEYS = [
     "cache.blas_library", "cache.blas_threads", "cache.eig_residual", "cache.evicted",
     "cache.hit", "cache.key", "cache.numpy_simd_level", "cache.numpy_version",
-    "cache.pass_workers", "cache.solve",
+    "cache.pass_workers", "cache.solve", "cache.trace_residual",
     "code_version",
-    "config.alpha", "config.coupling_scope", "config.degeneracy_A", "config.degeneracy_b",
+    "config.alpha", "config.degeneracy_A", "config.degeneracy_b",
     "config.energy_unit_wavenumbers", "config.kappa", "config.n_env_levels",
     "config.n_system_levels", "config.omega_E", "config.paper_compat",
     "config.random_initial_phases", "config.rng_seed",
@@ -947,108 +947,108 @@ def test_cli_sticks_needs_exactly_one_time(tmp_path, when):
 # change that moves an output byte, and re-record these hashes under it
 # for every kernel.
 OUTPUT_SHA256 = {
-    ("0.10.0", "SkylakeX", "X86_V4"): {
+    ("0.11.0", "SkylakeX", "X86_V4"): {
         120: {
             "anomalies.json": "9abdf369406588ef0f7b11405fc98ffc26dc57b30b3acb801a8eb162644770ec",
             "compare_n1.json": "9cd5f904c971389e26a5627f539c57642b145bad0d4785af01a53cbb7e195e67",
-            "sticks_n0.csv": "ae15f1275b4dded85c9bfa9238791620267b2a4a9517bf75bdc230ab8848a65b",
-            "sticks_n1.csv": "833a3b298f5bd7357755d928bea905d5e36eed2aca96be328b8b029185106d9a",
-            "sticks_n2.csv": "715baa9df559857a4b4fe062a21473e6c3e9353a853547db19de4f1aa26302d9",
-            "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
+            "sticks_n0.csv": "75cde56f770b0dfbc3ad1594e083b88001fc7e95c37e55a7b5627659c1b72ddc",
+            "sticks_n1.csv": "9a45060ae2f527ffbf33662074b1e5cb42552f57ae5ba0478c1d4a8209528753",
+            "sticks_n2.csv": "60c9523bb7ce6345161675f285916f9608c2fdb7ca41b3f78733a67e2059e996",
+            "sticks_t.csv": "19ebc6094b791c625688d5e343773293f174be47fb9319ec963320c001ffcc8f",
             "summary.json": "191bd451c2c95c4495341870146ae9ba7248cfedabef756baaa6c207499ad351",
-            "traj_n0.csv": "a86d4b9b794cd6bf96a7fca01596dfe51a43eccd7e651c778046fd60a0387a5d",
-            "traj_n1.csv": "837ea9804c0279d35d5a393d5904d61a705430dde57450e0fb33477763ffbff8",
-            "traj_n2.csv": "23c83cf36ec58000db540807189b6ba212b5c8613832c925f1ad0be7c9978329",
+            "traj_n0.csv": "ed5f6fd6bcc021bba781ef02b0c0dab7db5ab86e58db681bfb7abcb18f59a80d",
+            "traj_n1.csv": "8126eec9753395e4e76e114d025cc36ea5ded0160533b99316966a1abda8935f",
+            "traj_n2.csv": "369ec883b925f2f3c1f516de1534a76b4a8f76e9c9358a223ee8a7989ed7e12b",
         },
         40: {
             "anomalies.json": "2becbc25acfc69ba07093192d740c7d867840fb06936709d263f36938f421aa8",
             "compare_n1.json": "b1d559040964f002c340f6dc655f4227b7a334b96b7da82b4a9f7460ab4f44ee",
-            "sticks_n0.csv": "3ee13767db3fbc1f005b4224f7b0f25254564ed435ae9e6f3b9922bb11aff773",
-            "sticks_n1.csv": "c9218d062b8fe0890b71a6e861e72c508010a0fa4930872cb5e9fc9c213f793e",
-            "sticks_n2.csv": "68074d453eefc9ed4ef6a6617d2cb8c4c42749fa4db2ffdc61b9ae270155369a",
-            "sticks_t.csv": "9d3bd30e859c09d46c2838f53eeb49306b3f06586a4c5a2dea27e924de4ca130",
+            "sticks_n0.csv": "2003faf53b093b7f02bfd85fe61f3f519ab7f658321a1c642ed30942121e4481",
+            "sticks_n1.csv": "777477e1d6f92a459974e3315aaca8502b024b68125b51e6e5c4d6885343514b",
+            "sticks_n2.csv": "e0901d7c9a93aef4f331d3f233971db32428544114d4a9d8718ad26763a85ef5",
+            "sticks_t.csv": "19ebc6094b791c625688d5e343773293f174be47fb9319ec963320c001ffcc8f",
             "summary.json": "d95387b48177c965ad15ba2d1a877e4190d28425b6447a4fead41a08abc4850c",
-            "traj_n0.csv": "6369a68098e65457b15c0f8b14068ea5c1052d64ef1fd298a34e53af687b7e78",
-            "traj_n1.csv": "a8a339c3578ef1a46ad762156b676db6d520306a68896e74abb02b95be412ec4",
-            "traj_n2.csv": "a9a1212bc714d8eaadb6a1fb29d065d5b6f152d93f88799ec3d4ee356909031d",
+            "traj_n0.csv": "67ddc644c29ca7b2301f6827594107f9db0ab0eb47dfa67733e3195bc9b13a27",
+            "traj_n1.csv": "8c555467b67bbb5ba5e2dedce0797f81bd042caac9083211f67fc260ecc37a31",
+            "traj_n2.csv": "960ef01ef42c751b98c155ed594d7767af8fe1fb7ca7f2db96b408a878b640df",
         },
     },
-    ("0.10.0", "Haswell", "X86_V3"): {
+    ("0.11.0", "Haswell", "X86_V3"): {
         120: {
             "anomalies.json": "d57717d490d71e475a6b212dccddcf05875a04558f203eb22ca069255fda379c",
             "compare_n1.json": "ce0a6b40713c9564f1d71e8babcf35c76bea0da67cb61f1842d51f0ce15640db",
-            "sticks_n0.csv": "16ba0039de35a22f4ee101abd56d2ab18772e87626d10e0693c55a8b9388e1f8",
-            "sticks_n1.csv": "db040d04421998a3a4d558ea8be90a68130ec327444e4a42eb678838e71fe583",
-            "sticks_n2.csv": "62cbbf8803c776a6b36fc166c8f8d1964cfc6f0c70f9e9702e67efca812d69fb",
-            "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
+            "sticks_n0.csv": "21fd4d11092dead3d6b665a99253bb6063bd7ddd5dab459335cce5c69dcdce41",
+            "sticks_n1.csv": "bcf58b4af9938914bfe3175d9e95b2a0c917d9c94d2e8f80a234542e8e3d511e",
+            "sticks_n2.csv": "dd45e97421ab8447629833c237f9b040d90ecb5d442e151ca0d430b9e5c3c6f4",
+            "sticks_t.csv": "aef31efae2f9c5a7033a504f9794cf78c5e03bbb71df1cd9439c67a649468977",
             "summary.json": "918dd993ca9f70435b384a3d7a1daa00dcacffa7de4ba6b4b3664d5ba0a100a1",
-            "traj_n0.csv": "00be91430e1b51c5c2dd310bc25c56bb35b02591f1bb3e9c01803172b21fde8c",
-            "traj_n1.csv": "4ddca01f12bcd307eb4d2ee00ec352469ee1325accbda79e64b85b9b92469f18",
-            "traj_n2.csv": "725718e9b1bb603712985cdda181d22478258dc0a06553bae370325f095f3951",
+            "traj_n0.csv": "334ed4700cdb45303c5ffdc9a1257796701a2b85bdfb9ad231430ca94ac630a2",
+            "traj_n1.csv": "a8a67209fee78d8297e51c0800b50011cbe6942b28f337614cdbe844b3e9b0ba",
+            "traj_n2.csv": "4e1583d292a894ca432388b9a2578977d340e983cd318593e3aaefbf7ec08ac3",
         },
         40: {
             "anomalies.json": "0756ef7a7a75e925ef2991c5086ea2ec538c2ef1615dcbffdf96c9f6e3ff080c",
             "compare_n1.json": "843a24264422a9a4dab3d2f3cc26ee523cfd365d822e626702c611816d9a0c96",
-            "sticks_n0.csv": "020e7ea955be7f24d536af6a308f635f9419c76319a48b18cf7cc4bd19eb33bd",
-            "sticks_n1.csv": "a83d7868f3c24e313f1fc1d3f5b9bcfc3ee7d14643e39d0df1fe8444c76d5ae0",
-            "sticks_n2.csv": "93f3e4038f96b6118dd41675ecacdc71e271034c6344ae3ed1c005aa5cbfde3f",
-            "sticks_t.csv": "054f72af309937aa5eee9bebb4a45c52bd2004536df2d4b620f9865d7cb00008",
+            "sticks_n0.csv": "198bb8722ab6ccad78bef55d6680b9c286b5bd86b82c1354241bbec79713dcfd",
+            "sticks_n1.csv": "b192414f8f5e916d83333e38df4396e89063cb1eb5a524ca3c3839fc52d2b45b",
+            "sticks_n2.csv": "3bdb60b55609d908811c43d87818b6b02be40c82d68ced8df8c82ccbb31f2b3b",
+            "sticks_t.csv": "aef31efae2f9c5a7033a504f9794cf78c5e03bbb71df1cd9439c67a649468977",
             "summary.json": "71a49eb88307e6b7387e62e982f5d063bb73d11ebd9a14753b9d2fc631bfbd47",
-            "traj_n0.csv": "a0f050ffb8b54d7f69ff90d60a87ae072ce57a21467f580e53ceada791fc5022",
-            "traj_n1.csv": "60422051350cabbad18234b83288d46eed2705c0bad8f23e7673a215a6172cd3",
-            "traj_n2.csv": "59970c94b9d5bea2bf83f47913e92f90a5e5744041d06be025a7c1d32c003863",
+            "traj_n0.csv": "31dbe585087cdcc8ded7cd1e108ecfad341a9dee4344d22fb2b919f8c956d9f1",
+            "traj_n1.csv": "014e01bd30dce0accb8641aa14c1cf9db8b8290809f0f795965e673bac737008",
+            "traj_n2.csv": "33cb698130f1767ca2945811704f5a57ff6d68de4480baef9b04e50fdd4bff62",
         },
     },
-    ("0.10.0", "Sandybridge", "X86_V2"): {
+    ("0.11.0", "Sandybridge", "X86_V2"): {
         120: {
             "anomalies.json": "114738b15e2f764c2d985590ac597c0e5c08512787f7768ff9c7d07d79029530",
             "compare_n1.json": "1c74bd592f50dc8426535c3bf29acf2cc07a280b8eeb88dd2e170906fb9f068a",
-            "sticks_n0.csv": "818991f2da993550399b6361e072962ad5e68f1a1426a29eaed6fff5912880d7",
-            "sticks_n1.csv": "ef3eab3172ca09ef60fc430dd6818cfbbbdd1b9253ab75174d06809674a56232",
-            "sticks_n2.csv": "2d91b245e45bac67464741c9ed91cf1446639d0a2cc42697db68b65a613c300b",
-            "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
+            "sticks_n0.csv": "5922311653b21407145e4c32c26c5ab16a4b77fdd550b0ad0495e635c3eab86a",
+            "sticks_n1.csv": "ecae5cba78c6e3961b80fdf0425d32a32493c09af471f98ba93e29654a4a4c2d",
+            "sticks_n2.csv": "ebf8a16a47a233cd2b8235ea784773894c2315c6a82a0806753c621fe7ae9a3a",
+            "sticks_t.csv": "58f51a1ecaadd6911ccaac3048f25d5c7f5fe44fd0c64abd41cc8987a185ef00",
             "summary.json": "6241b959a2cb259b7c9a4b636ccc70ad4e68045cddbc2c30fc897c633800127a",
-            "traj_n0.csv": "16cb70c577a8cd7a7d6db29d8919d5e556b6a91ee68c22cdb77c85a0bfc441ca",
-            "traj_n1.csv": "993abd5e83ac556d3bbe5e4cb4e3d628a79f63709acd2f488a36e3068c21e242",
-            "traj_n2.csv": "ff791e2984fd5bbf261812f702b99d6f40db428091425d2cd8f5b6e5c1afdce5",
+            "traj_n0.csv": "63c7f0fd983a402ceeac507bd83d5b663dfae221f0c15267ba0b113d67748262",
+            "traj_n1.csv": "e562b17bc684c365978e50da6aacbca366ac75ae8e94970c2c41610a2b1a7f93",
+            "traj_n2.csv": "d2446cbea6120e43e33d2dc21d4d8e7db63edc784816014ee1706e3fb6d2f7a9",
         },
         40: {
             "anomalies.json": "30dcd4ded6e6d283832e5d0937754f7b1301b5331fa1eff5b720f97839ee871f",
             "compare_n1.json": "a9610c4736bed992c8b1f9c287fabf3db202c9e8c5107b1effb8879f7e2b79be",
-            "sticks_n0.csv": "e8ded7218b925507006af9905d032086546b8107d040fd299d71c1b51259871e",
-            "sticks_n1.csv": "a42a89b8f399f38c9ad0a252e8153681bb0558683306862ba455db14b55f607c",
-            "sticks_n2.csv": "f880ba4ad6eb14b903c5aa8fa8431beea4d52124aa8d90d3e24ba455c78f9de0",
-            "sticks_t.csv": "03fb3da1efa3c18d21473e98e0959ab4d70838c433bbd634b89b80609574739d",
+            "sticks_n0.csv": "be4d0d99c6c6358d40a7a3cc3878fe5579db77178894ebc9f7f3c46e38ba8c72",
+            "sticks_n1.csv": "7eb2a7b42de1caaddd4135e19143af99444a3eb29089218cdfd7ce44b2704220",
+            "sticks_n2.csv": "e3e3f5c10f85a8bac1d8996b936a44062c11856306c137425af4a64e1f4b0e61",
+            "sticks_t.csv": "58f51a1ecaadd6911ccaac3048f25d5c7f5fe44fd0c64abd41cc8987a185ef00",
             "summary.json": "fa7562b87a2c19cc27714d8bef201015cd8daea88f8b0e4d0beb95c266ee3882",
-            "traj_n0.csv": "1c945f40954401aa57212a9448eacac6737688cbf5084f06b81a180713d46664",
-            "traj_n1.csv": "9c6e017fbae77d8cb87792cc37b73790efc538c33130e4f2dc4a8362d18fba59",
-            "traj_n2.csv": "d78aeef1aad561038364303135f765346c0604f935231bd0a7121d0804bf6d35",
+            "traj_n0.csv": "6b6ff49412c51b39b348afe501c0e7fd6566035f0551549a358e7e071a7fce1a",
+            "traj_n1.csv": "4172155913eab4e7e63cfa34f082462676ccbb199b0e11d6c329c59ae5eb9c20",
+            "traj_n2.csv": "feff80a96f1a7fd2eec2728bf2d8b2b90fc04d489da1af7bbf61f54b5bcfda29",
         },
     },
-    ("0.10.0", "Nehalem", "X86_V2"): {
+    ("0.11.0", "Nehalem", "X86_V2"): {
         120: {
             "anomalies.json": "07f3eb1b47ca01347cb728f5271aaf3c829c47650c8e258d0614c1abd762f503",
             "compare_n1.json": "82ef33b4cb2faa1b5ed1391968837e4d3f038f83f633538935cf424e34ec09d8",
-            "sticks_n0.csv": "b326b5096f4086ef22963068d47e0191eea118e022dfc6295a0e6a24bce4ade8",
-            "sticks_n1.csv": "171a39f2ef0ce285eaac4d6a2a8d0f35e9d3e19b2e7f1928ea5893d2270dae32",
-            "sticks_n2.csv": "54619d4dfb572a43ec28b46b0f6007de11cc078ac613266a09f405a496c0f86e",
-            "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
+            "sticks_n0.csv": "8cf079523f5db79f6b3afbc76a42636e19669c179aa7ad4e79368e679306773a",
+            "sticks_n1.csv": "7ee58eb44621cde8957f0d70a1a12c66ca0a041e2c29538c94f992592352d741",
+            "sticks_n2.csv": "752a77f8dfca7186c09bef567a3a69b2e13590ff2ae787161c79e652096c9859",
+            "sticks_t.csv": "353e4b665ad754cd1387c0ca8045a327016f9294b0b3371d6b49e2e54cb2281e",
             "summary.json": "a47b4c80dcb5a8c2870373f26e938537a4d4322295a18139ffc2c110cb3eb3f8",
-            "traj_n0.csv": "3e5fcc405b434ae836f146b4fb433ed0c67b8ee501f280766981d7e1298a6aba",
-            "traj_n1.csv": "9f089e22d91f0815bc05623ca0bb45f4c53f7ed03ab49389a495e7585d99d0df",
-            "traj_n2.csv": "ca37288556d8db213817695424f83a6887a129e419f6cb815898f537c511bfba",
+            "traj_n0.csv": "e654f0d1ef1e8bea52d0434557952fe7b727c3a706058354ee563c1d7ec5a1a6",
+            "traj_n1.csv": "f99aff5da7933dda9b240ce032a3f7cfdc84c3e2e9a2d20ad42621397b56ea85",
+            "traj_n2.csv": "31208ace42241eb56c3c6006baee15bf27a6c9fd36ef9c6c897c811168fa3580",
         },
         40: {
             "anomalies.json": "e358c8923384f4c9be56268732b3f44a678a3f4a55dfad66d451c1cd3828d52a",
             "compare_n1.json": "dac330327f33ed1ea88c987087cc3eb88a3e8abe4b98641f49499148c65d5ba4",
-            "sticks_n0.csv": "35b2f856fbe857adf617dff8cf804524805278f9ddaf395268f4b7627fff9adf",
-            "sticks_n1.csv": "5be43dbe595a06e3dc9d80ec5274e6efbf2b823fc3dc9a7b1dd110bdc912b947",
-            "sticks_n2.csv": "7dcb1dd5dcb0d6ab6f69781adc486a0a4ab5f050e8eba22c49932d60a83f698c",
-            "sticks_t.csv": "e09a8c22bb20519cc07dea1c57ceeb43b10becd62063bd40af75430464b539f1",
+            "sticks_n0.csv": "58240c769d59d6459488fa584a5e381b46c7494ede0918058cffa507fe46aec4",
+            "sticks_n1.csv": "1e733a97a64a2b53d386dab1368687ae6a07b9e0887a019dd394098eb463ad1f",
+            "sticks_n2.csv": "84e1919c9f0cdb101d6cabd275747046da2387731a416acaeecb4315d6b70131",
+            "sticks_t.csv": "353e4b665ad754cd1387c0ca8045a327016f9294b0b3371d6b49e2e54cb2281e",
             "summary.json": "298a5999a910f4a6847c5f5c98bf0d6336976d0d9a26ed34958dd3fd41581aae",
-            "traj_n0.csv": "921c3cd1699fb6f1cb065174d64feb076ffc0b34222baeb471d4b23597d6ee75",
-            "traj_n1.csv": "5a5915bbf66b0cd6b9bb0daf6d95978d1fe5fd1f2d2bda0abd5cc041740d0f79",
-            "traj_n2.csv": "064f018b1ed3c2920543f22844425f530e8b1df3a343c8346d60bb9f2fb52003",
+            "traj_n0.csv": "52600a5f539308373276f21ebcb1f423bcf7f638fdfbe133564e442c64aa9ea9",
+            "traj_n1.csv": "0fbd2f4c0ddb715c25d8aa4129c6e986a24efd955d78c28a4f5fdcbc2093f593",
+            "traj_n2.csv": "baa15f83441fc7ba6c86a9dc7e7c8e9a9c534f8095e429fa1c618d26558c727b",
         },
     },
 }

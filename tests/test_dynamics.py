@@ -467,11 +467,12 @@ def _numpy_features_above(level):
 
 @pytest.mark.parametrize("kernel", list(KERNEL_LEVELS))
 def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
-    # The four byte tests above and the toy21 output pins, rerun in a child
-    # process whose OpenBLAS (numpy's DYNAMIC_ARCH build, which runs the
-    # solve and the GEMMs) takes the kernels that OPENBLAS_CORETYPE names:
-    # those a Haswell or Zen, a Sandy Bridge and a Nehalem host would pick.
-    # numpy's own loops are held to the SIMD level that such a host runs.
+    # The four byte tests above, the toy21 output pins and the OpenBLAS wake
+    # test, rerun in a child process whose OpenBLAS (numpy's DYNAMIC_ARCH
+    # build, which runs the solve and the GEMMs) takes the kernels that
+    # OPENBLAS_CORETYPE names: those a Haswell or Zen, a Sandy Bridge and a
+    # Nehalem host would pick.  numpy's own loops are held to the SIMD level
+    # that such a host runs.
     src = Path(dynamics.__file__).parents[1]
     env = {**os.environ, "OPENBLAS_CORETYPE": kernel, CACHE_DIR_ENV: str(tmp_path / "cache"),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -490,7 +491,9 @@ def test_byte_tests_pass_under_openblas_kernel(tmp_path, kernel):
          f"{__file__}::test_stacked_products_give_each_weight_column_its_own_bytes",
          f"{__file__}::test_nufft_bytes_independent_of_pass_workers",
          f"{__file__}::test_nufft_bytes_independent_of_rfft_chunks",
-         f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version"],
+         f"{Path(__file__).with_name('test_cli.py')}::test_outputs_pinned_for_this_version",
+         f"{Path(__file__).with_name('test_cli.py')}::"
+         "test_cache_hit_run_sticks_and_compare_wake_no_openblas_worker"],
         env=env, cwd=src.parent, capture_output=True, text=True)
     assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]
 

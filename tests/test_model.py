@@ -54,7 +54,7 @@ def test_production_config_counts():
     dict(omega_E=0.0),
     dict(rng_seed=-1),
     dict(rng_seed=2 ** 64),
-    dict(coupling_scope="everything"),
+    dict(total_energy=-1),
     dict(energy_unit_wavenumbers=0.0),
     dict(omega_E=2000.0),                    # 2^(m*omega_E) overflows a float
     dict(degeneracy_b=1e308),                # A*b^m overflows a float
@@ -77,11 +77,12 @@ def test_shipped_configs_parse(name, expected):
     assert ModelConfig.from_file(CONFIGS / f"{name}.cfg") == expected
 
 
-@pytest.mark.parametrize("key", ["polyad_N", "omega0"])
+@pytest.mark.parametrize("key", ["polyad_N", "omega0", "coupling_scope"])
 def test_config_file_dropped_fields_rejected(tmp_path, key):
     path = tmp_path / "model.cfg"
     path.write_text(f"alpha = 0.1\n{key} = 5\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: unknown configuration key')}"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{path}:2: unknown configuration key {key!r}')}$"):
         ModelConfig.from_file(path)
 
 
@@ -317,29 +318,25 @@ def test_identical_seed_bit_identical_matrix():
     assert not np.array_equal(a, c)
 
 
-# sha256 of the full H per (n_env_levels, coupling_scope), production
-# parameters otherwise: 252 and 2268 states.  The cache key covers the
-# assembly only through SOLVE_CONTRACT, and the 16-row load check cannot
-# see a change confined to rows >= 16; so an assembly change must fail
-# here until it bumps the contract and records its hashes under it.
+# sha256 of the full H per n_env_levels, production parameters otherwise:
+# 252 and 2268 states.  The cache key covers the assembly only through
+# SOLVE_CONTRACT, and the 16-row load check cannot see a change confined
+# to rows >= 16; so an assembly change must fail here until it bumps the
+# contract and records its hashes under it.
 H_SHA256 = {
     1: {
-        (3, "all"): "f5c126f606bf648c0410b16b85a9f78e14dae79b3c0c743961efaec6f23ea7d1",
-        (3, "system_changing_only"):
-            "b031482e826cb2b3f75280f9221aaa275372ee10751056cd917ec698c75db0ee",
-        (6, "all"): "214ef26f1741a41fe5147cb6d47cb3bda6ae56db7d4e33c630cf39e4f0953b2b",
-        (6, "system_changing_only"):
-            "6f77da0435cfe147694acf1a59e787da8262b06c5ce6b5ff5c57c1725c097803",
+        3: "f5c126f606bf648c0410b16b85a9f78e14dae79b3c0c743961efaec6f23ea7d1",
+        6: "214ef26f1741a41fe5147cb6d47cb3bda6ae56db7d4e33c630cf39e4f0953b2b",
     },
 }
 
 
-@pytest.mark.parametrize("n_env_levels, scope", sorted(H_SHA256[1]))
-def test_hamiltonian_pinned_for_this_solve_contract(n_env_levels, scope):
+@pytest.mark.parametrize("n_env_levels", sorted(H_SHA256[1]))
+def test_hamiltonian_pinned_for_this_solve_contract(n_env_levels):
     assert SOLVE_CONTRACT in H_SHA256, f"no H hashes recorded for contract {SOLVE_CONTRACT}"
-    matrix = hamiltonian_matrix(ModelConfig(n_env_levels=n_env_levels, coupling_scope=scope))
+    matrix = hamiltonian_matrix(ModelConfig(n_env_levels=n_env_levels))
     digest = hashlib.sha256(matrix.tobytes()).hexdigest()
-    assert digest == H_SHA256[SOLVE_CONTRACT][n_env_levels, scope]
+    assert digest == H_SHA256[SOLVE_CONTRACT][n_env_levels]
 
 
 def test_eigen_residual_unchanged_by_repeated_columns(toy21, toy21_ham):
@@ -369,24 +366,9 @@ def test_eigen_residual_has_the_same_bytes_on_any_blas_thread_count(mid_ham):
     assert found[0] == found[1] == np.float64(ham.eig_residual).tobytes()
 
 
-def test_system_changing_only_scope():
-    cfg = toy21_config(coupling_scope="system_changing_only")
-    matrix = hamiltonian_matrix(cfg)
-    n = build_basis(cfg).n
-    same_system = np.equal.outer(n, n)
-    off_diag = ~np.eye(n.size, dtype=bool)
-    assert np.all(matrix[same_system & off_diag] == 0.0)
-    assert np.any(matrix[~same_system] != 0.0)
-    # draw-order contract: couplings between system-changing pairs are
-    # the same variates as in the unrestricted assembly
-    full = hamiltonian_matrix(toy21_config())
-    np.testing.assert_array_equal(matrix[~same_system], full[~same_system])
-
-
-@pytest.mark.parametrize("scope", ["all", "system_changing_only"])
 @pytest.mark.parametrize("k", [1, 16, 40])
-def test_leading_rows_match_full_matrix(scope, k):
-    cfg = toy21_config(coupling_scope=scope)
+def test_leading_rows_match_full_matrix(k):
+    cfg = toy21_config()
     dim = cfg.n_universe_states
     full = build_hamiltonian_matrix(cfg)
     rows = build_hamiltonian_matrix(cfg, n_rows=k)
